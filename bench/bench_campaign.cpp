@@ -1,7 +1,7 @@
 // Campaign orchestrator determinism gates (ours): the merged result of a
 // sharded extreme-statistics run must be bit-identical for ANY shard
-// count, ANY execution mode (serial loop, pool threads, forked
-// processes) and ANY resume point. This bench runs a representative
+// count, ANY execution mode (serial loop, pool threads) and ANY resume
+// point. This bench runs a representative
 // workload — per-unit NRZ synthesis folded into an eye raster, a level
 // histogram and a per-unit record set — through the full matrix and
 // exits nonzero on the first drift, so CI can hold the invariant.
@@ -91,9 +91,8 @@ int main(int argc, char** argv) {
     return spec;
   };
 
-  std::vector<campaign::Mode> modes = {campaign::Mode::kSerial,
-                                       campaign::Mode::kThread};
-  if (campaign::fork_available()) modes.push_back(campaign::Mode::kFork);
+  const std::vector<campaign::Mode> modes = {campaign::Mode::kSerial,
+                                             campaign::Mode::kThread};
 
   std::size_t checked = 0, drifted = 0;
   std::uint64_t ref_hash = 0;

@@ -148,10 +148,10 @@ int main(int argc, char** argv) {
   // Extreme statistics: 12 analog instances bound the tails poorly. The
   // campaign orchestrator runs 1e6 edge-model trials — fit the fast model
   // once on the prototype, then perturb its parameters per trial with
-  // ProcessVariation-style sigmas — sharded over processes, with the
+  // ProcessVariation-style sigmas — sharded over pool threads, with the
   // merged per-trial record set pinned bit-identical across shard counts.
   // -------------------------------------------------------------------
-  bench::section("1e6-trial edge-model campaign (process-sharded)");
+  bench::section("1e6-trial edge-model campaign (thread-sharded)");
   core::VariableDelayChannel proto_ch(core::ChannelConfig::prototype(),
                                       rng.fork(7));
   const fast::EdgeModelParams proto =

@@ -9,17 +9,24 @@
 #include "util/serde.h"
 #include "util/thread_pool.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define GDELAY_CAMPAIGN_HAS_FORK 1
-#include <cerrno>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#else
-#define GDELAY_CAMPAIGN_HAS_FORK 0
-#endif
-
 namespace gdelay::campaign {
+
+const char* mode_name(Mode m) {
+  switch (m) {
+    case Mode::kSerial:
+      return "serial";
+    case Mode::kThread:
+      return "thread";
+  }
+  return "?";
+}
+
+Mode parse_mode(const std::string& s) {
+  if (s == "serial") return Mode::kSerial;
+  if (s == "thread") return Mode::kThread;
+  throw std::invalid_argument("campaign: unknown mode '" + s +
+                              "' (serial|thread)");
+}
 
 // ---------------------------------------------------------------------------
 // Accumulators
@@ -127,13 +134,12 @@ std::vector<ShardRange> plan_shards(std::uint64_t n_units,
   return ranges;
 }
 
-std::uint64_t spec_fingerprint(const CampaignSpec& spec,
-                               std::size_t n_shards) {
+std::uint64_t spec_fingerprint(const CampaignSpec& spec) {
   util::ByteWriter w;
   w.raw(spec.name.data(), spec.name.size());
   w.u64(spec.seed);
   w.u64(spec.n_units);
-  w.u64(n_shards);
+  w.u64(spec.n_shards);
   return util::fnv1a64(w.bytes().data(), w.bytes().size());
 }
 
@@ -145,21 +151,6 @@ std::string shard_checkpoint_path(const CampaignSpec& spec,
 
 namespace {
 
-struct ResolvedSpec {
-  CampaignSpec spec;
-  std::size_t n_shards = 0;
-  Mode mode = Mode::kSerial;
-};
-
-ResolvedSpec resolve(const CampaignSpec& spec) {
-  ResolvedSpec r;
-  r.spec = spec;
-  r.n_shards = spec.n_shards ? spec.n_shards : default_shards();
-  r.mode = spec.mode ? *spec.mode : default_mode();
-  if (r.mode == Mode::kFork && !fork_available()) r.mode = Mode::kThread;
-  return r;
-}
-
 struct ShardOutcome {
   AccumulatorSet accs;
   std::uint64_t next_unit = 0;
@@ -167,13 +158,13 @@ struct ShardOutcome {
   bool complete = false;
 };
 
-// One payload format for checkpoints, fork pipes and worker result files:
+// Checkpoint payload:
 //   u64 fingerprint  u32 shard  u64 next_unit  u8 resumed  u8 complete
 //   u32 n_accs  accumulator payloads in factory order
-std::string serialize_outcome(const ResolvedSpec& rs, std::size_t shard,
+std::string serialize_outcome(const CampaignSpec& spec, std::size_t shard,
                               const ShardOutcome& out) {
   util::ByteWriter w;
-  w.u64(spec_fingerprint(rs.spec, rs.n_shards));
+  w.u64(spec_fingerprint(spec));
   w.u32(static_cast<std::uint32_t>(shard));
   w.u64(out.next_unit);
   w.u8(out.resumed ? 1 : 0);
@@ -183,11 +174,11 @@ std::string serialize_outcome(const ResolvedSpec& rs, std::size_t shard,
   return w.take();
 }
 
-ShardOutcome deserialize_outcome(const ResolvedSpec& rs, std::size_t shard,
+ShardOutcome deserialize_outcome(const CampaignSpec& spec, std::size_t shard,
                                  const AccumulatorFactory& factory,
                                  const std::string& payload) {
   util::ByteReader r(payload);
-  if (r.u64() != spec_fingerprint(rs.spec, rs.n_shards))
+  if (r.u64() != spec_fingerprint(spec))
     throw std::runtime_error(
         "campaign: checkpoint belongs to a different spec/topology");
   if (r.u32() != static_cast<std::uint32_t>(shard))
@@ -210,17 +201,17 @@ ShardOutcome deserialize_outcome(const ResolvedSpec& rs, std::size_t shard,
 // Shard execution
 // ---------------------------------------------------------------------------
 
-ShardOutcome run_shard(const ResolvedSpec& rs, std::size_t shard,
+ShardOutcome run_shard(const CampaignSpec& spec, std::size_t shard,
                        const ShardRange& range,
                        const AccumulatorFactory& factory,
                        const UnitFn& unit_fn) {
-  const bool checkpointing = !rs.spec.checkpoint_dir.empty();
+  const bool checkpointing = !spec.checkpoint_dir.empty();
   ShardOutcome out;
   out.accs = factory();
   out.next_unit = range.begin;
   if (checkpointing) {
-    if (auto bytes = read_file(shard_checkpoint_path(rs.spec, shard))) {
-      out = deserialize_outcome(rs, shard, factory,
+    if (auto bytes = read_file(shard_checkpoint_path(spec, shard))) {
+      out = deserialize_outcome(spec, shard, factory,
                                 unframe(*bytes, kFrameShardState));
       out.resumed = true;
       if (out.next_unit < range.begin || out.next_unit > range.end)
@@ -230,23 +221,24 @@ ShardOutcome run_shard(const ResolvedSpec& rs, std::size_t shard,
 
   const auto save_checkpoint = [&] {
     out.complete = out.next_unit >= range.end;
-    write_file_atomic(shard_checkpoint_path(rs.spec, shard),
-                      frame(kFrameShardState, serialize_outcome(rs, shard, out)));
+    write_file_atomic(
+        shard_checkpoint_path(spec, shard),
+        frame(kFrameShardState, serialize_outcome(spec, shard, out)));
   };
 
   std::uint64_t done_this_run = 0;
   std::uint64_t since_ckpt = 0;
   while (out.next_unit < range.end) {
-    if (rs.spec.stop_after_units && done_this_run >= rs.spec.stop_after_units)
+    if (spec.stop_after_units && done_this_run >= spec.stop_after_units)
       break;
     // The unit's private substream: a pure function of (seed, unit), so
-    // results cannot depend on the shard/process/resume topology.
-    util::Rng rng = util::Rng(rs.spec.seed).fork(out.next_unit);
+    // results cannot depend on the shard/thread/resume topology.
+    util::Rng rng = util::Rng(spec.seed).fork(out.next_unit);
     unit_fn(out.next_unit, rng, out.accs);
     ++out.next_unit;
     ++done_this_run;
-    if (checkpointing && rs.spec.checkpoint_every &&
-        ++since_ckpt >= rs.spec.checkpoint_every) {
+    if (checkpointing && spec.checkpoint_every &&
+        ++since_ckpt >= spec.checkpoint_every) {
       save_checkpoint();
       since_ckpt = 0;
     }
@@ -256,12 +248,12 @@ ShardOutcome run_shard(const ResolvedSpec& rs, std::size_t shard,
   return out;
 }
 
-CampaignResult merge_outcomes(const ResolvedSpec& rs,
+CampaignResult merge_outcomes(const CampaignSpec& spec,
                               const std::vector<ShardRange>& ranges,
                               std::vector<ShardOutcome> outcomes) {
   CampaignResult res;
-  res.n_shards = rs.n_shards;
-  res.mode = rs.mode;
+  res.n_shards = spec.n_shards;
+  res.mode = spec.mode;
   res.complete = true;
   for (std::size_t s = 0; s < outcomes.size(); ++s) {
     res.units_done += outcomes[s].next_unit - ranges[s].begin;
@@ -277,97 +269,6 @@ CampaignResult merge_outcomes(const ResolvedSpec& rs,
   return res;
 }
 
-#if GDELAY_CAMPAIGN_HAS_FORK
-
-void write_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t k = ::write(fd, data, n);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      return;  // Parent sees a short/invalid frame and reports the failure.
-    }
-    data += k;
-    n -= static_cast<std::size_t>(k);
-  }
-}
-
-std::string read_all(int fd) {
-  std::string out;
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t k = ::read(fd, buf, sizeof buf);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("campaign: pipe read failed");
-    }
-    if (k == 0) return out;
-    out.append(buf, static_cast<std::size_t>(k));
-  }
-}
-
-std::vector<ShardOutcome> run_shards_fork(const ResolvedSpec& rs,
-                                          const std::vector<ShardRange>& ranges,
-                                          const AccumulatorFactory& factory,
-                                          const UnitFn& unit_fn) {
-  struct Child {
-    pid_t pid = -1;
-    int fd = -1;
-  };
-  // Fork every child before reading any pipe (and before touching the
-  // pool), so no child inherits a mid-operation pool state.
-  std::vector<Child> kids(rs.n_shards);
-  for (std::size_t s = 0; s < rs.n_shards; ++s) {
-    int fds[2];
-    if (::pipe(fds) != 0)
-      throw std::runtime_error("campaign: pipe() failed");
-    const pid_t pid = ::fork();
-    if (pid < 0) throw std::runtime_error("campaign: fork() failed");
-    if (pid == 0) {
-      ::close(fds[0]);
-      int code = 0;
-      try {
-        const ShardOutcome out = run_shard(rs, s, ranges[s], factory, unit_fn);
-        const std::string msg =
-            frame(kFrameShardState, serialize_outcome(rs, s, out));
-        write_all(fds[1], msg.data(), msg.size());
-      } catch (...) {
-        code = 3;
-      }
-      ::close(fds[1]);
-      ::_exit(code);
-    }
-    ::close(fds[1]);
-    kids[s].pid = pid;
-    kids[s].fd = fds[0];
-  }
-
-  // Drain pipes on the pool; each task reads its child to EOF and reaps
-  // it. The waitpid cannot park a worker indefinitely: EOF means the
-  // child has already closed its pipe end and is exiting. This is the
-  // scoped R11 allowance for campaign/ process orchestration.
-  return util::parallel_map(rs.n_shards, [&](std::size_t s) {
-    std::string bytes;
-    std::string io_error;
-    try {
-      bytes = read_all(kids[s].fd);
-    } catch (const std::exception& e) {
-      io_error = e.what();
-    }
-    ::close(kids[s].fd);
-    int status = 0;
-    while (::waitpid(kids[s].pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    if (!io_error.empty()) throw std::runtime_error(io_error);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0)
-      throw std::runtime_error("campaign: shard " + std::to_string(s) +
-                               " worker process failed");
-    return deserialize_outcome(rs, s, factory,
-                               unframe(bytes, kFrameShardState));
-  });
-}
-
-#endif  // GDELAY_CAMPAIGN_HAS_FORK
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -377,65 +278,29 @@ std::vector<ShardOutcome> run_shards_fork(const ResolvedSpec& rs,
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const AccumulatorFactory& factory,
                             const UnitFn& unit_fn) {
-  const ResolvedSpec rs = resolve(spec);
-  const std::vector<ShardRange> ranges = plan_shards(spec.n_units, rs.n_shards);
+  const std::vector<ShardRange> ranges =
+      plan_shards(spec.n_units, spec.n_shards);
 
   std::vector<ShardOutcome> outcomes;
-  switch (rs.mode) {
+  switch (spec.mode) {
     case Mode::kSerial:
-      outcomes.reserve(rs.n_shards);
-      for (std::size_t s = 0; s < rs.n_shards; ++s)
-        outcomes.push_back(run_shard(rs, s, ranges[s], factory, unit_fn));
+      outcomes.reserve(spec.n_shards);
+      for (std::size_t s = 0; s < spec.n_shards; ++s)
+        outcomes.push_back(run_shard(spec, s, ranges[s], factory, unit_fn));
       break;
     case Mode::kThread:
-      outcomes = util::parallel_map(rs.n_shards, [&](std::size_t s) {
-        return run_shard(rs, s, ranges[s], factory, unit_fn);
+      outcomes = util::parallel_map(spec.n_shards, [&](std::size_t s) {
+        return run_shard(spec, s, ranges[s], factory, unit_fn);
       });
       break;
-    case Mode::kFork:
-#if GDELAY_CAMPAIGN_HAS_FORK
-      outcomes = run_shards_fork(rs, ranges, factory, unit_fn);
-      break;
-#else
-      throw std::logic_error("campaign: fork mode unavailable in this build");
-#endif
   }
-  return merge_outcomes(rs, ranges, std::move(outcomes));
-}
-
-void run_shard_to_file(const CampaignSpec& spec, std::size_t shard,
-                       const AccumulatorFactory& factory,
-                       const UnitFn& unit_fn,
-                       const std::string& result_path) {
-  const ResolvedSpec rs = resolve(spec);
-  if (shard >= rs.n_shards)
-    throw std::invalid_argument("campaign: shard index out of range");
-  const std::vector<ShardRange> ranges = plan_shards(spec.n_units, rs.n_shards);
-  const ShardOutcome out = run_shard(rs, shard, ranges[shard], factory, unit_fn);
-  write_file_atomic(result_path,
-                    frame(kFrameShardState, serialize_outcome(rs, shard, out)));
-}
-
-CampaignResult merge_shard_reports(const CampaignSpec& spec,
-                                   const AccumulatorFactory& factory,
-                                   const std::vector<std::string>& frames) {
-  const ResolvedSpec rs = resolve(spec);
-  if (frames.size() != rs.n_shards)
-    throw std::invalid_argument("campaign: expected one report per shard");
-  const std::vector<ShardRange> ranges = plan_shards(spec.n_units, rs.n_shards);
-  std::vector<ShardOutcome> outcomes;
-  outcomes.reserve(frames.size());
-  for (std::size_t s = 0; s < frames.size(); ++s)
-    outcomes.push_back(deserialize_outcome(
-        rs, s, factory, unframe(frames[s], kFrameShardState)));
-  return merge_outcomes(rs, ranges, std::move(outcomes));
+  return merge_outcomes(spec, ranges, std::move(outcomes));
 }
 
 void remove_checkpoints(const CampaignSpec& spec) {
   if (spec.checkpoint_dir.empty()) return;
-  const ResolvedSpec rs = resolve(spec);
-  for (std::size_t s = 0; s < rs.n_shards; ++s)
-    remove_file(shard_checkpoint_path(rs.spec, s));
+  for (std::size_t s = 0; s < spec.n_shards; ++s)
+    remove_file(shard_checkpoint_path(spec, s));
 }
 
 }  // namespace gdelay::campaign

@@ -1,18 +1,17 @@
 // Extreme-statistics campaign orchestration.
 //
 // A campaign is N independent work units folded into a set of mergeable
-// accumulators. The orchestrator shards the unit range over processes
-// (fork + pipe), pool threads, or a serial loop, checkpoints partial
-// accumulators so a killed campaign resumes where it stopped, and merges
-// shard states in shard order.
+// accumulators. The orchestrator shards the unit range over pool threads
+// or a serial loop, checkpoints partial accumulators so a killed campaign
+// resumes where it stopped, and merges shard states in shard order.
 //
 // The headline invariant is determinism: the merged result is
 // bit-identical for ANY shard count, ANY execution mode, and ANY resume
 // point. Three design rules make that hold by construction:
 //
 //   1. Pure substreams. Unit u draws from Rng(spec.seed).fork(u) — a pure
-//      function of (seed, unit), independent of which shard runs u, in
-//      which process, before or after a resume.
+//      function of (seed, unit), independent of which shard runs u, on
+//      which thread, before or after a resume.
 //   2. Contiguous shards, ordered merge. Shard s owns a contiguous unit
 //      range; merges happen in shard order, so every accumulator sees
 //      contributions in the same order as the single-shard run. Counting
@@ -23,23 +22,18 @@
 //      (save(load(save(x))) == save(x)), and a resumed shard continues
 //      from state indistinguishable from the uninterrupted run.
 //
-// Processes vs threads: fork mode forks one child per shard BEFORE any
-// pipe is read (the callback survives by copy-on-write; no exec, no
-// argument marshalling), each child streams its framed shard state into a
-// pipe and _exit()s; the parent drains pipes on the pool and reaps with
-// waitpid. Where fork is unavailable the campaign falls back to pool
-// threads with identical results. Unit callbacks must not touch the
-// global thread pool themselves — shards already own the parallelism.
+// In thread mode each shard is one task on the deterministic pool. Unit
+// callbacks must not touch the global thread pool themselves — shards
+// already own the parallelism.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "campaign/config.h"
 #include "util/rng.h"
 
 namespace gdelay::util {
@@ -52,6 +46,23 @@ class ISampleSink;
 }  // namespace gdelay::meas
 
 namespace gdelay::campaign {
+
+/// How shards execute. The merged result is identical in every mode.
+enum class Mode {
+  kSerial,  ///< One shard after another on the calling thread.
+  kThread,  ///< Shards fanned out on the deterministic thread pool.
+};
+
+const char* mode_name(Mode m);
+
+/// Parses "serial" / "thread"; throws std::invalid_argument on anything
+/// else.
+Mode parse_mode(const std::string& s);
+
+/// Default shard count. A constant, not the pool size: the shard count is
+/// part of the checkpoint fingerprint, so a resume must not depend on
+/// GDELAY_THREADS.
+inline constexpr std::size_t kDefaultShards = 4;
 
 /// Mergeable, checkpointable campaign state. Implementations must be
 /// byte-exact: save() then load() reproduces the accumulator bit for bit.
@@ -126,10 +137,8 @@ struct CampaignSpec {
   std::string name = "campaign";  ///< Names checkpoint files; fingerprinted.
   std::uint64_t seed = 1;
   std::uint64_t n_units = 0;
-  /// 0 = config::default_shards() (GDELAY_CAMPAIGN_SHARDS, default 4).
-  std::size_t n_shards = 0;
-  /// Unset = config::default_mode() (GDELAY_CAMPAIGN_MODE, default fork).
-  std::optional<Mode> mode;
+  std::size_t n_shards = kDefaultShards;  ///< Must be >= 1; fingerprinted.
+  Mode mode = Mode::kThread;
   /// Directory for shard checkpoints; empty disables checkpointing.
   std::string checkpoint_dir;
   /// Units between periodic checkpoints (0 = checkpoint only on stop).
@@ -152,8 +161,7 @@ std::vector<ShardRange> plan_shards(std::uint64_t n_units,
 /// Hash of (name, seed, n_units, n_shards) — stored in every shard
 /// checkpoint so state from a different campaign or topology can never
 /// resume into this one.
-std::uint64_t spec_fingerprint(const CampaignSpec& spec,
-                               std::size_t n_shards);
+std::uint64_t spec_fingerprint(const CampaignSpec& spec);
 
 struct CampaignResult {
   AccumulatorSet accumulators;  ///< Merged, in factory order.
@@ -168,21 +176,6 @@ struct CampaignResult {
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const AccumulatorFactory& factory,
                             const UnitFn& unit_fn);
-
-/// Exec-worker support: runs ONE shard (with the spec's checkpoint/resume
-/// semantics) and writes its framed shard report to `result_path`. This
-/// is the body of `gdelay_tool campaign-worker`; the spawning parent
-/// merges the result files with merge_shard_reports().
-void run_shard_to_file(const CampaignSpec& spec, std::size_t shard,
-                       const AccumulatorFactory& factory,
-                       const UnitFn& unit_fn, const std::string& result_path);
-
-/// Merges framed shard reports (one per shard, in shard order) into a
-/// campaign result. Throws if a report is missing, corrupt, or from a
-/// different spec/topology.
-CampaignResult merge_shard_reports(const CampaignSpec& spec,
-                                   const AccumulatorFactory& factory,
-                                   const std::vector<std::string>& frames);
 
 /// Path of shard `shard`'s checkpoint file under the spec's dir.
 std::string shard_checkpoint_path(const CampaignSpec& spec,

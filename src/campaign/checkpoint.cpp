@@ -34,7 +34,7 @@ std::string unframe(const std::string& bytes, std::uint32_t expect_kind) {
   if (kind != expect_kind)
     throw std::runtime_error("checkpoint: frame kind mismatch");
   const std::uint64_t size = r.u64();
-  if (r.remaining() < size + 8)
+  if (r.remaining() < 8 || size > r.remaining() - 8)
     throw std::runtime_error("checkpoint: truncated payload");
   std::string payload(static_cast<std::size_t>(size), '\0');
   r.raw(payload.data(), payload.size());

@@ -1,7 +1,6 @@
 // Checkpoint framing and atomic file persistence.
 //
-// Every persisted campaign artifact — shard checkpoints, fork-pipe
-// payloads, exec-worker result files — travels inside one frame:
+// Every shard checkpoint travels inside one frame:
 //
 //   u32 magic 'GDCK'   u32 version   u32 kind   u64 payload size
 //   payload bytes      u64 FNV-1a64(payload)

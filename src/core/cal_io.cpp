@@ -60,8 +60,6 @@ ChannelCalibration calibration_from_text(const std::string& text) {
     } else if (key == "curve_points") {
       if (!(is >> n_points) || n_points < 2)
         throw std::runtime_error("calibration_from_text: bad point count");
-      xs.reserve(n_points);
-      ys.reserve(n_points);
     } else if (key == "point") {
       double x = 0.0, y = 0.0;
       if (!(is >> x >> y))

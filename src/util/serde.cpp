@@ -81,7 +81,7 @@ void ByteReader::raw(void* out, std::size_t n) {
 
 std::vector<double> ByteReader::vec_f64() {
   const std::uint64_t n = u64();
-  if (remaining() < n * 8) truncated("vec_f64");
+  if (n > remaining() / 8) truncated("vec_f64");
   std::vector<double> v;
   v.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(f64());
@@ -90,7 +90,7 @@ std::vector<double> ByteReader::vec_f64() {
 
 std::vector<std::uint64_t> ByteReader::vec_u64() {
   const std::uint64_t n = u64();
-  if (remaining() < n * 8) truncated("vec_u64");
+  if (n > remaining() / 8) truncated("vec_u64");
   std::vector<std::uint64_t> v;
   v.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(u64());

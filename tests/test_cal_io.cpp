@@ -1,11 +1,12 @@
 // Calibration persistence round-trip: a full set of real (measured)
 // calibration curves must survive serialize -> deserialize with byte
-// identity in every field, so stored tables reload into the service
-// cache bit-equal to freshly swept ones.
+// identity in every field, so a stored table plans exactly as the freshly
+// swept one did. Malformed text is rejected with std::runtime_error.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -106,4 +107,17 @@ TEST(CalIo, PlannedSettingsSurviveTheRoundTrip) {
     EXPECT_TRUE(bitwise_equal(a.vctrl_v, b.vctrl_v));
     EXPECT_TRUE(bitwise_equal(a.predicted_delay_ps, b.predicted_delay_ps));
   }
+}
+
+TEST(CalIo, HugeClaimedPointCountIsRejectedNotAllocated) {
+  // The claimed count is only checked against the points actually read;
+  // it must never size an allocation up front.
+  const std::string text =
+      "gdelay_calibration 1\n"
+      "base_latency_ps 600\n"
+      "tap_offsets_ps 0 35 70 105\n"
+      "curve_points 1000000000000000000\n"
+      "point 0 0\n"
+      "point 1.5 20\n";
+  EXPECT_THROW(core::calibration_from_text(text), std::runtime_error);
 }

@@ -1,11 +1,11 @@
 // Campaign orchestration: sharding, per-unit substreams, checkpoints,
 // merges. The headline contract under test is determinism — the merged
 // result is bit-identical for ANY shard count, ANY execution mode
-// (serial / thread / fork) and ANY resume point — plus the guard rails
-// around it: checkpoints from a different spec or topology are rejected,
-// corrupt shard reports throw, and the RecordAccumulator restores unit
-// order across merges so floating-point reductions stay associative by
-// construction.
+// (serial / thread) and ANY resume point — plus the guard rails around
+// it: checkpoints from a different spec or topology, corrupt checkpoint
+// files and swapped shard files are rejected, and the RecordAccumulator
+// restores unit order across merges so floating-point reductions stay
+// associative by construction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +17,6 @@
 
 #include "campaign/campaign.h"
 #include "campaign/checkpoint.h"
-#include "campaign/config.h"
 #include "measure/sinks.h"
 #include "util/rng.h"
 #include "util/serde.h"
@@ -71,7 +70,7 @@ gcp::CampaignSpec base_spec(std::size_t shards, gcp::Mode mode) {
   spec.name = "unit_test";
   spec.seed = 77;
   spec.n_units = kUnits;
-  spec.n_shards = shards;  // always explicit: tests must ignore the env
+  spec.n_shards = shards;
   spec.mode = mode;
   return spec;
 }
@@ -113,26 +112,31 @@ TEST(CampaignPlan, ShardsAreContiguousBalancedAndCovering) {
 
 TEST(CampaignPlan, FingerprintSeparatesSpecAndTopology) {
   const gcp::CampaignSpec a = base_spec(4, gcp::Mode::kSerial);
-  const std::uint64_t fp = gcp::spec_fingerprint(a, 4);
-  EXPECT_EQ(fp, gcp::spec_fingerprint(a, 4));  // stable
+  const std::uint64_t fp = gcp::spec_fingerprint(a);
+  EXPECT_EQ(fp, gcp::spec_fingerprint(a));  // stable
 
   gcp::CampaignSpec b = a;
   b.name = "other_campaign";
-  EXPECT_NE(gcp::spec_fingerprint(b, 4), fp);
+  EXPECT_NE(gcp::spec_fingerprint(b), fp);
   b = a;
   b.seed = 78;
-  EXPECT_NE(gcp::spec_fingerprint(b, 4), fp);
+  EXPECT_NE(gcp::spec_fingerprint(b), fp);
   b = a;
   b.n_units = kUnits + 1;
-  EXPECT_NE(gcp::spec_fingerprint(b, 4), fp);
-  EXPECT_NE(gcp::spec_fingerprint(a, 8), fp);  // topology
+  EXPECT_NE(gcp::spec_fingerprint(b), fp);
+  b = a;
+  b.n_shards = 8;  // topology
+  EXPECT_NE(gcp::spec_fingerprint(b), fp);
+  b = a;
+  b.mode = gcp::Mode::kThread;  // execution only: same checkpoints
+  EXPECT_EQ(gcp::spec_fingerprint(b), fp);
 }
 
 TEST(CampaignConfig, ModeNamesRoundTrip) {
-  for (gcp::Mode m :
-       {gcp::Mode::kSerial, gcp::Mode::kThread, gcp::Mode::kFork})
+  for (gcp::Mode m : {gcp::Mode::kSerial, gcp::Mode::kThread})
     EXPECT_EQ(gcp::parse_mode(gcp::mode_name(m)), m);
   EXPECT_THROW(gcp::parse_mode("sideways"), std::invalid_argument);
+  EXPECT_THROW(gcp::parse_mode("fork"), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -186,9 +190,6 @@ TEST(CampaignDeterminism, HashInvariantAcrossShardCountsAndModes) {
     EXPECT_EQ(run_hash(shards, gcp::Mode::kSerial), ref) << shards;
   for (std::size_t shards : {std::size_t{1}, std::size_t{4}})
     EXPECT_EQ(run_hash(shards, gcp::Mode::kThread), ref) << shards;
-  if (gcp::fork_available())
-    for (std::size_t shards : {std::size_t{1}, std::size_t{4}})
-      EXPECT_EQ(run_hash(shards, gcp::Mode::kFork), ref) << shards;
 }
 
 TEST(CampaignDeterminism, ResumeFromCheckpointMatchesUninterrupted) {
@@ -252,70 +253,50 @@ TEST(CampaignDeterminism, TopologyChangeCannotAbsorbOldCheckpoints) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker report files (the exec-mode transport)
+// Checkpoint files on disk
 // ---------------------------------------------------------------------------
 
-TEST(CampaignWorker, ShardReportFilesMergeToTheCampaignResult) {
-  const std::uint64_t ref = run_hash(1, gcp::Mode::kSerial);
-  const gcp::CampaignSpec spec = base_spec(3, gcp::Mode::kSerial);
-  const std::string dir = ::testing::TempDir() + "gdelay_campaign_worker";
+namespace {
 
-  std::vector<std::string> frames;
-  for (std::size_t s = 0; s < 3; ++s) {
-    const std::string path = dir + "/shard" + std::to_string(s) + ".result";
-    gcp::run_shard_to_file(spec, s, make_accs, unit_work, path);
-    auto bytes = gcp::read_file(path);
-    ASSERT_TRUE(bytes.has_value()) << path;
-    frames.push_back(*bytes);
-    gcp::remove_file(path);
-  }
-
-  const gcp::CampaignResult r =
-      gcp::merge_shard_reports(spec, make_accs, frames);
-  EXPECT_TRUE(r.complete);
-  EXPECT_EQ(r.units_done, kUnits);
-  EXPECT_EQ(hash_accs(r.accumulators), ref);
+// Runs a 2-shard campaign that stops half way, leaving one checkpoint
+// file per shard under `dir`, and returns the spec that resumes it.
+gcp::CampaignSpec leave_checkpoints(const std::string& dir) {
+  gcp::CampaignSpec spec = base_spec(2, gcp::Mode::kSerial);
+  spec.checkpoint_dir = ::testing::TempDir() + dir;
+  spec.stop_after_units = kUnits / 2 / 2;
+  gcp::run_campaign(spec, make_accs, unit_work);
+  spec.stop_after_units = 0;
+  return spec;
 }
 
-TEST(CampaignWorker, CorruptOrForeignReportsAreRejected) {
-  const gcp::CampaignSpec spec = base_spec(2, gcp::Mode::kSerial);
-  const std::string dir = ::testing::TempDir() + "gdelay_campaign_reject";
+}  // namespace
 
-  std::vector<std::string> frames;
-  for (std::size_t s = 0; s < 2; ++s) {
-    const std::string path = dir + "/shard" + std::to_string(s) + ".result";
-    gcp::run_shard_to_file(spec, s, make_accs, unit_work, path);
-    frames.push_back(*gcp::read_file(path));
-    gcp::remove_file(path);
-  }
-
-  // Wrong report count.
-  EXPECT_THROW(
-      gcp::merge_shard_reports(spec, make_accs, {frames[0]}),
-      std::invalid_argument);
-
-  // Bit flip inside one frame: the checksum rejects it.
-  auto flipped = frames;
-  flipped[1][flipped[1].size() / 2] ^= 0x20;
-  EXPECT_THROW(gcp::merge_shard_reports(spec, make_accs, flipped),
+TEST(CampaignCheckpoint, FlippedByteOnDiskIsRejected) {
+  const gcp::CampaignSpec spec = leave_checkpoints("gdelay_campaign_flip");
+  const std::string path = gcp::shard_checkpoint_path(spec, 1);
+  std::string bytes = *gcp::read_file(path);
+  bytes[bytes.size() / 2] ^= 0x20;
+  gcp::write_file_atomic(path, bytes);
+  EXPECT_THROW(gcp::run_campaign(spec, make_accs, unit_work),
                std::runtime_error);
-
-  // Reports from a different campaign cannot merge into this spec.
-  gcp::CampaignSpec other = spec;
-  other.seed = spec.seed + 1;
-  EXPECT_THROW(gcp::merge_shard_reports(other, make_accs, frames),
-               std::runtime_error);
-
-  // Shard order matters: swapping reports trips the shard-index check.
-  auto swapped = frames;
-  std::swap(swapped[0], swapped[1]);
-  EXPECT_THROW(gcp::merge_shard_reports(spec, make_accs, swapped),
-               std::runtime_error);
+  gcp::remove_checkpoints(spec);
 }
 
-TEST(CampaignWorker, ShardIndexOutOfRangeIsRejected) {
-  const gcp::CampaignSpec spec = base_spec(2, gcp::Mode::kSerial);
-  EXPECT_THROW(gcp::run_shard_to_file(spec, 2, make_accs, unit_work,
-                                      ::testing::TempDir() + "nope.result"),
-               std::invalid_argument);
+TEST(CampaignCheckpoint, SwappedShardFilesAreRejected) {
+  // Both files carry the campaign's fingerprint, so only the shard-index
+  // check can tell that shard 0 is reading shard 1's state.
+  const gcp::CampaignSpec spec = leave_checkpoints("gdelay_campaign_swap");
+  const std::string p0 = gcp::shard_checkpoint_path(spec, 0);
+  const std::string p1 = gcp::shard_checkpoint_path(spec, 1);
+  const std::string b0 = *gcp::read_file(p0);
+  gcp::write_file_atomic(p0, *gcp::read_file(p1));
+  gcp::write_file_atomic(p1, b0);
+  try {
+    gcp::run_campaign(spec, make_accs, unit_work);
+    ADD_FAILURE() << "swapped checkpoints resumed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("shard index"), std::string::npos)
+        << e.what();
+  }
+  gcp::remove_checkpoints(spec);
 }

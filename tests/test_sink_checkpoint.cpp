@@ -407,6 +407,16 @@ TEST(CheckpointFrame, RejectsTruncation) {
   }
 }
 
+TEST(CheckpointFrame, RejectsOversizedLengthField) {
+  // A size field near 2^64 must not wrap the truncation check (size + 8
+  // would be 0 here) and reach the payload allocation.
+  std::string framed = gcp::frame(gcp::kFrameShardState, "p");
+  for (std::size_t i = 0; i < 8; ++i)
+    framed[12 + i] = static_cast<char>(i == 0 ? 0xf8 : 0xff);
+  EXPECT_THROW(gcp::unframe(framed, gcp::kFrameShardState),
+               std::runtime_error);
+}
+
 TEST(CheckpointFrame, RejectsWrongKindAndBadMagic) {
   const std::string framed = gcp::frame(gcp::kFrameShardState, "p");
   EXPECT_THROW(gcp::unframe(framed, gcp::kFrameShardState + 1),

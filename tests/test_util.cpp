@@ -1,4 +1,4 @@
-// Tests for util: units, RNG, curves.
+// Tests for util: units, RNG, curves, serde.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +9,7 @@
 #include "util/csv.h"
 #include "util/curve.h"
 #include "util/rng.h"
+#include "util/serde.h"
 #include "util/units.h"
 
 namespace gu = gdelay::util;
@@ -245,4 +246,19 @@ TEST(Csv, ValidatesInput) {
   EXPECT_THROW(
       gu::write_csv_xy("/nonexistent/dir/x.csv", "a", {1.0}, "b", {2.0}),
       std::runtime_error);
+}
+
+TEST(Serde, VectorCountPastTheBufferIsATruncatedRead) {
+  // 2^61 + 1 elements of 8 bytes: a count * 8 length check wraps to 8
+  // and would pass; the reader must still report a truncated read.
+  for (const bool f64 : {true, false}) {
+    gu::ByteWriter w;
+    w.u64((std::uint64_t{1} << 61) + 1);
+    w.f64(1.0);
+    gu::ByteReader r(w.bytes());
+    if (f64)
+      EXPECT_THROW(r.vec_f64(), std::runtime_error);
+    else
+      EXPECT_THROW(r.vec_u64(), std::runtime_error);
+  }
 }

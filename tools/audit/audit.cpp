@@ -404,8 +404,7 @@ void scan_r2(const std::string& label, const Lexed& lx, const Options& opt,
     if (t == "getenv")
       msg +=
           "; environment reads are confined to the allowlisted owners "
-          "(util/thread_pool, backend/dispatch, service/config, "
-          "campaign/config)";
+          "(util/thread_pool, backend/dispatch)";
     else
       msg += "; derive values from util::Rng or explicit configuration";
     out.push_back({label, toks[i].line, toks[i].col, "R2", std::move(msg)});
@@ -812,8 +811,8 @@ void scan_r3_r4(const std::string& label, const Lexed& lx, const Options& opt,
 // Pass 1 — per-file extraction for the cross-TU SymbolIndex
 //
 // A second scope walk (shared shape with scan_r3_r4, but recording instead
-// of judging) collects classes with typed members, enums with enumerators,
-// and function definitions with call edges and candidate blocking sites.
+// of judging) collects classes with typed members and function
+// definitions with call edges and candidate blocking sites.
 // The walker also understands two shapes the rule pass can ignore:
 //   * lambda bodies opened inside an argument list (possibly handed to the
 //     thread pool — those become pool-root pseudo-functions for R11), and
@@ -824,7 +823,6 @@ void scan_r3_r4(const std::string& label, const Lexed& lx, const Options& opt,
 
 struct FileExtract {
   std::vector<IndexedClass> classes;
-  std::vector<IndexedEnum> enums;
   std::vector<IndexedFunction> functions;
   std::set<std::string> ns_atomics;
   /// Mutex member names in source order across ALL classes in the file —
@@ -895,12 +893,11 @@ void record_member(const std::vector<Token>& stmt, IndexedClass& c) {
     }
     if (t.kind != Token::Ident || angle != 0) continue;
     const std::string& ty = t.text;
-    enum class M { Mutex, Cv, Atomic, Future, Rng, None } m = M::None;
+    enum class M { Mutex, Cv, Atomic, Rng, None } m = M::None;
     if (mutex_types().count(ty)) m = M::Mutex;
     else if (ty == "condition_variable" || ty == "condition_variable_any")
       m = M::Cv;
     else if (ty == "atomic") m = M::Atomic;
-    else if (ty == "future" || ty == "shared_future") m = M::Future;
     else if (ty == "Rng" || ty == "NoiseSource") m = M::Rng;
     if (m == M::None) continue;
     std::size_t j = skip_angles(stmt, i + 1);
@@ -911,7 +908,6 @@ void record_member(const std::vector<Token>& stmt, IndexedClass& c) {
           case M::Mutex: c.mutex_members.push_back(name); break;
           case M::Cv: c.cv_members.insert(name); break;
           case M::Atomic: c.atomic_members.insert(name); break;
-          case M::Future: c.future_members.insert(name); break;
           case M::Rng: c.rng_members.insert(name); break;
           case M::None: break;
         }
@@ -976,7 +972,6 @@ FileExtract extract_file(const std::string& label, const Lexed& lx) {
 
   std::vector<ScopeKind> scopes = {ScopeKind::Namespace};
   std::vector<IndexedClass> class_stack;
-  std::vector<IndexedEnum> enum_stack;
   struct OpenFn {
     IndexedFunction fn;
     std::size_t depth;  // scopes.size() while the body is open
@@ -1012,19 +1007,6 @@ FileExtract extract_file(const std::string& label, const Lexed& lx) {
     }
   };
 
-  auto record_local_future = [&](const std::vector<Token>& s) {
-    if (fn_stack.empty()) return;
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      if (s[i].kind == Token::Ident &&
-          (s[i].text == "future" || s[i].text == "shared_future")) {
-        std::size_t j = skip_angles(s, i + 1);
-        if (j < s.size() && s[j].kind == Token::Ident)
-          fn_stack.back().fn.local_futures.insert(s[j].text);
-        return;
-      }
-    }
-  };
-
   auto record_ns_atomic = [&](const std::vector<Token>& s) {
     bool has_atomic = false;
     for (const auto& t : s)
@@ -1038,29 +1020,6 @@ FileExtract extract_file(const std::string& label, const Lexed& lx) {
       }
       if (s[i].kind == Token::Punct && s[i].text == "=") continue;
     }
-  };
-
-  auto make_enum = [&](const std::vector<Token>& s) {
-    IndexedEnum e;
-    e.file = label;
-    e.line = s.empty() ? 0 : s.front().line;
-    bool after_enum = false;
-    for (const auto& t : s) {
-      if (t.kind != Token::Ident) {
-        // ':' starts the underlying-type clause; stop before it.
-        if (after_enum && t.kind == Token::Punct && t.text == ":") break;
-        continue;
-      }
-      if (t.text == "enum") {
-        after_enum = true;
-        e.line = t.line;
-        continue;
-      }
-      if (!after_enum || t.text == "class" || t.text == "struct") continue;
-      e.name = t.text;
-      break;
-    }
-    return e;
   };
 
   auto make_class = [&](const std::vector<Token>& s) {
@@ -1086,8 +1045,8 @@ FileExtract extract_file(const std::string& label, const Lexed& lx) {
       if (callee == "compare_exchange_strong" ||
           callee == "compare_exchange_weak" || callee == "call_once")
         fn.has_cas = true;
-      if (callee == "wait" || callee == "get" || callee == "sleep_for" ||
-          callee == "sleep_until" || callee == "waitpid") {
+      if (callee == "wait" || callee == "sleep_for" ||
+          callee == "sleep_until") {
         IndexedFunction::BlockingSite site;
         site.line = toks[i - 1].line;
         site.col = toks[i - 1].col;
@@ -1100,11 +1059,9 @@ FileExtract extract_file(const std::string& label, const Lexed& lx) {
         } else {
           site.what = callee;
         }
-        // A member-less `wait(`/`get(` is some unrelated free function;
-        // only sleeps and process reaps block unconditionally without a
-        // receiver.
-        if (!site.receiver.empty() || callee == "sleep_for" ||
-            callee == "sleep_until" || callee == "waitpid")
+        // A member-less `wait(` is some unrelated free function; only
+        // sleeps block unconditionally without a receiver.
+        if (!site.receiver.empty() || callee != "wait")
           fn.blocking.push_back(std::move(site));
       }
     }
@@ -1157,7 +1114,6 @@ FileExtract extract_file(const std::string& label, const Lexed& lx) {
         kind = ScopeKind::Namespace;
       } else if (stmt_has_ident(stmt, "enum")) {
         kind = ScopeKind::Enum;
-        enum_stack.push_back(make_enum(stmt));
       } else if (stmt_has_ident(stmt, "class") ||
                  stmt_has_ident(stmt, "struct") ||
                  stmt_has_ident(stmt, "union")) {
@@ -1209,31 +1165,9 @@ FileExtract extract_file(const std::string& label, const Lexed& lx) {
       if (scopes.back() == ScopeKind::Class && !class_stack.empty()) {
         out.classes.push_back(std::move(class_stack.back()));
         class_stack.pop_back();
-      } else if (scopes.back() == ScopeKind::Enum && !enum_stack.empty()) {
-        // Flush the trailing enumerator (no comma after the last one).
-        for (const auto& s : stmt) {
-          if (s.kind == Token::Ident) {
-            enum_stack.back().enumerators.push_back(s.text);
-            break;
-          }
-        }
-        out.enums.push_back(std::move(enum_stack.back()));
-        enum_stack.pop_back();
       }
       if (scopes.size() > 1) scopes.pop_back();
       close_fn_if_done(t.line);
-      reset_stmt();
-      continue;
-    }
-
-    if (scopes.back() == ScopeKind::Enum && t.kind == Token::Punct &&
-        t.text == "," && stmt_paren == 0) {
-      for (const auto& s : stmt) {
-        if (s.kind == Token::Ident) {
-          enum_stack.back().enumerators.push_back(s.text);
-          break;
-        }
-      }
       reset_stmt();
       continue;
     }
@@ -1243,8 +1177,6 @@ FileExtract extract_file(const std::string& label, const Lexed& lx) {
         record_class_member(stmt);
       else if (scopes.back() == ScopeKind::Namespace)
         record_ns_atomic(stmt);
-      else
-        record_local_future(stmt);
       reset_stmt();
       continue;
     }
@@ -1300,12 +1232,9 @@ SymbolIndex build_index(const std::vector<SourceFile>& sources,
       idx.cv_names.insert(c.cv_members.begin(), c.cv_members.end());
       idx.atomic_names.insert(c.atomic_members.begin(),
                               c.atomic_members.end());
-      idx.future_names.insert(c.future_members.begin(),
-                              c.future_members.end());
       idx.rng_names.insert(c.rng_members.begin(), c.rng_members.end());
       idx.classes.push_back(std::move(c));
     }
-    for (auto& e : pf.extract.enums) idx.enums.push_back(std::move(e));
     for (auto& f : pf.extract.functions) idx.functions.push_back(std::move(f));
   }
 
@@ -1326,18 +1255,17 @@ SymbolIndex build_index(const std::vector<SourceFile>& sources,
 namespace {
 
 // ---------------------------------------------------------------------------
-// R8 — lock discipline (service/, util/thread_pool)
+// R8 — lock discipline
 //
 // Tracks live RAII guards through a linear token walk with brace depth.
 // Three checks: bare .lock()/.unlock()/.try_lock() on a mutex member,
 // out-of-declaration-order nesting for mutexes declared in the same file,
 // and any extra lock held across a condition-variable .wait() (beyond the
-// wait's own lock) or a future .get()/.wait().
+// wait's own lock).
 // ---------------------------------------------------------------------------
 
-void scan_r8(const std::string& label, const Lexed& lx, const Options& opt,
+void scan_r8(const std::string& label, const Lexed& lx,
              const SymbolIndex& idx, std::vector<Finding>& out) {
-  if (!label_contains_any(label, opt.lock_scope)) return;
   const auto& toks = lx.tokens;
   static const std::unordered_set<std::string> guard_types = {
       "lock_guard", "unique_lock", "scoped_lock", "shared_lock"};
@@ -1348,7 +1276,6 @@ void scan_r8(const std::string& label, const Lexed& lx, const Options& opt,
     bool released = false;
   };
   std::vector<Guard> guards;
-  std::set<std::string> local_futures;
   int depth = 0;
 
   auto held = [&]() {
@@ -1384,14 +1311,6 @@ void scan_r8(const std::string& label, const Lexed& lx, const Options& opt,
       continue;
     }
     if (t.kind != Token::Ident) continue;
-
-    // Function-local future declarations type later .get()/.wait() calls.
-    if (t.text == "future" || t.text == "shared_future") {
-      std::size_t j = after_angles(i + 1);
-      if (j < toks.size() && toks[j].kind == Token::Ident)
-        local_futures.insert(toks[j].text);
-      continue;
-    }
 
     // Guard declaration: guard_type [<...>] var ( mutex [, mutex...] )
     if (guard_types.count(t.text)) {
@@ -1486,21 +1405,8 @@ void scan_r8(const std::string& label, const Lexed& lx, const Options& opt,
                "condition-variable wait on '" + recv +
                    "' while also holding '" + hg->var + "' (guarding " +
                    join_fragments(hg->mutexes) +
-                   "); a waiter parked with a second lock held is the "
-                   "single-flight deadlock shape — release it first"});
-        }
-        continue;
-      }
-
-      if ((method == "get" || method == "wait") &&
-          (idx.future_names.count(recv) || local_futures.count(recv))) {
-        for (const Guard* hg : held()) {
-          out.push_back(
-              {label, mt.line, mt.col, "R8",
-               "future ." + method + "() on '" + recv +
-                   "' while holding '" + hg->var +
-                   "'; the completing thread may need that lock — release "
-                   "it before blocking on the result"});
+                   "); a waiter parked with a second lock held can deadlock "
+                   "the thread that would notify it — release it first"});
         }
         continue;
       }
@@ -1580,14 +1486,10 @@ void scan_r9(const std::string& label, const Lexed& lx,
     }
     if (cap_open == 0 || cap_close == 0) continue;
     bool by_ref = false;
-    std::set<std::string> explicit_ref;  // [&x] / [x] named captures
     for (std::size_t k = cap_open + 1; k < cap_close; ++k) {
       if (toks[k].kind == Token::Punct && toks[k].text == "&") by_ref = true;
       if (toks[k].kind == Token::Ident && toks[k].text == "this")
         by_ref = true;
-      if (toks[k].kind == Token::Ident && k > cap_open + 1 &&
-          toks[k - 1].kind == Token::Punct && toks[k - 1].text == "&")
-        explicit_ref.insert(toks[k].text);
     }
     if (!by_ref) continue;
     // Body: first '{' after the capture list (skipping a parameter list).
@@ -1652,7 +1554,6 @@ void scan_r9(const std::string& label, const Lexed& lx,
              "instead"});
       }
     }
-    (void)explicit_ref;
   }
 }
 
@@ -1684,7 +1585,8 @@ void scan_r10(const std::string& label, const Lexed& lx, const Options& opt,
     if (c.file == label)
       implicit_set.insert(c.atomic_members.begin(), c.atomic_members.end());
 
-  const bool write_once = label_contains_any(label, opt.write_once_allowlist);
+  const bool write_once =
+      label_contains_any(label, opt.mutable_state_allowlist);
   const std::set<std::string>* own_ns = nullptr;
   if (auto it = idx.ns_atomics.find(label); it != idx.ns_atomics.end())
     own_ns = &it->second;
@@ -1867,21 +1769,10 @@ std::vector<Finding> scan_global(const SymbolIndex& idx, const Options& opt,
       const IndexedFunction* fn = queue.back();
       queue.pop_back();
       for (const auto& site : fn->blocking) {
-        bool blocks = false;
-        if (site.method == "sleep_for" || site.method == "sleep_until" ||
-            site.method == "waitpid") {
-          blocks = true;
-        } else if (site.method == "wait") {
-          blocks = idx.cv_names.count(site.receiver) > 0 ||
-                   idx.future_names.count(site.receiver) > 0;
-        } else if (site.method == "get") {
-          blocks = idx.future_names.count(site.receiver) > 0 ||
-                   fn->local_futures.count(site.receiver) > 0;
-        }
-        if (!blocks) continue;
-        // Scoped allowance: the campaign orchestrator's post-EOF child
-        // reap is progress-safe by construction (see Options doc).
-        if (label_contains_any(fn->file, opt.blocking_allowed)) continue;
+        // Sleeps always block; a .wait() blocks when its receiver is a
+        // condition variable.
+        if (site.method == "wait" && !idx.cv_names.count(site.receiver))
+          continue;
         if (!seen_sites.insert({fn->file, site.line, site.col}).second)
           continue;
         raw.push_back(
@@ -1961,19 +1852,6 @@ std::vector<Finding> scan_global(const SymbolIndex& idx, const Options& opt,
         }
       }
     }
-    for (const auto& e : idx.enums) {
-      if (e.name != opt.request_enum) continue;
-      for (const auto& en : e.enumerators) {
-        if (!covered_in(opt.request_coverage_files, en)) {
-          raw.push_back(
-              {e.file, e.line, 0, "R12",
-               "request kind '" + en + "' appears in no determinism suite (" +
-                   join_fragments(opt.request_coverage_files) +
-                   "); every RequestKind must be exercised across shard/"
-                   "thread/arrival-order variations"});
-        }
-      }
-    }
   }
 
   std::vector<Finding> out;
@@ -2010,7 +1888,7 @@ std::vector<Finding> scan_source(const std::string& label,
     local = build_index({{label, content}}, {}, opt);
     index = &local;
   }
-  scan_r8(label, lx, opt, *index, out);
+  scan_r8(label, lx, *index, out);
   scan_r9(label, lx, *index, out);
   scan_r10(label, lx, opt, *index, out);
   out = apply_waivers(label, std::move(out), lx.waivers, stats);
@@ -2086,35 +1964,33 @@ const std::vector<RuleInfo>& rule_catalog() {
        "everywhere except util/fastmath.h"},
       {"R2", "no nondeterminism sources (random_device, rand, time, clocks, "
              "getenv)",
-       "everywhere; getenv allowed in util/thread_pool, backend/dispatch, "
-       "service/config, campaign/config"},
+       "everywhere; getenv allowed in util/thread_pool, backend/dispatch"},
       {"R3", "AnalogElement subclasses overriding step() must override "
              "process_block() and clone(); Rng/NoiseSource members need "
              "fork_noise()",
        "all classes"},
       {"R4", "no mutable namespace-scope state",
-       "everywhere except backend/dispatch, service/config"},
+       "everywhere except backend/dispatch"},
       {"R5", "no float types or literals in the analog path",
        "analog/, signal/, core/"},
       {"R6", "no container growth inside streaming-sink consume() bodies",
        "all consume() definitions"},
       {"R7", "SIMD intrinsics only inside the compute-backend boundary",
        "everywhere except backend/"},
-      {"R8", "RAII-only mutex use, per-file declared lock order, no lock "
-             "held across cv/future waits",
-       "service/, util/thread_pool"},
+      {"R8", "RAII-only mutex use, per-file declared lock order, no second "
+             "lock held across a cv wait",
+       "all files"},
       {"R9", "pool-task lambdas may only fork captured parent RNG streams, "
              "never draw from them",
        "all pool hand-offs (parallel_for/parallel_map/submit)"},
       {"R10", "explicit std::memory_order on every atomic op; write-once "
               "state stores only behind compare_exchange/call_once",
-       "all atomics; write-once idiom in backend/dispatch, service/config"},
-      {"R11", "no blocking calls (sleep, cv/future wait, future get, "
-              "waitpid) reachable from pool tasks or consume() bodies",
-       "cross-TU call graph from every pool root; campaign/ process reaps "
-       "scoped-allowed"},
-      {"R12", "every AnalogElement subclass, kernel-table entry, and "
-              "RequestKind must appear in its contract suite",
+       "all atomics; write-once idiom in backend/dispatch"},
+      {"R11", "no blocking calls (sleep, cv wait) reachable from pool tasks "
+              "or consume() bodies",
+       "cross-TU call graph from every pool root"},
+      {"R12", "every AnalogElement subclass and kernel-table entry must "
+              "appear in its contract suite",
        "src vs tests/ cross-reference; needs --tests"},
       {"waiver", "inline waivers must parse and carry a reason",
        "all files"},

@@ -8,12 +8,12 @@
 // file, so a new AnalogElement cannot silently reintroduce host-libm
 // dependence, RNG-stream aliasing, or a step/block semantic fork.
 //
-// Since PR 8 the tool is a TWO-PASS analyzer. Pass 1 tokenizes every file
-// once and builds a cross-TU SymbolIndex: classes with their bases and
-// methods, mutex / condition-variable / atomic / future / Rng members,
-// function definitions with their outgoing call edges and blocking sites,
-// enums, the backend kernel-table fields, and the identifier sets of the
-// registered test sources. Pass 2 runs the rules with that index in hand,
+// The tool is a TWO-PASS analyzer. Pass 1 tokenizes every file once and
+// builds a cross-TU SymbolIndex: classes with their bases and methods,
+// mutex / condition-variable / atomic / Rng members, function definitions
+// with their outgoing call edges and blocking sites, the backend
+// kernel-table fields, and the identifier sets of the registered test
+// sources. Pass 2 runs the rules with that index in hand,
 // which is what lets the concurrency rules type a receiver declared in a
 // different header and lets the coverage rule cross-reference src/ against
 // tests/. The per-file scans are fanned out over the repo's own
@@ -29,7 +29,7 @@
 //       on every conforming platform.
 //   R2  no nondeterminism sources anywhere in src/: std::random_device,
 //       rand()/srand(), time(), wall-clock *_clock reads, getenv()
-//       (except util/thread_pool, backend/dispatch, service/config).
+//       (except util/thread_pool, backend/dispatch).
 //   R3  element-contract completeness: every class deriving from
 //       AnalogElement that overrides step() must also override
 //       process_block() and clone(); every class holding a Rng or
@@ -47,14 +47,12 @@
 //       __m256/__m512 identifiers) only inside src/backend/ — vector
 //       code outside the pluggable-backend boundary would fork the
 //       per-backend determinism contract invisibly.
-//   R8  lock discipline (service/, util/thread_pool): mutexes are
-//       acquired through RAII guards only (no bare .lock()/.unlock() on
-//       a mutex member); when guards nest, mutexes declared in the same
-//       file must be acquired in their declaration order (a consistent
-//       per-file hierarchy is what makes deadlock freedom decidable);
-//       and no lock may be held across a .wait() on a condition
-//       variable (other than the wait's own lock) or across a future
-//       .get()/.wait() — the single-flight deadlock shape.
+//   R8  lock discipline: mutexes are acquired through RAII guards only
+//       (no bare .lock()/.unlock() on a mutex member); when guards nest,
+//       mutexes declared in the same file must be acquired in their
+//       declaration order (a consistent per-file hierarchy is what makes
+//       deadlock freedom decidable); and no lock may be held across a
+//       .wait() on a condition variable other than the wait's own lock.
 //   R9  RNG stream hygiene: an Rng/NoiseSource lvalue from an enclosing
 //       scope, captured by reference into a lambda handed to the thread
 //       pool (parallel_for/parallel_map/submit), must only be used to
@@ -63,19 +61,18 @@
 //   R10 atomics discipline: operations on namespace-scope or member
 //       atomics must spell an explicit std::memory_order (no implicit
 //       seq_cst assignment/increment shorthand); and the allowlisted
-//       write-once state (backend/dispatch, service/config) must match
-//       the write-once idiom — plain stores to a namespace-scope atomic
-//       are only permitted in functions that also run a
-//       compare_exchange/call_once claim on an atomic.
-//   R11 no blocking calls (sleep_for/sleep_until, condition-variable or
-//       future .wait(), unbounded future .get()) in code reachable from
-//       a pool-task lambda or a streaming-sink consume() body. The
-//       reachability walk follows the cross-TU call graph by name, so a
-//       wait buried two calls deep behind a parallel_map still surfaces.
+//       write-once state (backend/dispatch) must match the write-once
+//       idiom — plain stores to a namespace-scope atomic are only
+//       permitted in functions that also run a compare_exchange/call_once
+//       claim on an atomic.
+//   R11 no blocking calls (sleep_for/sleep_until, condition-variable
+//       .wait()) in code reachable from a pool-task lambda or a
+//       streaming-sink consume() body. The reachability walk follows the
+//       cross-TU call graph by name, so a wait buried two calls deep
+//       behind a parallel_map still surfaces.
 //   R12 contract coverage: every AnalogElement subclass must appear in a
-//       step-vs-block/clone byte-identity test, every backend::Kernels
-//       table entry in the backend/batch equivalence suites, and every
-//       service RequestKind in the service determinism suite — an
+//       step-vs-block/clone byte-identity test, and every backend::Kernels
+//       table entry in the backend/batch equivalence suites — an
 //       untested contract is a build-time finding, not a latent
 //       divergence. Runs only when test sources are registered
 //       (--tests on the CLI).
@@ -137,55 +134,27 @@ struct Options {
   /// R1 does not apply here (this is where the det_* kernels live).
   std::string fastmath_suffix = "util/fastmath.h";
   /// Labels containing one of these may call getenv (R2): thread_pool
-  /// owns GDELAY_THREADS, the backend dispatcher owns GDELAY_BACKEND,
-  /// the service config owns GDELAY_SERVICE_SHARDS, and the campaign
-  /// config owns GDELAY_CAMPAIGN_MODE/_SHARDS — all of them
-  /// reproducibility-neutral performance knobs (responses/results are
-  /// bit-identical at any setting; the campaign determinism suite pins
-  /// this across every mode/shard combination). The service's
-  /// request-handling paths (service/service, service/cal_cache) and the
-  /// campaign orchestrator proper (campaign/campaign) are deliberately
-  /// NOT listed: an env read there could fork result content per host.
+  /// owns GDELAY_THREADS and the backend dispatcher owns GDELAY_BACKEND,
+  /// both reproducibility-neutral performance knobs (results are
+  /// bit-identical at any setting).
   std::vector<std::string> getenv_allowed = {"util/thread_pool",
-                                             "backend/dispatch",
-                                             "service/config",
-                                             "campaign/config"};
+                                             "backend/dispatch"};
   /// R5 applies to labels starting with one of these prefixes.
   std::vector<std::string> analog_prefixes = {"analog/", "signal/", "core/"};
   /// Labels containing one of these may hold namespace-scope mutable
   /// state (R4): the backend dispatcher's write-once active-table
-  /// atomics, and the service config's once-resolved shard-count cache
-  /// (same write-once pattern, same justification). The service request
-  /// paths stay OUT of this list — dispatch state there would be an
-  /// arrival-order dependence. Keep this list short.
-  std::vector<std::string> mutable_state_allowlist = {"backend/dispatch",
-                                                      "service/config"};
+  /// atomics. Because the state claims to be write-once, R10 checks that
+  /// its stores sit behind a compare_exchange / call_once claim. Keep
+  /// this list short.
+  std::vector<std::string> mutable_state_allowlist = {"backend/dispatch"};
   /// R7: labels starting with (or containing a path segment equal to)
   /// this prefix may use SIMD intrinsics.
   std::string simd_prefix = "backend/";
-  /// R8 applies to labels containing one of these fragments — the
-  /// concurrent surface grown by the service layer and the pool itself.
-  std::vector<std::string> lock_scope = {"service/", "util/thread_pool"};
-  /// Labels containing one of these may carry blocking calls reachable
-  /// from pool tasks (R11). The campaign orchestrator's fork-mode pipe
-  /// drain ends in a waitpid() per child; that wait cannot park a worker
-  /// indefinitely (the read loop only reaches it after pipe EOF, i.e.
-  /// after the child has closed its end and is exiting), which is the
-  /// progress argument this scoped entry records. Everything outside
-  /// campaign/ still gets the finding.
-  std::vector<std::string> blocking_allowed = {"campaign/"};
-  /// R10 write-once idiom check applies to these labels (the same two
-  /// owners as the R4 allowlist): their namespace-scope atomics claim to
-  /// be write-once caches, so the stores must sit behind a
-  /// compare_exchange / call_once claim.
-  std::vector<std::string> write_once_allowlist = {"backend/dispatch",
-                                                   "service/config"};
   /// R12 coverage spec: base class whose subclasses need byte-identity
-  /// coverage, the kernel-table struct, the request-kind enum, and the
-  /// test files (label fragments) each contract domain must appear in.
+  /// coverage, the kernel-table struct, and the test files (label
+  /// fragments) each contract domain must appear in.
   std::string element_base = "AnalogElement";
   std::string kernels_struct = "Kernels";
-  std::string request_enum = "RequestKind";
   std::vector<std::string> element_coverage_files = {"test_block_kernels",
                                                      "test_analog"};
   std::vector<std::string> kernel_coverage_files = {"test_backend_equivalence"};
@@ -193,8 +162,6 @@ struct Options {
   /// the batch equivalence suite instead.
   std::vector<std::string> batch_kernel_coverage_files = {
       "test_batch_equivalence"};
-  std::vector<std::string> request_coverage_files = {
-      "test_service_determinism"};
 };
 
 /// One class as seen by pass 1.
@@ -209,17 +176,8 @@ struct IndexedClass {
   std::vector<std::string> mutex_members;
   std::set<std::string> cv_members;      ///< condition_variable[_any]
   std::set<std::string> atomic_members;  ///< std::atomic<...>
-  std::set<std::string> future_members;  ///< std::future / shared_future
   std::set<std::string> rng_members;     ///< Rng / NoiseSource
   std::vector<std::string> fnptr_members;  ///< function-pointer fields
-};
-
-/// One enum as seen by pass 1.
-struct IndexedEnum {
-  std::string file;
-  int line = 0;
-  std::string name;
-  std::vector<std::string> enumerators;
 };
 
 /// One function definition (or pool-task lambda) with its call edges and
@@ -232,16 +190,13 @@ struct IndexedFunction {
   bool pool_root = false;  ///< lambda handed to the pool, or consume()
   bool has_cas = false;    ///< body runs compare_exchange/call_once (R10)
   std::set<std::string> calls;  ///< unqualified callee names
-  /// Function-local variables declared as std::future/shared_future —
-  /// lets R8/R11 type `.get()` receivers the member maps cannot see.
-  std::set<std::string> local_futures;
   /// A candidate blocking call, recorded untyped in pass 1; scan_global
-  /// resolves `receiver` against the merged cv/future member-name sets.
+  /// resolves a `.wait()` receiver against the merged cv member names.
   struct BlockingSite {
     int line = 0;
     int col = 0;
     std::string receiver;  ///< object the method is called on ("" if free)
-    std::string method;    ///< "wait" / "get" / "sleep_for" / ...
+    std::string method;    ///< "wait" / "sleep_for" / "sleep_until"
     std::string what;      ///< display form, e.g. "ready_.wait"
   };
   std::vector<BlockingSite> blocking;
@@ -250,7 +205,6 @@ struct IndexedFunction {
 /// Cross-TU symbol index (pass 1 output).
 struct SymbolIndex {
   std::vector<IndexedClass> classes;
-  std::vector<IndexedEnum> enums;
   std::vector<IndexedFunction> functions;
   /// Well-formed inline waivers per file: line -> waived rule ids. Lets
   /// scan_global apply waivers for findings it attributes to other files.
@@ -261,8 +215,7 @@ struct SymbolIndex {
   /// Global member-name type maps (merged over all classes; name-keyed —
   /// the token scanner has no qualified lookup, and a collision merely
   /// widens a receiver's possible types, erring toward reporting).
-  std::set<std::string> mutex_names, cv_names, atomic_names, future_names,
-      rng_names;
+  std::set<std::string> mutex_names, cv_names, atomic_names, rng_names;
   /// Mutex name -> (declaring file, declaration rank within that file).
   std::map<std::string, std::pair<std::string, int>> mutex_rank;
   /// Namespace-scope atomic variable names per file label (R10 write-once

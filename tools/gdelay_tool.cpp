@@ -15,17 +15,11 @@
 //
 //   gdelay_tool campaign [--units N] [--shards S] [--mode M] [--seed S]
 //                        [--ckpt DIR] [--every K] [--stop-after N]
-//                        [--work DIR]
 //       Run the built-in Monte-Carlo matching campaign (perturbed
 //       edge-model trials) through the orchestrator. --mode accepts
-//       serial, thread, fork, or exec; exec re-invokes this binary as
-//       one `campaign-worker` subprocess per shard and merges their
-//       framed result files. The merged-state hash printed at the end
-//       is identical for every mode, shard count and resume point.
-//
-//   gdelay_tool campaign-worker --shard I --result FILE [campaign opts]
-//       Run ONE shard of the campaign (with checkpoint/resume if
-//       --ckpt is given) and write its framed shard report to FILE.
+//       serial or thread (the default); --shards defaults to 4. The
+//       merged-state hash printed at the end is identical for every
+//       mode, shard count and resume point.
 //
 //   gdelay_tool --backends
 //       List the compute backends known to this build, their
@@ -35,26 +29,25 @@
 //       Print the git revision this binary was built from and the
 //       BENCH_*.json schema version it writes/understands.
 //
-// All randomness is seeded; identical invocations produce identical
-// output.
+// Numeric flags must be a whole finite number (counts: a non-negative
+// integer); anything else is a usage error. All randomness is seeded;
+// identical invocations produce identical output.
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
-
-#if defined(__unix__)
-#include <unistd.h>
-#endif
 
 #include "ate/bus.h"
 #include "ate/controller.h"
 #include "backend/backend.h"
 #include "bench/common.h"
 #include "campaign/campaign.h"
-#include "campaign/checkpoint.h"
 #include "core/cal_io.h"
 #include "core/calibration.h"
 #include "core/channel.h"
@@ -73,7 +66,6 @@ namespace {
 
 struct Args {
   std::string command;
-  std::string argv0;
   double rate_gbps = 3.2;
   std::size_t bits = 96;
   std::uint64_t seed = 2008;
@@ -82,34 +74,50 @@ struct Args {
   double delay_ps = 50.0;
   int lanes = 4;
   double skew_ps = 120.0;
-  // campaign / campaign-worker
+  // campaign
   std::uint64_t units = 20000;
-  std::size_t shards = 0;       ///< 0 = GDELAY_CAMPAIGN_SHARDS default.
-  std::string mode;             ///< serial|thread|fork|exec; "" = default.
+  std::size_t shards = campaign::kDefaultShards;
+  campaign::Mode mode = campaign::Mode::kThread;
   std::string ckpt_dir;
   std::uint64_t every = 0;
   std::uint64_t stop_after = 0;
-  long shard = -1;
-  std::string result_path;
-  std::string work_dir = "campaign_work";
 };
 
 [[noreturn]] void usage(int code) {
   std::fprintf(stderr,
                "usage: gdelay_tool <characterize|calibrate|plan|deskew"
-               "|campaign|campaign-worker> [options]\n"
+               "|campaign> [options]\n"
                "  common : --rate GBPS --bits N --seed S\n"
                "  calibrate: --out FILE\n"
                "  plan   : --cal FILE --delay PS\n"
                "  deskew : --lanes N --skew PS\n"
-               "  campaign: --units N --shards S --mode"
-               " serial|thread|fork|exec\n"
-               "            --ckpt DIR --every K --stop-after N --work DIR\n"
-               "  campaign-worker: --shard I --result FILE"
-               " [+ campaign opts]\n"
+               "  campaign: --units N --shards S --mode serial|thread\n"
+               "            --ckpt DIR --every K --stop-after N\n"
                "  --backends : list compute backends and exit\n"
                "  --version  : print git revision + BENCH schema and exit\n");
   std::exit(code);
+}
+
+// The one parser behind every numeric flag: the whole value must parse
+// as a T, with no trailing junk; reals must be finite and integers
+// non-negative (counts, seeds). Anything else is a usage error.
+template <typename T>
+T parse_number(const std::string& flag, const char* text) {
+  T v{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  bool ok = ec == std::errc() && ptr == end && ptr != text;
+  if constexpr (std::is_floating_point_v<T>)
+    ok = ok && std::isfinite(v);
+  else if constexpr (std::is_signed_v<T>)
+    ok = ok && v >= 0;  // unsigned from_chars already rejects a '-'
+  if (!ok) {
+    std::fprintf(stderr, "%s: '%s' is not a %s\n", flag.c_str(), text,
+                 std::is_floating_point_v<T> ? "finite number"
+                                             : "non-negative integer");
+    usage(2);
+  }
+  return v;
 }
 
 [[noreturn]] void print_backends() {
@@ -126,7 +134,6 @@ struct Args {
 Args parse(int argc, char** argv) {
   Args a;
   if (argc < 2) usage(2);
-  a.argv0 = argv[0];
   a.command = argv[1];
   if (a.command == "--backends") print_backends();
   if (a.command == "--version") print_version();
@@ -136,24 +143,25 @@ Args parse(int argc, char** argv) {
       if (i + 1 >= argc) usage(2);
       return argv[++i];
     };
+    auto number = [&](auto& field) {
+      field = parse_number<std::remove_reference_t<decltype(field)>>(
+          key, value());
+    };
     if (key == "--backends") print_backends();
-    else if (key == "--rate") a.rate_gbps = std::atof(value());
-    else if (key == "--bits") a.bits = static_cast<std::size_t>(std::atoll(value()));
-    else if (key == "--seed") a.seed = static_cast<std::uint64_t>(std::atoll(value()));
+    else if (key == "--rate") number(a.rate_gbps);
+    else if (key == "--bits") number(a.bits);
+    else if (key == "--seed") number(a.seed);
     else if (key == "--cal") a.cal_path = value();
     else if (key == "--out") a.out_path = value();
-    else if (key == "--delay") a.delay_ps = std::atof(value());
-    else if (key == "--lanes") a.lanes = std::atoi(value());
-    else if (key == "--skew") a.skew_ps = std::atof(value());
-    else if (key == "--units") a.units = static_cast<std::uint64_t>(std::atoll(value()));
-    else if (key == "--shards") a.shards = static_cast<std::size_t>(std::atoll(value()));
-    else if (key == "--mode") a.mode = value();
+    else if (key == "--delay") number(a.delay_ps);
+    else if (key == "--lanes") number(a.lanes);
+    else if (key == "--skew") number(a.skew_ps);
+    else if (key == "--units") number(a.units);
+    else if (key == "--shards") number(a.shards);
+    else if (key == "--mode") a.mode = campaign::parse_mode(value());
     else if (key == "--ckpt") a.ckpt_dir = value();
-    else if (key == "--every") a.every = static_cast<std::uint64_t>(std::atoll(value()));
-    else if (key == "--stop-after") a.stop_after = static_cast<std::uint64_t>(std::atoll(value()));
-    else if (key == "--shard") a.shard = std::atol(value());
-    else if (key == "--result") a.result_path = value();
-    else if (key == "--work") a.work_dir = value();
+    else if (key == "--every") number(a.every);
+    else if (key == "--stop-after") number(a.stop_after);
     else if (key == "--help" || key == "-h") usage(0);
     else {
       std::fprintf(stderr, "unknown option '%s'\n", key.c_str());
@@ -241,10 +249,8 @@ int cmd_deskew(const Args& a) {
 }
 
 // ---------------------------------------------------------------------------
-// Campaign: the built-in Monte-Carlo matching workload. The worker and
-// the orchestrating parent derive the SAME workload from the same
-// (seed, rate, bits) arguments, so a worker spawned by `--mode exec`
-// produces a shard report the parent can merge.
+// Campaign: the built-in Monte-Carlo matching workload, derived from the
+// (seed, rate, bits) arguments.
 // ---------------------------------------------------------------------------
 
 struct CampaignWorkload {
@@ -304,25 +310,14 @@ campaign::CampaignSpec make_campaign_spec(const Args& a) {
   spec.seed = a.seed;
   spec.n_units = a.units;
   spec.n_shards = a.shards;
-  if (!a.mode.empty() && a.mode != "exec")
-    spec.mode = campaign::parse_mode(a.mode);
+  spec.mode = a.mode;
   spec.checkpoint_dir = a.ckpt_dir;
   spec.checkpoint_every = a.every;
   spec.stop_after_units = a.stop_after;
   return spec;
 }
 
-std::string self_exe_path(const Args& a) {
-#if defined(__linux__)
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (n > 0) return std::string(buf, static_cast<std::size_t>(n));
-#endif
-  return a.argv0;
-}
-
-int print_campaign_result(const campaign::CampaignResult& r,
-                          const char* mode_label) {
+int print_campaign_result(const campaign::CampaignResult& r) {
   const auto& recs =
       static_cast<const campaign::RecordAccumulator&>(*r.accumulators[0]);
   std::vector<double> fine, total, err;
@@ -341,7 +336,8 @@ int print_campaign_result(const campaign::CampaignResult& r,
       util::fnv1a64(w.bytes().data(), w.bytes().size());
   std::printf("campaign: %llu units over %zu shards (%s), %s%s\n",
               static_cast<unsigned long long>(r.units_done), r.n_shards,
-              mode_label, r.complete ? "complete" : "stopped early",
+              campaign::mode_name(r.mode),
+              r.complete ? "complete" : "stopped early",
               r.resumed ? ", resumed from checkpoint" : "");
   if (!fine.empty()) {
     const auto fs = meas::summarize(fine);
@@ -359,89 +355,30 @@ int print_campaign_result(const campaign::CampaignResult& r,
   return 0;
 }
 
-int cmd_campaign_worker(const Args& a) {
-  if (a.shard < 0 || a.result_path.empty()) usage(2);
+int cmd_campaign(const Args& a) {
   const CampaignWorkload w = make_workload(a);
-  campaign::run_shard_to_file(
-      make_campaign_spec(a), static_cast<std::size_t>(a.shard),
-      campaign_factory,
+  return print_campaign_result(campaign::run_campaign(
+      make_campaign_spec(a), campaign_factory,
       [&](std::uint64_t unit, util::Rng& rng,
           campaign::AccumulatorSet& accs) {
         campaign_unit(w, unit, rng, accs);
-      },
-      a.result_path);
-  std::printf("shard %ld report written to %s\n", a.shard,
-              a.result_path.c_str());
-  return 0;
-}
-
-int cmd_campaign(const Args& a) {
-  const CampaignWorkload w = make_workload(a);
-  const auto unit_fn = [&](std::uint64_t unit, util::Rng& rng,
-                           campaign::AccumulatorSet& accs) {
-    campaign_unit(w, unit, rng, accs);
-  };
-
-  if (a.mode == "exec") {
-    // Re-invoke this binary as one worker process per shard, then merge
-    // the framed result files — the fully-isolated orchestration path
-    // (fresh address space per shard, results via the filesystem).
-    const std::size_t n_shards =
-        a.shards ? a.shards : campaign::default_shards();
-    const std::string exe = self_exe_path(a);
-    std::vector<std::string> frames;
-    frames.reserve(n_shards);
-    for (std::size_t s = 0; s < n_shards; ++s) {
-      const std::string result =
-          a.work_dir + "/cli.shard" + std::to_string(s) + ".result";
-      std::string cmd = "\"" + exe + "\" campaign-worker --shard " +
-                        std::to_string(s) + " --result \"" + result +
-                        "\" --units " + std::to_string(a.units) +
-                        " --shards " + std::to_string(n_shards) +
-                        " --seed " + std::to_string(a.seed) + " --rate " +
-                        std::to_string(a.rate_gbps) + " --bits " +
-                        std::to_string(a.bits);
-      if (!a.ckpt_dir.empty()) cmd += " --ckpt \"" + a.ckpt_dir + "\"";
-      if (a.every) cmd += " --every " + std::to_string(a.every);
-      if (a.stop_after)
-        cmd += " --stop-after " + std::to_string(a.stop_after);
-      if (std::system(cmd.c_str()) != 0)
-        throw std::runtime_error("campaign: worker for shard " +
-                                 std::to_string(s) + " failed");
-      const auto bytes = campaign::read_file(result);
-      if (!bytes)
-        throw std::runtime_error("campaign: missing worker report " +
-                                 result);
-      frames.push_back(*bytes);
-    }
-    campaign::CampaignSpec spec = make_campaign_spec(a);
-    spec.n_shards = n_shards;
-    return print_campaign_result(
-        campaign::merge_shard_reports(spec, campaign_factory, frames),
-        "exec");
-  }
-
-  const campaign::CampaignResult r =
-      campaign::run_campaign(make_campaign_spec(a), campaign_factory,
-                             unit_fn);
-  return print_campaign_result(r, campaign::mode_name(r.mode));
+      }));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args a = parse(argc, argv);
   try {
+    const Args a = parse(argc, argv);
     if (a.command == "characterize") return cmd_characterize(a);
     if (a.command == "calibrate") return cmd_calibrate(a);
     if (a.command == "plan") return cmd_plan(a);
     if (a.command == "deskew") return cmd_deskew(a);
     if (a.command == "campaign") return cmd_campaign(a);
-    if (a.command == "campaign-worker") return cmd_campaign_worker(a);
+    std::fprintf(stderr, "unknown command '%s'\n", a.command.c_str());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  std::fprintf(stderr, "unknown command '%s'\n", a.command.c_str());
   usage(2);
 }
