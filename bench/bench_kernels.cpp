@@ -1,16 +1,12 @@
-// Kernel throughput: per-sample step() vs the block-processing path, for
-// each analog element and the full composites, at the default simulation
-// step dt = 0.25 ps. Both paths are byte-identical by contract (enforced
-// by tests/test_block_kernels.cpp); this harness measures what the
-// contract costs — and what hoisting the dt-dependent coefficients,
-// batching the Gaussian draws and running stage-major buys back.
+// Kernel throughput of the block-processing path, for each analog
+// element and the full composites, at the default simulation step
+// dt = 0.25 ps, chunked exactly like the production process() path.
 //
 // Emits BENCH_kernels.json (schema 4, with the compute-backend stamp)
-// with samples/s per kernel, the headline FineDelayLine block-vs-step
-// speedup (target: >= 3x single-thread), and — when the AVX2 backend is
-// usable on this machine — per-kernel and whole-channel scalar-vs-AVX2
-// rows with the SIMD speedup verdict (target: >= 4x on the channel),
-// plus lane-batched 4-stream rows and the batch_channel_speedup verdict
+// with samples/s per kernel and — when the AVX2 backend is usable on
+// this machine — per-kernel and whole-channel scalar-vs-AVX2 rows with
+// the SIMD speedup verdict (target: >= 4x on the channel), plus
+// lane-batched 4-stream rows and the batch_channel_speedup verdict
 // (batched AVX2 channel vs solo scalar channel, target: >= 3x).
 #include <benchmark/benchmark.h>
 
@@ -57,18 +53,6 @@ const std::vector<double>& stim() {
   return v;
 }
 
-template <typename E>
-void run_step(benchmark::State& state, E& e) {
-  const auto& in = stim();
-  std::vector<double> out(in.size());
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < in.size(); ++i) out[i] = e.step(in[i], kDt);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * in.size()));
-}
-
 // Chunked exactly like run_blocked() so the measurement reflects the
 // production process() path, not one giant flat call.
 template <typename E>
@@ -85,60 +69,30 @@ void run_block(benchmark::State& state, E& e) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * in.size()));
 }
 
-void SinglePoleFilter_step(benchmark::State& s) {
-  ga::SinglePoleFilter f(9.0);
-  run_step(s, f);
-}
 void SinglePoleFilter_block(benchmark::State& s) {
   ga::SinglePoleFilter f(9.0);
   run_block(s, f);
 }
-BENCHMARK(SinglePoleFilter_step);
 BENCHMARK(SinglePoleFilter_block);
 
-void TanhLimiter_step(benchmark::State& s) {
-  ga::TanhLimiter l(2.5, 0.5);
-  run_step(s, l);
-}
 void TanhLimiter_block(benchmark::State& s) {
   ga::TanhLimiter l(2.5, 0.5);
   run_block(s, l);
 }
-BENCHMARK(TanhLimiter_step);
 BENCHMARK(TanhLimiter_block);
 
-void SlewRateLimiter_step(benchmark::State& s) {
-  ga::SlewRateLimiter l(0.005, 20.0, 300.0);
-  run_step(s, l);
-}
 void SlewRateLimiter_block(benchmark::State& s) {
   ga::SlewRateLimiter l(0.005, 20.0, 300.0);
   run_block(s, l);
 }
-BENCHMARK(SlewRateLimiter_step);
 BENCHMARK(SlewRateLimiter_block);
 
-void FractionalDelay_step(benchmark::State& s) {
-  ga::FractionalDelay d(33.0);
-  run_step(s, d);
-}
 void FractionalDelay_block(benchmark::State& s) {
   ga::FractionalDelay d(33.0);
   run_block(s, d);
 }
-BENCHMARK(FractionalDelay_step);
 BENCHMARK(FractionalDelay_block);
 
-void NoiseSource_step(benchmark::State& s) {
-  ga::NoiseSource n(0.012, 7.5, Rng(1));
-  std::vector<double> out(kN);
-  for (auto _ : s) {
-    for (std::size_t i = 0; i < kN; ++i) out[i] = n.step(kDt);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  s.SetItemsProcessed(static_cast<int64_t>(s.iterations() * kN));
-}
 void NoiseSource_block(benchmark::State& s) {
   ga::NoiseSource n(0.012, 7.5, Rng(1));
   std::vector<double> out(kN);
@@ -151,58 +105,20 @@ void NoiseSource_block(benchmark::State& s) {
   }
   s.SetItemsProcessed(static_cast<int64_t>(s.iterations() * kN));
 }
-BENCHMARK(NoiseSource_step);
 BENCHMARK(NoiseSource_block);
 
-void VariableGainBuffer_step(benchmark::State& s) {
-  ga::VariableGainBuffer b(ga::VgaBufferConfig{}, Rng(2));
-  b.set_vctrl(0.9);
-  run_step(s, b);
-}
 void VariableGainBuffer_block(benchmark::State& s) {
   ga::VariableGainBuffer b(ga::VgaBufferConfig{}, Rng(2));
   b.set_vctrl(0.9);
   run_block(s, b);
 }
-BENCHMARK(VariableGainBuffer_step);
 BENCHMARK(VariableGainBuffer_block);
 
-void LimitingBuffer_step(benchmark::State& s) {
-  ga::LimitingBuffer b(ga::LimitingBufferConfig{}, Rng(3));
-  run_step(s, b);
-}
 void LimitingBuffer_block(benchmark::State& s) {
   ga::LimitingBuffer b(ga::LimitingBufferConfig{}, Rng(3));
   run_block(s, b);
 }
-BENCHMARK(LimitingBuffer_step);
 BENCHMARK(LimitingBuffer_block);
-
-void FineDelayLine_step(benchmark::State& s) {
-  gc::FineDelayLine line(gc::FineDelayConfig{}, Rng(4));
-  line.set_vctrl(0.75);
-  run_step(s, line);
-}
-void FineDelayLine_block(benchmark::State& s) {
-  gc::FineDelayLine line(gc::FineDelayConfig{}, Rng(4));
-  line.set_vctrl(0.75);
-  run_block(s, line);
-}
-BENCHMARK(FineDelayLine_step);
-BENCHMARK(FineDelayLine_block);
-
-void VariableDelayChannel_step(benchmark::State& s) {
-  gc::VariableDelayChannel ch(gc::ChannelConfig::prototype(), Rng(5));
-  ch.set_vctrl(0.75);
-  run_step(s, ch);
-}
-void VariableDelayChannel_block(benchmark::State& s) {
-  gc::VariableDelayChannel ch(gc::ChannelConfig::prototype(), Rng(5));
-  ch.set_vctrl(0.75);
-  run_block(s, ch);
-}
-BENCHMARK(VariableDelayChannel_step);
-BENCHMARK(VariableDelayChannel_block);
 
 // ---------------------------------------------------------------------------
 // Raw backend-kernel rows: the hot loops in isolation, one row per
@@ -454,19 +370,6 @@ int main(int argc, char** argv) {
   gdelay::bench::CaptureReporter rep;
   benchmark::RunSpecifiedBenchmarks(&rep);
 
-  const auto speedup_of = [&](const char* base) {
-    const double st = rep.items_per_sec(std::string(base) + "_step");
-    const double bl = rep.items_per_sec(std::string(base) + "_block");
-    return st > 0.0 ? bl / st : 0.0;
-  };
-  const double fine = speedup_of("FineDelayLine");
-  const double chan = speedup_of("VariableDelayChannel");
-
-  std::printf("\nblock-vs-step speedup at dt = %.2f ps:\n", kDt);
-  std::printf("  FineDelayLine       : %.2fx (target >= 3x)  %s\n", fine,
-              fine >= 3.0 ? "PASS" : "MISS");
-  std::printf("  VariableDelayChannel: %.2fx\n", chan);
-
   // SIMD verdict: the AVX2 table vs the scalar oracle, both on the block
   // path (the PR that introduced blocks is the baseline the 4x target is
   // written against).
@@ -519,9 +422,6 @@ int main(int argc, char** argv) {
   gdelay::bench::write_gbench_json(
       (outdir + "/BENCH_kernels.json").c_str(), "kernels", rep.rows,
       {{"dt_ps", kDt},
-       {"fine_delay_block_speedup", fine},
-       {"channel_block_speedup", chan},
-       {"speedup_target", 3.0},
        {"simd_channel_speedup", simd_chan},
        {"simd_speedup_target", 4.0},
        {"batch_channel_speedup", batch_chan},

@@ -48,14 +48,15 @@ void VariableGainBuffer::reset() {
 }
 
 backend::VgaTailCoeffs VariableGainBuffer::tail_coeffs(double dt_ps) {
-  // Every value is a pure function of (config, vctrl_, dt) and is formed
-  // by the same expressions the historical inline step() used, so both
-  // paths and all backends agree bitwise. amp_frac is hoisted as
-  // amp - (amp*frac)*droop rather than amp*(1 - frac*droop): one fewer
-  // multiply on the serially-dependent droop chain.
+  // Every value is a pure function of (config, vctrl_, dt), so the solo,
+  // batched and per-sample-Vctrl paths and all backends agree bitwise.
+  // amp_frac is hoisted as amp - (amp*frac)*droop rather than
+  // amp*(1 - frac*droop): one fewer multiply on the serially-dependent
+  // droop chain.
   backend::VgaTailCoeffs c;
   c.amp = amplitude();
-  c.amp_frac = c.amp * cfg_.droop_frac;
+  c.droop_frac = cfg_.droop_frac;
+  c.amp_frac = c.amp * c.droop_frac;
   c.max_step = cfg_.slew_v_per_ps * dt_ps;
   // Multiplying by the reciprocal (instead of dividing) keeps the
   // expensive divide off the per-sample droop recursion.
@@ -66,26 +67,14 @@ backend::VgaTailCoeffs VariableGainBuffer::tail_coeffs(double dt_ps) {
   return c;
 }
 
-double VariableGainBuffer::step(double vin, double dt_ps) {
-  double x = input_.step(vin, dt_ps);
-  x = lpf_.step(x, dt_ps);
-  x += noise_.step(dt_ps);
-  // Unit-amplitude limiting output stage; the (droop-sagged) half-swing
-  // is applied inside the tail step — bias droop models the output
-  // stage's tail current sagging with recent switching activity
-  // (fraction of time spent slew-limited), the paper's Fig. 15 roll-off
-  // mechanism. vga_tail_step is the shared backend reference step, so
-  // this path and the block kernel agree byte for byte.
-  const double lim =
-      util::det_tanh(cfg_.output_gain * x / cfg_.output_ref_v);
-  const backend::VgaTailCoeffs c = tail_coeffs(dt_ps);
-  const double slewed =
-      backend::vga_tail_step(c, slew_.state(), tail_, lim);
-  return out_pole_.step(slewed, dt_ps);
-}
-
 void VariableGainBuffer::process_block(const double* in, double* out,
                                        std::size_t n, double dt_ps) {
+  process_block(in, nullptr, out, n, dt_ps);
+}
+
+void VariableGainBuffer::process_block(const double* in, const double* vctrl,
+                                       double* out, std::size_t n,
+                                       double dt_ps) {
   util::ScratchBuffer noise(n);
   util::ScratchBuffer lim(n);
   const backend::Kernels& k = backend::active();
@@ -96,15 +85,24 @@ void VariableGainBuffer::process_block(const double* in, double* out,
   // filtered input plus noise, not on the droop/slew recursion — so the
   // tanh pass is hoisted out of the recursion into the elementwise
   // tanh_stage kernel (the AVX2 backend's biggest win in this element).
-  // step() forms the same doubles in the same order, so the split
-  // changes nothing bitwise.
+  // The unit-amplitude limiter output is scaled by the (droop-sagged)
+  // half-swing inside the tail: bias droop models the output stage's
+  // tail current sagging with recent switching activity, the paper's
+  // Fig. 15 roll-off mechanism.
   k.tanh_stage(out, noise.data(), lim.data(), n, cfg_.output_gain,
                cfg_.output_ref_v, 1.0);
   // The droop/slew recursion feeds back sample-to-sample through a
   // clamp, so it stays a serial kernel on every backend (the AVX2 table
   // points at the shared scalar definition).
   const backend::VgaTailCoeffs c = tail_coeffs(dt_ps);
-  k.vga_tail(lim.data(), out, n, c, slew_.state(), tail_);
+  double* amp = nullptr;
+  if (vctrl != nullptr && n > 0) {
+    // The noise block is consumed; its buffer now carries A(Vctrl[i]).
+    amp = noise.data();
+    for (std::size_t i = 0; i < n; ++i) amp[i] = amplitude_for(vctrl[i]);
+    vctrl_ = vctrl[n - 1];
+  }
+  k.vga_tail(lim.data(), amp, out, n, c, slew_.state(), tail_);
   out_pole_.process_block(out, out, n, dt_ps);
 }
 
@@ -125,24 +123,14 @@ void LimitingBuffer::reset() {
   slew_.reset();
 }
 
-double LimitingBuffer::step(double vin, double dt_ps) {
-  double x = input_.step(vin, dt_ps);
-  x = lpf_.step(x, dt_ps);
-  x += noise_.step(dt_ps);
-  const double target =
-      cfg_.out_swing_v *
-      util::det_tanh(cfg_.output_gain * x / cfg_.output_ref_v);
-  return slew_.step(target, dt_ps);
-}
-
 void LimitingBuffer::process_block(const double* in, double* out,
                                    std::size_t n, double dt_ps) {
   util::ScratchBuffer noise(n);
   input_.process_block(in, out, n, dt_ps);
   lpf_.process_block(out, out, n, dt_ps);
   noise_.process_block(noise.data(), n, dt_ps);
-  // Elementwise limiting stage through the backend tanh_stage kernel —
-  // bit-exact against step()'s inline expression on every backend.
+  // Elementwise limiting stage through the backend tanh_stage kernel:
+  // out_swing * det_tanh(output_gain * (x + noise) / output_ref).
   backend::active().tanh_stage(out, noise.data(), out, n, cfg_.output_gain,
                                cfg_.output_ref_v, cfg_.out_swing_v);
   slew_.process_block(out, out, n, dt_ps);

@@ -67,7 +67,8 @@ class VariableGainBuffer final : public AnalogElement {
   VariableGainBuffer(const VgaBufferConfig& cfg, util::Rng rng);
 
   /// Programmed control voltage (clamped to [0, vctrl_max] inside
-  /// amplitude()). May be changed between — or during — runs.
+  /// amplitude()). May be changed between runs; a Vctrl that moves
+  /// during a run is the per-sample input of process_block().
   void set_vctrl(double v) { vctrl_ = v; }
   double vctrl() const { return vctrl_; }
 
@@ -89,19 +90,23 @@ class VariableGainBuffer final : public AnalogElement {
     return std::make_unique<VariableGainBuffer>(*this);
   }
   void reset() override;
-  double step(double vin, double dt_ps) override;
+  /// Fixed-Vctrl block: process_block(in, nullptr, out, n, dt_ps).
+  void process_block(const double* in, double* out, std::size_t n,
+                     double dt_ps) override;
   /// Stage-major block path: tanh pair, bandwidth pole and batched noise
   /// run as whole-block passes; the droop/slew/output recursion — whose
   /// state feeds back sample-to-sample — runs as one fused scalar loop
-  /// with every dt-dependent coefficient hoisted. Byte-identical to
-  /// step(); Vctrl modulation (jitter injection) stays on the step path.
-  void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override;
+  /// with every dt-dependent coefficient hoisted. `vctrl[i]` is the
+  /// control voltage of sample i (A(Vctrl) per sample — the jitter-
+  /// injection mechanism); nullptr holds vctrl(). After a modulated
+  /// block the stage holds vctrl[n-1]. `vctrl` must not alias `out`.
+  void process_block(const double* in, const double* vctrl, double* out,
+                     std::size_t n, double dt_ps);
 
   /// Hoists the droop/slew-tail coefficients for (vctrl_, dt_ps) — every
-  /// value a pure function of the config, bit-equal between paths.
-  /// Public (with the part accessors below) so the batch executor can
-  /// run this stage's exact pass sequence through the batched kernels.
+  /// value a pure function of the config, Vctrl and dt. Public (with the
+  /// part accessors below) so the batch executor can run this stage's
+  /// exact pass sequence through the batched kernels.
   backend::VgaTailCoeffs tail_coeffs(double dt_ps);
   SinglePoleFilter& lpf() { return lpf_; }
   NoiseSource& noise() { return noise_; }
@@ -148,7 +153,6 @@ class LimitingBuffer final : public AnalogElement {
     return std::make_unique<LimitingBuffer>(*this);
   }
   void reset() override;
-  double step(double vin, double dt_ps) override;
   void process_block(const double* in, double* out, std::size_t n,
                      double dt_ps) override;
 

@@ -20,21 +20,6 @@ void AcCoupler::reset() {
   first_ = true;
 }
 
-double AcCoupler::step(double vin, double dt_ps) {
-  const double tau = 1000.0 / (2.0 * util::kPi * f_hp_);
-  const double a = tau / (tau + dt_ps);
-  if (first_) {
-    // Start settled: a DC input produces zero output immediately.
-    x_prev_ = vin;
-    y_ = 0.0;
-    first_ = false;
-    return 0.0;
-  }
-  y_ = a * (y_ + vin - x_prev_);
-  x_prev_ = vin;
-  return y_;
-}
-
 void AcCoupler::process_block(const double* in, double* out, std::size_t n,
                               double dt_ps) {
   if (dt_ps != blk_dt_) {
@@ -45,6 +30,7 @@ void AcCoupler::process_block(const double* in, double* out, std::size_t n,
   const double a = blk_a_;
   std::size_t i = 0;
   if (first_ && n > 0) {
+    // Start settled: a DC input produces zero output immediately.
     x_prev_ = in[0];
     y_ = 0.0;
     first_ = false;
@@ -79,24 +65,13 @@ NoiseSource::NoiseSource(double sigma_v, double bandwidth_ghz, util::Rng rng)
 
 void NoiseSource::reset() { st_ = {}; }
 
-double NoiseSource::step(double dt_ps) {
-  if (sigma_ == 0.0) return 0.0;
-  prime(dt_ps);
-  // Var(y) = Var(x) * alpha / (2 - alpha) for a one-pole filter driven by
-  // white noise; scale the white input so Var(y) == sigma^2. The pole is
-  // an n == 1 backend kernel call so step-vs-block identity holds per
-  // backend (the AVX2 scan carries its group phase in st_).
-  const double x = rng_.gaussian(0.0, blk_sx_);
-  double out;
-  backend::active().one_pole(&x, &out, 1, blk_alpha_, st_);
-  return out;
-}
-
 void NoiseSource::prime(double dt_ps) {
   if (dt_ps == blk_dt_) return;
   blk_dt_ = dt_ps;
   const double tau = 1000.0 / (2.0 * util::kPi * bw_);
   blk_alpha_ = 1.0 - util::det_exp(-dt_ps / tau);
+  // Var(y) = Var(x) * alpha / (2 - alpha) for a one-pole filter driven by
+  // white noise; scale the white input so Var(y) == sigma^2.
   blk_sx_ = sigma_ * std::sqrt((2.0 - blk_alpha_) / blk_alpha_);
 }
 

@@ -22,7 +22,6 @@ class AcCoupler final : public AnalogElement {
     return std::make_unique<AcCoupler>(*this);
   }
   void reset() override;
-  double step(double vin, double dt_ps) override;
   void process_block(const double* in, double* out, std::size_t n,
                      double dt_ps) override;
 
@@ -42,7 +41,6 @@ class Attenuator final : public AnalogElement {
  public:
   explicit Attenuator(double loss_db);
   void reset() override {}
-  double step(double vin, double /*dt_ps*/) override { return vin * factor_; }
   void process_block(const double* in, double* out, std::size_t n,
                      double dt_ps) override;
   std::unique_ptr<AnalogElement> clone() const override {
@@ -72,11 +70,10 @@ class NoiseSource {
   void fork_noise(std::uint64_t stream) { rng_ = rng_.fork(stream); }
 
   void reset();
-  /// Next noise sample, advancing dt picoseconds.
-  double step(double dt_ps);
 
-  /// `n` noise samples at once — byte-identical to `n` step(dt_ps) calls,
-  /// with the filter coefficients hoisted and the Gaussian draws batched.
+  /// The next `n` noise samples, advancing n * dt_ps picoseconds, with
+  /// the filter coefficients hoisted and the Gaussian draws batched. Any
+  /// split of the stream into calls gives the same samples.
   void process_block(double* out, std::size_t n, double dt_ps);
 
   /// Renders `n` samples as a waveform on the given grid.

@@ -23,18 +23,10 @@ void DifferentialImbalance::reset() {
   n_leg_.reset();
 }
 
-double DifferentialImbalance::step(double vin, double dt_ps) {
-  // Legs: P = +v/2, N = -v/2 (common mode drops out of the difference
-  // except through the modeled offset).
-  const double p = p_leg_.step(vin / 2.0, dt_ps);
-  const double n = n_leg_.step(-vin / 2.0, dt_ps);
-  const double gp = 1.0 + cfg_.gain_mismatch_frac / 2.0;
-  const double gn = 1.0 - cfg_.gain_mismatch_frac / 2.0;
-  return gp * p - gn * n + cfg_.offset_v;
-}
-
 void DifferentialImbalance::process_block(const double* in, double* out,
                                           std::size_t n, double dt_ps) {
+  // Legs: P = +v/2, N = -v/2 (common mode drops out of the difference
+  // except through the modeled offset).
   util::ScratchBuffer p(n), m(n);
   for (std::size_t i = 0; i < n; ++i) p[i] = in[i] / 2.0;
   for (std::size_t i = 0; i < n; ++i) m[i] = -in[i] / 2.0;

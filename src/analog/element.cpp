@@ -2,17 +2,8 @@
 
 namespace gdelay::analog {
 
-void AnalogElement::process_block(const double* in, double* out,
-                                  std::size_t n, double dt_ps) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = step(in[i], dt_ps);
-}
-
 sig::Waveform AnalogElement::process(const sig::Waveform& in) {
-  reset();
-  return run_blocked(in, [this](const double* src, double* dst,
-                                std::size_t n, double dt_ps) {
-    process_block(src, dst, n, dt_ps);
-  });
+  return run_blocked(*this, in);
 }
 
 sig::Waveform AnalogElement::process(sig::Waveform&& in) {
@@ -38,12 +29,6 @@ void Cascade::add(std::unique_ptr<AnalogElement> el) {
 
 void Cascade::reset() {
   for (auto& s : stages_) s->reset();
-}
-
-double Cascade::step(double vin, double dt_ps) {
-  double v = vin;
-  for (auto& s : stages_) v = s->step(v, dt_ps);
-  return v;
 }
 
 void Cascade::process_block(const double* in, double* out, std::size_t n,

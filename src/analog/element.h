@@ -1,19 +1,18 @@
 // Base interface for behavioral analog elements.
 //
-// Every element is a causal, stateful, sample-in/sample-out process:
-// `step(vin, dt)` advances internal state by one sample period and returns
-// the output voltage. Elements compose by nesting calls (or `Cascade`),
-// and `process()` runs a whole waveform through. Per-sample stepping (as
-// opposed to whole-waveform transforms) is what lets a control port such
-// as the delay line's Vctrl vary *during* a run — the mechanism behind the
-// paper's jitter-injection mode.
+// Every element is a causal, stateful sample process: `process_block(in,
+// out, n, dt)` advances internal state by `n` sample periods and writes
+// one output per input. Elements compose by nesting calls (or `Cascade`),
+// and `process()` runs a whole waveform through in kBlockSamples chunks.
 //
-// `process_block()` is the performance path: it advances `n` sample
-// periods at once, contractually byte-identical to `n` step() calls (the
-// equivalence is enforced by tests/test_block_kernels.cpp). Overrides
-// hoist dt-dependent coefficients out of the sample loop and batch the
-// noise draws; they are an optimization, never a semantic fork — anything
-// that must vary per sample (Vctrl modulation) stays on the step path.
+// `process_block()` is the one implementation of each device. Its result
+// does not depend on how a sample stream is split into calls — chunk
+// size 1 and one call over the whole stream give the same bytes (enforced
+// by tests/test_block_kernels.cpp) — so overrides hoist dt-dependent
+// coefficients out of the sample loop and batch the noise draws freely.
+// A control that varies during a run (the delay line's Vctrl, the
+// mechanism behind the paper's jitter-injection mode) enters as a
+// per-sample block input; see VariableGainBuffer.
 #pragma once
 
 #include <algorithm>
@@ -37,10 +36,6 @@ class AnalogElement {
   /// Clears all internal state (filter memories, delay lines, ...).
   virtual void reset() = 0;
 
-  /// Advances one sample period of `dt_ps` with input `vin`; returns the
-  /// output sample.
-  virtual double step(double vin, double dt_ps) = 0;
-
   /// Deep copy carrying the complete internal state (filter memories,
   /// ring buffers, RNG streams). Clones drive the parallel calibration
   /// sweeps: each sweep point runs on its own clone, then fork_noise()
@@ -50,12 +45,21 @@ class AnalogElement {
   /// that every element declares this).
   virtual std::unique_ptr<AnalogElement> clone() const = 0;
 
-  /// Advances `n` sample periods: out[i] = step(in[i], dt_ps), with
-  /// byte-identical results. `in == out` (in-place) is allowed; other
-  /// overlap is not. `dt_ps` may differ between calls (coefficient caches
-  /// re-derive on change); within one call it is constant by signature.
+  /// Advances `n` sample periods of `dt_ps`, writing out[i] for in[i].
+  /// Any partition of a stream into calls yields the same bytes.
+  /// `in == out` (in-place) is allowed; other overlap is not. `dt_ps` may
+  /// differ between calls (coefficient caches re-derive on change);
+  /// within one call it is constant by signature.
   virtual void process_block(const double* in, double* out, std::size_t n,
-                             double dt_ps);
+                             double dt_ps) = 0;
+
+  /// One sample: process_block() with n == 1. A convenience for tests
+  /// and interactive probing; model code runs blocks.
+  double step(double vin, double dt_ps) {
+    double out;
+    process_block(&vin, &out, 1, dt_ps);
+    return out;
+  }
 
   /// Runs a whole waveform through a freshly reset element (block path).
   sig::Waveform process(const sig::Waveform& in);
@@ -66,17 +70,19 @@ class AnalogElement {
   sig::Waveform process(sig::Waveform&& in);
 };
 
-/// Runs `block(in_ptr, out_ptr, n, dt)` over `in` in kBlockSamples chunks
-/// and returns the output waveform — the shared driver behind every
+/// Resets `stage`, runs `in` through its process_block() in kBlockSamples
+/// chunks and returns the output waveform — the shared loop behind every
 /// whole-waveform process() implementation.
-template <typename BlockFn>
-sig::Waveform run_blocked(const sig::Waveform& in, BlockFn&& block) {
+template <typename Stage>
+sig::Waveform run_blocked(Stage& stage, const sig::Waveform& in) {
+  stage.reset();
   sig::Waveform out(in.t0_ps(), in.dt_ps(), in.size());
   const double* src = in.samples().data();
   double* dst = out.samples().data();
   const std::size_t total = in.size();
   for (std::size_t o = 0; o < total; o += kBlockSamples)
-    block(src + o, dst + o, std::min(kBlockSamples, total - o), in.dt_ps());
+    stage.process_block(src + o, dst + o, std::min(kBlockSamples, total - o),
+                        in.dt_ps());
   return out;
 }
 
@@ -100,7 +106,6 @@ class Cascade final : public AnalogElement {
   AnalogElement& stage(std::size_t i) { return *stages_.at(i); }
 
   void reset() override;
-  double step(double vin, double dt_ps) override;
   /// Stage-major: the whole block runs through stage k before stage k+1
   /// touches it. Mathematically identical for this feedforward chain, and
   /// it turns N virtual calls per sample into N per block.

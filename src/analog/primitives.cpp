@@ -20,17 +20,6 @@ double SinglePoleFilter::tau_ps() const {
   return 1000.0 / (2.0 * util::kPi * f3db_);
 }
 
-double SinglePoleFilter::step(double vin, double dt_ps) {
-  // Exact discretization of the first-order ODE over one step, routed
-  // through the backend as an n == 1 kernel call: under the scalar
-  // oracle this is exactly `y += alpha * (vin - y)`, and under the AVX2
-  // scan it advances the same group state a block call would, so
-  // step-vs-block identity holds per backend, not just for scalar.
-  double out;
-  backend::active().one_pole(&vin, &out, 1, alpha_for(dt_ps), st_);
-  return out;
-}
-
 double SinglePoleFilter::alpha_for(double dt_ps) {
   if (dt_ps != blk_dt_) {
     blk_dt_ = dt_ps;
@@ -55,15 +44,6 @@ SlewRateLimiter::SlewRateLimiter(double slew_v_per_ps, double tau_lin_ps,
     throw std::invalid_argument("SlewRateLimiter: leak_tau must be >= 0");
 }
 
-double SlewRateLimiter::step(double vin, double dt_ps) {
-  // Same coefficient derivations as always (slew*dt, the det_exp
-  // settling/leak factors), hoisted through prime()'s dt-keyed cache and
-  // applied by the shared backend reference step — byte-identical to the
-  // historical inline arithmetic, term for term.
-  prime(dt_ps);
-  return backend::slew_step(blk_, st_, vin);
-}
-
 void SlewRateLimiter::prime(double dt_ps) {
   if (dt_ps == blk_dt_) return;
   blk_dt_ = dt_ps;
@@ -86,14 +66,10 @@ TanhLimiter::TanhLimiter(double gain, double vsat_v)
     throw std::invalid_argument("TanhLimiter: gain and vsat must be > 0");
 }
 
-double TanhLimiter::step(double vin, double /*dt_ps*/) {
-  return vsat_ * util::det_tanh(gain_ * vin / vsat_);
-}
-
 void TanhLimiter::process_block(const double* in, double* out, std::size_t n,
                                 double /*dt_ps*/) {
-  // Stateless; the backend tanh_stage kernel is elementwise and (on
-  // every backend) bit-exact against the step() expression.
+  // Stateless: y = vsat * det_tanh(gain * x / vsat) through the
+  // elementwise tanh_stage kernel, bit-exact across backends.
   backend::active().tanh_stage(in, nullptr, out, n, gain_, vsat_, vsat_);
 }
 
@@ -106,11 +82,6 @@ NoiseAdder::NoiseAdder(double density_v_sqrtps, util::Rng rng)
     : density_(density_v_sqrtps), rng_(rng) {
   if (density_v_sqrtps < 0.0)
     throw std::invalid_argument("NoiseAdder: density must be >= 0");
-}
-
-double NoiseAdder::step(double vin, double dt_ps) {
-  if (density_ == 0.0) return vin;
-  return vin + rng_.gaussian(0.0, density_ / std::sqrt(dt_ps));
 }
 
 void NoiseAdder::process_block(const double* in, double* out, std::size_t n,
@@ -139,7 +110,14 @@ void FractionalDelay::reset() {
 
 void FractionalDelay::ensure_grid(double dt_ps, double vin) {
   if (!hist_.empty() && dt_ps == dt_cached_) return;
-  const auto n = static_cast<std::size_t>(std::ceil(delay_ / dt_ps)) + 2;
+  // A NaN or non-positive dt never matches the cache, so every bad dt
+  // reaches this check before the slot count is cast to an integer.
+  if (!std::isfinite(dt_ps) || dt_ps <= 0.0)
+    throw std::invalid_argument("FractionalDelay: dt must be finite and > 0");
+  const double slots = std::ceil(delay_ / dt_ps);
+  if (!(slots < static_cast<double>(hist_.max_size() - 2)))
+    throw std::invalid_argument("FractionalDelay: dt too small for the ring");
+  const auto n = static_cast<std::size_t>(slots) + 2;
   if (hist_.empty()) {
     // First use: the line starts "charged" with the first input so there
     // is no artificial startup step.
@@ -178,33 +156,13 @@ void FractionalDelay::ensure_grid(double dt_ps, double vin) {
   dt_cached_ = dt_ps;
 }
 
-double FractionalDelay::step(double vin, double dt_ps) {
-  if (dt_ps <= 0.0)
-    throw std::invalid_argument("FractionalDelay: dt must be > 0");
-  ensure_grid(dt_ps, vin);
-  hist_[head_] = vin;
-  const double offset = delay_ / dt_cached_;  // samples into the past
-  const auto k = static_cast<std::size_t>(offset);
-  const double frac = offset - static_cast<double>(k);
-  const std::size_t n = hist_.size();
-  const std::size_t i0 = (head_ + n - (k % n)) % n;
-  const std::size_t i1 = (i0 + n - 1) % n;
-  const double v0 = hist_[i0];
-  const double v1 = hist_[i1];
-  head_ = (head_ + 1) % n;
-  if (filled_ < n) ++filled_;
-  return v0 + (v1 - v0) * frac;
-}
-
 void FractionalDelay::process_block(const double* in, double* out,
                                     std::size_t count, double dt_ps) {
   if (count == 0) return;
-  if (dt_ps <= 0.0)
-    throw std::invalid_argument("FractionalDelay: dt must be > 0");
   ensure_grid(dt_ps, in[0]);
-  // Same math as step() with the dt-derived offset hoisted and the ring
-  // indices advanced incrementally (one wraparound test instead of three
-  // modulos per sample).
+  // Linear interpolation between the two ring slots straddling the
+  // delay, with the dt-derived offset hoisted and the ring indices
+  // advanced incrementally (one wraparound test per sample).
   const double offset = delay_ / dt_cached_;
   const auto k = static_cast<std::size_t>(offset);
   const double frac = offset - static_cast<double>(k);

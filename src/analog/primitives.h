@@ -24,15 +24,14 @@ namespace gdelay::analog {
 
 /// First-order low-pass, y' = 2*pi*f3dB (x - y).
 ///
-/// Both paths run through the active compute backend's one_pole kernel
-/// (step() as an n == 1 call), so step-vs-block byte identity holds under
-/// every backend — including the AVX2 scan, whose group phase lives in
-/// the backend state POD and is carried across calls.
+/// Runs through the active compute backend's one_pole kernel, so any
+/// partition of a stream into blocks gives the same bytes under every
+/// backend — including the AVX2 scan, whose group phase lives in the
+/// backend state POD and is carried across calls.
 class SinglePoleFilter final : public AnalogElement {
  public:
   explicit SinglePoleFilter(double f3db_ghz);
   void reset() override { st_ = {}; }
-  double step(double vin, double dt_ps) override;
   void process_block(const double* in, double* out, std::size_t n,
                      double dt_ps) override;
   std::unique_ptr<AnalogElement> clone() const override {
@@ -76,7 +75,6 @@ class SlewRateLimiter final : public AnalogElement {
   explicit SlewRateLimiter(double slew_v_per_ps, double tau_lin_ps = 0.0,
                            double leak_tau_ps = 0.0);
   void reset() override { st_ = {}; }
-  double step(double vin, double dt_ps) override;
   void process_block(const double* in, double* out, std::size_t n,
                      double dt_ps) override;
   std::unique_ptr<AnalogElement> clone() const override {
@@ -109,7 +107,6 @@ class TanhLimiter final : public AnalogElement {
  public:
   TanhLimiter(double gain, double vsat_v);
   void reset() override {}
-  double step(double vin, double dt_ps) override;
   void process_block(const double* in, double* out, std::size_t n,
                      double dt_ps) override;
   std::unique_ptr<AnalogElement> clone() const override {
@@ -128,7 +125,6 @@ class GainStage final : public AnalogElement {
  public:
   explicit GainStage(double gain) : gain_(gain) {}
   void reset() override {}
-  double step(double vin, double /*dt_ps*/) override { return gain_ * vin; }
   void process_block(const double* in, double* out, std::size_t n,
                      double dt_ps) override;
   std::unique_ptr<AnalogElement> clone() const override {
@@ -150,7 +146,6 @@ class NoiseAdder final : public AnalogElement {
   /// density: V*sqrt(ps), e.g. 0.02 => sigma = 40 mV at dt = 0.25 ps.
   NoiseAdder(double density_v_sqrtps, util::Rng rng);
   void reset() override {}
-  double step(double vin, double dt_ps) override;
   void process_block(const double* in, double* out, std::size_t n,
                      double dt_ps) override;
   std::unique_ptr<AnalogElement> clone() const override {
@@ -174,7 +169,6 @@ class FractionalDelay final : public AnalogElement {
  public:
   explicit FractionalDelay(double delay_ps);
   void reset() override;
-  double step(double vin, double dt_ps) override;
   void process_block(const double* in, double* out, std::size_t n,
                      double dt_ps) override;
   std::unique_ptr<AnalogElement> clone() const override {

@@ -16,13 +16,6 @@ void TransmissionLine::reset() {
   pole_.reset();
 }
 
-double TransmissionLine::step(double vin, double dt_ps) {
-  double v = delay_.step(vin, dt_ps);
-  v *= loss_factor_;
-  if (has_pole_) v = pole_.step(v, dt_ps);
-  return v;
-}
-
 void TransmissionLine::process_block(const double* in, double* out,
                                      std::size_t n, double dt_ps) {
   delay_.process_block(in, out, n, dt_ps);

@@ -31,7 +31,6 @@ class TransmissionLine final : public AnalogElement {
     return std::make_unique<TransmissionLine>(*this);
   }
   void reset() override;
-  double step(double vin, double dt_ps) override;
   void process_block(const double* in, double* out, std::size_t n,
                      double dt_ps) override;
 

@@ -8,10 +8,11 @@
 // through the active table instead of open-coding the loops. Two tables
 // ship today:
 //
-//   scalar  The reference oracle. Exactly the arithmetic the per-sample
-//           step() paths perform, so step-vs-block byte identity holds by
-//           construction. This is the default: simulation results never
-//           change because of the machine they ran on.
+//   scalar  The reference oracle: plain serial loops over the inline
+//           reference steps below, so the result of a sample stream does
+//           not depend on how it is split into process_block() calls.
+//           This is the default: simulation results never change because
+//           of the machine they ran on.
 //   avx2    Explicit 4-lane AVX2(+FMA) intrinsics, compiled only when the
 //           toolchain supports -mavx2 and selected only when the CPU
 //           reports AVX2. Elementwise kernels (tanh/exp/sincos2pi/
@@ -94,11 +95,11 @@ struct SlewState {
 };
 
 /// Hoisted coefficients of the VariableGainBuffer droop/slew tail for one
-/// (Vctrl, dt) pair. All values are bit-equal to what the per-sample
-/// step() path derives (pure functions of the config and dt).
+/// (Vctrl, dt) pair — pure functions of the config, Vctrl and dt.
 struct VgaTailCoeffs {
   double amp = 0.0;           ///< A(Vctrl), half-swing before droop
   double amp_frac = 0.0;      ///< amp * droop_frac
+  double droop_frac = 0.0;    ///< forms amp_frac for a per-sample amp
   double max_step = 0.0;      ///< slew * dt
   double inv_max_step = 0.0;  ///< 1/max_step (0 when max_step == 0)
   double alpha = 0.0;         ///< droop IIR coefficient for this dt
@@ -115,9 +116,9 @@ struct VgaTailState {
 
 // ---------------------------------------------------------------------------
 // Inline reference steps — the scalar oracle, one sample at a time. The
-// elements' step() paths call these directly and the scalar kernel table
-// loops over them, which is what keeps step-vs-block byte identity true
-// by construction rather than by test.
+// scalar kernel table loops over them, and the AVX2 batch kernels fall
+// back to them for partial lane groups, so every backend shares one
+// definition of each serial recursion.
 
 inline double one_pole_step(double& y, double alpha, double x) {
   y += alpha * (x - y);
@@ -141,10 +142,12 @@ inline double slew_step(const SlewCoeffs& c, SlewState& s, double vin) {
 
 /// One sample of the VariableGainBuffer droop/slew tail: `lim` is the
 /// unit-amplitude limiter output det_tanh(g*x/ref); the return value is
-/// the slewed output (before the output pole).
-inline double vga_tail_step(const VgaTailCoeffs& c, SlewState& slew,
+/// the slewed output (before the output pole). `amp`/`amp_frac` are the
+/// sample's A(Vctrl) and A(Vctrl) * droop_frac.
+inline double vga_tail_step(const VgaTailCoeffs& c, double amp,
+                            double amp_frac, SlewState& slew,
                             VgaTailState& d, double lim) {
-  const double a = c.amp - c.amp_frac * d.droop;
+  const double a = amp - amp_frac * d.droop;
   const double target = a * lim;
   const double slewed = slew_step(c.slew, slew, target);
   double activity = 0.0;
@@ -154,6 +157,12 @@ inline double vga_tail_step(const VgaTailCoeffs& c, SlewState& slew,
   d.prev = slewed;
   d.droop += c.alpha * (activity - d.droop);
   return slewed;
+}
+
+/// vga_tail_step at the hoisted amplitude c.amp (fixed Vctrl).
+inline double vga_tail_step(const VgaTailCoeffs& c, SlewState& slew,
+                            VgaTailState& d, double lim) {
+  return vga_tail_step(c, c.amp, c.amp_frac, slew, d, lim);
 }
 
 /// One Box-Muller pair from two uniforms, cos branch first — the draw
@@ -206,8 +215,11 @@ struct Kernels {
                const SlewCoeffs& c, SlewState& st);
 
   /// VariableGainBuffer droop/slew tail over a block (see vga_tail_step).
-  void (*vga_tail)(const double* lim, double* out, std::size_t n,
-                   const VgaTailCoeffs& c, SlewState& slew, VgaTailState& d);
+  /// `amp` is the per-sample A(Vctrl) of a modulated control voltage, or
+  /// nullptr to hold c.amp for the whole block.
+  void (*vga_tail)(const double* lim, const double* amp, double* out,
+                   std::size_t n, const VgaTailCoeffs& c, SlewState& slew,
+                   VgaTailState& d);
 
   // -------------------------------------------------------------------------
   // Lane-batched kernels: `w` independent streams interleaved time-major,

@@ -24,8 +24,9 @@ void one_pole(const double* x, double* out, std::size_t n, double alpha,
               OnePoleState& st);
 void slew(const double* x, double* out, std::size_t n, const SlewCoeffs& c,
           SlewState& st);
-void vga_tail(const double* lim, double* out, std::size_t n,
-              const VgaTailCoeffs& c, SlewState& slew_st, VgaTailState& d);
+void vga_tail(const double* lim, const double* amp, double* out,
+              std::size_t n, const VgaTailCoeffs& c, SlewState& slew_st,
+              VgaTailState& d);
 
 // Lane-batched reference kernels: each stream is advanced loop-wise with
 // the exact solo reference arithmetic, so batch-vs-solo byte identity on

@@ -1,13 +1,12 @@
 // Scalar reference backend: the byte-identity oracle.
 //
 // Every kernel is a plain loop over the inline reference steps from
-// backend.h (or the det_* functions directly), i.e. exactly the
-// arithmetic the per-sample step() paths perform — in the same order,
-// with the same associativity. This file is compiled with the project's
-// default flags only (no -mavx2), and the global -ffp-contract=off keeps
-// the compiler from fusing any multiply-add, so the oracle's bit
-// patterns are the portable IEEE-754 ones regardless of the toolchain's
-// vectorizer mood.
+// backend.h (or the det_* functions directly), one sample after another
+// in stream order, so any split of a stream into calls yields the same
+// bytes. This file is compiled with the project's default flags only
+// (no -mavx2), and the global -ffp-contract=off keeps the compiler from
+// fusing any multiply-add, so the oracle's bit patterns are the portable
+// IEEE-754 ones regardless of the toolchain's vectorizer mood.
 #include "backend/kernels_ref.h"
 
 #include "util/fastmath.h"
@@ -69,12 +68,18 @@ void slew(const double* x, double* out, std::size_t n, const SlewCoeffs& c,
   st = s;
 }
 
-void vga_tail(const double* lim, double* out, std::size_t n,
-              const VgaTailCoeffs& c, SlewState& slew_st, VgaTailState& d) {
+void vga_tail(const double* lim, const double* amp, double* out,
+              std::size_t n, const VgaTailCoeffs& c, SlewState& slew_st,
+              VgaTailState& d) {
   SlewState s = slew_st;
   VgaTailState dd = d;
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = vga_tail_step(c, s, dd, lim[i]);
+  if (amp == nullptr) {
+    for (std::size_t i = 0; i < n; ++i)
+      out[i] = vga_tail_step(c, s, dd, lim[i]);
+  } else {
+    for (std::size_t i = 0; i < n; ++i)
+      out[i] = vga_tail_step(c, amp[i], amp[i] * c.droop_frac, s, dd, lim[i]);
+  }
   slew_st = s;
   d = dd;
 }

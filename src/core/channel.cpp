@@ -11,10 +11,6 @@ void VariableDelayChannel::reset() {
   fine_.reset();
 }
 
-double VariableDelayChannel::step(double vin, double dt_ps) {
-  return fine_.step(coarse_.step(vin, dt_ps), dt_ps);
-}
-
 void VariableDelayChannel::process_block(const double* in, double* out,
                                          std::size_t n, double dt_ps) {
   coarse_.process_block(in, out, n, dt_ps);
@@ -22,11 +18,7 @@ void VariableDelayChannel::process_block(const double* in, double* out,
 }
 
 sig::Waveform VariableDelayChannel::process(const sig::Waveform& in) {
-  reset();
-  return analog::run_blocked(in, [this](const double* src, double* dst,
-                                        std::size_t n, double dt_ps) {
-    process_block(src, dst, n, dt_ps);
-  });
+  return analog::run_blocked(*this, in);
 }
 
 }  // namespace gdelay::core

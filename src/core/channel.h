@@ -50,8 +50,7 @@ class VariableDelayChannel {
   }
 
   void reset();
-  double step(double vin, double dt_ps);
-  /// Stage-major block path — byte-identical to `n` step() calls.
+  /// Stage-major block path: coarse block, then fine line.
   void process_block(const double* in, double* out, std::size_t n,
                      double dt_ps);
   sig::Waveform process(const sig::Waveform& in);

@@ -47,16 +47,6 @@ void CoarseDelayBlock::reset() {
   mux_.reset();
 }
 
-double CoarseDelayBlock::step(double vin, double dt_ps) {
-  const double fan = fanout_.step(vin, dt_ps);
-  double sel = 0.0;
-  for (int i = 0; i < kTaps; ++i) {
-    const double v = taps_[static_cast<std::size_t>(i)].step(fan, dt_ps);
-    if (i == selected_) sel = v;
-  }
-  return mux_.step(sel, dt_ps);
-}
-
 void CoarseDelayBlock::process_block(const double* in, double* out,
                                      std::size_t n, double dt_ps) {
   util::ScratchBuffer fan(n), tmp(n);
@@ -70,11 +60,7 @@ void CoarseDelayBlock::process_block(const double* in, double* out,
 }
 
 sig::Waveform CoarseDelayBlock::process(const sig::Waveform& in) {
-  reset();
-  return analog::run_blocked(in, [this](const double* src, double* dst,
-                                        std::size_t n, double dt_ps) {
-    process_block(src, dst, n, dt_ps);
-  });
+  return analog::run_blocked(*this, in);
 }
 
 }  // namespace gdelay::core

@@ -58,12 +58,9 @@ class CoarseDelayBlock {
   void fork_noise(std::uint64_t stream);
 
   void reset();
-  /// All four taps are simulated every sample so the selection may change
-  /// mid-run, exactly like flipping the real select lines.
-  double step(double vin, double dt_ps);
-  /// Stage-major block path — byte-identical to `n` step() calls. Every
-  /// tap is still advanced (their state must track the fanout signal for
-  /// mid-run reselection), but each as one whole-block pass.
+  /// Stage-major block path. All four taps are advanced every block (as
+  /// one whole-block pass each), so the selection may change between
+  /// blocks mid-run, exactly like flipping the real select lines.
   void process_block(const double* in, double* out, std::size_t n,
                      double dt_ps);
   sig::Waveform process(const sig::Waveform& in);

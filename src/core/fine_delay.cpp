@@ -40,32 +40,22 @@ void FineDelayLine::reset() {
   out_.reset();
 }
 
-double FineDelayLine::step(double vin, double dt_ps) {
-  double v = vin;
-  for (auto& s : stages_) v = s.step(v, dt_ps);
-  return out_.step(v, dt_ps);
-}
-
-double FineDelayLine::step_with_vctrl(double vin, double vctrl,
-                                      double dt_ps) {
-  set_vctrl(vctrl);
-  return step(vin, dt_ps);
-}
-
 void FineDelayLine::process_block(const double* in, double* out,
                                   std::size_t n, double dt_ps) {
-  stages_.front().process_block(in, out, n, dt_ps);
+  process_block(in, nullptr, out, n, dt_ps);
+}
+
+void FineDelayLine::process_block(const double* in, const double* vctrl,
+                                  double* out, std::size_t n, double dt_ps) {
+  stages_.front().process_block(in, vctrl, out, n, dt_ps);
   for (std::size_t s = 1; s < stages_.size(); ++s)
-    stages_[s].process_block(out, out, n, dt_ps);
+    stages_[s].process_block(out, vctrl, out, n, dt_ps);
   out_.process_block(out, out, n, dt_ps);
+  if (vctrl != nullptr && n > 0) vctrl_ = vctrl[n - 1];
 }
 
 sig::Waveform FineDelayLine::process(const sig::Waveform& in) {
-  reset();
-  return analog::run_blocked(in, [this](const double* src, double* dst,
-                                        std::size_t n, double dt_ps) {
-    process_block(src, dst, n, dt_ps);
-  });
+  return analog::run_blocked(*this, in);
 }
 
 }  // namespace gdelay::core

@@ -52,17 +52,19 @@ class FineDelayLine {
   void fork_noise(std::uint64_t stream);
 
   void reset();
-  double step(double vin, double dt_ps);
 
-  /// One sample with the common control voltage updated first — the
-  /// primitive behind jitter injection (Vctrl varies during the run).
-  double step_with_vctrl(double vin, double vctrl, double dt_ps);
-
-  /// Advances `n` samples stage-major (whole block through each stage in
-  /// turn) — byte-identical to `n` step() calls. Fixed Vctrl only; the
-  /// injection path stays on step_with_vctrl().
+  /// Fixed-Vctrl block: process_block(in, nullptr, out, n, dt_ps).
   void process_block(const double* in, double* out, std::size_t n,
                      double dt_ps);
+
+  /// Advances `n` samples stage-major (whole block through each stage in
+  /// turn). `vctrl[i]` is the common control voltage of sample i — the
+  /// primitive behind jitter injection (Vctrl varies during the run);
+  /// nullptr holds each stage's current Vctrl. After a modulated block
+  /// the line and every stage hold vctrl[n-1], as set_vctrl() would
+  /// leave them. `vctrl` must not alias `out`.
+  void process_block(const double* in, const double* vctrl, double* out,
+                     std::size_t n, double dt_ps);
 
   /// Runs a waveform through a freshly reset line (block path).
   sig::Waveform process(const sig::Waveform& in);

@@ -4,8 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/units.h"
 #include "util/fastmath.h"
+#include "util/scratch.h"
+#include "util/units.h"
 
 namespace gdelay::core {
 
@@ -17,7 +18,7 @@ JitterInjector::JitterInjector(const JitterInjectorConfig& cfg, util::Rng rng)
       sj_pp_(cfg.sj_pp_v),
       sj_freq_(cfg.sj_freq_ghz),
       line_(cfg.line, rng.fork(1)),
-      noise_(1.0 /* unit sigma, scaled in step() */, cfg.noise_bandwidth_ghz,
+      noise_(1.0 /* unit sigma, scaled per block */, cfg.noise_bandwidth_ghz,
              rng.fork(2)),
       coupler_(cfg.coupling_hp_ghz) {
   if (cfg.noise_pp_v < 0.0)
@@ -44,30 +45,26 @@ void JitterInjector::reset() {
   sj_t_ps_ = 0.0;
 }
 
-double JitterInjector::step(double vin, double dt_ps) {
-  const double sigma = util::gaussian_pp_to_sigma(noise_pp_);
-  double raw = noise_.step(dt_ps) * sigma;
-  if (sj_pp_ > 0.0)
-    raw += 0.5 * sj_pp_ *
-           util::det_sin2pi(sj_freq_ * 1e-3 * sj_t_ps_);
-  sj_t_ps_ += dt_ps;
-  const double coupled = coupler_.step(raw, dt_ps);
-  const double vctrl = std::clamp(vctrl_dc_ + coupled, 0.0,
-                                  cfg_.line.stage.vctrl_max_v);
-  return line_.step_with_vctrl(vin, vctrl, dt_ps);
-}
-
 void JitterInjector::process_block(const double* in, double* out,
                                    std::size_t n, double dt_ps) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = step(in[i], dt_ps);
+  util::ScratchBuffer vctrl(n);
+  double* v = vctrl.data();
+  noise_.process_block(v, n, dt_ps);
+  const double sigma = util::gaussian_pp_to_sigma(noise_pp_);
+  for (std::size_t i = 0; i < n; ++i, sj_t_ps_ += dt_ps) {
+    v[i] *= sigma;
+    if (sj_pp_ > 0.0)
+      v[i] += 0.5 * sj_pp_ * util::det_sin2pi(sj_freq_ * 1e-3 * sj_t_ps_);
+  }
+  coupler_.process_block(v, v, n, dt_ps);
+  const double vmax = cfg_.line.stage.vctrl_max_v;
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = std::clamp(vctrl_dc_ + v[i], 0.0, vmax);
+  line_.process_block(in, v, out, n, dt_ps);
 }
 
 sig::Waveform JitterInjector::process(const sig::Waveform& in) {
-  reset();
-  sig::Waveform out(in.t0_ps(), in.dt_ps(), in.size());
-  process_block(in.samples().data(), out.samples().data(), in.size(),
-                in.dt_ps());
-  return out;
+  return analog::run_blocked(*this, in);
 }
 
 }  // namespace gdelay::core

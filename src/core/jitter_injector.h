@@ -3,6 +3,10 @@
 // noise converts directly to timing jitter on the transmitted signal —
 // the paper demonstrates turning a 900 mVpp noise source into ~41 ps of
 // added jitter on a 3.2 Gbps stream (Figs. 16, 17).
+//
+// Each block runs as a chain of whole-block passes: noise source, scale
+// plus sinusoidal term, AC coupler, clamp to the Vctrl range, then the
+// fine line with that per-sample Vctrl array.
 #pragma once
 
 #include "analog/coupling.h"
@@ -58,13 +62,13 @@ class JitterInjector {
   }
 
   void reset();
-  /// One sample: draws noise, couples it onto Vctrl, steps the line.
-  double step(double vin, double dt_ps);
-  /// `n` step() calls; byte-identical at any chunking. Vctrl varies per
-  /// sample, so there is no wide kernel — this exists so the injector can
-  /// serve as a streaming Pipeline stage. In-place (in == out) allowed.
+  /// Advances `n` samples: renders the block's Vctrl from the sources,
+  /// then runs the line with it. Byte-identical at any chunking, which
+  /// lets the injector serve as a streaming Pipeline stage. In-place
+  /// (in == out) allowed.
   void process_block(const double* in, double* out, std::size_t n,
                      double dt_ps);
+  /// Runs a waveform through a freshly reset injector (block path).
   sig::Waveform process(const sig::Waveform& in);
 
  private:

@@ -8,10 +8,10 @@
 // resident — the software analogue of clocking samples through a
 // hardware delay line without staging buffers.
 //
-// Identity guarantee: because every stage's process_block() is
-// contractually byte-identical to per-sample step() calls at any
-// chunking (the PR 2 block-kernel contract), and every sink carries its
-// seam state explicitly, a Pipeline run produces bit-for-bit the same
+// Identity guarantee: because every stage's process_block() gives the
+// same bytes at any chunking (the block-kernel partition-invariance
+// contract), and every sink carries its seam state explicitly, a
+// Pipeline run produces bit-for-bit the same
 // doubles as materializing each intermediate waveform — at ANY
 // chunk_samples. Stages draw from their own RNG streams in sample
 // order, so the draw order also matches the materializing path.

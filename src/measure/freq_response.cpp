@@ -1,5 +1,6 @@
 #include "measure/freq_response.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -21,6 +22,8 @@ std::vector<FreqPoint> measure_frequency_response(
 
   std::vector<FreqPoint> out;
   out.reserve(freqs_ghz.size());
+  std::vector<double> sv(analog::kBlockSamples), cv(analog::kBlockSamples),
+      y(analog::kBlockSamples);
   double prev_phase = 0.0;
   double prev_omega = 0.0;
   for (double f : freqs_ghz) {
@@ -40,19 +43,24 @@ std::vector<FreqPoint> measure_frequency_response(
         samples_per_cycle * static_cast<std::size_t>(opt.settle_cycles);
     const std::size_t n_meas =
         samples_per_cycle * static_cast<std::size_t>(opt.measure_cycles);
+    const std::size_t total = n_settle + n_meas;
     double i_acc = 0.0, q_acc = 0.0;
-    for (std::size_t k = 0; k < n_settle + n_meas; ++k) {
-      // Phase expressed in turns, exact by construction (k mod cycle over
-      // samples-per-cycle): the stimulus the element sees is bit-identical
-      // on every platform, keeping measured responses reproducible.
-      const double turns =
-          static_cast<double>(k % samples_per_cycle) * inv_spc;
-      double sv, cv;
-      util::det_sincos2pi(turns, sv, cv);
-      const double y = element.step(opt.amplitude_v * sv, dt);
-      if (k >= n_settle) {
-        i_acc += y * sv;
-        q_acc += y * cv;
+    for (std::size_t o = 0; o < total; o += analog::kBlockSamples) {
+      const std::size_t n = std::min(analog::kBlockSamples, total - o);
+      for (std::size_t j = 0; j < n; ++j) {
+        // Phase expressed in turns, exact by construction (k mod cycle
+        // over samples-per-cycle): the stimulus the element sees is
+        // bit-identical on every platform, keeping measured responses
+        // reproducible.
+        const double turns =
+            static_cast<double>((o + j) % samples_per_cycle) * inv_spc;
+        util::det_sincos2pi(turns, sv[j], cv[j]);
+        y[j] = opt.amplitude_v * sv[j];
+      }
+      element.process_block(y.data(), y.data(), n, dt);
+      for (std::size_t j = o < n_settle ? n_settle - o : 0; j < n; ++j) {
+        i_acc += y[j] * sv[j];
+        q_acc += y[j] * cv[j];
       }
     }
     // For x = A sin(wt), out = G*A*sin(wt + phi):

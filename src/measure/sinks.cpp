@@ -1,5 +1,6 @@
 #include "measure/sinks.h"
 
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -25,6 +26,15 @@ void expect_kind(util::ByteReader& r, std::uint32_t want, const char* who) {
   if (got != want)
     throw std::runtime_error(std::string(who) +
                              ": checkpoint kind-tag mismatch");
+}
+
+/// Reads a sample period or unit interval: anything but a finite,
+/// positive value means the payload is corrupt.
+double read_period(util::ByteReader& r, const char* who) {
+  const double v = r.f64();
+  if (!std::isfinite(v) || v <= 0.0)
+    throw std::runtime_error(std::string(who) + ": corrupt checkpoint");
+  return v;
 }
 
 }  // namespace
@@ -63,7 +73,7 @@ void WaveformCaptureSink::save_state(util::ByteWriter& w) const {
 void WaveformCaptureSink::load_state(util::ByteReader& r) {
   expect_kind(r, kKindWaveformCapture, "WaveformCaptureSink");
   const double t0 = r.f64();
-  const double dt = r.f64();
+  const double dt = read_period(r, "WaveformCaptureSink");
   std::vector<double> samples = r.vec_f64();
   const auto pos = static_cast<std::size_t>(r.u64());
   if (pos > samples.size())
@@ -104,7 +114,7 @@ void EyeSink::load_state(util::ByteReader& r) {
   phase_ps_ = r.f64();
   settle_ps_ = r.f64();
   t0_ps_ = r.f64();
-  dt_ps_ = r.f64();
+  dt_ps_ = read_period(r, "EyeSink");
   next_ = static_cast<std::size_t>(r.u64());
   eye_.load(r);
 }
@@ -148,7 +158,7 @@ void LevelHistogramSink::load_state(util::ByteReader& r) {
   expect_kind(r, kKindLevelHistogram, "LevelHistogramSink");
   settle_ps_ = r.f64();
   t0_ps_ = r.f64();
-  dt_ps_ = r.f64();
+  dt_ps_ = read_period(r, "LevelHistogramSink");
   next_ = static_cast<std::size_t>(r.u64());
   hist_.load(r);
 }
@@ -263,7 +273,7 @@ void JitterSink::save_state(util::ByteWriter& w) const {
 
 void JitterSink::load_state(util::ByteReader& r) {
   expect_kind(r, kKindJitter, "JitterSink");
-  ui_ps_ = r.f64();
+  ui_ps_ = read_period(r, "JitterSink");
   edge_sink_.load_state(r);
   report_ = JitterReport{};
 }

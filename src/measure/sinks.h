@@ -68,7 +68,8 @@ class ISampleSink {
   /// sink is not checkpointable.
   virtual void save_state(util::ByteWriter& w) const;
   /// Restores state saved by a same-configured sink. Throws
-  /// std::runtime_error on a kind-tag mismatch or corrupt payload.
+  /// std::runtime_error on a kind-tag mismatch or corrupt payload
+  /// (including a non-finite or non-positive sample period or UI).
   virtual void load_state(util::ByteReader& r);
   /// Folds `other`'s accumulated statistics into this sink. Both sinks
   /// must be the same type with matching configuration. Throws

@@ -104,6 +104,8 @@ void StreamingEdgeExtractor::save(util::ByteWriter& w) const {
 void StreamingEdgeExtractor::load(util::ByteReader& r) {
   t0_ = r.f64();
   dt_ = r.f64();
+  if (!std::isfinite(dt_) || dt_ <= 0.0)
+    throw std::runtime_error("StreamingEdgeExtractor: corrupt checkpoint");
   th_ = r.f64();
   hy_ = r.f64();
   t_min_ = r.f64();

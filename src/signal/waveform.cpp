@@ -7,13 +7,12 @@
 namespace gdelay::sig {
 
 Waveform::Waveform(double t0_ps, double dt_ps, std::size_t n)
-    : t0_(t0_ps), dt_(dt_ps), v_(n, 0.0) {
-  if (dt_ps <= 0.0) throw std::invalid_argument("Waveform: dt must be > 0");
-}
+    : Waveform(t0_ps, dt_ps, std::vector<double>(n, 0.0)) {}
 
 Waveform::Waveform(double t0_ps, double dt_ps, std::vector<double> samples)
     : t0_(t0_ps), dt_(dt_ps), v_(std::move(samples)) {
-  if (dt_ps <= 0.0) throw std::invalid_argument("Waveform: dt must be > 0");
+  if (!std::isfinite(dt_ps) || dt_ps <= 0.0)
+    throw std::invalid_argument("Waveform: dt must be finite and > 0");
 }
 
 Waveform Waveform::from_function(double t0_ps, double dt_ps, std::size_t n,

@@ -14,9 +14,9 @@
 // SSE2: rounding uses the add-magic-constant trick, not rint, and 2^k
 // is assembled with integer adds, not a double->int conversion.
 //
-// Both the step() and process_block() paths call the same function, so
-// the byte-identity contract between them (tests/test_block_kernels.cpp)
-// is preserved by construction.
+// The scalar kernels and the per-sample control paths (A(Vctrl), the SJ
+// sine) call these same functions, so partition invariance of the block
+// path (tests/test_block_kernels.cpp) is preserved by construction.
 #pragma once
 
 #include <bit>

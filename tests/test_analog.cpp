@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <vector>
 
 #include "analog/buffer.h"
 #include "analog/coupling.h"
@@ -144,6 +147,29 @@ TEST(FractionalDelay, ZeroDelayPassesThrough) {
   EXPECT_DOUBLE_EQ(d.step(0.43, 0.25), 0.43);
 }
 
+TEST(FractionalDelay, RejectsNonFiniteDt) {
+  // NaN passes a `dt <= 0` test; the ring would be sized from NaN.
+  for (double dt : {std::nan(""), HUGE_VAL})
+    EXPECT_THROW(ga::FractionalDelay(33.0).step(0.1, dt),
+                 std::invalid_argument);
+}
+
+TEST(FractionalDelay, RejectsNonPositiveDt) {
+  for (double dt : {0.0, -0.25})
+    EXPECT_THROW(ga::FractionalDelay(33.0).step(0.1, dt),
+                 std::invalid_argument);
+  ga::FractionalDelay running(33.0);  // also after a valid dt
+  running.step(0.1, 0.25);
+  EXPECT_THROW(running.step(0.1, -0.25), std::invalid_argument);
+}
+
+TEST(FractionalDelay, RejectsDtThatOverflowsTheRing) {
+  // delay / dt beyond the size_t range: the slot count cannot be cast.
+  for (double dt : {1e-300, std::numeric_limits<double>::denorm_min()})
+    EXPECT_THROW(ga::FractionalDelay(33.0).step(0.1, dt),
+                 std::invalid_argument);
+}
+
 TEST(FractionalDelay, EdgeTimingThroughWaveform) {
   // A synthesized edge through a 33 ps line shifts by exactly 33 ps.
   ga::FractionalDelay d(33.0);
@@ -233,13 +259,11 @@ TEST(NoiseSource, SigmaIndependentOfBandwidthAndDt) {
   for (double bw : {0.3, 3.0}) {
     for (double dt : {0.25, 1.0}) {
       ga::NoiseSource n(0.15, bw, Rng(17));
+      std::vector<double> v(200000);
+      n.process_block(v.data(), v.size(), dt);
       double sq = 0.0;
-      const int count = 200000;
-      for (int i = 0; i < count; ++i) {
-        const double v = n.step(dt);
-        sq += v * v;
-      }
-      EXPECT_NEAR(std::sqrt(sq / count), 0.15, 0.015)
+      for (double x : v) sq += x * x;
+      EXPECT_NEAR(std::sqrt(sq / static_cast<double>(v.size())), 0.15, 0.015)
           << "bw=" << bw << " dt=" << dt;
     }
   }
@@ -248,13 +272,12 @@ TEST(NoiseSource, SigmaIndependentOfBandwidthAndDt) {
 TEST(NoiseSource, BandLimitingCorrelatesSamples) {
   // Lag-1 autocorrelation at dt << 1/bw must be high.
   ga::NoiseSource n(1.0, 0.3, Rng(21));
-  double prev = n.step(0.25);
+  std::vector<double> v(100001);
+  n.process_block(v.data(), v.size(), 0.25);
   double c01 = 0.0, c00 = 0.0;
-  for (int i = 0; i < 100000; ++i) {
-    const double cur = n.step(0.25);
-    c01 += prev * cur;
-    c00 += prev * prev;
-    prev = cur;
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    c01 += v[i - 1] * v[i];
+    c00 += v[i - 1] * v[i - 1];
   }
   EXPECT_GT(c01 / c00, 0.9);
 }

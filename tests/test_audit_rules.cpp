@@ -148,18 +148,31 @@ TEST(AuditR2, InlineWaiverSilences) {
 // R3 — element-contract completeness
 // --------------------------------------------------------------------------
 
-TEST(AuditR3, FlagsStepWithoutProcessBlockAndClone) {
+TEST(AuditR3, FlagsElementWithoutProcessBlockAndClone) {
   auto fs = scan_source(
       "analog/x.h",
       "class Partial : public AnalogElement {\n"
       " public:\n"
-      "  double step(double v, double dt) override { return v * dt; }\n"
+      "  void reset() override {}\n"
       "};\n");
   auto rules = rules_of(fs);
   ASSERT_EQ(rules, (std::vector<std::string>{"R3", "R3"})) << render(fs);
   // Findings sort by message at equal position: clone before process_block.
   EXPECT_NE(fs[0].message.find("clone"), std::string::npos);
   EXPECT_NE(fs[1].message.find("process_block"), std::string::npos);
+}
+
+TEST(AuditR3, FlagsIndirectSubclassAcrossFiles) {
+  // Derivation is transitive across files: Leaf, two levels below
+  // AnalogElement, is an element too.
+  auto fs = scan_files({{"analog/mid.h", "class Mid : public AnalogElement {};"},
+                        {"analog/leaf.h", "class Leaf final : public Mid {};"}},
+                       {});
+  ASSERT_EQ(rules_of(fs), std::vector<std::string>(4, "R3")) << render(fs);
+  EXPECT_EQ(std::count_if(fs.begin(), fs.end(),
+                          [](const Finding& f) { return f.file == "analog/leaf.h"; }),
+            2)
+      << render(fs);
 }
 
 TEST(AuditR3, FlagsRngMemberWithoutForkNoise) {
@@ -179,7 +192,6 @@ TEST(AuditR3, CleanOnCompleteElement) {
       "analog/x.h",
       "class Complete final : public AnalogElement {\n"
       " public:\n"
-      "  double step(double v, double dt) override;\n"
       "  void process_block(const double* in, double* out, std::size_t n,\n"
       "                     double dt_ps) override;\n"
       "  std::unique_ptr<AnalogElement> clone() const override {\n"
@@ -204,10 +216,9 @@ TEST(AuditR3, UnrelatedClassesAreIgnored) {
 TEST(AuditR3, InlineWaiverSilences) {
   auto fs = scan_source(
       "analog/x.h",
-      "// gdelay-audit: allow(R3) scalar-only shim, block path unreachable\n"
+      "// gdelay-audit: allow(R3) abstract helper, subclasses add the block\n"
       "class Partial : public AnalogElement {\n"
       " public:\n"
-      "  double step(double v, double dt) override { return v * dt; }\n"
       "  std::unique_ptr<AnalogElement> clone() const override;\n"
       "};\n");
   EXPECT_TRUE(fs.empty()) << render(fs);
@@ -873,7 +884,6 @@ namespace r12 {
 const char* kElement =
     "class Gain : public AnalogElement {\n"
     " public:\n"
-    "  double step(double v, double dt) override;\n"
     "  void process_block(const double* in, double* out, std::size_t n,\n"
     "                     double dt_ps) override;\n"
     "  std::unique_ptr<AnalogElement> clone() const override;\n"
@@ -906,6 +916,26 @@ TEST(AuditR12, FlagsEveryUncoveredContract) {
   EXPECT_NE(all.find("'Gain'"), std::string::npos);
   EXPECT_NE(all.find("'scale'"), std::string::npos);
   EXPECT_NE(all.find("'scale_batch'"), std::string::npos);
+}
+
+TEST(AuditR12, FlagsUncoveredElementWithoutStep) {
+  // Coverage keys on derivation, not on a step() override: a block-only
+  // element two levels below AnalogElement must still be covered.
+  std::vector<SourceFile> srcs = {
+      {"analog/elem.h", r12::kElement},
+      {"analog/leaf.h",
+       "class Tap final : public Gain {\n"
+       " public:\n"
+       "  void process_block(const double* in, double* out, std::size_t n,\n"
+       "                     double dt_ps) override;\n"
+       "  std::unique_ptr<AnalogElement> clone() const override;\n"
+       "};\n"}};
+  std::vector<SourceFile> tests = {
+      {"tests/test_block_kernels.cpp", "TEST(B, G) { Gain g; }"}};
+  auto fs = scan_files(srcs, tests);
+  ASSERT_EQ(rules_of(fs), std::vector<std::string>{"R12"}) << render(fs);
+  EXPECT_EQ(fs[0].file, "analog/leaf.h");
+  EXPECT_NE(fs[0].message.find("'Tap'"), std::string::npos);
 }
 
 TEST(AuditR12, BatchKernelsResolveAgainstBatchSuite) {

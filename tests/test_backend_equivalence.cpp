@@ -7,8 +7,8 @@
 //      sincos2pi, Box-Muller) must be BIT-EXACT against the scalar
 //      det_* oracle on every backend — 0 ULP, over domain sweeps that
 //      cover saturation boundaries, signed zero and vector tails.
-//   2. The step-vs-block-vs-SIMD triangle. For every element: under a
-//      fixed backend, n step() calls, one block call, and any chunked
+//   2. The partition-vs-SIMD triangle. For every element: under a
+//      fixed backend, single-sample block calls and any chunked
 //      partition of block calls (sizes 1, 7, 64, 1024, 4096) must agree
 //      byte for byte — including the AVX2 one-pole scan, whose group
 //      phase is carried in OnePoleState. Across backends, elementwise
@@ -100,20 +100,6 @@ std::size_t total_samples() {
   return t;
 }
 
-// Runs `e` per-sample over the stimulus/dt schedule.
-template <typename E>
-std::vector<double> run_step(E& e) {
-  const auto in = stimulus(total_samples());
-  std::vector<double> out(in.size());
-  std::size_t off = 0;
-  for (const auto& s : kSegments) {
-    for (std::size_t i = 0; i < s.n; ++i)
-      out[off + i] = e.step(in[off + i], s.dt);
-    off += s.n;
-  }
-  return out;
-}
-
 // Runs `e` through process_block() in `chunk`-sized calls.
 template <typename E>
 std::vector<double> run_block(E& e, std::size_t chunk) {
@@ -129,19 +115,20 @@ std::vector<double> run_block(E& e, std::size_t chunk) {
   return out;
 }
 
-// The triangle under one backend: step path vs every chunked partition,
-// byte for byte. Fresh twins per partition (elements are stateful).
+// The triangle under one backend: single-sample calls vs every chunked
+// partition, byte for byte. Fresh twins per partition (elements are
+// stateful).
 template <typename MakeFn>
 void expect_triangle(const char* backend, MakeFn make) {
   BackendSelect sel(backend);
   auto ref = make();
-  const auto want = run_step(ref);
+  const auto want = run_block(ref, 1);
   for (std::size_t chunk : kChunks) {
     auto blk = make();
     const auto got = run_block(blk, chunk);
     for (std::size_t i = 0; i < want.size(); ++i)
       ASSERT_EQ(bits(want[i]), bits(got[i]))
-          << backend << " chunk " << chunk << " sample " << i << ": step="
+          << backend << " chunk " << chunk << " sample " << i << ": chunk 1="
           << want[i] << " block=" << got[i];
   }
 }
@@ -374,37 +361,48 @@ TEST(BackendKernels, SlewMatchesStepOracleAtAnyPartition) {
 TEST(BackendKernels, VgaTailMatchesStepOracleAtAnyPartition) {
   // Same contract for the droop/slew tail: bit-exact against
   // vga_tail_step on every backend, partition-invariant via
-  // SlewState + VgaTailState.
+  // SlewState + VgaTailState — at the hoisted amplitude and with a
+  // per-sample amplitude (modulated Vctrl).
   const auto lim = stimulus(2053);
   gb::VgaTailCoeffs c;
   c.amp = 0.45;
-  c.amp_frac = 0.045;
+  c.droop_frac = 0.1;
+  c.amp_frac = c.amp * c.droop_frac;
   c.max_step = 0.015;
   c.inv_max_step = 1.0 / 0.015;
   c.alpha = 0.02;
   c.slew.max_step = 0.015;
   c.slew.lin = 0.25;
   c.slew.has_lin = true;
-  std::vector<double> want(lim.size(), -1.0);
-  {
-    gb::SlewState sl{};
-    gb::VgaTailState d{};
-    for (std::size_t i = 0; i < lim.size(); ++i)
-      want[i] = gb::vga_tail_step(c, sl, d, lim[i]);
-  }
+  std::vector<double> amp(lim.size());
+  for (std::size_t i = 0; i < amp.size(); ++i)
+    amp[i] = 0.3 + 0.1 * std::sin(0.01 * static_cast<double>(i));
   std::vector<const gb::Kernels*> tables{&gb::scalar_kernels()};
   if (avx2_usable()) tables.push_back(gb::avx2_kernels());
-  for (const gb::Kernels* k : tables) {
-    for (std::size_t chunk : kChunks) {
+  for (const double* a : {static_cast<const double*>(nullptr),
+                          static_cast<const double*>(amp.data())}) {
+    std::vector<double> want(lim.size(), -1.0);
+    {
       gb::SlewState sl{};
       gb::VgaTailState d{};
-      std::vector<double> got(lim.size(), -1.0);
-      for (std::size_t o = 0; o < lim.size(); o += chunk)
-        k->vga_tail(lim.data() + o, got.data() + o,
-                    std::min(chunk, lim.size() - o), c, sl, d);
       for (std::size_t i = 0; i < lim.size(); ++i)
-        ASSERT_EQ(bits(want[i]), bits(got[i]))
-            << k->name << " vga_tail chunk " << chunk << " sample " << i;
+        want[i] = a ? gb::vga_tail_step(c, a[i], a[i] * c.droop_frac, sl, d,
+                                        lim[i])
+                    : gb::vga_tail_step(c, sl, d, lim[i]);
+    }
+    for (const gb::Kernels* k : tables) {
+      for (std::size_t chunk : kChunks) {
+        gb::SlewState sl{};
+        gb::VgaTailState d{};
+        std::vector<double> got(lim.size(), -1.0);
+        for (std::size_t o = 0; o < lim.size(); o += chunk)
+          k->vga_tail(lim.data() + o, a ? a + o : nullptr, got.data() + o,
+                      std::min(chunk, lim.size() - o), c, sl, d);
+        for (std::size_t i = 0; i < lim.size(); ++i)
+          ASSERT_EQ(bits(want[i]), bits(got[i]))
+              << k->name << " vga_tail chunk " << chunk << " sample " << i
+              << (a ? " (per-sample amp)" : "");
+      }
     }
   }
 }

@@ -233,7 +233,7 @@ TEST(BatchKernels, VgaTailBatchMatchesSoloAnyWidthAndPartition) {
         c[s].slew.leak = 0.003;
         gb::SlewState sst{};
         gb::VgaTailState tst{};
-        k->vga_tail(in[s].data(), want[s].data(), kN, c[s], sst, tst);
+        k->vga_tail(in[s].data(), nullptr, want[s].data(), kN, c[s], sst, tst);
       }
       for (std::size_t seam : kSeams) {
         std::vector<double> buf(kN * w);

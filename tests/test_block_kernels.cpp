@@ -1,14 +1,15 @@
-// Byte-identity of the block-processing path.
+// Partition invariance of the block-processing path.
 //
-// `process_block()` is contractually an optimization, never a semantic
-// fork: for every element and composite, `n` blocked samples must equal
-// `n` step() calls bit for bit — same doubles, same RNG draw order, same
-// state afterwards. These tests drive a step-path twin and a block-path
-// twin (identically constructed, identically seeded) through the same
-// stimulus, including mid-run dt changes and awkward chunk sizes, and
-// compare raw bit patterns. Any tolerance here would defeat the point:
-// the calibration tables and the deterministic parallel sweeps rely on
-// the two paths being interchangeable.
+// `process_block()` is each device's one implementation, and its output
+// must not depend on how a sample stream is split into calls: for every
+// element and composite, chunk size 1 (the n == 1 calls behind step())
+// and any larger chunking must give the same doubles, the same RNG draw
+// order and the same state afterwards. These tests drive a chunk-1 twin
+// and a chunk-k twin (identically constructed, identically seeded)
+// through the same stimulus, including mid-run dt changes and awkward
+// chunk sizes, and compare raw bit patterns. Any tolerance here would
+// defeat the point: the calibration tables, the streaming pipeline and
+// the deterministic parallel sweeps all rely on it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -66,34 +67,38 @@ struct Segment {
 // any chunk size.
 const std::vector<Segment> kSegments{{701, 0.25}, {613, 0.4}, {509, 0.25}};
 
-constexpr std::size_t kChunks[] = {1, 7, 256, 1024};
+// Chunkings compared against the chunk-1 reference; 1024 exceeds every
+// segment, so it also covers one call per segment.
+constexpr std::size_t kChunks[] = {7, 256, 1024};
 
-// Drives `ref` per-sample and `blk` via process_block over the same
-// stimulus and dt schedule; every output must match bitwise.
+// Drives `e` over `in` in chunks of `chunk` following the dt schedule.
 template <typename E>
-void expect_block_matches_step(E& ref, E& blk, std::size_t chunk) {
+std::vector<double> run_segments(E& e, const std::vector<double>& in,
+                                 std::size_t chunk) {
+  std::vector<double> out(in.size(), -1.0);
+  std::size_t off = 0;
+  for (const auto& s : kSegments) {
+    for (std::size_t o = 0; o < s.n; o += chunk)
+      e.process_block(in.data() + off + o, out.data() + off + o,
+                      std::min(chunk, s.n - o), s.dt);
+    off += s.n;
+  }
+  return out;
+}
+
+// Drives `ref` at chunk 1 and `blk` at `chunk` over the same stimulus
+// and dt schedule; every output must match bitwise.
+template <typename E>
+void expect_chunk_invariant(E& ref, E& blk, std::size_t chunk) {
   std::size_t total = 0;
   for (const auto& s : kSegments) total += s.n;
   const auto in = stimulus(total);
-  std::vector<double> want(total), got(total, -1.0);
-
-  std::size_t off = 0;
-  for (const auto& s : kSegments) {
-    for (std::size_t i = 0; i < s.n; ++i)
-      want[off + i] = ref.step(in[off + i], s.dt);
-    off += s.n;
-  }
-  off = 0;
-  for (const auto& s : kSegments) {
-    for (std::size_t o = 0; o < s.n; o += chunk)
-      blk.process_block(in.data() + off + o, got.data() + off + o,
-                        std::min(chunk, s.n - o), s.dt);
-    off += s.n;
-  }
+  const auto want = run_segments(ref, in, 1);
+  const auto got = run_segments(blk, in, chunk);
   for (std::size_t i = 0; i < total; ++i)
     ASSERT_EQ(bits(want[i]), bits(got[i]))
-        << "sample " << i << ": step=" << want[i] << " block=" << got[i]
-        << " (chunk " << chunk << ")";
+        << "sample " << i << ": chunk 1=" << want[i] << " chunk " << chunk
+        << "=" << got[i];
 }
 
 // Builds a fresh twin pair per chunk size (elements are stateful).
@@ -102,9 +107,33 @@ void check_element(MakeFn make) {
   for (std::size_t chunk : kChunks) {
     auto ref = make();
     auto blk = make();
-    expect_block_matches_step(ref, blk, chunk);
+    expect_chunk_invariant(ref, blk, chunk);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+// Runs `e` over `in` one process_block(n == 1) call at a time.
+template <typename E>
+std::vector<double> run_chunk1(E& e, const std::vector<double>& in,
+                               double dt) {
+  std::vector<double> out(in.size());
+  for (std::size_t i = 0; i < in.size(); ++i)
+    e.process_block(&in[i], &out[i], 1, dt);
+  return out;
+}
+
+// A composite's process() (reset, then kBlockSamples chunks) against a
+// reset twin copy run one sample at a time.
+template <typename C>
+void expect_process_matches_chunk1(const C& proto, std::size_t n) {
+  C a = proto, b = proto;
+  const auto sig = stimulus(n);
+  a.reset();
+  const auto want = run_chunk1(a, sig, 0.25);
+  const auto out = b.process(gs::Waveform(0.0, 0.25, sig));
+  ASSERT_EQ(out.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(bits(want[i]), bits(out[i])) << "sample " << i;
 }
 
 }  // namespace
@@ -173,6 +202,27 @@ TEST(BlockKernel, VariableGainBuffer) {
   });
 }
 
+TEST(BlockKernel, VariableGainBufferVctrlInput) {
+  // A constant Vctrl array at chunk 1 gives the bytes of holding that
+  // Vctrl (nullptr) at chunk 256; a modulated block leaves its last Vctrl.
+  const auto in = stimulus(3000);
+  const std::vector<double> held(in.size(), 0.9);
+  ga::VariableGainBuffer a(ga::VgaBufferConfig{}, Rng(7));
+  a.set_vctrl(0.9);
+  ga::VariableGainBuffer b = a;
+  std::vector<double> want(in.size()), got(in.size());
+  for (std::size_t i = 0; i < in.size(); ++i)
+    a.process_block(&in[i], &held[i], &want[i], 1, 0.25);
+  for (std::size_t o = 0; o < in.size(); o += 256)
+    b.process_block(in.data() + o, nullptr, got.data() + o,
+                    std::min<std::size_t>(256, in.size() - o), 0.25);
+  for (std::size_t i = 0; i < in.size(); ++i)
+    ASSERT_EQ(bits(want[i]), bits(got[i])) << "sample " << i;
+  const double ramp[2] = {0.2, 1.1};
+  b.process_block(in.data(), ramp, got.data(), 2, 0.25);
+  EXPECT_EQ(b.vctrl(), 1.1);
+}
+
 TEST(BlockKernel, LimitingBuffer) {
   check_element([] {
     return ga::LimitingBuffer(ga::LimitingBufferConfig{}, Rng(11));
@@ -195,7 +245,7 @@ TEST(BlockKernel, CascadeStageMajor) {
   for (std::size_t chunk : kChunks) {
     auto ref = make();
     auto blk = make();
-    expect_block_matches_step(ref, blk, chunk);
+    expect_chunk_invariant(ref, blk, chunk);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -212,7 +262,7 @@ TEST(BlockKernel, NoiseSourceBatchedDraws) {
     // lockstep without rebuilding them.
     for (const auto& s : kSegments) {
       std::vector<double> want(s.n), got(s.n, -1.0);
-      for (std::size_t i = 0; i < s.n; ++i) want[i] = ref.step(s.dt);
+      for (std::size_t i = 0; i < s.n; ++i) ref.process_block(&want[i], 1, s.dt);
       for (std::size_t o = 0; o < s.n; o += chunk)
         blk.process_block(got.data() + o, std::min(chunk, s.n - o), s.dt);
       for (std::size_t i = 0; i < s.n; ++i)
@@ -255,77 +305,36 @@ TEST(BlockKernel, InPlaceAliasingMatchesOutOfPlace) {
 }
 
 TEST(BlockKernel, FineDelayLineProcessMatchesStepPath) {
-  const gc::FineDelayConfig cfg;
-  gc::FineDelayLine a(cfg, Rng(77)), b(cfg, Rng(77));
-  a.set_vctrl(0.9);
-  b.set_vctrl(0.9);
-  const auto sig = stimulus(5000);
-  gs::Waveform in(0.0, 0.25, sig.size());
-  for (std::size_t i = 0; i < sig.size(); ++i) in[i] = sig[i];
-
-  a.reset();
-  std::vector<double> want(sig.size());
-  for (std::size_t i = 0; i < sig.size(); ++i)
-    want[i] = a.step(in[i], in.dt_ps());
-  const auto out = b.process(in);
-
-  ASSERT_EQ(out.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i)
-    ASSERT_EQ(bits(want[i]), bits(out[i])) << "sample " << i;
+  gc::FineDelayLine line(gc::FineDelayConfig{}, Rng(77));
+  line.set_vctrl(0.9);
+  expect_process_matches_chunk1(line, 5000);
 }
 
 TEST(BlockKernel, CoarseDelayBlockProcessMatchesStepPath) {
-  const auto cfg = gc::CoarseDelayConfig::prototype();
-  gc::CoarseDelayBlock a(cfg, Rng(55)), b(cfg, Rng(55));
-  a.select(2);
-  b.select(2);
-  const auto sig = stimulus(5000);
-  gs::Waveform in(0.0, 0.25, sig.size());
-  for (std::size_t i = 0; i < sig.size(); ++i) in[i] = sig[i];
-
-  a.reset();
-  std::vector<double> want(sig.size());
-  for (std::size_t i = 0; i < sig.size(); ++i)
-    want[i] = a.step(in[i], in.dt_ps());
-  const auto out = b.process(in);
-
-  for (std::size_t i = 0; i < want.size(); ++i)
-    ASSERT_EQ(bits(want[i]), bits(out[i])) << "sample " << i;
+  gc::CoarseDelayBlock blk(gc::CoarseDelayConfig::prototype(), Rng(55));
+  blk.select(2);
+  expect_process_matches_chunk1(blk, 5000);
 }
 
 TEST(BlockKernel, VariableDelayChannelProcessMatchesStepPath) {
-  const auto cfg = gc::ChannelConfig::prototype();
-  gc::VariableDelayChannel a(cfg, Rng(99)), b(cfg, Rng(99));
-  a.select_tap(1);
-  b.select_tap(1);
-  a.set_vctrl(1.1);
-  b.set_vctrl(1.1);
-  const auto sig = stimulus(6000);
-  gs::Waveform in(0.0, 0.25, sig.size());
-  for (std::size_t i = 0; i < sig.size(); ++i) in[i] = sig[i];
-
-  a.reset();
-  std::vector<double> want(sig.size());
-  for (std::size_t i = 0; i < sig.size(); ++i)
-    want[i] = a.step(in[i], in.dt_ps());
-  const auto out = b.process(in);
-
-  for (std::size_t i = 0; i < want.size(); ++i)
-    ASSERT_EQ(bits(want[i]), bits(out[i])) << "sample " << i;
+  gc::VariableDelayChannel ch(gc::ChannelConfig::prototype(), Rng(99));
+  ch.select_tap(1);
+  ch.set_vctrl(1.1);
+  expect_process_matches_chunk1(ch, 6000);
 }
 
 TEST(BlockKernel, ChannelBlockPathLeavesStepStateConsistent) {
-  // Mixing the two paths mid-stream on the same object must be seamless:
-  // block a prefix, then step the rest, against an all-step reference.
+  // Mixing chunkings mid-stream on the same object must be seamless:
+  // one big block for a prefix, then single samples for the rest,
+  // against an all-chunk-1 reference.
   const auto cfg = gc::ChannelConfig::prototype();
   gc::VariableDelayChannel a(cfg, Rng(123)), b(cfg, Rng(123));
   const auto sig = stimulus(4000);
-  std::vector<double> want(sig.size()), got(sig.size(), -1.0);
-  for (std::size_t i = 0; i < sig.size(); ++i)
-    want[i] = a.step(sig[i], 0.25);
+  const auto want = run_chunk1(a, sig, 0.25);
+  std::vector<double> got(sig.size(), -1.0);
   b.process_block(sig.data(), got.data(), 2500, 0.25);
   for (std::size_t i = 2500; i < sig.size(); ++i)
-    got[i] = b.step(sig[i], 0.25);
+    b.process_block(&sig[i], &got[i], 1, 0.25);
   for (std::size_t i = 0; i < sig.size(); ++i)
     ASSERT_EQ(bits(want[i]), bits(got[i])) << "sample " << i;
 }

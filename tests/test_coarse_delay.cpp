@@ -71,18 +71,19 @@ TEST(CoarseDelay, OutputRegeneratedToFullSwing) {
 }
 
 TEST(CoarseDelay, MidRunSwitchTakesEffect) {
-  // Flipping the select lines mid-run must change the delay for the rest
-  // of the run (all taps are always simulated).
+  // Flipping the select lines between blocks mid-run must change the
+  // delay for the rest of the run (all taps are always simulated).
   const auto s = stim(3.2, 64);
   gc::CoarseDelayBlock blk(gc::CoarseDelayConfig{}, Rng(4));
   blk.reset();
   gs::Waveform out(s.wf.t0_ps(), s.wf.dt_ps(), s.wf.size());
   const std::size_t half = s.wf.size() / 2;
+  const double* in = s.wf.samples().data();
+  double* dst = out.samples().data();
   blk.select(0);
-  for (std::size_t i = 0; i < s.wf.size(); ++i) {
-    if (i == half) blk.select(3);
-    out[i] = blk.step(s.wf[i], s.wf.dt_ps());
-  }
+  blk.process_block(in, dst, half, s.wf.dt_ps());
+  blk.select(3);
+  blk.process_block(in + half, dst + half, s.wf.size() - half, s.wf.dt_ps());
   const double t_half = out.time_at(half);
   gm::DelayMeterOptions early;
   early.settle_ps = 400.0;

@@ -1,7 +1,10 @@
 // Tests for the N-stage fine-adjustment delay line (paper Fig. 6/7).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/calibration.h"
 #include "core/fine_delay.h"
@@ -9,10 +12,12 @@
 #include "signal/pattern.h"
 #include "signal/synth.h"
 #include "util/rng.h"
+#include "pinned_digest.h"
 
 namespace gc = gdelay::core;
 namespace gs = gdelay::sig;
 namespace gm = gdelay::meas;
+namespace gt = gdelay::test;
 using gdelay::util::Rng;
 
 namespace {
@@ -83,24 +88,39 @@ TEST(FineDelayLine, TwoStageRangeIsHalf) {
   EXPECT_GT(r2, 18.0);
 }
 
-TEST(FineDelayLine, StepWithVctrlModulates) {
+TEST(FineDelayLine, VctrlBlockInputModulates) {
   // Driving Vctrl during the run changes edge timing (jitter-injection
-  // primitive): a slow square modulation on Vctrl must move edges.
+  // primitive): a slow square modulation on Vctrl must move edges. The
+  // output is pinned to the former per-sample step_with_vctrl() path's
+  // bytes at every chunking.
   const auto s = stim(3.2, 64);
+  std::vector<double> vctrl(s.wf.size());
+  for (std::size_t i = 0; i < vctrl.size(); ++i)
+    vctrl[i] = (std::fmod(s.wf.time_at(i), 4000.0) < 2000.0) ? 0.2 : 1.3;
   gc::FineDelayConfig cfg;
   cfg.stage.noise_sigma_v = 0.0;
   cfg.output_stage.noise_sigma_v = 0.0;
-  gc::FineDelayLine line(cfg, Rng(1));
-  line.reset();
-  gs::Waveform out(s.wf.t0_ps(), s.wf.dt_ps(), s.wf.size());
-  for (std::size_t i = 0; i < s.wf.size(); ++i) {
-    const double t = s.wf.time_at(i);
-    const double v = (std::fmod(t, 4000.0) < 2000.0) ? 0.2 : 1.3;
-    out[i] = line.step_with_vctrl(s.wf[i], v, s.wf.dt_ps());
+  const std::uint64_t pin =
+      gt::pinned(0xd6a1f1dd3069982aull, 0x05277ee85e491eeaull);
+  for (std::size_t chunk : {std::size_t{1}, std::size_t{17},
+                            std::size_t{1024}, s.wf.size()}) {
+    gc::FineDelayLine line(cfg, Rng(1));
+    line.reset();
+    gs::Waveform out(s.wf.t0_ps(), s.wf.dt_ps(), s.wf.size());
+    for (std::size_t o = 0; o < s.wf.size(); o += chunk)
+      line.process_block(s.wf.samples().data() + o, vctrl.data() + o,
+                         out.samples().data() + o,
+                         std::min(chunk, s.wf.size() - o), s.wf.dt_ps());
+    EXPECT_EQ(gt::digest(out.samples()), pin) << "chunk " << chunk;
+    // The line and its stages hold the last sample's Vctrl.
+    EXPECT_EQ(line.vctrl(), vctrl.back());
+    for (int st = 0; st < line.n_stages(); ++st)
+      EXPECT_EQ(line.stage_vctrl(st), vctrl.back());
+    // Spread across edges must reflect the two delay states (~30 ps
+    // apart).
+    const auto d = gm::measure_delay(s.wf, out);
+    EXPECT_GT(d.max_ps - d.min_ps, 15.0);
   }
-  const auto d = gm::measure_delay(s.wf, out);
-  // Spread across edges must reflect the two delay states (~30 ps apart).
-  EXPECT_GT(d.max_ps - d.min_ps, 15.0);
 }
 
 class FineDelayStageSweep : public ::testing::TestWithParam<int> {};

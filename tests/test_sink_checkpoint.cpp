@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -375,6 +376,61 @@ TEST(SinkCheckpoint, TruncatedStateThrowsInsteadOfFabricating) {
                  std::runtime_error)
         << f.name;
   }
+}
+
+namespace {
+
+// Saves a fed `sink`, checks that the f64 at `offset` is `saved` (its
+// sample period or UI), and that the state is refused once that field
+// is patched to NaN or to -1.
+void expect_period_guarded(const char* sink, std::size_t offset,
+                           double saved) {
+  SinkFactory make;
+  for (const auto& f : sink_factories())
+    if (std::strcmp(f.name, sink) == 0) make = f.make;
+  auto s = make();
+  feed_all(*s, make_wave(803));
+  const std::string bytes = state_of(*s);
+  ASSERT_GE(bytes.size(), offset + 8) << sink;
+  ByteReader field(bytes.data() + offset, 8);
+  ASSERT_EQ(field.f64(), saved) << sink;
+  EXPECT_NO_THROW(load_from(*make(), bytes)) << sink;
+  for (double bad : {std::nan(""), -1.0}) {
+    ByteWriter w;
+    w.f64(bad);
+    std::string patched = bytes;
+    EXPECT_THROW(load_from(*make(), patched.replace(offset, 8, w.take())),
+                 std::runtime_error)
+        << sink << " <- " << bad;
+  }
+}
+
+}  // namespace
+
+// Offsets follow each save_state() layout: a u32 kind tag, then the
+// f64 fields in order.
+TEST(SinkCheckpoint, CaptureRejectsCorruptDt) {
+  expect_period_guarded("capture", 4 + 8, wave_config().dt_ps);  // t0, dt
+}
+
+TEST(SinkCheckpoint, EyeRejectsCorruptDt) {
+  // phase, settle, t0, dt
+  expect_period_guarded("eye", 4 + 3 * 8, wave_config().dt_ps);
+}
+
+TEST(SinkCheckpoint, LevelHistogramRejectsCorruptDt) {
+  // settle, t0, dt
+  expect_period_guarded("level_histogram", 4 + 2 * 8, wave_config().dt_ps);
+}
+
+TEST(SinkCheckpoint, EdgeRejectsCorruptDt) {
+  // Five f64 options, u64 total, u8 has-extractor, then the extractor's
+  // t0 and dt.
+  expect_period_guarded("edge", 4 + 5 * 8 + 8 + 1 + 8, wave_config().dt_ps);
+}
+
+TEST(SinkCheckpoint, JitterRejectsCorruptUi) {
+  expect_period_guarded("jitter", 4, wave_config().unit_interval_ps());
 }
 
 // ---------------------------------------------------------------------------

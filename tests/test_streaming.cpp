@@ -11,8 +11,10 @@
 // chunk seams (the edge extractor's backscan window).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "analog/element.h"
@@ -30,11 +32,13 @@
 #include "signal/synth.h"
 #include "signal/waveform.h"
 #include "util/rng.h"
+#include "pinned_digest.h"
 
 namespace ga = gdelay::analog;
 namespace gc = gdelay::core;
 namespace gm = gdelay::meas;
 namespace gs = gdelay::sig;
+namespace gt = gdelay::test;
 using gdelay::util::Rng;
 
 namespace {
@@ -279,28 +283,36 @@ TEST(StreamingEdges, TieResidualsChunkInvariant) {
 // JitterInjector block path
 
 TEST(StreamingStages, JitterInjectorBlockMatchesStep) {
+  // The pins are digests of the former per-sample step() path's output:
+  // the block chain must reproduce it byte for byte at any chunking, for
+  // Gaussian noise, sinusoidal (SJ) and mixed injection.
   Rng rng(808);
   const auto res = gs::synthesize_nrz(gs::prbs(7, 64, 4), jittery_config(), &rng);
-
-  gc::JitterInjectorConfig jc;
-  jc.sj_pp_v = 0.2;
-  gc::JitterInjector step_twin(jc, Rng(99));
-
-  step_twin.reset();
-  std::vector<double> want(res.wf.size());
-  for (std::size_t i = 0; i < res.wf.size(); ++i)
-    want[i] = step_twin.step(res.wf[i], res.wf.dt_ps());
-
-  for (std::size_t chunk : {std::size_t{1}, std::size_t{17}, std::size_t{1024},
-                            res.wf.size()}) {
-    gc::JitterInjector fresh(jc, Rng(99));
-    fresh.reset();
-    std::vector<double> got(res.wf.size());
-    const double* p = res.wf.samples().data();
-    for (std::size_t o = 0; o < res.wf.size(); o += chunk)
-      fresh.process_block(p + o, got.data() + o,
-                          std::min(chunk, res.wf.size() - o), res.wf.dt_ps());
-    expect_bytes_equal(got, want, "JitterInjector block");
+  gc::JitterInjectorConfig noise, sj, mixed;
+  sj.noise_pp_v = 0.0;
+  sj.sj_pp_v = 0.6;
+  sj.sj_freq_ghz = 0.2;
+  mixed.sj_pp_v = 0.2;
+  const std::pair<gc::JitterInjectorConfig, std::uint64_t> cases[] = {
+      {noise, gt::pinned(0x6682ebf1e6f3f86cull, 0xfe01fc4b23d838c6ull)},
+      {sj, gt::pinned(0xc3d8a213dc6d04e8ull, 0x2cfc8da091816246ull)},
+      {mixed, gt::pinned(0x6ae0af16fd9cad05ull, 0xf53b747ab5d280e4ull)}};
+  for (const auto& [cfg, pin] : cases) {
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{17},
+                              std::size_t{1024}, res.wf.size()}) {
+      gc::JitterInjector fresh(cfg, Rng(99));
+      fresh.reset();
+      std::vector<double> got(res.wf.size());
+      const double* p = res.wf.samples().data();
+      for (std::size_t o = 0; o < res.wf.size(); o += chunk)
+        fresh.process_block(p + o, got.data() + o,
+                            std::min(chunk, res.wf.size() - o),
+                            res.wf.dt_ps());
+      EXPECT_EQ(gt::digest(got), pin) << "sj " << cfg.sj_pp_v << " chunk " << chunk;
+    }
+    // process() runs the same block path in kBlockSamples chunks.
+    gc::JitterInjector whole(cfg, Rng(99));
+    EXPECT_EQ(gt::digest(whole.process(res.wf).samples()), pin);
   }
 }
 

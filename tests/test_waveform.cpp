@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "signal/waveform.h"
 
@@ -23,6 +24,17 @@ TEST(Waveform, ConstructionAndAccessors) {
 TEST(Waveform, RejectsBadDt) {
   EXPECT_THROW(Waveform(0.0, 0.0, 4), std::invalid_argument);
   EXPECT_THROW(Waveform(0.0, -1.0, 4), std::invalid_argument);
+  EXPECT_THROW(Waveform(0.0, -1.0, std::vector<double>(4)),
+               std::invalid_argument);
+}
+
+TEST(Waveform, RejectsNonFiniteDt) {
+  // NaN passes a `dt <= 0` test; both constructors must refuse it.
+  for (double dt : {std::nan(""), HUGE_VAL}) {
+    EXPECT_THROW(Waveform(0.0, dt, 4), std::invalid_argument);
+    EXPECT_THROW(Waveform(0.0, dt, std::vector<double>(4)),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Waveform, FromFunction) {

@@ -678,23 +678,39 @@ void record_class_stmt(const std::vector<Token>& stmt, ClassInfo& ci) {
   }
 }
 
+// True when a class with these direct `bases` reaches `target` through
+// the indexed base lists — transitively and across files. A base the
+// index does not know ends that branch of the walk.
+bool derives_from(const SymbolIndex& idx, std::vector<std::string> bases,
+                  const std::string& target) {
+  std::set<std::string> seen;
+  while (!bases.empty()) {
+    const std::string n = std::move(bases.back());
+    bases.pop_back();
+    if (n == target) return true;
+    if (!seen.insert(n).second) continue;
+    for (const auto& c : idx.classes) {
+      if (c.name != n) continue;
+      bases.insert(bases.end(), c.bases.begin(), c.bases.end());
+      break;
+    }
+  }
+  return false;
+}
+
 void finalize_class(const ClassInfo& ci, const std::string& label,
+                    const Options& opt, const SymbolIndex& idx,
                     std::vector<Finding>& out) {
-  bool from_element = false;
-  for (const auto& b : ci.bases)
-    if (b == "AnalogElement") from_element = true;
-  if (from_element && ci.methods.count("step")) {
+  if (derives_from(idx, ci.bases, opt.element_base)) {
+    const std::string head = "class '" + ci.name + "' derives from " +
+                             opt.element_base + " but does not override ";
     if (!ci.methods.count("process_block"))
       out.push_back({label, ci.line, ci.col, "R3",
-                     "class '" + ci.name +
-                         "' derives from AnalogElement and overrides step() "
-                         "but not process_block(); the block path must stay "
-                         "byte-identical to the scalar path"});
+                     head + "process_block(); it is the element's one "
+                            "implementation"});
     if (!ci.methods.count("clone"))
       out.push_back({label, ci.line, ci.col, "R3",
-                     "class '" + ci.name +
-                         "' derives from AnalogElement and overrides step() "
-                         "but not clone(); parallel sweeps need deep copies"});
+                     head + "clone(); parallel sweeps need deep copies"});
   }
   if (!ci.rng_members.empty() && !ci.methods.count("fork_noise")) {
     for (const auto& [name, tok] : ci.rng_members)
@@ -746,7 +762,7 @@ void check_namespace_stmt(const std::vector<Token>& stmt,
 }
 
 void scan_r3_r4(const std::string& label, const Lexed& lx, const Options& opt,
-                std::vector<Finding>& out) {
+                const SymbolIndex& idx, std::vector<Finding>& out) {
   std::vector<ScopeKind> scopes = {ScopeKind::Namespace};
   std::vector<ClassInfo> classes;
   std::vector<Token> stmt;
@@ -788,7 +804,7 @@ void scan_r3_r4(const std::string& label, const Lexed& lx, const Options& opt,
     }
     if (t.kind == Token::Punct && t.text == "}") {
       if (scopes.back() == ScopeKind::Class && !classes.empty()) {
-        finalize_class(classes.back(), label, out);
+        finalize_class(classes.back(), label, opt, idx, out);
         classes.pop_back();
       }
       if (scopes.size() > 1) scopes.pop_back();
@@ -1800,38 +1816,15 @@ std::vector<Finding> scan_global(const SymbolIndex& idx, const Options& opt,
           return true;
       return false;
     };
-    std::map<std::string, const IndexedClass*> by_cls;
-    for (const auto& c : idx.classes)
-      if (!by_cls.count(c.name)) by_cls[c.name] = &c;
-    // Transitive: does `name` reach element_base through bases?
-    auto derives = [&](const std::string& start) {
-      std::set<std::string> seen;
-      std::vector<std::string> q = {start};
-      while (!q.empty()) {
-        std::string n = q.back();
-        q.pop_back();
-        if (n == opt.element_base) return true;
-        if (!seen.insert(n).second) continue;
-        auto it = by_cls.find(n);
-        if (it == by_cls.end()) continue;
-        for (const auto& b : it->second->bases) q.push_back(b);
-      }
-      return false;
-    };
-
     for (const auto& c : idx.classes) {
-      if (!c.methods.count("step")) continue;
-      bool is_element = false;
-      for (const auto& b : c.bases)
-        if (derives(b)) is_element = true;
-      if (!is_element) continue;
+      if (!derives_from(idx, c.bases, opt.element_base)) continue;
       if (!covered_in(opt.element_coverage_files, c.name)) {
         raw.push_back(
             {c.file, c.line, 0, "R12",
-             "AnalogElement subclass '" + c.name +
+             opt.element_base + " subclass '" + c.name +
                  "' appears in no byte-identity suite (" +
                  join_fragments(opt.element_coverage_files) +
-                 "); an untested step/block/clone contract is a latent "
+                 "); an untested block/clone contract is a latent "
                  "divergence"});
       }
     }
@@ -1876,18 +1869,18 @@ std::vector<Finding> scan_source(const std::string& label,
                                  const Options& opt, const SymbolIndex* index,
                                  ScanStats* stats) {
   Lexed lx = lex(content);
-  std::vector<Finding> out;
-  scan_r1(label, lx, opt, out);
-  scan_r2(label, lx, opt, out);
-  scan_r3_r4(label, lx, opt, out);
-  scan_r5(label, lx, opt, out);
-  scan_r6(label, lx, out);
-  scan_r7(label, content, lx, opt, out);
   SymbolIndex local;
   if (!index) {
     local = build_index({{label, content}}, {}, opt);
     index = &local;
   }
+  std::vector<Finding> out;
+  scan_r1(label, lx, opt, out);
+  scan_r2(label, lx, opt, out);
+  scan_r3_r4(label, lx, opt, *index, out);
+  scan_r5(label, lx, opt, out);
+  scan_r6(label, lx, out);
+  scan_r7(label, content, lx, opt, out);
   scan_r8(label, lx, *index, out);
   scan_r9(label, lx, *index, out);
   scan_r10(label, lx, opt, *index, out);
@@ -1965,7 +1958,7 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"R2", "no nondeterminism sources (random_device, rand, time, clocks, "
              "getenv)",
        "everywhere; getenv allowed in util/thread_pool, backend/dispatch"},
-      {"R3", "AnalogElement subclasses overriding step() must override "
+      {"R3", "every AnalogElement subclass (transitively) overrides "
              "process_block() and clone(); Rng/NoiseSource members need "
              "fork_noise()",
        "all classes"},
@@ -1989,8 +1982,8 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"R11", "no blocking calls (sleep, cv wait) reachable from pool tasks "
               "or consume() bodies",
        "cross-TU call graph from every pool root"},
-      {"R12", "every AnalogElement subclass and kernel-table entry must "
-              "appear in its contract suite",
+      {"R12", "every AnalogElement subclass (transitively) and "
+              "kernel-table entry must appear in its contract suite",
        "src vs tests/ cross-reference; needs --tests"},
       {"waiver", "inline waivers must parse and carry a reason",
        "all files"},

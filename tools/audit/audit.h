@@ -6,7 +6,7 @@
 // tests only exercise the elements someone remembered to test; this tool
 // proves the *source* obeys the contracts, for every element and every
 // file, so a new AnalogElement cannot silently reintroduce host-libm
-// dependence, RNG-stream aliasing, or a step/block semantic fork.
+// dependence, RNG-stream aliasing, or an untested block contract.
 //
 // The tool is a TWO-PASS analyzer. Pass 1 tokenizes every file once and
 // builds a cross-TU SymbolIndex: classes with their bases and methods,
@@ -31,8 +31,9 @@
 //       rand()/srand(), time(), wall-clock *_clock reads, getenv()
 //       (except util/thread_pool, backend/dispatch).
 //   R3  element-contract completeness: every class deriving from
-//       AnalogElement that overrides step() must also override
-//       process_block() and clone(); every class holding a Rng or
+//       AnalogElement — directly or through other indexed classes —
+//       must override process_block() (the element's one
+//       implementation) and clone(); every class holding a Rng or
 //       NoiseSource member must declare fork_noise() so clone-based
 //       sweeps can decorrelate its streams.
 //   R4  no mutable namespace-scope state (data races under
@@ -70,8 +71,9 @@
 //       streaming-sink consume() body. The reachability walk follows the
 //       cross-TU call graph by name, so a wait buried two calls deep
 //       behind a parallel_map still surfaces.
-//   R12 contract coverage: every AnalogElement subclass must appear in a
-//       step-vs-block/clone byte-identity test, and every backend::Kernels
+//   R12 contract coverage: every AnalogElement subclass (transitively)
+//       must appear in a partition-invariance/clone byte-identity test,
+//       and every backend::Kernels
 //       table entry in the backend/batch equivalence suites — an
 //       untested contract is a build-time finding, not a latent
 //       divergence. Runs only when test sources are registered
@@ -150,9 +152,10 @@ struct Options {
   /// R7: labels starting with (or containing a path segment equal to)
   /// this prefix may use SIMD intrinsics.
   std::string simd_prefix = "backend/";
-  /// R12 coverage spec: base class whose subclasses need byte-identity
-  /// coverage, the kernel-table struct, and the test files (label
-  /// fragments) each contract domain must appear in.
+  /// Element base class (R3 completeness, R12 coverage; subclasses are
+  /// found transitively), and the R12 coverage spec: the kernel-table
+  /// struct and the test files (label fragments) each contract domain
+  /// must appear in.
   std::string element_base = "AnalogElement";
   std::string kernels_struct = "Kernels";
   std::vector<std::string> element_coverage_files = {"test_block_kernels",
