@@ -152,7 +152,8 @@ void register_kernel_rows(const char* backend) {
         kernel_row(s, backend,
                    [](const gb::Kernels& k, const double* in, double* out,
                       double*, std::size_t n) {
-                     k.tanh_stage(in, nullptr, out, n, 2.0, 0.2, 1.0);
+                     const double g = 2.0, r = 0.2, p = 1.0;
+                     k.tanh_stage(in, nullptr, out, n, 1, &g, &r, &p);
                    });
       });
   benchmark::RegisterBenchmark(
@@ -164,10 +165,12 @@ void register_kernel_rows(const char* backend) {
   benchmark::RegisterBenchmark(
       ("Kernel_onepole" + suffix).c_str(), [backend](benchmark::State& s) {
         gb::OnePoleState st{};
+        gb::OnePoleState* stp = &st;
         kernel_row(s, backend,
-                   [&st](const gb::Kernels& k, const double* in, double* out,
-                         double*, std::size_t n) {
-                     k.one_pole(in, out, n, 0.17, st);
+                   [&stp](const gb::Kernels& k, const double* in, double* out,
+                          double*, std::size_t n) {
+                     const double alpha = 0.17;
+                     k.one_pole(in, out, n, 1, &alpha, &stp);
                    });
       });
   benchmark::RegisterBenchmark(
@@ -179,9 +182,12 @@ void register_kernel_rows(const char* backend) {
         c.has_lin = true;
         c.has_leak = true;
         gb::SlewState st;
+        gb::SlewState* stp = &st;
         kernel_row(s, backend,
                    [&](const gb::Kernels& k, const double* in, double* out,
-                       double*, std::size_t n) { k.slew(in, out, n, c, st); });
+                       double*, std::size_t n) {
+                     k.slew(in, out, n, 1, &c, &stp);
+                   });
       });
   benchmark::RegisterBenchmark(
       ("Kernel_boxmuller" + suffix).c_str(), [backend](benchmark::State& s) {
@@ -261,7 +267,7 @@ void register_batch_rows(const char* backend) {
         gb::select(backend);
         const gb::Kernels& k = gb::active();
         for (auto _ : s) {
-          k.one_pole_batch(buf.data(), out.data(), n, kW, alpha, stp);
+          k.one_pole(buf.data(), out.data(), n, kW, alpha, stp);
           benchmark::DoNotOptimize(out.data());
           benchmark::ClobberMemory();
         }
@@ -283,13 +289,13 @@ void register_batch_rows(const char* backend) {
         c.leak = 0.00083;
         c.has_lin = true;
         c.has_leak = true;
-        const gb::SlewCoeffs* cp[kW] = {&c, &c, &c, &c};
+        const gb::SlewCoeffs cs[kW] = {c, c, c, c};
         gb::SlewState st[kW];
         gb::SlewState* stp[kW] = {&st[0], &st[1], &st[2], &st[3]};
         gb::select(backend);
         const gb::Kernels& k = gb::active();
         for (auto _ : s) {
-          k.slew_batch(buf.data(), out.data(), n, kW, cp, stp);
+          k.slew(buf.data(), out.data(), n, kW, cs, stp);
           benchmark::DoNotOptimize(out.data());
           benchmark::ClobberMemory();
         }

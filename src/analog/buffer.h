@@ -92,29 +92,33 @@ class VariableGainBuffer final : public AnalogElement {
   void reset() override;
   /// Fixed-Vctrl block: process_block(in, nullptr, out, n, dt_ps).
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override;
-  /// Stage-major block path: tanh pair, bandwidth pole and batched noise
-  /// run as whole-block passes; the droop/slew/output recursion — whose
-  /// state feeds back sample-to-sample — runs as one fused scalar loop
-  /// with every dt-dependent coefficient hoisted. `vctrl[i]` is the
-  /// control voltage of sample i (A(Vctrl) per sample — the jitter-
-  /// injection mechanism); nullptr holds vctrl(). After a modulated
-  /// block the stage holds vctrl[n-1]. `vctrl` must not alias `out`.
+                     double dt_ps) override {
+    solo_block(this, in, nullptr, out, n, dt_ps);
+  }
+  /// `vctrl[i]` is the control voltage of sample i (A(Vctrl) per
+  /// sample — the jitter-injection mechanism); nullptr holds vctrl().
+  /// After a modulated block the stage holds vctrl[n-1]. `vctrl` must
+  /// not alias `out`. The w == 1 call of process_lanes().
   void process_block(const double* in, const double* vctrl, double* out,
-                     std::size_t n, double dt_ps);
+                     std::size_t n, double dt_ps) {
+    solo_block(this, in, vctrl, out, n, dt_ps);
+  }
 
-  /// Hoists the droop/slew-tail coefficients for (vctrl_, dt_ps) — every
-  /// value a pure function of the config, Vctrl and dt. Public (with the
-  /// part accessors below) so the batch executor can run this stage's
-  /// exact pass sequence through the batched kernels.
-  backend::VgaTailCoeffs tail_coeffs(double dt_ps);
-  SinglePoleFilter& lpf() { return lpf_; }
-  NoiseSource& noise() { return noise_; }
-  SlewRateLimiter& slew_limiter() { return slew_; }
-  SinglePoleFilter& out_pole() { return out_pole_; }
-  backend::VgaTailState& tail_state() { return tail_; }
+  /// The lane pass (see element.h), stage-major: tanh pair, bandwidth
+  /// pole and batched noise run as whole-block passes; the droop/slew
+  /// recursion — whose state feeds back sample-to-sample — runs as one
+  /// fused vga_tail kernel call with every dt-dependent coefficient
+  /// hoisted, then the output pole. `vctrl` is interleaved like `in`
+  /// (or nullptr).
+  static void process_lanes(VariableGainBuffer* const* b, std::size_t w,
+                            const double* in, const double* vctrl,
+                            double* out, std::size_t n, double dt_ps);
 
  private:
+  /// Hoists the droop/slew-tail coefficients for (vctrl_, dt_ps) — every
+  /// value a pure function of the config, Vctrl and dt.
+  backend::VgaTailCoeffs tail_coeffs(double dt_ps);
+
   VgaBufferConfig cfg_;
   double vctrl_;
   TanhLimiter input_;
@@ -154,13 +158,12 @@ class LimitingBuffer final : public AnalogElement {
   }
   void reset() override;
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override;
-
-  /// Batch-executor part accessors (the tanh stages are parameterized by
-  /// config() alone, so only the stateful parts need exposing).
-  SinglePoleFilter& lpf() { return lpf_; }
-  NoiseSource& noise() { return noise_; }
-  SlewRateLimiter& slew_limiter() { return slew_; }
+                     double dt_ps) override {
+    solo_block(this, in, out, n, dt_ps);
+  }
+  static void process_lanes(LimitingBuffer* const* b, std::size_t w,
+                            const double* in, double* out, std::size_t n,
+                            double dt_ps);
 
  private:
   LimitingBufferConfig cfg_;

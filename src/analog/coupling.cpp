@@ -10,8 +10,11 @@
 
 namespace gdelay::analog {
 
+// Every range check below is written so that NaN fails it.
+
 AcCoupler::AcCoupler(double f_hp_ghz) : f_hp_(f_hp_ghz) {
-  if (f_hp_ghz <= 0.0) throw std::invalid_argument("AcCoupler: f_hp must be > 0");
+  if (!(f_hp_ghz > 0.0))
+    throw std::invalid_argument("AcCoupler: f_hp must be > 0");
 }
 
 void AcCoupler::reset() {
@@ -53,13 +56,15 @@ void Attenuator::process_block(const double* in, double* out, std::size_t n,
 
 Attenuator::Attenuator(double loss_db)
     : factor_(util::db_loss_to_factor(loss_db)) {
-  if (loss_db < 0.0) throw std::invalid_argument("Attenuator: loss must be >= 0");
+  if (!(loss_db >= 0.0))
+    throw std::invalid_argument("Attenuator: loss must be >= 0");
 }
 
 NoiseSource::NoiseSource(double sigma_v, double bandwidth_ghz, util::Rng rng)
     : sigma_(sigma_v), bw_(bandwidth_ghz), rng_(rng) {
-  if (sigma_v < 0.0) throw std::invalid_argument("NoiseSource: sigma must be >= 0");
-  if (bandwidth_ghz <= 0.0)
+  if (!(sigma_v >= 0.0))
+    throw std::invalid_argument("NoiseSource: sigma must be >= 0");
+  if (!(bandwidth_ghz > 0.0))
     throw std::invalid_argument("NoiseSource: bandwidth must be > 0");
 }
 
@@ -75,14 +80,39 @@ void NoiseSource::prime(double dt_ps) {
   blk_sx_ = sigma_ * std::sqrt((2.0 - blk_alpha_) / blk_alpha_);
 }
 
-void NoiseSource::process_block(double* out, std::size_t n, double dt_ps) {
-  if (sigma_ == 0.0) {
-    std::fill(out, out + n, 0.0);
+void NoiseSource::process_lanes(NoiseSource* const* src, std::size_t w,
+                                double* out, std::size_t n, double dt_ps) {
+  std::size_t on = 0;
+  for (std::size_t s = 0; s < w; ++s) on += src[s]->sigma_ != 0.0;
+  if (on == 0) {
+    // sigma == 0 advances neither the RNG nor the filter.
+    std::fill(out, out + n * w, 0.0);
     return;
   }
-  prime(dt_ps);
-  rng_.fill_gaussian(out, n, 0.0, blk_sx_);
-  backend::active().one_pole(out, out, n, blk_alpha_, st_);
+  if (on < w) {
+    // Mixed on/off across streams (unusual configs): each stream alone.
+    per_stream(nullptr, out, n, w, [&](std::size_t s, const double*,
+                                       double* col) {
+      src[s]->process_block(col, n, dt_ps);
+    });
+    return;
+  }
+  // Each stream draws from its own RNG in the solo order (fill_gaussian
+  // is chunk-invariant by the Rng contract); the band-limiting filters
+  // then advance together.
+  per_stream(nullptr, out, n, w, [&](std::size_t s, const double*,
+                                     double* col) {
+    NoiseSource& ns = *src[s];
+    ns.prime(dt_ps);
+    ns.rng_.fill_gaussian(col, n, 0.0, ns.blk_sx_);
+  });
+  LaneArray<double> alpha(w, [&](std::size_t s) {
+    return src[s]->blk_alpha_;
+  });
+  LaneArray<backend::OnePoleState*> st(w, [&](std::size_t s) {
+    return &src[s]->st_;
+  });
+  backend::active().one_pole(out, out, n, w, alpha.data(), st.data());
 }
 
 sig::Waveform NoiseSource::waveform(double t0_ps, double dt_ps,

@@ -74,25 +74,22 @@ class NoiseSource {
   /// The next `n` noise samples, advancing n * dt_ps picoseconds, with
   /// the filter coefficients hoisted and the Gaussian draws batched. Any
   /// split of the stream into calls gives the same samples.
-  void process_block(double* out, std::size_t n, double dt_ps);
+  void process_block(double* out, std::size_t n, double dt_ps) {
+    solo_block(this, out, n, dt_ps);
+  }
+
+  /// The lane pass (see element.h): the next `n` samples of `w` sources
+  /// into the interleaved `out`; process_block() is the w == 1 call.
+  static void process_lanes(NoiseSource* const* src, std::size_t w,
+                            double* out, std::size_t n, double dt_ps);
 
   /// Renders `n` samples as a waveform on the given grid.
   sig::Waveform waveform(double t0_ps, double dt_ps, std::size_t n);
 
-  /// (Re)derives the dt-dependent filter coefficients. Public so the
-  /// batch executor can prime a stream before reading the accessors
-  /// below; process_block() primes itself, so solo callers never need it.
+ private:
+  /// (Re)derives the dt-dependent filter coefficients.
   void prime(double dt_ps);
 
-  /// Batch-executor hooks: the primed coefficients, the RNG (same
-  /// per-stream draw order as the solo path — fill_gaussian is
-  /// chunk-invariant by the Rng contract) and the recursion state.
-  double primed_alpha() const { return blk_alpha_; }
-  double primed_sigma_x() const { return blk_sx_; }
-  util::Rng& rng() { return rng_; }
-  backend::OnePoleState& pole_state() { return st_; }
-
- private:
   double sigma_;
   double bw_;
   util::Rng rng_;

@@ -13,7 +13,7 @@ DifferentialImbalance::DifferentialImbalance(
       // Keep both delays non-negative: common base + half the skew on P.
       p_leg_(std::max(cfg.leg_skew_ps, 0.0)),
       n_leg_(std::max(-cfg.leg_skew_ps, 0.0)) {
-  if (std::abs(cfg.gain_mismatch_frac) >= 2.0)
+  if (!(std::abs(cfg.gain_mismatch_frac) < 2.0))  // NaN fails too
     throw std::invalid_argument(
         "DifferentialImbalance: |gain mismatch| must be < 2");
 }

@@ -5,10 +5,12 @@
 // one output per input. Elements compose by nesting calls (or `Cascade`),
 // and `process()` runs a whole waveform through in kBlockSamples chunks.
 //
-// `process_block()` is the one implementation of each device. Its result
-// does not depend on how a sample stream is split into calls — chunk
-// size 1 and one call over the whole stream give the same bytes (enforced
-// by tests/test_block_kernels.cpp) — so overrides hoist dt-dependent
+// Each device of the delay line is written once, as a static lane pass
+// `T::process_lanes(lanes, w, in, out, n, dt)` advancing `w` devices over
+// buffers interleaved time-major (buf[i*w + s]); its process_block() is
+// the w == 1 call. The bytes of a stream depend neither on how it is
+// split into calls nor on the width or its lane (enforced by
+// tests/test_block_kernels.cpp), so passes hoist dt-dependent
 // coefficients out of the sample loop and batch the noise draws freely.
 // A control that varies during a run (the delay line's Vctrl, the
 // mechanism behind the paper's jitter-injection mode) enters as a
@@ -16,11 +18,13 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <memory>
 #include <vector>
 
 #include "signal/waveform.h"
+#include "util/scratch.h"
 
 namespace gdelay::analog {
 
@@ -28,6 +32,58 @@ namespace gdelay::analog {
 /// amortize coefficient derivation and virtual dispatch, small enough
 /// that a handful of stage-major scratch buffers stay cache-resident.
 inline constexpr std::size_t kBlockSamples = 1024;
+
+/// Per-stream values of one lane pass: coefficients, state and part
+/// pointers. Entry s is `make(s)`. Inline storage covers every width the
+/// library runs, so a pass allocates nothing; wider runs spill to the
+/// heap.
+template <typename T>
+class LaneArray {
+ public:
+  template <typename Make>
+  LaneArray(std::size_t w, Make make) : w_(w) {
+    if (w > kInline) heap_.resize(w);
+    T* p = data();
+    for (std::size_t s = 0; s < w; ++s) p[s] = make(s);
+  }
+  T* data() { return w_ > kInline ? heap_.data() : inline_.data(); }
+
+ private:
+  static constexpr std::size_t kInline = 16;
+  std::size_t w_;
+  std::array<T, kInline> inline_;
+  std::vector<T> heap_;
+};
+
+/// The part `m` of each of `w` devices: what a composite's pass hands to
+/// its part's pass.
+template <typename Device, typename Part>
+LaneArray<Part*> parts(Device* const* lanes, std::size_t w, Part Device::*m) {
+  return LaneArray<Part*>(w, [&](std::size_t s) { return &(lanes[s]->*m); });
+}
+
+/// A device's solo block: its lane pass at w == 1.
+template <typename Device, typename... Args>
+void solo_block(Device* self, Args... args) {
+  Device::process_lanes(&self, 1, args...);
+}
+
+/// Runs `solo(s, col_in, col_out)` for each stream on a de-interleaved
+/// copy of its column — the fallback for state with no lane form (a
+/// fractional-delay ring, a mixed on/off set of noise sources). `in` may
+/// be null (no input). At w == 1 the buffers are the column: no copies.
+template <typename Solo>
+void per_stream(const double* in, double* out, std::size_t n, std::size_t w,
+                Solo solo) {
+  if (w == 1) return solo(std::size_t{0}, in, out);
+  util::ScratchBuffer col(n);
+  for (std::size_t s = 0; s < w; ++s) {
+    if (in != nullptr)
+      for (std::size_t i = 0; i < n; ++i) col[i] = in[i * w + s];
+    solo(s, col.data(), col.data());
+    for (std::size_t i = 0; i < n; ++i) out[i * w + s] = col[i];
+  }
+}
 
 class AnalogElement {
  public:

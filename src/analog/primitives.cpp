@@ -11,8 +11,10 @@
 
 namespace gdelay::analog {
 
+// Every range check below is written so that NaN fails it.
+
 SinglePoleFilter::SinglePoleFilter(double f3db_ghz) : f3db_(f3db_ghz) {
-  if (f3db_ghz <= 0.0)
+  if (!(f3db_ghz > 0.0))
     throw std::invalid_argument("SinglePoleFilter: f3dB must be > 0");
 }
 
@@ -28,19 +30,27 @@ double SinglePoleFilter::alpha_for(double dt_ps) {
   return blk_alpha_;
 }
 
-void SinglePoleFilter::process_block(const double* in, double* out,
-                                     std::size_t n, double dt_ps) {
-  backend::active().one_pole(in, out, n, alpha_for(dt_ps), st_);
+void SinglePoleFilter::process_lanes(SinglePoleFilter* const* f,
+                                     std::size_t w, const double* in,
+                                     double* out, std::size_t n,
+                                     double dt_ps) {
+  LaneArray<double> alpha(w, [&](std::size_t s) {
+    return f[s]->alpha_for(dt_ps);
+  });
+  LaneArray<backend::OnePoleState*> st(w, [&](std::size_t s) {
+    return &f[s]->st_;
+  });
+  backend::active().one_pole(in, out, n, w, alpha.data(), st.data());
 }
 
 SlewRateLimiter::SlewRateLimiter(double slew_v_per_ps, double tau_lin_ps,
                                  double leak_tau_ps)
     : slew_(slew_v_per_ps), tau_lin_(tau_lin_ps), leak_tau_(leak_tau_ps) {
-  if (slew_v_per_ps <= 0.0)
+  if (!(slew_v_per_ps > 0.0))
     throw std::invalid_argument("SlewRateLimiter: slew must be > 0");
-  if (tau_lin_ps < 0.0)
+  if (!(tau_lin_ps >= 0.0))
     throw std::invalid_argument("SlewRateLimiter: tau_lin must be >= 0");
-  if (leak_tau_ps < 0.0)
+  if (!(leak_tau_ps >= 0.0))
     throw std::invalid_argument("SlewRateLimiter: leak_tau must be >= 0");
 }
 
@@ -54,23 +64,34 @@ void SlewRateLimiter::prime(double dt_ps) {
   blk_.leak = blk_.has_leak ? 1.0 - util::det_exp(-dt_ps / leak_tau_) : 0.0;
 }
 
-void SlewRateLimiter::process_block(const double* in, double* out,
+void SlewRateLimiter::process_lanes(SlewRateLimiter* const* l, std::size_t w,
+                                    const double* in, double* out,
                                     std::size_t n, double dt_ps) {
-  prime(dt_ps);
-  backend::active().slew(in, out, n, blk_, st_);
+  LaneArray<backend::SlewCoeffs> c(w, [&](std::size_t s) {
+    l[s]->prime(dt_ps);
+    return l[s]->blk_;
+  });
+  LaneArray<backend::SlewState*> st(w, [&](std::size_t s) {
+    return &l[s]->st_;
+  });
+  backend::active().slew(in, out, n, w, c.data(), st.data());
 }
 
 TanhLimiter::TanhLimiter(double gain, double vsat_v)
     : gain_(gain), vsat_(vsat_v) {
-  if (gain <= 0.0 || vsat_v <= 0.0)
+  if (!(gain > 0.0 && vsat_v > 0.0))
     throw std::invalid_argument("TanhLimiter: gain and vsat must be > 0");
 }
 
-void TanhLimiter::process_block(const double* in, double* out, std::size_t n,
+void TanhLimiter::process_lanes(TanhLimiter* const* l, std::size_t w,
+                                const double* in, double* out, std::size_t n,
                                 double /*dt_ps*/) {
   // Stateless: y = vsat * det_tanh(gain * x / vsat) through the
   // elementwise tanh_stage kernel, bit-exact across backends.
-  backend::active().tanh_stage(in, nullptr, out, n, gain_, vsat_, vsat_);
+  LaneArray<double> gain(w, [&](std::size_t s) { return l[s]->gain_; });
+  LaneArray<double> vsat(w, [&](std::size_t s) { return l[s]->vsat_; });
+  backend::active().tanh_stage(in, nullptr, out, n, w, gain.data(),
+                               vsat.data(), vsat.data());
 }
 
 void GainStage::process_block(const double* in, double* out, std::size_t n,
@@ -80,7 +101,7 @@ void GainStage::process_block(const double* in, double* out, std::size_t n,
 
 NoiseAdder::NoiseAdder(double density_v_sqrtps, util::Rng rng)
     : density_(density_v_sqrtps), rng_(rng) {
-  if (density_v_sqrtps < 0.0)
+  if (!(density_v_sqrtps >= 0.0))
     throw std::invalid_argument("NoiseAdder: density must be >= 0");
 }
 
@@ -97,7 +118,7 @@ void NoiseAdder::process_block(const double* in, double* out, std::size_t n,
 }
 
 FractionalDelay::FractionalDelay(double delay_ps) : delay_(delay_ps) {
-  if (delay_ps < 0.0)
+  if (!(delay_ps >= 0.0))
     throw std::invalid_argument("FractionalDelay: delay must be >= 0");
 }
 

@@ -33,20 +33,20 @@ class SinglePoleFilter final : public AnalogElement {
   explicit SinglePoleFilter(double f3db_ghz);
   void reset() override { st_ = {}; }
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override;
+                     double dt_ps) override {
+    solo_block(this, in, out, n, dt_ps);
+  }
+  /// The lane pass (see element.h): `w` filters, one per interleaved
+  /// stream; process_block() is the w == 1 call.
+  static void process_lanes(SinglePoleFilter* const* f, std::size_t w,
+                            const double* in, double* out, std::size_t n,
+                            double dt_ps);
   std::unique_ptr<AnalogElement> clone() const override {
     return std::make_unique<SinglePoleFilter>(*this);
   }
   double f3db_ghz() const { return f3db_; }
   /// Time constant tau = 1/(2*pi*f3dB) in ps.
   double tau_ps() const;
-
-  /// (Re)derives the dt-keyed coefficient and returns it, exposing the
-  /// recursion state below — the hooks the batch executor uses to drive
-  /// this filter through one_pole_batch with the exact coefficient and
-  /// state the solo block path would use.
-  double prime(double dt_ps) { return alpha_for(dt_ps); }
-  backend::OnePoleState& pole_state() { return st_; }
 
  private:
   double alpha_for(double dt_ps);
@@ -76,7 +76,12 @@ class SlewRateLimiter final : public AnalogElement {
                            double leak_tau_ps = 0.0);
   void reset() override { st_ = {}; }
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override;
+                     double dt_ps) override {
+    solo_block(this, in, out, n, dt_ps);
+  }
+  static void process_lanes(SlewRateLimiter* const* l, std::size_t w,
+                            const double* in, double* out, std::size_t n,
+                            double dt_ps);
   std::unique_ptr<AnalogElement> clone() const override {
     return std::make_unique<SlewRateLimiter>(*this);
   }
@@ -84,15 +89,15 @@ class SlewRateLimiter final : public AnalogElement {
   double tau_lin_ps() const { return tau_lin_; }
   double leak_tau_ps() const { return leak_tau_; }
 
-  /// (Re)derives the dt-dependent coefficients for the block path. The
-  /// coefficient and state PODs are the backend kernel types, so
-  /// composite elements (VariableGainBuffer's fused droop/slew tail) can
-  /// hand this limiter's recursion to a backend kernel directly.
-  void prime(double dt_ps);
-  const backend::SlewCoeffs& primed_coeffs() const { return blk_; }
-  backend::SlewState& state() { return st_; }
-
  private:
+  // VariableGainBuffer fuses this limiter's recursion into its droop
+  // tail, so its pass hands the coefficient and state PODs (the backend
+  // kernel types) to the vga_tail kernel directly.
+  friend class VariableGainBuffer;
+
+  /// (Re)derives the dt-dependent coefficients in blk_.
+  void prime(double dt_ps);
+
   double slew_;
   double tau_lin_;
   double leak_tau_;
@@ -108,7 +113,12 @@ class TanhLimiter final : public AnalogElement {
   TanhLimiter(double gain, double vsat_v);
   void reset() override {}
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override;
+                     double dt_ps) override {
+    solo_block(this, in, out, n, dt_ps);
+  }
+  static void process_lanes(TanhLimiter* const* l, std::size_t w,
+                            const double* in, double* out, std::size_t n,
+                            double dt_ps);
   std::unique_ptr<AnalogElement> clone() const override {
     return std::make_unique<TanhLimiter>(*this);
   }

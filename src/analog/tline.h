@@ -32,13 +32,15 @@ class TransmissionLine final : public AnalogElement {
   }
   void reset() override;
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override;
-
-  /// Batch-executor part accessors.
-  FractionalDelay& frac_delay() { return delay_; }
-  double loss_factor() const { return loss_factor_; }
-  bool has_pole() const { return has_pole_; }
-  SinglePoleFilter& pole() { return pole_; }
+                     double dt_ps) override {
+    solo_block(this, in, out, n, dt_ps);
+  }
+  /// The lane pass (see element.h). The fractional-delay ring walk is
+  /// per-stream (one column at a time); the dispersion poles advance
+  /// together when every stream has one.
+  static void process_lanes(TransmissionLine* const* t, std::size_t w,
+                            const double* in, double* out, std::size_t n,
+                            double dt_ps);
 
  private:
   TransmissionLineConfig cfg_;

@@ -3,38 +3,41 @@
 // Every hot loop of the analog signal path — the det_tanh limiter stages,
 // the one-pole/RC recursions, slew limiting, the Box-Muller noise
 // transform, gain scaling — is expressed as a *kernel*: a function over
-// contiguous sample arrays. A `Kernels` table bundles one implementation
-// of each kernel, and the elements' process_block() overrides call
-// through the active table instead of open-coding the loops. Two tables
-// ship today:
+// sample arrays. A `Kernels` table bundles one implementation of each
+// kernel, and the devices' lane passes call through the active table
+// instead of open-coding the loops. The stateful kernels are width-
+// generic: one entry advances `w` streams interleaved time-major, and a
+// device's solo process_block() is the w == 1 call, which each backend
+// dispatches to its contiguous single-stream loop. Two tables ship today:
 //
 //   scalar  The reference oracle: plain serial loops over the inline
 //           reference steps below, so the result of a sample stream does
-//           not depend on how it is split into process_block() calls.
-//           This is the default: simulation results never change because
-//           of the machine they ran on.
+//           not depend on how it is split into calls or lanes. This is
+//           the default: simulation results never change because of the
+//           machine they ran on.
 //   avx2    Explicit 4-lane AVX2(+FMA) intrinsics, compiled only when the
 //           toolchain supports -mavx2 and selected only when the CPU
 //           reports AVX2. Elementwise kernels (tanh/exp/sincos2pi/
 //           Box-Muller/scale) are BIT-EXACT to the scalar oracle: each
 //           lane performs the identical sequence of correctly-rounded
 //           IEEE-754 operations, so packing four samples changes nothing.
-//           The one-pole recursion is NOT bit-exact: it runs a
-//           group-of-4 parallel scan whose reassociated rounding differs
-//           from the serial recursion by a few machine epsilons of the
-//           signal amplitude (pinned at 16 eps * max|y| by the
-//           equivalence suite; see the determinism contract below).
+//           The slew and droop-tail recursions run four streams per
+//           vector and are bit-exact too. The one-pole recursion is NOT:
+//           it runs a group-of-4 parallel scan whose reassociated
+//           rounding differs from the serial recursion by a few machine
+//           epsilons of the signal amplitude (pinned at 16 eps * max|y|
+//           by the equivalence suite; see the determinism contract below).
 //
 // Determinism contract (DESIGN.md "Compute backends" for the long form):
 //   * Within one backend, results are bit-stable: across runs, across
-//     GDELAY_THREADS values, and across block partitions (any split of a
-//     sample stream into process_block() calls yields identical bytes —
-//     the AVX2 scan carries its group phase in OnePoleState so lane
-//     boundaries are anchored to absolute sample indices, and partial
-//     groups are emitted through lane-exact std::fma emulation of the
-//     vector arithmetic).
-//   * Across backends, elementwise kernels agree bit-for-bit; recursive
-//     kernels agree within a documented tolerance (enforced by
+//     GDELAY_THREADS values, across block partitions (any split of a
+//     sample stream into calls yields identical bytes — the AVX2 scan
+//     carries its group phase in OnePoleState so lane boundaries are
+//     anchored to absolute sample indices, and partial groups are
+//     emitted through lane-exact std::fma emulation of the vector
+//     arithmetic), and across lane widths and stream-to-lane assignments.
+//   * Across backends, every kernel but one_pole agrees bit-for-bit;
+//     one_pole agrees within a documented tolerance (enforced by
 //     tests/test_backend_equivalence.cpp).
 //   * The backend is selected once per process (first use), via the
 //     GDELAY_BACKEND environment override ("scalar", "avx2", "auto") or
@@ -116,9 +119,9 @@ struct VgaTailState {
 
 // ---------------------------------------------------------------------------
 // Inline reference steps — the scalar oracle, one sample at a time. The
-// scalar kernel table loops over them, and the AVX2 batch kernels fall
-// back to them for partial lane groups, so every backend shares one
-// definition of each serial recursion.
+// scalar kernel table loops over them, and the AVX2 kernels fall back to
+// them for partial lane groups, so every backend shares one definition
+// of each serial recursion.
 
 inline double one_pole_step(double& y, double alpha, double x) {
   y += alpha * (x - y);
@@ -183,17 +186,12 @@ inline void box_muller_step(double u1, double u2, double& out_cos,
 struct Kernels {
   const char* name;  ///< "scalar" or "avx2" — the GDELAY_BACKEND token.
   const char* isa;   ///< instruction-set level, e.g. "generic", "avx2+fma"
-  int lanes;         ///< doubles per vector lane group (1 for scalar)
-  bool bit_exact;    ///< every kernel byte-identical to the scalar oracle
+
+  // Flat elementwise kernels. They take no per-stream parameters, so a
+  // w-stream call is just the flat kernel over n*w samples.
 
   /// out[i] = g * x[i]
   void (*scale)(const double* x, double* out, std::size_t n, double g);
-
-  /// v = x[i] (+ add[i] if add != nullptr);
-  /// out[i] = post * det_tanh(gain * v / ref)
-  /// — the shape of every limiter stage in the library.
-  void (*tanh_stage)(const double* x, const double* add, double* out,
-                     std::size_t n, double gain, double ref, double post);
 
   /// out[i] = det_exp(x[i])
   void (*exp_block)(const double* x, double* out, std::size_t n);
@@ -206,56 +204,41 @@ struct Kernels {
   void (*box_muller)(const double* u1, const double* u2, double* out_cos,
                      double* out_sin, std::size_t n);
 
-  /// One-pole recursion out[i] = st.y' = st.y + alpha*(x[i] - st.y).
-  void (*one_pole)(const double* x, double* out, std::size_t n, double alpha,
-                   OnePoleState& st);
+  // -------------------------------------------------------------------------
+  // Width-generic kernels: `w` independent streams interleaved time-major,
+  // buf[i*w + s] = sample i of stream s; per-stream coefficients come as
+  // length-w arrays of values and per-stream state as length-w arrays of
+  // pointers into the devices. A device's solo block is the w == 1 call,
+  // which every backend dispatches to its contiguous single-stream loop.
+  // Contract (enforced by tests/test_backend_equivalence.cpp): stream s's
+  // output is bit-identical to a w == 1 call of the SAME table over its
+  // de-interleaved samples with the same state — for any width, any
+  // stream-to-lane assignment and any partition of the sample stream into
+  // calls. That is what vectorizes the serial-by-contract recursions
+  // (slew, droop tail): they stay serial in time but run 4 streams wide
+  // per AVX2 iteration.
+
+  /// v = x (+ add, an interleaved buffer of the same shape, if non-null);
+  /// out = post[s] * det_tanh(gain[s] * v / ref[s]) — the shape of every
+  /// limiter stage in the library.
+  void (*tanh_stage)(const double* x, const double* add, double* out,
+                     std::size_t n, std::size_t w, const double* gain,
+                     const double* ref, const double* post);
+
+  /// One-pole recursion y' = y + alpha[s] * (x - y) per stream.
+  void (*one_pole)(const double* x, double* out, std::size_t n, std::size_t w,
+                   const double* alpha, OnePoleState* const* st);
 
   /// Slew-limiter recursion (see slew_step).
-  void (*slew)(const double* x, double* out, std::size_t n,
-               const SlewCoeffs& c, SlewState& st);
+  void (*slew)(const double* x, double* out, std::size_t n, std::size_t w,
+               const SlewCoeffs* c, SlewState* const* st);
 
-  /// VariableGainBuffer droop/slew tail over a block (see vga_tail_step).
-  /// `amp` is the per-sample A(Vctrl) of a modulated control voltage, or
-  /// nullptr to hold c.amp for the whole block.
+  /// VariableGainBuffer droop/slew tail (see vga_tail_step). `amp` is the
+  /// interleaved per-sample A(Vctrl) of a modulated control voltage, or
+  /// nullptr to hold each stream's c[s]->amp for the whole block.
   void (*vga_tail)(const double* lim, const double* amp, double* out,
-                   std::size_t n, const VgaTailCoeffs& c, SlewState& slew,
-                   VgaTailState& d);
-
-  // -------------------------------------------------------------------------
-  // Lane-batched kernels: `w` independent streams interleaved time-major,
-  // buf[i*w + s] = sample i of stream s. Per-stream parameters/state come
-  // as length-w arrays. Contract (enforced by test_batch_equivalence):
-  // stream s's output is bit-identical to running the solo kernel of the
-  // SAME table over its de-interleaved samples with the same state —
-  // for any width w, any stream-to-lane assignment, and any partition of
-  // the sample stream into batch calls. This is what finally vectorizes
-  // the serial-by-contract recursions (slew, droop tail): they stay
-  // serial in time but run 4 streams wide per AVX2 iteration.
-
-  /// Batched tanh_stage: per-stream gain/ref/post; add is an interleaved
-  /// buffer of the same shape or nullptr.
-  void (*tanh_stage_batch)(const double* x, const double* add, double* out,
-                           std::size_t n, std::size_t w, const double* gain,
-                           const double* ref, const double* post);
-
-  /// Batched one-pole recursion: per-stream alpha and state pointers.
-  void (*one_pole_batch)(const double* x, double* out, std::size_t n,
-                         std::size_t w, const double* alpha,
-                         OnePoleState* const* st);
-
-  /// Batched slew-limiter recursion.
-  void (*slew_batch)(const double* x, double* out, std::size_t n,
-                     std::size_t w, const SlewCoeffs* const* c,
-                     SlewState* const* st);
-
-  /// Batched VariableGainBuffer droop/slew tail.
-  void (*vga_tail_batch)(const double* lim, double* out, std::size_t n,
-                         std::size_t w, const VgaTailCoeffs* const* c,
-                         SlewState* const* slew_st, VgaTailState* const* d);
-
-  // exp_block (and scale) are elementwise with no per-stream parameters,
-  // so a batched call is just the flat kernel over n*w samples — no
-  // dedicated table entry is needed.
+                   std::size_t n, std::size_t w, const VgaTailCoeffs* c,
+                   SlewState* const* slew, VgaTailState* const* d);
 };
 
 // ---------------------------------------------------------------------------

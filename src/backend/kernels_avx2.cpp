@@ -34,29 +34,20 @@
 //     fma-with-zero operand shape of the shifted lanes, so even signed
 //     zeros match the packed path.
 //
-//   slew / vga_tail
-//     Serial nonlinear recursions (clamp + droop feedback) with no
-//     profitable 4-lane formulation; the table points at the scalar
-//     reference definitions (compiled without -mavx2), so these are
-//     trivially bit-identical across backends.
-//
-//   *_batch (lane-batched, w interleaved streams, buf[i*w + s])
-//     The move that breaks the Amdahl floor of the serial recursions:
-//     keep them serial IN TIME but run four independent STREAMS per
-//     vector iteration. slew_batch/vga_tail_batch vectorize the exact
-//     scalar op sequence across streams — every lane performs the same
-//     correctly-rounded sub/mul/min/max/add chain as slew_step /
-//     vga_tail_step (min/max operand order chosen so NaN and signed-zero
-//     behavior matches std::clamp / std::min), so each stream is
-//     bit-identical to its solo run. one_pole_batch reuses the solo
-//     scan's per-group arithmetic with stream-lanes instead of
-//     time-lanes: per time step j of a 4-step group the lane value is
-//     fma(beta^?, y0, fma(b2, t1_?, t1_j)) — exactly scan_lane() — so
-//     each stream matches its solo AVX2 run bit for bit at any batch
-//     call partition. Streams whose flags/phases diverge within a
-//     4-group (and the w%4 remainder) fall back to per-stream scalar
-//     emulation of the same arithmetic, keeping the contract for ANY
-//     width and lane assignment.
+//   Width-generic kernels (w interleaved streams, buf[i*w + s])
+//     w == 1 is a device's solo block: the contiguous loops above, and
+//     for slew / vga_tail — serial nonlinear recursions with no
+//     profitable 4-lane form along time — the scalar table's ref::slew /
+//     ref::vga_tail, compiled without -mavx2, so they stay trivially
+//     bit-identical across backends. At w > 1 the recursions stay serial
+//     IN TIME but run four independent STREAMS per vector iteration:
+//     every lane performs the same correctly-rounded op chain as
+//     slew_step / vga_tail_step (min/max operand order chosen so NaN and
+//     signed-zero behavior matches std::clamp / std::min), and one_pole
+//     emits exactly scan_lane()'s bits per stream, so each stream equals
+//     its solo run at any call partition. Streams whose flags/phases
+//     diverge within a 4-group, and the w%4 remainder, fall back to
+//     per-stream scalar emulation of the same arithmetic.
 #include "backend/kernels_ref.h"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -66,6 +57,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 
 #include "util/fastmath.h"
 
@@ -266,8 +258,8 @@ void k_scale(const double* x, double* out, std::size_t n, double g) {
   for (; i < n; ++i) out[i] = g * x[i];
 }
 
-void k_tanh_stage(const double* x, const double* add, double* out,
-                  std::size_t n, double gain, double ref, double post) {
+void tanh_solo(const double* x, const double* add, double* out,
+               std::size_t n, double gain, double ref, double post) {
   const __m256d gv = vset(gain);
   const __m256d rv = vset(ref);
   const __m256d pv = vset(post);
@@ -365,8 +357,8 @@ inline double scan_lane(const OnePoleState& st, const ScanCoeffs& c,
   return std::fma(c.b4, st.y0, std::fma(c.b2, t1_1, t1_3));
 }
 
-void k_one_pole(const double* x, double* out, std::size_t n, double alpha,
-                OnePoleState& st) {
+void one_pole_solo(const double* x, double* out, std::size_t n, double alpha,
+                   OnePoleState& st) {
   if (alpha != st.alpha) {
     // Coefficient change re-anchors the group at the current sample.
     // Deterministic across partitions: a dt change can only happen at a
@@ -427,56 +419,41 @@ void k_one_pole(const double* x, double* out, std::size_t n, double alpha,
 }
 
 // ---------------------------------------------------------------------------
-// Lane-batched kernels: `w` independent streams interleaved time-major.
-// Stream groups of 4 ride the vector lanes; the w%4 remainder (and any
-// group whose per-stream flags diverge) drops to per-stream scalar loops
-// over the identical arithmetic, so the batch contract — each stream
+// Width-generic table entries: `w` independent streams interleaved
+// time-major. w == 1 runs the contiguous solo loop. Otherwise stream
+// groups of 4 ride the vector lanes; the w%4 remainder (and any group
+// whose per-stream flags diverge) drops to per-stream scalar loops over
+// the identical arithmetic, so the lane contract — each stream
 // bit-identical to its solo run on THIS table — holds for every width
 // and every stream-to-lane assignment.
 
-void k_tanh_stage_batch(const double* x, const double* add, double* out,
-                        std::size_t n, std::size_t w, const double* gain,
-                        const double* ref, const double* post) {
+void k_tanh_stage(const double* x, const double* add, double* out,
+                  std::size_t n, std::size_t w, const double* gain,
+                  const double* ref, const double* post) {
+  if (w == 1) return tanh_solo(x, add, out, n, *gain, *ref, *post);
   std::size_t s0 = 0;
   for (; s0 + 4 <= w; s0 += 4) {
     const __m256d gv = _mm256_loadu_pd(gain + s0);
     const __m256d rv = _mm256_loadu_pd(ref + s0);
     const __m256d pv = _mm256_loadu_pd(post + s0);
-    if (add != nullptr) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t o = i * w + s0;
-        const __m256d v =
-            _mm256_add_pd(_mm256_loadu_pd(x + o), _mm256_loadu_pd(add + o));
-        const __m256d arg = _mm256_div_pd(_mm256_mul_pd(gv, v), rv);
-        _mm256_storeu_pd(out + o, _mm256_mul_pd(pv, v_det_tanh(arg)));
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t o = i * w + s0;
-        const __m256d v = _mm256_loadu_pd(x + o);
-        const __m256d arg = _mm256_div_pd(_mm256_mul_pd(gv, v), rv);
-        _mm256_storeu_pd(out + o, _mm256_mul_pd(pv, v_det_tanh(arg)));
-      }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t o = i * w + s0;
+      __m256d v = _mm256_loadu_pd(x + o);
+      if (add != nullptr) v = _mm256_add_pd(v, _mm256_loadu_pd(add + o));
+      const __m256d arg = _mm256_div_pd(_mm256_mul_pd(gv, v), rv);
+      _mm256_storeu_pd(out + o, _mm256_mul_pd(pv, v_det_tanh(arg)));
     }
   }
-  for (; s0 < w; ++s0) {
-    const double g = gain[s0], r = ref[s0], p = post[s0];
-    if (add != nullptr) {
-      for (std::size_t i = 0; i < n; ++i)
-        out[i * w + s0] =
-            p * util::det_tanh(g * (x[i * w + s0] + add[i * w + s0]) / r);
-    } else {
-      for (std::size_t i = 0; i < n; ++i)
-        out[i * w + s0] = p * util::det_tanh(g * x[i * w + s0] / r);
-    }
-  }
+  for (; s0 < w; ++s0)
+    ref::tanh_column(x + s0, add != nullptr ? add + s0 : nullptr, out + s0, n,
+                     w, gain[s0], ref[s0], post[s0]);
 }
 
-// One stream of the batched one-pole, advanced through scan_lane() on its
-// strided column — byte-identical to the solo k_one_pole at any call
+// One stream of the lane one-pole, advanced through scan_lane() on its
+// strided column — byte-identical to one_pole_solo at any call
 // partition (the solo resume/packed/tail paths all emit scan_lane bits).
 // Caller has already re-anchored the state on alpha change.
-inline void batch_one_pole_lane(const double* x, double* out, std::size_t n,
+inline void one_pole_column(const double* x, double* out, std::size_t n,
                                 std::size_t w, double alpha,
                                 OnePoleState& st) {
   const ScanCoeffs c = scan_coeffs(alpha);
@@ -491,9 +468,9 @@ inline void batch_one_pole_lane(const double* x, double* out, std::size_t n,
   }
 }
 
-void k_one_pole_batch(const double* x, double* out, std::size_t n,
-                      std::size_t w, const double* alpha,
-                      OnePoleState* const* st) {
+void k_one_pole(const double* x, double* out, std::size_t n, std::size_t w,
+                const double* alpha, OnePoleState* const* st) {
+  if (w == 1) return one_pole_solo(x, out, n, *alpha, **st);
   for (std::size_t s = 0; s < w; ++s) {
     OnePoleState& S = *st[s];
     if (alpha[s] != S.alpha) {
@@ -509,32 +486,22 @@ void k_one_pole_batch(const double* x, double* out, std::size_t n,
         st[s0 + 3]->phase != ph) {
       // Phases diverged (streams entered the batch mid-group at different
       // offsets); advance each stream alone — same bits, no lockstep.
-      for (int l = 0; l < 4; ++l)
-        batch_one_pole_lane(x + s0 + l, out + s0 + l, n, w, alpha[s0 + l],
-                            *st[s0 + l]);
+      for (std::size_t l = 0; l < 4; ++l)
+        one_pole_column(x + s0 + l, out + s0 + l, n, w, alpha[s0 + l],
+                        *st[s0 + l]);
       continue;
     }
-    std::size_t i = 0;
+    // Each lane of the group advanced `len` samples from sample `i` alone
+    // — the same scan_lane bits as the packed path.
+    const auto lanes_alone = [&](std::size_t i, std::size_t len) {
+      for (std::size_t l = 0; l < 4; ++l)
+        one_pole_column(x + i * w + s0 + l, out + i * w + s0 + l, len, w,
+                        alpha[s0 + l], *st[s0 + l]);
+    };
     // Resume a partial group left by a previous call (shared phase).
-    unsigned phase = ph;
-    while (phase != 0 && i < n) {
-      for (int l = 0; l < 4; ++l) {
-        OnePoleState& S = *st[s0 + l];
-        const ScanCoeffs c = scan_coeffs(S.alpha);
-        S.a[phase] = S.alpha * x[i * w + s0 + l];
-        S.y = scan_lane(S, c, phase);
-        out[i * w + s0 + l] = S.y;
-      }
-      ++i;
-      if (++phase == 4) {
-        phase = 0;
-        for (int l = 0; l < 4; ++l) {
-          st[s0 + l]->y0 = st[s0 + l]->y;
-        }
-      }
-      for (int l = 0; l < 4; ++l) st[s0 + l]->phase = phase;
-    }
-    if (phase != 0) continue;  // i == n: batch ended inside the group
+    std::size_t i = ph == 0 ? 0 : std::min<std::size_t>(4 - ph, n);
+    lanes_alone(0, i);
+    if (st[s0]->phase != 0) continue;  // the call ended inside the group
 
     // Packed: 4 streams across the lanes, 4 time steps per iteration.
     // Per time step j this is scan_lane(j) with per-stream coefficients:
@@ -581,82 +548,50 @@ void k_one_pole_batch(const double* x, double* out, std::size_t n,
       }
     }
     // Tail: start a partial group (n - i < 4, phase is 0 here).
-    for (; i < n; ++i) {
-      for (int l = 0; l < 4; ++l) {
-        OnePoleState& S = *st[s0 + l];
-        const ScanCoeffs c = scan_coeffs(S.alpha);
-        S.a[S.phase] = S.alpha * x[i * w + s0 + l];
-        S.y = scan_lane(S, c, S.phase);
-        out[i * w + s0 + l] = S.y;
-        ++S.phase;
-      }
-    }
+    lanes_alone(i, n - i);
   }
   for (; s0 < w; ++s0)
-    batch_one_pole_lane(x + s0, out + s0, n, w, alpha[s0], *st[s0]);
+    one_pole_column(x + s0, out + s0, n, w, alpha[s0], *st[s0]);
 }
 
-// One stream of the batched slew/vga-tail on its strided column, via the
-// shared reference steps — bit-identical to ref::slew / ref::vga_tail
-// (which the solo AVX2 table points at).
-inline void batch_slew_lane(const double* x, double* out, std::size_t n,
-                            std::size_t w, const SlewCoeffs& c,
-                            SlewState& st) {
-  SlewState s = st;
-  for (std::size_t i = 0; i < n; ++i) out[i * w] = slew_step(c, s, x[i * w]);
-  st = s;
-}
-
-inline void batch_vga_tail_lane(const double* lim, double* out, std::size_t n,
-                                std::size_t w, const VgaTailCoeffs& c,
-                                SlewState& slew_st, VgaTailState& d) {
-  SlewState s = slew_st;
-  VgaTailState dd = d;
-  for (std::size_t i = 0; i < n; ++i)
-    out[i * w] = vga_tail_step(c, s, dd, lim[i * w]);
-  slew_st = s;
-  d = dd;
-}
-
-void k_slew_batch(const double* x, double* out, std::size_t n, std::size_t w,
-                  const SlewCoeffs* const* c, SlewState* const* st) {
+void k_slew(const double* x, double* out, std::size_t n, std::size_t w,
+            const SlewCoeffs* c, SlewState* const* st) {
+  if (w == 1) return ref::slew(x, out, n, w, c, st);
   std::size_t s0 = 0;
   for (; s0 + 4 <= w; s0 += 4) {
-    const bool has_lin = c[s0]->has_lin;
-    const bool has_leak = c[s0]->has_leak;
+    const bool has_lin = c[s0].has_lin;
+    const bool has_leak = c[s0].has_leak;
     const bool first = st[s0]->first;
     bool uniform = true;
     for (int l = 1; l < 4; ++l)
-      uniform = uniform && c[s0 + l]->has_lin == has_lin &&
-                c[s0 + l]->has_leak == has_leak && st[s0 + l]->first == first;
+      uniform = uniform && c[s0 + l].has_lin == has_lin &&
+                c[s0 + l].has_leak == has_leak && st[s0 + l]->first == first;
     if (!uniform) {
       for (int l = 0; l < 4; ++l)
-        batch_slew_lane(x + s0 + l, out + s0 + l, n, w, *c[s0 + l],
-                        *st[s0 + l]);
+        ref::slew_column(x + s0 + l, out + s0 + l, n, w, c[s0 + l],
+                         *st[s0 + l]);
       continue;
     }
     if (n == 0) continue;
     std::size_t i = 0;
-    __m256d yv;
     if (first) {
-      // First sample snaps to the input on every stream.
-      yv = _mm256_loadu_pd(x + s0);
-      _mm256_storeu_pd(out + s0, yv);
-      for (int l = 0; l < 4; ++l) st[s0 + l]->first = false;
+      // The first sample snaps to the input: the reference step per stream.
+      for (std::size_t l = 0; l < 4; ++l)
+        ref::slew_column(x + s0 + l, out + s0 + l, 1, w, c[s0 + l],
+                         *st[s0 + l]);
       i = 1;
-    } else {
-      yv = _mm256_setr_pd(st[s0]->y, st[s0 + 1]->y, st[s0 + 2]->y,
-                          st[s0 + 3]->y);
     }
+    __m256d yv = _mm256_setr_pd(st[s0]->y, st[s0 + 1]->y, st[s0 + 2]->y,
+                                st[s0 + 3]->y);
     const __m256d maxv =
-        _mm256_setr_pd(c[s0]->max_step, c[s0 + 1]->max_step,
-                       c[s0 + 2]->max_step, c[s0 + 3]->max_step);
+        _mm256_setr_pd(c[s0].max_step, c[s0 + 1].max_step,
+                       c[s0 + 2].max_step, c[s0 + 3].max_step);
     // Exact negation (sign-bit flip), matching the scalar -c.max_step.
     const __m256d negmaxv = _mm256_xor_pd(maxv, vset(-0.0));
-    const __m256d linv = _mm256_setr_pd(c[s0]->lin, c[s0 + 1]->lin,
-                                        c[s0 + 2]->lin, c[s0 + 3]->lin);
-    const __m256d leakv = _mm256_setr_pd(c[s0]->leak, c[s0 + 1]->leak,
-                                         c[s0 + 2]->leak, c[s0 + 3]->leak);
+    const __m256d linv = _mm256_setr_pd(c[s0].lin, c[s0 + 1].lin,
+                                        c[s0 + 2].lin, c[s0 + 3].lin);
+    const __m256d leakv = _mm256_setr_pd(c[s0].leak, c[s0 + 1].leak,
+                                         c[s0 + 2].leak, c[s0 + 3].leak);
     for (; i < n; ++i) {
       const std::size_t o = i * w + s0;
       const __m256d vin = _mm256_loadu_pd(x + o);
@@ -676,28 +611,33 @@ void k_slew_batch(const double* x, double* out, std::size_t n, std::size_t w,
     for (int l = 0; l < 4; ++l) st[s0 + l]->y = ys[l];
   }
   for (; s0 < w; ++s0)
-    batch_slew_lane(x + s0, out + s0, n, w, *c[s0], *st[s0]);
+    ref::slew_column(x + s0, out + s0, n, w, c[s0], *st[s0]);
 }
 
-void k_vga_tail_batch(const double* lim, double* out, std::size_t n,
-                      std::size_t w, const VgaTailCoeffs* const* c,
-                      SlewState* const* slew_st, VgaTailState* const* d) {
+void k_vga_tail(const double* lim, const double* amp, double* out,
+                std::size_t n, std::size_t w, const VgaTailCoeffs* c,
+                SlewState* const* slew_st, VgaTailState* const* d) {
+  if (w == 1) return ref::vga_tail(lim, amp, out, n, w, c, slew_st, d);
+  // Stream s0 + l's column of the per-sample amplitude, if modulated.
+  const auto amp_col = [amp](std::size_t s) {
+    return amp != nullptr ? amp + s : nullptr;
+  };
   std::size_t s0 = 0;
   for (; s0 + 4 <= w; s0 += 4) {
-    const bool has_lin = c[s0]->slew.has_lin;
-    const bool has_leak = c[s0]->slew.has_leak;
-    const bool act = c[s0]->max_step > 0.0;
+    const bool has_lin = c[s0].slew.has_lin;
+    const bool has_leak = c[s0].slew.has_leak;
+    const bool act = c[s0].max_step > 0.0;
     bool uniform = true;
     for (int l = 1; l < 4; ++l)
-      uniform = uniform && c[s0 + l]->slew.has_lin == has_lin &&
-                c[s0 + l]->slew.has_leak == has_leak &&
-                (c[s0 + l]->max_step > 0.0) == act &&
+      uniform = uniform && c[s0 + l].slew.has_lin == has_lin &&
+                c[s0 + l].slew.has_leak == has_leak &&
+                (c[s0 + l].max_step > 0.0) == act &&
                 slew_st[s0 + l]->first == slew_st[s0]->first &&
                 d[s0 + l]->first == d[s0]->first;
     if (!uniform) {
-      for (int l = 0; l < 4; ++l)
-        batch_vga_tail_lane(lim + s0 + l, out + s0 + l, n, w, *c[s0 + l],
-                            *slew_st[s0 + l], *d[s0 + l]);
+      for (std::size_t l = 0; l < 4; ++l)
+        ref::vga_tail_column(lim + s0 + l, amp_col(s0 + l), out + s0 + l, n,
+                             w, c[s0 + l], *slew_st[s0 + l], *d[s0 + l]);
       continue;
     }
     if (n == 0) continue;
@@ -705,32 +645,35 @@ void k_vga_tail_batch(const double* lim, double* out, std::size_t n,
     if (slew_st[s0]->first || d[s0]->first) {
       // First sample has snap/startup special cases; take the reference
       // step per stream, then run the vector loop with both flags clear.
-      for (int l = 0; l < 4; ++l)
-        out[s0 + l] =
-            vga_tail_step(*c[s0 + l], *slew_st[s0 + l], *d[s0 + l], lim[s0 + l]);
+      for (std::size_t l = 0; l < 4; ++l)
+        ref::vga_tail_column(lim + s0 + l, amp_col(s0 + l), out + s0 + l, 1,
+                             w, c[s0 + l], *slew_st[s0 + l], *d[s0 + l]);
       i = 1;
       if (i >= n) continue;
     }
-    const __m256d ampv = _mm256_setr_pd(c[s0]->amp, c[s0 + 1]->amp,
-                                        c[s0 + 2]->amp, c[s0 + 3]->amp);
+    const __m256d ampv = _mm256_setr_pd(c[s0].amp, c[s0 + 1].amp,
+                                        c[s0 + 2].amp, c[s0 + 3].amp);
     const __m256d ampfv =
-        _mm256_setr_pd(c[s0]->amp_frac, c[s0 + 1]->amp_frac,
-                       c[s0 + 2]->amp_frac, c[s0 + 3]->amp_frac);
-    const __m256d alphav = _mm256_setr_pd(c[s0]->alpha, c[s0 + 1]->alpha,
-                                          c[s0 + 2]->alpha, c[s0 + 3]->alpha);
+        _mm256_setr_pd(c[s0].amp_frac, c[s0 + 1].amp_frac,
+                       c[s0 + 2].amp_frac, c[s0 + 3].amp_frac);
+    const __m256d dfv =
+        _mm256_setr_pd(c[s0].droop_frac, c[s0 + 1].droop_frac,
+                       c[s0 + 2].droop_frac, c[s0 + 3].droop_frac);
+    const __m256d alphav = _mm256_setr_pd(c[s0].alpha, c[s0 + 1].alpha,
+                                          c[s0 + 2].alpha, c[s0 + 3].alpha);
     const __m256d invmsv =
-        _mm256_setr_pd(c[s0]->inv_max_step, c[s0 + 1]->inv_max_step,
-                       c[s0 + 2]->inv_max_step, c[s0 + 3]->inv_max_step);
+        _mm256_setr_pd(c[s0].inv_max_step, c[s0 + 1].inv_max_step,
+                       c[s0 + 2].inv_max_step, c[s0 + 3].inv_max_step);
     const __m256d maxv =
-        _mm256_setr_pd(c[s0]->slew.max_step, c[s0 + 1]->slew.max_step,
-                       c[s0 + 2]->slew.max_step, c[s0 + 3]->slew.max_step);
+        _mm256_setr_pd(c[s0].slew.max_step, c[s0 + 1].slew.max_step,
+                       c[s0 + 2].slew.max_step, c[s0 + 3].slew.max_step);
     const __m256d negmaxv = _mm256_xor_pd(maxv, vset(-0.0));
     const __m256d linv =
-        _mm256_setr_pd(c[s0]->slew.lin, c[s0 + 1]->slew.lin,
-                       c[s0 + 2]->slew.lin, c[s0 + 3]->slew.lin);
+        _mm256_setr_pd(c[s0].slew.lin, c[s0 + 1].slew.lin,
+                       c[s0 + 2].slew.lin, c[s0 + 3].slew.lin);
     const __m256d leakv =
-        _mm256_setr_pd(c[s0]->slew.leak, c[s0 + 1]->slew.leak,
-                       c[s0 + 2]->slew.leak, c[s0 + 3]->slew.leak);
+        _mm256_setr_pd(c[s0].slew.leak, c[s0 + 1].slew.leak,
+                       c[s0 + 2].slew.leak, c[s0 + 3].slew.leak);
     const __m256d onev = vset(1.0);
     const __m256d sign_mask = vset(-0.0);
     __m256d yv = _mm256_setr_pd(slew_st[s0]->y, slew_st[s0 + 1]->y,
@@ -739,32 +682,46 @@ void k_vga_tail_batch(const double* lim, double* out, std::size_t n,
                                     d[s0 + 2]->droop, d[s0 + 3]->droop);
     __m256d prevv = _mm256_setr_pd(d[s0]->prev, d[s0 + 1]->prev,
                                    d[s0 + 2]->prev, d[s0 + 3]->prev);
-    for (; i < n; ++i) {
-      const std::size_t o = i * w + s0;
-      const __m256d limv = _mm256_loadu_pd(lim + o);
-      const __m256d a = _mm256_sub_pd(ampv, _mm256_mul_pd(ampfv, droopv));
-      const __m256d target = _mm256_mul_pd(a, limv);
-      // Embedded slew_step (first is false from here on).
-      const __m256d err = _mm256_sub_pd(target, yv);
-      __m256d want = err;
-      if (has_lin) want = _mm256_mul_pd(want, linv);
-      __m256d dy = _mm256_max_pd(negmaxv, _mm256_min_pd(maxv, want));
-      if (has_leak) dy = _mm256_add_pd(dy, _mm256_mul_pd(err, leakv));
-      yv = _mm256_add_pd(yv, dy);
-      const __m256d slewed = yv;
-      __m256d activity = _mm256_setzero_pd();
-      if (act) {
-        const __m256d ad =
-            _mm256_andnot_pd(sign_mask, _mm256_sub_pd(slewed, prevv));
-        // std::min(1.0, x): x rides src1, 1.0 src2, so a NaN activity
-        // collapses to 1.0 exactly like the scalar comparison.
-        activity = _mm256_min_pd(_mm256_mul_pd(ad, invmsv), onev);
+    // One loop per amplitude source, so the hot loop carries no test.
+    const auto run = [&](auto modulated) {
+      for (; i < n; ++i) {
+        const std::size_t o = i * w + s0;
+        const __m256d limv = _mm256_loadu_pd(lim + o);
+        __m256d av = ampv, afv = ampfv;
+        if constexpr (decltype(modulated)::value) {
+          // Per-sample A(Vctrl): amp_frac = amp * droop_frac, as in the
+          // scalar step.
+          av = _mm256_loadu_pd(amp + o);
+          afv = _mm256_mul_pd(av, dfv);
+        }
+        const __m256d a = _mm256_sub_pd(av, _mm256_mul_pd(afv, droopv));
+        const __m256d target = _mm256_mul_pd(a, limv);
+        // Embedded slew_step (first is false from here on).
+        const __m256d err = _mm256_sub_pd(target, yv);
+        __m256d want = err;
+        if (has_lin) want = _mm256_mul_pd(want, linv);
+        __m256d dy = _mm256_max_pd(negmaxv, _mm256_min_pd(maxv, want));
+        if (has_leak) dy = _mm256_add_pd(dy, _mm256_mul_pd(err, leakv));
+        yv = _mm256_add_pd(yv, dy);
+        const __m256d slewed = yv;
+        __m256d activity = _mm256_setzero_pd();
+        if (act) {
+          const __m256d ad =
+              _mm256_andnot_pd(sign_mask, _mm256_sub_pd(slewed, prevv));
+          // std::min(1.0, x): x rides src1, 1.0 src2, so a NaN activity
+          // collapses to 1.0 exactly like the scalar comparison.
+          activity = _mm256_min_pd(_mm256_mul_pd(ad, invmsv), onev);
+        }
+        prevv = slewed;
+        droopv = _mm256_add_pd(
+            droopv, _mm256_mul_pd(alphav, _mm256_sub_pd(activity, droopv)));
+        _mm256_storeu_pd(out + o, slewed);
       }
-      prevv = slewed;
-      droopv = _mm256_add_pd(
-          droopv, _mm256_mul_pd(alphav, _mm256_sub_pd(activity, droopv)));
-      _mm256_storeu_pd(out + o, slewed);
-    }
+    };
+    if (amp != nullptr)
+      run(std::true_type{});
+    else
+      run(std::false_type{});
     double tmp[4];
     _mm256_storeu_pd(tmp, yv);
     for (int l = 0; l < 4; ++l) slew_st[s0 + l]->y = tmp[l];
@@ -778,27 +735,21 @@ void k_vga_tail_batch(const double* lim, double* out, std::size_t n,
     }
   }
   for (; s0 < w; ++s0)
-    batch_vga_tail_lane(lim + s0, out + s0, n, w, *c[s0], *slew_st[s0],
-                        *d[s0]);
+    ref::vga_tail_column(lim + s0, amp_col(s0), out + s0, n, w, c[s0],
+                         *slew_st[s0], *d[s0]);
 }
 
 const Kernels kAvx2 = {
     /*name=*/"avx2",
     /*isa=*/"avx2+fma",
-    /*lanes=*/4,
-    /*bit_exact=*/false,  // one_pole runs the reassociated scan
     k_scale,
-    k_tanh_stage,
     k_exp_block,
     k_sincos2pi_block,
     k_box_muller,
+    k_tanh_stage,
     k_one_pole,
-    ref::slew,      // serial recursion: shared scalar definition
-    ref::vga_tail,  // serial recursion: shared scalar definition
-    k_tanh_stage_batch,
-    k_one_pole_batch,
-    k_slew_batch,
-    k_vga_tail_batch,
+    k_slew,
+    k_vga_tail,
 };
 
 }  // namespace

@@ -1,46 +1,77 @@
-// Internal: the scalar reference kernel functions, with linkage, so the
-// AVX2 table can point at them for the kernels that stay serial (the
-// slew and VGA-tail recursions have loop-carried nonlinear dependencies
-// with no profitable 4-lane formulation — sharing the scalar definition,
-// compiled WITHOUT -mavx2, keeps them trivially bit-identical across
-// backends). Not part of the public backend API; include backend.h.
+// Internal: the scalar reference loops shared by both kernel tables.
+// The column loops advance one stream's strided column (stride w; 1 for a
+// solo stream) through the reference arithmetic of backend.h; the scalar
+// table walks every stream with them and the AVX2 table uses them for the
+// w % 4 remainder and for lane groups whose flags diverge. The AVX2 table's
+// w == 1 slew and droop tail call ref::slew / ref::vga_tail themselves —
+// the scalar definitions, compiled WITHOUT -mavx2 — so the serial solo
+// recursions are trivially bit-identical across backends. Not part of the
+// public backend API; include backend.h.
 #pragma once
 
 #include <cstddef>
 
 #include "backend/backend.h"
+#include "util/fastmath.h"
 
 namespace gdelay::backend::ref {
 
-void scale(const double* x, double* out, std::size_t n, double g);
-void tanh_stage(const double* x, const double* add, double* out,
-                std::size_t n, double gain, double ref, double post);
-void exp_block(const double* x, double* out, std::size_t n);
-void sincos2pi_block(const double* u, double* out_sin, double* out_cos,
-                     std::size_t n);
-void box_muller(const double* u1, const double* u2, double* out_cos,
-                double* out_sin, std::size_t n);
-void one_pole(const double* x, double* out, std::size_t n, double alpha,
-              OnePoleState& st);
-void slew(const double* x, double* out, std::size_t n, const SlewCoeffs& c,
-          SlewState& st);
+void slew(const double* x, double* out, std::size_t n, std::size_t w,
+          const SlewCoeffs* c, SlewState* const* st);
 void vga_tail(const double* lim, const double* amp, double* out,
-              std::size_t n, const VgaTailCoeffs& c, SlewState& slew_st,
-              VgaTailState& d);
+              std::size_t n, std::size_t w, const VgaTailCoeffs* c,
+              SlewState* const* slew_st, VgaTailState* const* d);
 
-// Lane-batched reference kernels: each stream is advanced loop-wise with
-// the exact solo reference arithmetic, so batch-vs-solo byte identity on
-// the scalar backend holds by construction.
-void tanh_stage_batch(const double* x, const double* add, double* out,
-                      std::size_t n, std::size_t w, const double* gain,
-                      const double* ref, const double* post);
-void one_pole_batch(const double* x, double* out, std::size_t n,
-                    std::size_t w, const double* alpha,
-                    OnePoleState* const* st);
-void slew_batch(const double* x, double* out, std::size_t n, std::size_t w,
-                const SlewCoeffs* const* c, SlewState* const* st);
-void vga_tail_batch(const double* lim, double* out, std::size_t n,
-                    std::size_t w, const VgaTailCoeffs* const* c,
-                    SlewState* const* slew_st, VgaTailState* const* d);
+// Internal linkage: each table's translation unit compiles its own copy
+// with its own target flags, so the linker can never hand the scalar
+// table a copy encoded for AVX2.
+namespace {
 
+// Split on `add` outside the loop; the expression shape matches every
+// call site: TanhLimiter's vsat*det_tanh(gain*v/vsat), the buffers'
+// post*det_tanh(output_gain*(x+noise)/output_ref).
+inline void tanh_column(const double* x, const double* add, double* out,
+                        std::size_t n, std::size_t stride, double gain,
+                        double ref, double post) {
+  if (add != nullptr) {
+    for (std::size_t i = 0; i < n; ++i)
+      out[i * stride] =
+          post * util::det_tanh(gain * (x[i * stride] + add[i * stride]) / ref);
+  } else {
+    for (std::size_t i = 0; i < n; ++i)
+      out[i * stride] = post * util::det_tanh(gain * x[i * stride] / ref);
+  }
+}
+
+inline void slew_column(const double* x, double* out, std::size_t n,
+                        std::size_t stride, const SlewCoeffs& c,
+                        SlewState& st) {
+  SlewState s = st;
+  for (std::size_t i = 0; i < n; ++i)
+    out[i * stride] = slew_step(c, s, x[i * stride]);
+  st = s;
+}
+
+/// `amp` (same stride) is the per-sample A(Vctrl), or nullptr for c.amp.
+inline void vga_tail_column(const double* lim, const double* amp, double* out,
+                            std::size_t n, std::size_t stride,
+                            const VgaTailCoeffs& c, SlewState& slew_st,
+                            VgaTailState& d) {
+  SlewState s = slew_st;
+  VgaTailState dd = d;
+  if (amp == nullptr) {
+    for (std::size_t i = 0; i < n; ++i)
+      out[i * stride] = vga_tail_step(c, s, dd, lim[i * stride]);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double a = amp[i * stride];
+      out[i * stride] =
+          vga_tail_step(c, a, a * c.droop_frac, s, dd, lim[i * stride]);
+    }
+  }
+  slew_st = s;
+  d = dd;
+}
+
+}  // namespace
 }  // namespace gdelay::backend::ref

@@ -30,230 +30,28 @@ void BatchRunner::add(FineDelayLine& line) {
   fines_.push_back(&line);
 }
 
-analog::LimitingBuffer& BatchRunner::lim_of(std::size_t s, Lim which) {
-  switch (which) {
-    case Lim::kFanout:
-      return channels_[s]->coarse().fanout();
-    case Lim::kMux:
-      return channels_[s]->coarse().mux();
-    default:
-      return fine_of(s).output_stage();
-  }
-}
-
-void BatchRunner::reset_streams() {
+template <typename Emit>
+void BatchRunner::run_chunks(const sig::Waveform& stimulus, Emit emit) {
+  const std::size_t w = width();
+  if (w == 0) throw std::logic_error("BatchRunner: no streams added");
   for (auto* ch : channels_) ch->reset();
   for (auto* f : fines_) f->reset();
-}
-
-void BatchRunner::ensure_scratch(std::size_t n) {
-  const std::size_t w = width();
-  ilv_.resize(n * w);
-  noise_.resize(n * w);
-  lim_.resize(n * w);
-  col_.resize(n);
-  if (!channels_.empty()) {
-    fan_.resize(n * w);
-    tap_.resize(n * w);
+  ilv_.resize(kChunk * w);
+  const double dt = stimulus.dt_ps();
+  const std::size_t total = stimulus.size();
+  const double* src = stimulus.samples().data();
+  for (std::size_t o = 0; o < total; o += kChunk) {
+    const std::size_t n = std::min(kChunk, total - o);
+    for (std::size_t i = 0; i < n; ++i)
+      std::fill_n(ilv_.data() + i * w, w, src[o + i]);
+    if (!channels_.empty())
+      VariableDelayChannel::process_lanes(channels_.data(), w, ilv_.data(),
+                                          ilv_.data(), n, dt);
+    else
+      FineDelayLine::process_lanes(fines_.data(), w, ilv_.data(), nullptr,
+                                   ilv_.data(), n, dt);
+    emit(ilv_.data(), o, n);
   }
-  p0_.resize(w);
-  p1_.resize(w);
-  p2_.resize(w);
-  nsrc_.resize(w);
-  poles_.resize(w);
-  slewc_.resize(w);
-  slews_.resize(w);
-  tailc_.resize(w);
-  tailcp_.resize(w);
-  tails_.resize(w);
-}
-
-// Band-limited Gaussian noise for all streams at once, interleaved into
-// `noise`. Each stream draws from its OWN RNG in the solo order
-// (fill_gaussian is chunk-invariant by the Rng contract), so the output
-// column equals that stream's solo NoiseSource::process_block — including
-// the sigma == 0 short-circuit, which advances neither RNG nor filter.
-// Callers load nsrc_ with the streams' sources first.
-void BatchRunner::noise_pass(double* noise, std::size_t n, double dt_ps) {
-  const std::size_t w = width();
-  const backend::Kernels& k = backend::active();
-  bool any = false, all = true;
-  for (std::size_t s = 0; s < w; ++s) {
-    const bool on = nsrc_[s]->sigma_v() != 0.0;
-    any = any || on;
-    all = all && on;
-  }
-  if (!any) {
-    std::fill(noise, noise + n * w, 0.0);
-    return;
-  }
-  if (all) {
-    for (std::size_t s = 0; s < w; ++s) {
-      analog::NoiseSource& src = *nsrc_[s];
-      src.prime(dt_ps);
-      src.rng().fill_gaussian(col_.data(), n, 0.0, src.primed_sigma_x());
-      for (std::size_t i = 0; i < n; ++i) noise[i * w + s] = col_[i];
-      p0_[s] = src.primed_alpha();
-      poles_[s] = &src.pole_state();
-    }
-    k.one_pole_batch(noise, noise, n, w, p0_.data(), poles_.data());
-  } else {
-    // Mixed on/off across streams (unusual configs): per-stream solo path.
-    for (std::size_t s = 0; s < w; ++s) {
-      nsrc_[s]->process_block(col_.data(), n, dt_ps);
-      for (std::size_t i = 0; i < n; ++i) noise[i * w + s] = col_[i];
-    }
-  }
-}
-
-// One LimitingBuffer::process_block across all streams, in place on the
-// interleaved buffer: input tanh pair, bandwidth pole, band-limited noise
-// folded into the limiting output stage, output slew.
-void BatchRunner::limiting_pass(Lim which, double* buf, std::size_t n,
-                                double dt_ps) {
-  const std::size_t w = width();
-  const backend::Kernels& k = backend::active();
-  for (std::size_t s = 0; s < w; ++s) {
-    const analog::LimitingBufferConfig& cfg = lim_of(s, which).config();
-    p0_[s] = cfg.input_gain;
-    p1_[s] = cfg.input_sat_v;
-    p2_[s] = cfg.input_sat_v;
-  }
-  k.tanh_stage_batch(buf, nullptr, buf, n, w, p0_.data(), p1_.data(),
-                     p2_.data());
-  for (std::size_t s = 0; s < w; ++s) {
-    analog::SinglePoleFilter& f = lim_of(s, which).lpf();
-    p0_[s] = f.prime(dt_ps);
-    poles_[s] = &f.pole_state();
-  }
-  k.one_pole_batch(buf, buf, n, w, p0_.data(), poles_.data());
-  for (std::size_t s = 0; s < w; ++s) nsrc_[s] = &lim_of(s, which).noise();
-  noise_pass(noise_.data(), n, dt_ps);
-  for (std::size_t s = 0; s < w; ++s) {
-    const analog::LimitingBufferConfig& cfg = lim_of(s, which).config();
-    p0_[s] = cfg.output_gain;
-    p1_[s] = cfg.output_ref_v;
-    p2_[s] = cfg.out_swing_v;
-  }
-  k.tanh_stage_batch(buf, noise_.data(), buf, n, w, p0_.data(), p1_.data(),
-                     p2_.data());
-  for (std::size_t s = 0; s < w; ++s) {
-    analog::SlewRateLimiter& sl = lim_of(s, which).slew_limiter();
-    sl.prime(dt_ps);
-    slewc_[s] = &sl.primed_coeffs();
-    slews_[s] = &sl.state();
-  }
-  k.slew_batch(buf, buf, n, w, slewc_.data(), slews_.data());
-}
-
-// One VariableGainBuffer::process_block across all streams: input tanh
-// pair, bandwidth pole, noise into the amplitude-programmed limiting
-// stage, the fused droop/slew tail, and the output-network pole.
-void BatchRunner::vga_pass(int stage, double* buf, std::size_t n,
-                           double dt_ps) {
-  const std::size_t w = width();
-  const backend::Kernels& k = backend::active();
-  for (std::size_t s = 0; s < w; ++s) {
-    const analog::VgaBufferConfig& cfg = vga_of(s, stage).config();
-    p0_[s] = cfg.input_gain;
-    p1_[s] = cfg.input_sat_v;
-    p2_[s] = cfg.input_sat_v;
-  }
-  k.tanh_stage_batch(buf, nullptr, buf, n, w, p0_.data(), p1_.data(),
-                     p2_.data());
-  for (std::size_t s = 0; s < w; ++s) {
-    analog::SinglePoleFilter& f = vga_of(s, stage).lpf();
-    p0_[s] = f.prime(dt_ps);
-    poles_[s] = &f.pole_state();
-  }
-  k.one_pole_batch(buf, buf, n, w, p0_.data(), poles_.data());
-  for (std::size_t s = 0; s < w; ++s) nsrc_[s] = &vga_of(s, stage).noise();
-  noise_pass(noise_.data(), n, dt_ps);
-  for (std::size_t s = 0; s < w; ++s) {
-    const analog::VgaBufferConfig& cfg = vga_of(s, stage).config();
-    p0_[s] = cfg.output_gain;
-    p1_[s] = cfg.output_ref_v;
-    p2_[s] = 1.0;
-  }
-  k.tanh_stage_batch(buf, noise_.data(), lim_.data(), n, w, p0_.data(),
-                     p1_.data(), p2_.data());
-  for (std::size_t s = 0; s < w; ++s) {
-    analog::VariableGainBuffer& b = vga_of(s, stage);
-    tailc_[s] = b.tail_coeffs(dt_ps);  // also primes the slew limiter
-    tailcp_[s] = &tailc_[s];
-    slews_[s] = &b.slew_limiter().state();
-    tails_[s] = &b.tail_state();
-  }
-  k.vga_tail_batch(lim_.data(), buf, n, w, tailcp_.data(), slews_.data(),
-                   tails_.data());
-  for (std::size_t s = 0; s < w; ++s) {
-    analog::SinglePoleFilter& f = vga_of(s, stage).out_pole();
-    p0_[s] = f.prime(dt_ps);
-    poles_[s] = &f.pole_state();
-  }
-  k.one_pole_batch(buf, buf, n, w, p0_.data(), poles_.data());
-}
-
-// One TransmissionLine::process_block per stream on tap `tap`. The
-// fractional-delay ring walk is inherently per-stream (gather/scatter on a
-// column); the dispersion pole re-joins the batched kernel when every
-// stream has one.
-void BatchRunner::tline_pass(int tap, const double* in, double* out,
-                             std::size_t n, double dt_ps) {
-  const std::size_t w = width();
-  const backend::Kernels& k = backend::active();
-  bool all_pole = true;
-  bool any_pole = false;
-  for (std::size_t s = 0; s < w; ++s) {
-    const bool has = channels_[s]->coarse().tap(tap).has_pole();
-    all_pole = all_pole && has;
-    any_pole = any_pole || has;
-  }
-  for (std::size_t s = 0; s < w; ++s) {
-    analog::TransmissionLine& t = channels_[s]->coarse().tap(tap);
-    for (std::size_t i = 0; i < n; ++i) col_[i] = in[i * w + s];
-    t.frac_delay().process_block(col_.data(), col_.data(), n, dt_ps);
-    const double lf = t.loss_factor();
-    for (std::size_t i = 0; i < n; ++i) out[i * w + s] = col_[i] * lf;
-  }
-  if (all_pole) {
-    for (std::size_t s = 0; s < w; ++s) {
-      analog::SinglePoleFilter& p = channels_[s]->coarse().tap(tap).pole();
-      p0_[s] = p.prime(dt_ps);
-      poles_[s] = &p.pole_state();
-    }
-    k.one_pole_batch(out, out, n, w, p0_.data(), poles_.data());
-  } else if (any_pole) {
-    for (std::size_t s = 0; s < w; ++s) {
-      analog::TransmissionLine& t = channels_[s]->coarse().tap(tap);
-      if (!t.has_pole()) continue;
-      for (std::size_t i = 0; i < n; ++i) col_[i] = out[i * w + s];
-      t.pole().process_block(col_.data(), col_.data(), n, dt_ps);
-      for (std::size_t i = 0; i < n; ++i) out[i * w + s] = col_[i];
-    }
-  }
-}
-
-void BatchRunner::process_chunk(double* buf, std::size_t n, double dt_ps) {
-  const std::size_t w = width();
-  if (!channels_.empty()) {
-    limiting_pass(Lim::kFanout, buf, n, dt_ps);
-    std::copy(buf, buf + n * w, fan_.data());
-    for (int t = 0; t < CoarseDelayBlock::kTaps; ++t) {
-      // Every tap advances every sample — their state must track the
-      // fanout signal for mid-run reselection, exactly like the solo
-      // block — but only the selected tap's column feeds the mux.
-      tline_pass(t, fan_.data(), tap_.data(), n, dt_ps);
-      for (std::size_t s = 0; s < w; ++s) {
-        if (channels_[s]->selected_tap() != t) continue;
-        for (std::size_t i = 0; i < n; ++i) buf[i * w + s] = tap_[i * w + s];
-      }
-    }
-    limiting_pass(Lim::kMux, buf, n, dt_ps);
-  }
-  const int n_stages = fine_of(0).n_stages();
-  for (int st = 0; st < n_stages; ++st) vga_pass(st, buf, n, dt_ps);
-  limiting_pass(Lim::kFineOut, buf, n, dt_ps);
 }
 
 std::vector<sig::Waveform> BatchRunner::run(const sig::Waveform& stimulus) {
@@ -265,28 +63,16 @@ std::vector<sig::Waveform> BatchRunner::run(const sig::Waveform& stimulus) {
 void BatchRunner::run(const sig::Waveform& stimulus,
                       std::vector<sig::Waveform>& outs) {
   const std::size_t w = width();
-  if (w == 0) throw std::logic_error("BatchRunner: no streams added");
   if (outs.size() != w) outs.resize(w);
   for (auto& o : outs)
     if (!o.same_grid(stimulus))
       o = sig::Waveform(stimulus.t0_ps(), stimulus.dt_ps(), stimulus.size());
-  reset_streams();
-  ensure_scratch(kChunk);
-  const double dt = stimulus.dt_ps();
-  const std::size_t total = stimulus.size();
-  const double* src = stimulus.samples().data();
-  for (std::size_t o = 0; o < total; o += kChunk) {
-    const std::size_t n = std::min(kChunk, total - o);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double x = src[o + i];
-      for (std::size_t s = 0; s < w; ++s) ilv_[i * w + s] = x;
-    }
-    process_chunk(ilv_.data(), n, dt);
+  run_chunks(stimulus, [&](const double* buf, std::size_t o, std::size_t n) {
     for (std::size_t s = 0; s < w; ++s) {
       double* dst = outs[s].samples().data() + o;
-      for (std::size_t i = 0; i < n; ++i) dst[i] = ilv_[i * w + s];
+      for (std::size_t i = 0; i < n; ++i) dst[i] = buf[i * w + s];
     }
-  }
+  });
 }
 
 void BatchRunner::run(const sig::Waveform& stimulus,
@@ -295,24 +81,15 @@ void BatchRunner::run(const sig::Waveform& stimulus,
   if (w == 0) throw std::logic_error("BatchRunner: no streams added");
   if (sinks.size() != w)
     throw std::invalid_argument("BatchRunner: one sink per stream required");
-  reset_streams();
-  ensure_scratch(kChunk);
-  const double dt = stimulus.dt_ps();
-  const std::size_t total = stimulus.size();
-  const double* src = stimulus.samples().data();
-  for (auto* sink : sinks) sink->begin(stimulus.t0_ps(), dt, total);
-  for (std::size_t o = 0; o < total; o += kChunk) {
-    const std::size_t n = std::min(kChunk, total - o);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double x = src[o + i];
-      for (std::size_t s = 0; s < w; ++s) ilv_[i * w + s] = x;
-    }
-    process_chunk(ilv_.data(), n, dt);
+  for (auto* sink : sinks)
+    sink->begin(stimulus.t0_ps(), stimulus.dt_ps(), stimulus.size());
+  col_.resize(kChunk);
+  run_chunks(stimulus, [&](const double* buf, std::size_t, std::size_t n) {
     for (std::size_t s = 0; s < w; ++s) {
-      for (std::size_t i = 0; i < n; ++i) col_[i] = ilv_[i * w + s];
+      for (std::size_t i = 0; i < n; ++i) col_[i] = buf[i * w + s];
       sinks[s]->consume(col_.data(), n);
     }
-  }
+  });
   for (auto* sink : sinks) sink->finish();
 }
 

@@ -1,19 +1,20 @@
 // Lane-batched multi-stream executor.
 //
 // The serial-by-contract recursions (slew limiting, the VGA droop tail)
-// capped PR 5's whole-channel AVX2 speedup at ~1.7x: a single stream
-// cannot vectorize a loop-carried nonlinear dependence. But the repo's
-// dominant workloads — Monte-Carlo matching trials, calibration Vctrl
-// sweeps, board channels — are embarrassingly parallel across STREAMS.
-// BatchRunner exploits that: it takes N independent cloned element
-// chains (decorrelated via fork_noise(), programmed with per-stream taps
-// and Vctrl), transposes each chunk into an interleaved time-major
-// layout buf[i*w + s], and drives the chains' exact pass sequences
-// through the lane-batched backend kernels (tanh_stage_batch /
-// one_pole_batch / slew_batch / vga_tail_batch), which advance 4 streams
-// per AVX2 iteration — serial in time, parallel across streams.
+// cap what SIMD can do for a single stream: a loop-carried nonlinear
+// dependence cannot vectorize along time. But the repo's dominant
+// workloads — Monte-Carlo matching trials, calibration Vctrl sweeps,
+// board channels — are embarrassingly parallel across STREAMS.
+// BatchRunner is a thin interleaver that exploits that: it takes N
+// independent cloned element chains (decorrelated via fork_noise(),
+// programmed with per-stream taps and Vctrl), transposes each chunk of
+// the shared stimulus into an interleaved time-major layout
+// buf[i*w + s], runs it through the chains' own lane pass
+// (VariableDelayChannel::process_lanes / FineDelayLine::process_lanes —
+// the very code their solo process_block() runs at w == 1), and
+// de-interleaves the result into waveforms or sinks.
 //
-// Determinism contract (enforced by tests/test_batch_equivalence.cpp):
+// Determinism contract (enforced by tests/test_block_kernels.cpp):
 // every stream's output is bit-identical to its solo run
 // (stream.process(stimulus)) on the same backend, for ANY batch width
 // and ANY stream-to-lane assignment. Each stream draws from its own RNG
@@ -23,7 +24,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "backend/backend.h"
 #include "core/channel.h"
 #include "measure/sinks.h"
 #include "signal/waveform.h"
@@ -61,40 +61,16 @@ class BatchRunner {
            const std::vector<meas::ISampleSink*>& sinks);
 
  private:
-  enum class Lim { kFanout, kMux, kFineOut };
-
-  FineDelayLine& fine_of(std::size_t s) {
-    return channels_.empty() ? *fines_[s] : channels_[s]->fine();
-  }
-  analog::VariableGainBuffer& vga_of(std::size_t s, int stage) {
-    return fine_of(s).stage(stage);
-  }
-  analog::LimitingBuffer& lim_of(std::size_t s, Lim which);
-
-  void reset_streams();
-  void ensure_scratch(std::size_t n);
-  /// One interleaved chunk through the full chain, in place.
-  void process_chunk(double* buf, std::size_t n, double dt_ps);
-  void limiting_pass(Lim which, double* buf, std::size_t n, double dt_ps);
-  void vga_pass(int stage, double* buf, std::size_t n, double dt_ps);
-  void tline_pass(int tap, const double* in, double* out, std::size_t n,
-                  double dt_ps);
-  void noise_pass(double* noise, std::size_t n, double dt_ps);
+  /// Resets the streams, then hands each processed interleaved chunk to
+  /// `emit(chunk, offset, n)`.
+  template <typename Emit>
+  void run_chunks(const sig::Waveform& stimulus, Emit emit);
 
   std::vector<VariableDelayChannel*> channels_;
   std::vector<FineDelayLine*> fines_;
 
-  // Chunk scratch (interleaved, kBlockSamples * width) and per-stream
-  // marshalling arrays, sized once per run and reused across chunks.
-  std::vector<double> ilv_, noise_, lim_, fan_, tap_, col_;
-  std::vector<double> p0_, p1_, p2_;
-  std::vector<analog::NoiseSource*> nsrc_;
-  std::vector<backend::OnePoleState*> poles_;
-  std::vector<const backend::SlewCoeffs*> slewc_;
-  std::vector<backend::SlewState*> slews_;
-  std::vector<backend::VgaTailCoeffs> tailc_;
-  std::vector<const backend::VgaTailCoeffs*> tailcp_;
-  std::vector<backend::VgaTailState*> tails_;
+  // Interleaved chunk and one de-interleaved column, reused across runs.
+  std::vector<double> ilv_, col_;
 };
 
 }  // namespace gdelay::core

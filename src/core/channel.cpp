@@ -11,10 +11,16 @@ void VariableDelayChannel::reset() {
   fine_.reset();
 }
 
-void VariableDelayChannel::process_block(const double* in, double* out,
-                                         std::size_t n, double dt_ps) {
-  coarse_.process_block(in, out, n, dt_ps);
-  fine_.process_block(out, out, n, dt_ps);
+void VariableDelayChannel::process_lanes(VariableDelayChannel* const* c,
+                                         std::size_t w, const double* in,
+                                         double* out, std::size_t n,
+                                         double dt_ps) {
+  CoarseDelayBlock::process_lanes(
+      analog::parts(c, w, &VariableDelayChannel::coarse_).data(), w, in, out,
+      n, dt_ps);
+  FineDelayLine::process_lanes(
+      analog::parts(c, w, &VariableDelayChannel::fine_).data(), w, out,
+      nullptr, out, n, dt_ps);
 }
 
 sig::Waveform VariableDelayChannel::process(const sig::Waveform& in) {

@@ -50,9 +50,16 @@ class VariableDelayChannel {
   }
 
   void reset();
-  /// Stage-major block path: coarse block, then fine line.
+  /// The w == 1 call of process_lanes().
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps);
+                     double dt_ps) {
+    analog::solo_block(this, in, out, n, dt_ps);
+  }
+  /// The lane pass (see analog/element.h): coarse blocks, then fine
+  /// lines. Every fine line must have the same stage count.
+  static void process_lanes(VariableDelayChannel* const* c, std::size_t w,
+                            const double* in, double* out, std::size_t n,
+                            double dt_ps);
   sig::Waveform process(const sig::Waveform& in);
 
  private:

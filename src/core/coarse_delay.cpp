@@ -13,7 +13,7 @@ CoarseDelayBlock::CoarseDelayBlock(const CoarseDelayConfig& cfg,
   for (int i = 0; i < kTaps; ++i) {
     const double len = cfg.tap_delay_ps[static_cast<std::size_t>(i)] +
                        cfg.tap_error_ps[static_cast<std::size_t>(i)];
-    if (len < 0.0)
+    if (!(len >= 0.0))
       throw std::invalid_argument("CoarseDelayBlock: negative tap length");
     analog::TransmissionLineConfig tl;
     tl.delay_ps = len;
@@ -47,16 +47,28 @@ void CoarseDelayBlock::reset() {
   mux_.reset();
 }
 
-void CoarseDelayBlock::process_block(const double* in, double* out,
-                                     std::size_t n, double dt_ps) {
-  util::ScratchBuffer fan(n), tmp(n);
-  fanout_.process_block(in, fan.data(), n, dt_ps);
-  for (int i = 0; i < kTaps; ++i) {
-    double* dst = (i == selected_) ? out : tmp.data();
-    taps_[static_cast<std::size_t>(i)].process_block(fan.data(), dst, n,
-                                                     dt_ps);
+void CoarseDelayBlock::process_lanes(CoarseDelayBlock* const* c,
+                                     std::size_t w, const double* in,
+                                     double* out, std::size_t n,
+                                     double dt_ps) {
+  util::ScratchBuffer fan(n * w), tmp(n * w);
+  analog::LimitingBuffer::process_lanes(
+      analog::parts(c, w, &CoarseDelayBlock::fanout_).data(), w, in,
+      fan.data(), n, dt_ps);
+  for (int t = 0; t < kTaps; ++t) {
+    analog::LaneArray<analog::TransmissionLine*> taps(w, [&](std::size_t s) {
+      return &c[s]->taps_[static_cast<std::size_t>(t)];
+    });
+    analog::TransmissionLine::process_lanes(taps.data(), w, fan.data(),
+                                            tmp.data(), n, dt_ps);
+    for (std::size_t s = 0; s < w; ++s) {
+      if (c[s]->selected_ != t) continue;
+      for (std::size_t i = 0; i < n; ++i) out[i * w + s] = tmp[i * w + s];
+    }
   }
-  mux_.process_block(out, out, n, dt_ps);
+  analog::LimitingBuffer::process_lanes(
+      analog::parts(c, w, &CoarseDelayBlock::mux_).data(), w, out, out, n,
+      dt_ps);
 }
 
 sig::Waveform CoarseDelayBlock::process(const sig::Waveform& in) {

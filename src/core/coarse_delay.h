@@ -58,17 +58,19 @@ class CoarseDelayBlock {
   void fork_noise(std::uint64_t stream);
 
   void reset();
-  /// Stage-major block path. All four taps are advanced every block (as
-  /// one whole-block pass each), so the selection may change between
-  /// blocks mid-run, exactly like flipping the real select lines.
+  /// The w == 1 call of process_lanes().
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps);
+                     double dt_ps) {
+    analog::solo_block(this, in, out, n, dt_ps);
+  }
+  /// The lane pass (see analog/element.h), stage-major. All four taps
+  /// are advanced every block (as one whole-block pass each), so the
+  /// selection may change between blocks mid-run, exactly like flipping
+  /// the real select lines; each stream's mux sees its own selected tap.
+  static void process_lanes(CoarseDelayBlock* const* c, std::size_t w,
+                            const double* in, double* out, std::size_t n,
+                            double dt_ps);
   sig::Waveform process(const sig::Waveform& in);
-
-  /// Batch-executor part accessors.
-  analog::LimitingBuffer& fanout() { return fanout_; }
-  analog::TransmissionLine& tap(int i) { return taps_[i]; }
-  analog::LimitingBuffer& mux() { return mux_; }
 
  private:
   CoarseDelayConfig cfg_;

@@ -40,18 +40,21 @@ void FineDelayLine::reset() {
   out_.reset();
 }
 
-void FineDelayLine::process_block(const double* in, double* out,
-                                  std::size_t n, double dt_ps) {
-  process_block(in, nullptr, out, n, dt_ps);
-}
-
-void FineDelayLine::process_block(const double* in, const double* vctrl,
+void FineDelayLine::process_lanes(FineDelayLine* const* f, std::size_t w,
+                                  const double* in, const double* vctrl,
                                   double* out, std::size_t n, double dt_ps) {
-  stages_.front().process_block(in, vctrl, out, n, dt_ps);
-  for (std::size_t s = 1; s < stages_.size(); ++s)
-    stages_[s].process_block(out, vctrl, out, n, dt_ps);
-  out_.process_block(out, out, n, dt_ps);
-  if (vctrl != nullptr && n > 0) vctrl_ = vctrl[n - 1];
+  for (std::size_t st = 0; st < f[0]->stages_.size(); ++st) {
+    analog::LaneArray<analog::VariableGainBuffer*> stage(
+        w, [&](std::size_t s) { return &f[s]->stages_[st]; });
+    analog::VariableGainBuffer::process_lanes(stage.data(), w,
+                                              st == 0 ? in : out, vctrl, out,
+                                              n, dt_ps);
+  }
+  analog::LimitingBuffer::process_lanes(
+      analog::parts(f, w, &FineDelayLine::out_).data(), w, out, out, n,
+      dt_ps);
+  if (vctrl == nullptr || n == 0) return;
+  for (std::size_t s = 0; s < w; ++s) f[s]->vctrl_ = vctrl[(n - 1) * w + s];
 }
 
 sig::Waveform FineDelayLine::process(const sig::Waveform& in) {

@@ -55,24 +55,30 @@ class FineDelayLine {
 
   /// Fixed-Vctrl block: process_block(in, nullptr, out, n, dt_ps).
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps);
+                     double dt_ps) {
+    analog::solo_block(this, in, nullptr, out, n, dt_ps);
+  }
 
-  /// Advances `n` samples stage-major (whole block through each stage in
-  /// turn). `vctrl[i]` is the common control voltage of sample i — the
-  /// primitive behind jitter injection (Vctrl varies during the run);
-  /// nullptr holds each stage's current Vctrl. After a modulated block
-  /// the line and every stage hold vctrl[n-1], as set_vctrl() would
-  /// leave them. `vctrl` must not alias `out`.
+  /// Advances `n` samples. `vctrl[i]` is the common control voltage of
+  /// sample i — the primitive behind jitter injection (Vctrl varies
+  /// during the run); nullptr holds each stage's current Vctrl. After a
+  /// modulated block the line and every stage hold vctrl[n-1], as
+  /// set_vctrl() would leave them. `vctrl` must not alias `out`. The
+  /// w == 1 call of process_lanes().
   void process_block(const double* in, const double* vctrl, double* out,
-                     std::size_t n, double dt_ps);
+                     std::size_t n, double dt_ps) {
+    analog::solo_block(this, in, vctrl, out, n, dt_ps);
+  }
+
+  /// The lane pass (see analog/element.h), stage-major: the whole block
+  /// through each stage in turn. `vctrl` is interleaved like `in` (or
+  /// nullptr). Every line must have the same stage count.
+  static void process_lanes(FineDelayLine* const* f, std::size_t w,
+                            const double* in, const double* vctrl,
+                            double* out, std::size_t n, double dt_ps);
 
   /// Runs a waveform through a freshly reset line (block path).
   sig::Waveform process(const sig::Waveform& in);
-
-  /// Batch-executor part accessors (core::BatchRunner drives the stages'
-  /// exact pass sequences through the lane-batched backend kernels).
-  analog::VariableGainBuffer& stage(int i) { return stages_[i]; }
-  analog::LimitingBuffer& output_stage() { return out_; }
 
  private:
   FineDelayConfig cfg_;

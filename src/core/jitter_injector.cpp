@@ -14,25 +14,24 @@ JitterInjector::JitterInjector(const JitterInjectorConfig& cfg, util::Rng rng)
     : cfg_(cfg),
       vctrl_dc_(cfg.vctrl_dc_v >= 0.0 ? cfg.vctrl_dc_v
                                       : cfg.line.stage.vctrl_max_v / 2.0),
-      noise_pp_(cfg.noise_pp_v),
-      sj_pp_(cfg.sj_pp_v),
-      sj_freq_(cfg.sj_freq_ghz),
       line_(cfg.line, rng.fork(1)),
       noise_(1.0 /* unit sigma, scaled per block */, cfg.noise_bandwidth_ghz,
              rng.fork(2)),
       coupler_(cfg.coupling_hp_ghz) {
-  if (cfg.noise_pp_v < 0.0)
-    throw std::invalid_argument("JitterInjector: noise_pp must be >= 0");
+  set_noise_pp(cfg.noise_pp_v);
+  set_sj(cfg.sj_pp_v, cfg.sj_freq_ghz);
 }
 
+// Both checks are written so that NaN fails them.
+
 void JitterInjector::set_noise_pp(double pp_v) {
-  if (pp_v < 0.0)
+  if (!(pp_v >= 0.0))
     throw std::invalid_argument("JitterInjector: noise_pp must be >= 0");
   noise_pp_ = pp_v;
 }
 
 void JitterInjector::set_sj(double pp_v, double freq_ghz) {
-  if (pp_v < 0.0 || freq_ghz <= 0.0)
+  if (!(pp_v >= 0.0 && freq_ghz > 0.0))
     throw std::invalid_argument("JitterInjector: bad SJ parameters");
   sj_pp_ = pp_v;
   sj_freq_ = freq_ghz;

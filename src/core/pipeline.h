@@ -24,9 +24,9 @@
 // N independent channel/fine-line chains (Monte-Carlo trials, sweep
 // points, board channels), core::BatchRunner (core/batch.h) is the
 // lane-batched counterpart of N Pipeline runs — it chunks identically
-// (kBlockSamples), drives each stream's exact pass sequence through the
-// batched backend kernels, and feeds one ISampleSink per stream, with
-// each stream's samples bit-identical to its solo Pipeline run.
+// (kBlockSamples), runs the streams through their composites' own lane
+// pass, and feeds one ISampleSink per stream, with each stream's samples
+// bit-identical to its solo Pipeline run.
 #pragma once
 
 #include <cstddef>

@@ -16,10 +16,14 @@
 namespace gdelay::util {
 
 /// RAII lease of a `double` buffer from the calling thread's pool.
-/// Contents are unspecified on acquisition.
+/// Contents are unspecified on acquisition. A pooled buffer only ever
+/// grows, so leasing it at a different length (a lane pass's n * w after
+/// a solo pass's n) never re-initializes its elements.
 class ScratchBuffer {
  public:
-  explicit ScratchBuffer(std::size_t n) : v_(acquire()) { v_.resize(n); }
+  explicit ScratchBuffer(std::size_t n) : v_(acquire()), n_(n) {
+    if (v_.size() < n) v_.resize(n);
+  }
   ~ScratchBuffer() { release(std::move(v_)); }
 
   ScratchBuffer(const ScratchBuffer&) = delete;
@@ -27,7 +31,7 @@ class ScratchBuffer {
 
   double* data() { return v_.data(); }
   const double* data() const { return v_.data(); }
-  std::size_t size() const { return v_.size(); }
+  std::size_t size() const { return n_; }
   double operator[](std::size_t i) const { return v_[i]; }
   double& operator[](std::size_t i) { return v_[i]; }
 
@@ -48,6 +52,7 @@ class ScratchBuffer {
   }
 
   std::vector<double> v_;
+  std::size_t n_;
 };
 
 }  // namespace gdelay::util

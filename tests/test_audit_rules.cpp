@@ -893,7 +893,6 @@ const char* kKernels =
     "struct Kernels {\n"
     "  const char* name;\n"
     "  void (*scale)(const double*, double*, std::size_t);\n"
-    "  void (*scale_batch)(const double*, double*, std::size_t);\n"
     "};\n";
 
 std::vector<SourceFile> sources() {
@@ -907,15 +906,13 @@ TEST(AuditR12, FlagsEveryUncoveredContract) {
   // empty of the contract identifiers, every domain reports.
   std::vector<SourceFile> tests = {
       {"tests/test_block_kernels.cpp", "TEST(B, Smoke) {}"},
-      {"tests/test_backend_equivalence.cpp", "TEST(E, Smoke) {}"},
-      {"tests/test_batch_equivalence.cpp", "TEST(L, Smoke) {}"}};
+      {"tests/test_backend_equivalence.cpp", "TEST(E, Smoke) {}"}};
   auto fs = scan_files(r12::sources(), tests);
-  ASSERT_EQ(rules_of(fs), (std::vector<std::string>{"R12", "R12", "R12"}))
+  ASSERT_EQ(rules_of(fs), (std::vector<std::string>{"R12", "R12"}))
       << render(fs);
   std::string all = render(fs);
   EXPECT_NE(all.find("'Gain'"), std::string::npos);
   EXPECT_NE(all.find("'scale'"), std::string::npos);
-  EXPECT_NE(all.find("'scale_batch'"), std::string::npos);
 }
 
 TEST(AuditR12, FlagsUncoveredElementWithoutStep) {
@@ -938,17 +935,20 @@ TEST(AuditR12, FlagsUncoveredElementWithoutStep) {
   EXPECT_NE(fs[0].message.find("'Tap'"), std::string::npos);
 }
 
-TEST(AuditR12, BatchKernelsResolveAgainstBatchSuite) {
-  // scale_batch covered only by the batch suite, scale only by the solo
-  // suite — the _batch suffix must route each entry to its own corpus.
+TEST(AuditR12, CleanWhenEveryContractIsCovered) {
+  // The element in the lane x chunk suite, the kernel entry in the
+  // backend suite — and neither counts from the other's file.
   std::vector<SourceFile> tests = {
       {"tests/test_block_kernels.cpp", "TEST(B, G) { Gain g; }"},
       {"tests/test_backend_equivalence.cpp",
-       "TEST(E, S) { k->scale(nullptr, nullptr, 0); }"},
-      {"tests/test_batch_equivalence.cpp",
-       "TEST(L, S) { k->scale_batch(nullptr, nullptr, 0); }"}};
+       "TEST(E, S) { k->scale(nullptr, nullptr, 0); }"}};
   auto fs = scan_files(r12::sources(), tests);
   EXPECT_TRUE(fs.empty()) << render(fs);
+  tests[0].content = "TEST(B, S) { k->scale(nullptr, nullptr, 0); }";
+  tests[1].content = "TEST(E, G) { Gain g; }";
+  fs = scan_files(r12::sources(), tests);
+  EXPECT_EQ(rules_of(fs), (std::vector<std::string>{"R12", "R12"}))
+      << render(fs);
 }
 
 TEST(AuditR12, SkippedWithoutRegisteredTests) {
@@ -959,14 +959,12 @@ TEST(AuditR12, SkippedWithoutRegisteredTests) {
 TEST(AuditR12, InlineWaiverSilencesWithReason) {
   std::vector<SourceFile> srcs = r12::sources();
   srcs[1].content =
-      "// gdelay-audit: allow(R12) scale is pinned through the batch suite's "
-      "w=1 case\n" +
+      "// gdelay-audit: allow(R12) scale is pinned through the elements "
+      "that call it\n" +
       std::string(r12::kKernels);
   std::vector<SourceFile> tests = {
       {"tests/test_block_kernels.cpp", "TEST(B, G) { Gain g; }"},
-      {"tests/test_backend_equivalence.cpp", "TEST(E, Smoke) {}"},
-      {"tests/test_batch_equivalence.cpp",
-       "TEST(L, S) { k->scale_batch(nullptr, nullptr, 0); }"}};
+      {"tests/test_backend_equivalence.cpp", "TEST(E, Smoke) {}"}};
   auto fs = scan_files(srcs, tests);
   EXPECT_TRUE(fs.empty()) << render(fs);
 }
@@ -974,12 +972,10 @@ TEST(AuditR12, InlineWaiverSilencesWithReason) {
 TEST(AuditR12, BaselineSuppresses) {
   std::vector<SourceFile> tests = {
       {"tests/test_block_kernels.cpp", "TEST(B, G) { Gain g; }"},
-      {"tests/test_backend_equivalence.cpp",
-       "TEST(E, S) { k->scale(nullptr, nullptr, 0); }"},
-      {"tests/test_batch_equivalence.cpp", "TEST(L, Smoke) {}"}};
+      {"tests/test_backend_equivalence.cpp", "TEST(E, Smoke) {}"}};
   auto fs = scan_files(r12::sources(), tests);
   ASSERT_EQ(rules_of(fs), std::vector<std::string>{"R12"}) << render(fs);
-  EXPECT_NE(fs[0].message.find("'scale_batch'"), std::string::npos);
+  EXPECT_NE(fs[0].message.find("'scale'"), std::string::npos);
   auto kept = gdelay::audit::apply_baseline(fs, "backend/tab.h:1:R12\n");
   EXPECT_TRUE(kept.empty()) << render(kept);
 }

@@ -1,20 +1,25 @@
 // Backend-equivalence suite: the pluggable compute backend's contract,
 // enforced (see src/backend/backend.h and DESIGN.md "Compute backends").
 //
-// Three layers of checks:
+// Four layers of checks:
 //
 //   1. Kernel pins. The elementwise kernels (scale, tanh_stage, exp,
 //      sincos2pi, Box-Muller) must be BIT-EXACT against the scalar
 //      det_* oracle on every backend — 0 ULP, over domain sweeps that
-//      cover saturation boundaries, signed zero and vector tails.
-//   2. The partition-vs-SIMD triangle. For every element: under a
-//      fixed backend, single-sample block calls and any chunked
-//      partition of block calls (sizes 1, 7, 64, 1024, 4096) must agree
-//      byte for byte — including the AVX2 one-pole scan, whose group
-//      phase is carried in OnePoleState. Across backends, elementwise
-//      elements agree bitwise; recursive elements agree within the
-//      documented amplitude-relative envelope of the reassociated scan.
-//   3. Threaded sweeps. Per backend, a parallel calibration run is
+//      cover saturation boundaries, signed zero and vector tails — and
+//      the serial recursions must match their reference steps at any
+//      partition of the sample stream into calls.
+//   2. Lane pins. Each width-generic kernel (tanh_stage, one_pole, slew,
+//      vga_tail) over w interleaved streams against w solo (w == 1) runs
+//      of the same table, at widths spanning sub-group, exact-group and
+//      group-plus-tail (1, 3, 4, 9), with call partitions that split
+//      groups mid-phase, and with per-stream parameter divergence that
+//      forces the AVX2 per-stream fallbacks.
+//   3. Cross-backend agreement: elementwise elements bitwise, recursive
+//      ones inside the documented one-pole scan envelope. (Per-device
+//      partition and lane invariance under every backend is
+//      tests/test_block_kernels.cpp.)
+//   4. Threaded sweeps. Per backend, a parallel calibration run is
 //      bit-identical at 1 and 4 threads (CI additionally re-runs the
 //      whole suite under GDELAY_THREADS=4).
 //
@@ -69,9 +74,41 @@ struct BackendSelect {
   ~BackendSelect() { gb::select(prev.c_str()); }
 };
 
-// The ISSUE-mandated partition sizes: scalar-tail-only, odd mid-group,
-// exact multiples of the lane group, and larger-than-cache blocks.
+// Partition sizes: scalar-tail-only, odd mid-group, exact multiples of
+// the lane group, and larger-than-cache blocks.
 constexpr std::size_t kChunks[] = {1, 7, 64, 1024, 4096};
+
+std::vector<const gb::Kernels*> tables() {
+  std::vector<const gb::Kernels*> t{&gb::scalar_kernels()};
+  if (avx2_usable()) t.push_back(gb::avx2_kernels());
+  return t;
+}
+
+// Solo (w == 1) calls of the width-generic kernels.
+void tanh1(const gb::Kernels& k, const double* x, const double* add,
+           double* out, std::size_t n, double gain, double ref, double post) {
+  k.tanh_stage(x, add, out, n, 1, &gain, &ref, &post);
+}
+
+void one_pole1(const gb::Kernels& k, const double* x, double* out,
+               std::size_t n, double alpha, gb::OnePoleState& st) {
+  gb::OnePoleState* p = &st;
+  k.one_pole(x, out, n, 1, &alpha, &p);
+}
+
+void slew1(const gb::Kernels& k, const double* x, double* out, std::size_t n,
+           const gb::SlewCoeffs& c, gb::SlewState& st) {
+  gb::SlewState* p = &st;
+  k.slew(x, out, n, 1, &c, &p);
+}
+
+void vga_tail1(const gb::Kernels& k, const double* lim, const double* amp,
+               double* out, std::size_t n, const gb::VgaTailCoeffs& c,
+               gb::SlewState& sl, gb::VgaTailState& d) {
+  gb::SlewState* slp = &sl;
+  gb::VgaTailState* dp = &d;
+  k.vga_tail(lim, amp, out, n, 1, &c, &slp, &dp);
+}
 
 // Stimulus with both smooth and switching content (limiters saturate,
 // slew limiters rail) plus segment lengths coprime to every chunk size.
@@ -115,24 +152,6 @@ std::vector<double> run_block(E& e, std::size_t chunk) {
   return out;
 }
 
-// The triangle under one backend: single-sample calls vs every chunked
-// partition, byte for byte. Fresh twins per partition (elements are
-// stateful).
-template <typename MakeFn>
-void expect_triangle(const char* backend, MakeFn make) {
-  BackendSelect sel(backend);
-  auto ref = make();
-  const auto want = run_block(ref, 1);
-  for (std::size_t chunk : kChunks) {
-    auto blk = make();
-    const auto got = run_block(blk, chunk);
-    for (std::size_t i = 0; i < want.size(); ++i)
-      ASSERT_EQ(bits(want[i]), bits(got[i]))
-          << backend << " chunk " << chunk << " sample " << i << ": chunk 1="
-          << want[i] << " block=" << got[i];
-  }
-}
-
 // Cross-backend comparison of the block path (chunk 1024).
 // `bit_identical` demands byte equality (purely elementwise elements);
 // otherwise the documented scan envelope applies: an ABSOLUTE bound,
@@ -171,8 +190,6 @@ void expect_cross_backend(MakeFn make, bool bit_identical, double max_abs) {
 TEST(BackendDispatch, ScalarTableIsAlwaysAvailableAndSelectable) {
   const gb::Kernels& s = gb::scalar_kernels();
   EXPECT_STREQ(s.name, "scalar");
-  EXPECT_EQ(s.lanes, 1);
-  EXPECT_TRUE(s.bit_exact);
   BackendSelect sel("scalar");
   EXPECT_STREQ(gb::active().name, "scalar");
   EXPECT_NE(gb::dispatch_reason(), nullptr);
@@ -201,8 +218,6 @@ TEST(BackendDispatch, Avx2SelectionMatchesProbes) {
   BackendSelect sel("avx2");
   const gb::Kernels& k = gb::active();
   EXPECT_STREQ(k.name, "avx2");
-  EXPECT_EQ(k.lanes, 4);
-  EXPECT_FALSE(k.bit_exact);  // the one-pole scan is contract-covered
 }
 
 // ---------------------------------------------------------------------------
@@ -239,7 +254,7 @@ void pin_elementwise(const gb::Kernels& k) {
   for (std::size_t i = 0; i < n; ++i)
     ASSERT_EQ(bits(out[i]), bits(1.7 * x[i])) << k.name << " scale " << i;
 
-  k.tanh_stage(x.data(), nullptr, out.data(), n, 2.0, 0.4, 0.35);
+  tanh1(k, x.data(), nullptr, out.data(), n, 2.0, 0.4, 0.35);
   for (std::size_t i = 0; i < n; ++i)
     ASSERT_EQ(bits(out[i]), bits(0.35 * gu::det_tanh(2.0 * x[i] / 0.4)))
         << k.name << " tanh_stage " << i << " x=" << x[i];
@@ -247,7 +262,7 @@ void pin_elementwise(const gb::Kernels& k) {
   // The add-array variant (noise injection before the limiter).
   std::vector<double> add(n);
   for (std::size_t i = 0; i < n; ++i) add[i] = 0.01 * std::sin(0.3 * i);
-  k.tanh_stage(x.data(), add.data(), out.data(), n, 2.0, 0.4, 1.0);
+  tanh1(k, x.data(), add.data(), out.data(), n, 2.0, 0.4, 1.0);
   for (std::size_t i = 0; i < n; ++i)
     ASSERT_EQ(bits(out[i]),
               bits(1.0 * gu::det_tanh(2.0 * (x[i] + add[i]) / 0.4)))
@@ -283,7 +298,7 @@ void pin_elementwise(const gb::Kernels& k) {
   // Odd lengths so every tail-length path of the vector kernels runs.
   for (std::size_t len : {std::size_t{1}, std::size_t{2}, std::size_t{3},
                           std::size_t{4}, std::size_t{5}, std::size_t{7}}) {
-    k.tanh_stage(x.data(), nullptr, out.data(), len, 3.0, 0.2, 0.4);
+    tanh1(k, x.data(), nullptr, out.data(), len, 3.0, 0.2, 0.4);
     for (std::size_t i = 0; i < len; ++i)
       ASSERT_EQ(bits(out[i]), bits(0.4 * gu::det_tanh(3.0 * x[i] / 0.2)))
           << k.name << " tanh_stage len=" << len << " " << i;
@@ -305,18 +320,16 @@ TEST(BackendKernels, OnePolePartitionInvariancePerBackend) {
   // Any split of the sample stream into kernel calls yields identical
   // bytes — the AVX2 scan carries its group phase in OnePoleState.
   const auto x = stimulus(4099);
-  std::vector<const gb::Kernels*> tables{&gb::scalar_kernels()};
-  if (avx2_usable()) tables.push_back(gb::avx2_kernels());
-  for (const gb::Kernels* k : tables) {
+  for (const gb::Kernels* k : tables()) {
     gb::OnePoleState whole{};
     std::vector<double> want(x.size(), -1.0);
-    k->one_pole(x.data(), want.data(), x.size(), 0.17, whole);
+    one_pole1(*k, x.data(), want.data(), x.size(), 0.17, whole);
     for (std::size_t chunk : kChunks) {
       gb::OnePoleState st{};
       std::vector<double> got(x.size(), -1.0);
       for (std::size_t o = 0; o < x.size(); o += chunk)
-        k->one_pole(x.data() + o, got.data() + o,
-                    std::min(chunk, x.size() - o), 0.17, st);
+        one_pole1(*k, x.data() + o, got.data() + o,
+                  std::min(chunk, x.size() - o), 0.17, st);
       for (std::size_t i = 0; i < x.size(); ++i)
         ASSERT_EQ(bits(want[i]), bits(got[i]))
             << k->name << " chunk " << chunk << " sample " << i;
@@ -342,15 +355,13 @@ TEST(BackendKernels, SlewMatchesStepOracleAtAnyPartition) {
     for (std::size_t i = 0; i < x.size(); ++i)
       want[i] = gb::slew_step(c, st, x[i]);
   }
-  std::vector<const gb::Kernels*> tables{&gb::scalar_kernels()};
-  if (avx2_usable()) tables.push_back(gb::avx2_kernels());
-  for (const gb::Kernels* k : tables) {
+  for (const gb::Kernels* k : tables()) {
     for (std::size_t chunk : kChunks) {
       gb::SlewState st{};
       std::vector<double> got(x.size(), -1.0);
       for (std::size_t o = 0; o < x.size(); o += chunk)
-        k->slew(x.data() + o, got.data() + o, std::min(chunk, x.size() - o),
-                c, st);
+        slew1(*k, x.data() + o, got.data() + o, std::min(chunk, x.size() - o),
+              c, st);
       for (std::size_t i = 0; i < x.size(); ++i)
         ASSERT_EQ(bits(want[i]), bits(got[i]))
             << k->name << " slew chunk " << chunk << " sample " << i;
@@ -377,8 +388,6 @@ TEST(BackendKernels, VgaTailMatchesStepOracleAtAnyPartition) {
   std::vector<double> amp(lim.size());
   for (std::size_t i = 0; i < amp.size(); ++i)
     amp[i] = 0.3 + 0.1 * std::sin(0.01 * static_cast<double>(i));
-  std::vector<const gb::Kernels*> tables{&gb::scalar_kernels()};
-  if (avx2_usable()) tables.push_back(gb::avx2_kernels());
   for (const double* a : {static_cast<const double*>(nullptr),
                           static_cast<const double*>(amp.data())}) {
     std::vector<double> want(lim.size(), -1.0);
@@ -390,14 +399,14 @@ TEST(BackendKernels, VgaTailMatchesStepOracleAtAnyPartition) {
                                         lim[i])
                     : gb::vga_tail_step(c, sl, d, lim[i]);
     }
-    for (const gb::Kernels* k : tables) {
+    for (const gb::Kernels* k : tables()) {
       for (std::size_t chunk : kChunks) {
         gb::SlewState sl{};
         gb::VgaTailState d{};
         std::vector<double> got(lim.size(), -1.0);
         for (std::size_t o = 0; o < lim.size(); o += chunk)
-          k->vga_tail(lim.data() + o, a ? a + o : nullptr, got.data() + o,
-                      std::min(chunk, lim.size() - o), c, sl, d);
+          vga_tail1(*k, lim.data() + o, a ? a + o : nullptr, got.data() + o,
+                    std::min(chunk, lim.size() - o), c, sl, d);
         for (std::size_t i = 0; i < lim.size(); ++i)
           ASSERT_EQ(bits(want[i]), bits(got[i]))
               << k->name << " vga_tail chunk " << chunk << " sample " << i
@@ -419,8 +428,8 @@ TEST(BackendKernels, OnePoleCrossBackendAmplitudeEnvelope) {
   for (double alpha : {0.02, 0.17, 0.6, 0.95}) {
     gb::OnePoleState ss{}, sv{};
     std::vector<double> a(x.size()), b(x.size());
-    gb::scalar_kernels().one_pole(x.data(), a.data(), x.size(), alpha, ss);
-    gb::avx2_kernels()->one_pole(x.data(), b.data(), x.size(), alpha, sv);
+    one_pole1(gb::scalar_kernels(), x.data(), a.data(), x.size(), alpha, ss);
+    one_pole1(*gb::avx2_kernels(), x.data(), b.data(), x.size(), alpha, sv);
     double amp = 0.0, worst = 0.0;
     for (std::size_t i = 0; i < x.size(); ++i) {
       amp = std::max(amp, std::abs(a[i]));
@@ -433,81 +442,235 @@ TEST(BackendKernels, OnePoleCrossBackendAmplitudeEnvelope) {
 TEST(BackendKernels, OnePoleAlphaChangeReanchorsDeterministically) {
   // A dt (alpha) change mid-stream re-anchors the AVX2 group; both the
   // one-call-per-alpha and the sample-at-a-time partitions must agree.
-  std::vector<const gb::Kernels*> tables{&gb::scalar_kernels()};
-  if (avx2_usable()) tables.push_back(gb::avx2_kernels());
   const auto x = stimulus(601);
-  for (const gb::Kernels* k : tables) {
+  for (const gb::Kernels* k : tables()) {
     gb::OnePoleState s1{}, s2{};
     std::vector<double> a(x.size()), b(x.size());
-    k->one_pole(x.data(), a.data(), 301, 0.17, s1);
-    k->one_pole(x.data() + 301, a.data() + 301, 300, 0.42, s1);
+    one_pole1(*k, x.data(), a.data(), 301, 0.17, s1);
+    one_pole1(*k, x.data() + 301, a.data() + 301, 300, 0.42, s1);
     for (std::size_t i = 0; i < x.size(); ++i)
-      k->one_pole(x.data() + i, b.data() + i, 1, i < 301 ? 0.17 : 0.42, s2);
+      one_pole1(*k, x.data() + i, b.data() + i, 1, i < 301 ? 0.17 : 0.42, s2);
     for (std::size_t i = 0; i < x.size(); ++i)
       ASSERT_EQ(bits(a[i]), bits(b[i])) << k->name << " sample " << i;
   }
 }
 
 // ---------------------------------------------------------------------------
-// The triangle, per element
+// Lane pins: w interleaved streams against w solo runs of the same table
 // ---------------------------------------------------------------------------
 
 namespace {
 
-template <typename MakeFn>
-void triangle_all_backends(MakeFn make) {
-  expect_triangle("scalar", make);
-  if (::testing::Test::HasFatalFailure()) return;
-  if (avx2_usable()) expect_triangle("avx2", make);
+const std::size_t kWidths[] = {1, 3, 4, 9};
+// Partitions of the lane calls: one whole call, a tiny odd chunk that
+// leaves every AVX2 group mid-phase at each seam, and a round mid-size.
+const std::size_t kSeams[] = {0, 7, 64};  // 0 = whole
+
+// Per-stream input: distinct smooth+switching content so lanes that
+// accidentally mix streams produce loud mismatches.
+std::vector<double> stream_input(std::size_t n, std::size_t s) {
+  std::vector<double> v(n);
+  const double f = 0.05 + 0.013 * static_cast<double>(s);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = static_cast<double>(i);
+    v[i] = 0.3 * std::sin(f * t) + ((i / (29 + 2 * s)) % 2 ? 0.2 : -0.2);
+  }
+  return v;
+}
+
+// Runs `lane_call(lo, n)` over [0, total) in `seam`-sized slices.
+template <typename F>
+void partitioned(std::size_t total, std::size_t seam, F lane_call) {
+  const std::size_t step = seam == 0 ? total : seam;
+  for (std::size_t o = 0; o < total; o += step)
+    lane_call(o, std::min(step, total - o));
+}
+
+// The lane contract of one width-generic kernel, per table, width and
+// seam: stream s (input x, second input x2 — an add or amplitude array)
+// run through `lanes(k, w, x, x2, out, n, states)` interleaved must give
+// the bytes of `solo(k, s, x, x2, out, n, state)` run alone.
+template <typename State, typename Solo, typename Lanes>
+void expect_lanes_match_solo(Solo solo, Lanes lanes) {
+  constexpr std::size_t kN = 1021;
+  for (const gb::Kernels* k : tables()) {
+    for (std::size_t w : kWidths) {
+      std::vector<double> in(kN * w), in2(kN * w), want(kN * w);
+      for (std::size_t s = 0; s < w; ++s) {
+        const auto x = stream_input(kN, s), x2 = stream_input(kN, s + 100);
+        std::vector<double> out(kN);
+        State st{};
+        solo(*k, s, x.data(), x2.data(), out.data(), kN, st);
+        for (std::size_t i = 0; i < kN; ++i) {
+          in[i * w + s] = x[i];
+          in2[i * w + s] = x2[i];
+          want[i * w + s] = out[i];
+        }
+      }
+      for (std::size_t seam : kSeams) {
+        std::vector<State> st(w);
+        std::vector<State*> stp;
+        for (auto& one : st) stp.push_back(&one);
+        std::vector<double> buf = in;
+        partitioned(kN, seam, [&](std::size_t o, std::size_t n) {
+          lanes(*k, w, buf.data() + o * w, in2.data() + o * w,
+                buf.data() + o * w, n, stp.data());
+        });
+        for (std::size_t j = 0; j < buf.size(); ++j)
+          ASSERT_EQ(bits(want[j]), bits(buf[j]))
+              << k->name << " w=" << w << " seam=" << seam << " stream "
+              << j % w << " sample " << j / w;
+      }
+    }
+  }
+}
+
+double per_stream(std::size_t s, double base, double step) {
+  return base + step * static_cast<double>(s);
 }
 
 }  // namespace
 
-TEST(BackendTriangle, SinglePoleFilter) {
-  triangle_all_backends([] { return ga::SinglePoleFilter(6.5); });
+TEST(BatchKernels, OnePoleBatchMatchesSoloAnyWidthAndPartition) {
+  expect_lanes_match_solo<gb::OnePoleState>(
+      [](const gb::Kernels& k, std::size_t s, const double* x, const double*,
+         double* out, std::size_t n, gb::OnePoleState& st) {
+        one_pole1(k, x, out, n, per_stream(s, 0.05, 0.09), st);
+      },
+      [](const gb::Kernels& k, std::size_t w, const double* x, const double*,
+         double* out, std::size_t n, gb::OnePoleState* const* st) {
+        std::vector<double> alpha(w);
+        for (std::size_t s = 0; s < w; ++s)
+          alpha[s] = per_stream(s, 0.05, 0.09);
+        k.one_pole(x, out, n, w, alpha.data(), st);
+      });
 }
 
-TEST(BackendTriangle, TanhLimiter) {
-  triangle_all_backends([] { return ga::TanhLimiter(3.0, 0.4); });
+TEST(BatchKernels, OnePoleBatchDivergentAlphaGroupFallsBack) {
+  // Streams of one AVX2 group resuming at different scan phases (forced
+  // here by different warm-up lengths) must take the per-stream path and
+  // still match solo exactly.
+  constexpr std::size_t kN = 257;
+  for (const gb::Kernels* k : tables()) {
+    const std::size_t w = 4;
+    std::vector<std::vector<double>> in(w), want(w);
+    std::vector<double> alpha(w, 0.17);
+    std::vector<gb::OnePoleState> solo_st(w), st(w);
+    // Warm each stream a different number of samples so phases diverge.
+    for (std::size_t s = 0; s < w; ++s) {
+      in[s] = stream_input(kN + s, s);
+      std::vector<double> warm(4, 0.0);
+      one_pole1(*k, in[s].data(), warm.data(), s, alpha[s], solo_st[s]);
+      st[s] = solo_st[s];
+      want[s].resize(kN);
+      one_pole1(*k, in[s].data() + s, want[s].data(), kN, alpha[s],
+                solo_st[s]);
+    }
+    std::vector<double> buf(kN * w);
+    for (std::size_t s = 0; s < w; ++s)
+      for (std::size_t i = 0; i < kN; ++i) buf[i * w + s] = in[s][i + s];
+    std::vector<gb::OnePoleState*> stp(w);
+    for (std::size_t s = 0; s < w; ++s) stp[s] = &st[s];
+    k->one_pole(buf.data(), buf.data(), kN, w, alpha.data(), stp.data());
+    for (std::size_t s = 0; s < w; ++s)
+      for (std::size_t i = 0; i < kN; ++i)
+        ASSERT_EQ(bits(want[s][i]), bits(buf[i * w + s]))
+            << k->name << " s=" << s << " i=" << i;
+  }
 }
 
-TEST(BackendTriangle, GainStage) {
-  triangle_all_backends([] { return ga::GainStage(1.7); });
+TEST(BatchKernels, SlewBatchMatchesSoloIncludingFlagDivergence) {
+  // Streams 4..7 diverge in flags inside one AVX2 group, forcing the
+  // per-stream fallback; 0..3 stay uniform (packed path).
+  const auto coeffs = [](std::size_t s) {
+    gb::SlewCoeffs c;
+    c.max_step = per_stream(s, 0.002, 0.0007);
+    c.has_lin = s < 4 || (s % 2 == 0);
+    c.lin = c.has_lin ? 0.8 : 1.0;
+    c.has_leak = s < 4 || (s % 3 == 0);
+    c.leak = c.has_leak ? 0.01 : 0.0;
+    return c;
+  };
+  expect_lanes_match_solo<gb::SlewState>(
+      [&](const gb::Kernels& k, std::size_t s, const double* x, const double*,
+          double* out, std::size_t n, gb::SlewState& st) {
+        slew1(k, x, out, n, coeffs(s), st);
+      },
+      [&](const gb::Kernels& k, std::size_t w, const double* x, const double*,
+          double* out, std::size_t n, gb::SlewState* const* st) {
+        std::vector<gb::SlewCoeffs> c(w);
+        for (std::size_t s = 0; s < w; ++s) c[s] = coeffs(s);
+        k.slew(x, out, n, w, c.data(), st);
+      });
 }
 
-TEST(BackendTriangle, Attenuator) {
-  triangle_all_backends([] { return ga::Attenuator(2.5); });
+TEST(BatchKernels, VgaTailBatchMatchesSoloAnyWidthAndPartition) {
+  // At the hoisted amplitude, and with an interleaved per-sample
+  // amplitude (the modulated-Vctrl port) as the second input.
+  struct Tail {
+    gb::SlewState slew;
+    gb::VgaTailState droop;
+  };
+  const auto coeffs = [](std::size_t s) {
+    gb::VgaTailCoeffs c;
+    c.amp = per_stream(s, 0.3, 0.01);
+    c.droop_frac = 0.4;
+    c.amp_frac = c.amp * c.droop_frac;
+    c.max_step = per_stream(s, 0.0012, 0.0003);
+    c.inv_max_step = 1.0 / c.max_step;
+    c.alpha = 0.0003;
+    c.slew.max_step = c.max_step;
+    c.slew.has_lin = true;
+    c.slew.lin = 0.75;
+    c.slew.has_leak = true;
+    c.slew.leak = 0.003;
+    return c;
+  };
+  for (bool modulated : {false, true}) {
+    expect_lanes_match_solo<Tail>(
+        [&](const gb::Kernels& k, std::size_t s, const double* x,
+            const double* amp, double* out, std::size_t n, Tail& t) {
+          vga_tail1(k, x, modulated ? amp : nullptr, out, n, coeffs(s),
+                    t.slew, t.droop);
+        },
+        [&](const gb::Kernels& k, std::size_t w, const double* x,
+            const double* amp, double* out, std::size_t n, Tail* const* t) {
+          std::vector<gb::VgaTailCoeffs> c(w);
+          std::vector<gb::SlewState*> sl(w);
+          std::vector<gb::VgaTailState*> d(w);
+          for (std::size_t s = 0; s < w; ++s) {
+            c[s] = coeffs(s);
+            sl[s] = &t[s]->slew;
+            d[s] = &t[s]->droop;
+          }
+          k.vga_tail(x, modulated ? amp : nullptr, out, n, w, c.data(),
+                     sl.data(), d.data());
+        });
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
-TEST(BackendTriangle, SlewRateLimiter) {
-  triangle_all_backends([] { return ga::SlewRateLimiter(0.004, 20.0, 300.0); });
-}
-
-TEST(BackendTriangle, NoiseAdder) {
-  triangle_all_backends([] { return ga::NoiseAdder(0.02, Rng(42)); });
-}
-
-TEST(BackendTriangle, VariableGainBuffer) {
-  triangle_all_backends([] {
-    ga::VgaBufferConfig cfg;
-    auto vga = ga::VariableGainBuffer(cfg, Rng(7));
-    vga.set_vctrl(0.9);
-    return vga;
-  });
-}
-
-TEST(BackendTriangle, LimitingBuffer) {
-  triangle_all_backends(
-      [] { return ga::LimitingBuffer(ga::LimitingBufferConfig{}, Rng(11)); });
-}
-
-TEST(BackendTriangle, VariableDelayChannel) {
-  triangle_all_backends([] {
-    auto ch = gc::VariableDelayChannel(gc::ChannelConfig::prototype(), Rng(99));
-    ch.select_tap(1);
-    ch.set_vctrl(1.1);
-    return ch;
-  });
+TEST(BatchKernels, TanhStageBatchMatchesSoloWithAndWithoutAdd) {
+  for (bool with_add : {false, true}) {
+    expect_lanes_match_solo<int>(
+        [&](const gb::Kernels& k, std::size_t s, const double* x,
+            const double* add, double* out, std::size_t n, int&) {
+          tanh1(k, x, with_add ? add : nullptr, out, n, per_stream(s, 1.5, 0.5),
+                per_stream(s, 0.2, 0.05), per_stream(s, 0.3, 0.02));
+        },
+        [&](const gb::Kernels& k, std::size_t w, const double* x,
+            const double* add, double* out, std::size_t n, int* const*) {
+          std::vector<double> gain(w), ref(w), post(w);
+          for (std::size_t s = 0; s < w; ++s) {
+            gain[s] = per_stream(s, 1.5, 0.5);
+            ref[s] = per_stream(s, 0.2, 0.05);
+            post[s] = per_stream(s, 0.3, 0.02);
+          }
+          k.tanh_stage(x, with_add ? add : nullptr, out, n, w, gain.data(),
+                       ref.data(), post.data());
+        });
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,12 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <vector>
 
+#include "analog/buffer.h"
+#include "analog/coupling.h"
+#include "analog/differential.h"
+#include "analog/primitives.h"
 #include "ate/cdr.h"
 #include "ate/dut.h"
 #include "core/board.h"
 #include "core/cal_io.h"
 #include "core/channel.h"
+#include "core/jitter_injector.h"
 #include "measure/delay_meter.h"
 #include "measure/eye.h"
 #include "measure/freq_response.h"
@@ -19,6 +28,7 @@
 #include "util/curve.h"
 #include "util/rng.h"
 
+namespace gan = gdelay::analog;
 namespace ga = gdelay::ate;
 namespace gc = gdelay::core;
 namespace gm = gdelay::meas;
@@ -173,4 +183,49 @@ TEST(DelayMeterEdge, IdenticalWaveformsGiveZero) {
   const auto d = gm::measure_delay(r.wf, r.wf);
   EXPECT_NEAR(d.mean_ps, 0.0, 1e-9);
   EXPECT_NEAR(d.stddev_ps, 0.0, 1e-9);
+}
+
+TEST(NanRangeChecks, EveryConstructorAndSetterRejectsNaN) {
+  // NaN fails every comparison, so a range check written as `x <= 0`
+  // accepts it; each check is written so that NaN fails instead.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  gan::VgaBufferConfig amp_min, amp_max, vctrl_max;
+  amp_min.amp_min_v = amp_max.amp_max_v = vctrl_max.vctrl_max_v = nan;
+  gan::LimitingBufferConfig swing;
+  swing.out_swing_v = nan;
+  gan::DifferentialImbalanceConfig mismatch;
+  mismatch.gain_mismatch_frac = nan;
+  gc::CoarseDelayConfig tap;
+  tap.tap_error_ps[1] = nan;
+  gc::JitterInjectorConfig noise_pp, sj_pp, sj_freq;
+  noise_pp.noise_pp_v = sj_pp.sj_pp_v = sj_freq.sj_freq_ghz = nan;
+  gc::JitterInjector inj(gc::JitterInjectorConfig{}, Rng(1));
+  const std::vector<std::pair<const char*, std::function<void()>>> cases = {
+      {"SinglePoleFilter", [&] { gan::SinglePoleFilter{nan}; }},
+      {"SlewRateLimiter slew", [&] { gan::SlewRateLimiter{nan}; }},
+      {"SlewRateLimiter tau_lin", [&] { gan::SlewRateLimiter(0.005, nan); }},
+      {"SlewRateLimiter leak", [&] { gan::SlewRateLimiter(0.005, 20.0, nan); }},
+      {"TanhLimiter gain", [&] { gan::TanhLimiter(nan, 0.5); }},
+      {"TanhLimiter vsat", [&] { gan::TanhLimiter(2.0, nan); }},
+      {"NoiseAdder", [&] { gan::NoiseAdder(nan, Rng(1)); }},
+      {"FractionalDelay", [&] { gan::FractionalDelay{nan}; }},
+      {"AcCoupler", [&] { gan::AcCoupler{nan}; }},
+      {"Attenuator", [&] { gan::Attenuator{nan}; }},
+      {"NoiseSource sigma", [&] { gan::NoiseSource(nan, 7.5, Rng(1)); }},
+      {"NoiseSource bandwidth", [&] { gan::NoiseSource(0.01, nan, Rng(1)); }},
+      {"VGA amp_min", [&] { gan::VariableGainBuffer(amp_min, Rng(1)); }},
+      {"VGA amp_max", [&] { gan::VariableGainBuffer(amp_max, Rng(1)); }},
+      {"VGA vctrl_max", [&] { gan::VariableGainBuffer(vctrl_max, Rng(1)); }},
+      {"LimitingBuffer out_swing", [&] { gan::LimitingBuffer(swing, Rng(1)); }},
+      {"DifferentialImbalance", [&] { gan::DifferentialImbalance{mismatch}; }},
+      {"CoarseDelayBlock tap", [&] { gc::CoarseDelayBlock(tap, Rng(1)); }},
+      {"JitterInjector pp", [&] { gc::JitterInjector(noise_pp, Rng(1)); }},
+      {"JitterInjector sj_pp", [&] { gc::JitterInjector(sj_pp, Rng(1)); }},
+      {"JitterInjector sj_freq", [&] { gc::JitterInjector(sj_freq, Rng(1)); }},
+      {"set_noise_pp", [&] { inj.set_noise_pp(nan); }},
+      {"set_sj pp", [&] { inj.set_sj(nan, 0.01); }},
+      {"set_sj freq", [&] { inj.set_sj(0.1, nan); }},
+  };
+  for (const auto& [name, make] : cases)
+    EXPECT_THROW(make(), std::invalid_argument) << name;
 }

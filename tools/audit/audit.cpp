@@ -1824,22 +1824,19 @@ std::vector<Finding> scan_global(const SymbolIndex& idx, const Options& opt,
              opt.element_base + " subclass '" + c.name +
                  "' appears in no byte-identity suite (" +
                  join_fragments(opt.element_coverage_files) +
-                 "); an untested block/clone contract is a latent "
+                 "); an untested block/lane contract is a latent "
                  "divergence"});
       }
     }
     for (const auto& c : idx.classes) {
       if (c.name != opt.kernels_struct) continue;
       for (const auto& m : c.fnptr_members) {
-        const bool batch = ends_with(m, "_batch");
-        const auto& files = batch ? opt.batch_kernel_coverage_files
-                                  : opt.kernel_coverage_files;
-        if (!covered_in(files, m)) {
+        if (!covered_in(opt.kernel_coverage_files, m)) {
           raw.push_back(
               {c.file, c.line, 0, "R12",
-               "kernel-table entry '" + m + "' appears in no " +
-                   (batch ? std::string("batch-") : std::string("")) +
-                   "equivalence suite (" + join_fragments(files) +
+               "kernel-table entry '" + m +
+                   "' appears in no equivalence suite (" +
+                   join_fragments(opt.kernel_coverage_files) +
                    "); every backend::Kernels field needs a pinned "
                    "oracle-vs-backend contract"});
         }

@@ -72,10 +72,9 @@
 //       cross-TU call graph by name, so a wait buried two calls deep
 //       behind a parallel_map still surfaces.
 //   R12 contract coverage: every AnalogElement subclass (transitively)
-//       must appear in a partition-invariance/clone byte-identity test,
-//       and every backend::Kernels
-//       table entry in the backend/batch equivalence suites — an
-//       untested contract is a build-time finding, not a latent
+//       must appear in the lane x chunk invariance suite, and every
+//       backend::Kernels table entry in the backend equivalence suite —
+//       an untested contract is a build-time finding, not a latent
 //       divergence. Runs only when test sources are registered
 //       (--tests on the CLI).
 //
@@ -155,16 +154,12 @@ struct Options {
   /// Element base class (R3 completeness, R12 coverage; subclasses are
   /// found transitively), and the R12 coverage spec: the kernel-table
   /// struct and the test files (label fragments) each contract domain
-  /// must appear in.
+  /// must appear in — every element in the lane x chunk invariance
+  /// suite, every kernel entry in the backend equivalence suite.
   std::string element_base = "AnalogElement";
   std::string kernels_struct = "Kernels";
-  std::vector<std::string> element_coverage_files = {"test_block_kernels",
-                                                     "test_analog"};
+  std::vector<std::string> element_coverage_files = {"test_block_kernels"};
   std::vector<std::string> kernel_coverage_files = {"test_backend_equivalence"};
-  /// Lane-batched table entries (suffix _batch) are contract-covered by
-  /// the batch equivalence suite instead.
-  std::vector<std::string> batch_kernel_coverage_files = {
-      "test_batch_equivalence"};
 };
 
 /// One class as seen by pass 1.
