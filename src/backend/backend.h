@@ -214,9 +214,11 @@ struct Kernels {
   // output is bit-identical to a w == 1 call of the SAME table over its
   // de-interleaved samples with the same state — for any width, any
   // stream-to-lane assignment and any partition of the sample stream into
-  // calls. That is what vectorizes the serial-by-contract recursions
-  // (slew, droop tail): they stay serial in time but run 4 streams wide
-  // per AVX2 iteration.
+  // calls. That is what speeds up the serial-by-contract recursions
+  // (one-pole, slew, droop tail): they stay serial in time, but the AVX2
+  // table runs 4 streams per vector and the scalar table steps a group of
+  // up to 4 streams per time step, so their independent chains overlap
+  // instead of running back to back.
 
   /// v = x (+ add, an interleaved buffer of the same shape, if non-null);
   /// out = post[s] * det_tanh(gain[s] * v / ref[s]) — the shape of every

@@ -1,8 +1,9 @@
 // Internal: the scalar reference loops shared by both kernel tables.
 // The column loops advance one stream's strided column (stride w; 1 for a
-// solo stream) through the reference arithmetic of backend.h; the scalar
-// table walks every stream with them and the AVX2 table uses them for the
-// w % 4 remainder and for lane groups whose flags diverge. The AVX2 table's
+// solo stream) through the reference arithmetic of backend.h. The scalar
+// table runs them for its w == 1 calls only: at w > 1 it advances its
+// streams together, a group at each time step. The AVX2 table uses them
+// for the w % 4 remainder and for lane groups whose flags diverge, and its
 // w == 1 slew and droop tail call ref::slew / ref::vga_tail themselves —
 // the scalar definitions, compiled WITHOUT -mavx2 — so the serial solo
 // recursions are trivially bit-identical across backends. Not part of the

@@ -18,6 +18,8 @@ void BatchRunner::add(VariableDelayChannel& ch) {
   if (!channels_.empty() &&
       ch.fine().n_stages() != channels_.front()->fine().n_stages())
     throw std::logic_error("BatchRunner: fine stage-count mismatch");
+  if (std::find(channels_.begin(), channels_.end(), &ch) != channels_.end())
+    throw std::logic_error("BatchRunner: stream already added");
   channels_.push_back(&ch);
 }
 
@@ -27,6 +29,8 @@ void BatchRunner::add(FineDelayLine& line) {
         "BatchRunner: cannot mix whole channels and bare fine lines");
   if (!fines_.empty() && line.n_stages() != fines_.front()->n_stages())
     throw std::logic_error("BatchRunner: fine stage-count mismatch");
+  if (std::find(fines_.begin(), fines_.end(), &line) != fines_.end())
+    throw std::logic_error("BatchRunner: stream already added");
   fines_.push_back(&line);
 }
 

@@ -37,7 +37,9 @@ class BatchRunner {
   /// Adds a stream (borrowed; must outlive the runner). All streams in
   /// one runner must be the same kind — whole channels or bare fine
   /// lines — with the same stage count; per-stream tap selection, Vctrl
-  /// and RNG streams may differ freely.
+  /// and RNG streams may differ freely. Throws std::logic_error for a
+  /// mix of kinds, a stage-count mismatch, or a stream already added
+  /// (two lanes would advance one device's state).
   void add(VariableDelayChannel& ch);
   void add(FineDelayLine& line);
 

@@ -20,9 +20,10 @@ meas::DelayMeterOptions meter_options(double settle_ps) {
 
 // Shared engine behind every clone-based measurement: runs `count`
 // programmed clones of `dev` through the lane-batched executor
-// (core/batch.h) in groups of four — one AVX2 lane group — with one
-// thread-pool task per group, and reduces each output waveform with
-// `measure`. `program(clone, i)` applies the per-point programming
+// (core/batch.h) in groups of four — one AVX2 vector, and one stream
+// group of the scalar table's kernels — with one thread-pool task per
+// group, and reduces each output waveform with `measure`.
+// `program(clone, i)` applies the per-point programming
 // (fork_noise(i), Vctrl, tap). Each clone's waveform is bit-identical to
 // its solo clone.process(stimulus) by the batch contract, and the
 // group decomposition is a pure function of the index, so results stay
@@ -167,6 +168,11 @@ DelaySetting ChannelCalibration::plan(double relative_delay_ps) const {
   s.vctrl_v = dac.voltage(s.dac_code);
   s.predicted_delay_ps = predicted_delay_ps(best_tap, s.vctrl_v);
   return s;
+}
+
+DelayCalibrator::DelayCalibrator(const Options& opt) : opt_(opt) {
+  if (!std::isfinite(opt.settle_ps))
+    throw std::invalid_argument("DelayCalibrator: settle_ps must be finite");
 }
 
 util::Curve DelayCalibrator::measure_fine_curve(

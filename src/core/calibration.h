@@ -63,13 +63,15 @@ class DelayCalibrator {
     int n_vctrl_points = 17;  ///< Sweep points across [0, vctrl_max].
     /// Edges before this are ignored. Must exceed the stages' bias-
     /// droop settling (a few droop_tau) or the transient leaks into
-    /// the delay statistics.
+    /// the delay statistics. Must be finite; a negative value means no
+    /// settle window.
     double settle_ps = 3000.0;
     Dac dac{12, 1.5};
   };
 
   DelayCalibrator() = default;
-  explicit DelayCalibrator(const Options& opt) : opt_(opt) {}
+  /// Throws std::invalid_argument for a non-finite settle_ps.
+  explicit DelayCalibrator(const Options& opt);
 
   // All measurements are clone-based: each sweep point runs on its own
   // copy of the device (they are value types), so the device under test

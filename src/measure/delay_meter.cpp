@@ -41,6 +41,19 @@ std::vector<double> deltas_for(const std::vector<double>& rt,
   return d;
 }
 
+// A NaN settle window or threshold extracts no edges at all, which would
+// surface only as a misleading "no edges" error after the whole run.
+void check_options(const DelayMeterOptions& opt, const char* fn) {
+  const auto need_finite = [fn](double v, const char* field) {
+    if (!std::isfinite(v))
+      throw std::invalid_argument(std::string(fn) + ": " + field +
+                                  " must be finite");
+  };
+  need_finite(opt.threshold_v, "threshold_v");
+  need_finite(opt.hysteresis_v, "hysteresis_v");
+  need_finite(opt.settle_ps, "settle_ps");
+}
+
 }  // namespace
 
 DelayMeasurement measure_delay_edges(const std::vector<double>& ref_times,
@@ -104,6 +117,7 @@ double wrap_delay(double delta_ps, double ui_ps) {
 double measure_phase_delay(const sig::Waveform& reference,
                            const sig::Waveform& output, double ui_ps,
                            const DelayMeterOptions& opt) {
+  check_options(opt, "measure_phase_delay");
   if (ui_ps <= 0.0)
     throw std::invalid_argument("measure_phase_delay: ui must be > 0");
   sig::EdgeExtractOptions eo;
@@ -140,6 +154,7 @@ double measure_phase_delay(const sig::Waveform& reference,
 DelayMeasurement measure_delay(const sig::Waveform& reference,
                                const sig::Waveform& output,
                                const DelayMeterOptions& opt) {
+  check_options(opt, "measure_delay");
   sig::EdgeExtractOptions eo;
   eo.threshold_v = opt.threshold_v;
   eo.hysteresis_v = opt.hysteresis_v;

@@ -36,6 +36,8 @@ struct DelayMeterOptions {
 };
 
 /// Mean/spread of the output's delay relative to the reference.
+/// Throws std::invalid_argument for a non-finite threshold_v,
+/// hysteresis_v or settle_ps (a negative settle_ps is no settle window).
 /// Throws std::runtime_error if the edge sequences cannot be aligned
 /// (different transition counts after settling) and `require_equal_counts`
 /// is set; otherwise the common prefix (after polarity alignment) is used.
@@ -49,7 +51,8 @@ DelayMeasurement measure_delay(const sig::Waveform& reference,
 /// reference's, wrapped into [0, ui_ps). Absolute latency is only known
 /// modulo the UI, but differences between settings — which is what range
 /// and transfer-curve measurements need — unwrap correctly as long as
-/// each step moves the delay by less than half a UI.
+/// each step moves the delay by less than half a UI. Rejects non-finite
+/// options like measure_delay.
 double measure_phase_delay(const sig::Waveform& reference,
                            const sig::Waveform& output, double ui_ps,
                            const DelayMeterOptions& opt = {});

@@ -12,7 +12,7 @@
 //   2. Lane pins. Each width-generic kernel (tanh_stage, one_pole, slew,
 //      vga_tail) over w interleaved streams against w solo (w == 1) runs
 //      of the same table, at widths spanning sub-group, exact-group and
-//      group-plus-tail (1, 3, 4, 9), with call partitions that split
+//      group-plus-tail (1, 3, 4, 9, 17), with call partitions that split
 //      groups mid-phase, and with per-stream parameter divergence that
 //      forces the AVX2 per-stream fallbacks.
 //   3. Cross-backend agreement: elementwise elements bitwise, recursive
@@ -461,7 +461,8 @@ TEST(BackendKernels, OnePoleAlphaChangeReanchorsDeterministically) {
 
 namespace {
 
-const std::size_t kWidths[] = {1, 3, 4, 9};
+// 17 leaves a partial group after four full ones on either table.
+const std::size_t kWidths[] = {1, 3, 4, 9, 17};
 // Partitions of the lane calls: one whole call, a tiny odd chunk that
 // leaves every AVX2 group mid-phase at each seam, and a round mid-size.
 const std::size_t kSeams[] = {0, 7, 64};  // 0 = whole
@@ -651,25 +652,43 @@ TEST(BatchKernels, VgaTailBatchMatchesSoloAnyWidthAndPartition) {
 }
 
 TEST(BatchKernels, TanhStageBatchMatchesSoloWithAndWithoutAdd) {
-  for (bool with_add : {false, true}) {
-    expect_lanes_match_solo<int>(
-        [&](const gb::Kernels& k, std::size_t s, const double* x,
-            const double* add, double* out, std::size_t n, int&) {
-          tanh1(k, x, with_add ? add : nullptr, out, n, per_stream(s, 1.5, 0.5),
-                per_stream(s, 0.2, 0.05), per_stream(s, 0.3, 0.02));
-        },
-        [&](const gb::Kernels& k, std::size_t w, const double* x,
-            const double* add, double* out, std::size_t n, int* const*) {
-          std::vector<double> gain(w), ref(w), post(w);
-          for (std::size_t s = 0; s < w; ++s) {
-            gain[s] = per_stream(s, 1.5, 0.5);
-            ref[s] = per_stream(s, 0.2, 0.05);
-            post[s] = per_stream(s, 0.3, 0.02);
-          }
-          k.tanh_stage(x, with_add ? add : nullptr, out, n, w, gain.data(),
-                       ref.data(), post.data());
-        });
-    if (::testing::Test::HasFatalFailure()) return;
+  // Distinct per-stream coefficients; one set shared by every stream (a
+  // device's calibration clones, which the scalar table runs as one
+  // contiguous block); and a post that differs between streams only in
+  // the sign of zero, which must not count as shared.
+  enum Mode { kDistinct, kShared, kSignedZero };
+  struct Coeffs {
+    double gain, ref, post;
+  };
+  const auto coeffs = [](Mode mode, std::size_t s) {
+    const std::size_t t = mode == kDistinct ? s : 0;
+    const double post = mode == kSignedZero ? (s % 2 ? -0.0 : 0.0)
+                                            : per_stream(t, 0.3, 0.02);
+    return Coeffs{per_stream(t, 1.5, 0.5), per_stream(t, 0.2, 0.05), post};
+  };
+  for (Mode mode : {kDistinct, kShared, kSignedZero}) {
+    for (bool with_add : {false, true}) {
+      expect_lanes_match_solo<int>(
+          [&](const gb::Kernels& k, std::size_t s, const double* x,
+              const double* add, double* out, std::size_t n, int&) {
+            const Coeffs c = coeffs(mode, s);
+            tanh1(k, x, with_add ? add : nullptr, out, n, c.gain, c.ref,
+                  c.post);
+          },
+          [&](const gb::Kernels& k, std::size_t w, const double* x,
+              const double* add, double* out, std::size_t n, int* const*) {
+            std::vector<double> gain(w), ref(w), post(w);
+            for (std::size_t s = 0; s < w; ++s) {
+              const Coeffs c = coeffs(mode, s);
+              gain[s] = c.gain;
+              ref[s] = c.ref;
+              post[s] = c.post;
+            }
+            k.tanh_stage(x, with_add ? add : nullptr, out, n, w, gain.data(),
+                         ref.data(), post.data());
+          });
+      if (::testing::Test::HasFatalFailure()) return;
+    }
   }
 }
 

@@ -544,7 +544,9 @@ TEST(BatchRunnerEquivalence, FineLineMatchesSoloAnyWidthPerBackend) {
 }
 
 TEST(BatchRunnerEquivalence, ChannelMatchesSoloWithPerStreamProgramming) {
-  expect_runner_matches_solo(make_channel, {3, 9});
+  // 17 leaves a partial stream group and spills LaneArray's inline
+  // capacity to the heap.
+  expect_runner_matches_solo(make_channel, {3, 9, 17});
 }
 
 TEST(BatchRunnerEquivalence, LaneAssignmentInvariance) {
@@ -593,6 +595,23 @@ TEST(BatchRunnerEquivalence, MixedStreamKindsThrow) {
   EXPECT_THROW(r2.add(line), std::logic_error);
   gc::BatchRunner empty;
   EXPECT_THROW(empty.run(gs::Waveform(0.0, 0.25, 16)), std::logic_error);
+}
+
+TEST(BatchRunnerEquivalence, RejectsTheSameStreamTwice) {
+  // Two lanes over one device would advance one set of state and draw
+  // from one RNG twice per sample.
+  const auto stim = nrz_stimulus();
+  auto ch = make_channel(2);
+  gc::BatchRunner rc;
+  rc.add(ch);
+  EXPECT_THROW(rc.add(ch), std::logic_error);
+  ASSERT_EQ(rc.width(), 1u);
+  EXPECT_TRUE(wf_equal(make_channel(2).process(stim), rc.run(stim)[0]));
+  auto line = make_fine(2, 0.5);
+  gc::BatchRunner rf;
+  rf.add(line);
+  EXPECT_THROW(rf.add(line), std::logic_error);
+  EXPECT_EQ(rf.width(), 1u);
 }
 
 TEST(BatchRunnerEquivalence, FineCurveMatchesSoloCloneSweep) {

@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analog/buffer.h"
@@ -16,6 +17,7 @@
 #include "ate/dut.h"
 #include "core/board.h"
 #include "core/cal_io.h"
+#include "core/calibration.h"
 #include "core/channel.h"
 #include "core/jitter_injector.h"
 #include "measure/delay_meter.h"
@@ -228,4 +230,57 @@ TEST(NanRangeChecks, EveryConstructorAndSetterRejectsNaN) {
   };
   for (const auto& [name, make] : cases)
     EXPECT_THROW(make(), std::invalid_argument) << name;
+}
+
+TEST(NonFiniteOptions, MeasurementOptionsAreRejectedUpFront) {
+  // A NaN or infinite settle window or threshold extracts no edges; it is
+  // rejected up front, naming the field, not after the whole run.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  gs::SynthConfig sc;
+  sc.rate_gbps = 3.2;
+  const auto wf = gs::synthesize_nrz(gs::prbs(7, 32), sc).wf;
+  using Field = double gm::DelayMeterOptions::*;
+  const std::vector<std::pair<const char*, Field>> fields = {
+      {"threshold_v", &gm::DelayMeterOptions::threshold_v},
+      {"hysteresis_v", &gm::DelayMeterOptions::hysteresis_v},
+      {"settle_ps", &gm::DelayMeterOptions::settle_ps},
+  };
+  struct Case {
+    std::string name;
+    const char* field;
+    std::function<void()> run;
+  };
+  std::vector<Case> cases;
+  for (double bad : {nan, inf, -inf}) {
+    for (const auto& [field, member] : fields) {
+      gm::DelayMeterOptions o;
+      o.*member = bad;
+      cases.push_back({"measure_delay", field,
+                       [&wf, o] { gm::measure_delay(wf, wf, o); }});
+      cases.push_back({"measure_phase_delay", field, [&wf, o] {
+                         gm::measure_phase_delay(wf, wf, 312.5, o);
+                       }});
+    }
+    gc::DelayCalibrator::Options o;
+    o.settle_ps = bad;
+    cases.push_back({"DelayCalibrator", "settle_ps",
+                     [o] { gc::DelayCalibrator{o}; }});
+  }
+  for (const auto& c : cases) {
+    try {
+      c.run();
+      ADD_FAILURE() << c.name << " accepted a non-finite " << c.field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << c.name << ": " << e.what();
+    }
+  }
+  // A negative settle window stays accepted: it means none.
+  gm::DelayMeterOptions none;
+  none.settle_ps = -1.0;
+  EXPECT_NEAR(gm::measure_delay(wf, wf, none).mean_ps, 0.0, 1e-9);
+  gc::DelayCalibrator::Options o;
+  o.settle_ps = -1.0;
+  EXPECT_NO_THROW(gc::DelayCalibrator{o});
 }

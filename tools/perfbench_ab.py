@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Alternated A/B runs of the end-to-end benchmark: a git rev vs this checkout.
+
+Exports REV with `git archive` into a temporary directory, so each side
+builds only its own sources, then runs `perfbench/run.py` on the two
+sides for N pairs, alternating which side goes first. The base side runs
+in the export; the change side runs in this checkout (its working tree,
+built under .bench_build/ as usual). Every run must end with
+"correct": true and "failed": 0, and print `digest ... (matches
+pinned)` -- or, on a seed with no pinned digest, the same digest on every
+run of both sides. Any other outcome exits 1 and names the run.
+
+Then it prints, per end-to-end metric of BENCHMARK.json: each side's
+median with its quartiles, how many pairs the change won, and the ratio
+of the change's median to the base's next to the metric's bound.
+
+  python3 tools/perfbench_ab.py --workload deskew --pairs 10
+  python3 tools/perfbench_ab.py --rev HEAD~1 --workload deskew --seed 7
+  python3 tools/perfbench_ab.py --rev HEAD --workload mc_campaign \\
+      --pairs 1 --seconds 1        # smoke run: a checkout against itself
+"""
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def export(rev, dest):
+    """Writes the tree of `rev` into `dest`."""
+    tar = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
+                         check=True, stdout=subprocess.PIPE).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=tar, check=True)
+
+
+def run_side(root, args):
+    """One perfbench run in `root`; returns (metrics, digest) or exits."""
+    cmd = [sys.executable, os.path.join(root, "perfbench", "run.py"),
+           "--workload", args.workload, "--seed", str(args.seed),
+           "--seconds", str(args.seconds), "--trace", "0"]
+    p = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE,
+                       stderr=subprocess.PIPE, text=True)
+    lines = [l for l in p.stdout.splitlines() if l.strip()]
+    digest = [l for l in lines if l.startswith("digest ")]
+    try:
+        last = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        last = {}
+    if (p.returncode != 0 or len(digest) != 1 or not last.get("correct")
+            or last.get("failed") != 0):
+        sys.exit(f"perfbench_ab: run in {root} failed (exit {p.returncode})\n"
+                 f"{p.stdout}{p.stderr[-2000:]}")
+    pinned = digest[0].endswith("(matches pinned)")
+    if not pinned and "(no pinned digest" not in digest[0]:
+        sys.exit(f"perfbench_ab: run in {root}: {digest[0]}")
+    metrics = {k: v["value"] for k, v in last["metrics"].items()}
+    return metrics, (digest[0].split()[1], pinned)
+
+
+def quartiles(xs):
+    """(q1, median, q3) of the runs."""
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    return tuple(statistics.quantiles(xs, n=4, method="inclusive"))
+
+
+def spread(q):
+    return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+
+
+def main():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--rev", default="HEAD", help="base git rev")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=int, default=bench["run_seconds"])
+    ap.add_argument("--seed", type=int, default=2008)
+    args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
+
+    runs = {"base": [], "change": []}
+    digests = set()
+    with tempfile.TemporaryDirectory(prefix="perfbench_ab_") as tmp:
+        export(args.rev, tmp)
+        roots = {"base": tmp, "change": ROOT}
+        for i in range(args.pairs):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in order:
+                metrics, digest = run_side(roots[side], args)
+                runs[side].append(metrics)
+                digests.add(digest)
+                print(f"pair {i + 1}/{args.pairs} {side:6} " +
+                      " ".join(f"{m['name']}={metrics[m['name']]:.4g}"
+                               for m in bench["end_to_end"]) +
+                      f" digest {digest[0]}", flush=True)
+    if all(pinned for _, pinned in digests):
+        check = "every digest matches its pin"
+    elif len(digests) == 1:
+        check = f"digest {next(iter(digests))[0]} on every run (no pin)"
+    else:
+        sys.exit(f"perfbench_ab: digests differ across runs: {sorted(digests)}")
+
+    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of "
+          f"{args.seconds} s, base {args.rev} vs this checkout; "
+          f"0 failed ops, {check}")
+    print(f"{'metric':14} {'base median [q1, q3]':>28} "
+          f"{'change median [q1, q3]':>28} {'wins':>6} {'ratio':>6} bound")
+    for m in bench["end_to_end"]:
+        name, lower = m["name"], m["better"] == "lower"
+        b = [r[name] for r in runs["base"]]
+        c = [r[name] for r in runs["change"]]
+        wins = sum((y < x) if lower else (y > x) for x, y in zip(b, c))
+        bq, cq = quartiles(b), quartiles(c)
+        ratio = cq[1] / bq[1] if bq[1] else float("nan")
+        print(f"{name:14} {spread(bq):>28} {spread(cq):>28} "
+              f"{wins:>3}/{args.pairs:<2} {ratio:6.3f} {m['bound']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
