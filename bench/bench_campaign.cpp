@@ -1,10 +1,9 @@
 // Campaign orchestrator determinism gates (ours): the merged result of a
 // sharded extreme-statistics run must be bit-identical for ANY shard
 // count, ANY execution mode (serial loop, pool threads) and ANY resume
-// point. This bench runs a representative
-// workload — per-unit NRZ synthesis folded into an eye raster, a level
-// histogram and a per-unit record set — through the full matrix and
-// exits nonzero on the first drift, so CI can hold the invariant.
+// point. This bench runs a representative workload — per-unit NRZ
+// synthesis folded into a per-unit record set — through the full matrix
+// and exits nonzero on the first drift, so CI can hold the invariant.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -15,7 +14,6 @@
 
 #include "bench/common.h"
 #include "campaign/campaign.h"
-#include "measure/sinks.h"
 #include "signal/pattern.h"
 #include "signal/synth.h"
 #include "util/rng.h"
@@ -49,15 +47,9 @@ int main(int argc, char** argv) {
   scfg.tail_ps = 100.0;
   scfg.rj_sigma_ps = 1.2;
   scfg.dj_pp_ps = 6.0;
-  const double ui_ps = scfg.unit_interval_ps();
 
-  const auto factory = [&] {
+  const auto factory = [] {
     campaign::AccumulatorSet s;
-    s.push_back(std::make_unique<campaign::SinkAccumulator>(
-        std::make_unique<meas::EyeSink>(bench::bench_eye(ui_ps), 0.0,
-                                        100.0)));
-    s.push_back(std::make_unique<campaign::SinkAccumulator>(
-        std::make_unique<meas::LevelHistogramSink>(-0.6, 0.6, 48, 100.0)));
     s.push_back(std::make_unique<campaign::RecordAccumulator>(2));
     return s;
   };
@@ -65,14 +57,6 @@ int main(int argc, char** argv) {
                            campaign::AccumulatorSet& accs) {
     const auto res = sig::synthesize_nrz(bits, scfg, &rng);
     const auto& v = res.wf.samples();
-    meas::ISampleSink* sinks[2] = {
-        &static_cast<campaign::SinkAccumulator&>(*accs[0]).sink(),
-        &static_cast<campaign::SinkAccumulator&>(*accs[1]).sink()};
-    for (meas::ISampleSink* s : sinks) {
-      s->begin(res.wf.t0_ps(), res.wf.dt_ps(), v.size());
-      s->consume(v.data(), v.size());
-      s->finish();
-    }
     double mean = 0.0, peak = 0.0;
     for (double x : v) {
       mean += x;
@@ -80,7 +64,7 @@ int main(int argc, char** argv) {
     }
     mean /= static_cast<double>(v.size());
     const double rec[2] = {mean, peak};
-    static_cast<campaign::RecordAccumulator&>(*accs[2]).add(unit, rec);
+    static_cast<campaign::RecordAccumulator&>(*accs[0]).add(unit, rec);
   };
 
   const auto base_spec = [&] {

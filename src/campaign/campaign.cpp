@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "campaign/checkpoint.h"
-#include "measure/sinks.h"
 #include "util/serde.h"
 #include "util/thread_pool.h"
 
@@ -32,27 +31,8 @@ Mode parse_mode(const std::string& s) {
 // Accumulators
 // ---------------------------------------------------------------------------
 
-SinkAccumulator::SinkAccumulator(std::unique_ptr<meas::ISampleSink> sink)
-    : sink_(std::move(sink)) {
-  if (!sink_) throw std::invalid_argument("SinkAccumulator: null sink");
-  if (!sink_->checkpointable())
-    throw std::invalid_argument("SinkAccumulator: sink is not checkpointable");
-}
-
-SinkAccumulator::~SinkAccumulator() = default;
-
-void SinkAccumulator::save(util::ByteWriter& w) const { sink_->save_state(w); }
-
-void SinkAccumulator::load(util::ByteReader& r) { sink_->load_state(r); }
-
-void SinkAccumulator::merge_from(const IAccumulator& other) {
-  const auto* o = dynamic_cast<const SinkAccumulator*>(&other);
-  if (!o) throw std::logic_error("SinkAccumulator: merge type mismatch");
-  sink_->merge_from(*o->sink_);
-}
-
 namespace {
-// RecordAccumulator payload tag (sink payloads carry their own kinds).
+// RecordAccumulator payload tag.
 constexpr std::uint32_t kKindRecords = 0x52454331u;  // "REC1"
 }  // namespace
 

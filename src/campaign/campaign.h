@@ -14,9 +14,8 @@
 //      which thread, before or after a resume.
 //   2. Contiguous shards, ordered merge. Shard s owns a contiguous unit
 //      range; merges happen in shard order, so every accumulator sees
-//      contributions in the same order as the single-shard run. Counting
-//      accumulators (eye rasters, histograms) are exactly associative;
-//      floating-point reductions go through RecordAccumulator, which
+//      contributions in the same order as the single-shard run.
+//      Floating-point reductions go through RecordAccumulator, which
 //      keeps per-unit records and reduces in unit order AFTER the merge.
 //   3. Byte-exact state. Checkpoints round-trip through the serde layer
 //      (save(load(save(x))) == save(x)), and a resumed shard continues
@@ -41,10 +40,6 @@ class ByteWriter;
 class ByteReader;
 }  // namespace gdelay::util
 
-namespace gdelay::meas {
-class ISampleSink;
-}  // namespace gdelay::meas
-
 namespace gdelay::campaign {
 
 /// How shards execute. The merged result is identical in every mode.
@@ -64,8 +59,9 @@ Mode parse_mode(const std::string& s);
 /// GDELAY_THREADS.
 inline constexpr std::size_t kDefaultShards = 4;
 
-/// Mergeable, checkpointable campaign state. Implementations must be
-/// byte-exact: save() then load() reproduces the accumulator bit for bit.
+/// Mergeable campaign state, saved to and restored from shard checkpoints.
+/// Implementations must be byte-exact: save() then load() reproduces the
+/// accumulator bit for bit.
 class IAccumulator {
  public:
   virtual ~IAccumulator() = default;
@@ -73,24 +69,6 @@ class IAccumulator {
   virtual void load(util::ByteReader& r) = 0;
   /// Folds another accumulator of the same type/config into this one.
   virtual void merge_from(const IAccumulator& other) = 0;
-};
-
-/// Adapts a checkpointable measurement sink (meas::ISampleSink) to the
-/// campaign accumulator interface.
-class SinkAccumulator final : public IAccumulator {
- public:
-  explicit SinkAccumulator(std::unique_ptr<meas::ISampleSink> sink);
-  ~SinkAccumulator() override;
-
-  meas::ISampleSink& sink() { return *sink_; }
-  const meas::ISampleSink& sink() const { return *sink_; }
-
-  void save(util::ByteWriter& w) const override;
-  void load(util::ByteReader& r) override;
-  void merge_from(const IAccumulator& other) override;
-
- private:
-  std::unique_ptr<meas::ISampleSink> sink_;
 };
 
 /// Fixed-width per-unit records: unit id + `width` doubles. Records stay

@@ -123,6 +123,8 @@ double ChannelCalibration::predicted_latency_ps(int tap, double vctrl) const {
 }
 
 DelaySetting ChannelCalibration::plan(double relative_delay_ps) const {
+  if (std::isnan(relative_delay_ps))
+    throw std::invalid_argument("ChannelCalibration::plan: NaN delay");
   const double fine_lo = fine_curve.y_min();
   const double fine_hi = fine_curve.y_max();
   const double target =

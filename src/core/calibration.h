@@ -53,7 +53,8 @@ struct ChannelCalibration {
   double predicted_latency_ps(int tap, double vctrl) const;
 
   /// Setting realizing `relative_delay_ps` in [0, total_range]; clamps
-  /// outside. Picks the coarse tap that centers the fine adjustment.
+  /// outside (+/-Inf included). Picks the coarse tap that centers the fine
+  /// adjustment. Throws std::invalid_argument on NaN.
   DelaySetting plan(double relative_delay_ps) const;
 };
 

@@ -9,7 +9,8 @@ namespace gdelay::core {
 Dac::Dac(int bits, double vref) : bits_(bits), vref_(vref) {
   if (bits < 4 || bits > 20)
     throw std::invalid_argument("Dac: bits must be in [4, 20]");
-  if (vref <= 0.0) throw std::invalid_argument("Dac: vref must be > 0");
+  if (!(std::isfinite(vref) && vref > 0.0))
+    throw std::invalid_argument("Dac: vref must be finite and > 0");
   max_code_ = (1u << bits_) - 1u;
 }
 
@@ -21,6 +22,7 @@ double Dac::voltage(std::uint32_t code) const {
 }
 
 std::uint32_t Dac::code_for(double v) const {
+  if (std::isnan(v)) throw std::invalid_argument("Dac: code_for(NaN)");
   const double clamped = std::clamp(v, 0.0, vref_);
   const double code = std::round(clamped / lsb_v());
   return std::min(static_cast<std::uint32_t>(code), max_code_);

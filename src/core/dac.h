@@ -10,7 +10,8 @@ class Dac {
  public:
   /// The paper's part: 12 bits over the 1.5 V Vctrl range.
   Dac() : Dac(12, 1.5) {}
-  /// `bits` in [4, 20]; `vref` is the full-scale output (code 2^bits - 1).
+  /// `bits` in [4, 20]; `vref` is the full-scale output (code 2^bits - 1),
+  /// finite and > 0.
   Dac(int bits, double vref);
 
   int bits() const { return bits_; }
@@ -22,7 +23,8 @@ class Dac {
   /// Ideal output voltage for a code (clamped to the code range).
   double voltage(std::uint32_t code) const;
 
-  /// Nearest code producing the requested voltage (clamped into range).
+  /// Nearest code producing the requested voltage (clamped into range,
+  /// +/-Inf included). Throws std::invalid_argument on NaN.
   std::uint32_t code_for(double v) const;
 
   /// Voltage after round-tripping through the quantizer.

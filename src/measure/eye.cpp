@@ -6,7 +6,6 @@
 
 #include "measure/stats.h"
 #include "signal/edges.h"
-#include "util/serde.h"
 
 namespace gdelay::meas {
 
@@ -18,7 +17,7 @@ EyeDiagram::EyeDiagram(double ui_ps, double v_min, double v_max,
       cols_(cols),
       rows_(rows),
       grid_(cols * rows, 0) {
-  if (ui_ps <= 0.0) throw std::invalid_argument("EyeDiagram: ui must be > 0");
+  if (!(ui_ps > 0.0)) throw std::invalid_argument("EyeDiagram: ui must be > 0");
   if (!(v_max > v_min)) throw std::invalid_argument("EyeDiagram: v range empty");
   if (cols < 2 || rows < 2) throw std::invalid_argument("EyeDiagram: raster too small");
 }
@@ -27,7 +26,9 @@ void EyeDiagram::add(double t_ps, double phase_ps, double v) {
   const double span = 2.0 * ui_;
   double x = std::fmod(t_ps - phase_ps, span);
   if (x < 0.0) x += span;
-  if (v < v_min_ || v >= v_max_) return;
+  // A NaN level fails the range test as written, and a non-finite time or
+  // phase folds to NaN: neither may reach the index casts below.
+  if (!(v >= v_min_ && v < v_max_) || std::isnan(x)) return;
   const auto col = std::min(
       static_cast<std::size_t>(x / span * static_cast<double>(cols_)),
       cols_ - 1);
@@ -70,44 +71,6 @@ std::string EyeDiagram::ascii() const {
     out += '\n';
   }
   return out;
-}
-
-void EyeDiagram::save(util::ByteWriter& w) const {
-  w.f64(ui_);
-  w.f64(v_min_);
-  w.f64(v_max_);
-  w.u64(cols_);
-  w.u64(rows_);
-  w.vec_u64(grid_);
-  w.u64(total_);
-}
-
-void EyeDiagram::load(util::ByteReader& r) {
-  const double ui = r.f64();
-  const double v_min = r.f64();
-  const double v_max = r.f64();
-  const auto cols = static_cast<std::size_t>(r.u64());
-  const auto rows = static_cast<std::size_t>(r.u64());
-  std::vector<std::size_t> grid = r.vec_u64();
-  const auto total = static_cast<std::size_t>(r.u64());
-  if (ui <= 0.0 || !(v_max > v_min) || cols < 2 || rows < 2 ||
-      grid.size() != cols * rows)
-    throw std::runtime_error("EyeDiagram: corrupt checkpoint payload");
-  ui_ = ui;
-  v_min_ = v_min;
-  v_max_ = v_max;
-  cols_ = cols;
-  rows_ = rows;
-  grid_ = std::move(grid);
-  total_ = total;
-}
-
-void EyeDiagram::merge(const EyeDiagram& other) {
-  if (ui_ != other.ui_ || v_min_ != other.v_min_ || v_max_ != other.v_max_ ||
-      cols_ != other.cols_ || rows_ != other.rows_)
-    throw std::runtime_error("EyeDiagram: merge geometry mismatch");
-  for (std::size_t i = 0; i < grid_.size(); ++i) grid_[i] += other.grid_[i];
-  total_ += other.total_;
 }
 
 EyeMetrics measure_eye(const sig::Waveform& wf, double ui_ps,

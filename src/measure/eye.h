@@ -15,11 +15,6 @@
 #include "measure/jitter.h"
 #include "signal/waveform.h"
 
-namespace gdelay::util {
-class ByteWriter;
-class ByteReader;
-}  // namespace gdelay::util
-
 namespace gdelay::meas {
 
 struct EyeMetrics {
@@ -47,6 +42,8 @@ class EyeDiagram {
   /// Folds a single sample at absolute time `t_ps` into the raster — the
   /// incremental unit behind accumulate() and the streaming EyeSink.
   /// Applies no settle gating; callers skip transient samples themselves.
+  /// A NaN level or one outside [v_min, v_max), and a sample whose time
+  /// or phase is not finite, are dropped uncounted.
   void add(double t_ps, double phase_ps, double v);
 
   double ui_ps() const { return ui_; }
@@ -57,15 +54,6 @@ class EyeDiagram {
 
   /// ASCII art of the accumulated eye (density-shaded), for bench output.
   std::string ascii() const;
-
-  /// Byte-exact checkpoint of the full raster state (geometry + counts).
-  /// load() overwrites this diagram and throws std::runtime_error on a
-  /// corrupt payload (grid size inconsistent with the stored geometry).
-  void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r);
-  /// Adds another diagram's counts bin-by-bin. Geometry (ui, v range,
-  /// raster size) must match exactly; throws std::runtime_error otherwise.
-  void merge(const EyeDiagram& other);
 
  private:
   double ui_;

@@ -1,11 +1,9 @@
 #include "measure/histogram.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <numeric>
 #include <stdexcept>
-
-#include "util/serde.h"
 
 namespace gdelay::meas {
 
@@ -33,6 +31,10 @@ void Histogram::add(double x) {
     ++overflow_;
     return;
   }
+  if (std::isnan(x)) {
+    ++nan_;
+    return;
+  }
   const auto i = static_cast<std::size_t>((x - lo_) / bin_width());
   ++counts_[std::min(i, counts_.size() - 1)];
 }
@@ -45,45 +47,6 @@ std::size_t Histogram::mode_bin() const {
   const auto it = std::max_element(counts_.begin(), counts_.end());
   return it == counts_.end() ? 0
                              : static_cast<std::size_t>(it - counts_.begin());
-}
-
-void Histogram::save(util::ByteWriter& w) const {
-  w.f64(lo_);
-  w.f64(hi_);
-  w.vec_u64(counts_);
-  w.u64(total_);
-  w.u64(underflow_);
-  w.u64(overflow_);
-}
-
-void Histogram::load(util::ByteReader& r) {
-  const double lo = r.f64();
-  const double hi = r.f64();
-  std::vector<std::size_t> counts = r.vec_u64();
-  const auto total = static_cast<std::size_t>(r.u64());
-  const auto under = static_cast<std::size_t>(r.u64());
-  const auto over = static_cast<std::size_t>(r.u64());
-  const std::size_t in_range =
-      std::accumulate(counts.begin(), counts.end(), std::size_t{0});
-  if (!(hi > lo) || counts.empty() || in_range + under + over != total)
-    throw std::runtime_error("Histogram: corrupt checkpoint payload");
-  lo_ = lo;
-  hi_ = hi;
-  counts_ = std::move(counts);
-  total_ = total;
-  underflow_ = under;
-  overflow_ = over;
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (lo_ != other.lo_ || hi_ != other.hi_ ||
-      counts_.size() != other.counts_.size())
-    throw std::runtime_error("Histogram: merge binning mismatch");
-  for (std::size_t i = 0; i < counts_.size(); ++i)
-    counts_[i] += other.counts_[i];
-  total_ += other.total_;
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
 }
 
 std::string Histogram::ascii(std::size_t max_width) const {

@@ -5,17 +5,13 @@
 #include <string>
 #include <vector>
 
-namespace gdelay::util {
-class ByteWriter;
-class ByteReader;
-}  // namespace gdelay::util
-
 namespace gdelay::meas {
 
 class Histogram {
  public:
   /// `n_bins` equal-width bins spanning [lo, hi). Values outside the span
-  /// are counted in underflow/overflow.
+  /// (including +/-Inf) are counted in underflow/overflow; a NaN counts in
+  /// total() and nan_count() only.
   Histogram(double lo, double hi, std::size_t n_bins);
 
   void add(double x);
@@ -30,20 +26,13 @@ class Histogram {
   std::size_t total() const { return total_; }
   std::size_t underflow() const { return underflow_; }
   std::size_t overflow() const { return overflow_; }
+  std::size_t nan_count() const { return nan_; }
 
   /// Index of the fullest bin (0 if the histogram is empty).
   std::size_t mode_bin() const;
 
   /// Simple ASCII rendering (one row per bin) for bench/report output.
   std::string ascii(std::size_t max_width = 50) const;
-
-  /// Byte-exact checkpoint of bins + counts. load() overwrites this
-  /// histogram; a payload whose counts do not reconcile with the stored
-  /// total throws std::runtime_error.
-  void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r);
-  /// Adds another histogram's counts. Binning must match exactly.
-  void merge(const Histogram& other);
 
  private:
   double lo_;
@@ -52,6 +41,7 @@ class Histogram {
   std::size_t total_ = 0;
   std::size_t underflow_ = 0;
   std::size_t overflow_ = 0;
+  std::size_t nan_ = 0;
 };
 
 }  // namespace gdelay::meas

@@ -104,21 +104,4 @@ DdjReport analyze_ddj(const std::vector<double>& ts, double ui_ps,
   return rep;
 }
 
-DutyReport measure_duty(const sig::Waveform& wf, double ui_ps,
-                        double threshold_v, double settle_ps) {
-  if (ui_ps <= 0.0)
-    throw std::invalid_argument("measure_duty: ui must be > 0");
-  DutyReport rep;
-  std::size_t above = 0, total = 0;
-  for (std::size_t i = 0; i < wf.size(); ++i) {
-    if (wf.time_at(i) < wf.t0_ps() + settle_ps) continue;
-    ++total;
-    if (wf[i] > threshold_v) ++above;
-  }
-  if (total == 0) return rep;
-  rep.duty = static_cast<double>(above) / static_cast<double>(total);
-  rep.dcd_ps = (rep.duty - 0.5) * 2.0 * ui_ps;
-  return rep;
-}
-
 }  // namespace gdelay::meas

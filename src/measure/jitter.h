@@ -63,14 +63,4 @@ struct DdjReport {
 DdjReport analyze_ddj(const std::vector<double>& crossing_times_ps,
                       double ui_ps, std::size_t min_count = 5);
 
-/// Duty-cycle statistics of a (clock-like or data) waveform: fraction of
-/// time above threshold, and the duty-cycle distortion expressed in ps
-/// per UI (0.5 duty = 0 DCD). Uses the settled portion only.
-struct DutyReport {
-  double duty = 0.5;    ///< Fraction of samples above threshold.
-  double dcd_ps = 0.0;  ///< (duty - 0.5) * 2 * ui.
-};
-DutyReport measure_duty(const sig::Waveform& wf, double ui_ps,
-                        double threshold_v = 0.0, double settle_ps = 12000.0);
-
 }  // namespace gdelay::meas

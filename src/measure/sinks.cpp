@@ -1,55 +1,8 @@
 #include "measure/sinks.h"
 
-#include <cmath>
 #include <cstring>
-#include <stdexcept>
-
-#include "util/serde.h"
 
 namespace gdelay::meas {
-
-namespace {
-
-// Per-class kind tags: the first u32 of every sink checkpoint payload.
-// A checkpoint can then never load into the wrong sink type.
-enum SinkKind : std::uint32_t {
-  kKindWaveformCapture = 1,
-  kKindEye = 2,
-  kKindLevelHistogram = 3,
-  kKindEdge = 4,
-  kKindJitter = 5,
-  kKindDelayMeter = 6,
-};
-
-void expect_kind(util::ByteReader& r, std::uint32_t want, const char* who) {
-  const std::uint32_t got = r.u32();
-  if (got != want)
-    throw std::runtime_error(std::string(who) +
-                             ": checkpoint kind-tag mismatch");
-}
-
-/// Reads a sample period or unit interval: anything but a finite,
-/// positive value means the payload is corrupt.
-double read_period(util::ByteReader& r, const char* who) {
-  const double v = r.f64();
-  if (!std::isfinite(v) || v <= 0.0)
-    throw std::runtime_error(std::string(who) + ": corrupt checkpoint");
-  return v;
-}
-
-}  // namespace
-
-void ISampleSink::save_state(util::ByteWriter&) const {
-  throw std::logic_error("ISampleSink: sink is not checkpointable");
-}
-
-void ISampleSink::load_state(util::ByteReader&) {
-  throw std::logic_error("ISampleSink: sink is not checkpointable");
-}
-
-void ISampleSink::merge_from(const ISampleSink&) {
-  throw std::logic_error("ISampleSink: sink does not support merge");
-}
 
 void WaveformCaptureSink::begin(double t0_ps, double dt_ps,
                                 std::size_t total_n) {
@@ -60,26 +13,6 @@ void WaveformCaptureSink::begin(double t0_ps, double dt_ps,
 void WaveformCaptureSink::consume(const double* samples, std::size_t n) {
   std::memcpy(wf_.samples().data() + pos_, samples, n * sizeof(double));
   pos_ += n;
-}
-
-void WaveformCaptureSink::save_state(util::ByteWriter& w) const {
-  w.u32(kKindWaveformCapture);
-  w.f64(wf_.t0_ps());
-  w.f64(wf_.dt_ps());
-  w.vec_f64(wf_.samples());
-  w.u64(pos_);
-}
-
-void WaveformCaptureSink::load_state(util::ByteReader& r) {
-  expect_kind(r, kKindWaveformCapture, "WaveformCaptureSink");
-  const double t0 = r.f64();
-  const double dt = read_period(r, "WaveformCaptureSink");
-  std::vector<double> samples = r.vec_f64();
-  const auto pos = static_cast<std::size_t>(r.u64());
-  if (pos > samples.size())
-    throw std::runtime_error("WaveformCaptureSink: corrupt checkpoint");
-  wf_ = sig::Waveform(t0, dt, std::move(samples));
-  pos_ = pos;
 }
 
 EyeSink::EyeSink(EyeDiagram eye, double phase_ps, double settle_ps)
@@ -97,34 +30,6 @@ void EyeSink::consume(const double* samples, std::size_t n) {
     if (t < t0_ps_ + settle_ps_) continue;
     eye_.add(t, phase_ps_, samples[k]);
   }
-}
-
-void EyeSink::save_state(util::ByteWriter& w) const {
-  w.u32(kKindEye);
-  w.f64(phase_ps_);
-  w.f64(settle_ps_);
-  w.f64(t0_ps_);
-  w.f64(dt_ps_);
-  w.u64(next_);
-  eye_.save(w);
-}
-
-void EyeSink::load_state(util::ByteReader& r) {
-  expect_kind(r, kKindEye, "EyeSink");
-  phase_ps_ = r.f64();
-  settle_ps_ = r.f64();
-  t0_ps_ = r.f64();
-  dt_ps_ = read_period(r, "EyeSink");
-  next_ = static_cast<std::size_t>(r.u64());
-  eye_.load(r);
-}
-
-void EyeSink::merge_from(const ISampleSink& other) {
-  const auto* o = dynamic_cast<const EyeSink*>(&other);
-  if (!o) throw std::logic_error("EyeSink: merge type mismatch");
-  if (phase_ps_ != o->phase_ps_ || settle_ps_ != o->settle_ps_)
-    throw std::runtime_error("EyeSink: merge configuration mismatch");
-  eye_.merge(o->eye_);
 }
 
 LevelHistogramSink::LevelHistogramSink(double lo, double hi,
@@ -145,40 +50,13 @@ void LevelHistogramSink::consume(const double* samples, std::size_t n) {
   }
 }
 
-void LevelHistogramSink::save_state(util::ByteWriter& w) const {
-  w.u32(kKindLevelHistogram);
-  w.f64(settle_ps_);
-  w.f64(t0_ps_);
-  w.f64(dt_ps_);
-  w.u64(next_);
-  hist_.save(w);
-}
-
-void LevelHistogramSink::load_state(util::ByteReader& r) {
-  expect_kind(r, kKindLevelHistogram, "LevelHistogramSink");
-  settle_ps_ = r.f64();
-  t0_ps_ = r.f64();
-  dt_ps_ = read_period(r, "LevelHistogramSink");
-  next_ = static_cast<std::size_t>(r.u64());
-  hist_.load(r);
-}
-
-void LevelHistogramSink::merge_from(const ISampleSink& other) {
-  const auto* o = dynamic_cast<const LevelHistogramSink*>(&other);
-  if (!o) throw std::logic_error("LevelHistogramSink: merge type mismatch");
-  if (settle_ps_ != o->settle_ps_)
-    throw std::runtime_error("LevelHistogramSink: merge configuration mismatch");
-  hist_.merge(o->hist_);
-}
-
 EdgeSink::EdgeSink(const sig::EdgeExtractOptions& opt, double settle_ps)
     : opt_(opt), settle_ps_(settle_ps) {}
 
-void EdgeSink::begin(double t0_ps, double dt_ps, std::size_t total_n) {
+void EdgeSink::begin(double t0_ps, double dt_ps, std::size_t) {
   sig::EdgeExtractOptions eo = opt_;
   eo.t_min_ps = t0_ps + settle_ps_;
   extractor_.emplace(t0_ps, dt_ps, eo);
-  total_n_ = total_n;
 }
 
 void EdgeSink::consume(const double* samples, std::size_t n) {
@@ -192,42 +70,6 @@ const std::vector<sig::Edge>& EdgeSink::edges() const {
 
 std::vector<double> EdgeSink::edge_times() const {
   return sig::edge_times(edges());
-}
-
-void EdgeSink::save_state(util::ByteWriter& w) const {
-  w.u32(kKindEdge);
-  w.f64(opt_.threshold_v);
-  w.f64(opt_.hysteresis_v);
-  w.f64(opt_.t_min_ps);
-  w.f64(opt_.t_max_ps);
-  w.f64(settle_ps_);
-  w.u64(total_n_);
-  w.u8(extractor_ ? 1 : 0);
-  if (extractor_) extractor_->save(w);
-}
-
-void EdgeSink::load_state(util::ByteReader& r) {
-  expect_kind(r, kKindEdge, "EdgeSink");
-  opt_.threshold_v = r.f64();
-  opt_.hysteresis_v = r.f64();
-  opt_.t_min_ps = r.f64();
-  opt_.t_max_ps = r.f64();
-  settle_ps_ = r.f64();
-  total_n_ = static_cast<std::size_t>(r.u64());
-  if (r.u8() != 0) {
-    extractor_.emplace(0.0, 1.0, sig::EdgeExtractOptions{});
-    extractor_->load(r);
-  } else {
-    extractor_.reset();
-  }
-}
-
-void EdgeSink::merge_from(const ISampleSink& other) {
-  const auto* o = dynamic_cast<const EdgeSink*>(&other);
-  if (!o) throw std::logic_error("EdgeSink: merge type mismatch");
-  if (!extractor_ || !o->extractor_)
-    throw std::logic_error("EdgeSink: merge before begin()");
-  extractor_->append_edges(o->extractor_->edges());
 }
 
 namespace {
@@ -265,28 +107,6 @@ void JitterSink::finish() {
   report_ = analyze_jitter(edge_sink_.edge_times(), ui_ps_);
 }
 
-void JitterSink::save_state(util::ByteWriter& w) const {
-  w.u32(kKindJitter);
-  w.f64(ui_ps_);
-  edge_sink_.save_state(w);
-}
-
-void JitterSink::load_state(util::ByteReader& r) {
-  expect_kind(r, kKindJitter, "JitterSink");
-  ui_ps_ = read_period(r, "JitterSink");
-  edge_sink_.load_state(r);
-  report_ = JitterReport{};
-}
-
-void JitterSink::merge_from(const ISampleSink& other) {
-  const auto* o = dynamic_cast<const JitterSink*>(&other);
-  if (!o) throw std::logic_error("JitterSink: merge type mismatch");
-  if (ui_ps_ != o->ui_ps_)
-    throw std::runtime_error("JitterSink: merge configuration mismatch");
-  edge_sink_.merge_from(o->edge_sink_);
-  finish();
-}
-
 DelayMeterSink::DelayMeterSink(const EdgeSink& reference,
                                const DelayMeterOptions& opt)
     : reference_(&reference),
@@ -318,32 +138,6 @@ void DelayMeterSink::finish() {
     orr.push_back(e.rising);
   }
   result_ = measure_delay_edges(rt, rr, ot, orr, opt_.require_equal_counts);
-}
-
-void DelayMeterSink::save_state(util::ByteWriter& w) const {
-  w.u32(kKindDelayMeter);
-  w.f64(opt_.threshold_v);
-  w.f64(opt_.hysteresis_v);
-  w.f64(opt_.settle_ps);
-  w.u8(opt_.require_equal_counts ? 1 : 0);
-  edge_sink_.save_state(w);
-}
-
-void DelayMeterSink::load_state(util::ByteReader& r) {
-  expect_kind(r, kKindDelayMeter, "DelayMeterSink");
-  opt_.threshold_v = r.f64();
-  opt_.hysteresis_v = r.f64();
-  opt_.settle_ps = r.f64();
-  opt_.require_equal_counts = r.u8() != 0;
-  edge_sink_.load_state(r);
-  result_ = DelayMeasurement{};
-}
-
-void DelayMeterSink::merge_from(const ISampleSink& other) {
-  const auto* o = dynamic_cast<const DelayMeterSink*>(&other);
-  if (!o) throw std::logic_error("DelayMeterSink: merge type mismatch");
-  edge_sink_.merge_from(o->edge_sink_);
-  finish();
 }
 
 }  // namespace gdelay::meas

@@ -24,11 +24,6 @@
 #include "signal/edges.h"
 #include "signal/waveform.h"
 
-namespace gdelay::util {
-class ByteWriter;
-class ByteReader;
-}  // namespace gdelay::util
-
 namespace gdelay::meas {
 
 /// Chunk-by-chunk consumer of a uniformly sampled stream.
@@ -46,35 +41,6 @@ class ISampleSink {
 
   /// Called once after the last chunk; finalizes derived results.
   virtual void finish() {}
-
-  // -- Checkpoint / merge surface (campaign orchestration) --------------
-  //
-  // A checkpointable sink can externalize its full accumulation state as
-  // bytes and restore it later: save_state() on sink A followed by
-  // load_state() on a same-configured sink B makes B indistinguishable
-  // from A — resuming the stream on B yields byte-identical results to
-  // the uninterrupted run on A. Payloads start with a per-class kind tag
-  // so a checkpoint can never deserialize into the wrong sink type, and
-  // every read is bounds-checked (truncation throws, never fabricates).
-  //
-  // merge_from() folds another sink's accumulated statistics into this
-  // one (counts add, edge lists concatenate). It is defined for the
-  // accumulator sinks; order-sensitive sinks (waveform capture) keep the
-  // default throwing implementation.
-
-  /// True if this sink supports save_state()/load_state().
-  virtual bool checkpointable() const { return false; }
-  /// Serializes the sink's full state. Throws std::logic_error if the
-  /// sink is not checkpointable.
-  virtual void save_state(util::ByteWriter& w) const;
-  /// Restores state saved by a same-configured sink. Throws
-  /// std::runtime_error on a kind-tag mismatch or corrupt payload
-  /// (including a non-finite or non-positive sample period or UI).
-  virtual void load_state(util::ByteReader& r);
-  /// Folds `other`'s accumulated statistics into this sink. Both sinks
-  /// must be the same type with matching configuration. Throws
-  /// std::logic_error where merging is not meaningful.
-  virtual void merge_from(const ISampleSink& other);
 };
 
 /// Materializes the stream into a Waveform — the bridge back to the
@@ -86,12 +52,6 @@ class WaveformCaptureSink final : public ISampleSink {
 
   const sig::Waveform& waveform() const { return wf_; }
   sig::Waveform take_waveform() { return std::move(wf_); }
-
-  /// Capture supports checkpoint/resume but not merge: a waveform is a
-  /// positional recording, not an additive statistic.
-  bool checkpointable() const override { return true; }
-  void save_state(util::ByteWriter& w) const override;
-  void load_state(util::ByteReader& r) override;
 
  private:
   sig::Waveform wf_;
@@ -109,11 +69,6 @@ class EyeSink final : public ISampleSink {
 
   const EyeDiagram& eye() const { return eye_; }
   EyeDiagram& eye() { return eye_; }
-
-  bool checkpointable() const override { return true; }
-  void save_state(util::ByteWriter& w) const override;
-  void load_state(util::ByteReader& r) override;
-  void merge_from(const ISampleSink& other) override;
 
  private:
   EyeDiagram eye_;
@@ -134,11 +89,6 @@ class LevelHistogramSink final : public ISampleSink {
   void consume(const double* samples, std::size_t n) override;
 
   const Histogram& histogram() const { return hist_; }
-
-  bool checkpointable() const override { return true; }
-  void save_state(util::ByteWriter& w) const override;
-  void load_state(util::ByteReader& r) override;
-  void merge_from(const ISampleSink& other) override;
 
  private:
   Histogram hist_;
@@ -164,18 +114,10 @@ class EdgeSink final : public ISampleSink {
   /// Crossing instants only (the TIE extractor's raw material).
   std::vector<double> edge_times() const;
 
-  bool checkpointable() const override { return true; }
-  void save_state(util::ByteWriter& w) const override;
-  void load_state(util::ByteReader& r) override;
-  /// Concatenates the other sink's emitted edges (shards cover disjoint
-  /// stretches of stimulus, so edge lists append in shard order).
-  void merge_from(const ISampleSink& other) override;
-
  private:
   sig::EdgeExtractOptions opt_;
   double settle_ps_;
   std::optional<sig::StreamingEdgeExtractor> extractor_;
-  std::size_t total_n_ = 0;
 };
 
 /// Single-pass jitter measurement; finish() produces the same JitterReport
@@ -190,12 +132,6 @@ class JitterSink final : public ISampleSink {
 
   const JitterReport& report() const { return report_; }
   const std::vector<sig::Edge>& edges() const { return edge_sink_.edges(); }
-
-  bool checkpointable() const override { return true; }
-  void save_state(util::ByteWriter& w) const override;
-  void load_state(util::ByteReader& r) override;
-  /// Merges the underlying edge lists and recomputes the report.
-  void merge_from(const ISampleSink& other) override;
 
  private:
   double ui_ps_;
@@ -220,16 +156,6 @@ class DelayMeterSink final : public ISampleSink {
   /// An EdgeSink configured exactly as measure_delay configures its
   /// reference-side extraction for these options.
   static EdgeSink reference_sink(const DelayMeterOptions& opt = {});
-
-  /// Checkpoints the OUTPUT-side edge state only; the reference pointer is
-  /// reconstructed by the caller (pass the live reference sink to the
-  /// constructor before load_state). finish() recomputes the result.
-  bool checkpointable() const override { return true; }
-  void save_state(util::ByteWriter& w) const override;
-  void load_state(util::ByteReader& r) override;
-  /// Merges the output-side edge lists and recomputes against the live
-  /// reference (whose edges the caller merges separately).
-  void merge_from(const ISampleSink& other) override;
 
  private:
   const EdgeSink* reference_;

@@ -1,9 +1,6 @@
 #include "signal/edges.h"
 
-#include <cmath>
-#include <stdexcept>
-
-#include "util/serde.h"
+#include <algorithm>
 
 namespace gdelay::sig {
 
@@ -81,57 +78,6 @@ void StreamingEdgeExtractor::consume(const double* samples, std::size_t n) {
       }
     }
   }
-}
-
-void StreamingEdgeExtractor::save(util::ByteWriter& w) const {
-  w.f64(t0_);
-  w.f64(dt_);
-  w.f64(th_);
-  w.f64(hy_);
-  w.f64(t_min_);
-  w.f64(t_max_);
-  w.i32(state_);
-  w.u64(n_seen_);
-  w.u64(base_);
-  w.vec_f64(hist_);
-  w.u64(edges_.size());
-  for (const auto& e : edges_) {
-    w.f64(e.t_ps);
-    w.u8(e.rising ? 1 : 0);
-  }
-}
-
-void StreamingEdgeExtractor::load(util::ByteReader& r) {
-  t0_ = r.f64();
-  dt_ = r.f64();
-  if (!std::isfinite(dt_) || dt_ <= 0.0)
-    throw std::runtime_error("StreamingEdgeExtractor: corrupt checkpoint");
-  th_ = r.f64();
-  hy_ = r.f64();
-  t_min_ = r.f64();
-  t_max_ = r.f64();
-  const int state = r.i32();
-  if (state < -1 || state > 1)
-    throw std::runtime_error("StreamingEdgeExtractor: corrupt checkpoint");
-  state_ = state;
-  n_seen_ = static_cast<std::size_t>(r.u64());
-  base_ = static_cast<std::size_t>(r.u64());
-  hist_ = r.vec_f64();
-  if (base_ + hist_.size() != n_seen_)
-    throw std::runtime_error("StreamingEdgeExtractor: corrupt checkpoint");
-  const std::uint64_t n_edges = r.u64();
-  edges_.clear();
-  edges_.reserve(static_cast<std::size_t>(n_edges));
-  for (std::uint64_t i = 0; i < n_edges; ++i) {
-    Edge e;
-    e.t_ps = r.f64();
-    e.rising = r.u8() != 0;
-    edges_.push_back(e);
-  }
-}
-
-void StreamingEdgeExtractor::append_edges(const std::vector<Edge>& more) {
-  edges_.insert(edges_.end(), more.begin(), more.end());
 }
 
 std::vector<Edge> extract_edges(const Waveform& wf,

@@ -11,11 +11,6 @@
 
 #include "signal/waveform.h"
 
-namespace gdelay::util {
-class ByteWriter;
-class ByteReader;
-}  // namespace gdelay::util
-
 namespace gdelay::sig {
 
 struct Edge {
@@ -64,17 +59,6 @@ class StreamingEdgeExtractor {
   const std::vector<Edge>& edges() const { return edges_; }
   /// Moves the edge list out (the extractor keeps its scan state).
   std::vector<Edge> take_edges() { return std::move(edges_); }
-
-  /// Byte-exact checkpoint of the full scan state (grid, thresholds,
-  /// polarity, retained history window, emitted edges). load() overwrites
-  /// this extractor, so resuming a stream from the restored state yields
-  /// exactly the edges of the uninterrupted run.
-  void save(util::ByteWriter& w) const;
-  void load(util::ByteReader& r);
-
-  /// Appends already-extracted edges (a merged shard's output). The scan
-  /// state is untouched; only the emitted-edge list grows.
-  void append_edges(const std::vector<Edge>& more);
 
  private:
   double t0_;

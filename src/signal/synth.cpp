@@ -84,36 +84,6 @@ SynthPlan plan_nrz(const BitPattern& bits, const SynthConfig& cfg,
   return plan;
 }
 
-SynthPlan plan_rz(const BitPattern& bits, const SynthConfig& cfg, double duty,
-                  util::Rng* rng) {
-  validate(cfg);
-  if (bits.empty()) throw std::invalid_argument("synthesize_rz: empty pattern");
-  if (duty <= 0.0 || duty >= 1.0)
-    throw std::invalid_argument("synthesize_rz: duty must be in (0,1)");
-  const double ui = cfg.unit_interval_ps();
-  const double a = cfg.amplitude_v;
-
-  SynthPlan plan;
-  plan.unit_interval_ps = ui;
-  plan.tau_ps = cfg.rise_time_ps / kTanh2080;
-  plan.level0_v = -a;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (!bits[i]) continue;
-    const double rise_ideal = cfg.lead_in_ps + static_cast<double>(i) * ui;
-    const double fall_ideal = rise_ideal + duty * ui;
-    const double tr = jittered(cfg, rise_ideal, ui, rng);
-    const double tf = jittered(cfg, fall_ideal, ui, rng);
-    plan.ideal_edges_ps.push_back(rise_ideal);
-    plan.ideal_edges_ps.push_back(fall_ideal);
-    plan.actual_edges_ps.push_back(tr);
-    plan.actual_edges_ps.push_back(tf);
-    plan.transitions.push_back({tr, 2.0 * a});
-    plan.transitions.push_back({tf, -2.0 * a});
-  }
-  seal_plan(plan, cfg, bits.size());
-  return plan;
-}
-
 SynthPlan plan_clock(double f_ghz, std::size_t n_cycles,
                      const SynthConfig& cfg, util::Rng* rng) {
   if (f_ghz <= 0.0) throw std::invalid_argument("synthesize_clock: f must be > 0");
@@ -173,11 +143,6 @@ SynthResult materialize(SynthPlan plan) {
 SynthResult synthesize_nrz(const BitPattern& bits, const SynthConfig& cfg,
                            util::Rng* rng) {
   return materialize(plan_nrz(bits, cfg, rng));
-}
-
-SynthResult synthesize_rz(const BitPattern& bits, const SynthConfig& cfg,
-                          double duty, util::Rng* rng) {
-  return materialize(plan_rz(bits, cfg, duty, rng));
 }
 
 SynthResult synthesize_clock(double f_ghz, std::size_t n_cycles,

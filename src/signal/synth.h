@@ -70,8 +70,6 @@ struct SynthPlan {
 /// configuration, RNG draw order and edge lists, but no waveform yet.
 SynthPlan plan_nrz(const BitPattern& bits, const SynthConfig& cfg,
                    util::Rng* rng = nullptr);
-SynthPlan plan_rz(const BitPattern& bits, const SynthConfig& cfg,
-                  double duty = 0.5, util::Rng* rng = nullptr);
 SynthPlan plan_clock(double f_ghz, std::size_t n_cycles,
                      const SynthConfig& cfg, util::Rng* rng = nullptr);
 
@@ -107,10 +105,6 @@ class TransitionRenderer {
 /// NRZ waveform for a bit pattern. `rng` may be null when rj_sigma_ps == 0.
 SynthResult synthesize_nrz(const BitPattern& bits, const SynthConfig& cfg,
                            util::Rng* rng = nullptr);
-
-/// Return-to-zero waveform: each 1 bit is a pulse `duty` of a UI wide.
-SynthResult synthesize_rz(const BitPattern& bits, const SynthConfig& cfg,
-                          double duty = 0.5, util::Rng* rng = nullptr);
 
 /// Square-wave clock at `f_ghz` for `n_cycles` cycles. Equivalent to NRZ
 /// alternating data at 2*f_ghz Gbps — the paper's "RZ clock" stimulus used

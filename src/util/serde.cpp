@@ -18,8 +18,6 @@ void ByteWriter::u64(std::uint64_t v) {
     buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
 }
 
-void ByteWriter::i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-
 void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
 void ByteWriter::raw(const void* data, std::size_t n) {
@@ -68,8 +66,6 @@ std::uint64_t ByteReader::u64() {
   for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(*p_++) << (8 * i);
   return v;
 }
-
-std::int32_t ByteReader::i32() { return static_cast<std::int32_t>(u32()); }
 
 double ByteReader::f64() { return std::bit_cast<double>(u64()); }
 

@@ -1,13 +1,13 @@
-// Binary serialization primitives for checkpointable state.
+// Binary serialization primitives for checkpoint state.
 //
-// The campaign orchestrator persists partial accumulators (measurement
-// sinks, per-trial record sets) so extreme-statistics runs can be
-// sharded over processes, killed, resumed and merged. Everything here is
-// byte-exact and host-independent: integers are packed little-endian one
-// octet at a time, doubles travel as their IEEE-754 bit pattern, and a
-// reader that runs past the end of its buffer throws instead of
-// fabricating state. Round-trip identity — save(load(save(x))) ==
-// save(x) — is the contract the checkpoint tests pin.
+// The campaign orchestrator persists partial accumulators (per-unit
+// record sets) so extreme-statistics runs can be sharded, killed, resumed
+// and merged. Everything here is byte-exact and host-independent:
+// integers are packed little-endian one octet at a time, doubles travel
+// as their IEEE-754 bit pattern, and a reader that runs past the end of
+// its buffer throws instead of fabricating state. Round-trip identity —
+// save(load(save(x))) == save(x) — is the contract the checkpoint tests
+// pin.
 #pragma once
 
 #include <cstddef>
@@ -23,7 +23,6 @@ class ByteWriter {
   void u8(std::uint8_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
-  void i32(std::int32_t v);
   void f64(double v);  ///< IEEE-754 bit pattern, exact.
   void raw(const void* data, std::size_t n);
 
@@ -50,7 +49,6 @@ class ByteReader {
   std::uint8_t u8();
   std::uint32_t u32();
   std::uint64_t u64();
-  std::int32_t i32();
   double f64();
   void raw(void* out, std::size_t n);
 

@@ -3,7 +3,8 @@
 // result is bit-identical for ANY shard count, ANY execution mode
 // (serial / thread) and ANY resume point — plus the guard rails around
 // it: checkpoints from a different spec or topology, corrupt checkpoint
-// files and swapped shard files are rejected, and the RecordAccumulator
+// files and swapped shard files are rejected, the frame layer refuses
+// truncated or bit-flipped bytes outright, and the RecordAccumulator
 // restores unit order across merges so floating-point reductions stay
 // associative by construction.
 #include <gtest/gtest.h>
@@ -17,12 +18,10 @@
 
 #include "campaign/campaign.h"
 #include "campaign/checkpoint.h"
-#include "measure/sinks.h"
 #include "util/rng.h"
 #include "util/serde.h"
 
 namespace gcp = gdelay::campaign;
-namespace gm = gdelay::meas;
 using gdelay::util::ByteReader;
 using gdelay::util::ByteWriter;
 using gdelay::util::fnv1a64;
@@ -32,31 +31,31 @@ namespace {
 
 constexpr std::uint64_t kUnits = 40;
 
-// Small mixed workload: one order-restoring record accumulator plus one
-// counting sink, the two accumulator families the orchestrator merges.
+// Small workload with two accumulators of different widths per shard, so
+// the merge runs over a multi-state set in factory order and a checkpoint
+// carries both payloads back to back.
 gcp::AccumulatorSet make_accs() {
   gcp::AccumulatorSet accs;
   accs.push_back(std::make_unique<gcp::RecordAccumulator>(2));
-  accs.push_back(std::make_unique<gcp::SinkAccumulator>(
-      std::make_unique<gm::LevelHistogramSink>(-4.0, 4.0, 32, 0.0)));
+  accs.push_back(std::make_unique<gcp::RecordAccumulator>(3));
   return accs;
 }
 
 void unit_work(std::uint64_t unit, Rng& rng, gcp::AccumulatorSet& accs) {
-  auto& rec = dynamic_cast<gcp::RecordAccumulator&>(*accs[0]);
-  auto& sink = dynamic_cast<gcp::SinkAccumulator&>(*accs[1]).sink();
+  auto& summary = dynamic_cast<gcp::RecordAccumulator&>(*accs[0]);
+  auto& extremes = dynamic_cast<gcp::RecordAccumulator&>(*accs[1]);
   double samples[16];
-  double sum = 0.0, peak = 0.0;
+  double sum = 0.0, peak = 0.0, trough = 0.0;
   for (double& s : samples) {
     s = rng.gaussian();
     sum += s;
     if (s > peak) peak = s;
+    if (s < trough) trough = s;
   }
-  sink.begin(0.0, 1.0, 16);
-  sink.consume(samples, 16);
-  sink.finish();
   const double row[2] = {sum / 16.0, peak};
-  rec.add(unit, row);
+  summary.add(unit, row);
+  const double ext[3] = {samples[0], trough, peak};
+  extremes.add(unit, ext);
 }
 
 std::uint64_t hash_accs(const gcp::AccumulatorSet& accs) {
@@ -299,4 +298,68 @@ TEST(CampaignCheckpoint, SwappedShardFilesAreRejected) {
         << e.what();
   }
   gcp::remove_checkpoints(spec);
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint frames (envelope + checksum + atomic files)
+// ---------------------------------------------------------------------------
+
+TEST(CheckpointFrame, RoundTripsPayload) {
+  const std::string payload = "campaign shard state bytes \x00\x01\x7f";
+  const std::string framed = gcp::frame(gcp::kFrameShardState, payload);
+  EXPECT_EQ(gcp::unframe(framed, gcp::kFrameShardState), payload);
+}
+
+TEST(CheckpointFrame, RejectsBitFlipAnywhereInPayload) {
+  const std::string payload(256, 'x');
+  std::string framed = gcp::frame(gcp::kFrameShardState, payload);
+  // Flip one payload bit: the FNV checksum must catch it.
+  framed[20] = static_cast<char>(framed[20] ^ 0x10);
+  EXPECT_THROW(gcp::unframe(framed, gcp::kFrameShardState),
+               std::runtime_error);
+}
+
+TEST(CheckpointFrame, RejectsTruncation) {
+  const std::string framed =
+      gcp::frame(gcp::kFrameShardState, std::string(64, 'y'));
+  for (std::size_t keep : {framed.size() - 1, framed.size() / 2,
+                           std::size_t{3}, std::size_t{0}}) {
+    EXPECT_THROW(gcp::unframe(framed.substr(0, keep), gcp::kFrameShardState),
+                 std::runtime_error)
+        << "kept " << keep;
+  }
+}
+
+TEST(CheckpointFrame, RejectsOversizedLengthField) {
+  // A size field near 2^64 must not wrap the truncation check (size + 8
+  // would be 0 here) and reach the payload allocation.
+  std::string framed = gcp::frame(gcp::kFrameShardState, "p");
+  for (std::size_t i = 0; i < 8; ++i)
+    framed[12 + i] = static_cast<char>(i == 0 ? 0xf8 : 0xff);
+  EXPECT_THROW(gcp::unframe(framed, gcp::kFrameShardState),
+               std::runtime_error);
+}
+
+TEST(CheckpointFrame, RejectsWrongKindAndBadMagic) {
+  const std::string framed = gcp::frame(gcp::kFrameShardState, "p");
+  EXPECT_THROW(gcp::unframe(framed, gcp::kFrameShardState + 1),
+               std::runtime_error);
+  std::string bad = framed;
+  bad[0] = static_cast<char>(bad[0] ^ 0xff);
+  EXPECT_THROW(gcp::unframe(bad, gcp::kFrameShardState), std::runtime_error);
+}
+
+TEST(CheckpointFile, AtomicWriteCreatesParentsAndRoundTrips) {
+  const std::string dir = ::testing::TempDir() + "gdelay_ckpt_test/nested";
+  const std::string path = dir + "/state.ckpt";
+  const std::string bytes = gcp::frame(gcp::kFrameShardState, "abc");
+
+  gcp::write_file_atomic(path, bytes);  // parents did not exist
+  auto back = gcp::read_file(path);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, bytes);
+
+  EXPECT_TRUE(gcp::remove_file(path));
+  EXPECT_FALSE(gcp::remove_file(path));
+  EXPECT_FALSE(gcp::read_file(path).has_value());
 }

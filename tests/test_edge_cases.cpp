@@ -22,8 +22,8 @@
 #include "core/jitter_injector.h"
 #include "measure/delay_meter.h"
 #include "measure/eye.h"
-#include "measure/freq_response.h"
 #include "measure/histogram.h"
+#include "measure/sinks.h"
 #include "signal/edges.h"
 #include "signal/pattern.h"
 #include "signal/synth.h"
@@ -151,15 +151,6 @@ TEST(CdrEdge, IntegratesWithDelayChannel) {
   EXPECT_EQ(ga::DutReceiver::best_alignment_errors(res.bits, bits, 96), 0u);
 }
 
-TEST(FreqResponseEdge, F3dbNotReachedReturnsZero) {
-  std::vector<gm::FreqPoint> flat(3);
-  flat[0] = {1.0, 1.0, 0.0, 0.0, 0.0};
-  flat[1] = {2.0, 1.0, 0.0, 0.0, 0.0};
-  flat[2] = {4.0, 1.0, 0.0, 0.0, 0.0};
-  EXPECT_DOUBLE_EQ(gm::f3db_from_response(flat), 0.0);
-  EXPECT_DOUBLE_EQ(gm::f3db_from_response({}), 0.0);
-}
-
 TEST(ExtractEdgesEdge, ConstantAndTinyWaveforms) {
   gs::Waveform flat(0.0, 1.0, std::vector<double>(64, 0.2));
   EXPECT_TRUE(gs::extract_edges(flat).empty());
@@ -212,6 +203,7 @@ TEST(NanRangeChecks, EveryConstructorAndSetterRejectsNaN) {
       {"NoiseAdder", [&] { gan::NoiseAdder(nan, Rng(1)); }},
       {"FractionalDelay", [&] { gan::FractionalDelay{nan}; }},
       {"AcCoupler", [&] { gan::AcCoupler{nan}; }},
+      {"EyeDiagram ui", [&] { gm::EyeDiagram(nan, -0.5, 0.5); }},
       {"Attenuator", [&] { gan::Attenuator{nan}; }},
       {"NoiseSource sigma", [&] { gan::NoiseSource(nan, 7.5, Rng(1)); }},
       {"NoiseSource bandwidth", [&] { gan::NoiseSource(0.01, nan, Rng(1)); }},
@@ -283,4 +275,81 @@ TEST(NonFiniteOptions, MeasurementOptionsAreRejectedUpFront) {
   gc::DelayCalibrator::Options o;
   o.settle_ps = -1.0;
   EXPECT_NO_THROW(gc::DelayCalibrator{o});
+}
+
+TEST(NanInput, IsCountedOrRejectedNeverCastToAnIndex) {
+  // A NaN sample reaches no bin or raster cell: the histogram counts it in
+  // total() and nan_count(), the eye drops it. A NaN control input throws
+  // instead of programming the channel's maximum setting. +/-Inf keep
+  // their documented meaning: under/overflow, and clamping.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto binned = [](const gm::Histogram& h) {
+    std::size_t n = h.underflow() + h.overflow();
+    for (std::size_t i = 0; i < h.n_bins(); ++i) n += h.count(i);
+    return n;
+  };
+  const auto eye = [] { return gm::EyeDiagram(10.0, -1.0, 1.0, 8, 8); };
+  gc::ChannelCalibration cal;
+  cal.fine_curve = gu::Curve({0.0, 1.5}, {0.0, 50.0});
+  cal.tap_offset_ps = {0.0, 33.0, 66.0, 99.0};
+
+  // Each case feeds NaN (the time case also +Inf, which folds to NaN) and
+  // returns how many samples it binned.
+  const std::vector<std::pair<const char*, std::function<std::size_t()>>>
+      samples = {
+          {"Histogram::add", [&] {
+             gm::Histogram h(-1.0, 1.0, 8);
+             h.add(nan);
+             EXPECT_EQ(h.total(), 1u);
+             EXPECT_EQ(h.nan_count(), 1u);
+             return binned(h);
+           }},
+          {"EyeDiagram::add level", [&] {
+             gm::EyeDiagram e = eye();
+             e.add(10.0, 0.0, nan);
+             return e.total();
+           }},
+          {"EyeDiagram::add time", [&] {
+             gm::EyeDiagram e = eye();
+             e.add(nan, 0.0, 0.5);
+             e.add(inf, 0.0, 0.5);
+             return e.total();
+           }},
+          {"LevelHistogramSink::consume", [&] {
+             gm::LevelHistogramSink s(-1.0, 1.0, 8, 0.0);
+             s.begin(0.0, 1.0, 1);
+             s.consume(&nan, 1);
+             EXPECT_EQ(s.histogram().nan_count(), 1u);
+             return binned(s.histogram());
+           }},
+          {"EyeSink::consume", [&] {
+             gm::EyeSink s(eye(), 0.0, 0.0);
+             s.begin(0.0, 1.0, 1);
+             s.consume(&nan, 1);
+             return s.eye().total();
+           }},
+      };
+  for (const auto& [name, run] : samples) EXPECT_EQ(run(), 0u) << name;
+
+  const std::vector<std::pair<const char*, std::function<void()>>> controls =
+      {
+          {"Dac vref", [&] { gc::Dac(12, nan); }},
+          {"Dac vref inf", [&] { gc::Dac(12, inf); }},
+          {"Dac::code_for", [&] { gc::Dac().code_for(nan); }},
+          {"ChannelCalibration::plan", [&] { cal.plan(nan); }},
+      };
+  for (const auto& [name, run] : controls)
+    EXPECT_THROW(run(), std::invalid_argument) << name;
+
+  gm::Histogram h(-1.0, 1.0, 8);
+  h.add(-inf);
+  h.add(inf);
+  EXPECT_EQ(h.underflow(), 1u);
+  EXPECT_EQ(h.overflow(), 1u);
+  const gc::Dac dac;
+  EXPECT_EQ(dac.code_for(-inf), 0u);
+  EXPECT_EQ(dac.code_for(inf), dac.max_code());
+  EXPECT_NEAR(cal.plan(-inf).predicted_delay_ps, 0.0, 0.1);
+  EXPECT_NEAR(cal.plan(inf).predicted_delay_ps, cal.total_range_ps(), 0.1);
 }

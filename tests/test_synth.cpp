@@ -116,24 +116,6 @@ TEST(Synth, SinusoidalDj) {
   EXPECT_NEAR(hi - lo, 10.0, 1.0);
 }
 
-TEST(Synth, RzPulses) {
-  gs::SynthConfig c = base_config(2.0);  // UI = 500 ps
-  const auto r = gs::synthesize_rz({1, 0, 1}, c, 0.5);
-  const auto edges = gs::extract_edges(r.wf);
-  ASSERT_EQ(edges.size(), 4u);  // two pulses, two edges each
-  EXPECT_TRUE(edges[0].rising);
-  EXPECT_FALSE(edges[1].rising);
-  EXPECT_NEAR(edges[1].t_ps - edges[0].t_ps, 250.0, 1.0);  // 50 % duty
-  EXPECT_NEAR(edges[2].t_ps - edges[0].t_ps, 1000.0, 1.0); // 2 UI apart
-}
-
-TEST(Synth, RzRejectsBadDuty) {
-  EXPECT_THROW(gs::synthesize_rz({1}, base_config(), 0.0),
-               std::invalid_argument);
-  EXPECT_THROW(gs::synthesize_rz({1}, base_config(), 1.0),
-               std::invalid_argument);
-}
-
 TEST(Synth, ClockFrequency) {
   gs::SynthConfig c = base_config();
   const auto r = gs::synthesize_clock(5.0, 20, c);  // 5 GHz -> 200 ps period
