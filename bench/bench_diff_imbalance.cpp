@@ -41,12 +41,15 @@ Result run(const sig::SynthResult& s, double leg_skew_ps, double offset_v) {
   r.shift_ps = meas::measure_delay(s.wf, out).mean_ps;
   r.tj_pp_ps = meas::measure_jitter(out, s.unit_interval_ps).tj_pp_ps;
   const auto edges = sig::extract_edges(out);
+  // PRBS edges of either polarity fall on even and odd UIs alike, so each
+  // polarity is fitted on a 1-UI grid: on a 2-UI grid its edges form two
+  // opposite clusters and the fitted phase is rounding residue.
   const auto rise =
-      meas::analyze_jitter(sig::rising_times(edges), 2.0 * s.unit_interval_ps);
+      meas::analyze_jitter(sig::rising_times(edges), s.unit_interval_ps);
   const auto fall =
-      meas::analyze_jitter(sig::falling_times(edges), 2.0 * s.unit_interval_ps);
-  // Rising and falling grids sit a whole number of UIs apart when the
-  // duty cycle is clean; DCD is the residual, wrapped into half a UI.
+      meas::analyze_jitter(sig::falling_times(edges), s.unit_interval_ps);
+  // Rising and falling grids coincide when the duty cycle is clean; DCD
+  // is the residual, wrapped into half a UI.
   r.dcd_ps = meas::wrap_delay(rise.grid_phase_ps - fall.grid_phase_ps,
                               s.unit_interval_ps);
   return r;

@@ -121,10 +121,12 @@ void LimitingBuffer_block(benchmark::State& s) {
 BENCHMARK(LimitingBuffer_block);
 
 // ---------------------------------------------------------------------------
-// Raw backend-kernel rows: the hot loops in isolation, one row per
-// (kernel, backend). Registered at runtime because the AVX2 rows only
-// exist when the backend is usable on this machine. The names are
-// "Kernel_<op>/<backend>" so the json diff tooling pairs them up.
+// Raw kernel rows: the hot loops in isolation, one row per (table kernel,
+// backend). Registered at runtime because the AVX2 rows only exist when
+// the backend is usable on this machine. The names are
+// "Kernel_<op>/<backend>" so the json diff tooling pairs them up. The
+// serial recursions have one definition, shared by every table, so their
+// rows carry no backend suffix and are registered once.
 
 bool avx2_usable() {
   return gb::avx2_kernels() != nullptr && gb::cpu_supports_avx2();
@@ -157,39 +159,6 @@ void register_kernel_rows(const char* backend) {
                    });
       });
   benchmark::RegisterBenchmark(
-      ("Kernel_exp" + suffix).c_str(), [backend](benchmark::State& s) {
-        kernel_row(s, backend,
-                   [](const gb::Kernels& k, const double* in, double* out,
-                      double*, std::size_t n) { k.exp_block(in, out, n); });
-      });
-  benchmark::RegisterBenchmark(
-      ("Kernel_onepole" + suffix).c_str(), [backend](benchmark::State& s) {
-        gb::OnePoleState st{};
-        gb::OnePoleState* stp = &st;
-        kernel_row(s, backend,
-                   [&stp](const gb::Kernels& k, const double* in, double* out,
-                          double*, std::size_t n) {
-                     const double alpha = 0.17;
-                     k.one_pole(in, out, n, 1, &alpha, &stp);
-                   });
-      });
-  benchmark::RegisterBenchmark(
-      ("Kernel_slew" + suffix).c_str(), [backend](benchmark::State& s) {
-        gb::SlewCoeffs c;
-        c.max_step = 0.00125;
-        c.lin = 0.0124;
-        c.leak = 0.00083;
-        c.has_lin = true;
-        c.has_leak = true;
-        gb::SlewState st;
-        gb::SlewState* stp = &st;
-        kernel_row(s, backend,
-                   [&](const gb::Kernels& k, const double* in, double* out,
-                       double*, std::size_t n) {
-                     k.slew(in, out, n, 1, &c, &stp);
-                   });
-      });
-  benchmark::RegisterBenchmark(
       ("Kernel_boxmuller" + suffix).c_str(), [backend](benchmark::State& s) {
         // Uniform pair arrays prepared once; the row isolates the
         // transform (det_log + sqrt + det_sincos2pi), not the RNG.
@@ -206,6 +175,61 @@ void register_kernel_rows(const char* backend) {
                      k.box_muller(u1.data(), u2.data(), oc, os, n);
                    });
       });
+}
+
+// Rows of the serial recursions, `W` streams wide: stream l is the
+// stimulus scaled by 1 + 0.1 l, interleaved time-major, so items = W x kN
+// per iteration.
+template <std::size_t W, typename LoopFn>
+void recursion_row(benchmark::State& s, LoopFn loop) {
+  std::vector<double> in(kN * W), out(kN * W);
+  for (std::size_t i = 0; i < kN; ++i)
+    for (std::size_t l = 0; l < W; ++l)
+      in[i * W + l] = stim()[i] * (1.0 + 0.1 * static_cast<double>(l));
+  for (auto _ : s) {
+    loop(in.data(), out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  s.SetItemsProcessed(static_cast<int64_t>(s.iterations() * kN * W));
+}
+
+template <std::size_t W>
+void one_pole_row(benchmark::State& s) {
+  double alpha[W];
+  gb::OnePoleState st[W];
+  gb::OnePoleState* stp[W];
+  for (std::size_t l = 0; l < W; ++l) {
+    alpha[l] = 0.17;
+    stp[l] = &st[l];
+  }
+  recursion_row<W>(s, [&](const double* in, double* out) {
+    gb::one_pole(in, out, kN, W, alpha, stp);
+  });
+}
+
+template <std::size_t W>
+void slew_row(benchmark::State& s) {
+  gb::SlewCoeffs c[W];
+  gb::SlewState st[W];
+  gb::SlewState* stp[W];
+  for (std::size_t l = 0; l < W; ++l) {
+    c[l].max_step = 0.00125;
+    c[l].lin = 0.0124;
+    c[l].leak = 0.00083;
+    c[l].has_lin = c[l].has_leak = true;
+    stp[l] = &st[l];
+  }
+  recursion_row<W>(s, [&](const double* in, double* out) {
+    gb::slew(in, out, kN, W, c, stp);
+  });
+}
+
+void register_recursion_rows() {
+  benchmark::RegisterBenchmark("Kernel_onepole", one_pole_row<1>);
+  benchmark::RegisterBenchmark("Kernel_slew", slew_row<1>);
+  benchmark::RegisterBenchmark("Kernel_onepole_batch4", one_pole_row<4>);
+  benchmark::RegisterBenchmark("Kernel_slew_batch4", slew_row<4>);
 }
 
 // Whole-channel block path per backend — the tentpole target number:
@@ -232,76 +256,14 @@ void register_channel_rows(const char* backend) {
 }
 
 // ---------------------------------------------------------------------------
-// Lane-batched rows: four independent streams interleaved time-major and
-// advanced together through the serial recursions, so items = 4 x kN per
-// iteration. The tentpole metric — batch_channel_speedup in the json —
-// is "ChannelBatch4_block/avx2" against the solo
-// "VariableDelayChannel_block/scalar": what batching plus SIMD buys over
-// one stream on the reference backend.
-
-template <typename Fill>
-std::vector<double> interleaved4(Fill fill) {
-  constexpr std::size_t kW = 4;
-  const auto& in = stim();
-  std::vector<double> buf(in.size() * kW);
-  for (std::size_t i = 0; i < in.size(); ++i)
-    for (std::size_t l = 0; l < kW; ++l) buf[i * kW + l] = fill(in[i], l);
-  return buf;
-}
+// Lane-batched rows: four independent channels or fine lines advanced
+// together, so items = 4 x kN per iteration. The tentpole metric —
+// batch_channel_speedup in the json — is "ChannelBatch4_block/avx2"
+// against the solo "VariableDelayChannel_block/scalar": what batching
+// plus SIMD buys over one stream on the scalar backend.
 
 void register_batch_rows(const char* backend) {
   const std::string suffix = std::string("/") + backend;
-  benchmark::RegisterBenchmark(
-      ("Kernel_onepole_batch4" + suffix).c_str(),
-      [backend](benchmark::State& s) {
-        constexpr std::size_t kW = 4;
-        const std::vector<double> buf = interleaved4(
-            [](double x, std::size_t l) {
-              return x * (1.0 + 0.1 * static_cast<double>(l));
-            });
-        std::vector<double> out(buf.size());
-        const std::size_t n = buf.size() / kW;
-        const double alpha[kW] = {0.17, 0.17, 0.17, 0.17};
-        gb::OnePoleState st[kW];
-        gb::OnePoleState* stp[kW] = {&st[0], &st[1], &st[2], &st[3]};
-        gb::select(backend);
-        const gb::Kernels& k = gb::active();
-        for (auto _ : s) {
-          k.one_pole(buf.data(), out.data(), n, kW, alpha, stp);
-          benchmark::DoNotOptimize(out.data());
-          benchmark::ClobberMemory();
-        }
-        s.SetItemsProcessed(static_cast<int64_t>(s.iterations() * n * kW));
-        gb::select("scalar");
-      });
-  benchmark::RegisterBenchmark(
-      ("Kernel_slew_batch4" + suffix).c_str(), [backend](benchmark::State& s) {
-        constexpr std::size_t kW = 4;
-        const std::vector<double> buf = interleaved4(
-            [](double x, std::size_t l) {
-              return x * (1.0 + 0.1 * static_cast<double>(l));
-            });
-        std::vector<double> out(buf.size());
-        const std::size_t n = buf.size() / kW;
-        gb::SlewCoeffs c;
-        c.max_step = 0.00125;
-        c.lin = 0.0124;
-        c.leak = 0.00083;
-        c.has_lin = true;
-        c.has_leak = true;
-        const gb::SlewCoeffs cs[kW] = {c, c, c, c};
-        gb::SlewState st[kW];
-        gb::SlewState* stp[kW] = {&st[0], &st[1], &st[2], &st[3]};
-        gb::select(backend);
-        const gb::Kernels& k = gb::active();
-        for (auto _ : s) {
-          k.slew(buf.data(), out.data(), n, kW, cs, stp);
-          benchmark::DoNotOptimize(out.data());
-          benchmark::ClobberMemory();
-        }
-        s.SetItemsProcessed(static_cast<int64_t>(s.iterations() * n * kW));
-        gb::select("scalar");
-      });
   benchmark::RegisterBenchmark(
       ("ChannelBatch4_block" + suffix).c_str(),
       [backend](benchmark::State& s) {
@@ -361,6 +323,7 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
 
+  register_recursion_rows();
   register_kernel_rows("scalar");
   register_channel_rows("scalar");
   register_batch_rows("scalar");
@@ -376,7 +339,7 @@ int main(int argc, char** argv) {
   gdelay::bench::CaptureReporter rep;
   benchmark::RunSpecifiedBenchmarks(&rep);
 
-  // SIMD verdict: the AVX2 table vs the scalar oracle, both on the block
+  // SIMD verdict: the AVX2 table vs the scalar table, both on the block
   // path (the PR that introduced blocks is the baseline the 4x target is
   // written against).
   const auto ratio_of = [&](const std::string& name) {
@@ -387,8 +350,7 @@ int main(int argc, char** argv) {
   const double simd_chan = ratio_of("VariableDelayChannel_block");
   if (avx2_usable()) {
     std::printf("\navx2-vs-scalar speedup (block path):\n");
-    for (const char* k : {"Kernel_tanh", "Kernel_exp", "Kernel_onepole",
-                          "Kernel_slew", "Kernel_boxmuller"})
+    for (const char* k : {"Kernel_tanh", "Kernel_boxmuller"})
       std::printf("  %-20s: %.2fx\n", k, ratio_of(k));
     std::printf("  FineDelayLine_block : %.2fx\n",
                 ratio_of("FineDelayLine_block"));
@@ -397,7 +359,7 @@ int main(int argc, char** argv) {
   }
 
   // Lane-batched verdict: 4 streams through the batched executor on the
-  // AVX2 table vs one stream on the scalar oracle — what multi-stream
+  // AVX2 table vs one stream on the scalar table — what multi-stream
   // work (MC trials, sweep points, board channels) actually gains.
   const double solo_scalar =
       rep.items_per_sec("VariableDelayChannel_block/scalar");
@@ -409,10 +371,6 @@ int main(int argc, char** argv) {
   std::printf("  ChannelBatch4/scalar      : %.2fx (batching alone)\n",
               solo_scalar > 0.0 ? batch_scalar / solo_scalar : 0.0);
   if (avx2_usable()) {
-    std::printf("  Kernel_onepole_batch4     : %.2fx (avx2 vs scalar batch)\n",
-                ratio_of("Kernel_onepole_batch4"));
-    std::printf("  Kernel_slew_batch4        : %.2fx (avx2 vs scalar batch)\n",
-                ratio_of("Kernel_slew_batch4"));
     std::printf("  FineDelayBatch4_block     : %.2fx (avx2 vs scalar batch)\n",
                 ratio_of("FineDelayBatch4_block"));
     std::printf("  batch_channel_speedup     : %.2fx (target >= 3x)  %s\n",

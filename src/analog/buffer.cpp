@@ -100,8 +100,8 @@ void VariableGainBuffer::process_lanes(VariableGainBuffer* const* b,
   k.tanh_stage(out, noise.data(), lim.data(), n, w, gain.data(), ref.data(),
                unit.data());
   // The droop/slew recursion feeds back sample-to-sample through a
-  // clamp, so it stays serial in time on every backend (AVX2 runs four
-  // streams per vector instead).
+  // clamp, so it stays serial in time (a w > 1 call steps up to four
+  // streams per time index instead).
   LaneArray<backend::VgaTailCoeffs> c(w, [&](std::size_t s) {
     return b[s]->tail_coeffs(dt_ps);
   });
@@ -120,7 +120,8 @@ void VariableGainBuffer::process_lanes(VariableGainBuffer* const* b,
         amp[i * w + s] = b[s]->amplitude_for(vctrl[i * w + s]);
     for (std::size_t s = 0; s < w; ++s) b[s]->vctrl_ = vctrl[(n - 1) * w + s];
   }
-  k.vga_tail(lim.data(), amp, out, n, w, c.data(), slew.data(), tail.data());
+  backend::vga_tail(lim.data(), amp, out, n, w, c.data(), slew.data(),
+                    tail.data());
   SinglePoleFilter::process_lanes(parts(b, w, &VGA::out_pole_).data(), w, out,
                                   out, n, dt_ps);
 }

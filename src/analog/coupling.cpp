@@ -112,7 +112,7 @@ void NoiseSource::process_lanes(NoiseSource* const* src, std::size_t w,
   LaneArray<backend::OnePoleState*> st(w, [&](std::size_t s) {
     return &src[s]->st_;
   });
-  backend::active().one_pole(out, out, n, w, alpha.data(), st.data());
+  backend::one_pole(out, out, n, w, alpha.data(), st.data());
 }
 
 sig::Waveform NoiseSource::waveform(double t0_ps, double dt_ps,

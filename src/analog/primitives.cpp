@@ -40,7 +40,7 @@ void SinglePoleFilter::process_lanes(SinglePoleFilter* const* f,
   LaneArray<backend::OnePoleState*> st(w, [&](std::size_t s) {
     return &f[s]->st_;
   });
-  backend::active().one_pole(in, out, n, w, alpha.data(), st.data());
+  backend::one_pole(in, out, n, w, alpha.data(), st.data());
 }
 
 SlewRateLimiter::SlewRateLimiter(double slew_v_per_ps, double tau_lin_ps,
@@ -74,7 +74,7 @@ void SlewRateLimiter::process_lanes(SlewRateLimiter* const* l, std::size_t w,
   LaneArray<backend::SlewState*> st(w, [&](std::size_t s) {
     return &l[s]->st_;
   });
-  backend::active().slew(in, out, n, w, c.data(), st.data());
+  backend::slew(in, out, n, w, c.data(), st.data());
 }
 
 TanhLimiter::TanhLimiter(double gain, double vsat_v)

@@ -24,10 +24,8 @@ namespace gdelay::analog {
 
 /// First-order low-pass, y' = 2*pi*f3dB (x - y).
 ///
-/// Runs through the active compute backend's one_pole kernel, so any
-/// partition of a stream into blocks gives the same bytes under every
-/// backend — including the AVX2 scan, whose group phase lives in the
-/// backend state POD and is carried across calls.
+/// Runs through the backend's one_pole kernel, so any partition of a
+/// stream into blocks gives the same bytes.
 class SinglePoleFilter final : public AnalogElement {
  public:
   explicit SinglePoleFilter(double f3db_ghz);

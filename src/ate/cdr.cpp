@@ -10,8 +10,9 @@
 namespace gdelay::ate {
 
 CdrReceiver::CdrReceiver(const CdrConfig& cfg) : cfg_(cfg) {
-  if (cfg.ui_ps <= 0.0) throw std::invalid_argument("CdrReceiver: ui must be > 0");
-  if (cfg.gain <= 0.0 || cfg.gain > 1.0)
+  if (!(cfg.ui_ps > 0.0))
+    throw std::invalid_argument("CdrReceiver: ui must be > 0");
+  if (!(cfg.gain > 0.0 && cfg.gain <= 1.0))
     throw std::invalid_argument("CdrReceiver: gain must be in (0, 1]");
 }
 

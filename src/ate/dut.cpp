@@ -74,7 +74,7 @@ PhaseScan DutReceiver::scan_phase(const sig::Waveform& wf,
                                   double ui_ps, double t_first_ps,
                                   std::size_t n_strobes,
                                   std::size_t n_phase_points) const {
-  if (ui_ps <= 0.0) throw std::invalid_argument("scan_phase: ui must be > 0");
+  if (!(ui_ps > 0.0)) throw std::invalid_argument("scan_phase: ui must be > 0");
   if (n_phase_points < 2)
     throw std::invalid_argument("scan_phase: need >= 2 phase points");
 

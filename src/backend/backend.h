@@ -1,53 +1,38 @@
-// Pluggable compute backend for the block-processing engine.
+// Compute backend for the block-processing engine.
 //
 // Every hot loop of the analog signal path — the det_tanh limiter stages,
 // the one-pole/RC recursions, slew limiting, the Box-Muller noise
-// transform, gain scaling — is expressed as a *kernel*: a function over
-// sample arrays. A `Kernels` table bundles one implementation of each
-// kernel, and the devices' lane passes call through the active table
-// instead of open-coding the loops. The stateful kernels are width-
-// generic: one entry advances `w` streams interleaved time-major, and a
-// device's solo process_block() is the w == 1 call, which each backend
-// dispatches to its contiguous single-stream loop. Two tables ship today:
+// transform, gain scaling — is a *kernel*: a function over sample arrays.
+// The devices' lane passes call kernels instead of open-coding the loops.
+// Two kinds:
 //
-//   scalar  The reference oracle: plain serial loops over the inline
-//           reference steps below, so the result of a sample stream does
-//           not depend on how it is split into calls or lanes. This is
-//           the default: simulation results never change because of the
-//           machine they ran on.
-//   avx2    Explicit 4-lane AVX2(+FMA) intrinsics, compiled only when the
+//   * The serial recursions — one_pole, slew and vga_tail (the droop/slew
+//     tail of the VGA stage). Each sample depends on the one before it,
+//     so they are written once, as the plain functions declared below
+//     (kernels_scalar.cpp, compiled with the default flags only), and
+//     every machine runs the same loops.
+//   * The elementwise kernels — scale, box_muller and tanh_stage. These
+//     go through a `Kernels` table, and two tables ship:
+//
+//   scalar  Plain loops over the det_* functions of util/fastmath.h. The
+//           default.
+//   avx2    Explicit 4-lane AVX2 intrinsics, compiled only when the
 //           toolchain supports -mavx2 and selected only when the CPU
-//           reports AVX2. Elementwise kernels (tanh/exp/sincos2pi/
-//           Box-Muller/scale) are BIT-EXACT to the scalar oracle: each
-//           lane performs the identical sequence of correctly-rounded
-//           IEEE-754 operations, so packing four samples changes nothing.
-//           The slew and droop-tail recursions run four streams per
-//           vector and are bit-exact too. The one-pole recursion is NOT:
-//           it runs a group-of-4 parallel scan whose reassociated
-//           rounding differs from the serial recursion by a few machine
-//           epsilons of the signal amplitude (pinned at 16 eps * max|y|
-//           by the equivalence suite; see the determinism contract below).
+//           reports AVX2+FMA. Each lane performs the identical sequence of
+//           correctly-rounded IEEE-754 operations as the scalar loop, so
+//           packing four samples changes nothing.
 //
 // Determinism contract (DESIGN.md "Compute backends" for the long form):
-//   * Within one backend, results are bit-stable: across runs, across
-//     GDELAY_THREADS values, across block partitions (any split of a
-//     sample stream into calls yields identical bytes — the AVX2 scan
-//     carries its group phase in OnePoleState so lane boundaries are
-//     anchored to absolute sample indices, and partial groups are
-//     emitted through lane-exact std::fma emulation of the vector
-//     arithmetic), and across lane widths and stream-to-lane assignments.
-//   * Across backends, every kernel but one_pole agrees bit-for-bit;
-//     one_pole agrees within a documented tolerance (enforced by
-//     tests/test_backend_equivalence.cpp).
-//   * The backend is selected once per process (first use), via the
-//     GDELAY_BACKEND environment override ("scalar", "avx2", "auto") or
-//     programmatic select(). Switching backends between runs is
-//     supported; switching in the middle of a filter's sample stream is
-//     not (the scan state would be interpreted by different arithmetic).
+// every backend gives the same bytes, and those bytes do not depend on
+// the thread count, on how a sample stream is split into calls, on the
+// lane width or on the stream-to-lane assignment
+// (tests/test_backend_equivalence.cpp, tests/test_block_kernels.cpp). The
+// table is selected once per process (first use), via the GDELAY_BACKEND
+// environment override ("scalar", "avx2", "auto") or programmatic
+// select(); switching tables between runs is supported.
 //
 // gdelay-audit rule R7 keeps SIMD honest: intrinsics are only permitted
-// under src/backend/, so vector code cannot leak into the model files and
-// silently fork the determinism story.
+// under src/backend/, so vector code cannot leak into the model files.
 #pragma once
 
 #include <algorithm>
@@ -60,26 +45,13 @@
 namespace gdelay::backend {
 
 // ---------------------------------------------------------------------------
-// Kernel state and coefficient PODs. These live here (not in the element
-// classes) because their layout is part of the backend contract: the AVX2
-// scan needs group context the scalar recursion does not, and keeping the
-// fields in one POD lets clone() copy complete kernel state trivially.
+// Recursion state and coefficient PODs. They live here (not in the element
+// classes) so the kernels can take them directly and clone() copies
+// complete kernel state trivially.
 
 /// One-pole low-pass state: y' = y + alpha * (x - y).
-/// `y` is the filter output after the last emitted sample — the only
-/// field the scalar backend uses. The rest is the AVX2 scan's group
-/// context: `phase` counts emitted lanes of the current 4-sample group
-/// (anchored to the sample stream, not to call boundaries), `y0` is the
-/// filter state at the group's entry, `a[]` holds the alpha*x values of
-/// the lanes seen so far, and `alpha` detects coefficient changes (a dt
-/// change re-anchors the group — deterministically, because a dt change
-/// forces a call boundary at the same sample index in every partition).
 struct OnePoleState {
-  double y = 0.0;
-  double y0 = 0.0;
-  double a[4] = {0.0, 0.0, 0.0, 0.0};
-  double alpha = 0.0;
-  unsigned phase = 0;
+  double y = 0.0;  ///< filter output after the last emitted sample
 };
 
 /// Hoisted slew-limiter coefficients for one dt (see SlewRateLimiter).
@@ -118,10 +90,8 @@ struct VgaTailState {
 };
 
 // ---------------------------------------------------------------------------
-// Inline reference steps — the scalar oracle, one sample at a time. The
-// scalar kernel table loops over them, and the AVX2 kernels fall back to
-// them for partial lane groups, so every backend shares one definition
-// of each serial recursion.
+// Inline reference steps, one sample at a time: the loops of the
+// recursion kernels below run them, and the tests use them as oracles.
 
 inline double one_pole_step(double& y, double alpha, double x) {
   y += alpha * (x - y);
@@ -180,73 +150,63 @@ inline void box_muller_step(double u1, double u2, double& out_cos,
 }
 
 // ---------------------------------------------------------------------------
-// The pluggable kernel table. All kernels allow in == out (in-place);
-// other overlap is not allowed. `n` may be zero.
+// Width-generic kernels: `w` independent streams interleaved time-major,
+// buf[i*w + s] = sample i of stream s; per-stream coefficients come as
+// length-w arrays of values and per-stream state as length-w arrays of
+// pointers into the devices. A device's solo block is the w == 1 call.
+// Contract (enforced by tests/test_backend_equivalence.cpp): stream s's
+// output is bit-identical to a w == 1 call over its de-interleaved samples
+// with the same state — for any width, any stream-to-lane assignment and
+// any partition of the sample stream into calls. All kernels allow
+// in == out (in-place); other overlap is not allowed. `n` may be zero.
+//
+// The serial recursions stay serial in time; a w > 1 call steps a group
+// of up to four streams per time index, so their independent chains
+// overlap instead of running back to back.
+
+/// One-pole recursion y' = y + alpha[s] * (x - y) per stream.
+void one_pole(const double* x, double* out, std::size_t n, std::size_t w,
+              const double* alpha, OnePoleState* const* st);
+
+/// Slew-limiter recursion (see slew_step).
+void slew(const double* x, double* out, std::size_t n, std::size_t w,
+          const SlewCoeffs* c, SlewState* const* st);
+
+/// VariableGainBuffer droop/slew tail (see vga_tail_step). `amp` is the
+/// interleaved per-sample A(Vctrl) of a modulated control voltage, or
+/// nullptr to hold each stream's c[s]->amp for the whole block.
+void vga_tail(const double* lim, const double* amp, double* out,
+              std::size_t n, std::size_t w, const VgaTailCoeffs* c,
+              SlewState* const* slew_st, VgaTailState* const* d);
+
+// ---------------------------------------------------------------------------
+// The table of the elementwise kernels, under the same aliasing rules;
+// tanh_stage is width-generic as above.
 
 struct Kernels {
   const char* name;  ///< "scalar" or "avx2" — the GDELAY_BACKEND token.
   const char* isa;   ///< instruction-set level, e.g. "generic", "avx2+fma"
 
-  // Flat elementwise kernels. They take no per-stream parameters, so a
-  // w-stream call is just the flat kernel over n*w samples.
-
-  /// out[i] = g * x[i]
+  /// out[i] = g * x[i]. Takes no per-stream parameters, so a w-stream
+  /// call is just the flat kernel over n*w samples.
   void (*scale)(const double* x, double* out, std::size_t n, double g);
-
-  /// out[i] = det_exp(x[i])
-  void (*exp_block)(const double* x, double* out, std::size_t n);
-
-  /// det_sincos2pi over u[i] in [0, 1).
-  void (*sincos2pi_block)(const double* u, double* out_sin, double* out_cos,
-                          std::size_t n);
 
   /// Box-Muller transform over pair arrays (see box_muller_step).
   void (*box_muller)(const double* u1, const double* u2, double* out_cos,
                      double* out_sin, std::size_t n);
 
-  // -------------------------------------------------------------------------
-  // Width-generic kernels: `w` independent streams interleaved time-major,
-  // buf[i*w + s] = sample i of stream s; per-stream coefficients come as
-  // length-w arrays of values and per-stream state as length-w arrays of
-  // pointers into the devices. A device's solo block is the w == 1 call,
-  // which every backend dispatches to its contiguous single-stream loop.
-  // Contract (enforced by tests/test_backend_equivalence.cpp): stream s's
-  // output is bit-identical to a w == 1 call of the SAME table over its
-  // de-interleaved samples with the same state — for any width, any
-  // stream-to-lane assignment and any partition of the sample stream into
-  // calls. That is what speeds up the serial-by-contract recursions
-  // (one-pole, slew, droop tail): they stay serial in time, but the AVX2
-  // table runs 4 streams per vector and the scalar table steps a group of
-  // up to 4 streams per time step, so their independent chains overlap
-  // instead of running back to back.
-
-  /// v = x (+ add, an interleaved buffer of the same shape, if non-null);
-  /// out = post[s] * det_tanh(gain[s] * v / ref[s]) — the shape of every
-  /// limiter stage in the library.
+  /// Width-generic: v = x (+ add, an interleaved buffer of the same
+  /// shape, if non-null); out = post[s] * det_tanh(gain[s] * v / ref[s])
+  /// — the shape of every limiter stage in the library.
   void (*tanh_stage)(const double* x, const double* add, double* out,
                      std::size_t n, std::size_t w, const double* gain,
                      const double* ref, const double* post);
-
-  /// One-pole recursion y' = y + alpha[s] * (x - y) per stream.
-  void (*one_pole)(const double* x, double* out, std::size_t n, std::size_t w,
-                   const double* alpha, OnePoleState* const* st);
-
-  /// Slew-limiter recursion (see slew_step).
-  void (*slew)(const double* x, double* out, std::size_t n, std::size_t w,
-               const SlewCoeffs* c, SlewState* const* st);
-
-  /// VariableGainBuffer droop/slew tail (see vga_tail_step). `amp` is the
-  /// interleaved per-sample A(Vctrl) of a modulated control voltage, or
-  /// nullptr to hold each stream's c[s]->amp for the whole block.
-  void (*vga_tail)(const double* lim, const double* amp, double* out,
-                   std::size_t n, std::size_t w, const VgaTailCoeffs* c,
-                   SlewState* const* slew, VgaTailState* const* d);
 };
 
 // ---------------------------------------------------------------------------
 // Dispatch.
 
-/// The reference table (always available).
+/// The scalar table (always available).
 const Kernels& scalar_kernels();
 
 /// The AVX2 table, or nullptr when the binary was built without AVX2
@@ -259,8 +219,7 @@ bool cpu_supports_avx2();
 
 /// The active kernel table. First call resolves the GDELAY_BACKEND
 /// environment override ("scalar" | "avx2" | "auto"); absent or empty
-/// picks the scalar oracle — explicit opt-in is required to trade the
-/// cross-backend byte-identity guarantee for SIMD throughput.
+/// picks the scalar table.
 const Kernels& active();
 
 /// Programmatic selection ("scalar", "avx2", "auto"). Throws

@@ -1,9 +1,10 @@
 // Backend selection: CPUID capability check + GDELAY_BACKEND override.
 //
 // Policy (DESIGN.md "Compute backends"):
-//   * Default is the scalar oracle. SIMD is an explicit opt-in because
-//     the one-pole scan trades cross-backend bit equality for speed, and
-//     reproducibility-by-default is this project's core contract.
+//   * Default is the scalar table. Both tables print the same bytes; the
+//     default stays scalar until the end-to-end benchmark pins its output
+//     digests on both backends, so that an `auto` default cannot skip
+//     that check on AVX2 hosts.
 //   * The environment override resolves lazily on first active() call
 //     and NEVER throws: a misspelled or unsupported request falls back
 //     to scalar with the reason recorded (benches stamp it into the
@@ -53,9 +54,8 @@ std::string describe_available() {
 
 Resolution resolve_from_env() {
   // getenv is allowlisted for this file (audit R2): GDELAY_BACKEND is a
-  // reproducibility-neutral performance knob — both backends satisfy
-  // their own bit-stability contract — mirroring how util/thread_pool
-  // owns GDELAY_THREADS.
+  // reproducibility-neutral performance knob — both backends give the
+  // same bytes — mirroring how util/thread_pool owns GDELAY_THREADS.
   const char* env = std::getenv("GDELAY_BACKEND");
   if (env == nullptr || *env == '\0')
     return {&scalar_kernels(), "default: scalar oracle (GDELAY_BACKEND unset)"};

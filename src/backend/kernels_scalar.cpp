@@ -1,19 +1,19 @@
-// Scalar reference backend: the byte-identity oracle.
+// The scalar kernel table and the serial recursions.
 //
 // Every kernel is a plain loop over the inline reference steps from
 // backend.h (or the det_* functions directly), one sample after another
 // in stream order, so any split of a stream into calls yields the same
-// bytes. A w-stream call advances its streams together, a group of up to
-// four at each time step, with each stream's state in locals: the
-// group's independent serial recursions overlap in the pipeline instead
-// of running back to back. Each stream still sees exactly the arithmetic
-// of the w == 1 call, so per-stream output is byte-identical to the solo
-// run by construction — for any width and lane assignment. w == 1 runs
-// the contiguous solo loops. This file is compiled with the project's
-// default flags only (no -mavx2), and the global -ffp-contract=off keeps
-// the compiler from fusing any multiply-add, so the oracle's bit patterns
-// are the portable IEEE-754 ones regardless of the toolchain's vectorizer
-// mood.
+// bytes. A w-stream call of a recursion advances its streams together, a
+// group of up to four at each time step, with each stream's state in
+// locals: the group's independent serial recursions overlap in the
+// pipeline instead of running back to back. Each stream still sees
+// exactly the arithmetic of the w == 1 call, so per-stream output is
+// byte-identical to the solo run by construction — for any width and
+// lane assignment. w == 1 runs the contiguous solo loops. This file is
+// compiled with the project's default flags only (no -mavx2), and the
+// global -ffp-contract=off keeps the compiler from fusing any
+// multiply-add, so the bit patterns are the portable IEEE-754 ones
+// regardless of the toolchain's vectorizer mood.
 #include <bit>
 #include <cstdint>
 #include <type_traits>
@@ -25,16 +25,6 @@ namespace {
 
 void scale(const double* x, double* out, std::size_t n, double g) {
   for (std::size_t i = 0; i < n; ++i) out[i] = g * x[i];
-}
-
-void exp_block(const double* x, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = util::det_exp(x[i]);
-}
-
-void sincos2pi_block(const double* u, double* out_sin, double* out_cos,
-                     std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i)
-    util::det_sincos2pi(u[i], out_sin[i], out_cos[i]);
 }
 
 void box_muller(const double* u1, const double* u2, double* out_cos,
@@ -86,23 +76,44 @@ void tanh_stage(const double* x, const double* add, double* out,
   }
 }
 
-// The serial recursion, enregistered. Only `y` is live for the scalar
-// backend; the AVX2 scan context in `st` stays untouched (it is
-// re-anchored by the AVX2 kernel itself on alpha change).
-inline void one_pole_column(const double* x, double* out, std::size_t n,
-                            std::size_t stride, double alpha,
-                            OnePoleState& st) {
+// The solo loops, enregistered.
+
+void one_pole_column(const double* x, double* out, std::size_t n,
+                     double alpha, OnePoleState& st) {
   double y = st.y;
-  for (std::size_t i = 0; i < n; ++i) {
-    y += alpha * (x[i * stride] - y);
-    out[i * stride] = y;
-  }
+  for (std::size_t i = 0; i < n; ++i) out[i] = one_pole_step(y, alpha, x[i]);
   st.y = y;
 }
 
+void slew_column(const double* x, double* out, std::size_t n,
+                 const SlewCoeffs& c, SlewState& st) {
+  SlewState s = st;
+  for (std::size_t i = 0; i < n; ++i) out[i] = slew_step(c, s, x[i]);
+  st = s;
+}
+
+/// `amp` is the per-sample A(Vctrl), or nullptr for c.amp.
+void vga_tail_column(const double* lim, const double* amp, double* out,
+                     std::size_t n, const VgaTailCoeffs& c, SlewState& slew_st,
+                     VgaTailState& d) {
+  SlewState s = slew_st;
+  VgaTailState dd = d;
+  if (amp == nullptr) {
+    for (std::size_t i = 0; i < n; ++i)
+      out[i] = vga_tail_step(c, s, dd, lim[i]);
+  } else {
+    for (std::size_t i = 0; i < n; ++i)
+      out[i] = vga_tail_step(c, amp[i], amp[i] * c.droop_frac, s, dd, lim[i]);
+  }
+  slew_st = s;
+  d = dd;
+}
+
+}  // namespace
+
 void one_pole(const double* x, double* out, std::size_t n, std::size_t w,
               const double* alpha, OnePoleState* const* st) {
-  if (w == 1) return one_pole_column(x, out, n, 1, *alpha, **st);
+  if (w == 1) return one_pole_column(x, out, n, *alpha, **st);
   stream_groups(w, [&](auto g, std::size_t s0) {
     constexpr std::size_t G = decltype(g)::value;
     double y[G], a[G];
@@ -118,13 +129,9 @@ void one_pole(const double* x, double* out, std::size_t n, std::size_t w,
   });
 }
 
-}  // namespace
-
-namespace ref {
-
 void slew(const double* x, double* out, std::size_t n, std::size_t w,
           const SlewCoeffs* c, SlewState* const* st) {
-  if (w == 1) return slew_column(x, out, n, 1, *c, **st);
+  if (w == 1) return slew_column(x, out, n, *c, **st);
   stream_groups(w, [&](auto g, std::size_t s0) {
     constexpr std::size_t G = decltype(g)::value;
     SlewCoeffs cc[G];
@@ -144,7 +151,7 @@ void slew(const double* x, double* out, std::size_t n, std::size_t w,
 void vga_tail(const double* lim, const double* amp, double* out,
               std::size_t n, std::size_t w, const VgaTailCoeffs* c,
               SlewState* const* slew_st, VgaTailState* const* d) {
-  if (w == 1) return vga_tail_column(lim, amp, out, n, 1, *c, **slew_st, **d);
+  if (w == 1) return vga_tail_column(lim, amp, out, n, *c, **slew_st, **d);
   stream_groups(w, [&](auto g, std::size_t s0) {
     constexpr std::size_t G = decltype(g)::value;
     VgaTailCoeffs cc[G];
@@ -172,21 +179,14 @@ void vga_tail(const double* lim, const double* amp, double* out,
   });
 }
 
-}  // namespace ref
-
 namespace {
 
 const Kernels kScalar = {
     /*name=*/"scalar",
     /*isa=*/"generic",
     scale,
-    exp_block,
-    sincos2pi_block,
     box_muller,
     tanh_stage,
-    one_pole,
-    ref::slew,
-    ref::vga_tail,
 };
 
 }  // namespace

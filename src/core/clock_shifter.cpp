@@ -8,7 +8,7 @@ namespace gdelay::core {
 ClockPhaseShifter::ClockPhaseShifter(const ClockPhaseShifterConfig& cfg,
                                      util::Rng rng)
     : cfg_(cfg), rng_(rng) {
-  if (cfg.period_ps <= 0.0)
+  if (!(cfg.period_ps > 0.0))
     throw std::invalid_argument("ClockPhaseShifter: period must be > 0");
   if (cfg.phase_steps < 2)
     throw std::invalid_argument("ClockPhaseShifter: need >= 2 phase steps");

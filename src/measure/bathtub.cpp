@@ -23,13 +23,16 @@ double ber_at(double x, double ui, double sigma, double dj, double rho) {
 
 }  // namespace
 
+// Every range check in this file is written so that NaN fails it.
+
 std::vector<BathtubPoint> bathtub_curve(double ui_ps, double rj_rms_ps,
                                         double dj_pp_ps,
                                         const BathtubOptions& opt) {
-  if (ui_ps <= 0.0) throw std::invalid_argument("bathtub: ui must be > 0");
-  if (rj_rms_ps <= 0.0)
+  if (!(ui_ps > 0.0)) throw std::invalid_argument("bathtub: ui must be > 0");
+  if (!(rj_rms_ps > 0.0))
     throw std::invalid_argument("bathtub: rj must be > 0");
-  if (dj_pp_ps < 0.0) throw std::invalid_argument("bathtub: dj must be >= 0");
+  if (!(dj_pp_ps >= 0.0))
+    throw std::invalid_argument("bathtub: dj must be >= 0");
   if (opt.n_points < 3)
     throw std::invalid_argument("bathtub: need >= 3 points");
 
@@ -53,14 +56,14 @@ std::vector<BathtubPoint> bathtub_curve(const JitterReport& report,
 
 double eye_opening_at_ber(double ui_ps, double rj_rms_ps, double dj_pp_ps,
                           double target_ber, double transition_density) {
-  if (target_ber <= 0.0 || target_ber >= 1.0)
+  if (!(target_ber > 0.0 && target_ber < 1.0))
     throw std::invalid_argument("eye_opening_at_ber: BER in (0,1) required");
-  if (rj_rms_ps < 0.0)
+  if (!(rj_rms_ps >= 0.0))
     throw std::invalid_argument("eye_opening_at_ber: rj must be >= 0");
   if (rj_rms_ps == 0.0) {
     // Pure DJ: the bathtub is a step — BER = rho/2 on the Dirac span,
     // exactly 0 between the Diracs — so the opening is exact.
-    if (dj_pp_ps < 0.0)
+    if (!(dj_pp_ps >= 0.0))
       throw std::invalid_argument("eye_opening_at_ber: dj must be >= 0");
     if (target_ber > transition_density / 2.0) return ui_ps;
     return std::max(0.0, ui_ps - dj_pp_ps);
@@ -89,7 +92,7 @@ double eye_opening_at_ber(double ui_ps, double rj_rms_ps, double dj_pp_ps,
 // ---------------------------------------------------------------------------
 
 DjDistribution dual_dirac_dj(double dj_pp_ps) {
-  if (dj_pp_ps < 0.0)
+  if (!(dj_pp_ps >= 0.0))
     throw std::invalid_argument("dual_dirac_dj: dj must be >= 0");
   DjDistribution dj;
   if (dj_pp_ps == 0.0) {
@@ -109,11 +112,11 @@ std::vector<double> normalized_weights(const DjDistribution& dj) {
     throw std::invalid_argument("DjDistribution: offsets/weights mismatch");
   double sum = 0.0;
   for (double w : dj.weight) {
-    if (w < 0.0)
+    if (!(w >= 0.0))
       throw std::invalid_argument("DjDistribution: negative weight");
     sum += w;
   }
-  if (sum <= 0.0)
+  if (!(sum > 0.0))
     throw std::invalid_argument("DjDistribution: weights sum to zero");
   std::vector<double> out;
   out.reserve(dj.weight.size());
@@ -159,7 +162,7 @@ std::pair<double, double> is_tail_probability(
 
 double ber_at_phase(double x_ps, double ui_ps, double rj_rms_ps,
                     const DjDistribution& dj, double transition_density) {
-  if (rj_rms_ps <= 0.0)
+  if (!(rj_rms_ps > 0.0))
     throw std::invalid_argument("ber_at_phase: rj must be > 0");
   const std::vector<double> w = normalized_weights(dj);
   double left = 0.0, right = 0.0;
@@ -175,9 +178,9 @@ std::vector<IsBerPoint> importance_sampled_bathtub(double ui_ps,
                                                    const DjDistribution& dj,
                                                    const TailSimOptions& opt,
                                                    util::Rng& rng) {
-  if (ui_ps <= 0.0)
+  if (!(ui_ps > 0.0))
     throw std::invalid_argument("is_bathtub: ui must be > 0");
-  if (rj_rms_ps <= 0.0)
+  if (!(rj_rms_ps > 0.0))
     throw std::invalid_argument(
         "is_bathtub: rj must be > 0 (pure-DJ channels are analytic)");
   if (opt.n_points < 2)
@@ -214,7 +217,7 @@ double is_eye_opening_at_ber(const std::vector<IsBerPoint>& curve,
                              double ui_ps, double target_ber) {
   if (curve.size() < 2)
     throw std::invalid_argument("is_eye_opening: need >= 2 curve points");
-  if (target_ber <= 0.0 || target_ber >= 1.0)
+  if (!(target_ber > 0.0 && target_ber < 1.0))
     throw std::invalid_argument("is_eye_opening: BER in (0,1) required");
   if (curve.front().ber < target_ber) return ui_ps;  // open everywhere
   // Walk toward the eye center for the first crossing below target.

@@ -118,7 +118,7 @@ double measure_phase_delay(const sig::Waveform& reference,
                            const sig::Waveform& output, double ui_ps,
                            const DelayMeterOptions& opt) {
   check_options(opt, "measure_phase_delay");
-  if (ui_ps <= 0.0)
+  if (!(ui_ps > 0.0))
     throw std::invalid_argument("measure_phase_delay: ui must be > 0");
   sig::EdgeExtractOptions eo;
   eo.threshold_v = opt.threshold_v;

@@ -20,7 +20,8 @@ double sig_turns_frac(double turns) { return turns - std::floor(turns); }
 
 
 JitterReport analyze_jitter(const std::vector<double>& ts, double ui_ps) {
-  if (ui_ps <= 0.0) throw std::invalid_argument("analyze_jitter: ui must be > 0");
+  if (!(ui_ps > 0.0))
+    throw std::invalid_argument("analyze_jitter: ui must be > 0");
   JitterReport rep;
   rep.ui_ps = ui_ps;
   rep.n_edges = ts.size();

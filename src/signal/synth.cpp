@@ -35,12 +35,18 @@ double jittered(const SynthConfig& cfg, double t_ideal, double ui,
   return t;
 }
 
+// Every range check in this file is written so that NaN fails it.
 void validate(const SynthConfig& cfg) {
-  if (cfg.rate_gbps <= 0.0) throw std::invalid_argument("synth: rate must be > 0");
-  if (cfg.dt_ps <= 0.0) throw std::invalid_argument("synth: dt must be > 0");
-  if (cfg.rise_time_ps <= 0.0)
+  for (double v : {cfg.rate_gbps, cfg.amplitude_v, cfg.rise_time_ps,
+                   cfg.dt_ps, cfg.lead_in_ps, cfg.tail_ps, cfg.rj_sigma_ps,
+                   cfg.dj_pp_ps, cfg.dj_freq_ghz})
+    if (!std::isfinite(v))
+      throw std::invalid_argument("synth: every field must be finite");
+  if (!(cfg.rate_gbps > 0.0)) throw std::invalid_argument("synth: rate must be > 0");
+  if (!(cfg.dt_ps > 0.0)) throw std::invalid_argument("synth: dt must be > 0");
+  if (!(cfg.rise_time_ps > 0.0))
     throw std::invalid_argument("synth: rise time must be > 0");
-  if (cfg.amplitude_v <= 0.0)
+  if (!(cfg.amplitude_v > 0.0))
     throw std::invalid_argument("synth: amplitude must be > 0");
 }
 
@@ -49,9 +55,13 @@ void seal_plan(SynthPlan& plan, const SynthConfig& cfg, std::size_t n_bits) {
   const double total = cfg.lead_in_ps +
                        static_cast<double>(n_bits) * plan.unit_interval_ps +
                        cfg.tail_ps;
+  const double steps = std::ceil(total / cfg.dt_ps);
+  // Finite fields can still ask for a grid no size_t holds.
+  if (!(steps >= 0.0 && steps < 0x1p63))
+    throw std::invalid_argument("synth: sample grid out of range");
   plan.t0_ps = 0.0;
   plan.dt_ps = cfg.dt_ps;
-  plan.n = static_cast<std::size_t>(std::ceil(total / cfg.dt_ps)) + 1;
+  plan.n = static_cast<std::size_t>(steps) + 1;
   std::sort(plan.transitions.begin(), plan.transitions.end(),
             [](const Transition& a, const Transition& b) {
               return a.t_ps < b.t_ps;
@@ -86,7 +96,8 @@ SynthPlan plan_nrz(const BitPattern& bits, const SynthConfig& cfg,
 
 SynthPlan plan_clock(double f_ghz, std::size_t n_cycles,
                      const SynthConfig& cfg, util::Rng* rng) {
-  if (f_ghz <= 0.0) throw std::invalid_argument("synthesize_clock: f must be > 0");
+  if (!(f_ghz > 0.0))
+    throw std::invalid_argument("synthesize_clock: f must be > 0");
   SynthConfig c = cfg;
   c.rate_gbps = 2.0 * f_ghz;  // one half-period per "bit"
   return plan_nrz(alternating(2 * n_cycles, 0), c, rng);

@@ -25,6 +25,7 @@ Waveform Waveform::from_function(double t0_ps, double dt_ps, std::size_t n,
 double Waveform::value_at(double t_ps) const {
   if (empty()) return 0.0;
   const double x = (t_ps - t0_) / dt_;
+  if (std::isnan(x)) return x;  // NaN in, NaN out — never an index
   if (x <= 0.0) return v_.front();
   const double last = static_cast<double>(size() - 1);
   if (x >= last) return v_.back();
@@ -82,7 +83,7 @@ Waveform Waveform::add(const Waveform& a, const Waveform& b) {
 }
 
 Waveform Waveform::resampled(double new_dt_ps) const {
-  if (new_dt_ps <= 0.0)
+  if (!(new_dt_ps > 0.0))
     throw std::invalid_argument("Waveform::resampled: dt must be > 0");
   if (empty()) return Waveform(t0_, new_dt_ps, 0);
   const auto n = static_cast<std::size_t>(

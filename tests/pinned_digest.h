@@ -1,13 +1,10 @@
-// Output digests for pinning a signal path's bytes in a test. Pins are
-// recorded per compute backend: the AVX2 one-pole scan rounds
-// differently from the scalar oracle.
+// Output digests for pinning a signal path's bytes in a test. Every
+// compute backend prints the same bytes, so one pin serves them all.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <vector>
-
-#include "backend/backend.h"
 
 namespace gdelay::test {
 
@@ -20,11 +17,6 @@ inline std::uint64_t digest(const std::vector<double>& v) {
     for (int b = 0; b < 8; ++b) h = (h ^ ((u >> (8 * b)) & 0xffu)) * 0x100000001b3ull;
   }
   return h;
-}
-
-/// The pin recorded for the active backend.
-inline std::uint64_t pinned(std::uint64_t scalar, std::uint64_t avx2) {
-  return std::strcmp(backend::active().name, "avx2") == 0 ? avx2 : scalar;
 }
 
 }  // namespace gdelay::test

@@ -251,8 +251,8 @@ TEST(BlockKernel, TanhLimiter) {
 
 TEST(BlockKernel, SlewRateLimiter) {
   // All three regimes: pure slew, + linear settling, + conductance leak.
-  // Streams 0..3 share flags (the packed AVX2 path); 4..7 diverge inside
-  // one lane group, forcing the per-stream fallback.
+  // Streams 0..3 share flags; 4..7 diverge inside one group of four
+  // streams.
   check_lanes([](std::size_t s) {
     const bool lin = s < 4 || s % 2 == 0;
     const bool leak = s < 4 || s % 3 == 0;

@@ -64,7 +64,9 @@ TEST(VgaBuffer, AmplitudeControlCurve) {
   double prev = 0.0;
   for (int i = 0; i <= 20; ++i) {
     const double a = b.amplitude_for(cfg.vctrl_max_v * i / 20.0);
-    if (i > 0) EXPECT_GT(a, prev);
+    if (i > 0) {
+      EXPECT_GT(a, prev);
+    }
     prev = a;
   }
   // Clamps outside the control range.

@@ -99,7 +99,9 @@ TEST(CampaignPlan, ShardsAreContiguousBalancedAndCovering) {
       std::uint64_t lo = n, hi = 0;
       for (std::size_t s = 0; s < shards; ++s) {
         ASSERT_LE(ranges[s].begin, ranges[s].end);
-        if (s) EXPECT_EQ(ranges[s].begin, ranges[s - 1].end);
+        if (s) {
+          EXPECT_EQ(ranges[s].begin, ranges[s - 1].end);
+        }
         const std::uint64_t len = ranges[s].end - ranges[s].begin;
         lo = std::min(lo, len);
         hi = std::max(hi, len);

@@ -19,10 +19,13 @@
 #include "core/cal_io.h"
 #include "core/calibration.h"
 #include "core/channel.h"
+#include "core/clock_shifter.h"
 #include "core/jitter_injector.h"
+#include "measure/bathtub.h"
 #include "measure/delay_meter.h"
 #include "measure/eye.h"
 #include "measure/histogram.h"
+#include "measure/jitter.h"
 #include "measure/sinks.h"
 #include "signal/edges.h"
 #include "signal/pattern.h"
@@ -193,6 +196,19 @@ TEST(NanRangeChecks, EveryConstructorAndSetterRejectsNaN) {
   gc::JitterInjectorConfig noise_pp, sj_pp, sj_freq;
   noise_pp.noise_pp_v = sj_pp.sj_pp_v = sj_freq.sj_freq_ghz = nan;
   gc::JitterInjector inj(gc::JitterInjectorConfig{}, Rng(1));
+  ga::CdrConfig cdr_ui, cdr_gain;
+  cdr_ui.ui_ps = cdr_gain.gain = nan;
+  gc::ClockPhaseShifterConfig period;
+  period.period_ps = nan;
+  const gs::Waveform wf(0.0, 1.0, std::vector<double>(8, 0.0));
+  const gm::DjDistribution dj = gm::dual_dirac_dj(1.0);
+  gm::DjDistribution nan_weight = dj;
+  nan_weight.weight[0] = nan;
+  gm::TailSimOptions tail;
+  tail.n_points = 2;
+  tail.n_samples = 1;
+  Rng rng(1);
+  const std::vector<gm::IsBerPoint> curve(2);
   const std::vector<std::pair<const char*, std::function<void()>>> cases = {
       {"SinglePoleFilter", [&] { gan::SinglePoleFilter{nan}; }},
       {"SlewRateLimiter slew", [&] { gan::SlewRateLimiter{nan}; }},
@@ -219,9 +235,62 @@ TEST(NanRangeChecks, EveryConstructorAndSetterRejectsNaN) {
       {"set_noise_pp", [&] { inj.set_noise_pp(nan); }},
       {"set_sj pp", [&] { inj.set_sj(nan, 0.01); }},
       {"set_sj freq", [&] { inj.set_sj(0.1, nan); }},
+      {"Waveform::resampled", [&] { (void)wf.resampled(nan); }},
+      {"plan_clock f", [&] { gs::plan_clock(nan, 4, gs::SynthConfig{}); }},
+      {"scan_phase ui",
+       [&] { (void)ga::DutReceiver().scan_phase(wf, {1, 0}, nan, 0.0, 4); }},
+      {"analyze_jitter ui", [&] { gm::analyze_jitter({1.0, 2.0}, nan); }},
+      {"measure_phase_delay ui", [&] { gm::measure_phase_delay(wf, wf, nan); }},
+      {"bathtub_curve ui", [&] { gm::bathtub_curve(nan, 1.0, 0.0); }},
+      {"bathtub_curve rj", [&] { gm::bathtub_curve(100.0, nan, 0.0); }},
+      {"bathtub_curve dj", [&] { gm::bathtub_curve(100.0, 1.0, nan); }},
+      {"eye_opening ber", [&] { gm::eye_opening_at_ber(100.0, 1.0, 0.0, nan); }},
+      {"eye_opening rj", [&] { gm::eye_opening_at_ber(100.0, nan, 0.0, 0.1); }},
+      {"eye_opening dj", [&] { gm::eye_opening_at_ber(100.0, 0.0, nan, 0.1); }},
+      {"dual_dirac_dj", [&] { gm::dual_dirac_dj(nan); }},
+      {"ber_at_phase rj", [&] { gm::ber_at_phase(10.0, 100.0, nan, dj); }},
+      {"ber_at_phase weight",
+       [&] { gm::ber_at_phase(10.0, 100.0, 1.0, nan_weight); }},
+      {"is_bathtub ui",
+       [&] { gm::importance_sampled_bathtub(nan, 1.0, dj, tail, rng); }},
+      {"is_bathtub rj",
+       [&] { gm::importance_sampled_bathtub(100.0, nan, dj, tail, rng); }},
+      {"is_eye_opening ber",
+       [&] { gm::is_eye_opening_at_ber(curve, 100.0, nan); }},
+      {"CdrReceiver ui", [&] { ga::CdrReceiver{cdr_ui}; }},
+      {"CdrReceiver gain", [&] { ga::CdrReceiver{cdr_gain}; }},
+      {"ClockPhaseShifter", [&] { gc::ClockPhaseShifter(period, Rng(1)); }},
   };
   for (const auto& [name, make] : cases)
     EXPECT_THROW(make(), std::invalid_argument) << name;
+}
+
+TEST(NanRangeChecks, SynthPlanRejectsNonFiniteOrOversizedConfigs) {
+  // A non-finite field would reach the grid-size cast or the edge sort;
+  // so would finite fields whose grid no size_t holds.
+  using C = gs::SynthConfig;
+  const std::pair<const char*, double C::*> fields[] = {
+      {"rate_gbps", &C::rate_gbps},     {"amplitude_v", &C::amplitude_v},
+      {"rise_time_ps", &C::rise_time_ps}, {"dt_ps", &C::dt_ps},
+      {"lead_in_ps", &C::lead_in_ps},   {"tail_ps", &C::tail_ps},
+      {"rj_sigma_ps", &C::rj_sigma_ps}, {"dj_pp_ps", &C::dj_pp_ps},
+      {"dj_freq_ghz", &C::dj_freq_ghz}};
+  for (const auto& [name, field] : fields) {
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+      C cfg;
+      cfg.*field = bad;
+      Rng rng(1);
+      EXPECT_THROW(gs::plan_nrz({0, 1, 0}, cfg, &rng), std::invalid_argument)
+          << name << " = " << bad;
+    }
+  }
+  C negative, tiny_dt;
+  negative.lead_in_ps = -1e9;
+  tiny_dt.dt_ps = 1e-300;
+  EXPECT_THROW(gs::plan_nrz({0, 1, 0}, negative), std::invalid_argument);
+  EXPECT_THROW(gs::plan_nrz({0, 1, 0}, tiny_dt), std::invalid_argument);
 }
 
 TEST(NonFiniteOptions, MeasurementOptionsAreRejectedUpFront) {
@@ -279,7 +348,8 @@ TEST(NonFiniteOptions, MeasurementOptionsAreRejectedUpFront) {
 
 TEST(NanInput, IsCountedOrRejectedNeverCastToAnIndex) {
   // A NaN sample reaches no bin or raster cell: the histogram counts it in
-  // total() and nan_count(), the eye drops it. A NaN control input throws
+  // total() and nan_count(), the eye drops it, and a waveform read at a
+  // NaN time gives NaN instead of indexing. A NaN control input throws
   // instead of programming the channel's maximum setting. +/-Inf keep
   // their documented meaning: under/overflow, and clamping.
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -331,6 +401,7 @@ TEST(NanInput, IsCountedOrRejectedNeverCastToAnIndex) {
            }},
       };
   for (const auto& [name, run] : samples) EXPECT_EQ(run(), 0u) << name;
+  EXPECT_TRUE(std::isnan(gs::Waveform(0.0, 1.0, 4).value_at(nan)));
 
   const std::vector<std::pair<const char*, std::function<void()>>> controls =
       {
