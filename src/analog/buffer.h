@@ -62,7 +62,7 @@ struct VgaBufferConfig {
   double noise_bandwidth_ghz = 7.5;
 };
 
-class VariableGainBuffer final : public AnalogElement {
+class VariableGainBuffer {
  public:
   VariableGainBuffer(const VgaBufferConfig& cfg, util::Rng rng);
 
@@ -86,13 +86,10 @@ class VariableGainBuffer final : public AnalogElement {
   /// NoiseSource::fork_noise).
   void fork_noise(std::uint64_t stream) { noise_.fork_noise(stream); }
 
-  std::unique_ptr<AnalogElement> clone() const override {
-    return std::make_unique<VariableGainBuffer>(*this);
-  }
-  void reset() override;
+  void reset();
   /// Fixed-Vctrl block: process_block(in, nullptr, out, n, dt_ps).
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override {
+                     double dt_ps) {
     solo_block(this, in, nullptr, out, n, dt_ps);
   }
   /// `vctrl[i]` is the control voltage of sample i (A(Vctrl) per
@@ -102,6 +99,9 @@ class VariableGainBuffer final : public AnalogElement {
   void process_block(const double* in, const double* vctrl, double* out,
                      std::size_t n, double dt_ps) {
     solo_block(this, in, vctrl, out, n, dt_ps);
+  }
+  sig::Waveform process(const sig::Waveform& in) {
+    return run_blocked(*this, in);
   }
 
   /// The lane pass (see element.h), stage-major: tanh pair, bandwidth
@@ -144,7 +144,7 @@ struct LimitingBufferConfig {
 /// Fixed-amplitude regenerating buffer: recovers full logic swing while
 /// preserving input edge timing. Also models one branch of the 1:4 fanout
 /// chip and the output stage of the 4:1 mux.
-class LimitingBuffer final : public AnalogElement {
+class LimitingBuffer {
  public:
   LimitingBuffer(const LimitingBufferConfig& cfg, util::Rng rng);
 
@@ -153,13 +153,13 @@ class LimitingBuffer final : public AnalogElement {
   /// Independent deterministic noise stream for a cloned buffer.
   void fork_noise(std::uint64_t stream) { noise_.fork_noise(stream); }
 
-  std::unique_ptr<AnalogElement> clone() const override {
-    return std::make_unique<LimitingBuffer>(*this);
-  }
-  void reset() override;
+  void reset();
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override {
+                     double dt_ps) {
     solo_block(this, in, out, n, dt_ps);
+  }
+  sig::Waveform process(const sig::Waveform& in) {
+    return run_blocked(*this, in);
   }
   static void process_lanes(LimitingBuffer* const* b, std::size_t w,
                             const double* in, double* out, std::size_t n,

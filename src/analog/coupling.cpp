@@ -51,7 +51,7 @@ void AcCoupler::process_block(const double* in, double* out, std::size_t n,
 
 void Attenuator::process_block(const double* in, double* out, std::size_t n,
                                double /*dt_ps*/) {
-  backend::active().scale(in, out, n, factor_);
+  for (std::size_t i = 0; i < n; ++i) out[i] = factor_ * in[i];
 }
 
 Attenuator::Attenuator(double loss_db)
@@ -113,15 +113,6 @@ void NoiseSource::process_lanes(NoiseSource* const* src, std::size_t w,
     return &src[s]->st_;
   });
   backend::one_pole(out, out, n, w, alpha.data(), st.data());
-}
-
-sig::Waveform NoiseSource::waveform(double t0_ps, double dt_ps,
-                                    std::size_t n) {
-  sig::Waveform wf(t0_ps, dt_ps, n);
-  for (std::size_t o = 0; o < n; o += kBlockSamples)
-    process_block(wf.samples().data() + o, std::min(kBlockSamples, n - o),
-                  dt_ps);
-  return wf;
 }
 
 }  // namespace gdelay::analog

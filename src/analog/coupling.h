@@ -14,16 +14,16 @@
 namespace gdelay::analog {
 
 /// First-order high-pass (series capacitor + termination).
-class AcCoupler final : public AnalogElement {
+class AcCoupler {
  public:
   /// `f_hp_ghz`: -3 dB high-pass corner (e.g. 0.01 = 10 MHz).
   explicit AcCoupler(double f_hp_ghz);
-  std::unique_ptr<AnalogElement> clone() const override {
-    return std::make_unique<AcCoupler>(*this);
-  }
-  void reset() override;
+  void reset();
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override;
+                     double dt_ps);
+  sig::Waveform process(const sig::Waveform& in) {
+    return run_blocked(*this, in);
+  }
 
  private:
   double f_hp_;
@@ -37,14 +37,14 @@ class AcCoupler final : public AnalogElement {
 /// Flat attenuation (e.g. the series measurement resistors the paper notes
 /// in Fig. 13: "amplitude attenuation is due to series resistors added for
 /// measurement convenience").
-class Attenuator final : public AnalogElement {
+class Attenuator {
  public:
   explicit Attenuator(double loss_db);
-  void reset() override {}
+  void reset() {}
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override;
-  std::unique_ptr<AnalogElement> clone() const override {
-    return std::make_unique<Attenuator>(*this);
+                     double dt_ps);
+  sig::Waveform process(const sig::Waveform& in) {
+    return run_blocked(*this, in);
   }
   double factor() const { return factor_; }
 
@@ -60,12 +60,10 @@ class NoiseSource {
  public:
   NoiseSource(double sigma_v, double bandwidth_ghz, util::Rng rng);
 
-  double sigma_v() const { return sigma_; }
-
   /// Deterministically switches to an independent noise stream derived
-  /// from the current one. Cloned elements share their parent's RNG
-  /// state; forking each clone with a distinct `stream` restores
-  /// statistically independent noise per clone while staying exactly
+  /// from the current one. Copied devices share their parent's RNG
+  /// state; forking each copy with a distinct `stream` restores
+  /// statistically independent noise per copy while staying exactly
   /// reproducible (the parallel sweeps fork by sweep-point index).
   void fork_noise(std::uint64_t stream) { rng_ = rng_.fork(stream); }
 
@@ -82,9 +80,6 @@ class NoiseSource {
   /// into the interleaved `out`; process_block() is the w == 1 call.
   static void process_lanes(NoiseSource* const* src, std::size_t w,
                             double* out, std::size_t n, double dt_ps);
-
-  /// Renders `n` samples as a waveform on the given grid.
-  sig::Waveform waveform(double t0_ps, double dt_ps, std::size_t n);
 
  private:
   /// (Re)derives the dt-dependent filter coefficients.

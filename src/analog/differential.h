@@ -29,18 +29,18 @@ struct DifferentialImbalanceConfig {
   double offset_v = 0.0;
 };
 
-class DifferentialImbalance final : public AnalogElement {
+class DifferentialImbalance {
  public:
   explicit DifferentialImbalance(const DifferentialImbalanceConfig& cfg);
 
   const DifferentialImbalanceConfig& config() const { return cfg_; }
 
-  std::unique_ptr<AnalogElement> clone() const override {
-    return std::make_unique<DifferentialImbalance>(*this);
-  }
-  void reset() override;
+  void reset();
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override;
+                     double dt_ps);
+  sig::Waveform process(const sig::Waveform& in) {
+    return run_blocked(*this, in);
+  }
 
  private:
   DifferentialImbalanceConfig cfg_;

@@ -6,7 +6,6 @@
 
 #include "backend/backend.h"
 #include "util/fastmath.h"
-#include "util/scratch.h"
 #include "util/units.h"
 
 namespace gdelay::analog {
@@ -94,29 +93,6 @@ void TanhLimiter::process_lanes(TanhLimiter* const* l, std::size_t w,
                                vsat.data(), vsat.data());
 }
 
-void GainStage::process_block(const double* in, double* out, std::size_t n,
-                              double /*dt_ps*/) {
-  backend::active().scale(in, out, n, gain_);
-}
-
-NoiseAdder::NoiseAdder(double density_v_sqrtps, util::Rng rng)
-    : density_(density_v_sqrtps), rng_(rng) {
-  if (!(density_v_sqrtps >= 0.0))
-    throw std::invalid_argument("NoiseAdder: density must be >= 0");
-}
-
-void NoiseAdder::process_block(const double* in, double* out, std::size_t n,
-                               double dt_ps) {
-  if (density_ == 0.0) {
-    if (out != in) std::copy(in, in + n, out);
-    return;
-  }
-  const double sigma = density_ / std::sqrt(dt_ps);
-  util::ScratchBuffer noise(n);
-  rng_.fill_gaussian(noise.data(), n, 0.0, sigma);
-  for (std::size_t i = 0; i < n; ++i) out[i] = in[i] + noise[i];
-}
-
 FractionalDelay::FractionalDelay(double delay_ps) : delay_(delay_ps) {
   if (!(delay_ps >= 0.0))
     throw std::invalid_argument("FractionalDelay: delay must be >= 0");
@@ -125,7 +101,6 @@ FractionalDelay::FractionalDelay(double delay_ps) : delay_(delay_ps) {
 void FractionalDelay::reset() {
   hist_.clear();
   head_ = 0;
-  filled_ = 0;
   dt_cached_ = 0.0;
 }
 
@@ -144,7 +119,6 @@ void FractionalDelay::ensure_grid(double dt_ps, double vin) {
     // is no artificial startup step.
     hist_.assign(n, vin);
     head_ = 0;
-    filled_ = 0;
   } else {
     // Mid-run sample-rate change: resample the stored waveform onto the
     // new grid so the line's charge survives the switch. (Flushing the
@@ -172,7 +146,6 @@ void FractionalDelay::ensure_grid(double dt_ps, double vin) {
     next[0] = hist_[(head_ + n_old - 1) % n_old];  // overwritten next write
     hist_ = std::move(next);
     head_ = 0;
-    filled_ = n;
   }
   dt_cached_ = dt_ps;
 }
@@ -200,7 +173,6 @@ void FractionalDelay::process_block(const double* in, double* out,
     if (++i0 == n) i0 = 0;
   }
   head_ = head;
-  filled_ = std::min(n, filled_ + count);
 }
 
 }  // namespace gdelay::analog

@@ -1,4 +1,4 @@
-// Primitive behavioral elements: filters, limiters, gain, noise, delay.
+// Primitive behavioral elements: filters, limiters, delay.
 //
 // These are the building blocks the buffer models (buffer.h) are composed
 // from. Each one models a single first-order physical mechanism:
@@ -7,9 +7,6 @@
 //   SlewRateLimiter   finite output-stage slew rate — THE mechanism behind
 //                     the paper's amplitude-dependent delay (Fig. 4/5)
 //   TanhLimiter       differential-pair soft saturation
-//   GainStage         ideal linear gain
-//   NoiseAdder        white (optionally band-limited) voltage noise with a
-//                     dt-independent spectral density
 //   FractionalDelay   ideal transport delay (transmission-line core)
 #pragma once
 
@@ -18,7 +15,6 @@
 
 #include "analog/element.h"
 #include "backend/backend.h"
-#include "util/rng.h"
 
 namespace gdelay::analog {
 
@@ -26,23 +22,22 @@ namespace gdelay::analog {
 ///
 /// Runs through the backend's one_pole kernel, so any partition of a
 /// stream into blocks gives the same bytes.
-class SinglePoleFilter final : public AnalogElement {
+class SinglePoleFilter {
  public:
   explicit SinglePoleFilter(double f3db_ghz);
-  void reset() override { st_ = {}; }
+  void reset() { st_ = {}; }
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override {
+                     double dt_ps) {
     solo_block(this, in, out, n, dt_ps);
+  }
+  sig::Waveform process(const sig::Waveform& in) {
+    return run_blocked(*this, in);
   }
   /// The lane pass (see element.h): `w` filters, one per interleaved
   /// stream; process_block() is the w == 1 call.
   static void process_lanes(SinglePoleFilter* const* f, std::size_t w,
                             const double* in, double* out, std::size_t n,
                             double dt_ps);
-  std::unique_ptr<AnalogElement> clone() const override {
-    return std::make_unique<SinglePoleFilter>(*this);
-  }
-  double f3db_ghz() const { return f3db_; }
   /// Time constant tau = 1/(2*pi*f3dB) in ps.
   double tau_ps() const;
 
@@ -68,24 +63,21 @@ class SinglePoleFilter final : public AnalogElement {
 /// pull toward the target that acts even while slew-limited. Without it a
 /// stage that never completes its excursion (deep compression at high
 /// rates) integrates noise into an unbounded duty-cycle random walk.
-class SlewRateLimiter final : public AnalogElement {
+class SlewRateLimiter {
  public:
   explicit SlewRateLimiter(double slew_v_per_ps, double tau_lin_ps = 0.0,
                            double leak_tau_ps = 0.0);
-  void reset() override { st_ = {}; }
+  void reset() { st_ = {}; }
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override {
+                     double dt_ps) {
     solo_block(this, in, out, n, dt_ps);
+  }
+  sig::Waveform process(const sig::Waveform& in) {
+    return run_blocked(*this, in);
   }
   static void process_lanes(SlewRateLimiter* const* l, std::size_t w,
                             const double* in, double* out, std::size_t n,
                             double dt_ps);
-  std::unique_ptr<AnalogElement> clone() const override {
-    return std::make_unique<SlewRateLimiter>(*this);
-  }
-  double slew() const { return slew_; }
-  double tau_lin_ps() const { return tau_lin_; }
-  double leak_tau_ps() const { return leak_tau_; }
 
  private:
   // VariableGainBuffer fuses this limiter's recursion into its droop
@@ -106,81 +98,38 @@ class SlewRateLimiter final : public AnalogElement {
 
 /// y = vsat * tanh(gain * x / vsat): linear gain for small signals,
 /// saturating at +/- vsat.
-class TanhLimiter final : public AnalogElement {
+class TanhLimiter {
  public:
   TanhLimiter(double gain, double vsat_v);
-  void reset() override {}
+  void reset() {}
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override {
+                     double dt_ps) {
     solo_block(this, in, out, n, dt_ps);
+  }
+  sig::Waveform process(const sig::Waveform& in) {
+    return run_blocked(*this, in);
   }
   static void process_lanes(TanhLimiter* const* l, std::size_t w,
                             const double* in, double* out, std::size_t n,
                             double dt_ps);
-  std::unique_ptr<AnalogElement> clone() const override {
-    return std::make_unique<TanhLimiter>(*this);
-  }
-  double gain() const { return gain_; }
-  double vsat() const { return vsat_; }
 
  private:
   double gain_;
   double vsat_;
 };
 
-/// y = g * x.
-class GainStage final : public AnalogElement {
- public:
-  explicit GainStage(double gain) : gain_(gain) {}
-  void reset() override {}
-  void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override;
-  std::unique_ptr<AnalogElement> clone() const override {
-    return std::make_unique<GainStage>(*this);
-  }
-  double gain() const { return gain_; }
-  void set_gain(double g) { gain_ = g; }
-
- private:
-  double gain_;
-};
-
-/// Adds Gaussian voltage noise of constant one-sided spectral density.
-/// Per-sample sigma is density / sqrt(dt) so the band-integrated power —
-/// and hence the jitter it induces downstream — does not depend on the
-/// simulation step size.
-class NoiseAdder final : public AnalogElement {
- public:
-  /// density: V*sqrt(ps), e.g. 0.02 => sigma = 40 mV at dt = 0.25 ps.
-  NoiseAdder(double density_v_sqrtps, util::Rng rng);
-  void reset() override {}
-  void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override;
-  std::unique_ptr<AnalogElement> clone() const override {
-    return std::make_unique<NoiseAdder>(*this);
-  }
-  double density() const { return density_; }
-  /// Independent deterministic noise stream for a cloned adder (see
-  /// NoiseSource::fork_noise).
-  void fork_noise(std::uint64_t stream) { rng_ = rng_.fork(stream); }
-
- private:
-  double density_;
-  util::Rng rng_;
-};
-
 /// Ideal transport delay with sub-sample (linear interpolation) precision.
 /// Models the lossless core of a controlled-length PCB trace. A mid-run
 /// sample-rate change re-derives the ring buffer by resampling the stored
 /// history onto the new grid, so the line's charge survives the switch.
-class FractionalDelay final : public AnalogElement {
+class FractionalDelay {
  public:
   explicit FractionalDelay(double delay_ps);
-  void reset() override;
+  void reset();
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override;
-  std::unique_ptr<AnalogElement> clone() const override {
-    return std::make_unique<FractionalDelay>(*this);
+                     double dt_ps);
+  sig::Waveform process(const sig::Waveform& in) {
+    return run_blocked(*this, in);
   }
   double delay_ps() const { return delay_; }
 
@@ -192,7 +141,6 @@ class FractionalDelay final : public AnalogElement {
   double delay_;
   std::vector<double> hist_;  // ring buffer
   std::size_t head_ = 0;
-  std::size_t filled_ = 0;
   double dt_cached_ = 0.0;
 };
 

@@ -20,20 +20,20 @@ struct TransmissionLineConfig {
   double dispersion_f3db_ghz = 0.0; ///< 0 disables the dispersion pole.
 };
 
-class TransmissionLine final : public AnalogElement {
+class TransmissionLine {
  public:
   explicit TransmissionLine(const TransmissionLineConfig& cfg);
 
   const TransmissionLineConfig& config() const { return cfg_; }
   double delay_ps() const { return cfg_.delay_ps; }
 
-  std::unique_ptr<AnalogElement> clone() const override {
-    return std::make_unique<TransmissionLine>(*this);
-  }
-  void reset() override;
+  void reset();
   void process_block(const double* in, double* out, std::size_t n,
-                     double dt_ps) override {
+                     double dt_ps) {
     solo_block(this, in, out, n, dt_ps);
+  }
+  sig::Waveform process(const sig::Waveform& in) {
+    return run_blocked(*this, in);
   }
   /// The lane pass (see element.h). The fractional-delay ring walk is
   /// per-stream (one column at a time); the dispersion poles advance

@@ -2,7 +2,7 @@
 //
 // Every hot loop of the analog signal path — the det_tanh limiter stages,
 // the one-pole/RC recursions, slew limiting, the Box-Muller noise
-// transform, gain scaling — is a *kernel*: a function over sample arrays.
+// transform — is a *kernel*: a function over sample arrays.
 // The devices' lane passes call kernels instead of open-coding the loops.
 // Two kinds:
 //
@@ -11,8 +11,8 @@
 //     so they are written once, as the plain functions declared below
 //     (kernels_scalar.cpp, compiled with the default flags only), and
 //     every machine runs the same loops.
-//   * The elementwise kernels — scale, box_muller and tanh_stage. These
-//     go through a `Kernels` table, and two tables ship:
+//   * The elementwise kernels — box_muller and tanh_stage. These go
+//     through a `Kernels` table, and two tables ship:
 //
 //   scalar  Plain loops over the det_* functions of util/fastmath.h. The
 //           default.
@@ -45,9 +45,9 @@
 namespace gdelay::backend {
 
 // ---------------------------------------------------------------------------
-// Recursion state and coefficient PODs. They live here (not in the element
-// classes) so the kernels can take them directly and clone() copies
-// complete kernel state trivially.
+// Recursion state and coefficient PODs. They live here (not in the device
+// classes) so the kernels can take them directly and a device copy
+// carries complete kernel state trivially.
 
 /// One-pole low-pass state: y' = y + alpha * (x - y).
 struct OnePoleState {
@@ -186,10 +186,6 @@ void vga_tail(const double* lim, const double* amp, double* out,
 struct Kernels {
   const char* name;  ///< "scalar" or "avx2" — the GDELAY_BACKEND token.
   const char* isa;   ///< instruction-set level, e.g. "generic", "avx2+fma"
-
-  /// out[i] = g * x[i]. Takes no per-stream parameters, so a w-stream
-  /// call is just the flat kernel over n*w samples.
-  void (*scale)(const double* x, double* out, std::size_t n, double g);
 
   /// Box-Muller transform over pair arrays (see box_muller_step).
   void (*box_muller)(const double* u1, const double* u2, double* out_cos,

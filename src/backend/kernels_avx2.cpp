@@ -1,5 +1,5 @@
 // AVX2 kernel table: explicit 4-lane intrinsics for the elementwise
-// kernels (scale, tanh_stage, box_muller).
+// kernels (tanh_stage, box_muller).
 //
 // This is the ONLY translation unit in the tree compiled with
 // -mavx2 -mfma (per-source-file flags in src/backend/CMakeLists.txt),
@@ -180,14 +180,6 @@ inline void v_det_sincos2pi(__m256d u, __m256d& out_sin, __m256d& out_cos) {
 // -ffp-contract=off here), so every element is bit-exact regardless of
 // where the 4-lane boundary falls.
 
-void k_scale(const double* x, double* out, std::size_t n, double g) {
-  const __m256d gv = vset(g);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(gv, _mm256_loadu_pd(x + i)));
-  for (; i < n; ++i) out[i] = g * x[i];
-}
-
 void tanh_solo(const double* x, const double* add, double* out,
                std::size_t n, double gain, double ref, double post) {
   const __m256d gv = vset(gain);
@@ -259,7 +251,6 @@ void k_tanh_stage(const double* x, const double* add, double* out,
 const Kernels kAvx2 = {
     /*name=*/"avx2",
     /*isa=*/"avx2+fma",
-    k_scale,
     k_box_muller,
     k_tanh_stage,
 };

@@ -23,10 +23,6 @@
 namespace gdelay::backend {
 namespace {
 
-void scale(const double* x, double* out, std::size_t n, double g) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = g * x[i];
-}
-
 void box_muller(const double* u1, const double* u2, double* out_cos,
                 double* out_sin, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i)
@@ -184,7 +180,6 @@ namespace {
 const Kernels kScalar = {
     /*name=*/"scalar",
     /*isa=*/"generic",
-    scale,
     box_muller,
     tanh_stage,
 };

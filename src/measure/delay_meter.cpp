@@ -41,20 +41,15 @@ std::vector<double> deltas_for(const std::vector<double>& rt,
   return d;
 }
 
+}  // namespace
+
 // A NaN settle window or threshold extracts no edges at all, which would
 // surface only as a misleading "no edges" error after the whole run.
-void check_options(const DelayMeterOptions& opt, const char* fn) {
-  const auto need_finite = [fn](double v, const char* field) {
-    if (!std::isfinite(v))
-      throw std::invalid_argument(std::string(fn) + ": " + field +
-                                  " must be finite");
-  };
-  need_finite(opt.threshold_v, "threshold_v");
-  need_finite(opt.hysteresis_v, "hysteresis_v");
-  need_finite(opt.settle_ps, "settle_ps");
+void check_options(const DelayMeterOptions& opt, const char* caller) {
+  require_finite(opt.threshold_v, caller, "threshold_v");
+  require_finite(opt.hysteresis_v, caller, "hysteresis_v");
+  require_finite(opt.settle_ps, caller, "settle_ps");
 }
-
-}  // namespace
 
 DelayMeasurement measure_delay_edges(const std::vector<double>& ref_times,
                                      const std::vector<bool>& ref_rising,

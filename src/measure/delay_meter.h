@@ -35,9 +35,14 @@ struct DelayMeterOptions {
   bool require_equal_counts = false;
 };
 
+/// Throws std::invalid_argument, naming `caller` and the field, for a
+/// non-finite threshold_v, hysteresis_v or settle_ps (a negative
+/// settle_ps is no settle window). Every entry point that takes these
+/// options calls it up front.
+void check_options(const DelayMeterOptions& opt, const char* caller);
+
 /// Mean/spread of the output's delay relative to the reference.
-/// Throws std::invalid_argument for a non-finite threshold_v,
-/// hysteresis_v or settle_ps (a negative settle_ps is no settle window).
+/// Rejects non-finite options (check_options).
 /// Throws std::runtime_error if the edge sequences cannot be aligned
 /// (different transition counts after settling) and `require_equal_counts`
 /// is set; otherwise the common prefix (after polarity alignment) is used.

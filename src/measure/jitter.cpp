@@ -62,8 +62,15 @@ JitterReport analyze_jitter(const std::vector<double>& ts, double ui_ps) {
   return rep;
 }
 
+void check_options(const JitterMeasureOptions& opt, const char* caller) {
+  require_finite(opt.threshold_v, caller, "threshold_v");
+  require_finite(opt.hysteresis_v, caller, "hysteresis_v");
+  require_finite(opt.settle_ps, caller, "settle_ps");
+}
+
 JitterReport measure_jitter(const sig::Waveform& wf, double ui_ps,
                             const JitterMeasureOptions& opt) {
+  check_options(opt, "measure_jitter");
   sig::EdgeExtractOptions eo;
   eo.threshold_v = opt.threshold_v;
   eo.hysteresis_v = opt.hysteresis_v;

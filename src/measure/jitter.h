@@ -37,7 +37,13 @@ struct JitterMeasureOptions {
   double settle_ps = 400.0;
 };
 
+/// Throws std::invalid_argument, naming `caller` and the field, for a
+/// non-finite threshold_v, hysteresis_v or settle_ps (a negative
+/// settle_ps is no settle window). measure_jitter and JitterSink call it.
+void check_options(const JitterMeasureOptions& opt, const char* caller);
+
 /// Convenience: extract crossings from a waveform and analyze them.
+/// Rejects non-finite options (check_options).
 JitterReport measure_jitter(const sig::Waveform& wf, double ui_ps,
                             const JitterMeasureOptions& opt = {});
 

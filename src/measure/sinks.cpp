@@ -1,6 +1,9 @@
 #include "measure/sinks.h"
 
 #include <cstring>
+#include <stdexcept>
+
+#include "measure/stats.h"
 
 namespace gdelay::meas {
 
@@ -16,7 +19,10 @@ void WaveformCaptureSink::consume(const double* samples, std::size_t n) {
 }
 
 EyeSink::EyeSink(EyeDiagram eye, double phase_ps, double settle_ps)
-    : eye_(std::move(eye)), phase_ps_(phase_ps), settle_ps_(settle_ps) {}
+    : eye_(std::move(eye)), phase_ps_(phase_ps), settle_ps_(settle_ps) {
+  require_finite(phase_ps, "EyeSink", "phase_ps");
+  require_finite(settle_ps, "EyeSink", "settle_ps");
+}
 
 void EyeSink::begin(double t0_ps, double dt_ps, std::size_t) {
   t0_ps_ = t0_ps;
@@ -34,7 +40,9 @@ void EyeSink::consume(const double* samples, std::size_t n) {
 
 LevelHistogramSink::LevelHistogramSink(double lo, double hi,
                                        std::size_t n_bins, double settle_ps)
-    : hist_(lo, hi, n_bins), settle_ps_(settle_ps) {}
+    : hist_(lo, hi, n_bins), settle_ps_(settle_ps) {
+  require_finite(settle_ps, "LevelHistogramSink", "settle_ps");
+}
 
 void LevelHistogramSink::begin(double t0_ps, double dt_ps, std::size_t) {
   t0_ps_ = t0_ps;
@@ -51,7 +59,11 @@ void LevelHistogramSink::consume(const double* samples, std::size_t n) {
 }
 
 EdgeSink::EdgeSink(const sig::EdgeExtractOptions& opt, double settle_ps)
-    : opt_(opt), settle_ps_(settle_ps) {}
+    : opt_(opt), settle_ps_(settle_ps) {
+  require_finite(opt.threshold_v, "EdgeSink", "threshold_v");
+  require_finite(opt.hysteresis_v, "EdgeSink", "hysteresis_v");
+  require_finite(settle_ps, "EdgeSink", "settle_ps");
+}
 
 void EdgeSink::begin(double t0_ps, double dt_ps, std::size_t) {
   sig::EdgeExtractOptions eo = opt_;
@@ -74,15 +86,13 @@ std::vector<double> EdgeSink::edge_times() const {
 
 namespace {
 
-sig::EdgeExtractOptions jitter_extract_options(
-    const JitterMeasureOptions& opt) {
-  sig::EdgeExtractOptions eo;
-  eo.threshold_v = opt.threshold_v;
-  eo.hysteresis_v = opt.hysteresis_v;
-  return eo;
-}
-
-sig::EdgeExtractOptions delay_extract_options(const DelayMeterOptions& opt) {
+// Checks `opt` (DelayMeterOptions or JitterMeasureOptions) up front for
+// `caller`, then returns the edge extraction of its whole-waveform
+// counterpart (measure_delay, measure_jitter).
+template <typename Options>
+sig::EdgeExtractOptions extract_options(const Options& opt,
+                                        const char* caller) {
+  check_options(opt, caller);
   sig::EdgeExtractOptions eo;
   eo.threshold_v = opt.threshold_v;
   eo.hysteresis_v = opt.hysteresis_v;
@@ -92,7 +102,12 @@ sig::EdgeExtractOptions delay_extract_options(const DelayMeterOptions& opt) {
 }  // namespace
 
 JitterSink::JitterSink(double ui_ps, const JitterMeasureOptions& opt)
-    : ui_ps_(ui_ps), edge_sink_(jitter_extract_options(opt), opt.settle_ps) {}
+    : ui_ps_(ui_ps),
+      edge_sink_(extract_options(opt, "JitterSink"), opt.settle_ps) {
+  require_finite(ui_ps, "JitterSink", "ui_ps");
+  if (!(ui_ps > 0.0))
+    throw std::invalid_argument("JitterSink: ui_ps must be > 0");
+}
 
 void JitterSink::begin(double t0_ps, double dt_ps, std::size_t total_n) {
   edge_sink_.begin(t0_ps, dt_ps, total_n);
@@ -111,10 +126,11 @@ DelayMeterSink::DelayMeterSink(const EdgeSink& reference,
                                const DelayMeterOptions& opt)
     : reference_(&reference),
       opt_(opt),
-      edge_sink_(delay_extract_options(opt), opt.settle_ps) {}
+      edge_sink_(extract_options(opt, "DelayMeterSink"), opt.settle_ps) {}
 
 EdgeSink DelayMeterSink::reference_sink(const DelayMeterOptions& opt) {
-  return EdgeSink(delay_extract_options(opt), opt.settle_ps);
+  return EdgeSink(extract_options(opt, "DelayMeterSink::reference_sink"),
+                  opt.settle_ps);
 }
 
 void DelayMeterSink::begin(double t0_ps, double dt_ps, std::size_t total_n) {

@@ -10,7 +10,10 @@
 //
 // Contract for implementations: all sizing happens in begin() (or the
 // constructor); consume() must not allocate on the steady-state path
-// (gdelay-audit rule R6 flags container growth there).
+// (gdelay-audit rule R6 flags container growth there). Constructors
+// reject a non-finite threshold, hysteresis, phase, settle window or UI
+// with std::invalid_argument naming the field (a negative settle_ps is
+// no settle window).
 #pragma once
 
 #include <cstddef>

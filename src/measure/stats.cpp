@@ -3,8 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace gdelay::meas {
+
+void require_finite(double v, const char* caller, const char* field) {
+  if (!std::isfinite(v))
+    throw std::invalid_argument(std::string(caller) + ": " + field +
+                                " must be finite");
+}
 
 Summary summarize(const std::vector<double>& xs) {
   Summary s;

@@ -25,4 +25,10 @@ double stddev(const std::vector<double>& xs);
 /// q in [0, 1]; linear interpolation between order statistics.
 double quantile(std::vector<double> xs, double q);
 
+/// Throws std::invalid_argument "<caller>: <field> must be finite" unless
+/// `v` is finite. Every measurement entry point checks its options with
+/// it up front: a NaN or infinite threshold or settle window would
+/// otherwise extract no edges, or fold the lead-in, without an error.
+void require_finite(double v, const char* caller, const char* field);
+
 }  // namespace gdelay::meas

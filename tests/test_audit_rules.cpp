@@ -145,35 +145,8 @@ TEST(AuditR2, InlineWaiverSilences) {
 }
 
 // --------------------------------------------------------------------------
-// R3 — element-contract completeness
+// R3 — noise-stream forking
 // --------------------------------------------------------------------------
-
-TEST(AuditR3, FlagsElementWithoutProcessBlockAndClone) {
-  auto fs = scan_source(
-      "analog/x.h",
-      "class Partial : public AnalogElement {\n"
-      " public:\n"
-      "  void reset() override {}\n"
-      "};\n");
-  auto rules = rules_of(fs);
-  ASSERT_EQ(rules, (std::vector<std::string>{"R3", "R3"})) << render(fs);
-  // Findings sort by message at equal position: clone before process_block.
-  EXPECT_NE(fs[0].message.find("clone"), std::string::npos);
-  EXPECT_NE(fs[1].message.find("process_block"), std::string::npos);
-}
-
-TEST(AuditR3, FlagsIndirectSubclassAcrossFiles) {
-  // Derivation is transitive across files: Leaf, two levels below
-  // AnalogElement, is an element too.
-  auto fs = scan_files({{"analog/mid.h", "class Mid : public AnalogElement {};"},
-                        {"analog/leaf.h", "class Leaf final : public Mid {};"}},
-                       {});
-  ASSERT_EQ(rules_of(fs), std::vector<std::string>(4, "R3")) << render(fs);
-  EXPECT_EQ(std::count_if(fs.begin(), fs.end(),
-                          [](const Finding& f) { return f.file == "analog/leaf.h"; }),
-            2)
-      << render(fs);
-}
 
 TEST(AuditR3, FlagsRngMemberWithoutForkNoise) {
   auto fs = scan_source("fast/x.h",
@@ -188,15 +161,13 @@ TEST(AuditR3, FlagsRngMemberWithoutForkNoise) {
 }
 
 TEST(AuditR3, CleanOnCompleteElement) {
+  // A device holding a noise stream that it can fork.
   auto fs = scan_source(
       "analog/x.h",
-      "class Complete final : public AnalogElement {\n"
+      "class Complete {\n"
       " public:\n"
       "  void process_block(const double* in, double* out, std::size_t n,\n"
-      "                     double dt_ps) override;\n"
-      "  std::unique_ptr<AnalogElement> clone() const override {\n"
-      "    return std::make_unique<Complete>(*this);\n"
-      "  }\n"
+      "                     double dt_ps);\n"
       "  void fork_noise(std::uint64_t stream) { rng_ = rng_.fork(stream); }\n"
       " private:\n"
       "  util::Rng rng_{42};\n"
@@ -216,10 +187,10 @@ TEST(AuditR3, UnrelatedClassesAreIgnored) {
 TEST(AuditR3, InlineWaiverSilences) {
   auto fs = scan_source(
       "analog/x.h",
-      "// gdelay-audit: allow(R3) abstract helper, subclasses add the block\n"
-      "class Partial : public AnalogElement {\n"
-      " public:\n"
-      "  std::unique_ptr<AnalogElement> clone() const override;\n"
+      "class Holder {\n"
+      " private:\n"
+      "  // gdelay-audit: allow(R3) one stream by design, never copied\n"
+      "  util::Rng rng_;\n"
       "};\n");
   EXPECT_TRUE(fs.empty()) << render(fs);
 }
@@ -882,11 +853,10 @@ TEST(AuditR11, BaselineSuppresses) {
 namespace r12 {
 
 const char* kElement =
-    "class Gain : public AnalogElement {\n"
+    "class Gain {\n"
     " public:\n"
     "  void process_block(const double* in, double* out, std::size_t n,\n"
-    "                     double dt_ps) override;\n"
-    "  std::unique_ptr<AnalogElement> clone() const override;\n"
+    "                     double dt_ps);\n"
     "};\n";
 
 const char* kKernels =
@@ -916,16 +886,20 @@ TEST(AuditR12, FlagsEveryUncoveredContract) {
 }
 
 TEST(AuditR12, FlagsUncoveredElementWithoutStep) {
-  // Coverage keys on derivation, not on a step() override: a block-only
-  // element two levels below AnalogElement must still be covered.
+  // Coverage keys on the block path, not on a base or a step(): a class
+  // that declares process_block() is a device and must be covered; a
+  // class with no process_block() is not a device.
   std::vector<SourceFile> srcs = {
       {"analog/elem.h", r12::kElement},
       {"analog/leaf.h",
        "class Tap final : public Gain {\n"
        " public:\n"
        "  void process_block(const double* in, double* out, std::size_t n,\n"
-       "                     double dt_ps) override;\n"
-       "  std::unique_ptr<AnalogElement> clone() const override;\n"
+       "                     double dt_ps);\n"
+       "};\n"
+       "class Probe {\n"
+       " public:\n"
+       "  double step(double vin, double dt_ps);\n"
        "};\n"}};
   std::vector<SourceFile> tests = {
       {"tests/test_block_kernels.cpp", "TEST(B, G) { Gain g; }"}};
@@ -1134,7 +1108,7 @@ TEST(AuditSelfScan, LiveSourceTreeIsClean) {
 TEST(AuditSelfScan, LiveTreeWithTestCorpusIsClean) {
   // Registers tests/ as the R12 corpus (the same thing the CLI gate does
   // with --tests), so the contract-coverage rule actually runs: every
-  // AnalogElement subclass and Kernels entry in the live tree must be
+  // device and Kernels entry in the live tree must be
   // exercised by its designated suite.
   auto sources = gdelay::audit::collect_tree(GDELAY_SOURCE_ROOT);
   auto tests = gdelay::audit::collect_tree(GDELAY_TEST_ROOT);

@@ -216,7 +216,6 @@ TEST(NanRangeChecks, EveryConstructorAndSetterRejectsNaN) {
       {"SlewRateLimiter leak", [&] { gan::SlewRateLimiter(0.005, 20.0, nan); }},
       {"TanhLimiter gain", [&] { gan::TanhLimiter(nan, 0.5); }},
       {"TanhLimiter vsat", [&] { gan::TanhLimiter(2.0, nan); }},
-      {"NoiseAdder", [&] { gan::NoiseAdder(nan, Rng(1)); }},
       {"FractionalDelay", [&] { gan::FractionalDelay{nan}; }},
       {"AcCoupler", [&] { gan::AcCoupler{nan}; }},
       {"EyeDiagram ui", [&] { gm::EyeDiagram(nan, -0.5, 0.5); }},
@@ -294,19 +293,22 @@ TEST(NanRangeChecks, SynthPlanRejectsNonFiniteOrOversizedConfigs) {
 }
 
 TEST(NonFiniteOptions, MeasurementOptionsAreRejectedUpFront) {
-  // A NaN or infinite settle window or threshold extracts no edges; it is
-  // rejected up front, naming the field, not after the whole run.
+  // A NaN or infinite settle window or threshold extracts no edges (or
+  // folds the lead-in); every measurement entry point and sink rejects it
+  // up front, naming the field, not after the whole run.
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   gs::SynthConfig sc;
   sc.rate_gbps = 3.2;
   const auto wf = gs::synthesize_nrz(gs::prbs(7, 32), sc).wf;
-  using Field = double gm::DelayMeterOptions::*;
-  const std::vector<std::pair<const char*, Field>> fields = {
-      {"threshold_v", &gm::DelayMeterOptions::threshold_v},
-      {"hysteresis_v", &gm::DelayMeterOptions::hysteresis_v},
-      {"settle_ps", &gm::DelayMeterOptions::settle_ps},
+  // Options of any measurement type with field f of kFields set to bad.
+  const char* const kFields[] = {"threshold_v", "hysteresis_v", "settle_ps"};
+  const auto with = [](auto o, int f, double bad) {
+    (f == 0 ? o.threshold_v : f == 1 ? o.hysteresis_v : o.settle_ps) = bad;
+    return o;
   };
+  const gm::EdgeSink reference;
+  const gm::EyeDiagram eye(312.5, -0.5, 0.5);
   struct Case {
     std::string name;
     const char* field;
@@ -314,15 +316,37 @@ TEST(NonFiniteOptions, MeasurementOptionsAreRejectedUpFront) {
   };
   std::vector<Case> cases;
   for (double bad : {nan, inf, -inf}) {
-    for (const auto& [field, member] : fields) {
-      gm::DelayMeterOptions o;
-      o.*member = bad;
+    for (int f = 0; f < 3; ++f) {
+      const char* field = kFields[f];
+      const auto d = with(gm::DelayMeterOptions{}, f, bad);
+      const auto j = with(gm::JitterMeasureOptions{}, f, bad);
       cases.push_back({"measure_delay", field,
-                       [&wf, o] { gm::measure_delay(wf, wf, o); }});
-      cases.push_back({"measure_phase_delay", field, [&wf, o] {
-                         gm::measure_phase_delay(wf, wf, 312.5, o);
+                       [&wf, d] { gm::measure_delay(wf, wf, d); }});
+      cases.push_back({"measure_phase_delay", field, [&wf, d] {
+                         gm::measure_phase_delay(wf, wf, 312.5, d);
+                       }});
+      cases.push_back({"DelayMeterSink", field, [&reference, d] {
+                         gm::DelayMeterSink{reference, d};
+                       }});
+      cases.push_back({"DelayMeterSink::reference_sink", field,
+                       [d] { gm::DelayMeterSink::reference_sink(d); }});
+      cases.push_back({"measure_jitter", field,
+                       [&wf, j] { gm::measure_jitter(wf, 312.5, j); }});
+      cases.push_back({"JitterSink", field, [j] { gm::JitterSink{312.5, j}; }});
+      cases.push_back({"EdgeSink", field, [j] {
+                         gs::EdgeExtractOptions eo;
+                         eo.threshold_v = j.threshold_v;
+                         eo.hysteresis_v = j.hysteresis_v;
+                         gm::EdgeSink{eo, j.settle_ps};
                        }});
     }
+    cases.push_back({"JitterSink", "ui_ps", [bad] { gm::JitterSink{bad}; }});
+    cases.push_back({"EyeSink", "phase_ps",
+                     [&eye, bad] { gm::EyeSink{eye, bad}; }});
+    cases.push_back({"EyeSink", "settle_ps",
+                     [&eye, bad] { gm::EyeSink{eye, 0.0, bad}; }});
+    cases.push_back({"LevelHistogramSink", "settle_ps",
+                     [bad] { gm::LevelHistogramSink{-1.0, 1.0, 16, bad}; }});
     gc::DelayCalibrator::Options o;
     o.settle_ps = bad;
     cases.push_back({"DelayCalibrator", "settle_ps",
@@ -341,6 +365,10 @@ TEST(NonFiniteOptions, MeasurementOptionsAreRejectedUpFront) {
   gm::DelayMeterOptions none;
   none.settle_ps = -1.0;
   EXPECT_NEAR(gm::measure_delay(wf, wf, none).mean_ps, 0.0, 1e-9);
+  gm::JitterMeasureOptions jitter_none;
+  jitter_none.settle_ps = -1.0;
+  EXPECT_GT(gm::measure_jitter(wf, 312.5, jitter_none).n_edges, 0u);
+  EXPECT_NO_THROW((gm::EdgeSink{gs::EdgeExtractOptions{}, -1.0}));
   gc::DelayCalibrator::Options o;
   o.settle_ps = -1.0;
   EXPECT_NO_THROW(gc::DelayCalibrator{o});

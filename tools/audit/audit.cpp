@@ -572,8 +572,8 @@ void scan_r6(const std::string& label, const Lexed& lx,
 //
 // A statement accumulator plus a brace-scope stack classifies each '{' as
 // namespace / class / enum / function / brace-init. Class scopes record
-// base names, declared methods, and Rng/NoiseSource members; namespace
-// scopes feed the mutable-global check.
+// declared methods and Rng/NoiseSource members; namespace scopes feed the
+// mutable-global check.
 // ---------------------------------------------------------------------------
 
 enum class ScopeKind { Namespace, Class, Enum, Function, Block, Init };
@@ -581,8 +581,6 @@ enum class ScopeKind { Namespace, Class, Enum, Function, Block, Init };
 struct ClassInfo {
   std::string name;
   int line = 0;
-  int col = 0;
-  std::vector<std::string> bases;
   std::set<std::string> methods;
   std::vector<std::pair<std::string, Token>> rng_members;  // name, name token
 };
@@ -599,13 +597,10 @@ bool stmt_has_punct(const std::vector<Token>& stmt, const std::string& p) {
   return false;
 }
 
-// Extracts class name / bases from a class-head statement.
+// Extracts the class name and line from a class-head statement.
 ClassInfo parse_class_head(const std::vector<Token>& stmt) {
   ClassInfo ci;
-  if (!stmt.empty()) {
-    ci.line = stmt.front().line;
-    ci.col = stmt.front().col;
-  }
+  if (!stmt.empty()) ci.line = stmt.front().line;
   // Last class/struct/union keyword wins ('template <class T> class Foo').
   std::size_t kw = stmt.size();
   for (std::size_t i = 0; i < stmt.size(); ++i) {
@@ -616,43 +611,14 @@ ClassInfo parse_class_head(const std::vector<Token>& stmt) {
   }
   if (kw == stmt.size()) return ci;
   ci.line = stmt[kw].line;
-  ci.col = stmt[kw].col;
-  std::size_t i = kw + 1;
   // Skip attributes, alignas(...) etc.; take the first plain identifier.
-  for (; i < stmt.size(); ++i) {
+  for (std::size_t i = kw + 1; i < stmt.size(); ++i) {
     if (stmt[i].kind == Token::Ident && stmt[i].text != "alignas" &&
         stmt[i].text != "final") {
       ci.name = stmt[i].text;
-      ++i;
       break;
     }
   }
-  // Base clause starts at a single ':' ('::' is one token, so unambiguous).
-  for (; i < stmt.size(); ++i) {
-    if (stmt[i].kind == Token::Punct && stmt[i].text == ":") {
-      ++i;
-      break;
-    }
-  }
-  int angle = 0;
-  std::string last_ident;
-  static const std::unordered_set<std::string> access = {
-      "public", "protected", "private", "virtual"};
-  for (; i < stmt.size(); ++i) {
-    const Token& t = stmt[i];
-    if (t.kind == Token::Punct) {
-      if (t.text == "<") ++angle;
-      else if (t.text == ">") angle = std::max(0, angle - 1);
-      else if (t.text == "," && angle == 0) {
-        if (!last_ident.empty()) ci.bases.push_back(last_ident);
-        last_ident.clear();
-      }
-      continue;
-    }
-    if (t.kind == Token::Ident && angle == 0 && !access.count(t.text))
-      last_ident = t.text;
-  }
-  if (!last_ident.empty()) ci.bases.push_back(last_ident);
   return ci;
 }
 
@@ -678,46 +644,14 @@ void record_class_stmt(const std::vector<Token>& stmt, ClassInfo& ci) {
   }
 }
 
-// True when a class with these direct `bases` reaches `target` through
-// the indexed base lists — transitively and across files. A base the
-// index does not know ends that branch of the walk.
-bool derives_from(const SymbolIndex& idx, std::vector<std::string> bases,
-                  const std::string& target) {
-  std::set<std::string> seen;
-  while (!bases.empty()) {
-    const std::string n = std::move(bases.back());
-    bases.pop_back();
-    if (n == target) return true;
-    if (!seen.insert(n).second) continue;
-    for (const auto& c : idx.classes) {
-      if (c.name != n) continue;
-      bases.insert(bases.end(), c.bases.begin(), c.bases.end());
-      break;
-    }
-  }
-  return false;
-}
-
 void finalize_class(const ClassInfo& ci, const std::string& label,
-                    const Options& opt, const SymbolIndex& idx,
                     std::vector<Finding>& out) {
-  if (derives_from(idx, ci.bases, opt.element_base)) {
-    const std::string head = "class '" + ci.name + "' derives from " +
-                             opt.element_base + " but does not override ";
-    if (!ci.methods.count("process_block"))
-      out.push_back({label, ci.line, ci.col, "R3",
-                     head + "process_block(); it is the element's one "
-                            "implementation"});
-    if (!ci.methods.count("clone"))
-      out.push_back({label, ci.line, ci.col, "R3",
-                     head + "clone(); parallel sweeps need deep copies"});
-  }
   if (!ci.rng_members.empty() && !ci.methods.count("fork_noise")) {
     for (const auto& [name, tok] : ci.rng_members)
       out.push_back({label, tok.line, tok.col, "R3",
                      "member '" + name + "' of class '" + ci.name +
                          "' holds a noise stream but the class declares no "
-                         "fork_noise(); clones would replay the same noise"});
+                         "fork_noise(); copies would replay the same noise"});
   }
 }
 
@@ -762,7 +696,7 @@ void check_namespace_stmt(const std::vector<Token>& stmt,
 }
 
 void scan_r3_r4(const std::string& label, const Lexed& lx, const Options& opt,
-                const SymbolIndex& idx, std::vector<Finding>& out) {
+                std::vector<Finding>& out) {
   std::vector<ScopeKind> scopes = {ScopeKind::Namespace};
   std::vector<ClassInfo> classes;
   std::vector<Token> stmt;
@@ -804,7 +738,7 @@ void scan_r3_r4(const std::string& label, const Lexed& lx, const Options& opt,
     }
     if (t.kind == Token::Punct && t.text == "}") {
       if (scopes.back() == ScopeKind::Class && !classes.empty()) {
-        finalize_class(classes.back(), label, opt, idx, out);
+        finalize_class(classes.back(), label, out);
         classes.pop_back();
       }
       if (scopes.size() > 1) scopes.pop_back();
@@ -1044,7 +978,6 @@ FileExtract extract_file(const std::string& label, const Lexed& lx) {
     c.file = label;
     c.line = ci.line;
     c.name = ci.name;
-    c.bases = ci.bases;
     return c;
   };
 
@@ -1816,12 +1749,13 @@ std::vector<Finding> scan_global(const SymbolIndex& idx, const Options& opt,
           return true;
       return false;
     };
+    // A device is a class that declares process_block().
     for (const auto& c : idx.classes) {
-      if (!derives_from(idx, c.bases, opt.element_base)) continue;
+      if (!c.methods.count("process_block")) continue;
       if (!covered_in(opt.element_coverage_files, c.name)) {
         raw.push_back(
             {c.file, c.line, 0, "R12",
-             opt.element_base + " subclass '" + c.name +
+             "device '" + c.name +
                  "' appears in no byte-identity suite (" +
                  join_fragments(opt.element_coverage_files) +
                  "); an untested block/lane contract is a latent "
@@ -1874,7 +1808,7 @@ std::vector<Finding> scan_source(const std::string& label,
   std::vector<Finding> out;
   scan_r1(label, lx, opt, out);
   scan_r2(label, lx, opt, out);
-  scan_r3_r4(label, lx, opt, *index, out);
+  scan_r3_r4(label, lx, opt, out);
   scan_r5(label, lx, opt, out);
   scan_r6(label, lx, out);
   scan_r7(label, content, lx, opt, out);
@@ -1955,9 +1889,7 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"R2", "no nondeterminism sources (random_device, rand, time, clocks, "
              "getenv)",
        "everywhere; getenv allowed in util/thread_pool, backend/dispatch"},
-      {"R3", "every AnalogElement subclass (transitively) overrides "
-             "process_block() and clone(); Rng/NoiseSource members need "
-             "fork_noise()",
+      {"R3", "a class with Rng/NoiseSource members declares fork_noise()",
        "all classes"},
       {"R4", "no mutable namespace-scope state",
        "everywhere except backend/dispatch"},
@@ -1979,7 +1911,7 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"R11", "no blocking calls (sleep, cv wait) reachable from pool tasks "
               "or consume() bodies",
        "cross-TU call graph from every pool root"},
-      {"R12", "every AnalogElement subclass (transitively) and "
+      {"R12", "every device (a class declaring process_block()) and "
               "kernel-table entry must appear in its contract suite",
        "src vs tests/ cross-reference; needs --tests"},
       {"waiver", "inline waivers must parse and carry a reason",

@@ -3,13 +3,13 @@
 // The simulator's determinism contracts — bit-exact output across runs,
 // thread counts, chunk sizes and host libm — are written down in DESIGN.md
 // and enforced at runtime by the byte-identity test suites. But runtime
-// tests only exercise the elements someone remembered to test; this tool
-// proves the *source* obeys the contracts, for every element and every
-// file, so a new AnalogElement cannot silently reintroduce host-libm
+// tests only exercise the devices someone remembered to test; this tool
+// proves the *source* obeys the contracts, for every device and every
+// file, so a new device cannot silently reintroduce host-libm
 // dependence, RNG-stream aliasing, or an untested block contract.
 //
 // The tool is a TWO-PASS analyzer. Pass 1 tokenizes every file once and
-// builds a cross-TU SymbolIndex: classes with their bases and methods,
+// builds a cross-TU SymbolIndex: classes with their methods,
 // mutex / condition-variable / atomic / Rng members, function definitions
 // with their outgoing call edges and blocking sites, the backend
 // kernel-table fields, and the identifier sets of the registered test
@@ -30,12 +30,9 @@
 //   R2  no nondeterminism sources anywhere in src/: std::random_device,
 //       rand()/srand(), time(), wall-clock *_clock reads, getenv()
 //       (except util/thread_pool, backend/dispatch).
-//   R3  element-contract completeness: every class deriving from
-//       AnalogElement — directly or through other indexed classes —
-//       must override process_block() (the element's one
-//       implementation) and clone(); every class holding a Rng or
-//       NoiseSource member must declare fork_noise() so clone-based
-//       sweeps can decorrelate its streams.
+//   R3  noise-stream forking: every class holding a Rng or NoiseSource
+//       member must declare fork_noise() so the copy-based sweeps can
+//       decorrelate its streams.
 //   R4  no mutable namespace-scope state (data races under
 //       GDELAY_THREADS, and order-of-initialization hazards).
 //   R5  no float: the analog path (analog/, signal/, core/) is double
@@ -71,12 +68,12 @@
 //       streaming-sink consume() body. The reachability walk follows the
 //       cross-TU call graph by name, so a wait buried two calls deep
 //       behind a parallel_map still surfaces.
-//   R12 contract coverage: every AnalogElement subclass (transitively)
-//       must appear in the lane x chunk invariance suite, and every
-//       backend::Kernels table entry in the backend equivalence suite —
-//       an untested contract is a build-time finding, not a latent
-//       divergence. Runs only when test sources are registered
-//       (--tests on the CLI).
+//   R12 contract coverage: every device — a class that declares
+//       process_block() — must appear in the lane x chunk invariance
+//       suite, and every backend::Kernels table entry in the backend
+//       equivalence suite — an untested contract is a build-time
+//       finding, not a latent divergence. Runs only when test sources
+//       are registered (--tests on the CLI).
 //
 // Diagnostics are GCC-style `file:line:col: error[rule]: message`. A
 // finding can be waived inline:
@@ -151,12 +148,11 @@ struct Options {
   /// R7: labels starting with (or containing a path segment equal to)
   /// this prefix may use SIMD intrinsics.
   std::string simd_prefix = "backend/";
-  /// Element base class (R3 completeness, R12 coverage; subclasses are
-  /// found transitively), and the R12 coverage spec: the kernel-table
-  /// struct and the test files (label fragments) each contract domain
-  /// must appear in — every element in the lane x chunk invariance
-  /// suite, every kernel entry in the backend equivalence suite.
-  std::string element_base = "AnalogElement";
+  /// The R12 coverage spec: the kernel-table struct and the test files
+  /// (label fragments) each contract domain must appear in — every
+  /// device (a class declaring process_block()) in the lane x chunk
+  /// invariance suite, every kernel entry in the backend equivalence
+  /// suite.
   std::string kernels_struct = "Kernels";
   std::vector<std::string> element_coverage_files = {"test_block_kernels"};
   std::vector<std::string> kernel_coverage_files = {"test_backend_equivalence"};
@@ -167,7 +163,6 @@ struct IndexedClass {
   std::string file;
   int line = 0;
   std::string name;
-  std::vector<std::string> bases;
   std::set<std::string> methods;
   /// Mutex members in declaration order (the R8 lock hierarchy for the
   /// declaring file is the concatenation of these, in file order).
