@@ -14,6 +14,7 @@ VariableGainBuffer::VariableGainBuffer(const VgaBufferConfig& cfg,
                                        util::Rng rng)
     : cfg_(cfg),
       vctrl_(cfg.vctrl_max_v),
+      ctrl_norm_(util::det_tanh(cfg.ctrl_shape * 0.5)),
       input_(cfg.input_gain, cfg.input_sat_v),
       lpf_(cfg.f3db_ghz),
       noise_(cfg.noise_sigma_v, cfg.noise_bandwidth_ghz, rng),
@@ -26,14 +27,22 @@ VariableGainBuffer::VariableGainBuffer(const VgaBufferConfig& cfg,
     throw std::invalid_argument("VgaBufferConfig: vctrl_max must be > 0");
 }
 
+void VariableGainBuffer::set_vctrl(double v) {
+  if (std::isnan(v))
+    throw std::invalid_argument("VariableGainBuffer: Vctrl is NaN");
+  vctrl_ = v;
+}
+
 double VariableGainBuffer::amplitude_for(double vctrl) const {
+  // std::clamp passes a NaN and det_tanh saturates it to +-1, which would
+  // program a half-swing outside [amp_min, amp_max]: NaN maps to NaN.
+  if (std::isnan(vctrl)) return vctrl;
   // Normalized control in [0, 1] with gentle tanh-shaped saturation at the
   // ends: the commercial part's gain-control pin responds ~linearly over
   // the middle of its range and compresses near the rails.
   const double u = std::clamp(vctrl / cfg_.vctrl_max_v, 0.0, 1.0);
-  const double k = cfg_.ctrl_shape;
   const double f =
-      (util::det_tanh(k * (u - 0.5)) / util::det_tanh(k * 0.5) + 1.0) / 2.0;
+      (util::det_tanh(cfg_.ctrl_shape * (u - 0.5)) / ctrl_norm_ + 1.0) / 2.0;
   return cfg_.amp_min_v + (cfg_.amp_max_v - cfg_.amp_min_v) * f;
 }
 
@@ -70,7 +79,7 @@ backend::VgaTailCoeffs VariableGainBuffer::tail_coeffs(double dt_ps) {
 
 void VariableGainBuffer::process_lanes(VariableGainBuffer* const* b,
                                        std::size_t w, const double* in,
-                                       const double* vctrl, double* out,
+                                       const double* amp, double* out,
                                        std::size_t n, double dt_ps) {
   using VGA = VariableGainBuffer;
   util::ScratchBuffer noise(n * w);
@@ -111,15 +120,6 @@ void VariableGainBuffer::process_lanes(VariableGainBuffer* const* b,
   LaneArray<backend::VgaTailState*> tail(w, [&](std::size_t s) {
     return &b[s]->tail_;
   });
-  double* amp = nullptr;
-  if (vctrl != nullptr && n > 0) {
-    // The noise block is consumed; its buffer now carries A(Vctrl).
-    amp = noise.data();
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t s = 0; s < w; ++s)
-        amp[i * w + s] = b[s]->amplitude_for(vctrl[i * w + s]);
-    for (std::size_t s = 0; s < w; ++s) b[s]->vctrl_ = vctrl[(n - 1) * w + s];
-  }
   backend::vga_tail(lim.data(), amp, out, n, w, c.data(), slew.data(),
                     tail.data());
   SinglePoleFilter::process_lanes(parts(b, w, &VGA::out_pole_).data(), w, out,

@@ -13,12 +13,20 @@
 // the timing/amplitude dependency the paper observed (~10 ps per stage
 // over the 100-750 mV amplitude range) and then exploited. Nothing in
 // this model stores a delay value — the effect is emergent.
+//
+// A stage holds one programmed Vctrl. A Vctrl that moves during a run
+// reaches it already mapped to the half-swing A(Vctrl): the fine line
+// maps each sample once for all of its stages.
 #pragma once
 
 #include "analog/coupling.h"
 #include "analog/element.h"
 #include "analog/primitives.h"
 #include "util/rng.h"
+
+namespace gdelay::core {
+class FineDelayLine;
+}
 
 namespace gdelay::analog {
 
@@ -67,9 +75,11 @@ class VariableGainBuffer {
   VariableGainBuffer(const VgaBufferConfig& cfg, util::Rng rng);
 
   /// Programmed control voltage (clamped to [0, vctrl_max] inside
-  /// amplitude()). May be changed between runs; a Vctrl that moves
-  /// during a run is the per-sample input of process_block().
-  void set_vctrl(double v) { vctrl_ = v; }
+  /// amplitude(), so +-Inf program the rails). May be changed between
+  /// runs; a Vctrl that moves during a run reaches the stage as the
+  /// per-sample half-swing of process_block(). Throws
+  /// std::invalid_argument on NaN.
+  void set_vctrl(double v);
   double vctrl() const { return vctrl_; }
 
   /// Output half-swing A(Vctrl) currently in effect (before droop).
@@ -77,7 +87,8 @@ class VariableGainBuffer {
   /// Current droop state in [0, 1]: fraction of recent time spent
   /// slew-limited (diagnostic).
   double droop() const { return tail_.droop; }
-  /// A(v) for an arbitrary control voltage (pure function of the config).
+  /// A(v) for an arbitrary control voltage (pure function of the
+  /// config); NaN for a NaN v.
   double amplitude_for(double vctrl) const;
 
   const VgaBufferConfig& config() const { return cfg_; }
@@ -92,13 +103,13 @@ class VariableGainBuffer {
                      double dt_ps) {
     solo_block(this, in, nullptr, out, n, dt_ps);
   }
-  /// `vctrl[i]` is the control voltage of sample i (A(Vctrl) per
-  /// sample — the jitter-injection mechanism); nullptr holds vctrl().
-  /// After a modulated block the stage holds vctrl[n-1]. `vctrl` must
-  /// not alias `out`. The w == 1 call of process_lanes().
-  void process_block(const double* in, const double* vctrl, double* out,
+  /// `amp[i]` is the output half-swing of sample i, amplitude_for() of
+  /// a control voltage that moves during the run (the jitter-injection
+  /// mechanism); nullptr holds amplitude(). vctrl() is left as it was.
+  /// `amp` must not alias `out`. The w == 1 call of process_lanes().
+  void process_block(const double* in, const double* amp, double* out,
                      std::size_t n, double dt_ps) {
-    solo_block(this, in, vctrl, out, n, dt_ps);
+    solo_block(this, in, amp, out, n, dt_ps);
   }
   sig::Waveform process(const sig::Waveform& in) {
     return run_blocked(*this, in);
@@ -108,19 +119,24 @@ class VariableGainBuffer {
   /// pole and batched noise run as whole-block passes; the droop/slew
   /// recursion — whose state feeds back sample-to-sample — runs as one
   /// fused vga_tail kernel call with every dt-dependent coefficient
-  /// hoisted, then the output pole. `vctrl` is interleaved like `in`
-  /// (or nullptr).
+  /// hoisted, then the output pole. `amp` is interleaved like `in` (or
+  /// nullptr).
   static void process_lanes(VariableGainBuffer* const* b, std::size_t w,
-                            const double* in, const double* vctrl,
-                            double* out, std::size_t n, double dt_ps);
+                            const double* in, const double* amp, double* out,
+                            std::size_t n, double dt_ps);
 
  private:
+  // The line leaves each stage holding the last sample of a modulated
+  // block's Vctrl, unchecked: a NaN sample must not throw mid-run.
+  friend class core::FineDelayLine;
+
   /// Hoists the droop/slew-tail coefficients for (vctrl_, dt_ps) — every
   /// value a pure function of the config, Vctrl and dt.
   backend::VgaTailCoeffs tail_coeffs(double dt_ps);
 
   VgaBufferConfig cfg_;
   double vctrl_;
+  double ctrl_norm_;  ///< det_tanh(ctrl_shape / 2), amplitude_for()'s divisor
   TanhLimiter input_;
   SinglePoleFilter lpf_;
   NoiseSource noise_;

@@ -18,7 +18,7 @@
 // coefficients out of the sample loop and batch the noise draws freely.
 // A control that varies during a run (the delay line's Vctrl, the
 // mechanism behind the paper's jitter-injection mode) enters as a
-// per-sample block input; see VariableGainBuffer.
+// per-sample block input; see core::FineDelayLine.
 #pragma once
 
 #include <algorithm>

@@ -4,9 +4,14 @@
 //
 // Each stage contributes ~10 ps of amplitude-dependent delay; the paper's
 // prototype uses N = 4 for a measured range of ~50-56 ps (Fig. 7) and
-// compares against an earlier N = 2 build (Fig. 15). `common_vctrl`
+// compares against an earlier N = 2 build (Fig. 15). The common Vctrl
 // reflects the paper's simplification of driving all stages from one DAC;
 // per-stage control is available for the ablation study.
+//
+// The line owns the common Vctrl. A Vctrl that moves during a run (jitter
+// injection) is mapped to the stages' half-swing A(Vctrl) once per
+// sample, and every stage reads that one block: the stages are built from
+// one config, so they would each compute the same values.
 #pragma once
 
 #include <vector>
@@ -38,11 +43,13 @@ class FineDelayLine {
   const FineDelayConfig& config() const { return cfg_; }
   double vctrl_max() const { return cfg_.stage.vctrl_max_v; }
 
-  /// Programs all stages (the paper's common-Vctrl arrangement).
+  /// Programs all stages (the paper's common-Vctrl arrangement). Throws
+  /// std::invalid_argument on NaN; +-Inf program the rails.
   void set_vctrl(double v);
   double vctrl() const { return vctrl_; }
 
-  /// Per-stage override for the separate-control ablation.
+  /// Per-stage override for the separate-control ablation. Throws
+  /// std::invalid_argument on NaN.
   void set_stage_vctrl(int stage, double v);
   double stage_vctrl(int stage) const;
 
@@ -61,10 +68,13 @@ class FineDelayLine {
 
   /// Advances `n` samples. `vctrl[i]` is the common control voltage of
   /// sample i — the primitive behind jitter injection (Vctrl varies
-  /// during the run); nullptr holds each stage's current Vctrl. After a
-  /// modulated block the line and every stage hold vctrl[n-1], as
-  /// set_vctrl() would leave them. `vctrl` must not alias `out`. The
-  /// w == 1 call of process_lanes().
+  /// during the run); nullptr holds each stage's current Vctrl. Each
+  /// sample is mapped to A(Vctrl) once and shared by every stage. After
+  /// a modulated block the line and every stage hold vctrl[n-1], as
+  /// set_vctrl() would leave them. A NaN sample is not rejected: it
+  /// maps to a NaN half-swing, which poisons every stage from that
+  /// sample on. `vctrl` must not alias `out`. The w == 1 call of
+  /// process_lanes().
   void process_block(const double* in, const double* vctrl, double* out,
                      std::size_t n, double dt_ps) {
     analog::solo_block(this, in, vctrl, out, n, dt_ps);

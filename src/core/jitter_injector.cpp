@@ -10,10 +10,24 @@
 
 namespace gdelay::core {
 
+namespace {
+
+// The DC operating point of Vctrl: vctrl_dc_v, or mid-range for a
+// negative one. Above vctrl_max the clamp would pin every sample to the
+// rail and no noise would reach the line.
+double dc_operating_point(const JitterInjectorConfig& cfg) {
+  const double vmax = cfg.line.stage.vctrl_max_v;
+  if (!(cfg.vctrl_dc_v <= vmax))  // NaN fails too
+    throw std::invalid_argument(
+        "JitterInjector: vctrl_dc_v must be <= vctrl_max_v (< 0: mid-range)");
+  return cfg.vctrl_dc_v >= 0.0 ? cfg.vctrl_dc_v : vmax / 2.0;
+}
+
+}  // namespace
+
 JitterInjector::JitterInjector(const JitterInjectorConfig& cfg, util::Rng rng)
     : cfg_(cfg),
-      vctrl_dc_(cfg.vctrl_dc_v >= 0.0 ? cfg.vctrl_dc_v
-                                      : cfg.line.stage.vctrl_max_v / 2.0),
+      vctrl_dc_(dc_operating_point(cfg)),
       line_(cfg.line, rng.fork(1)),
       noise_(1.0 /* unit sigma, scaled per block */, cfg.noise_bandwidth_ghz,
              rng.fork(2)),

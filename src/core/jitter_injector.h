@@ -6,7 +6,9 @@
 //
 // Each block runs as a chain of whole-block passes: noise source, scale
 // plus sinusoidal term, AC coupler, clamp to the Vctrl range, then the
-// fine line with that per-sample Vctrl array.
+// fine line with that per-sample Vctrl array. The line maps each Vctrl
+// sample to its stages' half-swing A(Vctrl) once and drives all of its
+// stages with that one block.
 #pragma once
 
 #include "analog/coupling.h"
@@ -19,7 +21,8 @@ namespace gdelay::core {
 struct JitterInjectorConfig {
   FineDelayConfig line{};
   /// DC operating point of Vctrl; defaults (<0) to mid-range, where the
-  /// Fig. 7 characteristic is steepest and most linear.
+  /// Fig. 7 characteristic is steepest and most linear. The constructor
+  /// rejects NaN and values above line.stage.vctrl_max_v.
   double vctrl_dc_v = -1.0;
   /// External noise generator amplitude, quoted peak-to-peak (pp ~ 6 sigma).
   double noise_pp_v = 0.9;

@@ -201,6 +201,19 @@ void vctrl_pass(D* const* d, std::size_t w, const double* in,
   D::process_lanes(d, w, in, vctrl, out, n, dt);
 }
 
+// The VGA's per-sample input is its half-swing: each stream's control
+// voltage goes through that stream's amplitude_for() first.
+void vga_amp_pass(ga::VariableGainBuffer* const* d, std::size_t w,
+                  const double* in, const double* vctrl, double* out,
+                  std::size_t n, double dt) {
+  std::vector<double> amp;
+  if (vctrl != nullptr)
+    for (std::size_t j = 0; j < n * w; ++j)
+      amp.push_back(d[j % w]->amplitude_for(vctrl[j]));
+  ga::VariableGainBuffer::process_lanes(
+      d, w, in, vctrl != nullptr ? amp.data() : nullptr, out, n, dt);
+}
+
 double per_stream(std::size_t s, double base, double step) {
   return base + step * static_cast<double>(s);
 }
@@ -294,20 +307,15 @@ TEST(BlockKernel, VariableGainBuffer) {
 }
 
 TEST(BlockKernel, VariableGainBufferVctrlInput) {
-  // A per-sample Vctrl (the jitter-injection port) per stream; a
-  // modulated block leaves the stage holding its last Vctrl.
+  // A per-sample half-swing (the jitter-injection port) per stream: each
+  // stream's control ramp mapped through its own A(Vctrl).
   check_lanes(
       [](std::size_t s) {
         ga::VariableGainBuffer vga(vga_config(s), Rng(7));
         vga.fork_noise(s);
         return vga;
       },
-      vctrl_pass<ga::VariableGainBuffer>, kWidths, true);
-  ga::VariableGainBuffer b(ga::VgaBufferConfig{}, Rng(7));
-  const double in[2] = {0.1, -0.1}, ramp[2] = {0.2, 1.1};
-  double out[2];
-  b.process_block(in, ramp, out, 2, 0.25);
-  EXPECT_EQ(b.vctrl(), 1.1);
+      vga_amp_pass, kWidths, true);
 }
 
 TEST(BlockKernel, TransmissionLine) {
@@ -341,6 +349,53 @@ TEST(BlockKernel, FineDelayLine) {
   };
   check_lanes(make, vctrl_pass<gc::FineDelayLine>);
   check_lanes(make, vctrl_pass<gc::FineDelayLine>, kWidths, true);
+
+  // The line's one per-sample map equals each stage's own hoisted
+  // amplitude(): a per-sample Vctrl that holds every stream's programmed
+  // value v_s gives the held run's bytes, rails included.
+  for (const char* backend : backends()) {
+    BackendSelect sel(backend);
+    for (std::size_t w : kWidths) {
+      std::vector<gc::FineDelayLine> held, swept;
+      std::vector<double> in(kTotal * w), ctl(kTotal * w);
+      for (std::size_t s = 0; s < w; ++s) {
+        held.push_back(make(s));
+        swept.push_back(make(s));
+        const auto x = stimulus(kTotal, s);
+        for (std::size_t i = 0; i < kTotal; ++i) {
+          in[i * w + s] = x[i];
+          ctl[i * w + s] = held[s].vctrl();
+        }
+      }
+      std::vector<gc::FineDelayLine*> hp, sp;
+      for (std::size_t s = 0; s < w; ++s) {
+        hp.push_back(&held[s]);
+        sp.push_back(&swept[s]);
+      }
+      std::vector<double> want(kTotal * w), got(kTotal * w);
+      over_segments(kWhole, [&](std::size_t o, std::size_t n, double dt) {
+        gc::FineDelayLine::process_lanes(hp.data(), w, in.data() + o * w,
+                                         nullptr, want.data() + o * w, n, dt);
+        gc::FineDelayLine::process_lanes(sp.data(), w, in.data() + o * w,
+                                         ctl.data() + o * w,
+                                         got.data() + o * w, n, dt);
+      });
+      for (std::size_t j = 0; j < want.size(); ++j)
+        ASSERT_EQ(bits(want[j]), bits(got[j]))
+            << backend << " w=" << w << " stream " << j % w << " sample "
+            << j / w << ": held=" << want[j] << " per-sample=" << got[j];
+    }
+  }
+
+  // A modulated block leaves the line and every stage holding its last
+  // Vctrl.
+  gc::FineDelayLine line(gc::FineDelayConfig{}, Rng(7));
+  const double in[2] = {0.1, -0.1}, ramp[2] = {0.2, 1.1};
+  double out[2];
+  line.process_block(in, ramp, out, 2, 0.25);
+  EXPECT_EQ(line.vctrl(), 1.1);
+  for (int st = 0; st < line.n_stages(); ++st)
+    EXPECT_EQ(line.stage_vctrl(st), 1.1) << "stage " << st;
 }
 
 TEST(BlockKernel, VariableDelayChannel) {

@@ -20,6 +20,7 @@
 #include "core/calibration.h"
 #include "core/channel.h"
 #include "core/clock_shifter.h"
+#include "core/fine_delay.h"
 #include "core/jitter_injector.h"
 #include "measure/bathtub.h"
 #include "measure/delay_meter.h"
@@ -193,9 +194,13 @@ TEST(NanRangeChecks, EveryConstructorAndSetterRejectsNaN) {
   mismatch.gain_mismatch_frac = nan;
   gc::CoarseDelayConfig tap;
   tap.tap_error_ps[1] = nan;
-  gc::JitterInjectorConfig noise_pp, sj_pp, sj_freq;
+  gc::JitterInjectorConfig noise_pp, sj_pp, sj_freq, vctrl_dc;
   noise_pp.noise_pp_v = sj_pp.sj_pp_v = sj_freq.sj_freq_ghz = nan;
+  vctrl_dc.vctrl_dc_v = nan;
   gc::JitterInjector inj(gc::JitterInjectorConfig{}, Rng(1));
+  gan::VariableGainBuffer vga(gan::VgaBufferConfig{}, Rng(1));
+  gc::FineDelayLine line(gc::FineDelayConfig{}, Rng(1));
+  gc::VariableDelayChannel channel(gc::ChannelConfig::prototype(), Rng(1));
   ga::CdrConfig cdr_ui, cdr_gain;
   cdr_ui.ui_ps = cdr_gain.gain = nan;
   gc::ClockPhaseShifterConfig period;
@@ -231,6 +236,11 @@ TEST(NanRangeChecks, EveryConstructorAndSetterRejectsNaN) {
       {"JitterInjector pp", [&] { gc::JitterInjector(noise_pp, Rng(1)); }},
       {"JitterInjector sj_pp", [&] { gc::JitterInjector(sj_pp, Rng(1)); }},
       {"JitterInjector sj_freq", [&] { gc::JitterInjector(sj_freq, Rng(1)); }},
+      {"JitterInjector vctrl_dc", [&] { gc::JitterInjector(vctrl_dc, Rng(1)); }},
+      {"VGA set_vctrl", [&] { vga.set_vctrl(nan); }},
+      {"FineDelayLine set_vctrl", [&] { line.set_vctrl(nan); }},
+      {"FineDelayLine set_stage_vctrl", [&] { line.set_stage_vctrl(2, nan); }},
+      {"VariableDelayChannel set_vctrl", [&] { channel.set_vctrl(nan); }},
       {"set_noise_pp", [&] { inj.set_noise_pp(nan); }},
       {"set_sj pp", [&] { inj.set_sj(nan, 0.01); }},
       {"set_sj freq", [&] { inj.set_sj(0.1, nan); }},
@@ -262,6 +272,10 @@ TEST(NanRangeChecks, EveryConstructorAndSetterRejectsNaN) {
   };
   for (const auto& [name, make] : cases)
     EXPECT_THROW(make(), std::invalid_argument) << name;
+  // A rejected Vctrl leaves the programming as it was.
+  EXPECT_EQ(line.vctrl(), line.vctrl_max() / 2.0);
+  EXPECT_EQ(line.stage_vctrl(0), line.vctrl_max() / 2.0);
+  EXPECT_EQ(channel.vctrl(), channel.vctrl_max() / 2.0);
 }
 
 TEST(NanRangeChecks, SynthPlanRejectsNonFiniteOrOversizedConfigs) {
@@ -372,6 +386,47 @@ TEST(NonFiniteOptions, MeasurementOptionsAreRejectedUpFront) {
   gc::DelayCalibrator::Options o;
   o.settle_ps = -1.0;
   EXPECT_NO_THROW(gc::DelayCalibrator{o});
+}
+
+TEST(NanInput, VctrlSampleIsNotMappedToAnOutOfRangeAmplitude) {
+  // A NaN Vctrl sample maps to a NaN half-swing, not to the
+  // rail-saturated 0.389 V (or 0.246 V) outside [amp_min, amp_max] that
+  // clamping it would give. The NaN poisons every stage from that sample
+  // on; the line's limiting output stage, whose det_tanh maps NaN to a
+  // rail, then holds one rail, so the record stops toggling instead of
+  // running on at a wrong delay.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  gs::SynthConfig sc;
+  sc.rate_gbps = 3.2;
+  const auto wf = gs::synthesize_nrz(gs::prbs(7, 64), sc).wf;
+  const std::vector<double>& x = wf.samples();
+  const std::size_t k = x.size() / 2;
+  std::vector<double> vctrl(x.size(), 0.75);
+  vctrl[k] = nan;
+
+  gan::VariableGainBuffer vga(gan::VgaBufferConfig{}, Rng(3));
+  EXPECT_TRUE(std::isnan(vga.amplitude_for(nan)));
+  EXPECT_TRUE(std::isnan(vga.amplitude_for(-nan)));
+  std::vector<double> amp(x.size()), out(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i)
+    amp[i] = vga.amplitude_for(vctrl[i]);
+  vga.process_block(x.data(), amp.data(), out.data(), x.size(), wf.dt_ps());
+  EXPECT_FALSE(std::isnan(out[k - 1]));
+  for (std::size_t i = k; i < x.size(); ++i)
+    ASSERT_TRUE(std::isnan(out[i])) << "stage sample " << i;
+
+  // Sign changes of the line's output from sample k on.
+  const auto crossings_from_k = [&](const std::vector<double>* v) {
+    gc::FineDelayLine line(gc::FineDelayConfig{}, Rng(3));
+    line.process_block(x.data(), v != nullptr ? v->data() : nullptr,
+                       out.data(), x.size(), wf.dt_ps());
+    std::size_t n = 0;
+    for (std::size_t i = k + 1; i < x.size(); ++i)
+      n += (out[i] > 0.0) != (out[i - 1] > 0.0);
+    return n;
+  };
+  EXPECT_GT(crossings_from_k(nullptr), 8u);
+  EXPECT_LE(crossings_from_k(&vctrl), 1u);
 }
 
 TEST(NanInput, IsCountedOrRejectedNeverCastToAnIndex) {

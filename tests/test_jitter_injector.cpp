@@ -1,6 +1,10 @@
 // Tests for the jitter-injection mode (paper Section 5, Figs. 16/17).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
 #include "core/jitter_injector.h"
 #include "measure/jitter.h"
 #include "signal/pattern.h"
@@ -26,6 +30,24 @@ TEST(JitterInjector, RejectsNegativeNoise) {
   EXPECT_THROW(gc::JitterInjector(cfg, Rng(1)), std::invalid_argument);
   gc::JitterInjector inj(gc::JitterInjectorConfig{}, Rng(1));
   EXPECT_THROW(inj.set_noise_pp(-1.0), std::invalid_argument);
+}
+
+TEST(JitterInjector, RejectsDcAboveVctrlRange) {
+  // Above vctrl_max the clamp would pin every Vctrl sample to the rail,
+  // so no noise would reach the line. The rail itself and the negative
+  // mid-range sentinel stay accepted.
+  const double inf = std::numeric_limits<double>::infinity();
+  gc::JitterInjectorConfig cfg;
+  const double vmax = cfg.line.stage.vctrl_max_v;
+  for (double bad : {7.0, std::nextafter(vmax, inf), inf}) {
+    cfg.vctrl_dc_v = bad;
+    EXPECT_THROW(gc::JitterInjector(cfg, Rng(1)), std::invalid_argument)
+        << bad;
+  }
+  for (double good : {vmax, 0.0, -inf}) {
+    cfg.vctrl_dc_v = good;
+    EXPECT_NO_THROW(gc::JitterInjector(cfg, Rng(1))) << good;
+  }
 }
 
 TEST(JitterInjector, DefaultsToMidRangeDc) {

@@ -10,9 +10,17 @@ built under .bench_build/ as usual). Every run must end with
 pinned)` -- or, on a seed with no pinned digest, the same digest on every
 run of both sides. Any other outcome exits 1 and names the run.
 
+Every run's `stamp` line (host, compiler, build type, backend) must
+equal the first run's in everything but `git_rev`; otherwise two
+mismatched builds -- say a stale .bench_build/ of another build type, or
+a GDELAY_BACKEND setting that reached one side -- would be compared, and
+it exits 1 naming both stamps.
+
 Then it prints, per end-to-end metric of BENCHMARK.json: each side's
 median with its quartiles, how many pairs the change won, and the ratio
-of the change's median to the base's next to the metric's bound.
+of the change's median to the base's next to the metric's bound. The last
+line of its output is the same summary as one JSON object, with both
+sides' stamps: the record a perf-history BENCH_<n>.json file collects.
 
   python3 tools/perfbench_ab.py --workload deskew --pairs 10
   python3 tools/perfbench_ab.py --rev HEAD~1 --workload deskew --seed 7
@@ -38,7 +46,7 @@ def export(rev, dest):
 
 
 def run_side(root, args):
-    """One perfbench run in `root`; returns (metrics, digest) or exits."""
+    """One perfbench run in `root`; returns (metrics, digest, stamp) or exits."""
     cmd = [sys.executable, os.path.join(root, "perfbench", "run.py"),
            "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", "0"]
@@ -46,19 +54,27 @@ def run_side(root, args):
                        stderr=subprocess.PIPE, text=True)
     lines = [l for l in p.stdout.splitlines() if l.strip()]
     digest = [l for l in lines if l.startswith("digest ")]
+    stamp = [l for l in lines if l.startswith("stamp ")]
     try:
         last = json.loads(lines[-1])
+        stamp = json.loads(stamp[0][len("stamp "):]) if len(stamp) == 1 else None
     except (IndexError, ValueError):
-        last = {}
-    if (p.returncode != 0 or len(digest) != 1 or not last.get("correct")
-            or last.get("failed") != 0):
+        last, stamp = {}, None
+    if (p.returncode != 0 or len(digest) != 1 or stamp is None
+            or not last.get("correct") or last.get("failed") != 0):
         sys.exit(f"perfbench_ab: run in {root} failed (exit {p.returncode})\n"
                  f"{p.stdout}{p.stderr[-2000:]}")
     pinned = digest[0].endswith("(matches pinned)")
     if not pinned and "(no pinned digest" not in digest[0]:
         sys.exit(f"perfbench_ab: run in {root}: {digest[0]}")
     metrics = {k: v["value"] for k, v in last["metrics"].items()}
-    return metrics, (digest[0].split()[1], pinned)
+    return metrics, (digest[0].split()[1], pinned), stamp
+
+
+def same_build(a, b):
+    """Whether two stamps differ in nothing but git_rev."""
+    return ({k: v for k, v in a.items() if k != "git_rev"} ==
+            {k: v for k, v in b.items() if k != "git_rev"})
 
 
 def quartiles(xs):
@@ -85,7 +101,11 @@ def main():
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
 
+    base_rev = subprocess.run(["git", "-C", ROOT, "rev-parse", args.rev],
+                              check=True, stdout=subprocess.PIPE,
+                              text=True).stdout.strip()
     runs = {"base": [], "change": []}
+    stamps = {}
     digests = set()
     with tempfile.TemporaryDirectory(prefix="perfbench_ab_") as tmp:
         export(args.rev, tmp)
@@ -93,7 +113,13 @@ def main():
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                metrics, digest = run_side(roots[side], args)
+                metrics, digest, stamp = run_side(roots[side], args)
+                stamps.setdefault(side, stamp)  # base runs first in pair 1
+                if not same_build(stamps["base"], stamp):
+                    sys.exit(f"perfbench_ab: {side} run of pair {i + 1} was "
+                             f"built or run differently from the first "
+                             f"base run:\n  {json.dumps(stamps['base'])}\n  "
+                             f"{json.dumps(stamp)}")
                 runs[side].append(metrics)
                 digests.add(digest)
                 print(f"pair {i + 1}/{args.pairs} {side:6} " +
@@ -112,6 +138,9 @@ def main():
           f"0 failed ops, {check}")
     print(f"{'metric':14} {'base median [q1, q3]':>28} "
           f"{'change median [q1, q3]':>28} {'wins':>6} {'ratio':>6} bound")
+    summary = {"workload": args.workload, "seed": args.seed,
+               "pairs": args.pairs, "seconds": args.seconds,
+               "base_rev": base_rev, "stamps": stamps, "metrics": {}}
     for m in bench["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
         b = [r[name] for r in runs["base"]]
@@ -121,6 +150,11 @@ def main():
         ratio = cq[1] / bq[1] if bq[1] else float("nan")
         print(f"{name:14} {spread(bq):>28} {spread(cq):>28} "
               f"{wins:>3}/{args.pairs:<2} {ratio:6.3f} {m['bound']}")
+        summary["metrics"][name] = {
+            "base": dict(zip(("q1", "median", "q3"), bq)),
+            "change": dict(zip(("q1", "median", "q3"), cq)),
+            "wins": wins, "ratio": ratio, "bound": m["bound"]}
+    print(json.dumps(summary))
     return 0
 
 
