@@ -26,12 +26,14 @@
 #include "core/batch.h"
 #include "core/channel.h"
 #include "core/fine_delay.h"
+#include "measure/sinks.h"
 #include "signal/waveform.h"
 #include "util/rng.h"
 
 namespace ga = gdelay::analog;
 namespace gb = gdelay::backend;
 namespace gc = gdelay::core;
+namespace gm = gdelay::meas;
 namespace gs = gdelay::sig;
 using gdelay::util::Rng;
 
@@ -277,12 +279,14 @@ void register_batch_rows(const char* backend) {
                              Rng(5 + static_cast<std::uint64_t>(i)));
           chans.back().set_vctrl(0.75);
         }
-        gc::BatchRunner runner;
-        for (auto& c : chans) runner.add(c);
-        std::vector<gs::Waveform> outs;
+        std::vector<gc::VariableDelayChannel*> lanes;
+        for (auto& c : chans) lanes.push_back(&c);
+        std::vector<gm::WaveformCaptureSink> caps(kW);
+        const std::vector<gm::ISampleSink*> sinks{&caps[0], &caps[1],
+                                                  &caps[2], &caps[3]};
         for (auto _ : s) {
-          runner.run(wf, outs);
-          benchmark::DoNotOptimize(outs.data());
+          gc::run_lanes(lanes, wf, sinks);
+          benchmark::DoNotOptimize(caps.data());
           benchmark::ClobberMemory();
         }
         s.SetItemsProcessed(
@@ -302,12 +306,14 @@ void register_batch_rows(const char* backend) {
                              Rng(4 + static_cast<std::uint64_t>(i)));
           lines.back().set_vctrl(0.75);
         }
-        gc::BatchRunner runner;
-        for (auto& l : lines) runner.add(l);
-        std::vector<gs::Waveform> outs;
+        std::vector<gc::FineDelayLine*> lanes;
+        for (auto& l : lines) lanes.push_back(&l);
+        std::vector<gm::WaveformCaptureSink> caps(kW);
+        const std::vector<gm::ISampleSink*> sinks{&caps[0], &caps[1],
+                                                  &caps[2], &caps[3]};
         for (auto _ : s) {
-          runner.run(wf, outs);
-          benchmark::DoNotOptimize(outs.data());
+          gc::run_lanes(lanes, wf, sinks);
+          benchmark::DoNotOptimize(caps.data());
           benchmark::ClobberMemory();
         }
         s.SetItemsProcessed(

@@ -16,18 +16,15 @@
 #include "campaign/campaign.h"
 #include "core/batch.h"
 #include "core/board.h"
-#include "core/pipeline.h"
 #include "core/requirements.h"
 #include "core/variation.h"
 #include "fast/edge_model.h"
-#include "measure/sinks.h"
+#include "measure/delay_meter.h"
 #include "measure/stats.h"
 #include "signal/pattern.h"
-#include "signal/stream.h"
 #include "signal/synth.h"
 #include "util/rng.h"
 #include "util/serde.h"
-#include "util/thread_pool.h"
 
 using namespace gdelay;
 using R = core::Requirements;
@@ -50,66 +47,33 @@ int main(int argc, char** argv) {
   o.n_vctrl_points = 9;
   board.calibrate(stim.wf, o);
 
-  // The stimulus edges are shared by every instance's delay measurement:
-  // extract them once, streaming, and let the per-instance delay sinks
-  // pair against them.
+  // Program every instance for 70 ps, then measure them all against the
+  // stimulus edges, extracted once: the instances ride the lane-batched
+  // executor four to a group (core::lane_edges), groups fan out across
+  // the pool, and the batch contract keeps every instance's edges
+  // bit-identical to its solo run, so the table below matches the old
+  // per-trial flow exactly for any GDELAY_THREADS.
+  board.program_all(70.0);
+  std::vector<core::VariableDelayChannel*> chans;
+  for (int i = 0; i < kInstances; ++i) chans.push_back(&board.channel(i));
   const meas::DelayMeterOptions dopt;
-  meas::EdgeSink ref_edges = meas::DelayMeterSink::reference_sink(dopt);
-  {
-    sig::WaveformSource src(stim.wf);
-    core::Pipeline meter;
-    meter.run(src, ref_edges);
-  }
-
-  // Each instance programs and measures its own channel — disjoint state.
-  // Trials ride the lane-batched executor in groups of four (one AVX2
-  // vector per serial recursion step); groups still fan out across the
-  // pool, and the batch contract keeps every instance's samples
-  // bit-identical to its solo streaming run, so the table below matches
-  // the old per-trial flow exactly for any GDELAY_THREADS.
+  const auto ref_edges = meas::delay_edges(stim.wf, dopt);
+  const auto out_edges = core::lane_edges(chans, stim.wf, dopt);
   std::vector<double> fine, total, res, err;
-  struct Trial { double fine, total, res, err; };
-  constexpr std::size_t kGroup = 4;
-  constexpr std::size_t n_groups = (kInstances + kGroup - 1) / kGroup;
-  const std::vector<std::vector<Trial>> trial_groups = util::parallel_map(
-      n_groups, [&](std::size_t g) {
-        const std::size_t lo = g * kGroup;
-        const std::size_t hi = std::min(lo + kGroup, std::size_t{kInstances});
-        core::BatchRunner runner;
-        std::vector<meas::DelayMeterSink> sinks;
-        sinks.reserve(hi - lo);
-        for (std::size_t i = lo; i < hi; ++i) {
-          board.program(static_cast<int>(i), 70.0);
-          runner.add(board.channel(static_cast<int>(i)));
-          sinks.emplace_back(ref_edges, dopt);
-        }
-        std::vector<meas::ISampleSink*> sp;
-        for (auto& s : sinks) sp.push_back(&s);
-        runner.run(stim.wf, sp);
-        std::vector<Trial> out;
-        out.reserve(hi - lo);
-        for (std::size_t i = lo; i < hi; ++i) {
-          const auto& cal = board.calibrations()[i];
-          const double realized =
-              sinks[i - lo].result().mean_ps - cal.base_latency_ps;
-          out.push_back(Trial{cal.fine_range_ps(), cal.total_range_ps(),
-                              cal.resolution_ps(), std::abs(realized - 70.0)});
-        }
-        return out;
-      });
-  std::vector<Trial> trials;
-  trials.reserve(kInstances);
-  for (const auto& g : trial_groups)
-    trials.insert(trials.end(), g.begin(), g.end());
   bench::section("Per-instance calibration results");
   std::printf("  %4s %10s %11s %12s %12s\n", "inst", "fine(ps)",
               "total(ps)", "res(ps/LSB)", "|err@70ps|");
   for (int i = 0; i < kInstances; ++i) {
-    const auto& t = trials[static_cast<std::size_t>(i)];
-    fine.push_back(t.fine);
-    total.push_back(t.total);
-    res.push_back(t.res);
-    err.push_back(t.err);
+    const auto& cal = board.calibrations()[static_cast<std::size_t>(i)];
+    const double realized =
+        meas::measure_delay_edges(ref_edges,
+                                  out_edges[static_cast<std::size_t>(i)])
+            .mean_ps -
+        cal.base_latency_ps;
+    fine.push_back(cal.fine_range_ps());
+    total.push_back(cal.total_range_ps());
+    res.push_back(cal.resolution_ps());
+    err.push_back(std::abs(realized - 70.0));
     std::printf("  %4d %10.2f %11.2f %12.4f %12.3f\n", i,
                 fine.back(), total.back(), res.back(), err.back());
   }

@@ -28,26 +28,36 @@ std::size_t widest_circular_run(const std::vector<bool>& pass) {
   return best;
 }
 
+// The data transitions of `wf` that sample() checks setup/hold against.
+std::vector<double> transitions(const sig::Waveform& wf,
+                                const DutReceiverConfig& cfg) {
+  sig::EdgeExtractOptions eo;
+  eo.threshold_v = cfg.threshold_v;
+  return sig::edge_times(sig::extract_edges(wf, eo));
+}
+
+// DutReceiver::sample() against transitions extracted beforehand.
+SampleResult sample_at(const sig::Waveform& wf,
+                       const std::vector<double>& transitions_ps,
+                       const std::vector<double>& strobes_ps,
+                       const DutReceiverConfig& cfg) {
+  SampleResult res;
+  res.bits.reserve(strobes_ps.size());
+  for (double t : strobes_ps) {
+    res.bits.push_back(wf.value_at(t) >= cfg.threshold_v ? 1 : 0);
+    const auto it = std::lower_bound(transitions_ps.begin(),
+                                     transitions_ps.end(), t - cfg.setup_ps);
+    if (it != transitions_ps.end() && *it <= t + cfg.hold_ps)
+      ++res.violations;
+  }
+  return res;
+}
+
 }  // namespace
 
 SampleResult DutReceiver::sample(const sig::Waveform& wf,
                                  const std::vector<double>& strobes_ps) const {
-  SampleResult res;
-  res.bits.reserve(strobes_ps.size());
-
-  // Pre-extract data transitions once for the violation check.
-  sig::EdgeExtractOptions eo;
-  eo.threshold_v = cfg_.threshold_v;
-  const auto edges = sig::extract_edges(wf, eo);
-  const auto times = sig::edge_times(edges);
-
-  for (double t : strobes_ps) {
-    res.bits.push_back(wf.value_at(t) >= cfg_.threshold_v ? 1 : 0);
-    const auto it = std::lower_bound(times.begin(), times.end(),
-                                     t - cfg_.setup_ps);
-    if (it != times.end() && *it <= t + cfg_.hold_ps) ++res.violations;
-  }
-  return res;
+  return sample_at(wf, transitions(wf, cfg_), strobes_ps, cfg_);
 }
 
 std::size_t DutReceiver::best_alignment_errors(const sig::BitPattern& got,
@@ -81,15 +91,15 @@ PhaseScan DutReceiver::scan_phase(const sig::Waveform& wf,
   PhaseScan scan;
   scan.points.reserve(n_phase_points);
   std::vector<bool> pass(n_phase_points, false);
+  // The waveform is the same at every phase point: extract it once.
+  const std::vector<double> edges = transitions(wf, cfg_);
+  std::vector<double> strobes(n_strobes);
   for (std::size_t p = 0; p < n_phase_points; ++p) {
     const double phase = ui_ps * static_cast<double>(p) /
                          static_cast<double>(n_phase_points);
-    std::vector<double> strobes;
-    strobes.reserve(n_strobes);
     for (std::size_t k = 0; k < n_strobes; ++k)
-      strobes.push_back(t_first_ps + phase +
-                        ui_ps * static_cast<double>(k));
-    const SampleResult sr = sample(wf, strobes);
+      strobes[k] = t_first_ps + phase + ui_ps * static_cast<double>(k);
+    const SampleResult sr = sample_at(wf, edges, strobes, cfg_);
     PhaseScanPoint pt;
     pt.phase_ps = phase;
     pt.errors = best_alignment_errors(sr.bits, expected);
@@ -122,18 +132,8 @@ PhaseScan intersect_scans(const std::vector<PhaseScan>& scans, double ui_ps) {
     pass[p] = pt.pass();
     out.points.push_back(pt);
   }
-  std::size_t best = 0, cur = 0;
-  for (std::size_t i = 0; i < 2 * n; ++i) {
-    if (pass[i % n]) {
-      ++cur;
-      best = std::max(best, std::min(cur, n));
-    } else {
-      cur = 0;
-    }
-  }
-  if (std::all_of(pass.begin(), pass.end(), [](bool b) { return b; }))
-    best = n;
-  out.window_ps = static_cast<double>(best) * ui_ps / static_cast<double>(n);
+  out.window_ps = static_cast<double>(widest_circular_run(pass)) * ui_ps /
+                  static_cast<double>(n);
   return out;
 }
 

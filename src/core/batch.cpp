@@ -2,99 +2,116 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "analog/element.h"
+#include "util/scratch.h"
+#include "util/thread_pool.h"
 
 namespace gdelay::core {
 
 namespace {
+
 constexpr std::size_t kChunk = analog::kBlockSamples;
+/// Devices per run_lanes() call in lane_edges(): one AVX2 vector, and
+/// one stream group of the scalar table's kernels.
+constexpr std::size_t kGroup = 4;
+
+int n_stages(const VariableDelayChannel& ch) { return ch.fine().n_stages(); }
+int n_stages(const FineDelayLine& line) { return line.n_stages(); }
+
+template <typename Device>
+void check_lanes(const std::vector<Device*>& devices, const char* caller) {
+  if (devices.empty())
+    throw std::logic_error(std::string(caller) + ": no devices");
+  for (auto it = devices.begin(); it != devices.end(); ++it) {
+    if (n_stages(**it) != n_stages(*devices.front()))
+      throw std::logic_error(std::string(caller) +
+                             ": fine stage-count mismatch");
+    if (std::find(devices.begin(), it, *it) != it)
+      throw std::logic_error(std::string(caller) + ": device listed twice");
+  }
+}
+
 }  // namespace
 
-void BatchRunner::add(VariableDelayChannel& ch) {
-  if (!fines_.empty())
-    throw std::logic_error(
-        "BatchRunner: cannot mix whole channels and bare fine lines");
-  if (!channels_.empty() &&
-      ch.fine().n_stages() != channels_.front()->fine().n_stages())
-    throw std::logic_error("BatchRunner: fine stage-count mismatch");
-  if (std::find(channels_.begin(), channels_.end(), &ch) != channels_.end())
-    throw std::logic_error("BatchRunner: stream already added");
-  channels_.push_back(&ch);
-}
-
-void BatchRunner::add(FineDelayLine& line) {
-  if (!channels_.empty())
-    throw std::logic_error(
-        "BatchRunner: cannot mix whole channels and bare fine lines");
-  if (!fines_.empty() && line.n_stages() != fines_.front()->n_stages())
-    throw std::logic_error("BatchRunner: fine stage-count mismatch");
-  if (std::find(fines_.begin(), fines_.end(), &line) != fines_.end())
-    throw std::logic_error("BatchRunner: stream already added");
-  fines_.push_back(&line);
-}
-
-template <typename Emit>
-void BatchRunner::run_chunks(const sig::Waveform& stimulus, Emit emit) {
-  const std::size_t w = width();
-  if (w == 0) throw std::logic_error("BatchRunner: no streams added");
-  for (auto* ch : channels_) ch->reset();
-  for (auto* f : fines_) f->reset();
-  ilv_.resize(kChunk * w);
+template <typename Device>
+void run_lanes(const std::vector<Device*>& devices,
+               const sig::Waveform& stimulus,
+               const std::vector<meas::ISampleSink*>& sinks) {
+  check_lanes(devices, "run_lanes");
+  const std::size_t w = devices.size();
+  if (sinks.size() != w)
+    throw std::invalid_argument("run_lanes: one sink per device required");
+  for (Device* d : devices) d->reset();
+  for (auto* sink : sinks)
+    sink->begin(stimulus.t0_ps(), stimulus.dt_ps(), stimulus.size());
+  util::ScratchBuffer ilv(kChunk * w), col(kChunk);
   const double dt = stimulus.dt_ps();
   const std::size_t total = stimulus.size();
   const double* src = stimulus.samples().data();
   for (std::size_t o = 0; o < total; o += kChunk) {
     const std::size_t n = std::min(kChunk, total - o);
     for (std::size_t i = 0; i < n; ++i)
-      std::fill_n(ilv_.data() + i * w, w, src[o + i]);
-    if (!channels_.empty())
-      VariableDelayChannel::process_lanes(channels_.data(), w, ilv_.data(),
-                                          ilv_.data(), n, dt);
+      std::fill_n(ilv.data() + i * w, w, src[o + i]);
+    if constexpr (std::is_same_v<Device, FineDelayLine>)
+      FineDelayLine::process_lanes(devices.data(), w, ilv.data(), nullptr,
+                                   ilv.data(), n, dt);
     else
-      FineDelayLine::process_lanes(fines_.data(), w, ilv_.data(), nullptr,
-                                   ilv_.data(), n, dt);
-    emit(ilv_.data(), o, n);
+      VariableDelayChannel::process_lanes(devices.data(), w, ilv.data(),
+                                          ilv.data(), n, dt);
+    for (std::size_t s = 0; s < w; ++s) {
+      for (std::size_t i = 0; i < n; ++i) col[i] = ilv[i * w + s];
+      sinks[s]->consume(col.data(), n);
+    }
   }
-}
-
-std::vector<sig::Waveform> BatchRunner::run(const sig::Waveform& stimulus) {
-  std::vector<sig::Waveform> outs;
-  run(stimulus, outs);
-  return outs;
-}
-
-void BatchRunner::run(const sig::Waveform& stimulus,
-                      std::vector<sig::Waveform>& outs) {
-  const std::size_t w = width();
-  if (outs.size() != w) outs.resize(w);
-  for (auto& o : outs)
-    if (!o.same_grid(stimulus))
-      o = sig::Waveform(stimulus.t0_ps(), stimulus.dt_ps(), stimulus.size());
-  run_chunks(stimulus, [&](const double* buf, std::size_t o, std::size_t n) {
-    for (std::size_t s = 0; s < w; ++s) {
-      double* dst = outs[s].samples().data() + o;
-      for (std::size_t i = 0; i < n; ++i) dst[i] = buf[i * w + s];
-    }
-  });
-}
-
-void BatchRunner::run(const sig::Waveform& stimulus,
-                      const std::vector<meas::ISampleSink*>& sinks) {
-  const std::size_t w = width();
-  if (w == 0) throw std::logic_error("BatchRunner: no streams added");
-  if (sinks.size() != w)
-    throw std::invalid_argument("BatchRunner: one sink per stream required");
-  for (auto* sink : sinks)
-    sink->begin(stimulus.t0_ps(), stimulus.dt_ps(), stimulus.size());
-  col_.resize(kChunk);
-  run_chunks(stimulus, [&](const double* buf, std::size_t, std::size_t n) {
-    for (std::size_t s = 0; s < w; ++s) {
-      for (std::size_t i = 0; i < n; ++i) col_[i] = buf[i * w + s];
-      sinks[s]->consume(col_.data(), n);
-    }
-  });
   for (auto* sink : sinks) sink->finish();
 }
+
+template <typename Device>
+std::vector<std::vector<sig::Edge>> lane_edges(
+    const std::vector<Device*>& devices, const sig::Waveform& stimulus,
+    const meas::DelayMeterOptions& opt) {
+  // Two tasks over one device would race on its state and its RNG.
+  check_lanes(devices, "lane_edges");
+  meas::check_options(opt, "lane_edges");
+  sig::EdgeExtractOptions eo;
+  eo.threshold_v = opt.threshold_v;
+  eo.hysteresis_v = opt.hysteresis_v;
+  const std::size_t n_groups = (devices.size() + kGroup - 1) / kGroup;
+  const auto groups = util::parallel_map(n_groups, [&](std::size_t g) {
+    const auto lo = devices.begin() + static_cast<std::ptrdiff_t>(g * kGroup);
+    const auto hi = devices.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                          (g + 1) * kGroup, devices.size()));
+    std::vector<meas::EdgeSink> sinks(static_cast<std::size_t>(hi - lo),
+                                      meas::EdgeSink(eo, opt.settle_ps));
+    std::vector<meas::ISampleSink*> ptrs;
+    ptrs.reserve(sinks.size());
+    for (auto& s : sinks) ptrs.push_back(&s);
+    run_lanes(std::vector<Device*>(lo, hi), stimulus, ptrs);
+    std::vector<std::vector<sig::Edge>> edges;
+    edges.reserve(sinks.size());
+    for (const auto& s : sinks) edges.push_back(s.edges());
+    return edges;
+  });
+  std::vector<std::vector<sig::Edge>> flat;
+  flat.reserve(devices.size());
+  for (const auto& g : groups) flat.insert(flat.end(), g.begin(), g.end());
+  return flat;
+}
+
+template void run_lanes(const std::vector<VariableDelayChannel*>&,
+                        const sig::Waveform&,
+                        const std::vector<meas::ISampleSink*>&);
+template void run_lanes(const std::vector<FineDelayLine*>&,
+                        const sig::Waveform&,
+                        const std::vector<meas::ISampleSink*>&);
+template std::vector<std::vector<sig::Edge>> lane_edges(
+    const std::vector<VariableDelayChannel*>&, const sig::Waveform&,
+    const meas::DelayMeterOptions&);
+template std::vector<std::vector<sig::Edge>> lane_edges(
+    const std::vector<FineDelayLine*>&, const sig::Waveform&,
+    const meas::DelayMeterOptions&);
 
 }  // namespace gdelay::core

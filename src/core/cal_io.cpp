@@ -75,8 +75,10 @@ ChannelCalibration calibration_from_text(const std::string& text) {
     throw std::runtime_error("calibration_from_text: missing fields");
   if (xs.size() != n_points)
     throw std::runtime_error("calibration_from_text: point count mismatch");
-  cal.dac = Dac(dac_bits, dac_vref);
+  // Dac and Curve reject bad fields with std::invalid_argument, naming
+  // the field; here that is malformed text.
   try {
+    cal.dac = Dac(dac_bits, dac_vref);
     cal.fine_curve = util::Curve(std::move(xs), std::move(ys));
   } catch (const std::invalid_argument& e) {
     throw std::runtime_error(std::string("calibration_from_text: ") +

@@ -7,7 +7,6 @@
 
 #include "core/batch.h"
 #include "measure/delay_meter.h"
-#include "util/thread_pool.h"
 
 namespace gdelay::core {
 namespace {
@@ -18,77 +17,67 @@ meas::DelayMeterOptions meter_options(double settle_ps) {
   return o;
 }
 
-// Shared engine behind every clone-based measurement: runs `count`
-// programmed clones of `dev` through the lane-batched executor
-// (core/batch.h) in groups of four — one AVX2 vector, and one stream
-// group of the scalar table's kernels — with one thread-pool task per
-// group, and reduces each output waveform with `measure`.
-// `program(clone, i)` applies the per-point programming
-// (fork_noise(i), Vctrl, tap). Each clone's waveform is bit-identical to
-// its solo clone.process(stimulus) by the batch contract, and the
-// group decomposition is a pure function of the index, so results stay
+// Shared engine behind every clone-based measurement: builds `count`
+// clones of `dev`, each programmed by `program(clone, i)` (fork_noise(i),
+// Vctrl, tap), and returns each one's output edges from core::lane_edges
+// (core/batch.h) — four clones to a lane group, one thread-pool task per
+// group, no output waveform materialized. Each clone's edges are those of
+// its solo clone.process(stimulus) by the batch contract, and the group
+// decomposition is a pure function of the index, so results stay
 // bit-identical for any thread count — and to the pre-batching code.
-template <typename Device, typename Program, typename Measure>
-std::vector<double> measure_clones(const Device& dev,
-                                   const sig::Waveform& stimulus,
-                                   std::size_t count, Program program,
-                                   Measure measure) {
-  constexpr std::size_t kGroup = 4;
-  const std::size_t n_groups = (count + kGroup - 1) / kGroup;
-  const auto groups =
-      util::parallel_map(n_groups, [&](std::size_t g) {
-        const std::size_t lo = g * kGroup;
-        const std::size_t hi = std::min(lo + kGroup, count);
-        std::vector<Device> clones;
-        clones.reserve(hi - lo);
-        for (std::size_t i = lo; i < hi; ++i) {
-          clones.push_back(dev);
-          program(clones.back(), i);
-        }
-        BatchRunner runner;
-        for (Device& c : clones) runner.add(c);
-        const std::vector<sig::Waveform> outs = runner.run(stimulus);
-        std::vector<double> vals(outs.size());
-        for (std::size_t j = 0; j < outs.size(); ++j)
-          vals[j] = measure(outs[j]);
-        return vals;
-      });
-  std::vector<double> flat;
-  flat.reserve(count);
-  for (const auto& v : groups) flat.insert(flat.end(), v.begin(), v.end());
-  return flat;
+template <typename Device, typename Program>
+std::vector<std::vector<sig::Edge>> clone_edges(
+    const Device& dev, const sig::Waveform& stimulus, std::size_t count,
+    const meas::DelayMeterOptions& opts, Program program) {
+  std::vector<Device> clones(count, dev);
+  std::vector<Device*> lanes;
+  lanes.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    program(clones[i], i);
+    lanes.push_back(&clones[i]);
+  }
+  return lane_edges(lanes, stimulus, opts);
 }
 
-// Shared sweep engine behind both measure_fine_curve overloads. Each
-// sweep point gets its own CLONE of the device (FineDelayLine and
-// VariableDelayChannel are value types), programmed to its Vctrl; the
-// points run four to a lane group through the batched executor. Point 0
-// sits at Vctrl = 0 and doubles as the baseline the curve is referenced
-// to. Forking by sweep index keeps the per-point noise realizations
-// statistically independent while remaining a pure function of the
-// index — the source of the bit-identical-at-any-thread-count guarantee.
+// Mean delay of each clone's edges against the stimulus edges `ref`,
+// extracted once by the caller. A clone with no edges throws
+// std::runtime_error, for the lowest such index.
+std::vector<double> mean_delays(
+    const std::vector<sig::Edge>& ref,
+    const std::vector<std::vector<sig::Edge>>& clones) {
+  std::vector<double> delays;
+  delays.reserve(clones.size());
+  for (const auto& out : clones)
+    delays.push_back(meas::measure_delay_edges(ref, out).mean_ps);
+  return delays;
+}
+
+// The fine-curve sweep. Each sweep point gets its own CLONE of the device
+// (FineDelayLine and VariableDelayChannel are value types), programmed to
+// its Vctrl. Point 0 sits at Vctrl = 0 and doubles as the baseline the
+// curve is referenced to. Forking by sweep index keeps the per-point
+// noise realizations statistically independent while remaining a pure
+// function of the index — the source of the bit-identical-at-any-thread-
+// count guarantee.
 template <typename Device>
 util::Curve sweep_fine_curve(const Device& dev, const sig::Waveform& stimulus,
-                             int n_points, double settle_ps) {
+                             const std::vector<sig::Edge>& ref, int n_points,
+                             const meas::DelayMeterOptions& opts) {
   if (n_points < 3)
     throw std::invalid_argument("DelayCalibrator: need >= 3 sweep points");
   const double vmax = dev.vctrl_max();
-  const auto opts = meter_options(settle_ps);
 
   std::vector<double> xs(static_cast<std::size_t>(n_points));
   for (int i = 0; i < n_points; ++i)
     xs[static_cast<std::size_t>(i)] =
         vmax * static_cast<double>(i) / static_cast<double>(n_points - 1);
 
-  std::vector<double> ys = measure_clones(
-      dev, stimulus, xs.size(),
-      [&](Device& clone, std::size_t i) {
-        clone.fork_noise(i);
-        clone.set_vctrl(xs[i]);
-      },
-      [&](const sig::Waveform& out) {
-        return meas::measure_delay(stimulus, out, opts).mean_ps;
-      });
+  std::vector<double> ys = mean_delays(
+      ref, clone_edges(dev, stimulus, xs.size(), opts,
+                       [&](Device& clone, std::size_t i) {
+                         clone.fork_noise(i);
+                         clone.set_vctrl(xs[i]);
+                       }));
 
   const double d0 = ys.front();  // baseline: the Vctrl = 0 point
   for (double& y : ys) y -= d0;
@@ -179,37 +168,32 @@ DelayCalibrator::DelayCalibrator(const Options& opt) : opt_(opt) {
 
 util::Curve DelayCalibrator::measure_fine_curve(
     const FineDelayLine& line, const sig::Waveform& stimulus) const {
-  return sweep_fine_curve(line, stimulus, opt_.n_vctrl_points,
-                          opt_.settle_ps);
-}
-
-util::Curve DelayCalibrator::measure_fine_curve(
-    const VariableDelayChannel& ch, const sig::Waveform& stimulus) const {
-  return sweep_fine_curve(ch, stimulus, opt_.n_vctrl_points, opt_.settle_ps);
+  const auto opts = meter_options(opt_.settle_ps);
+  return sweep_fine_curve(line, stimulus, meas::delay_edges(stimulus, opts),
+                          opt_.n_vctrl_points, opts);
 }
 
 ChannelCalibration DelayCalibrator::calibrate(
     const VariableDelayChannel& ch, const sig::Waveform& stimulus) const {
+  const auto opts = meter_options(opt_.settle_ps);
+  const auto ref = meas::delay_edges(stimulus, opts);
   ChannelCalibration cal;
-  cal.dac = opt_.dac;
 
   // Fine sweep on tap 0.
   VariableDelayChannel tap0 = ch;
   tap0.select_tap(0);
-  cal.fine_curve = measure_fine_curve(tap0, stimulus);
+  cal.fine_curve =
+      sweep_fine_curve(tap0, stimulus, ref, opt_.n_vctrl_points, opts);
 
   // Absolute latency per tap at Vctrl = 0: four clones, one lane group.
-  const auto opts = meter_options(opt_.settle_ps);
-  const std::vector<double> latency = measure_clones(
-      ch, stimulus, std::size_t{4},
-      [&](VariableDelayChannel& clone, std::size_t tap) {
-        clone.fork_noise(100 + tap);  // distinct from the sweep streams
-        clone.select_tap(static_cast<int>(tap));
-        clone.set_vctrl(0.0);
-      },
-      [&](const sig::Waveform& out) {
-        return meas::measure_delay(stimulus, out, opts).mean_ps;
-      });
+  const std::vector<double> latency = mean_delays(
+      ref, clone_edges(ch, stimulus, std::size_t{4}, opts,
+                       [&](VariableDelayChannel& clone, std::size_t tap) {
+                         // distinct from the sweep streams
+                         clone.fork_noise(100 + tap);
+                         clone.select_tap(static_cast<int>(tap));
+                         clone.set_vctrl(0.0);
+                       }));
   cal.base_latency_ps = latency[0];
   for (std::size_t tap = 0; tap < 4; ++tap)
     cal.tap_offset_ps[tap] = latency[tap] - latency[0];
@@ -219,15 +203,13 @@ ChannelCalibration DelayCalibrator::calibrate(
 double DelayCalibrator::measure_fine_range(
     const FineDelayLine& line, const sig::Waveform& stimulus) const {
   const auto opts = meter_options(opt_.settle_ps);
-  const std::vector<double> ends = measure_clones(
-      line, stimulus, std::size_t{2},
-      [&](FineDelayLine& clone, std::size_t i) {
-        clone.fork_noise(i);
-        clone.set_vctrl(i == 0 ? 0.0 : line.vctrl_max());
-      },
-      [&](const sig::Waveform& out) {
-        return meas::measure_delay(stimulus, out, opts).mean_ps;
-      });
+  const std::vector<double> ends = mean_delays(
+      meas::delay_edges(stimulus, opts),
+      clone_edges(line, stimulus, std::size_t{2}, opts,
+                  [&](FineDelayLine& clone, std::size_t i) {
+                    clone.fork_noise(i);
+                    clone.set_vctrl(i == 0 ? 0.0 : line.vctrl_max());
+                  }));
   return ends[1] - ends[0];
 }
 
@@ -236,20 +218,24 @@ double DelayCalibrator::measure_fine_range_periodic(
     int n_steps) const {
   if (n_steps < 1)
     throw std::invalid_argument("measure_fine_range_periodic: n_steps >= 1");
+  if (!(ui_ps > 0.0))
+    throw std::invalid_argument("measure_fine_range_periodic: ui must be > 0");
   const auto opts = meter_options(opt_.settle_ps);
 
   // Phase at every sweep point is an independent measurement; only the
   // wrap-and-accumulate of adjacent deltas is inherently sequential.
-  const std::vector<double> phase = measure_clones(
-      line, stimulus, static_cast<std::size_t>(n_steps) + 1,
+  const auto ref = meas::delay_edges(stimulus, opts);
+  const auto outs = clone_edges(
+      line, stimulus, static_cast<std::size_t>(n_steps) + 1, opts,
       [&](FineDelayLine& clone, std::size_t i) {
         clone.fork_noise(i);
         clone.set_vctrl(line.vctrl_max() * static_cast<double>(i) /
                         static_cast<double>(n_steps));
-      },
-      [&](const sig::Waveform& out) {
-        return meas::measure_phase_delay(stimulus, out, ui_ps, opts);
       });
+  std::vector<double> phase;
+  phase.reserve(outs.size());
+  for (const auto& out : outs)
+    phase.push_back(meas::phase_delay_edges(ref, out, ui_ps));
 
   double total = 0.0;
   for (int i = 1; i <= n_steps; ++i)

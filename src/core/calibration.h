@@ -67,7 +67,6 @@ class DelayCalibrator {
     /// the delay statistics. Must be finite; a negative value means no
     /// settle window.
     double settle_ps = 3000.0;
-    Dac dac{12, 1.5};
   };
 
   DelayCalibrator() = default;
@@ -76,19 +75,18 @@ class DelayCalibrator {
 
   // All measurements are clone-based: each sweep point runs on its own
   // copy of the device (they are value types), so the device under test
-  // is never mutated, the points execute in parallel on the global
-  // thread pool (see util/thread_pool.h), and results are bit-identical
-  // for any `GDELAY_THREADS` setting.
+  // is never mutated. The clones run four to a lane group through
+  // core::lane_edges (core/batch.h), groups in parallel on the global
+  // thread pool, and each clone's edges are paired with the stimulus
+  // edges, extracted once per call; results are bit-identical for any
+  // `GDELAY_THREADS` setting.
 
   /// Fig. 7 measurement: fine delay vs Vctrl (relative to Vctrl = 0).
   util::Curve measure_fine_curve(const FineDelayLine& line,
                                  const sig::Waveform& stimulus) const;
 
-  /// Same sweep on a complete channel at its currently selected tap.
-  util::Curve measure_fine_curve(const VariableDelayChannel& ch,
-                                 const sig::Waveform& stimulus) const;
-
-  /// Full channel calibration: fine sweep on tap 0 + one run per tap.
+  /// Full channel calibration: the same sweep on tap 0, then one run per
+  /// tap at Vctrl = 0. The DAC is the default 12-bit, 1.5 V part.
   /// The channel's own tap/Vctrl programming is left untouched.
   ChannelCalibration calibrate(const VariableDelayChannel& ch,
                                const sig::Waveform& stimulus) const;
@@ -102,6 +100,8 @@ class DelayCalibrator {
   /// Figs. 14/15), where edge-order pairing is ambiguous. Sweeps Vctrl in
   /// `n_steps` increments and accumulates phase deltas wrapped into half a
   /// UI — exact as long as each increment moves the delay by < ui/2.
+  /// Throws std::invalid_argument for n_steps < 1 or ui_ps <= 0 before
+  /// any device runs.
   double measure_fine_range_periodic(const FineDelayLine& line,
                                      const sig::Waveform& stimulus,
                                      double ui_ps, int n_steps = 8) const;

@@ -20,13 +20,14 @@
 // configuring the very objects (channel, injector) they stream through.
 // All referenced stages, the source and the sinks must outlive run().
 //
-// Batch-of-pipelines façade: when the SAME stimulus must be run through
-// N independent channel/fine-line chains (Monte-Carlo trials, sweep
-// points, board channels), core::BatchRunner (core/batch.h) is the
-// lane-batched counterpart of N Pipeline runs — it chunks identically
-// (kBlockSamples), runs the streams through their composites' own lane
-// pass, and feeds one ISampleSink per stream, with each stream's samples
-// bit-identical to its solo Pipeline run.
+// Batch-of-pipelines counterpart: when the SAME stimulus must be run
+// through N independent channels or fine lines (Monte-Carlo trials,
+// sweep points, board channels), core::run_lanes (core/batch.h) stands in
+// for N Pipeline runs — it chunks identically (kBlockSamples), runs the
+// devices through their composites' own lane pass, and feeds one
+// ISampleSink per device, with each device's samples bit-identical to
+// its solo Pipeline run; core::lane_edges measures a whole device list
+// that way, four devices to a lane group.
 #pragma once
 
 #include <cstddef>

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <string>
 
 #include "measure/stats.h"
 #include "signal/edges.h"
@@ -25,16 +24,14 @@ DelayMeasurement from_deltas(const std::vector<double>& deltas) {
 }
 
 // Deltas for a given (ref, out) front-trim; empty if polarities clash.
-std::vector<double> deltas_for(const std::vector<double>& rt,
-                               const std::vector<bool>& rr,
-                               const std::vector<double>& ot,
-                               const std::vector<bool>& orr, std::size_t roff,
-                               std::size_t ooff) {
+std::vector<double> deltas_for(const std::vector<sig::Edge>& ref,
+                               const std::vector<sig::Edge>& out,
+                               std::size_t roff, std::size_t ooff) {
   std::vector<double> d;
   std::size_t i = roff, j = ooff;
-  while (i < rt.size() && j < ot.size()) {
-    if (rr[i] != orr[j]) return {};
-    d.push_back(ot[j] - rt[i]);
+  while (i < ref.size() && j < out.size()) {
+    if (ref[i].rising != out[j].rising) return {};
+    d.push_back(out[j].t_ps - ref[i].t_ps);
     ++i;
     ++j;
   }
@@ -51,21 +48,20 @@ void check_options(const DelayMeterOptions& opt, const char* caller) {
   require_finite(opt.settle_ps, caller, "settle_ps");
 }
 
-DelayMeasurement measure_delay_edges(const std::vector<double>& ref_times,
-                                     const std::vector<bool>& ref_rising,
-                                     const std::vector<double>& out_times,
-                                     const std::vector<bool>& out_rising,
-                                     bool require_equal_counts) {
-  if (ref_times.size() != ref_rising.size() ||
-      out_times.size() != out_rising.size())
-    throw std::invalid_argument("measure_delay_edges: times/polarity mismatch");
-  if (ref_times.empty() || out_times.empty())
+std::vector<sig::Edge> delay_edges(const sig::Waveform& wf,
+                                   const DelayMeterOptions& opt) {
+  check_options(opt, "delay_edges");
+  sig::EdgeExtractOptions eo;
+  eo.threshold_v = opt.threshold_v;
+  eo.hysteresis_v = opt.hysteresis_v;
+  eo.t_min_ps = wf.t0_ps() + opt.settle_ps;
+  return sig::extract_edges(wf, eo);
+}
+
+DelayMeasurement measure_delay_edges(const std::vector<sig::Edge>& reference,
+                                     const std::vector<sig::Edge>& output) {
+  if (reference.empty() || output.empty())
     throw std::runtime_error("measure_delay_edges: no edges to compare");
-  if (require_equal_counts && ref_times.size() != out_times.size())
-    throw std::runtime_error(
-        "measure_delay_edges: transition counts differ (" +
-        std::to_string(ref_times.size()) + " vs " +
-        std::to_string(out_times.size()) + ")");
 
   // The sequences describe the same data pattern, but either trace may be
   // missing a few leading edges (settle windows cut at different pattern
@@ -76,13 +72,12 @@ DelayMeasurement measure_delay_edges(const std::vector<double>& ref_times,
   constexpr std::size_t kMaxTrim = 6;
   double best_score = std::numeric_limits<double>::infinity();
   std::vector<double> best;
-  for (std::size_t roff = 0; roff <= kMaxTrim && roff < ref_times.size();
+  for (std::size_t roff = 0; roff <= kMaxTrim && roff < reference.size();
        ++roff) {
-    for (std::size_t ooff = 0; ooff <= kMaxTrim && ooff < out_times.size();
+    for (std::size_t ooff = 0; ooff <= kMaxTrim && ooff < output.size();
          ++ooff) {
       if (roff != 0 && ooff != 0) continue;  // trimming both is redundant
-      auto d = deltas_for(ref_times, ref_rising, out_times, out_rising, roff,
-                          ooff);
+      auto d = deltas_for(reference, output, roff, ooff);
       if (d.size() < 4) continue;
       const Summary s = summarize(d);
       // Prefer longer alignments; the trim penalty must exceed the noise
@@ -115,15 +110,16 @@ double measure_phase_delay(const sig::Waveform& reference,
   check_options(opt, "measure_phase_delay");
   if (!(ui_ps > 0.0))
     throw std::invalid_argument("measure_phase_delay: ui must be > 0");
-  sig::EdgeExtractOptions eo;
-  eo.threshold_v = opt.threshold_v;
-  eo.hysteresis_v = opt.hysteresis_v;
-  eo.t_min_ps = reference.t0_ps() + opt.settle_ps;
-  const auto re = sig::extract_edges(reference, eo);
-  eo.t_min_ps = output.t0_ps() + opt.settle_ps;
-  const auto oe = sig::extract_edges(output, eo);
-  if (re.empty() || oe.empty())
-    throw std::runtime_error("measure_phase_delay: no edges");
+  return phase_delay_edges(delay_edges(reference, opt),
+                           delay_edges(output, opt), ui_ps);
+}
+
+double phase_delay_edges(const std::vector<sig::Edge>& reference,
+                         const std::vector<sig::Edge>& output, double ui_ps) {
+  if (!(ui_ps > 0.0))
+    throw std::invalid_argument("phase_delay_edges: ui must be > 0");
+  if (reference.empty() || output.empty())
+    throw std::runtime_error("phase_delay_edges: no edges");
 
   // Circular mean of each trace's crossing phase on the UI grid, as in
   // the jitter analyzer; the difference is the delay mod UI.
@@ -140,7 +136,7 @@ double measure_phase_delay(const sig::Waveform& reference,
     // the simulated signal path.
     return std::atan2(s, c) / (2.0 * util::kPi) * ui_ps;
   };
-  double d = phase_of(oe) - phase_of(re);
+  double d = phase_of(output) - phase_of(reference);
   d = std::fmod(d, ui_ps);
   if (d < 0.0) d += ui_ps;
   return d;
@@ -150,25 +146,8 @@ DelayMeasurement measure_delay(const sig::Waveform& reference,
                                const sig::Waveform& output,
                                const DelayMeterOptions& opt) {
   check_options(opt, "measure_delay");
-  sig::EdgeExtractOptions eo;
-  eo.threshold_v = opt.threshold_v;
-  eo.hysteresis_v = opt.hysteresis_v;
-  eo.t_min_ps = reference.t0_ps() + opt.settle_ps;
-  const auto re = sig::extract_edges(reference, eo);
-  eo.t_min_ps = output.t0_ps() + opt.settle_ps;
-  const auto oe = sig::extract_edges(output, eo);
-
-  std::vector<double> rt, ot;
-  std::vector<bool> rr, orr;
-  for (const auto& e : re) {
-    rt.push_back(e.t_ps);
-    rr.push_back(e.rising);
-  }
-  for (const auto& e : oe) {
-    ot.push_back(e.t_ps);
-    orr.push_back(e.rising);
-  }
-  return measure_delay_edges(rt, rr, ot, orr, opt.require_equal_counts);
+  return measure_delay_edges(delay_edges(reference, opt),
+                             delay_edges(output, opt));
 }
 
 }  // namespace gdelay::meas

@@ -5,11 +5,16 @@
 // reports the statistics of the per-edge delays. Pairing by order rather
 // than by proximity makes the measurement immune to pipeline latencies
 // larger than one unit interval, which the 7-stage prototype easily has.
+// The waveform entry points extract both traces' edges and call their
+// edge halves (measure_delay_edges, phase_delay_edges), which many-device
+// measurements call directly: the stimulus edges are extracted once and
+// each device's edges come from core::lane_edges (core/batch.h).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "signal/edges.h"
 #include "signal/waveform.h"
 
 namespace gdelay::meas {
@@ -29,10 +34,6 @@ struct DelayMeterOptions {
   double hysteresis_v = 0.1;
   /// Edges earlier than t0 + settle in either trace are ignored.
   double settle_ps = 400.0;
-  /// If set, a differing transition count is an error instead of being
-  /// resolved by the spread-minimizing alignment. Off by default because
-  /// the output's latency shifts which edges fall inside the settle window.
-  bool require_equal_counts = false;
 };
 
 /// Throws std::invalid_argument, naming `caller` and the field, for a
@@ -41,14 +42,26 @@ struct DelayMeterOptions {
 /// options calls it up front.
 void check_options(const DelayMeterOptions& opt, const char* caller);
 
-/// Mean/spread of the output's delay relative to the reference.
-/// Rejects non-finite options (check_options).
-/// Throws std::runtime_error if the edge sequences cannot be aligned
-/// (different transition counts after settling) and `require_equal_counts`
-/// is set; otherwise the common prefix (after polarity alignment) is used.
+/// The threshold crossings of `wf` that measure_delay() pairs: `opt`'s
+/// threshold and hysteresis, from t0 + settle_ps on. Rejects non-finite
+/// options (check_options).
+std::vector<sig::Edge> delay_edges(const sig::Waveform& wf,
+                                   const DelayMeterOptions& opt = {});
+
+/// Mean/spread of the output's delay relative to the reference:
+/// measure_delay_edges() of both traces' delay_edges().
 DelayMeasurement measure_delay(const sig::Waveform& reference,
                                const sig::Waveform& output,
                                const DelayMeterOptions& opt = {});
+
+/// Delay between two time-ordered edge sequences of the same data
+/// pattern. Either may miss a few leading edges (the output's latency
+/// shifts which edges fall inside the settle window); the front trim
+/// with the tightest delay spread wins, and the common span (after
+/// polarity alignment) is used. Throws std::runtime_error if either
+/// sequence is empty or no trim aligns them.
+DelayMeasurement measure_delay_edges(const std::vector<sig::Edge>& reference,
+                                     const std::vector<sig::Edge>& output);
 
 /// Phase-based delay for PERIODIC stimuli (clocks), where order-based
 /// pairing is ambiguous: every alignment of evenly spaced edges looks
@@ -57,20 +70,18 @@ DelayMeasurement measure_delay(const sig::Waveform& reference,
 /// modulo the UI, but differences between settings — which is what range
 /// and transfer-curve measurements need — unwrap correctly as long as
 /// each step moves the delay by less than half a UI. Rejects non-finite
-/// options like measure_delay.
+/// options like measure_delay: phase_delay_edges() of both traces'
+/// delay_edges().
 double measure_phase_delay(const sig::Waveform& reference,
                            const sig::Waveform& output, double ui_ps,
                            const DelayMeterOptions& opt = {});
 
+/// The edge half of measure_phase_delay(). Throws std::invalid_argument
+/// unless ui_ps > 0 and std::runtime_error if either sequence is empty.
+double phase_delay_edges(const std::vector<sig::Edge>& reference,
+                         const std::vector<sig::Edge>& output, double ui_ps);
+
 /// Wraps a delay difference into [-ui/2, ui/2).
 double wrap_delay(double delta_ps, double ui_ps);
-
-/// Delay between two pre-extracted, time-ordered edge sequences with
-/// polarities. Exposed for reuse by the calibration engine.
-DelayMeasurement measure_delay_edges(const std::vector<double>& ref_times,
-                                     const std::vector<bool>& ref_rising,
-                                     const std::vector<double>& out_times,
-                                     const std::vector<bool>& out_rising,
-                                     bool require_equal_counts = true);
 
 }  // namespace gdelay::meas

@@ -86,13 +86,9 @@ std::vector<double> EdgeSink::edge_times() const {
 
 namespace {
 
-// Checks `opt` (DelayMeterOptions or JitterMeasureOptions) up front for
-// `caller`, then returns the edge extraction of its whole-waveform
-// counterpart (measure_delay, measure_jitter).
-template <typename Options>
-sig::EdgeExtractOptions extract_options(const Options& opt,
-                                        const char* caller) {
-  check_options(opt, caller);
+// Checks `opt` up front, then returns measure_jitter()'s edge extraction.
+sig::EdgeExtractOptions extract_options(const JitterMeasureOptions& opt) {
+  check_options(opt, "JitterSink");
   sig::EdgeExtractOptions eo;
   eo.threshold_v = opt.threshold_v;
   eo.hysteresis_v = opt.hysteresis_v;
@@ -102,8 +98,7 @@ sig::EdgeExtractOptions extract_options(const Options& opt,
 }  // namespace
 
 JitterSink::JitterSink(double ui_ps, const JitterMeasureOptions& opt)
-    : ui_ps_(ui_ps),
-      edge_sink_(extract_options(opt, "JitterSink"), opt.settle_ps) {
+    : ui_ps_(ui_ps), edge_sink_(extract_options(opt), opt.settle_ps) {
   require_finite(ui_ps, "JitterSink", "ui_ps");
   if (!(ui_ps > 0.0))
     throw std::invalid_argument("JitterSink: ui_ps must be > 0");
@@ -120,40 +115,6 @@ void JitterSink::consume(const double* samples, std::size_t n) {
 
 void JitterSink::finish() {
   report_ = analyze_jitter(edge_sink_.edge_times(), ui_ps_);
-}
-
-DelayMeterSink::DelayMeterSink(const EdgeSink& reference,
-                               const DelayMeterOptions& opt)
-    : reference_(&reference),
-      opt_(opt),
-      edge_sink_(extract_options(opt, "DelayMeterSink"), opt.settle_ps) {}
-
-EdgeSink DelayMeterSink::reference_sink(const DelayMeterOptions& opt) {
-  return EdgeSink(extract_options(opt, "DelayMeterSink::reference_sink"),
-                  opt.settle_ps);
-}
-
-void DelayMeterSink::begin(double t0_ps, double dt_ps, std::size_t total_n) {
-  edge_sink_.begin(t0_ps, dt_ps, total_n);
-  result_ = DelayMeasurement{};
-}
-
-void DelayMeterSink::consume(const double* samples, std::size_t n) {
-  edge_sink_.consume(samples, n);
-}
-
-void DelayMeterSink::finish() {
-  std::vector<double> rt, ot;
-  std::vector<bool> rr, orr;
-  for (const auto& e : reference_->edges()) {
-    rt.push_back(e.t_ps);
-    rr.push_back(e.rising);
-  }
-  for (const auto& e : edge_sink_.edges()) {
-    ot.push_back(e.t_ps);
-    orr.push_back(e.rising);
-  }
-  result_ = measure_delay_edges(rt, rr, ot, orr, opt_.require_equal_counts);
 }
 
 }  // namespace gdelay::meas

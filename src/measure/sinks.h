@@ -3,10 +3,14 @@
 // An ISampleSink receives a waveform as a sequence of chunks and folds
 // each sample into its running measurement, so instruments that used to
 // demand a materialized trace (eye diagram, jitter analyzer, histogram,
-// delay meter) can ride a streaming pipeline in a single pass. Every sink
-// is required to produce byte-identical results to its whole-waveform
-// counterpart at any chunking — state that spans chunk seams (the edge
-// extractor's backscan window, the sample clock) is carried explicitly.
+// edge extractor) can ride a streaming pipeline in a single pass. Every
+// sink is required to produce byte-identical results to its whole-
+// waveform counterpart at any chunking — state that spans chunk seams
+// (the edge extractor's backscan window, the sample clock) is carried
+// explicitly. A delay is two EdgeSinks (reference and output, each
+// configured as meas::delay_edges() extracts) and measure_delay_edges()
+// of their edges; core::lane_edges (core/batch.h) does exactly that for
+// many devices at once.
 //
 // Contract for implementations: all sizing happens in begin() (or the
 // constructor); consume() must not allocate on the steady-state path
@@ -20,7 +24,6 @@
 #include <optional>
 #include <vector>
 
-#include "measure/delay_meter.h"
 #include "measure/eye.h"
 #include "measure/histogram.h"
 #include "measure/jitter.h"
@@ -140,31 +143,6 @@ class JitterSink final : public ISampleSink {
   double ui_ps_;
   EdgeSink edge_sink_;
   JitterReport report_;
-};
-
-/// Single-pass delay measurement of the OUTPUT trace against a reference
-/// whose edges were collected by another EdgeSink (the reference stream
-/// must be finished before finish() is called here). finish() produces
-/// the same DelayMeasurement as measure_delay(reference, output).
-class DelayMeterSink final : public ISampleSink {
- public:
-  DelayMeterSink(const EdgeSink& reference, const DelayMeterOptions& opt = {});
-
-  void begin(double t0_ps, double dt_ps, std::size_t total_n) override;
-  void consume(const double* samples, std::size_t n) override;
-  void finish() override;
-
-  const DelayMeasurement& result() const { return result_; }
-
-  /// An EdgeSink configured exactly as measure_delay configures its
-  /// reference-side extraction for these options.
-  static EdgeSink reference_sink(const DelayMeterOptions& opt = {});
-
- private:
-  const EdgeSink* reference_;
-  DelayMeterOptions opt_;
-  EdgeSink edge_sink_;
-  DelayMeasurement result_;
 };
 
 }  // namespace gdelay::meas

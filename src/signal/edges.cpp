@@ -10,8 +10,7 @@ StreamingEdgeExtractor::StreamingEdgeExtractor(double t0_ps, double dt_ps,
       dt_(dt_ps),
       th_(opt.threshold_v),
       hy_(std::max(opt.hysteresis_v, 0.0) / 2.0),
-      t_min_(opt.t_min_ps),
-      t_max_(opt.t_max_ps) {
+      t_min_(opt.t_min_ps) {
   hist_.reserve(256);
   edges_.reserve(64);
 }
@@ -58,9 +57,10 @@ void StreamingEdgeExtractor::consume(const double* samples, std::size_t n) {
           const double frac = (th_ - a) / (b - a);
           t = t0_ + dt_ * static_cast<double>(j - 1) + frac * dt_;
         }
+        // A NaN crossing time fails the comparison and is dropped.
         // gdelay-audit: allow(R6) edge list is the sink's product, one
         // entry per transition; reserved up front in the constructor.
-        if (t >= t_min_ && t <= t_max_) edges_.push_back({t, rising});
+        if (t >= t_min_) edges_.push_back({t, rising});
       }
       state_ = new_state;
     }

@@ -23,7 +23,6 @@ struct EdgeExtractOptions {
   double hysteresis_v = 0.0;  ///< Re-arm band around the threshold.
   /// Ignore crossings before this time (lets callers skip lead-in settling).
   double t_min_ps = -1e18;
-  double t_max_ps = 1e18;
 };
 
 /// All threshold crossings of `wf`, in time order. With hysteresis > 0 a
@@ -66,7 +65,6 @@ class StreamingEdgeExtractor {
   double th_;
   double hy_;
   double t_min_;
-  double t_max_;
   int state_ = 0;           ///< +1 above, -1 below, 0 before first excursion.
   std::size_t n_seen_ = 0;  ///< Global index of the next sample.
   std::vector<double> hist_;  ///< Retained samples; hist_[0] is index base_.

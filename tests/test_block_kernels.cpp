@@ -4,7 +4,7 @@
 // Every device of the delay line is written once, as a width-generic
 // lane pass (analog/element.h): `w` devices, one per stream of buffers
 // interleaved time-major, advanced together. Its solo process_block()
-// is the w == 1 call and core::BatchRunner interleaves around the
+// is the w == 1 call and core::run_lanes interleaves around the
 // composites' passes, so one suite checks the whole contract. Per
 // device, for every backend x width {1, 3, 4, 9} x chunk {1, 7, 1024,
 // whole}: w devices, each with its own input, programming and RNG
@@ -14,8 +14,10 @@
 // Devices without a lane pass run the same grid at width 1 through
 // process_block(). Any tolerance here would defeat the point: the
 // calibration tables, the streaming pipeline, the batched sweeps and the
-// deterministic parallel campaigns all rely on it. The BatchRunner tests
-// at the end check the interleaver itself against solo runs.
+// deterministic parallel campaigns all rely on it. The
+// BatchRunnerEquivalence tests at the end check the interleaver
+// (core::run_lanes) and the lane-group measurement path built on it
+// (core::lane_edges, the calibration sweeps) against solo runs.
 //
 // AVX2 cases run only where the backend is usable; CI's simd job runs
 // them.
@@ -534,7 +536,7 @@ TEST(BlockKernel, ChannelBlockPathLeavesStepStateConsistent) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchRunner: the interleaver around the composites' passes
+// run_lanes / lane_edges: the interleaver around the composites' passes
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -566,7 +568,27 @@ gc::VariableDelayChannel make_channel(std::size_t s) {
   return ch;
 }
 
-// Each stream of a BatchRunner over `make(0..w-1)` against its solo
+template <typename Device>
+std::vector<Device*> pointers(std::vector<Device>& devs) {
+  std::vector<Device*> p;
+  for (auto& d : devs) p.push_back(&d);
+  return p;
+}
+
+// run_lanes() over `devs`, one capture sink each: the output waveforms.
+template <typename Device>
+std::vector<gs::Waveform> run_captured(std::vector<Device>& devs,
+                                       const gs::Waveform& stim) {
+  std::vector<gm::WaveformCaptureSink> caps(devs.size());
+  std::vector<gm::ISampleSink*> sinks;
+  for (auto& c : caps) sinks.push_back(&c);
+  gc::run_lanes(pointers(devs), stim, sinks);
+  std::vector<gs::Waveform> outs;
+  for (auto& c : caps) outs.push_back(c.take_waveform());
+  return outs;
+}
+
+// Each device of a run_lanes() over `make(0..w-1)` against its solo
 // process(), per backend.
 template <typename Make>
 void expect_runner_matches_solo(Make make, std::vector<std::size_t> widths) {
@@ -576,14 +598,19 @@ void expect_runner_matches_solo(Make make, std::vector<std::size_t> widths) {
     for (std::size_t w : widths) {
       std::vector<decltype(make(0))> devs;
       for (std::size_t s = 0; s < w; ++s) devs.push_back(make(s));
-      gc::BatchRunner runner;
-      for (auto& d : devs) runner.add(d);
-      const auto outs = runner.run(stim);
+      const auto outs = run_captured(devs, stim);
       for (std::size_t s = 0; s < w; ++s)
         ASSERT_TRUE(wf_equal(make(s).process(stim), outs[s]))
             << name << " w=" << w << " stream " << s;
     }
   }
+}
+
+void expect_same_bits(const std::vector<double>& want,
+                      const std::vector<double>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(bits(want[i]), bits(got[i])) << i;
 }
 
 }  // namespace
@@ -601,68 +628,177 @@ TEST(BatchRunnerEquivalence, ChannelMatchesSoloWithPerStreamProgramming) {
 }
 
 TEST(BatchRunnerEquivalence, LaneAssignmentInvariance) {
-  // The same 9 streams, added in reversed order: each stream's bytes
+  // The same 9 devices, listed in reversed order: each device's bytes
   // must be unchanged — lanes are an implementation detail.
   const auto stim = nrz_stimulus();
   std::vector<gc::VariableDelayChannel> fwd, rev;
   for (std::size_t s = 0; s < 9; ++s) fwd.push_back(make_channel(s));
   for (std::size_t s = 9; s-- > 0;) rev.push_back(make_channel(s));
-  gc::BatchRunner rf, rr;
-  for (auto& c : fwd) rf.add(c);
-  for (auto& c : rev) rr.add(c);
-  const auto of = rf.run(stim);
-  const auto orev = rr.run(stim);
+  const auto of = run_captured(fwd, stim);
+  const auto orev = run_captured(rev, stim);
   for (std::size_t s = 0; s < 9; ++s)
     ASSERT_TRUE(wf_equal(of[s], orev[8 - s])) << "stream " << s;
 }
 
-TEST(BatchRunnerEquivalence, SinkRunMatchesWaveformRun) {
-  const auto stim = nrz_stimulus();
-  std::vector<gc::FineDelayLine> a, b;
-  for (std::size_t s = 0; s < 3; ++s) {
-    a.push_back(make_fine(s, 0.5));
-    b.push_back(make_fine(s, 0.5));
-  }
-  gc::BatchRunner ra, rb;
-  for (auto& l : a) ra.add(l);
-  for (auto& l : b) rb.add(l);
-  const auto outs = ra.run(stim);
-  std::vector<gm::WaveformCaptureSink> caps(3);
-  std::vector<gm::ISampleSink*> sinks;
-  for (auto& c : caps) sinks.push_back(&c);
-  rb.run(stim, sinks);
-  for (std::size_t s = 0; s < 3; ++s)
-    ASSERT_TRUE(wf_equal(outs[s], caps[s].waveform())) << "stream " << s;
-}
-
 TEST(BatchRunnerEquivalence, MixedStreamKindsThrow) {
-  gc::FineDelayLine line(gc::FineDelayConfig{}, Rng(1));
-  gc::VariableDelayChannel ch(gc::ChannelConfig{}, Rng(2));
-  gc::BatchRunner r1;
-  r1.add(line);
-  EXPECT_THROW(r1.add(ch), std::logic_error);
-  gc::BatchRunner r2;
-  r2.add(ch);
-  EXPECT_THROW(r2.add(line), std::logic_error);
-  gc::BatchRunner empty;
-  EXPECT_THROW(empty.run(gs::Waveform(0.0, 0.25, 16)), std::logic_error);
+  // Channels and bare fine lines no longer mix at all: the device list
+  // is one std::vector<Device*>. What is left to check at run time
+  // throws before any device runs.
+  const gs::Waveform stim(0.0, 0.25, 16);
+  gc::FineDelayLine four(gc::FineDelayConfig{}, Rng(1));
+  gc::FineDelayConfig two_cfg;
+  two_cfg.n_stages = 2;
+  gc::FineDelayLine two(two_cfg, Rng(2));
+  gm::WaveformCaptureSink a, b;
+  EXPECT_THROW(gc::run_lanes(std::vector<gc::FineDelayLine*>{&four, &two},
+                             stim, {&a, &b}),
+               std::logic_error);
+  EXPECT_THROW(gc::run_lanes(std::vector<gc::FineDelayLine*>{}, stim, {}),
+               std::logic_error);
+  EXPECT_THROW(gc::run_lanes(std::vector<gc::VariableDelayChannel*>{}, stim,
+                             {}),
+               std::logic_error);
+  EXPECT_THROW(
+      gc::run_lanes(std::vector<gc::FineDelayLine*>{&four}, stim, {&a, &b}),
+      std::invalid_argument);
 }
 
 TEST(BatchRunnerEquivalence, RejectsTheSameStreamTwice) {
   // Two lanes over one device would advance one set of state and draw
-  // from one RNG twice per sample.
+  // from one RNG twice per sample. The check comes first, so the device
+  // is untouched and still runs like its solo twin.
   const auto stim = nrz_stimulus();
+  gm::WaveformCaptureSink a, b;
   auto ch = make_channel(2);
-  gc::BatchRunner rc;
-  rc.add(ch);
-  EXPECT_THROW(rc.add(ch), std::logic_error);
-  ASSERT_EQ(rc.width(), 1u);
-  EXPECT_TRUE(wf_equal(make_channel(2).process(stim), rc.run(stim)[0]));
+  EXPECT_THROW(gc::run_lanes(std::vector<gc::VariableDelayChannel*>{&ch, &ch},
+                             stim, {&a, &b}),
+               std::logic_error);
+  gc::run_lanes(std::vector<gc::VariableDelayChannel*>{&ch}, stim, {&a});
+  EXPECT_TRUE(wf_equal(make_channel(2).process(stim), a.waveform()));
   auto line = make_fine(2, 0.5);
-  gc::BatchRunner rf;
-  rf.add(line);
-  EXPECT_THROW(rf.add(line), std::logic_error);
-  EXPECT_EQ(rf.width(), 1u);
+  EXPECT_THROW(gc::run_lanes(std::vector<gc::FineDelayLine*>{&line, &line},
+                             stim, {&a, &b}),
+               std::logic_error);
+}
+
+TEST(BatchRunnerEquivalence, LaneEdgesMatchSoloExtraction) {
+  // 9 devices: two full groups of four and a partial one. Each device's
+  // edges are extract_edges() of its solo output, set up as
+  // measure_delay sets it up.
+  const auto stim = nrz_stimulus();
+  gm::DelayMeterOptions mo;
+  mo.settle_ps = 1500.0;
+  std::vector<gc::VariableDelayChannel> devs;
+  for (std::size_t s = 0; s < 9; ++s) devs.push_back(make_channel(s));
+  const auto got = gc::lane_edges(pointers(devs), stim, mo);
+  ASSERT_EQ(got.size(), 9u);
+  for (std::size_t s = 0; s < 9; ++s) {
+    const auto out = make_channel(s).process(stim);
+    gs::EdgeExtractOptions eo;
+    eo.threshold_v = 0.0;
+    eo.hysteresis_v = 0.1;
+    eo.t_min_ps = out.t0_ps() + 1500.0;
+    const auto want = gs::extract_edges(out, eo);
+    ASSERT_GT(want.size(), 10u) << s;
+    ASSERT_EQ(want.size(), got[s].size()) << s;
+    for (std::size_t e = 0; e < want.size(); ++e) {
+      ASSERT_EQ(bits(want[e].t_ps), bits(got[s][e].t_ps)) << s << "/" << e;
+      ASSERT_EQ(want[e].rising, got[s][e].rising) << s << "/" << e;
+    }
+  }
+}
+
+TEST(BatchRunnerEquivalence, LaneEdgesRejectTheSameDeviceTwiceAcrossGroups) {
+  // Device 0 again at index 5, in the second group: two pool tasks would
+  // race on it. The whole list is checked before any task starts, so
+  // device 0 still runs like its solo twin afterwards.
+  const auto stim = nrz_stimulus();
+  std::vector<gc::FineDelayLine> devs;
+  for (std::size_t s = 0; s < 5; ++s)
+    devs.push_back(make_fine(s, static_cast<double>(s) / 8.0));
+  auto lanes = pointers(devs);
+  lanes.push_back(&devs[0]);
+  EXPECT_THROW(gc::lane_edges(lanes, stim, gm::DelayMeterOptions{}),
+               std::logic_error);
+  for (std::size_t s = 0; s < 5; ++s)
+    ASSERT_TRUE(wf_equal(make_fine(s, static_cast<double>(s) / 8.0)
+                             .process(stim),
+                         devs[s].process(stim)))
+        << "device " << s;
+}
+
+TEST(BatchRunnerEquivalence, CalibrateLatencyMatchesSoloTapClones) {
+  // calibrate()'s per-tap runs against the pre-batching engine: one solo
+  // clone per tap at Vctrl = 0, on noise stream 100 + tap.
+  const auto stim = nrz_stimulus();
+  const auto ch = make_channel(5);
+  gc::DelayCalibrator::Options o;
+  o.n_vctrl_points = 3;
+  o.settle_ps = 1500.0;
+  const auto cal = gc::DelayCalibrator(o).calibrate(ch, stim);
+
+  gm::DelayMeterOptions mo;
+  mo.settle_ps = o.settle_ps;
+  std::vector<double> latency(4);
+  for (int tap = 0; tap < 4; ++tap) {
+    gc::VariableDelayChannel clone = ch;
+    clone.fork_noise(100 + static_cast<std::uint64_t>(tap));
+    clone.select_tap(tap);
+    clone.set_vctrl(0.0);
+    latency[static_cast<std::size_t>(tap)] =
+        gm::measure_delay(stim, clone.process(stim), mo).mean_ps;
+  }
+  EXPECT_EQ(bits(latency[0]), bits(cal.base_latency_ps));
+  std::vector<double> offsets;
+  for (double l : latency) offsets.push_back(l - latency[0]);
+  expect_same_bits(offsets, std::vector<double>(cal.tap_offset_ps.begin(),
+                                                cal.tap_offset_ps.end()));
+}
+
+TEST(BatchRunnerEquivalence, PeriodicRangeMatchesSoloPhaseSweep) {
+  // measure_fine_range_periodic() against solo clones measured with
+  // measure_phase_delay() and unwrapped with wrap_delay().
+  gs::SynthConfig sc;
+  const auto clk = gs::synthesize_clock(2.0, 60, sc);
+  const double ui = clk.unit_interval_ps;
+  const gc::FineDelayLine line(gc::FineDelayConfig{}, Rng(13));
+  gc::DelayCalibrator::Options o;
+  o.settle_ps = 1500.0;
+  constexpr int kSteps = 5;
+  const double got = gc::DelayCalibrator(o).measure_fine_range_periodic(
+      line, clk.wf, ui, kSteps);
+
+  gm::DelayMeterOptions mo;
+  mo.settle_ps = o.settle_ps;
+  double want = 0.0, prev = 0.0;
+  for (int i = 0; i <= kSteps; ++i) {
+    gc::FineDelayLine clone = line;
+    clone.fork_noise(static_cast<std::uint64_t>(i));
+    clone.set_vctrl(line.vctrl_max() * i / kSteps);
+    const double phase =
+        gm::measure_phase_delay(clk.wf, clone.process(clk.wf), ui, mo);
+    if (i > 0) want += gm::wrap_delay(phase - prev, ui);
+    prev = phase;
+  }
+  EXPECT_GT(want, 1.0);
+  EXPECT_EQ(bits(want), bits(got));
+}
+
+TEST(BatchRunnerEquivalence, CalibrateThrowsWhenSettleOutlastsStimulus) {
+  // No stimulus edge survives the settle window: the first sweep point
+  // fails the pairing, with the error type the per-clone code had.
+  const auto stim = nrz_stimulus();
+  gc::DelayCalibrator::Options o;
+  o.n_vctrl_points = 3;
+  o.settle_ps = stim.duration_ps() + 1000.0;
+  try {
+    (void)gc::DelayCalibrator(o).calibrate(make_channel(0), stim);
+    ADD_FAILURE() << "calibrate() accepted a stimulus with no edges";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("no edges to compare"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(BatchRunnerEquivalence, FineCurveMatchesSoloCloneSweep) {

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/board.h"
@@ -120,4 +121,35 @@ TEST(CalIo, HugeClaimedPointCountIsRejectedNotAllocated) {
       "point 0 0\n"
       "point 1.5 20\n";
   EXPECT_THROW(core::calibration_from_text(text), std::runtime_error);
+}
+
+TEST(CalIo, BadDacFieldIsMalformedText) {
+  // The Dac constructor's std::invalid_argument must not leak out of the
+  // parser: a bad dac_bits or dac_vref is malformed text like any other
+  // bad field, and the message names the field.
+  const std::string head =
+      "gdelay_calibration 1\n"
+      "base_latency_ps 600\n"
+      "tap_offsets_ps 0 35 70 105\n"
+      "curve_points 2\n"
+      "point 0 0\n"
+      "point 1.5 20\n";
+  const std::pair<const char*, const char*> bad[] = {
+      {"dac_bits 99\n", "bits"},
+      {"dac_bits 2\n", "bits"},
+      {"dac_vref -1\n", "vref"},
+      {"dac_vref 0\n", "vref"}};
+  for (const auto& [line, field] : bad) {
+    try {
+      (void)core::calibration_from_text(head + line);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << line << " leaked a non-runtime_error: " << e.what();
+    }
+  }
+  // The same head with a valid DAC parses.
+  EXPECT_EQ(core::calibration_from_text(head + "dac_bits 10\n").dac.bits(), 10);
 }

@@ -15,6 +15,7 @@
 #include "analog/primitives.h"
 #include "ate/cdr.h"
 #include "ate/dut.h"
+#include "core/batch.h"
 #include "core/board.h"
 #include "core/cal_io.h"
 #include "core/calibration.h"
@@ -250,6 +251,10 @@ TEST(NanRangeChecks, EveryConstructorAndSetterRejectsNaN) {
        [&] { (void)ga::DutReceiver().scan_phase(wf, {1, 0}, nan, 0.0, 4); }},
       {"analyze_jitter ui", [&] { gm::analyze_jitter({1.0, 2.0}, nan); }},
       {"measure_phase_delay ui", [&] { gm::measure_phase_delay(wf, wf, nan); }},
+      {"measure_fine_range_periodic ui",
+       [&] {
+         gc::DelayCalibrator().measure_fine_range_periodic(line, wf, nan);
+       }},
       {"bathtub_curve ui", [&] { gm::bathtub_curve(nan, 1.0, 0.0); }},
       {"bathtub_curve rj", [&] { gm::bathtub_curve(100.0, nan, 0.0); }},
       {"bathtub_curve dj", [&] { gm::bathtub_curve(100.0, 1.0, nan); }},
@@ -321,8 +326,8 @@ TEST(NonFiniteOptions, MeasurementOptionsAreRejectedUpFront) {
     (f == 0 ? o.threshold_v : f == 1 ? o.hysteresis_v : o.settle_ps) = bad;
     return o;
   };
-  const gm::EdgeSink reference;
   const gm::EyeDiagram eye(312.5, -0.5, 0.5);
+  gc::FineDelayLine line(gc::FineDelayConfig{}, Rng(1));
   struct Case {
     std::string name;
     const char* field;
@@ -339,11 +344,12 @@ TEST(NonFiniteOptions, MeasurementOptionsAreRejectedUpFront) {
       cases.push_back({"measure_phase_delay", field, [&wf, d] {
                          gm::measure_phase_delay(wf, wf, 312.5, d);
                        }});
-      cases.push_back({"DelayMeterSink", field, [&reference, d] {
-                         gm::DelayMeterSink{reference, d};
+      cases.push_back({"delay_edges", field,
+                       [&wf, d] { gm::delay_edges(wf, d); }});
+      cases.push_back({"lane_edges", field, [&wf, &line, d] {
+                         gc::lane_edges(std::vector<gc::FineDelayLine*>{&line},
+                                        wf, d);
                        }});
-      cases.push_back({"DelayMeterSink::reference_sink", field,
-                       [d] { gm::DelayMeterSink::reference_sink(d); }});
       cases.push_back({"measure_jitter", field,
                        [&wf, j] { gm::measure_jitter(wf, 312.5, j); }});
       cases.push_back({"JitterSink", field, [j] { gm::JitterSink{312.5, j}; }});

@@ -157,27 +157,18 @@ TEST(DelayMeter, ShiftLargerThanUi) {
   EXPECT_NEAR(d.mean_ps, 400.0, 1e-6);
 }
 
-TEST(DelayMeter, EqualCountsEnforcedWhenRequested) {
-  gs::SynthConfig sc;
-  sc.rate_gbps = 3.2;
-  const auto a = gs::synthesize_nrz(gs::prbs(7, 64), sc);
-  const auto b = gs::synthesize_nrz(gs::prbs(7, 32), sc);
-  gm::DelayMeterOptions o;
-  o.require_equal_counts = true;
-  EXPECT_THROW(gm::measure_delay(a.wf, b.wf, o), std::runtime_error);
-}
-
 TEST(DelayMeter, EdgesApiDirect) {
-  std::vector<double> rt{100.0, 200.0, 350.0, 500.0};
-  std::vector<bool> rr{true, false, true, false};
-  std::vector<double> ot{110.0, 210.0, 360.0, 510.0};
-  const auto d = gm::measure_delay_edges(rt, rr, ot, rr);
+  const std::vector<gs::Edge> ref{
+      {100.0, true}, {200.0, false}, {350.0, true}, {500.0, false}};
+  const std::vector<gs::Edge> out{
+      {110.0, true}, {210.0, false}, {360.0, true}, {510.0, false}};
+  const auto d = gm::measure_delay_edges(ref, out);
   EXPECT_NEAR(d.mean_ps, 10.0, 1e-9);
   EXPECT_EQ(d.n_edges, 4u);
 }
 
 TEST(DelayMeter, EmptyEdgesThrow) {
-  EXPECT_THROW(gm::measure_delay_edges({}, {}, {1.0}, {true}),
+  EXPECT_THROW(gm::measure_delay_edges({}, {{1.0, true}}),
                std::runtime_error);
 }
 

@@ -12,12 +12,14 @@
 #include "core/board.h"
 #include "core/calibration.h"
 #include "core/fine_delay.h"
+#include "measure/sinks.h"
 #include "signal/pattern.h"
 #include "signal/synth.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace gc = gdelay::core;
+namespace gm = gdelay::meas;
 namespace gs = gdelay::sig;
 namespace gu = gdelay::util;
 using gdelay::util::Rng;
@@ -128,9 +130,14 @@ TEST(ParallelDeterminism, BatchedTrialsDrawTheSameNoiseStreamsAsSolo) {
   std::vector<gs::Waveform> ref;
   for (auto& line : solo) ref.push_back(line.process(stim.wf));
 
-  gc::BatchRunner runner;
-  for (auto& line : batched) runner.add(line);
-  const std::vector<gs::Waveform> outs = runner.run(stim.wf);
+  std::vector<gc::FineDelayLine*> lanes;
+  for (auto& line : batched) lanes.push_back(&line);
+  std::vector<gm::WaveformCaptureSink> caps(kTrials);
+  std::vector<gm::ISampleSink*> sinks;
+  for (auto& c : caps) sinks.push_back(&c);
+  gc::run_lanes(lanes, stim.wf, sinks);
+  std::vector<gs::Waveform> outs;
+  for (const auto& c : caps) outs.push_back(c.waveform());
 
   ASSERT_EQ(outs.size(), kTrials);
   for (std::size_t i = 0; i < kTrials; ++i) {

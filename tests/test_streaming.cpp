@@ -347,10 +347,13 @@ TEST(StreamingPipeline, SynthChannelAllSinksIdentity) {
     ch_s.set_vctrl(0.4);
     gs::SynthSource src(std::move(plan));
 
-    // Reference edges for the delay meter come from the raw stimulus
-    // stream (no stages).
-    gm::DelayMeterOptions dopt;
-    gm::EdgeSink ref_edges = gm::DelayMeterSink::reference_sink(dopt);
+    // A delay is two EdgeSinks set up as measure_delay extracts: one on
+    // the raw stimulus stream (no stages), one on the channel's output.
+    const gm::DelayMeterOptions dopt;
+    gs::EdgeExtractOptions eo;
+    eo.threshold_v = dopt.threshold_v;
+    eo.hysteresis_v = dopt.hysteresis_v;
+    gm::EdgeSink ref_edges(eo, dopt.settle_ps);
     gc::Pipeline taps(chunk);
     taps.run(src, ref_edges);
 
@@ -358,11 +361,11 @@ TEST(StreamingPipeline, SynthChannelAllSinksIdentity) {
     gm::EyeSink eye_s(gm::EyeDiagram(ui, -0.55, 0.55, 72, 18), 0.0, 400.0);
     gm::JitterSink jit_s(ui);
     gm::LevelHistogramSink hist_s(-0.6, 0.6, 48, 400.0);
-    gm::DelayMeterSink delay_s(ref_edges, dopt);
+    gm::EdgeSink out_edges(eo, dopt.settle_ps);
 
     gc::Pipeline pipe(chunk);
     pipe.add_stage(ch_s);
-    pipe.run(src, {&cap, &eye_s, &jit_s, &hist_s, &delay_s});
+    pipe.run(src, {&cap, &eye_s, &jit_s, &hist_s, &out_edges});
 
     expect_waveforms_identical(cap.waveform(), out_m, "pipeline output");
     expect_eyes_identical(eye_s.eye(), eye_m, "pipeline eye");
@@ -375,7 +378,8 @@ TEST(StreamingPipeline, SynthChannelAllSinksIdentity) {
     for (std::size_t b = 0; b < hist_m.n_bins(); ++b)
       ASSERT_EQ(hist_s.histogram().count(b), hist_m.count(b)) << "bin " << b;
 
-    const auto& dm = delay_s.result();
+    const auto dm =
+        gm::measure_delay_edges(ref_edges.edges(), out_edges.edges());
     EXPECT_EQ(dm.n_edges, delay_m.n_edges);
     EXPECT_EQ(std::memcmp(&dm.mean_ps, &delay_m.mean_ps, sizeof(double)), 0);
     EXPECT_EQ(std::memcmp(&dm.stddev_ps, &delay_m.stddev_ps, sizeof(double)),
