@@ -114,7 +114,11 @@ PhaseScan DutReceiver::scan_phase(const sig::Waveform& wf,
 
 PhaseScan intersect_scans(const std::vector<PhaseScan>& scans, double ui_ps) {
   if (scans.empty()) throw std::invalid_argument("intersect_scans: empty");
+  if (!(ui_ps > 0.0))
+    throw std::invalid_argument("intersect_scans: ui must be > 0");
   const std::size_t n = scans.front().points.size();
+  if (n == 0)
+    throw std::invalid_argument("intersect_scans: scans have no phase points");
   for (const auto& s : scans)
     if (s.points.size() != n)
       throw std::invalid_argument("intersect_scans: size mismatch");

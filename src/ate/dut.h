@@ -68,6 +68,9 @@ class DutReceiver {
 
 /// Intersection of per-channel scans: a phase point passes only if every
 /// channel passes there. Returns the combined scan (phases must match).
+/// Throws std::invalid_argument, as scan_phase() does, when `scans` is
+/// empty, the scans have no phase points or differ in point count, or
+/// `ui_ps` is not > 0 (NaN included).
 PhaseScan intersect_scans(const std::vector<PhaseScan>& scans, double ui_ps);
 
 }  // namespace gdelay::ate

@@ -75,8 +75,16 @@ void RecordAccumulator::merge_from(const IAccumulator& other) {
   if (!o) throw std::logic_error("RecordAccumulator: merge type mismatch");
   if (o->width_ != width_)
     throw std::logic_error("RecordAccumulator: merge width mismatch");
-  // Merge-sort by unit id so the combined record list is in unit order no
-  // matter how the campaign was sharded or resumed.
+  if (o->units_.empty()) return;
+  // Every unit of the other side follows ours — as in every merge of
+  // contiguous shards in shard order: append in place.
+  if (units_.empty() || units_.back() < o->units_.front()) {
+    units_.insert(units_.end(), o->units_.begin(), o->units_.end());
+    values_.insert(values_.end(), o->values_.begin(), o->values_.end());
+    return;
+  }
+  // Otherwise merge-sort by unit id so the combined record list is in unit
+  // order no matter how the campaign was sharded or resumed.
   std::vector<std::uint64_t> units;
   std::vector<double> values;
   units.reserve(units_.size() + o->units_.size());
@@ -208,6 +216,10 @@ ShardOutcome run_shard(const CampaignSpec& spec, std::size_t shard,
 
   std::uint64_t done_this_run = 0;
   std::uint64_t since_ckpt = 0;
+  // The loop's last action was a periodic save, so the file on disk
+  // already holds the final state. A resumed shard that runs no unit
+  // still re-writes its file: its `resumed` byte differs.
+  bool saved = false;
   while (out.next_unit < range.end) {
     if (spec.stop_after_units && done_this_run >= spec.stop_after_units)
       break;
@@ -217,14 +229,16 @@ ShardOutcome run_shard(const CampaignSpec& spec, std::size_t shard,
     unit_fn(out.next_unit, rng, out.accs);
     ++out.next_unit;
     ++done_this_run;
+    saved = false;
     if (checkpointing && spec.checkpoint_every &&
         ++since_ckpt >= spec.checkpoint_every) {
       save_checkpoint();
       since_ckpt = 0;
+      saved = true;
     }
   }
   out.complete = out.next_unit >= range.end;
-  if (checkpointing) save_checkpoint();
+  if (checkpointing && !saved) save_checkpoint();
   return out;
 }
 

@@ -21,6 +21,11 @@
 //      (save(load(save(x))) == save(x)), and a resumed shard continues
 //      from state indistinguishable from the uninterrupted run.
 //
+// Checkpoints and merges cost what their bytes cost. A stop, or a shard's
+// range end, that lands on a periodic checkpoint writes that state once.
+// Contiguous shards merged in shard order append in place
+// (RecordAccumulator::merge_from merge-sorts only interleaved units).
+//
 // In thread mode each shard is one task on the deterministic pool. Unit
 // callbacks must not touch the global thread pool themselves — shards
 // already own the parallelism.
@@ -73,9 +78,12 @@ class IAccumulator {
 
 /// Fixed-width per-unit records: unit id + `width` doubles. Records stay
 /// sorted by unit id (shards process their contiguous ranges in order;
-/// merge_from() merge-sorts), so any final floating-point reduction runs
-/// in unit order regardless of the shard split — the association-
-/// invariance trick behind the campaign determinism contract.
+/// merge_from() appends in place when every unit of the other side
+/// follows this one's, and merge-sorts otherwise), so any final
+/// floating-point reduction runs in unit order regardless of the shard
+/// split — the association-invariance trick behind the campaign
+/// determinism contract. Merging a unit both sides hold throws
+/// std::logic_error.
 class RecordAccumulator final : public IAccumulator {
  public:
   explicit RecordAccumulator(std::size_t width);
@@ -120,6 +128,7 @@ struct CampaignSpec {
   /// Directory for shard checkpoints; empty disables checkpointing.
   std::string checkpoint_dir;
   /// Units between periodic checkpoints (0 = checkpoint only on stop).
+  /// The file a stop leaves does not depend on this value.
   std::uint64_t checkpoint_every = 0;
   /// Cap on units processed PER SHARD in this invocation (0 = no cap).
   /// A capped run checkpoints and reports complete=false — the

@@ -6,16 +6,37 @@
 
 namespace gdelay::util {
 
+namespace {
+
+// Little-endian octets through shifts, so the bytes do not depend on the
+// host. Unrolled, GCC merges the eight byte stores (loads) into one word
+// access.
+void store_le64(char* p, std::uint64_t v) {
+#pragma GCC unroll 8
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>(v >> (8 * i));
+}
+
+std::uint64_t load_le64(const unsigned char* p) {
+  std::uint64_t v = 0;
+#pragma GCC unroll 8
+  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return v;
+}
+
+}  // namespace
+
 void ByteWriter::u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
 
 void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+  char b[4];
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>(v >> (8 * i));
+  buf_.append(b, 4);
 }
 
 void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+  char b[8];
+  store_le64(b, v);
+  buf_.append(b, 8);
 }
 
 void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
@@ -24,15 +45,22 @@ void ByteWriter::raw(const void* data, std::size_t n) {
   buf_.append(static_cast<const char*>(data), n);
 }
 
-void ByteWriter::vec_f64(const std::vector<double>& v) {
+// The count, then every element's 8 octets into a buffer grown once.
+template <class T>
+void ByteWriter::vec(const std::vector<T>& v) {
   u64(v.size());
-  for (double x : v) f64(x);
+  const std::size_t at = buf_.size();
+  buf_.resize(at + 8 * v.size());
+  char* p = buf_.data() + at;
+  for (const T x : v) {
+    store_le64(p, std::bit_cast<std::uint64_t>(x));
+    p += 8;
+  }
 }
 
-void ByteWriter::vec_u64(const std::vector<std::uint64_t>& v) {
-  u64(v.size());
-  for (std::uint64_t x : v) u64(x);
-}
+void ByteWriter::vec_f64(const std::vector<double>& v) { vec(v); }
+
+void ByteWriter::vec_u64(const std::vector<std::uint64_t>& v) { vec(v); }
 
 ByteReader::ByteReader(const void* data, std::size_t n)
     : p_(static_cast<const unsigned char*>(data)),
@@ -62,8 +90,8 @@ std::uint32_t ByteReader::u32() {
 
 std::uint64_t ByteReader::u64() {
   if (remaining() < 8) truncated("u64");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(*p_++) << (8 * i);
+  const std::uint64_t v = load_le64(p_);
+  p_ += 8;
   return v;
 }
 
@@ -75,22 +103,25 @@ void ByteReader::raw(void* out, std::size_t n) {
   p_ += n;
 }
 
-std::vector<double> ByteReader::vec_f64() {
+template <class T>
+std::vector<T> ByteReader::vec(const char* what) {
   const std::uint64_t n = u64();
-  if (n > remaining() / 8) truncated("vec_f64");
-  std::vector<double> v;
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(f64());
+  // Checked before sizing the vector, so a hostile count never allocates.
+  if (n > remaining() / 8) truncated(what);
+  std::vector<T> v(static_cast<std::size_t>(n));
+  const unsigned char* p = p_;
+  for (T& x : v) {
+    x = std::bit_cast<T>(load_le64(p));
+    p += 8;
+  }
+  p_ = p;
   return v;
 }
 
+std::vector<double> ByteReader::vec_f64() { return vec<double>("vec_f64"); }
+
 std::vector<std::uint64_t> ByteReader::vec_u64() {
-  const std::uint64_t n = u64();
-  if (n > remaining() / 8) truncated("vec_u64");
-  std::vector<std::uint64_t> v;
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(u64());
-  return v;
+  return vec<std::uint64_t>("vec_u64");
 }
 
 std::uint64_t fnv1a64(const void* data, std::size_t n, std::uint64_t seed) {

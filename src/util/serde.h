@@ -3,9 +3,13 @@
 // The campaign orchestrator persists partial accumulators (per-unit
 // record sets) so extreme-statistics runs can be sharded, killed, resumed
 // and merged. Everything here is byte-exact and host-independent:
-// integers are packed little-endian one octet at a time, doubles travel
-// as their IEEE-754 bit pattern, and a reader that runs past the end of
-// its buffer throws instead of fabricating state. Round-trip identity —
+// integers are packed little-endian by shifts, doubles travel as their
+// IEEE-754 bit pattern, and a reader that runs past the end of its buffer
+// throws instead of fabricating state. Vectors move whole: the writer
+// grows its buffer once per vector and the reader sizes the result once,
+// after checking the count against the bytes left, so a checkpoint costs
+// what its bytes cost. A vector's bytes are its u64 count followed by
+// each element exactly as u64()/f64() writes it. Round-trip identity —
 // save(load(save(x))) == save(x) — is the contract the checkpoint tests
 // pin.
 #pragma once
@@ -35,6 +39,9 @@ class ByteWriter {
   std::size_t size() const { return buf_.size(); }
 
  private:
+  template <class T>
+  void vec(const std::vector<T>& v);
+
   std::string buf_;
 };
 
@@ -59,6 +66,9 @@ class ByteReader {
   bool at_end() const { return p_ == end_; }
 
  private:
+  template <class T>
+  std::vector<T> vec(const char* what);
+
   const unsigned char* p_;
   const unsigned char* end_;
 };

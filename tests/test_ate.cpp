@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "ate/ate_channel.h"
 #include "ate/bus.h"
@@ -150,6 +151,17 @@ TEST(DutReceiver, IntersectionShrinksWindow) {
                                 sc.lead_in_ps, 40, 32);
   const auto both = ga::intersect_scans({sa, sb}, ui);
   EXPECT_LT(both.window_ps, std::min(sa.window_ps, sb.window_ps) * 0.6);
+}
+
+TEST(DutReceiver, IntersectionRejectsScansWithoutPointsAndBadUi) {
+  // 0 points would make the window 0 * ui / 0: NaN, not a width.
+  EXPECT_THROW(ga::intersect_scans({ga::PhaseScan{}, ga::PhaseScan{}}, 100.0),
+               std::invalid_argument);
+  ga::PhaseScan scan;
+  scan.points.resize(4);
+  EXPECT_NO_THROW(ga::intersect_scans({scan}, 100.0));
+  for (const double ui : {0.0, -100.0})
+    EXPECT_THROW(ga::intersect_scans({scan}, ui), std::invalid_argument) << ui;
 }
 
 TEST(DeskewController, EndToEndMeetsSkewRequirement) {

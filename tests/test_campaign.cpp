@@ -4,13 +4,15 @@
 // (serial / thread) and ANY resume point — plus the guard rails around
 // it: checkpoints from a different spec or topology, corrupt checkpoint
 // files and swapped shard files are rejected, the frame layer refuses
-// truncated or bit-flipped bytes outright, and the RecordAccumulator
-// restores unit order across merges so floating-point reductions stay
-// associative by construction.
+// truncated or bit-flipped bytes outright, seeded mutants of a real
+// payload either throw or round-trip, and the RecordAccumulator restores
+// unit order across merges so floating-point reductions stay associative
+// by construction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -181,6 +183,52 @@ TEST(RecordAccumulator, SaveLoadSaveIsIdentity) {
   EXPECT_EQ(w2.bytes(), w1.bytes());
 }
 
+namespace {
+
+// One width-2 record per unit in [begin, end), its values a function of
+// the unit.
+gcp::RecordAccumulator records(std::uint64_t begin, std::uint64_t end) {
+  gcp::RecordAccumulator acc(2);
+  for (std::uint64_t u = begin; u < end; ++u) {
+    const double row[2] = {0.5 * static_cast<double>(u),
+                           -static_cast<double>(u * u)};
+    acc.add(u, row);
+  }
+  return acc;
+}
+
+std::string saved(const gcp::RecordAccumulator& acc) {
+  ByteWriter w;
+  acc.save(w);
+  return w.take();
+}
+
+}  // namespace
+
+TEST(RecordAccumulator, InPlaceMergeOfOrderedShardsMatchesOneAccumulator) {
+  const std::string whole = saved(records(0, 30));
+  // Contiguous shards in shard order, merged into an empty accumulator,
+  // with empty shards between and after them: every merge appends.
+  gcp::RecordAccumulator merged(2);
+  const std::uint64_t cuts[][2] = {{0, 10}, {10, 10}, {10, 25}, {25, 30},
+                                   {30, 30}};
+  for (const auto& c : cuts) merged.merge_from(records(c[0], c[1]));
+  EXPECT_EQ(saved(merged), whole);
+
+  // A later shard that receives an earlier one takes the merge-sort path
+  // and lands in the same bytes.
+  gcp::RecordAccumulator late = records(12, 30);
+  late.merge_from(records(0, 12));
+  EXPECT_EQ(saved(late), whole);
+}
+
+TEST(RecordAccumulator, DuplicateUnitAtTheShardBoundaryThrows) {
+  gcp::RecordAccumulator a = records(0, 10);
+  EXPECT_THROW(a.merge_from(records(9, 20)), std::logic_error);
+  EXPECT_EQ(saved(a), saved(records(0, 10)));  // left as it was
+  EXPECT_THROW(a.merge_from(a), std::logic_error);
+}
+
 // ---------------------------------------------------------------------------
 // The determinism contract
 // ---------------------------------------------------------------------------
@@ -302,6 +350,82 @@ TEST(CampaignCheckpoint, SwappedShardFilesAreRejected) {
   gcp::remove_checkpoints(spec);
 }
 
+namespace {
+
+// Every shard file of `spec`, concatenated in shard order.
+std::string shard_files(const gcp::CampaignSpec& spec) {
+  std::string all;
+  for (std::size_t s = 0; s < spec.n_shards; ++s)
+    all += gcp::read_file(gcp::shard_checkpoint_path(spec, s)).value();
+  return all;
+}
+
+// The `resumed` byte of a shard file. Payload: u64 fingerprint, u32
+// shard, u64 next_unit, u8 resumed, ...
+bool resumed_flag(const gcp::CampaignSpec& spec, std::size_t shard) {
+  const std::string file =
+      gcp::read_file(gcp::shard_checkpoint_path(spec, shard)).value();
+  const std::string payload = gcp::unframe(file, gcp::kFrameShardState);
+  ByteReader r(payload);
+  r.u64();
+  r.u32();
+  r.u64();
+  return r.u8() != 0;
+}
+
+}  // namespace
+
+TEST(CampaignCheckpoint, StoppedShardFileDoesNotDependOnCheckpointEvery) {
+  // A stop at 10 units per shard lands on a periodic save when every = 5
+  // (the final save is skipped), between saves when every = 3, and every
+  // = 0 writes only the final save: all three leave the same files.
+  const std::uint64_t ref = run_hash(1, gcp::Mode::kSerial);
+  std::vector<std::string> files;
+  for (const std::uint64_t every : {5u, 3u, 0u}) {
+    gcp::CampaignSpec spec = base_spec(2, gcp::Mode::kSerial);
+    spec.checkpoint_dir = ::testing::TempDir() + "gdelay_campaign_every" +
+                          std::to_string(every);
+    spec.checkpoint_every = every;
+    spec.stop_after_units = 10;
+    gcp::remove_checkpoints(spec);  // no state left by an aborted run
+    const gcp::CampaignResult part =
+        gcp::run_campaign(spec, make_accs, unit_work);
+    EXPECT_FALSE(part.complete);
+    files.push_back(shard_files(spec));
+
+    spec.stop_after_units = 0;
+    const gcp::CampaignResult full =
+        gcp::run_campaign(spec, make_accs, unit_work);
+    EXPECT_TRUE(full.resumed);
+    EXPECT_EQ(hash_accs(full.accumulators), ref) << "every " << every;
+    gcp::remove_checkpoints(spec);
+  }
+  EXPECT_EQ(files[1], files[0]);
+  EXPECT_EQ(files[2], files[0]);
+}
+
+TEST(CampaignCheckpoint, ResumingACompleteShardRewritesItsResumedByte) {
+  // Each shard's range end lands on a periodic save, whose file then
+  // already holds the final state. A rerun resumes both complete shards,
+  // runs no unit, and must still re-write each file: the resumed byte
+  // differs.
+  gcp::CampaignSpec spec = base_spec(2, gcp::Mode::kSerial);
+  spec.checkpoint_dir = ::testing::TempDir() + "gdelay_campaign_complete";
+  spec.checkpoint_every = 5;
+  gcp::remove_checkpoints(spec);  // no state left by an aborted run
+  gcp::run_campaign(spec, make_accs, unit_work);
+  for (std::size_t s = 0; s < 2; ++s) EXPECT_FALSE(resumed_flag(spec, s));
+
+  const gcp::CampaignResult again =
+      gcp::run_campaign(spec, make_accs, unit_work);
+  EXPECT_TRUE(again.complete);
+  EXPECT_TRUE(again.resumed);
+  EXPECT_EQ(again.units_done, kUnits);
+  EXPECT_EQ(hash_accs(again.accumulators), run_hash(1, gcp::Mode::kSerial));
+  for (std::size_t s = 0; s < 2; ++s) EXPECT_TRUE(resumed_flag(spec, s)) << s;
+  gcp::remove_checkpoints(spec);
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint frames (envelope + checksum + atomic files)
 // ---------------------------------------------------------------------------
@@ -364,4 +488,86 @@ TEST(CheckpointFile, AtomicWriteCreatesParentsAndRoundTrips) {
   EXPECT_TRUE(gcp::remove_file(path));
   EXPECT_FALSE(gcp::remove_file(path));
   EXPECT_FALSE(gcp::read_file(path).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation fuzzing of the checkpoint parsers
+// ---------------------------------------------------------------------------
+
+TEST(CheckpointFuzz, SeededMutationsThrowOrRoundTrip) {
+  // A real RecordAccumulator payload: u32 kind, u64 width, u64 unit
+  // count, the units, u64 value count, the values.
+  gcp::RecordAccumulator src(3);
+  Rng values(9);
+  for (std::uint64_t u = 0; u < 17; ++u) {
+    const double row[3] = {values.gaussian(), values.uniform(), -1.0};
+    src.add(3 * u, row);
+  }
+  ByteWriter w;
+  src.save(w);
+  const std::string payload = w.take();
+  const std::size_t fields[3] = {4, 12, 20 + 8 * src.size()};
+  const std::uint64_t specials[] = {
+      0, 1, 2, 3, 16, 17, 18, 50, 51, 52, std::uint64_t{1} << 32,
+      (std::uint64_t{1} << 61) + 1, std::uint64_t{1} << 63, ~std::uint64_t{0}};
+
+  // Each mutant travels inside a valid frame, so unframe() hands it to
+  // the parser, which must throw std::runtime_error or load a state whose
+  // save() is exactly the bytes it consumed.
+  std::size_t loaded = 0, rejected = 0;
+  const auto check = [&](const std::string& mutant) {
+    const std::string body = gcp::unframe(
+        gcp::frame(gcp::kFrameShardState, mutant), gcp::kFrameShardState);
+    ByteReader r(body);
+    gcp::RecordAccumulator acc(3);
+    try {
+      acc.load(r);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      return;
+    }
+    ++loaded;
+    ByteWriter back;
+    acc.save(back);
+    EXPECT_EQ(back.bytes(), body.substr(0, body.size() - r.remaining()));
+  };
+
+  Rng rng(0x5eedf022);
+  constexpr int kMutants = 5000;
+  for (int i = 0; i < kMutants; ++i) {  // byte flips
+    std::string m = payload;
+    const std::uint64_t flips = 1 + rng.below(4);
+    for (std::uint64_t f = 0; f < flips; ++f)
+      m[rng.below(m.size())] ^= static_cast<char>(1 + rng.below(255));
+    check(m);
+  }
+  for (int i = 0; i < kMutants; ++i)  // truncations
+    check(payload.substr(0, rng.below(payload.size())));
+  for (int i = 0; i < kMutants; ++i) {  // width and count overwrites
+    std::string m = payload;
+    const std::size_t at = fields[rng.below(3)];
+    const std::uint64_t v =
+        rng.bit() ? specials[rng.below(std::size(specials))] : rng.next_u64();
+    for (int b = 0; b < 8; ++b) m[at + b] = static_cast<char>(v >> (8 * b));
+    check(m);
+  }
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_EQ(loaded + rejected, 3u * kMutants);
+
+  // The frame itself: any flip in its header, or any truncation, is
+  // rejected before a parser runs.
+  const std::string framed = gcp::frame(gcp::kFrameShardState, payload);
+  for (std::size_t i = 0; i < 4 + 4 + 4 + 8; ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string m = framed;
+      m[i] = static_cast<char>(m[i] ^ (1 << bit));
+      EXPECT_THROW(gcp::unframe(m, gcp::kFrameShardState), std::runtime_error)
+          << "byte " << i << " bit " << bit;
+    }
+  }
+  for (std::size_t keep = 0; keep < framed.size(); ++keep)
+    EXPECT_THROW(gcp::unframe(framed.substr(0, keep), gcp::kFrameShardState),
+                 std::runtime_error)
+        << "kept " << keep;
 }

@@ -215,6 +215,8 @@ TEST(NanRangeChecks, EveryConstructorAndSetterRejectsNaN) {
   tail.n_samples = 1;
   Rng rng(1);
   const std::vector<gm::IsBerPoint> curve(2);
+  ga::PhaseScan scan;
+  scan.points.resize(4);
   const std::vector<std::pair<const char*, std::function<void()>>> cases = {
       {"SinglePoleFilter", [&] { gan::SinglePoleFilter{nan}; }},
       {"SlewRateLimiter slew", [&] { gan::SlewRateLimiter{nan}; }},
@@ -249,6 +251,7 @@ TEST(NanRangeChecks, EveryConstructorAndSetterRejectsNaN) {
       {"plan_clock f", [&] { gs::plan_clock(nan, 4, gs::SynthConfig{}); }},
       {"scan_phase ui",
        [&] { (void)ga::DutReceiver().scan_phase(wf, {1, 0}, nan, 0.0, 4); }},
+      {"intersect_scans ui", [&] { (void)ga::intersect_scans({scan}, nan); }},
       {"analyze_jitter ui", [&] { gm::analyze_jitter({1.0, 2.0}, nan); }},
       {"measure_phase_delay ui", [&] { gm::measure_phase_delay(wf, wf, nan); }},
       {"measure_fine_range_periodic ui",

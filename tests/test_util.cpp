@@ -1,10 +1,15 @@
 // Tests for util: units, RNG, curves, serde.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/csv.h"
 #include "util/curve.h"
@@ -261,4 +266,51 @@ TEST(Serde, VectorCountPastTheBufferIsATruncatedRead) {
     else
       EXPECT_THROW(r.vec_u64(), std::runtime_error);
   }
+}
+
+TEST(Serde, VectorsAreLittleEndianWordsBitForBit) {
+  // Values whose bit patterns a byte-order, sign or NaN-quieting slip
+  // would change: distinct bytes, all ones, -0.0, a negative NaN with a
+  // payload, a denormal with distinct bytes. A leading u8 puts the
+  // vectors at an odd offset.
+  const std::vector<std::uint64_t> u = {0x0102030405060708ULL, ~0ULL, 0};
+  const std::vector<double> f = {
+      -0.0, std::bit_cast<double>(0xfff80000deadbeefULL),
+      std::bit_cast<double>(0x000123456789abcdULL), 1.0};
+  gu::ByteWriter w;
+  w.u8(0xaa);
+  w.vec_u64(u);
+  w.vec_f64(f);
+  w.vec_u64({});
+
+  const auto bytes = [](std::initializer_list<unsigned> b) {
+    std::string s;
+    for (unsigned x : b) s.push_back(static_cast<char>(x));
+    return s;
+  };
+  const std::string expect =
+      bytes({0xaa}) +
+      bytes({3, 0, 0, 0, 0, 0, 0, 0}) +  // u64 count
+      bytes({8, 7, 6, 5, 4, 3, 2, 1}) +
+      bytes({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) +
+      bytes({0, 0, 0, 0, 0, 0, 0, 0}) +
+      bytes({4, 0, 0, 0, 0, 0, 0, 0}) +  // f64 count
+      bytes({0, 0, 0, 0, 0, 0, 0, 0x80}) +
+      bytes({0xef, 0xbe, 0xad, 0xde, 0, 0, 0xf8, 0xff}) +
+      bytes({0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01, 0}) +
+      bytes({0, 0, 0, 0, 0, 0, 0xf0, 0x3f}) +
+      bytes({0, 0, 0, 0, 0, 0, 0, 0});  // empty vector
+  EXPECT_EQ(w.bytes(), expect);
+
+  gu::ByteReader r(expect);
+  EXPECT_EQ(r.u8(), 0xaau);
+  EXPECT_EQ(r.vec_u64(), u);
+  const std::vector<double> back = r.vec_f64();
+  ASSERT_EQ(back.size(), f.size());
+  for (std::size_t i = 0; i < f.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back[i]),
+              std::bit_cast<std::uint64_t>(f[i]))
+        << i;
+  EXPECT_TRUE(r.vec_u64().empty());
+  EXPECT_TRUE(r.at_end());
 }
