@@ -4,14 +4,14 @@
 #include <stdexcept>
 
 #include "measure/delay_meter.h"
+#include "measure/stats.h"
 #include "signal/edges.h"
 #include "util/units.h"
 
 namespace gdelay::ate {
 
 CdrReceiver::CdrReceiver(const CdrConfig& cfg) : cfg_(cfg) {
-  if (!(cfg.ui_ps > 0.0))
-    throw std::invalid_argument("CdrReceiver: ui must be > 0");
+  meas::require_ui(cfg.ui_ps, "CdrReceiver");
   if (!(cfg.gain > 0.0 && cfg.gain <= 1.0))
     throw std::invalid_argument("CdrReceiver: gain must be in (0, 1]");
 }

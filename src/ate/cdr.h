@@ -23,6 +23,8 @@
 namespace gdelay::ate {
 
 struct CdrConfig {
+  /// Unit interval; CdrReceiver's constructor throws
+  /// std::invalid_argument unless it is finite and > 0.
   double ui_ps = 156.25;
   /// Per-edge proportional gain (dimensionless). With PRBS data (edge
   /// density ~0.5/UI) loop bandwidth ~= gain / (4 pi UI).

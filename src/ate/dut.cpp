@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "measure/stats.h"
 #include "signal/edges.h"
 
 namespace gdelay::ate {
@@ -84,7 +85,7 @@ PhaseScan DutReceiver::scan_phase(const sig::Waveform& wf,
                                   double ui_ps, double t_first_ps,
                                   std::size_t n_strobes,
                                   std::size_t n_phase_points) const {
-  if (!(ui_ps > 0.0)) throw std::invalid_argument("scan_phase: ui must be > 0");
+  meas::require_ui(ui_ps, "scan_phase");
   if (n_phase_points < 2)
     throw std::invalid_argument("scan_phase: need >= 2 phase points");
 
@@ -114,8 +115,7 @@ PhaseScan DutReceiver::scan_phase(const sig::Waveform& wf,
 
 PhaseScan intersect_scans(const std::vector<PhaseScan>& scans, double ui_ps) {
   if (scans.empty()) throw std::invalid_argument("intersect_scans: empty");
-  if (!(ui_ps > 0.0))
-    throw std::invalid_argument("intersect_scans: ui must be > 0");
+  meas::require_ui(ui_ps, "intersect_scans");
   const std::size_t n = scans.front().points.size();
   if (n == 0)
     throw std::invalid_argument("intersect_scans: scans have no phase points");

@@ -56,7 +56,9 @@ class DutReceiver {
                                            int max_shift = 8);
 
   /// Sweeps the strobe phase over one UI. Strobes are placed at
-  /// t_first + phase + k*ui for k in [0, n_strobes).
+  /// t_first + phase + k*ui for k in [0, n_strobes). Throws
+  /// std::invalid_argument unless `ui_ps` is finite and > 0 and there
+  /// are at least 2 phase points.
   PhaseScan scan_phase(const sig::Waveform& wf,
                        const sig::BitPattern& expected, double ui_ps,
                        double t_first_ps, std::size_t n_strobes,
@@ -70,7 +72,7 @@ class DutReceiver {
 /// channel passes there. Returns the combined scan (phases must match).
 /// Throws std::invalid_argument, as scan_phase() does, when `scans` is
 /// empty, the scans have no phase points or differ in point count, or
-/// `ui_ps` is not > 0 (NaN included).
+/// `ui_ps` is not finite and > 0.
 PhaseScan intersect_scans(const std::vector<PhaseScan>& scans, double ui_ps);
 
 }  // namespace gdelay::ate

@@ -1,10 +1,12 @@
 // Lane-batched multi-device measurement.
 //
 // The serial-by-contract recursions (slew limiting, the VGA droop tail)
-// cap what SIMD can do for a single stream: a loop-carried nonlinear
-// dependence cannot vectorize along time. But the repo's dominant
-// workloads — Monte-Carlo matching trials, calibration Vctrl sweeps,
-// board channels — are embarrassingly parallel across DEVICES.
+// cannot vectorize along time: a loop-carried nonlinear dependence. A
+// single stream overlaps only what its own fine line offers, the four
+// stages run as a wavefront (core::FineDelayLine::process_lanes). But
+// the repo's dominant workloads — Monte-Carlo matching trials,
+// calibration Vctrl sweeps, board channels — are embarrassingly
+// parallel across DEVICES.
 // run_lanes() exploits that: it transposes each chunk of the shared
 // stimulus into an interleaved time-major layout buf[i*w + s], runs it
 // through the devices' own lane pass (VariableDelayChannel::process_lanes

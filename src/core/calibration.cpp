@@ -7,6 +7,7 @@
 
 #include "core/batch.h"
 #include "measure/delay_meter.h"
+#include "measure/stats.h"
 
 namespace gdelay::core {
 namespace {
@@ -218,8 +219,7 @@ double DelayCalibrator::measure_fine_range_periodic(
     int n_steps) const {
   if (n_steps < 1)
     throw std::invalid_argument("measure_fine_range_periodic: n_steps >= 1");
-  if (!(ui_ps > 0.0))
-    throw std::invalid_argument("measure_fine_range_periodic: ui must be > 0");
+  meas::require_ui(ui_ps, "measure_fine_range_periodic");
   const auto opts = meter_options(opt_.settle_ps);
 
   // Phase at every sweep point is an independent measurement; only the

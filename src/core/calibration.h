@@ -100,8 +100,8 @@ class DelayCalibrator {
   /// Figs. 14/15), where edge-order pairing is ambiguous. Sweeps Vctrl in
   /// `n_steps` increments and accumulates phase deltas wrapped into half a
   /// UI — exact as long as each increment moves the delay by < ui/2.
-  /// Throws std::invalid_argument for n_steps < 1 or ui_ps <= 0 before
-  /// any device runs.
+  /// Throws std::invalid_argument for n_steps < 1 or a ui_ps that is not
+  /// finite and > 0, before any device runs.
   double measure_fine_range_periodic(const FineDelayLine& line,
                                      const sig::Waveform& stimulus,
                                      double ui_ps, int n_steps = 8) const;

@@ -80,9 +80,14 @@ class FineDelayLine {
     analog::solo_block(this, in, vctrl, out, n, dt_ps);
   }
 
-  /// The lane pass (see analog/element.h), stage-major: the whole block
-  /// through each stage in turn. `vctrl` is interleaved like `in` (or
-  /// nullptr). Every line must have the same stage count.
+  /// The lane pass (see analog/element.h). Below four lines the stages
+  /// run as a wavefront over 64-sample sub-blocks, stage k on sub-block
+  /// t - k at step t, each step one VGA lane pass over every (line,
+  /// stage) pair, so the serial recursions of different stages overlap;
+  /// from four lines on (and for one stage), the whole block goes through
+  /// each stage in turn.
+  /// No byte depends on the schedule. `vctrl` is interleaved like `in`
+  /// (or nullptr). Every line must have the same stage count.
   static void process_lanes(FineDelayLine* const* f, std::size_t w,
                             const double* in, const double* vctrl,
                             double* out, std::size_t n, double dt_ps);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "measure/stats.h"
 #include "util/fastmath.h"
 
 namespace gdelay::meas {
@@ -28,7 +29,7 @@ double ber_at(double x, double ui, double sigma, double dj, double rho) {
 std::vector<BathtubPoint> bathtub_curve(double ui_ps, double rj_rms_ps,
                                         double dj_pp_ps,
                                         const BathtubOptions& opt) {
-  if (!(ui_ps > 0.0)) throw std::invalid_argument("bathtub: ui must be > 0");
+  require_ui(ui_ps, "bathtub");
   if (!(rj_rms_ps > 0.0))
     throw std::invalid_argument("bathtub: rj must be > 0");
   if (!(dj_pp_ps >= 0.0))
@@ -56,6 +57,7 @@ std::vector<BathtubPoint> bathtub_curve(const JitterReport& report,
 
 double eye_opening_at_ber(double ui_ps, double rj_rms_ps, double dj_pp_ps,
                           double target_ber, double transition_density) {
+  require_ui(ui_ps, "eye_opening_at_ber");
   if (!(target_ber > 0.0 && target_ber < 1.0))
     throw std::invalid_argument("eye_opening_at_ber: BER in (0,1) required");
   if (!(rj_rms_ps >= 0.0))
@@ -162,6 +164,7 @@ std::pair<double, double> is_tail_probability(
 
 double ber_at_phase(double x_ps, double ui_ps, double rj_rms_ps,
                     const DjDistribution& dj, double transition_density) {
+  require_ui(ui_ps, "ber_at_phase");
   if (!(rj_rms_ps > 0.0))
     throw std::invalid_argument("ber_at_phase: rj must be > 0");
   const std::vector<double> w = normalized_weights(dj);
@@ -178,8 +181,7 @@ std::vector<IsBerPoint> importance_sampled_bathtub(double ui_ps,
                                                    const DjDistribution& dj,
                                                    const TailSimOptions& opt,
                                                    util::Rng& rng) {
-  if (!(ui_ps > 0.0))
-    throw std::invalid_argument("is_bathtub: ui must be > 0");
+  require_ui(ui_ps, "is_bathtub");
   if (!(rj_rms_ps > 0.0))
     throw std::invalid_argument(
         "is_bathtub: rj must be > 0 (pure-DJ channels are analytic)");
@@ -215,6 +217,7 @@ std::vector<IsBerPoint> importance_sampled_bathtub(double ui_ps,
 
 double is_eye_opening_at_ber(const std::vector<IsBerPoint>& curve,
                              double ui_ps, double target_ber) {
+  require_ui(ui_ps, "is_eye_opening");
   if (curve.size() < 2)
     throw std::invalid_argument("is_eye_opening: need >= 2 curve points");
   if (!(target_ber > 0.0 && target_ber < 1.0))

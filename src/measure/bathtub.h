@@ -35,7 +35,9 @@ struct BathtubOptions {
 double q_function(double z);
 
 /// The full bathtub across one UI from a jitter decomposition.
-/// `rj_rms_ps` must be > 0; `dj_pp_ps` >= 0.
+/// `ui_ps` must be finite and > 0, `rj_rms_ps` > 0 and `dj_pp_ps` >= 0
+/// (std::invalid_argument otherwise). Every function below that takes a
+/// `ui_ps` checks it the same way.
 std::vector<BathtubPoint> bathtub_curve(double ui_ps, double rj_rms_ps,
                                         double dj_pp_ps,
                                         const BathtubOptions& opt = {});

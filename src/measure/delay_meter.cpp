@@ -108,16 +108,14 @@ double measure_phase_delay(const sig::Waveform& reference,
                            const sig::Waveform& output, double ui_ps,
                            const DelayMeterOptions& opt) {
   check_options(opt, "measure_phase_delay");
-  if (!(ui_ps > 0.0))
-    throw std::invalid_argument("measure_phase_delay: ui must be > 0");
+  require_ui(ui_ps, "measure_phase_delay");
   return phase_delay_edges(delay_edges(reference, opt),
                            delay_edges(output, opt), ui_ps);
 }
 
 double phase_delay_edges(const std::vector<sig::Edge>& reference,
                          const std::vector<sig::Edge>& output, double ui_ps) {
-  if (!(ui_ps > 0.0))
-    throw std::invalid_argument("phase_delay_edges: ui must be > 0");
+  require_ui(ui_ps, "phase_delay_edges");
   if (reference.empty() || output.empty())
     throw std::runtime_error("phase_delay_edges: no edges");
 

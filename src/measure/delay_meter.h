@@ -70,14 +70,15 @@ DelayMeasurement measure_delay_edges(const std::vector<sig::Edge>& reference,
 /// modulo the UI, but differences between settings — which is what range
 /// and transfer-curve measurements need — unwrap correctly as long as
 /// each step moves the delay by less than half a UI. Rejects non-finite
-/// options like measure_delay: phase_delay_edges() of both traces'
-/// delay_edges().
+/// options like measure_delay, and a `ui_ps` that is not finite and > 0:
+/// phase_delay_edges() of both traces' delay_edges().
 double measure_phase_delay(const sig::Waveform& reference,
                            const sig::Waveform& output, double ui_ps,
                            const DelayMeterOptions& opt = {});
 
 /// The edge half of measure_phase_delay(). Throws std::invalid_argument
-/// unless ui_ps > 0 and std::runtime_error if either sequence is empty.
+/// unless ui_ps is finite and > 0, and std::runtime_error if either
+/// sequence is empty.
 double phase_delay_edges(const std::vector<sig::Edge>& reference,
                          const std::vector<sig::Edge>& output, double ui_ps);
 

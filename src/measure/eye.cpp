@@ -17,7 +17,7 @@ EyeDiagram::EyeDiagram(double ui_ps, double v_min, double v_max,
       cols_(cols),
       rows_(rows),
       grid_(cols * rows, 0) {
-  if (!(ui_ps > 0.0)) throw std::invalid_argument("EyeDiagram: ui must be > 0");
+  require_ui(ui_ps, "EyeDiagram");
   if (!(v_max > v_min)) throw std::invalid_argument("EyeDiagram: v range empty");
   if (cols < 2 || rows < 2) throw std::invalid_argument("EyeDiagram: raster too small");
 }

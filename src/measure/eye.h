@@ -30,7 +30,8 @@ struct EyeMetrics {
 class EyeDiagram {
  public:
   /// Raster of `cols` x `rows` covering 2 UI horizontally and
-  /// [v_min, v_max] vertically.
+  /// [v_min, v_max] vertically. Throws std::invalid_argument unless
+  /// `ui_ps` is finite and > 0, v_max > v_min and both sizes are >= 2.
   EyeDiagram(double ui_ps, double v_min, double v_max, std::size_t cols = 96,
              std::size_t rows = 32);
 

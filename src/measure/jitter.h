@@ -25,7 +25,8 @@ struct JitterReport {
 
 /// Analyzes crossing instants against a UI grid of period `ui_ps`.
 /// Edges may be an arbitrary mix of rising and falling as long as both
-/// land on the same grid (true for NRZ and for 50 %-duty clocks).
+/// land on the same grid (true for NRZ and for 50 %-duty clocks). Throws
+/// std::invalid_argument unless `ui_ps` is finite and > 0.
 JitterReport analyze_jitter(const std::vector<double>& crossing_times_ps,
                             double ui_ps);
 

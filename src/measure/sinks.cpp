@@ -99,9 +99,7 @@ sig::EdgeExtractOptions extract_options(const JitterMeasureOptions& opt) {
 
 JitterSink::JitterSink(double ui_ps, const JitterMeasureOptions& opt)
     : ui_ps_(ui_ps), edge_sink_(extract_options(opt), opt.settle_ps) {
-  require_finite(ui_ps, "JitterSink", "ui_ps");
-  if (!(ui_ps > 0.0))
-    throw std::invalid_argument("JitterSink: ui_ps must be > 0");
+  require_ui(ui_ps, "JitterSink");
 }
 
 void JitterSink::begin(double t0_ps, double dt_ps, std::size_t total_n) {

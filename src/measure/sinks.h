@@ -127,7 +127,8 @@ class EdgeSink final : public ISampleSink {
 };
 
 /// Single-pass jitter measurement; finish() produces the same JitterReport
-/// as measure_jitter() on the materialized trace.
+/// as measure_jitter() on the materialized trace. The constructor throws
+/// std::invalid_argument unless `ui_ps` is finite and > 0.
 class JitterSink final : public ISampleSink {
  public:
   JitterSink(double ui_ps, const JitterMeasureOptions& opt = {});

@@ -13,6 +13,12 @@ void require_finite(double v, const char* caller, const char* field) {
                                 " must be finite");
 }
 
+void require_ui(double ui_ps, const char* caller) {
+  if (!(std::isfinite(ui_ps) && ui_ps > 0.0))
+    throw std::invalid_argument(std::string(caller) +
+                                ": ui_ps must be finite and > 0");
+}
+
 Summary summarize(const std::vector<double>& xs) {
   Summary s;
   if (xs.empty()) return s;

@@ -31,4 +31,10 @@ double quantile(std::vector<double> xs, double q);
 /// otherwise extract no edges, or fold the lead-in, without an error.
 void require_finite(double v, const char* caller, const char* field);
 
+/// Throws std::invalid_argument "<caller>: ui_ps must be finite and > 0"
+/// unless `ui_ps` is. Every entry point that takes a unit interval checks
+/// it with this: a check written `!(ui_ps > 0)` rejects NaN but lets +Inf
+/// through, which turns every phase into NaN and every window into Inf.
+void require_ui(double ui_ps, const char* caller);
+
 }  // namespace gdelay::meas

@@ -14,7 +14,9 @@
 // Devices without a lane pass run the same grid at width 1 through
 // process_block(). Any tolerance here would defeat the point: the
 // calibration tables, the streaming pipeline, the batched sweeps and the
-// deterministic parallel campaigns all rely on it. The
+// deterministic parallel campaigns all rely on it. The fine line's stage
+// schedule is also checked against an independent reference, its parts
+// run stage-major by hand. The
 // BatchRunnerEquivalence tests at the end check the interleaver
 // (core::run_lanes) and the lane-group measurement path built on it
 // (core::lane_edges, the calibration sweeps) against solo runs.
@@ -398,6 +400,117 @@ TEST(BlockKernel, FineDelayLine) {
   EXPECT_EQ(line.vctrl(), 1.1);
   for (int st = 0; st < line.n_stages(); ++st)
     EXPECT_EQ(line.stage_vctrl(st), 1.1) << "stage " << st;
+}
+
+namespace {
+
+gc::FineDelayConfig fine_config(int stages) {
+  gc::FineDelayConfig c;
+  c.n_stages = stages;
+  return c;
+}
+
+double held_vctrl(std::size_t s) { return 0.1 + 0.15 * static_cast<double>(s); }
+
+// Stream s's line as the wavefront test builds it.
+gc::FineDelayLine wavefront_line(int stages, std::size_t s) {
+  gc::FineDelayLine line(fine_config(stages), Rng(31));
+  line.fork_noise(s);
+  line.set_vctrl(held_vctrl(s));
+  return line;
+}
+
+// The oracle for wavefront_line(stages, s): its parts built as
+// FineDelayLine's constructor builds them (the same Rng forks, in the
+// same order), then each run over the whole stream through its own
+// process_block(), one stage after another, before the output buffer.
+// With `vctrl`, every stage reads the stage-0 map of each sample.
+std::vector<double> stage_major(int stages, std::size_t s,
+                                const std::vector<double>& in,
+                                const std::vector<double>* vctrl, double dt) {
+  const gc::FineDelayConfig cfg = fine_config(stages);
+  Rng rng(31);
+  ga::LimitingBuffer out(cfg.output_stage, rng.fork(999));
+  std::vector<ga::VariableGainBuffer> vga;
+  for (int k = 0; k < stages; ++k)
+    vga.emplace_back(cfg.stage, rng.fork(static_cast<std::uint64_t>(k)));
+  std::vector<double> x = in, amp;
+  if (vctrl != nullptr)
+    for (double v : *vctrl) amp.push_back(vga[0].amplitude_for(v));
+  for (auto& st : vga) {
+    st.fork_noise(s);
+    st.set_vctrl(held_vctrl(s));
+    st.process_block(x.data(), vctrl != nullptr ? amp.data() : nullptr,
+                     x.data(), x.size(), dt);
+  }
+  out.fork_noise(s);
+  out.process_block(x.data(), x.data(), x.size(), dt);
+  return x;
+}
+
+}  // namespace
+
+TEST(BlockKernel, FineDelayLineMatchesStageMajorReference) {
+  // Below four lines, FineDelayLine::process_lanes runs its stages as a
+  // wavefront over 64-sample sub-blocks; the result must be the bytes of
+  // running each stage over the whole stream in turn. Call lengths:
+  // single samples, a few, a prime, either side of one sub-block, a full
+  // block and the whole stream in one call, each in place and not, with
+  // a held and a per-sample Vctrl.
+  constexpr std::size_t kN = 1300;
+  constexpr double kDt = 0.25;
+  const std::size_t lengths[] = {1, 7, 97, 63, 65, 1024, kN};
+  const std::vector<std::size_t> widths{1, 2, 3, 4, 9};
+  for (const char* backend : backends()) {
+    BackendSelect sel(backend);
+    for (int stages : {1, 2, 4, 7}) {
+      for (bool modulated : {false, true}) {
+        std::vector<std::vector<double>> in, ctl, want;
+        for (std::size_t s = 0; s < widths.back(); ++s) {
+          in.push_back(stimulus(kN, s));
+          ctl.emplace_back(kN);
+          for (std::size_t i = 0; i < kN; ++i)
+            ctl[s][i] = 0.75 + 0.7 * std::sin(0.013 * static_cast<double>(i) *
+                                               static_cast<double>(s + 1));
+          want.push_back(stage_major(stages, s, in[s],
+                                     modulated ? &ctl[s] : nullptr, kDt));
+        }
+        for (std::size_t w : widths) {
+          std::vector<double> ilv(kN * w), ictl(kN * w);
+          for (std::size_t s = 0; s < w; ++s)
+            for (std::size_t i = 0; i < kN; ++i) {
+              ilv[i * w + s] = in[s][i];
+              ictl[i * w + s] = ctl[s][i];
+            }
+          for (std::size_t len : lengths) {
+            for (bool in_place : {false, true}) {
+              std::vector<gc::FineDelayLine> lines;
+              for (std::size_t s = 0; s < w; ++s)
+                lines.push_back(wavefront_line(stages, s));
+              std::vector<gc::FineDelayLine*> ptrs;
+              for (auto& l : lines) ptrs.push_back(&l);
+              std::vector<double> buf = ilv, out(kN * w, -1.0);
+              double* dst = in_place ? buf.data() : out.data();
+              for (std::size_t o = 0; o < kN; o += len)
+                gc::FineDelayLine::process_lanes(
+                    ptrs.data(), w, buf.data() + o * w,
+                    modulated ? ictl.data() + o * w : nullptr, dst + o * w,
+                    std::min(len, kN - o), kDt);
+              if (!in_place) {
+                ASSERT_EQ(buf, ilv) << "input overwritten";
+              }
+              for (std::size_t j = 0; j < kN * w; ++j)
+                ASSERT_EQ(bits(want[j % w][j / w]), bits(dst[j]))
+                    << backend << " stages=" << stages << " w=" << w
+                    << " len=" << len << (modulated ? " per-sample" : " held")
+                    << (in_place ? " in place" : " out of place")
+                    << ": stream " << j % w << " sample " << j / w;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(BlockKernel, VariableDelayChannel) {

@@ -314,6 +314,92 @@ TEST(NanRangeChecks, SynthPlanRejectsNonFiniteOrOversizedConfigs) {
   EXPECT_THROW(gs::plan_nrz({0, 1, 0}, tiny_dt), std::invalid_argument);
 }
 
+TEST(NanRangeChecks, NonFiniteUiIsRejectedByEveryEntryPoint) {
+  // `!(ui > 0)` rejects NaN but not +Inf, which made scan windows and
+  // bathtub phases Inf or NaN; three BER functions checked no UI at all.
+  // Every entry point that takes a UI requires it finite and > 0.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  gs::SynthConfig sc;
+  sc.rate_gbps = 3.2;
+  const auto wf = gs::synthesize_nrz(gs::prbs(7, 48), sc).wf;
+  const auto edges = gm::delay_edges(wf);
+  const gm::DjDistribution dj = gm::dual_dirac_dj(1.0);
+  gm::TailSimOptions tail;
+  tail.n_points = 2;
+  tail.n_samples = 1;
+  Rng rng(1);
+  std::vector<gm::IsBerPoint> curve(3);
+  for (std::size_t i = 0; i < curve.size(); ++i) {
+    curve[i].phase_ps = 10.0 * static_cast<double>(i);
+    curve[i].ber = 0.1 / std::pow(1e4, static_cast<double>(i));
+  }
+  ga::PhaseScan scan;
+  scan.points.resize(4);
+  gc::FineDelayLine line(gc::FineDelayConfig{}, Rng(1));
+  struct Case {
+    const char* name;
+    double ui;
+    std::function<void(double)> run;
+  };
+  const std::vector<Case> cases = {
+      {"scan_phase", inf,
+       [&](double ui) {
+         (void)ga::DutReceiver().scan_phase(wf, gs::prbs(7, 48), ui, 0.0, 8, 8);
+       }},
+      {"intersect_scans", inf,
+       [&](double ui) { (void)ga::intersect_scans({scan}, ui); }},
+      {"analyze_jitter", inf,
+       [](double ui) { gm::analyze_jitter({1.0, 2.0}, ui); }},
+      {"measure_phase_delay", inf,
+       [&](double ui) { gm::measure_phase_delay(wf, wf, ui); }},
+      {"phase_delay_edges", inf,
+       [&](double ui) { gm::phase_delay_edges(edges, edges, ui); }},
+      {"measure_fine_range_periodic", inf,
+       [&](double ui) {
+         gc::DelayCalibrator().measure_fine_range_periodic(line, wf, ui, 1);
+       }},
+      {"bathtub_curve", inf, [](double ui) { gm::bathtub_curve(ui, 1.0, 0.0); }},
+      {"importance_sampled_bathtub", inf,
+       [&](double ui) {
+         gm::importance_sampled_bathtub(ui, 1.0, dj, tail, rng);
+       }},
+      {"EyeDiagram", inf, [](double ui) { gm::EyeDiagram(ui, -0.5, 0.5); }},
+      {"CdrReceiver", inf,
+       [](double ui) {
+         ga::CdrConfig cfg;
+         cfg.ui_ps = ui;
+         ga::CdrReceiver{cfg};
+       }},
+      {"eye_opening_at_ber", inf,
+       [](double ui) { gm::eye_opening_at_ber(ui, 1.0, 0.0, 1e-12); }},
+      {"eye_opening_at_ber", nan,
+       [](double ui) { gm::eye_opening_at_ber(ui, 1.0, 0.0, 1e-12); }},
+      {"ber_at_phase", inf,
+       [&](double ui) { gm::ber_at_phase(10.0, ui, 1.0, dj); }},
+      {"ber_at_phase", nan,
+       [&](double ui) { gm::ber_at_phase(10.0, ui, 1.0, dj); }},
+      {"is_eye_opening_at_ber", inf,
+       [&](double ui) { gm::is_eye_opening_at_ber(curve, ui, 1e-3); }},
+      {"is_eye_opening_at_ber", nan,
+       [&](double ui) { gm::is_eye_opening_at_ber(curve, ui, 1e-3); }},
+  };
+  for (const auto& c : cases) {
+    try {
+      c.run(c.ui);
+      ADD_FAILURE() << c.name << " accepted ui_ps = " << c.ui;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("ui_ps"), std::string::npos)
+          << c.name << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << c.name << " (ui_ps = " << c.ui << ") threw " << e.what();
+    }
+  }
+  // A finite UI still goes through.
+  EXPECT_GT(gm::eye_opening_at_ber(100.0, 1.0, 0.0, 1e-12), 0.0);
+  EXPECT_GT(gm::is_eye_opening_at_ber(curve, 100.0, 1e-3), 0.0);
+}
+
 TEST(NonFiniteOptions, MeasurementOptionsAreRejectedUpFront) {
   // A NaN or infinite settle window or threshold extracts no edges (or
   // folds the lead-in); every measurement entry point and sink rejects it
