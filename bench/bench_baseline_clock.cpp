@@ -15,7 +15,6 @@
 #include "ate/controller.h"
 #include "ate/dut.h"
 #include "bench/common.h"
-#include "core/clock_shifter.h"
 #include "signal/pattern.h"
 #include "util/rng.h"
 
@@ -55,12 +54,12 @@ int main() {
   double worst = 1e300;
   for (int i = 0; i < bc.n_channels; ++i) {
     // A DLL centers the strobe in this lane's eye; usable margin is the
-    // lane's own window (minus interpolator quantization).
-    core::ClockPhaseShifterConfig cc;
-    cc.period_ps = ui;
-    core::ClockPhaseShifter dll(cc, rng.fork(50 + static_cast<std::uint64_t>(i)));
+    // lane's own window minus one step of a 128-step phase interpolator.
+    // The lane's fork is taken though nothing draws from it: Rng::fork
+    // advances the parent, and the delay lines below draw from the parent.
+    rng.fork(50 + static_cast<std::uint64_t>(i));
     const double usable =
-        scans[static_cast<std::size_t>(i)].window_ps - dll.step_ps();
+        scans[static_cast<std::size_t>(i)].window_ps - ui / 128.0;
     worst = std::min(worst, usable);
     std::printf("  lane %d usable margin %5.1f ps\n", i, usable);
   }

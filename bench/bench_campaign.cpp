@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
     }
     mean /= static_cast<double>(v.size());
     const double rec[2] = {mean, peak};
-    static_cast<campaign::RecordAccumulator&>(*accs[0]).add(unit, rec);
+    accs[0]->add(unit, rec);
   };
 
   const auto base_spec = [&] {

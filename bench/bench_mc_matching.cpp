@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
         std::abs(resolution * (trial_rng.uniform() - 0.5)) +
         std::abs(rj / std::sqrt(96.0) * trial_rng.gaussian());
     const double rec[4] = {fine_range, total_range, resolution, err};
-    static_cast<campaign::RecordAccumulator&>(*accs[0]).add(unit, rec);
+    accs[0]->add(unit, rec);
   };
 
   const auto acc_hash = [](const campaign::CampaignResult& r) {
@@ -208,8 +208,7 @@ int main(int argc, char** argv) {
 
   // Tail statistics from the merged per-trial records (unit order, so the
   // reduction itself is shard-invariant).
-  const auto& recs =
-      static_cast<const campaign::RecordAccumulator&>(*last.accumulators[0]);
+  const campaign::RecordAccumulator& recs = *last.accumulators[0];
   std::vector<double> c_fine, c_total, c_err;
   c_fine.reserve(recs.size());
   c_total.reserve(recs.size());

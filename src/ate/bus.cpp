@@ -30,17 +30,6 @@ double AteBus::launch_skew_span_ps() const {
   return hi - lo;
 }
 
-std::vector<sig::SynthResult> AteBus::drive(
-    const std::vector<sig::BitPattern>& patterns) {
-  if (patterns.size() != channels_.size())
-    throw std::invalid_argument("AteBus::drive: pattern count mismatch");
-  std::vector<sig::SynthResult> out;
-  out.reserve(channels_.size());
-  for (std::size_t i = 0; i < channels_.size(); ++i)
-    out.push_back(channels_[i].drive(patterns[i]));
-  return out;
-}
-
 void AteBus::apply_native_deskew() {
   for (auto& ch : channels_)
     ch.program_delay_steps(-ch.steps_for(ch.static_skew_ps()));

@@ -33,10 +33,6 @@ class AteBus {
   /// Worst-case channel-to-channel launch skew at current programming.
   double launch_skew_span_ps() const;
 
-  /// Drives every channel with its own pattern (sizes must match).
-  std::vector<sig::SynthResult> drive(
-      const std::vector<sig::BitPattern>& patterns);
-
   /// ATE-native deskew pass: programs each channel's coarse steps to
   /// counteract its static skew as well as the ~100 ps resolution allows
   /// (the bottom half of Fig. 2 — good to +/- half a step, no better).

@@ -1,6 +1,5 @@
 #include "campaign/campaign.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -70,40 +69,16 @@ void RecordAccumulator::load(util::ByteReader& r) {
   values_ = std::move(values);
 }
 
-void RecordAccumulator::merge_from(const IAccumulator& other) {
-  const auto* o = dynamic_cast<const RecordAccumulator*>(&other);
-  if (!o) throw std::logic_error("RecordAccumulator: merge type mismatch");
-  if (o->width_ != width_)
+void RecordAccumulator::merge_from(const RecordAccumulator& other) {
+  if (other.width_ != width_)
     throw std::logic_error("RecordAccumulator: merge width mismatch");
-  if (o->units_.empty()) return;
-  // Every unit of the other side follows ours — as in every merge of
-  // contiguous shards in shard order: append in place.
-  if (units_.empty() || units_.back() < o->units_.front()) {
-    units_.insert(units_.end(), o->units_.begin(), o->units_.end());
-    values_.insert(values_.end(), o->values_.begin(), o->values_.end());
-    return;
-  }
-  // Otherwise merge-sort by unit id so the combined record list is in unit
-  // order no matter how the campaign was sharded or resumed.
-  std::vector<std::uint64_t> units;
-  std::vector<double> values;
-  units.reserve(units_.size() + o->units_.size());
-  values.reserve(values_.size() + o->values_.size());
-  std::size_t a = 0, b = 0;
-  while (a < units_.size() || b < o->units_.size()) {
-    const bool take_a = b >= o->units_.size() ||
-                        (a < units_.size() && units_[a] < o->units_[b]);
-    const RecordAccumulator& src = take_a ? *this : *o;
-    std::size_t& i = take_a ? a : b;
-    if (!units.empty() && src.units_[i] == units.back())
-      throw std::logic_error("RecordAccumulator: merge with duplicate unit");
-    units.push_back(src.units_[i]);
-    const double* row = src.values_.data() + i * width_;
-    values.insert(values.end(), row, row + width_);
-    ++i;
-  }
-  units_ = std::move(units);
-  values_ = std::move(values);
+  if (other.units_.empty()) return;
+  // Shard s holds only units of its own range and merges in shard order,
+  // so the other side's units follow ours: append in place.
+  if (!units_.empty() && other.units_.front() <= units_.back())
+    throw std::logic_error("RecordAccumulator: merged units must follow");
+  units_.insert(units_.end(), other.units_.begin(), other.units_.end());
+  values_.insert(values_.end(), other.values_.begin(), other.values_.end());
 }
 
 // ---------------------------------------------------------------------------
@@ -162,7 +137,11 @@ std::string serialize_outcome(const CampaignSpec& spec, std::size_t shard,
   return w.take();
 }
 
+// A state that passes every check resumes: its records lie in
+// [range.begin, next_unit), so the shard's later units follow them and
+// its merge into the earlier shards appends.
 ShardOutcome deserialize_outcome(const CampaignSpec& spec, std::size_t shard,
+                                 const ShardRange& range,
                                  const AccumulatorFactory& factory,
                                  const std::string& payload) {
   util::ByteReader r(payload);
@@ -182,6 +161,13 @@ ShardOutcome deserialize_outcome(const CampaignSpec& spec, std::size_t shard,
   for (auto& acc : out.accs) acc->load(r);
   if (!r.at_end())
     throw std::runtime_error("campaign: trailing bytes in checkpoint payload");
+  if (out.next_unit < range.begin || out.next_unit > range.end)
+    throw std::runtime_error("campaign: checkpoint outside shard range");
+  for (const auto& acc : out.accs)
+    if (acc->size() > 0 && (acc->unit_at(0) < range.begin ||
+                            acc->unit_at(acc->size() - 1) >= out.next_unit))
+      throw std::runtime_error(
+          "campaign: checkpoint records outside [begin, next_unit)");
   return out;
 }
 
@@ -199,11 +185,9 @@ ShardOutcome run_shard(const CampaignSpec& spec, std::size_t shard,
   out.next_unit = range.begin;
   if (checkpointing) {
     if (auto bytes = read_file(shard_checkpoint_path(spec, shard))) {
-      out = deserialize_outcome(spec, shard, factory,
+      out = deserialize_outcome(spec, shard, range, factory,
                                 unframe(*bytes, kFrameShardState));
       out.resumed = true;
-      if (out.next_unit < range.begin || out.next_unit > range.end)
-        throw std::runtime_error("campaign: checkpoint outside shard range");
     }
   }
 

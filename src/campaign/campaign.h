@@ -23,8 +23,9 @@
 //
 // Checkpoints and merges cost what their bytes cost. A stop, or a shard's
 // range end, that lands on a periodic checkpoint writes that state once.
-// Contiguous shards merged in shard order append in place
-// (RecordAccumulator::merge_from merge-sorts only interleaved units).
+// Shard s holds only units of its own range (a resumed checkpoint whose
+// records fall outside [range begin, next unit) is rejected when it is
+// loaded), so every merge in shard order appends in place.
 //
 // In thread mode each shard is one task on the deterministic pool. Unit
 // callbacks must not touch the global thread pool themselves — shards
@@ -64,27 +65,14 @@ Mode parse_mode(const std::string& s);
 /// GDELAY_THREADS.
 inline constexpr std::size_t kDefaultShards = 4;
 
-/// Mergeable campaign state, saved to and restored from shard checkpoints.
-/// Implementations must be byte-exact: save() then load() reproduces the
-/// accumulator bit for bit.
-class IAccumulator {
- public:
-  virtual ~IAccumulator() = default;
-  virtual void save(util::ByteWriter& w) const = 0;
-  virtual void load(util::ByteReader& r) = 0;
-  /// Folds another accumulator of the same type/config into this one.
-  virtual void merge_from(const IAccumulator& other) = 0;
-};
-
-/// Fixed-width per-unit records: unit id + `width` doubles. Records stay
-/// sorted by unit id (shards process their contiguous ranges in order;
-/// merge_from() appends in place when every unit of the other side
-/// follows this one's, and merge-sorts otherwise), so any final
-/// floating-point reduction runs in unit order regardless of the shard
-/// split — the association-invariance trick behind the campaign
-/// determinism contract. Merging a unit both sides hold throws
-/// std::logic_error.
-class RecordAccumulator final : public IAccumulator {
+/// Fixed-width per-unit records: unit id + `width` doubles, the campaign's
+/// mergeable state. Records stay sorted by unit id (shards process their
+/// contiguous ranges in order and merge in shard order, each merge
+/// appending in place), so any final floating-point reduction runs in
+/// unit order regardless of the shard split — the association-invariance
+/// trick behind the campaign determinism contract. save() then load()
+/// reproduces the accumulator bit for bit.
+class RecordAccumulator {
  public:
   explicit RecordAccumulator(std::size_t width);
 
@@ -99,9 +87,14 @@ class RecordAccumulator final : public IAccumulator {
     return values_.data() + i * width_;
   }
 
-  void save(util::ByteWriter& w) const override;
-  void load(util::ByteReader& r) override;
-  void merge_from(const IAccumulator& other) override;
+  void save(util::ByteWriter& w) const;
+  /// Throws std::runtime_error on a kind, width or count that does not
+  /// match, or on units that are not strictly increasing.
+  void load(util::ByteReader& r);
+  /// Appends `other`'s records, whose first unit must follow this one's
+  /// last (std::logic_error otherwise, also for a width mismatch; this
+  /// accumulator is left as it was).
+  void merge_from(const RecordAccumulator& other);
 
  private:
   std::size_t width_;
@@ -109,7 +102,7 @@ class RecordAccumulator final : public IAccumulator {
   std::vector<double> values_;  ///< size() * width_, row per unit.
 };
 
-using AccumulatorSet = std::vector<std::unique_ptr<IAccumulator>>;
+using AccumulatorSet = std::vector<std::unique_ptr<RecordAccumulator>>;
 /// Creates the (empty) accumulator set for one shard. Must produce the
 /// same layout every call — checkpoints load into a fresh factory set.
 using AccumulatorFactory = std::function<AccumulatorSet()>;

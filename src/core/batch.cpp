@@ -76,16 +76,13 @@ std::vector<std::vector<sig::Edge>> lane_edges(
   // Two tasks over one device would race on its state and its RNG.
   check_lanes(devices, "lane_edges");
   meas::check_options(opt, "lane_edges");
-  sig::EdgeExtractOptions eo;
-  eo.threshold_v = opt.threshold_v;
-  eo.hysteresis_v = opt.hysteresis_v;
   const std::size_t n_groups = (devices.size() + kGroup - 1) / kGroup;
   const auto groups = util::parallel_map(n_groups, [&](std::size_t g) {
     const auto lo = devices.begin() + static_cast<std::ptrdiff_t>(g * kGroup);
     const auto hi = devices.begin() + static_cast<std::ptrdiff_t>(std::min(
                                           (g + 1) * kGroup, devices.size()));
     std::vector<meas::EdgeSink> sinks(static_cast<std::size_t>(hi - lo),
-                                      meas::EdgeSink(eo, opt.settle_ps));
+                                      meas::EdgeSink(opt));
     std::vector<meas::ISampleSink*> ptrs;
     ptrs.reserve(sinks.size());
     for (auto& s : sinks) ptrs.push_back(&s);

@@ -51,9 +51,9 @@ void run_lanes(const std::vector<Device*>& devices,
                const sig::Waveform& stimulus,
                const std::vector<meas::ISampleSink*>& sinks);
 
-/// Threshold crossings of each device's output for the shared stimulus,
-/// extracted as measure_delay() extracts them for `opt` (see
-/// meas::delay_edges()). Devices run four to a run_lanes() call, one
+/// Threshold crossings of each device's output for the shared stimulus:
+/// one meas::EdgeSink(opt) per device, the sink meas::delay_edges()
+/// feeds a whole waveform. Devices run four to a run_lanes() call, one
 /// global-pool task per group. Checks the whole list (as run_lanes())
 /// and `opt` (meas::check_options) before any device runs.
 template <typename Device>

@@ -47,7 +47,6 @@ class DelayBoard {
     return calibrate(stimulus, DelayCalibrator::Options{});
   }
 
-  bool is_calibrated() const { return !calibrations_.empty(); }
   const std::vector<ChannelCalibration>& calibrations() const;
 
   /// Programs one channel to a delay relative to its own minimum.

@@ -108,10 +108,6 @@ double ChannelCalibration::predicted_delay_ps(int tap, double vctrl) const {
   return tap_offset_ps[static_cast<std::size_t>(tap)] + fine_curve(vctrl);
 }
 
-double ChannelCalibration::predicted_latency_ps(int tap, double vctrl) const {
-  return base_latency_ps + predicted_delay_ps(tap, vctrl);
-}
-
 DelaySetting ChannelCalibration::plan(double relative_delay_ps) const {
   if (std::isnan(relative_delay_ps))
     throw std::invalid_argument("ChannelCalibration::plan: NaN delay");

@@ -49,8 +49,6 @@ struct ChannelCalibration {
 
   /// Delay (relative to the channel minimum) predicted for a setting.
   double predicted_delay_ps(int tap, double vctrl) const;
-  /// Absolute latency predicted for a setting.
-  double predicted_latency_ps(int tap, double vctrl) const;
 
   /// Setting realizing `relative_delay_ps` in [0, total_range]; clamps
   /// outside (+/-Inf included). Picks the coarse tap that centers the fine

@@ -53,8 +53,6 @@ class JitterInjector {
 
   /// Changes the sinusoidal (SJ) source.
   void set_sj(double pp_v, double freq_ghz);
-  double sj_pp() const { return sj_pp_; }
-  double sj_freq_ghz() const { return sj_freq_; }
 
   /// Independent deterministic noise streams (generator + line) for a
   /// cloned injector; one stream id forks both children, whose parent

@@ -58,9 +58,6 @@ class Pipeline {
     return *this;
   }
 
-  std::size_t chunk_samples() const { return chunk_; }
-  std::size_t n_stages() const { return stages_.size(); }
-
   /// Pulls the entire source through the stage chain, feeding every
   /// processed chunk to each sink in order. Rewinds the source and
   /// resets every stage first (mirroring the whole-waveform process()

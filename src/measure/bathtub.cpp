@@ -30,8 +30,7 @@ std::vector<BathtubPoint> bathtub_curve(double ui_ps, double rj_rms_ps,
                                         double dj_pp_ps,
                                         const BathtubOptions& opt) {
   require_ui(ui_ps, "bathtub");
-  if (!(rj_rms_ps > 0.0))
-    throw std::invalid_argument("bathtub: rj must be > 0");
+  require_jitter_model(rj_rms_ps, opt.transition_density, "bathtub");
   if (!(dj_pp_ps >= 0.0))
     throw std::invalid_argument("bathtub: dj must be >= 0");
   if (opt.n_points < 3)
@@ -60,13 +59,13 @@ double eye_opening_at_ber(double ui_ps, double rj_rms_ps, double dj_pp_ps,
   require_ui(ui_ps, "eye_opening_at_ber");
   if (!(target_ber > 0.0 && target_ber < 1.0))
     throw std::invalid_argument("eye_opening_at_ber: BER in (0,1) required");
-  if (!(rj_rms_ps >= 0.0))
-    throw std::invalid_argument("eye_opening_at_ber: rj must be >= 0");
+  require_jitter_model(rj_rms_ps, transition_density, "eye_opening_at_ber",
+                       /*rj_may_be_zero=*/true);
+  if (!(dj_pp_ps >= 0.0))
+    throw std::invalid_argument("eye_opening_at_ber: dj must be >= 0");
   if (rj_rms_ps == 0.0) {
     // Pure DJ: the bathtub is a step — BER = rho/2 on the Dirac span,
     // exactly 0 between the Diracs — so the opening is exact.
-    if (!(dj_pp_ps >= 0.0))
-      throw std::invalid_argument("eye_opening_at_ber: dj must be >= 0");
     if (target_ber > transition_density / 2.0) return ui_ps;
     return std::max(0.0, ui_ps - dj_pp_ps);
   }
@@ -165,8 +164,7 @@ std::pair<double, double> is_tail_probability(
 double ber_at_phase(double x_ps, double ui_ps, double rj_rms_ps,
                     const DjDistribution& dj, double transition_density) {
   require_ui(ui_ps, "ber_at_phase");
-  if (!(rj_rms_ps > 0.0))
-    throw std::invalid_argument("ber_at_phase: rj must be > 0");
+  require_jitter_model(rj_rms_ps, transition_density, "ber_at_phase");
   const std::vector<double> w = normalized_weights(dj);
   double left = 0.0, right = 0.0;
   for (std::size_t i = 0; i < w.size(); ++i) {
@@ -181,10 +179,9 @@ std::vector<IsBerPoint> importance_sampled_bathtub(double ui_ps,
                                                    const DjDistribution& dj,
                                                    const TailSimOptions& opt,
                                                    util::Rng& rng) {
+  // Pure-DJ channels (rj = 0) are analytic: eye_opening_at_ber.
   require_ui(ui_ps, "is_bathtub");
-  if (!(rj_rms_ps > 0.0))
-    throw std::invalid_argument(
-        "is_bathtub: rj must be > 0 (pure-DJ channels are analytic)");
+  require_jitter_model(rj_rms_ps, opt.transition_density, "is_bathtub");
   if (opt.n_points < 2)
     throw std::invalid_argument("is_bathtub: need >= 2 points");
   if (opt.n_samples < 1)

@@ -35,9 +35,11 @@ struct BathtubOptions {
 double q_function(double z);
 
 /// The full bathtub across one UI from a jitter decomposition.
-/// `ui_ps` must be finite and > 0, `rj_rms_ps` > 0 and `dj_pp_ps` >= 0
-/// (std::invalid_argument otherwise). Every function below that takes a
-/// `ui_ps` checks it the same way.
+/// `ui_ps` must be finite and > 0, `rj_rms_ps` finite and > 0,
+/// `dj_pp_ps` >= 0 and the transition density finite and in (0, 1]
+/// (std::invalid_argument naming the field otherwise). Every function
+/// below checks its UI, RJ and density the same way (require_ui and
+/// require_jitter_model, measure/stats.h).
 std::vector<BathtubPoint> bathtub_curve(double ui_ps, double rj_rms_ps,
                                         double dj_pp_ps,
                                         const BathtubOptions& opt = {});
@@ -51,7 +53,8 @@ std::vector<BathtubPoint> bathtub_curve(const JitterReport& report,
 ///
 /// RJ = 0 is handled analytically: a pure-DJ channel's bathtub is a step
 /// (BER = transition_density/2 inside the Dirac span, exactly 0 between),
-/// so the opening is exactly UI - DJ — no hidden floor on sigma.
+/// so the opening is exactly UI - DJ — no hidden floor on sigma. RJ must
+/// be finite and >= 0, DJ >= 0.
 double eye_opening_at_ber(double ui_ps, double rj_rms_ps, double dj_pp_ps,
                           double target_ber,
                           double transition_density = 0.5);

@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "measure/sinks.h"
 #include "measure/stats.h"
 #include "signal/edges.h"
 #include "util/fastmath.h"
@@ -51,11 +52,11 @@ void check_options(const DelayMeterOptions& opt, const char* caller) {
 std::vector<sig::Edge> delay_edges(const sig::Waveform& wf,
                                    const DelayMeterOptions& opt) {
   check_options(opt, "delay_edges");
-  sig::EdgeExtractOptions eo;
-  eo.threshold_v = opt.threshold_v;
-  eo.hysteresis_v = opt.hysteresis_v;
-  eo.t_min_ps = wf.t0_ps() + opt.settle_ps;
-  return sig::extract_edges(wf, eo);
+  EdgeSink sink(opt);
+  sink.begin(wf.t0_ps(), wf.dt_ps(), wf.size());
+  sink.consume(wf.samples().data(), wf.size());
+  sink.finish();
+  return sink.edges();
 }
 
 DelayMeasurement measure_delay_edges(const std::vector<sig::Edge>& reference,

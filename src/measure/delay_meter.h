@@ -43,8 +43,9 @@ struct DelayMeterOptions {
 void check_options(const DelayMeterOptions& opt, const char* caller);
 
 /// The threshold crossings of `wf` that measure_delay() pairs: `opt`'s
-/// threshold and hysteresis, from t0 + settle_ps on. Rejects non-finite
-/// options (check_options).
+/// threshold and hysteresis, from t0 + settle_ps on — the EdgeSink(opt)
+/// (measure/sinks.h) fed the whole waveform, as core::lane_edges() feeds
+/// one per device. Rejects non-finite options (check_options).
 std::vector<sig::Edge> delay_edges(const sig::Waveform& wf,
                                    const DelayMeterOptions& opt = {});
 

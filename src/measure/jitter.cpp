@@ -5,8 +5,8 @@
 #include <map>
 #include <stdexcept>
 
+#include "measure/sinks.h"
 #include "measure/stats.h"
-#include "signal/edges.h"
 #include "util/units.h"
 #include "util/fastmath.h"
 
@@ -70,12 +70,11 @@ void check_options(const JitterMeasureOptions& opt, const char* caller) {
 JitterReport measure_jitter(const sig::Waveform& wf, double ui_ps,
                             const JitterMeasureOptions& opt) {
   check_options(opt, "measure_jitter");
-  sig::EdgeExtractOptions eo;
-  eo.threshold_v = opt.threshold_v;
-  eo.hysteresis_v = opt.hysteresis_v;
-  eo.t_min_ps = wf.t0_ps() + opt.settle_ps;
-  const auto edges = sig::extract_edges(wf, eo);
-  return analyze_jitter(sig::edge_times(edges), ui_ps);
+  JitterSink sink(ui_ps, opt);
+  sink.begin(wf.t0_ps(), wf.dt_ps(), wf.size());
+  sink.consume(wf.samples().data(), wf.size());
+  sink.finish();
+  return sink.report();
 }
 
 DdjReport analyze_ddj(const std::vector<double>& ts, double ui_ps,

@@ -43,8 +43,10 @@ struct JitterMeasureOptions {
 /// settle_ps is no settle window). measure_jitter and JitterSink call it.
 void check_options(const JitterMeasureOptions& opt, const char* caller);
 
-/// Convenience: extract crossings from a waveform and analyze them.
-/// Rejects non-finite options (check_options).
+/// Convenience: extract crossings from a waveform and analyze them — the
+/// JitterSink (measure/sinks.h) fed the whole waveform. Rejects
+/// non-finite options (check_options) and a `ui_ps` that is not finite
+/// and > 0.
 JitterReport measure_jitter(const sig::Waveform& wf, double ui_ps,
                             const JitterMeasureOptions& opt = {});
 

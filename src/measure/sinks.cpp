@@ -58,12 +58,33 @@ void LevelHistogramSink::consume(const double* samples, std::size_t n) {
   }
 }
 
+namespace {
+
+// The one mapping from a measurement's options (DelayMeterOptions,
+// JitterMeasureOptions) to its crossings: checks `opt` up front, naming
+// `caller`, then returns its threshold and hysteresis; EdgeSink::begin()
+// opens the settle window.
+template <class Options>
+sig::EdgeExtractOptions extract_options(const Options& opt,
+                                        const char* caller) {
+  check_options(opt, caller);
+  sig::EdgeExtractOptions eo;
+  eo.threshold_v = opt.threshold_v;
+  eo.hysteresis_v = opt.hysteresis_v;
+  return eo;
+}
+
+}  // namespace
+
 EdgeSink::EdgeSink(const sig::EdgeExtractOptions& opt, double settle_ps)
     : opt_(opt), settle_ps_(settle_ps) {
   require_finite(opt.threshold_v, "EdgeSink", "threshold_v");
   require_finite(opt.hysteresis_v, "EdgeSink", "hysteresis_v");
   require_finite(settle_ps, "EdgeSink", "settle_ps");
 }
+
+EdgeSink::EdgeSink(const DelayMeterOptions& opt)
+    : EdgeSink(extract_options(opt, "EdgeSink"), opt.settle_ps) {}
 
 void EdgeSink::begin(double t0_ps, double dt_ps, std::size_t) {
   sig::EdgeExtractOptions eo = opt_;
@@ -84,21 +105,9 @@ std::vector<double> EdgeSink::edge_times() const {
   return sig::edge_times(edges());
 }
 
-namespace {
-
-// Checks `opt` up front, then returns measure_jitter()'s edge extraction.
-sig::EdgeExtractOptions extract_options(const JitterMeasureOptions& opt) {
-  check_options(opt, "JitterSink");
-  sig::EdgeExtractOptions eo;
-  eo.threshold_v = opt.threshold_v;
-  eo.hysteresis_v = opt.hysteresis_v;
-  return eo;
-}
-
-}  // namespace
-
 JitterSink::JitterSink(double ui_ps, const JitterMeasureOptions& opt)
-    : ui_ps_(ui_ps), edge_sink_(extract_options(opt), opt.settle_ps) {
+    : ui_ps_(ui_ps),
+      edge_sink_(extract_options(opt, "JitterSink"), opt.settle_ps) {
   require_ui(ui_ps, "JitterSink");
 }
 

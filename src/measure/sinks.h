@@ -7,10 +7,10 @@
 // sink is required to produce byte-identical results to its whole-
 // waveform counterpart at any chunking — state that spans chunk seams
 // (the edge extractor's backscan window, the sample clock) is carried
-// explicitly. A delay is two EdgeSinks (reference and output, each
-// configured as meas::delay_edges() extracts) and measure_delay_edges()
-// of their edges; core::lane_edges (core/batch.h) does exactly that for
-// many devices at once.
+// explicitly. A delay is two EdgeSinks built from one DelayMeterOptions
+// (reference and output) and measure_delay_edges() of their edges:
+// meas::delay_edges() feeds that sink a whole waveform, and
+// core::lane_edges (core/batch.h) one per device of a lane group.
 //
 // Contract for implementations: all sizing happens in begin() (or the
 // constructor); consume() must not allocate on the steady-state path
@@ -24,6 +24,7 @@
 #include <optional>
 #include <vector>
 
+#include "measure/delay_meter.h"
 #include "measure/eye.h"
 #include "measure/histogram.h"
 #include "measure/jitter.h"
@@ -112,6 +113,9 @@ class EdgeSink final : public ISampleSink {
  public:
   explicit EdgeSink(const sig::EdgeExtractOptions& opt = {},
                     double settle_ps = 400.0);
+  /// The crossings measure_delay() pairs: `opt`'s threshold and
+  /// hysteresis, from t0 + settle_ps on.
+  explicit EdgeSink(const DelayMeterOptions& opt);
 
   void begin(double t0_ps, double dt_ps, std::size_t total_n) override;
   void consume(const double* samples, std::size_t n) override;

@@ -19,6 +19,20 @@ void require_ui(double ui_ps, const char* caller) {
                                 ": ui_ps must be finite and > 0");
 }
 
+void require_jitter_model(double rj_rms_ps, double transition_density,
+                          const char* caller, bool rj_may_be_zero) {
+  if (!(std::isfinite(rj_rms_ps) &&
+        (rj_rms_ps > 0.0 || (rj_may_be_zero && rj_rms_ps == 0.0))))
+    throw std::invalid_argument(
+        std::string(caller) + ": rj_rms_ps must be finite and " +
+        (rj_may_be_zero ? ">= 0" : "> 0"));
+  if (!(std::isfinite(transition_density) && transition_density > 0.0 &&
+        transition_density <= 1.0))
+    throw std::invalid_argument(
+        std::string(caller) +
+        ": transition_density must be finite and in (0, 1]");
+}
+
 Summary summarize(const std::vector<double>& xs) {
   Summary s;
   if (xs.empty()) return s;
@@ -36,20 +50,6 @@ Summary summarize(const std::vector<double>& xs) {
   for (double x : xs) var += (x - s.mean) * (x - s.mean);
   s.stddev = std::sqrt(var / static_cast<double>(s.n));
   return s;
-}
-
-double mean(const std::vector<double>& xs) { return summarize(xs).mean; }
-double stddev(const std::vector<double>& xs) { return summarize(xs).stddev; }
-
-double quantile(std::vector<double> xs, double q) {
-  if (xs.empty()) throw std::invalid_argument("quantile: empty sample");
-  q = std::clamp(q, 0.0, 1.0);
-  std::sort(xs.begin(), xs.end());
-  const double pos = q * static_cast<double>(xs.size() - 1);
-  const auto i = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(i);
-  if (i + 1 >= xs.size()) return xs.back();
-  return xs[i] + (xs[i + 1] - xs[i]) * frac;
 }
 
 }  // namespace gdelay::meas

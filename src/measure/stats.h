@@ -19,12 +19,6 @@ struct Summary {
 /// input.
 Summary summarize(const std::vector<double>& xs);
 
-double mean(const std::vector<double>& xs);
-double stddev(const std::vector<double>& xs);
-
-/// q in [0, 1]; linear interpolation between order statistics.
-double quantile(std::vector<double> xs, double q);
-
 /// Throws std::invalid_argument "<caller>: <field> must be finite" unless
 /// `v` is finite. Every measurement entry point checks its options with
 /// it up front: a NaN or infinite threshold or settle window would
@@ -36,5 +30,14 @@ void require_finite(double v, const char* caller, const char* field);
 /// it with this: a check written `!(ui_ps > 0)` rejects NaN but lets +Inf
 /// through, which turns every phase into NaN and every window into Inf.
 void require_ui(double ui_ps, const char* caller);
+
+/// Throws std::invalid_argument "<caller>: <field> must be finite and ..."
+/// unless `rj_rms_ps` is finite and > 0 (>= 0 when `rj_may_be_zero`) and
+/// `transition_density` is finite and in (0, 1]. Every BER entry point
+/// checks its jitter model with this: `!(rj > 0)` lets +Inf through (a
+/// BER of rho/2 at every strobe), and an unchecked NaN density reads as
+/// a fully open eye.
+void require_jitter_model(double rj_rms_ps, double transition_density,
+                          const char* caller, bool rj_may_be_zero = false);
 
 }  // namespace gdelay::meas

@@ -52,8 +52,6 @@ class StreamingEdgeExtractor {
   /// Appends `n` samples to the stream, emitting any completed edges.
   void consume(const double* samples, std::size_t n);
 
-  /// Samples consumed so far.
-  std::size_t samples_seen() const { return n_seen_; }
   /// Edges emitted so far, in time order.
   const std::vector<Edge>& edges() const { return edges_; }
   /// Moves the edge list out (the extractor keeps its scan state).

@@ -54,10 +54,6 @@ BitPattern alternating(std::size_t n, int first) {
   return out;
 }
 
-BitPattern constant(std::size_t n, int value) {
-  return BitPattern(n, value ? 1 : 0);
-}
-
 std::size_t popcount(const BitPattern& bits) {
   return static_cast<std::size_t>(std::count(bits.begin(), bits.end(), 1));
 }

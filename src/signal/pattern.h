@@ -44,9 +44,6 @@ BitPattern prbs(int order, std::size_t n, std::uint32_t seed = 0);
 /// 0,1,0,1,... ("clock-like" NRZ data, one transition per bit).
 BitPattern alternating(std::size_t n, int first = 0);
 
-/// All-same bits.
-BitPattern constant(std::size_t n, int value);
-
 /// Number of 1 bits.
 std::size_t popcount(const BitPattern& bits);
 

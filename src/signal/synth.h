@@ -89,8 +89,6 @@ class TransitionRenderer {
 
   /// Restarts from sample 0.
   void rewind();
-  /// Global index of the next sample render() will emit.
-  std::size_t next_index() const { return i_; }
   /// Renders min(max_n, remaining) samples into dst; returns the count
   /// (0 once the plan is exhausted).
   std::size_t render(double* dst, std::size_t max_n);

@@ -70,36 +70,4 @@ Waveform Waveform::slice(double t_from_ps, double t_to_ps) const {
                                       v_.begin() + static_cast<std::ptrdiff_t>(end)));
 }
 
-bool Waveform::same_grid(const Waveform& other) const {
-  return size() == other.size() && std::abs(t0_ - other.t0_) < 1e-9 &&
-         std::abs(dt_ - other.dt_) < 1e-12;
-}
-
-Waveform Waveform::add(const Waveform& a, const Waveform& b) {
-  if (!a.same_grid(b)) throw std::invalid_argument("Waveform::add: grid mismatch");
-  Waveform out = a;
-  for (std::size_t i = 0; i < out.size(); ++i) out.v_[i] += b.v_[i];
-  return out;
-}
-
-Waveform Waveform::resampled(double new_dt_ps) const {
-  if (!(new_dt_ps > 0.0))
-    throw std::invalid_argument("Waveform::resampled: dt must be > 0");
-  if (empty()) return Waveform(t0_, new_dt_ps, 0);
-  const auto n = static_cast<std::size_t>(
-                     std::floor(duration_ps() / new_dt_ps + 1e-9)) +
-                 1;
-  Waveform out(t0_, new_dt_ps, n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = value_at(out.time_at(i));
-  return out;
-}
-
-Waveform Waveform::subtract(const Waveform& a, const Waveform& b) {
-  if (!a.same_grid(b))
-    throw std::invalid_argument("Waveform::subtract: grid mismatch");
-  Waveform out = a;
-  for (std::size_t i = 0; i < out.size(); ++i) out.v_[i] -= b.v_[i];
-  return out;
-}
-
 }  // namespace gdelay::sig

@@ -53,14 +53,6 @@ class Waveform {
   /// In-place scale and offset: v <- v * gain + offset.
   Waveform& scale(double gain, double offset = 0.0);
 
-  /// In-place per-sample transform: v[i] <- f(v[i]). Returns *this for
-  /// chaining; replaces the copy-out/transform/copy-back pattern.
-  template <typename F>
-  Waveform& map_samples(F&& f) {
-    for (double& x : v_) x = f(x);
-    return *this;
-  }
-
   /// Returns a copy shifted in time by `shift_ps` (pure relabeling of the
   /// time axis; samples are untouched).
   Waveform shifted(double shift_ps) const;
@@ -73,18 +65,6 @@ class Waveform {
 
   /// Returns the sub-waveform covering [t_from, t_to] (clamped).
   Waveform slice(double t_from_ps, double t_to_ps) const;
-
-  /// Sample-wise combination of two waveforms that must share t0/dt/size.
-  /// Throws std::invalid_argument on grid mismatch.
-  static Waveform add(const Waveform& a, const Waveform& b);
-  static Waveform subtract(const Waveform& a, const Waveform& b);
-
-  /// True if `other` shares this waveform's sampling grid exactly.
-  bool same_grid(const Waveform& other) const;
-
-  /// Returns this waveform resampled onto a new step (linear
-  /// interpolation; same t0 and span). Throws on new_dt <= 0.
-  Waveform resampled(double new_dt_ps) const;
 
  private:
   double t0_ = 0.0;

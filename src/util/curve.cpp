@@ -21,24 +21,6 @@ Curve::Curve(std::vector<double> xs, std::vector<double> ys)
       throw std::invalid_argument("Curve: x not strictly increasing");
 }
 
-Curve Curve::from_samples(std::vector<std::pair<double, double>> pts) {
-  std::sort(pts.begin(), pts.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<double> xs, ys;
-  xs.reserve(pts.size());
-  ys.reserve(pts.size());
-  for (const auto& [x, y] : pts) {
-    if (!xs.empty() && x == xs.back())
-      throw std::invalid_argument("Curve: duplicate x sample");
-    xs.push_back(x);
-    ys.push_back(y);
-  }
-  return Curve(std::move(xs), std::move(ys));
-}
-
-double Curve::x_min() const { return xs_.front(); }
-double Curve::x_max() const { return xs_.back(); }
-
 double Curve::y_min() const {
   return *std::min_element(ys_.begin(), ys_.end());
 }

@@ -29,16 +29,11 @@ class Curve {
   /// otherwise or if fewer than two points are given.
   Curve(std::vector<double> xs, std::vector<double> ys);
 
-  /// Builds a curve from unsorted samples (sorts by x, rejects duplicates).
-  static Curve from_samples(std::vector<std::pair<double, double>> pts);
-
   std::size_t size() const { return xs_.size(); }
   bool empty() const { return xs_.empty(); }
   const std::vector<double>& xs() const { return xs_; }
   const std::vector<double>& ys() const { return ys_; }
 
-  double x_min() const;
-  double x_max() const;
   double y_min() const;
   double y_max() const;
 

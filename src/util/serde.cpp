@@ -39,8 +39,6 @@ void ByteWriter::u64(std::uint64_t v) {
   buf_.append(b, 8);
 }
 
-void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
 void ByteWriter::raw(const void* data, std::size_t n) {
   buf_.append(static_cast<const char*>(data), n);
 }
@@ -94,8 +92,6 @@ std::uint64_t ByteReader::u64() {
   p_ += 8;
   return v;
 }
-
-double ByteReader::f64() { return std::bit_cast<double>(u64()); }
 
 void ByteReader::raw(void* out, std::size_t n) {
   if (remaining() < n) truncated("raw");

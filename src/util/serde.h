@@ -9,7 +9,7 @@
 // grows its buffer once per vector and the reader sizes the result once,
 // after checking the count against the bytes left, so a checkpoint costs
 // what its bytes cost. A vector's bytes are its u64 count followed by
-// each element exactly as u64()/f64() writes it. Round-trip identity —
+// each element's 8 octets, a double as its IEEE-754 bit pattern. Round-trip identity —
 // save(load(save(x))) == save(x) — is the contract the checkpoint tests
 // pin.
 #pragma once
@@ -27,7 +27,6 @@ class ByteWriter {
   void u8(std::uint8_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
-  void f64(double v);  ///< IEEE-754 bit pattern, exact.
   void raw(const void* data, std::size_t n);
 
   /// Length-prefixed vectors (u64 count, then elements).
@@ -56,7 +55,6 @@ class ByteReader {
   std::uint8_t u8();
   std::uint32_t u32();
   std::uint64_t u64();
-  double f64();
   void raw(void* out, std::size_t n);
 
   std::vector<double> vec_f64();

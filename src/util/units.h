@@ -20,11 +20,6 @@ namespace gdelay::util {
 
 inline constexpr double kPi = 3.14159265358979323846;
 
-/// Nanoseconds expressed in picoseconds.
-constexpr double ns_to_ps(double ns) { return ns * 1000.0; }
-/// Picoseconds expressed in nanoseconds.
-constexpr double ps_to_ns(double ps) { return ps / 1000.0; }
-
 /// Period (ps) of a periodic signal at `f_ghz` gigahertz.
 constexpr double period_ps(double f_ghz) { return 1000.0 / f_ghz; }
 /// Frequency (GHz) of a periodic signal with period `t_ps` picoseconds.
@@ -37,8 +32,6 @@ constexpr double unit_interval_ps(double rate_gbps) {
 
 /// Millivolts expressed in volts.
 constexpr double mv(double millivolts) { return millivolts / 1000.0; }
-/// Volts expressed in millivolts.
-constexpr double to_mv(double volts) { return volts * 1000.0; }
 
 /// Convert an amplitude loss in dB (positive number = attenuation) to a
 /// linear voltage factor in (0, 1].
@@ -54,6 +47,5 @@ inline double db_loss_to_factor(double loss_db) {
 /// output at roughly +/-3 sigma, so pp ~= 6 sigma. Used when reproducing
 /// the paper's "900 mV (peak-to-peak) Gaussian voltage noise".
 constexpr double gaussian_pp_to_sigma(double pp) { return pp / 6.0; }
-constexpr double gaussian_sigma_to_pp(double sigma) { return sigma * 6.0; }
 
 }  // namespace gdelay::util

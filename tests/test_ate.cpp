@@ -78,13 +78,6 @@ TEST(AteBus, NativeDeskewLeavesQuantizationResidue) {
   EXPECT_GT(after, 5.0);           // but nowhere near ps-level
 }
 
-TEST(AteBus, DriveValidatesPatternCount) {
-  ga::AteBusConfig cfg;
-  cfg.n_channels = 2;
-  ga::AteBus bus(cfg, Rng(5));
-  EXPECT_THROW(bus.drive({gs::prbs(7, 8)}), std::invalid_argument);
-}
-
 TEST(DutReceiver, SamplesBitsAtStrobes) {
   gs::SynthConfig sc;
   sc.rate_gbps = 3.2;

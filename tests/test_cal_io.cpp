@@ -153,3 +153,91 @@ TEST(CalIo, BadDacFieldIsMalformedText) {
   // The same head with a valid DAC parses.
   EXPECT_EQ(core::calibration_from_text(head + "dac_bits 10\n").dac.bits(), 10);
 }
+
+TEST(CalIoFuzz, MutatedTextThrowsOrRoundTrips) {
+  // Seeded mutants of a calibration's text: byte flips; dropped,
+  // duplicated and truncated lines; and the counts, dac_bits and dac_vref
+  // overwritten with huge, negative, fractional and nan/inf spellings.
+  // Each must throw std::runtime_error or parse into a calibration whose
+  // text is a fixed point of the format: it parses back to the same text.
+  core::ChannelCalibration cal;
+  cal.fine_curve = gd::util::Curve{{0.0, 0.375, 0.7500000000000001, 1.5},
+                                   {0.0, 4.25, 10.123456789012345, 20.5}};
+  cal.tap_offset_ps = {0.0, 35.00000000001, 69.9999999999, 104.5};
+  cal.base_latency_ps = 612.3456789012345;
+  const std::string text = core::calibration_to_text(cal);
+  std::vector<std::string> lines;
+  for (std::size_t at = 0; at < text.size();) {
+    const std::size_t end = text.find('\n', at) + 1;
+    lines.push_back(text.substr(at, end - at));
+    at = end;
+  }
+  const auto join = [](const std::vector<std::string>& ls) {
+    std::string out;
+    for (const auto& l : ls) out += l;
+    return out;
+  };
+
+  std::size_t parsed = 0, rejected = 0;
+  const auto check = [&](const std::string& mutant) {
+    try {
+      const std::string once =
+          core::calibration_to_text(core::calibration_from_text(mutant));
+      EXPECT_EQ(core::calibration_to_text(core::calibration_from_text(once)),
+                once)
+          << mutant;
+      ++parsed;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << e.what() << " escaped for:\n" << mutant;
+    }
+  };
+
+  gd::util::Rng rng(0xca11b0);
+  constexpr int kMutants = 1000;
+  for (int i = 0; i < kMutants; ++i) {  // byte flips
+    std::string m = text;
+    const std::uint64_t flips = 1 + rng.below(3);
+    for (std::uint64_t f = 0; f < flips; ++f)
+      m[rng.below(m.size())] ^= static_cast<char>(1 + rng.below(255));
+    check(m);
+  }
+  for (int i = 0; i < kMutants; ++i) {  // line drops, duplicates, cuts
+    std::vector<std::string> ls = lines;
+    const std::size_t at = rng.below(ls.size());
+    switch (rng.below(3)) {
+      case 0:
+        ls.erase(ls.begin() + static_cast<std::ptrdiff_t>(at));
+        break;
+      case 1: {
+        const std::string dup = ls[at];
+        ls.insert(ls.begin() + static_cast<std::ptrdiff_t>(rng.below(ls.size())),
+                  dup);
+        break;
+      }
+      default:
+        ls[at].resize(rng.below(ls[at].size()));
+        break;
+    }
+    check(join(ls));
+  }
+  // Numeric overwrites of the fields whose values the parser converts.
+  const std::string fields[] = {"curve_points", "dac_bits", "dac_vref"};
+  const std::string values[] = {
+      "0", "1", "2", "3", "4", "5", "20", "21", "-1", "-4", "-0", "4.5",
+      "1e3", "1e308", "1e999", "-1e999", "1e-320", "2147483648",
+      "18446744073709551615", "18446744073709551616",
+      "99999999999999999999999", "nan", "NaN", "-nan", "inf", "-inf",
+      "infinity", "0x10", "+7", ""};
+  for (const std::string& field : fields) {
+    for (const std::string& v : values) {
+      std::vector<std::string> ls = lines;
+      for (auto& l : ls)
+        if (l.rfind(field + " ", 0) == 0) l = field + " " + v + "\n";
+      check(join(ls));
+    }
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
+}

@@ -5,8 +5,9 @@
 // it: checkpoints from a different spec or topology, corrupt checkpoint
 // files and swapped shard files are rejected, the frame layer refuses
 // truncated or bit-flipped bytes outright, seeded mutants of a real
-// payload either throw or round-trip, and the RecordAccumulator restores
-// unit order across merges so floating-point reductions stay associative
+// payload or of a stopped campaign's shard states either throw
+// std::runtime_error or round-trip (resume), and RecordAccumulator
+// merges only append, so floating-point reductions stay in unit order
 // by construction.
 #include <gtest/gtest.h>
 
@@ -44,8 +45,8 @@ gcp::AccumulatorSet make_accs() {
 }
 
 void unit_work(std::uint64_t unit, Rng& rng, gcp::AccumulatorSet& accs) {
-  auto& summary = dynamic_cast<gcp::RecordAccumulator&>(*accs[0]);
-  auto& extremes = dynamic_cast<gcp::RecordAccumulator&>(*accs[1]);
+  gcp::RecordAccumulator& summary = *accs[0];
+  gcp::RecordAccumulator& extremes = *accs[1];
   double samples[16];
   double sum = 0.0, peak = 0.0, trough = 0.0;
   for (double& s : samples) {
@@ -146,7 +147,9 @@ TEST(CampaignConfig, ModeNamesRoundTrip) {
 // RecordAccumulator: the association-invariance workhorse
 // ---------------------------------------------------------------------------
 
-TEST(RecordAccumulator, MergeRestoresGlobalUnitOrder) {
+TEST(RecordAccumulator, InterleavedMergeThrows) {
+  // A merge only appends: interleaved units would break the unit order
+  // the final reductions rely on, so they throw and change nothing.
   gcp::RecordAccumulator a(1), b(1);
   for (std::uint64_t u : {0ull, 2ull, 4ull}) {
     const double v = 10.0 + static_cast<double>(u);
@@ -156,12 +159,10 @@ TEST(RecordAccumulator, MergeRestoresGlobalUnitOrder) {
     const double v = 10.0 + static_cast<double>(u);
     b.add(u, &v);
   }
-  a.merge_from(b);
-  ASSERT_EQ(a.size(), 5u);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.unit_at(i), i);  // merge-sorted back to 0,1,2,3,4
-    EXPECT_EQ(a.values_at(i)[0], 10.0 + static_cast<double>(i));
-  }
+  EXPECT_THROW(a.merge_from(b), std::logic_error);
+  ASSERT_EQ(a.size(), 3u);
+  EXPECT_EQ(a.unit_at(2), 4u);
+  EXPECT_THROW(a.merge_from(gcp::RecordAccumulator(2)), std::logic_error);
 }
 
 TEST(RecordAccumulator, SaveLoadSaveIsIdentity) {
@@ -215,11 +216,11 @@ TEST(RecordAccumulator, InPlaceMergeOfOrderedShardsMatchesOneAccumulator) {
   for (const auto& c : cuts) merged.merge_from(records(c[0], c[1]));
   EXPECT_EQ(saved(merged), whole);
 
-  // A later shard that receives an earlier one takes the merge-sort path
-  // and lands in the same bytes.
+  // A later shard cannot receive an earlier one: out of shard order,
+  // the merge throws and leaves the receiver as it was.
   gcp::RecordAccumulator late = records(12, 30);
-  late.merge_from(records(0, 12));
-  EXPECT_EQ(saved(late), whole);
+  EXPECT_THROW(late.merge_from(records(0, 12)), std::logic_error);
+  EXPECT_EQ(saved(late), saved(records(12, 30)));
 }
 
 TEST(RecordAccumulator, DuplicateUnitAtTheShardBoundaryThrows) {
@@ -360,17 +361,35 @@ std::string shard_files(const gcp::CampaignSpec& spec) {
   return all;
 }
 
-// The `resumed` byte of a shard file. Payload: u64 fingerprint, u32
-// shard, u64 next_unit, u8 resumed, ...
-bool resumed_flag(const gcp::CampaignSpec& spec, std::size_t shard) {
+// Byte offsets of a shard state payload's outer fields: u64
+// fingerprint, u32 shard, u64 next_unit, u8 resumed, u8 complete, u32
+// accumulator count, then the accumulator payloads in factory order.
+constexpr std::size_t kAtShard = 8, kAtNextUnit = 12, kAtResumed = 20,
+                      kAtComplete = 21, kAtCount = 22;
+
+// The payload of shard `shard`'s checkpoint file.
+std::string shard_state(const gcp::CampaignSpec& spec, std::size_t shard) {
   const std::string file =
       gcp::read_file(gcp::shard_checkpoint_path(spec, shard)).value();
-  const std::string payload = gcp::unframe(file, gcp::kFrameShardState);
-  ByteReader r(payload);
-  r.u64();
-  r.u32();
-  r.u64();
-  return r.u8() != 0;
+  return gcp::unframe(file, gcp::kFrameShardState);
+}
+
+// Writes `payload` as shard `shard`'s checkpoint in a valid frame, so
+// the checksum holds and only the payload parser can reject it.
+void write_shard_state(const gcp::CampaignSpec& spec, std::size_t shard,
+                       const std::string& payload) {
+  gcp::write_file_atomic(gcp::shard_checkpoint_path(spec, shard),
+                         gcp::frame(gcp::kFrameShardState, payload));
+}
+
+// Overwrites `n` bytes at `at` with `v`, little-endian.
+void put_le(std::string& bytes, std::size_t at, std::uint64_t v, int n) {
+  for (int b = 0; b < n; ++b)
+    bytes[at + static_cast<std::size_t>(b)] = static_cast<char>(v >> (8 * b));
+}
+
+bool resumed_flag(const gcp::CampaignSpec& spec, std::size_t shard) {
+  return shard_state(spec, shard)[kAtResumed] != 0;
 }
 
 }  // namespace
@@ -423,6 +442,30 @@ TEST(CampaignCheckpoint, ResumingACompleteShardRewritesItsResumedByte) {
   EXPECT_EQ(again.units_done, kUnits);
   EXPECT_EQ(hash_accs(again.accumulators), run_hash(1, gcp::Mode::kSerial));
   for (std::size_t s = 0; s < 2; ++s) EXPECT_TRUE(resumed_flag(spec, s)) << s;
+  gcp::remove_checkpoints(spec);
+}
+
+TEST(CampaignCheckpoint, RecordsOutsideTheResumedRangeAreRejected) {
+  // 2 shards x 20 units stopped after 10: shard 0 holds units 0-9 and
+  // next_unit 10. A next_unit lowered to 3 would run units 3-9 a second
+  // time; it is a corrupt checkpoint, rejected when it is loaded.
+  const gcp::CampaignSpec spec = leave_checkpoints("gdelay_campaign_range");
+  const std::string shard0 = shard_state(spec, 0);
+  std::string lowered = shard0;
+  put_le(lowered, kAtNextUnit, 3, 8);
+  write_shard_state(spec, 0, lowered);
+  EXPECT_THROW(gcp::run_campaign(spec, make_accs, unit_work),
+               std::runtime_error);
+
+  // Shard 0's state relabelled as shard 1's (units 20-39) at next_unit
+  // 30: its records, units 0-9, belong to shard 0.
+  write_shard_state(spec, 0, shard0);
+  std::string moved = shard0;
+  put_le(moved, kAtShard, 1, 4);
+  put_le(moved, kAtNextUnit, 30, 8);
+  write_shard_state(spec, 1, moved);
+  EXPECT_THROW(gcp::run_campaign(spec, make_accs, unit_work),
+               std::runtime_error);
   gcp::remove_checkpoints(spec);
 }
 
@@ -570,4 +613,76 @@ TEST(CheckpointFuzz, SeededMutationsThrowOrRoundTrip) {
     EXPECT_THROW(gcp::unframe(framed.substr(0, keep), gcp::kFrameShardState),
                  std::runtime_error)
         << "kept " << keep;
+}
+
+TEST(CheckpointFuzz, MutatedShardStatesThrowOrResume) {
+  // The shard states a stopped campaign leaves (2 shards x 20 units,
+  // stopped after 10 each), mutated in their outer fields and in their
+  // bytes, re-framed so the checksum holds, and resumed. Each resume must
+  // throw std::runtime_error or complete: a std::logic_error (a unit run
+  // twice, a merge out of unit order), a crash or a hang means the loader
+  // let a bad state through.
+  const gcp::CampaignSpec spec = leave_checkpoints("gdelay_campaign_fuzz");
+  const std::string states[2] = {shard_state(spec, 0), shard_state(spec, 1)};
+  const auto ranges = gcp::plan_shards(kUnits, 2);
+
+  std::size_t resumed = 0, rejected = 0;
+  const auto resume = [&](std::size_t shard, const std::string& mutant,
+                          const std::string& what) {
+    for (std::size_t s = 0; s < 2; ++s)
+      write_shard_state(spec, s, s == shard ? mutant : states[s]);
+    try {
+      EXPECT_TRUE(gcp::run_campaign(spec, make_accs, unit_work).complete)
+          << what;
+      ++resumed;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "shard " << shard << ", " << what << ": " << e.what();
+    }
+  };
+  const auto overwrite = [&](std::size_t shard, std::size_t at,
+                             std::uint64_t v, int n, const char* field) {
+    std::string m = states[shard];
+    put_le(m, at, v, n);
+    resume(shard, m, std::string(field) + " = " + std::to_string(v));
+  };
+
+  Rng rng(0x5eed5a4d);
+  const std::uint64_t big[] = {std::uint64_t{1} << 32, std::uint64_t{1} << 63,
+                               ~std::uint64_t{0}};
+  for (std::size_t s = 0; s < 2; ++s) {
+    overwrite(s, 0, rng.next_u64(), 8, "fingerprint");
+    overwrite(s, 0, gcp::spec_fingerprint(spec) ^ 1, 8, "fingerprint");
+    for (std::uint64_t v : {0ull, 1ull, 2ull, 0xffffffffull})
+      overwrite(s, kAtShard, v, 4, "shard");
+    // Every next_unit from begin - 1 to end + 1 (the last record, one
+    // past it and the range ends among them), then huge ones.
+    for (std::uint64_t v = ranges[s].begin - 1; v != ranges[s].end + 2; ++v)
+      overwrite(s, kAtNextUnit, v, 8, "next_unit");
+    for (std::uint64_t v : big) overwrite(s, kAtNextUnit, v, 8, "next_unit");
+    for (std::uint64_t v : {0ull, 1ull, 2ull, 0x80ull, 0xffull}) {
+      overwrite(s, kAtResumed, v, 1, "resumed");
+      overwrite(s, kAtComplete, v, 1, "complete");
+    }
+    for (std::uint64_t v : {0ull, 1ull, 3ull, 0xffffffffull})
+      overwrite(s, kAtCount, v, 4, "accumulator count");
+  }
+  constexpr int kMutants = 200;
+  for (int i = 0; i < kMutants; ++i) {  // byte flips anywhere
+    const std::size_t s = rng.below(2);
+    std::string m = states[s];
+    const std::uint64_t flips = 1 + rng.below(4);
+    for (std::uint64_t f = 0; f < flips; ++f)
+      m[rng.below(m.size())] ^= static_cast<char>(1 + rng.below(255));
+    resume(s, m, "byte flips " + std::to_string(i));
+  }
+  for (int i = 0; i < kMutants / 2; ++i) {  // truncations
+    const std::size_t s = rng.below(2);
+    resume(s, states[s].substr(0, rng.below(states[s].size())),
+           "truncation " + std::to_string(i));
+  }
+  EXPECT_GT(resumed, 0u);
+  EXPECT_GT(rejected, 0u);
+  gcp::remove_checkpoints(spec);
 }

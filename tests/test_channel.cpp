@@ -155,7 +155,7 @@ TEST(Channel, ProgrammedDelayVerifiedOnHardware) {
 
 TEST(Channel, PredictedLatencyConsistent) {
   const auto& f = fixture();
-  const double lat = f.cal.predicted_latency_ps(1, 0.75);
+  const double lat = f.cal.base_latency_ps + f.cal.predicted_delay_ps(1, 0.75);
   EXPECT_NEAR(lat,
               f.cal.base_latency_ps + f.cal.tap_offset_ps[1] +
                   f.cal.fine_curve(0.75),

@@ -1,4 +1,4 @@
-// Tests for DDJ analysis and waveform resampling.
+// Tests for DDJ analysis.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -80,42 +80,4 @@ TEST(Ddj, FineDelayLineShowsDroopDdj) {
   EXPECT_GT(ddj.ddj_pp_ps, 0.3);   // the droop leaves a visible signature
   EXPECT_LT(ddj.ddj_pp_ps, 12.0);  // ... but bounded
   (void)edges;
-}
-
-TEST(Resample, PreservesShape) {
-  const auto w = gs::Waveform::from_function(
-      0.0, 0.25, 2001, [](double t) { return std::sin(t / 30.0); });
-  const auto r = w.resampled(1.0);
-  EXPECT_NEAR(r.dt_ps(), 1.0, 1e-12);
-  for (std::size_t i = 0; i < r.size(); ++i)
-    EXPECT_NEAR(r[i], std::sin(r.time_at(i) / 30.0), 1e-3);
-}
-
-TEST(Resample, UpsampleInterpolates) {
-  gs::Waveform w(0.0, 1.0, {0.0, 1.0, 0.0});
-  const auto r = w.resampled(0.5);
-  EXPECT_EQ(r.size(), 5u);
-  EXPECT_DOUBLE_EQ(r[1], 0.5);
-  EXPECT_DOUBLE_EQ(r[3], 0.5);
-}
-
-TEST(Resample, Validation) {
-  gs::Waveform w(0.0, 1.0, {0.0, 1.0});
-  EXPECT_THROW(w.resampled(0.0), std::invalid_argument);
-  EXPECT_THROW(w.resampled(-1.0), std::invalid_argument);
-  // Empty stays empty.
-  gs::Waveform e;
-  EXPECT_TRUE(e.resampled(0.5).empty());
-}
-
-TEST(Resample, EdgeTimesPreserved) {
-  gs::SynthConfig sc;
-  sc.rate_gbps = 3.2;
-  const auto r = gs::synthesize_nrz(gs::prbs(7, 32), sc);
-  const auto coarse = r.wf.resampled(1.0);
-  const auto e_fine = gs::extract_edges(r.wf);
-  const auto e_coarse = gs::extract_edges(coarse);
-  ASSERT_EQ(e_fine.size(), e_coarse.size());
-  for (std::size_t i = 0; i < e_fine.size(); ++i)
-    EXPECT_NEAR(e_fine[i].t_ps, e_coarse[i].t_ps, 0.3);
 }

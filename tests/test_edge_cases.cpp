@@ -20,7 +20,6 @@
 #include "core/cal_io.h"
 #include "core/calibration.h"
 #include "core/channel.h"
-#include "core/clock_shifter.h"
 #include "core/fine_delay.h"
 #include "core/jitter_injector.h"
 #include "measure/bathtub.h"
@@ -64,14 +63,6 @@ TEST(EyeDiagramRaster, OutOfRangeSamplesDropped) {
   gm::EyeDiagram eye(50.0, -0.5, 0.5, 8, 8);
   eye.accumulate(wf, 0.0, 0.0);
   EXPECT_EQ(eye.total(), 0u);
-}
-
-TEST(HistogramEdge, ModeOnEmptyIsZero) {
-  gm::Histogram h(0.0, 1.0, 4);
-  EXPECT_EQ(h.mode_bin(), 0u);
-  EXPECT_EQ(h.total(), 0u);
-  // Ascii render of an empty histogram must not divide by zero.
-  EXPECT_NO_THROW(h.ascii());
 }
 
 TEST(CurveEdge, TwoPointCurve) {
@@ -204,8 +195,6 @@ TEST(NanRangeChecks, EveryConstructorAndSetterRejectsNaN) {
   gc::VariableDelayChannel channel(gc::ChannelConfig::prototype(), Rng(1));
   ga::CdrConfig cdr_ui, cdr_gain;
   cdr_ui.ui_ps = cdr_gain.gain = nan;
-  gc::ClockPhaseShifterConfig period;
-  period.period_ps = nan;
   const gs::Waveform wf(0.0, 1.0, std::vector<double>(8, 0.0));
   const gm::DjDistribution dj = gm::dual_dirac_dj(1.0);
   gm::DjDistribution nan_weight = dj;
@@ -247,7 +236,6 @@ TEST(NanRangeChecks, EveryConstructorAndSetterRejectsNaN) {
       {"set_noise_pp", [&] { inj.set_noise_pp(nan); }},
       {"set_sj pp", [&] { inj.set_sj(nan, 0.01); }},
       {"set_sj freq", [&] { inj.set_sj(0.1, nan); }},
-      {"Waveform::resampled", [&] { (void)wf.resampled(nan); }},
       {"plan_clock f", [&] { gs::plan_clock(nan, 4, gs::SynthConfig{}); }},
       {"scan_phase ui",
        [&] { (void)ga::DutReceiver().scan_phase(wf, {1, 0}, nan, 0.0, 4); }},
@@ -276,7 +264,6 @@ TEST(NanRangeChecks, EveryConstructorAndSetterRejectsNaN) {
        [&] { gm::is_eye_opening_at_ber(curve, 100.0, nan); }},
       {"CdrReceiver ui", [&] { ga::CdrReceiver{cdr_ui}; }},
       {"CdrReceiver gain", [&] { ga::CdrReceiver{cdr_gain}; }},
-      {"ClockPhaseShifter", [&] { gc::ClockPhaseShifter(period, Rng(1)); }},
   };
   for (const auto& [name, make] : cases)
     EXPECT_THROW(make(), std::invalid_argument) << name;
@@ -398,6 +385,81 @@ TEST(NanRangeChecks, NonFiniteUiIsRejectedByEveryEntryPoint) {
   // A finite UI still goes through.
   EXPECT_GT(gm::eye_opening_at_ber(100.0, 1.0, 0.0, 1e-12), 0.0);
   EXPECT_GT(gm::is_eye_opening_at_ber(curve, 100.0, 1e-3), 0.0);
+}
+
+TEST(NanRangeChecks, BerEntryPointsRequireFiniteRjAndDensity) {
+  // `!(rj > 0)` let +Inf through (a BER of rho/2 at every strobe) and no
+  // BER function checked the transition density: a NaN one read as a
+  // fully open eye at 1e-12. Every BER entry point requires a finite RJ
+  // (> 0, or >= 0 on eye_opening_at_ber's pure-DJ branch) and a finite
+  // density in (0, 1], naming the field. (A NaN RJ has its rows in
+  // EveryConstructorAndSetterRejectsNaN.)
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const gm::DjDistribution dj = gm::dual_dirac_dj(1.0);
+  const auto is_bathtub = [&dj](double rj, double rho) {
+    gm::TailSimOptions tail;
+    tail.n_points = 2;
+    tail.n_samples = 1;
+    tail.transition_density = rho;
+    Rng rng(1);
+    gm::importance_sampled_bathtub(100.0, rj, dj, tail, rng);
+  };
+  struct Case {
+    const char* name;
+    const char* field;
+    double bad;
+    std::function<void(double)> run;
+  };
+  std::vector<Case> cases = {
+      {"bathtub_curve", "rj_rms_ps", inf,
+       [](double rj) { gm::bathtub_curve(100.0, rj, 0.0); }},
+      {"eye_opening_at_ber", "rj_rms_ps", inf,
+       [](double rj) { gm::eye_opening_at_ber(100.0, rj, 0.0, 1e-12); }},
+      {"ber_at_phase", "rj_rms_ps", inf,
+       [&dj](double rj) { gm::ber_at_phase(10.0, 100.0, rj, dj); }},
+      {"importance_sampled_bathtub", "rj_rms_ps", inf,
+       [&](double rj) { is_bathtub(rj, 0.5); }},
+      // DJ is checked on the RJ > 0 branch too, not only the pure-DJ one.
+      {"eye_opening_at_ber (rj > 0)", "dj", nan,
+       [](double dj_pp) { gm::eye_opening_at_ber(100.0, 1.0, dj_pp, 1e-12); }},
+  };
+  for (double bad : {nan, inf}) {
+    cases.push_back({"bathtub_curve", "transition_density", bad,
+                     [](double rho) {
+                       gm::BathtubOptions opt;
+                       opt.transition_density = rho;
+                       gm::bathtub_curve(100.0, 1.0, 0.0, opt);
+                     }});
+    cases.push_back({"eye_opening_at_ber", "transition_density", bad,
+                     [](double rho) {
+                       gm::eye_opening_at_ber(100.0, 1.0, 0.0, 1e-12, rho);
+                     }});
+    cases.push_back({"eye_opening_at_ber (pure DJ)", "transition_density",
+                     bad, [](double rho) {
+                       gm::eye_opening_at_ber(100.0, 0.0, 10.0, 1e-12, rho);
+                     }});
+    cases.push_back({"ber_at_phase", "transition_density", bad,
+                     [&dj](double rho) {
+                       gm::ber_at_phase(10.0, 100.0, 1.0, dj, rho);
+                     }});
+    cases.push_back({"importance_sampled_bathtub", "transition_density", bad,
+                     [&](double rho) { is_bathtub(1.0, rho); }});
+  }
+  for (const auto& c : cases) {
+    try {
+      c.run(c.bad);
+      ADD_FAILURE() << c.name << " accepted " << c.field << " = " << c.bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << c.name << ": " << e.what();
+    }
+  }
+  // Finite values at the ends of the ranges still go through.
+  gm::BathtubOptions full;
+  full.transition_density = 1.0;
+  EXPECT_EQ(gm::bathtub_curve(100.0, 1.0, 0.0, full).size(), full.n_points);
+  EXPECT_EQ(gm::eye_opening_at_ber(100.0, 0.0, 10.0, 1e-12), 90.0);
 }
 
 TEST(NonFiniteOptions, MeasurementOptionsAreRejectedUpFront) {

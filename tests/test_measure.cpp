@@ -32,14 +32,6 @@ TEST(Stats, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(s.mean, 0.0);
 }
 
-TEST(Stats, Quantile) {
-  std::vector<double> xs{4.0, 1.0, 3.0, 2.0};
-  EXPECT_DOUBLE_EQ(gm::quantile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(gm::quantile(xs, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(gm::quantile(xs, 0.5), 2.5);
-  EXPECT_THROW(gm::quantile({}, 0.5), std::invalid_argument);
-}
-
 TEST(Histogram, BinningAndCounts) {
   gm::Histogram h(0.0, 10.0, 10);
   h.add(0.5);
@@ -52,21 +44,11 @@ TEST(Histogram, BinningAndCounts) {
   EXPECT_EQ(h.underflow(), 1u);
   EXPECT_EQ(h.overflow(), 1u);
   EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.mode_bin(), 0u);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 0.5);
 }
 
 TEST(Histogram, RejectsBadRange) {
   EXPECT_THROW(gm::Histogram(1.0, 1.0, 4), std::invalid_argument);
   EXPECT_THROW(gm::Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, AsciiRendersRows) {
-  gm::Histogram h(0.0, 2.0, 2);
-  h.add_all({0.5, 0.5, 1.5});
-  const auto art = h.ascii(10);
-  EXPECT_NE(art.find('#'), std::string::npos);
-  EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 2);
 }
 
 TEST(Jitter, CleanGridHasZeroTj) {

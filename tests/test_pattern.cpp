@@ -1,10 +1,11 @@
-// Tests for the PRBS / pattern generators.
+// Tests for the PRBS / pattern generators and the SerDes stress patterns.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <stdexcept>
 
 #include "signal/pattern.h"
+#include "signal/synth.h"
 
 namespace gs = gdelay::sig;
 
@@ -87,13 +88,6 @@ TEST(Pattern, Alternating) {
   EXPECT_EQ(gs::transition_count(a), 5u);
 }
 
-TEST(Pattern, Constant) {
-  const auto c = gs::constant(5, 1);
-  EXPECT_EQ(gs::popcount(c), 5u);
-  EXPECT_EQ(gs::transition_count(c), 0u);
-  EXPECT_EQ(gs::longest_run(c), 5u);
-}
-
 TEST(Pattern, TransitionCountPrbs) {
   // PRBS7: 64 transitions per 127-bit period on the wrapped sequence;
   // a linear window sees 63..64.
@@ -101,4 +95,33 @@ TEST(Pattern, TransitionCountPrbs) {
   const auto t = gs::transition_count(seq);
   EXPECT_GE(t, 60u);
   EXPECT_LE(t, 68u);
+}
+
+TEST(Pattern, K285Structure) {
+  const auto p = gs::k285(4);
+  ASSERT_EQ(p.size(), 40u);
+  // Alternating disparity: second codeword is the complement of the first.
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(p[static_cast<std::size_t>(i)],
+                                         1 - p[static_cast<std::size_t>(i) + 10]);
+  // Balanced over a disparity pair.
+  EXPECT_EQ(gs::popcount({p.begin(), p.begin() + 20}), 10u);
+  // Contains a 5-run (the comma).
+  EXPECT_EQ(gs::longest_run(p), 5u);
+}
+
+TEST(Pattern, RunLengthStress) {
+  const auto p = gs::run_length_stress(64, 8);
+  EXPECT_EQ(p.size(), 64u);
+  EXPECT_EQ(gs::longest_run(p), 8u);
+  // Half the segments toggle at full rate: plenty of transitions.
+  EXPECT_GT(gs::transition_count(p), 24u);
+  // run = 0 is coerced, not UB.
+  EXPECT_EQ(gs::run_length_stress(8, 0).size(), 8u);
+}
+
+TEST(Pattern, StressPatternsSynthesize) {
+  gs::SynthConfig sc;
+  sc.rate_gbps = 6.4;
+  EXPECT_NO_THROW(gs::synthesize_nrz(gs::k285(12), sc));
+  EXPECT_NO_THROW(gs::synthesize_nrz(gs::run_length_stress(96), sc));
 }

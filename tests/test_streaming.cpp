@@ -350,10 +350,7 @@ TEST(StreamingPipeline, SynthChannelAllSinksIdentity) {
     // A delay is two EdgeSinks set up as measure_delay extracts: one on
     // the raw stimulus stream (no stages), one on the channel's output.
     const gm::DelayMeterOptions dopt;
-    gs::EdgeExtractOptions eo;
-    eo.threshold_v = dopt.threshold_v;
-    eo.hysteresis_v = dopt.hysteresis_v;
-    gm::EdgeSink ref_edges(eo, dopt.settle_ps);
+    gm::EdgeSink ref_edges(dopt);
     gc::Pipeline taps(chunk);
     taps.run(src, ref_edges);
 
@@ -361,7 +358,7 @@ TEST(StreamingPipeline, SynthChannelAllSinksIdentity) {
     gm::EyeSink eye_s(gm::EyeDiagram(ui, -0.55, 0.55, 72, 18), 0.0, 400.0);
     gm::JitterSink jit_s(ui);
     gm::LevelHistogramSink hist_s(-0.6, 0.6, 48, 400.0);
-    gm::EdgeSink out_edges(eo, dopt.settle_ps);
+    gm::EdgeSink out_edges(dopt);
 
     gc::Pipeline pipe(chunk);
     pipe.add_stage(ch_s);

@@ -27,10 +27,7 @@ TEST(Units, PeriodAndRate) {
 }
 
 TEST(Units, Conversions) {
-  EXPECT_DOUBLE_EQ(gu::ns_to_ps(1.5), 1500.0);
-  EXPECT_DOUBLE_EQ(gu::ps_to_ns(250.0), 0.25);
   EXPECT_DOUBLE_EQ(gu::mv(750.0), 0.75);
-  EXPECT_DOUBLE_EQ(gu::to_mv(0.1), 100.0);
 }
 
 TEST(Units, DbLoss) {
@@ -41,7 +38,6 @@ TEST(Units, DbLoss) {
 
 TEST(Units, GaussianPpConvention) {
   EXPECT_DOUBLE_EQ(gu::gaussian_pp_to_sigma(0.9), 0.15);
-  EXPECT_DOUBLE_EQ(gu::gaussian_sigma_to_pp(0.15), 0.9);
 }
 
 TEST(Rng, Deterministic) {
@@ -166,11 +162,6 @@ TEST(Curve, InvertNonMonotonicThrows) {
   EXPECT_THROW(c.invert(0.5), std::domain_error);
 }
 
-TEST(Curve, FromSamplesSorts) {
-  auto c = gu::Curve::from_samples({{2.0, 20.0}, {0.0, 0.0}, {1.0, 10.0}});
-  EXPECT_DOUBLE_EQ(c(1.5), 15.0);
-}
-
 TEST(Curve, MidSlope) {
   gu::Curve c({0.0, 1.0, 2.0, 3.0, 4.0}, {0.0, 1.0, 3.0, 5.0, 6.0});
   // Central half covers the steep 2/unit segments.
@@ -259,7 +250,7 @@ TEST(Serde, VectorCountPastTheBufferIsATruncatedRead) {
   for (const bool f64 : {true, false}) {
     gu::ByteWriter w;
     w.u64((std::uint64_t{1} << 61) + 1);
-    w.f64(1.0);
+    w.u64(std::bit_cast<std::uint64_t>(1.0));
     gu::ByteReader r(w.bytes());
     if (f64)
       EXPECT_THROW(r.vec_f64(), std::runtime_error);

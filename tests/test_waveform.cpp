@@ -94,23 +94,6 @@ TEST(Waveform, SliceOutOfRangeClamps) {
   EXPECT_EQ(s.size(), 3u);
 }
 
-TEST(Waveform, AddSubtract) {
-  Waveform a(0.0, 1.0, {1.0, 2.0});
-  Waveform b(0.0, 1.0, {0.5, 0.5});
-  const auto sum = Waveform::add(a, b);
-  EXPECT_DOUBLE_EQ(sum[0], 1.5);
-  const auto diff = Waveform::subtract(a, b);
-  EXPECT_DOUBLE_EQ(diff[1], 1.5);
-}
-
-TEST(Waveform, AddGridMismatchThrows) {
-  Waveform a(0.0, 1.0, {1.0, 2.0});
-  Waveform b(0.5, 1.0, {1.0, 2.0});
-  EXPECT_THROW(Waveform::add(a, b), std::invalid_argument);
-  Waveform c(0.0, 1.0, {1.0, 2.0, 3.0});
-  EXPECT_THROW(Waveform::add(a, c), std::invalid_argument);
-}
-
 TEST(Waveform, EmptyBehaviour) {
   Waveform w;
   EXPECT_TRUE(w.empty());

@@ -301,7 +301,7 @@ void campaign_unit(const CampaignWorkload& w, std::uint64_t unit,
   const double err = std::abs(resolution * (rng.uniform() - 0.5)) +
                      std::abs(rj / std::sqrt(96.0) * rng.gaussian());
   const double rec[4] = {fine_range, total_range, resolution, err};
-  static_cast<campaign::RecordAccumulator&>(*accs[0]).add(unit, rec);
+  accs[0]->add(unit, rec);
 }
 
 campaign::CampaignSpec make_campaign_spec(const Args& a) {
@@ -318,8 +318,7 @@ campaign::CampaignSpec make_campaign_spec(const Args& a) {
 }
 
 int print_campaign_result(const campaign::CampaignResult& r) {
-  const auto& recs =
-      static_cast<const campaign::RecordAccumulator&>(*r.accumulators[0]);
+  const campaign::RecordAccumulator& recs = *r.accumulators[0];
   std::vector<double> fine, total, err;
   fine.reserve(recs.size());
   total.reserve(recs.size());
