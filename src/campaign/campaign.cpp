@@ -89,10 +89,14 @@ std::vector<ShardRange> plan_shards(std::uint64_t n_units,
                                     std::size_t n_shards) {
   if (n_shards == 0)
     throw std::invalid_argument("plan_shards: need >= 1 shard");
+  // begin(s) = floor(n * s / S), computed as q*s + r*s/S with n = q*S + r
+  // so that no product wraps at 2^64 (r*s < S^2).
+  const std::uint64_t q = n_units / n_shards, r = n_units % n_shards;
+  const auto begin = [&](std::uint64_t s) { return q * s + r * s / n_shards; };
   std::vector<ShardRange> ranges(n_shards);
   for (std::size_t s = 0; s < n_shards; ++s) {
-    ranges[s].begin = n_units * s / n_shards;
-    ranges[s].end = n_units * (s + 1) / n_shards;
+    ranges[s].begin = begin(s);
+    ranges[s].end = begin(s + 1);
   }
   return ranges;
 }

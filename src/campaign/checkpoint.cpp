@@ -16,7 +16,7 @@ std::string frame(std::uint32_t kind, const std::string& payload) {
   w.u32(kind);
   w.u64(payload.size());
   w.raw(payload.data(), payload.size());
-  w.u64(util::fnv1a64(payload.data(), payload.size()));
+  w.u64(util::xxh64(payload.data(), payload.size()));
   return w.take();
 }
 
@@ -28,8 +28,10 @@ std::string unframe(const std::string& bytes, std::uint32_t expect_kind) {
     throw std::runtime_error("checkpoint: bad magic (not a GDCK frame)");
   const std::uint32_t version = r.u32();
   if (version != kCheckpointVersion)
-    throw std::runtime_error("checkpoint: unsupported frame version " +
-                             std::to_string(version));
+    throw std::runtime_error(
+        "checkpoint: unsupported frame version " + std::to_string(version) +
+        " (this build reads version " + std::to_string(kCheckpointVersion) +
+        "); delete the checkpoint directory and restart the campaign");
   const std::uint32_t kind = r.u32();
   if (kind != expect_kind)
     throw std::runtime_error("checkpoint: frame kind mismatch");
@@ -39,7 +41,7 @@ std::string unframe(const std::string& bytes, std::uint32_t expect_kind) {
   std::string payload(static_cast<std::size_t>(size), '\0');
   r.raw(payload.data(), payload.size());
   const std::uint64_t sum = r.u64();
-  if (sum != util::fnv1a64(payload.data(), payload.size()))
+  if (sum != util::xxh64(payload.data(), payload.size()))
     throw std::runtime_error("checkpoint: payload checksum mismatch");
   if (!r.at_end())
     throw std::runtime_error("checkpoint: trailing bytes after frame");

@@ -2,14 +2,18 @@
 //
 // Every shard checkpoint travels inside one frame:
 //
-//   u32 magic 'GDCK'   u32 version   u32 kind   u64 payload size
-//   payload bytes      u64 FNV-1a64(payload)
+//   u32 magic 'GDCK'   u32 version 2   u32 kind   u64 payload size
+//   payload bytes      u64 XXH64(payload), seed 0
 //
-// unframe() validates all five envelope fields plus the checksum before
-// handing the payload back, so a truncated or bit-flipped checkpoint is
-// rejected up front instead of deserializing into plausible state. Files
-// are written via temp-file + rename so a crash mid-write can never leave
-// a half-frame at the checkpoint path.
+// All fields are little-endian. unframe() validates the envelope fields
+// plus the checksum before handing the payload back, so a truncated or
+// bit-flipped checkpoint is rejected up front instead of deserializing
+// into plausible state. Only version 2 is read: version 1 (the same
+// layout with an FNV-1a64 trailer) is rejected with a message that says
+// to delete the checkpoint directory and restart, since checkpoints are
+// the working files of a running campaign, not an archive. Files are
+// written via temp-file + rename so a crash mid-write can never leave a
+// half-frame at the checkpoint path.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +23,7 @@
 namespace gdelay::campaign {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b434447u;  // "GDCK"
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Frame payload kinds.
 inline constexpr std::uint32_t kFrameShardState = 1;

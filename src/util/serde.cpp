@@ -23,6 +23,13 @@ std::uint64_t load_le64(const unsigned char* p) {
   return v;
 }
 
+std::uint32_t load_le32(const unsigned char* p) {
+  std::uint32_t v = 0;
+#pragma GCC unroll 4
+  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+  return v;
+}
+
 }  // namespace
 
 void ByteWriter::u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
@@ -81,8 +88,8 @@ std::uint8_t ByteReader::u8() {
 
 std::uint32_t ByteReader::u32() {
   if (remaining() < 4) truncated("u32");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(*p_++) << (8 * i);
+  const std::uint32_t v = load_le32(p_);
+  p_ += 4;
   return v;
 }
 
@@ -127,6 +134,62 @@ std::uint64_t fnv1a64(const void* data, std::size_t n, std::uint64_t seed) {
     h ^= p[i];
     h *= 0x100000001b3ULL;
   }
+  return h;
+}
+
+namespace {
+
+constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ULL;
+constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr std::uint64_t kP3 = 0x165667b19e3779f9ULL;
+constexpr std::uint64_t kP4 = 0x85ebca77c2b2ae63ULL;
+constexpr std::uint64_t kP5 = 0x27d4eb2f165667c5ULL;
+
+std::uint64_t xxh_round(std::uint64_t acc, std::uint64_t input) {
+  return std::rotl(acc + input * kP2, 31) * kP1;
+}
+
+std::uint64_t xxh_merge(std::uint64_t h, std::uint64_t acc) {
+  return (h ^ xxh_round(0, acc)) * kP1 + kP4;
+}
+
+}  // namespace
+
+// XXH64 with seed 0, as the xxHash specification defines it: four lanes
+// over 32-byte stripes (independent multiply chains, so they overlap),
+// the merge rounds, the 8-, 4- and 1-byte tails, then the avalanche.
+std::uint64_t xxh64(const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  const unsigned char* const end = p + n;
+  std::uint64_t h = kP5;
+  if (n >= 32) {
+    std::uint64_t v1 = kP1 + kP2, v2 = kP2, v3 = 0, v4 = 0 - kP1;
+    for (const unsigned char* last = end - 32; p <= last; p += 32) {
+      v1 = xxh_round(v1, load_le64(p));
+      v2 = xxh_round(v2, load_le64(p + 8));
+      v3 = xxh_round(v3, load_le64(p + 16));
+      v4 = xxh_round(v4, load_le64(p + 24));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+        std::rotl(v4, 18);
+    h = xxh_merge(h, v1);
+    h = xxh_merge(h, v2);
+    h = xxh_merge(h, v3);
+    h = xxh_merge(h, v4);
+  }
+  h += n;
+  for (; end - p >= 8; p += 8)
+    h = std::rotl(h ^ xxh_round(0, load_le64(p)), 27) * kP1 + kP4;
+  if (end - p >= 4) {
+    h = std::rotl(h ^ load_le32(p) * kP1, 23) * kP2 + kP3;
+    p += 4;
+  }
+  for (; p < end; ++p) h = std::rotl(h ^ *p * kP5, 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
   return h;
 }
 

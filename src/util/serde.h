@@ -11,7 +11,9 @@
 // what its bytes cost. A vector's bytes are its u64 count followed by
 // each element's 8 octets, a double as its IEEE-754 bit pattern. Round-trip identity —
 // save(load(save(x))) == save(x) — is the contract the checkpoint tests
-// pin.
+// pin. Two hashes live here: xxh64 checks checkpoint frames, whose
+// payloads run to hundreds of kilobytes, and fnv1a64 makes the pinned
+// fingerprints and state hashes, whose values must not move.
 #pragma once
 
 #include <cstddef>
@@ -71,8 +73,15 @@ class ByteReader {
   const unsigned char* end_;
 };
 
-/// FNV-1a 64-bit hash — the checkpoint frames' integrity checksum.
+/// FNV-1a 64-bit hash: the campaign spec fingerprint and the pinned
+/// state and output digests. One dependent multiply per byte.
 std::uint64_t fnv1a64(const void* data, std::size_t n,
                       std::uint64_t seed = 0xcbf29ce484222325ULL);
+
+/// XXH64 (xxHash specification) with seed 0, words read little-endian
+/// so the value does not depend on the host: the checkpoint frames'
+/// payload checksum. Its four lanes are independent multiply chains, so
+/// per byte it costs a fraction of fnv1a64's one dependent multiply.
+std::uint64_t xxh64(const void* data, std::size_t n);
 
 }  // namespace gdelay::util

@@ -4,7 +4,8 @@
 // (serial / thread) and ANY resume point — plus the guard rails around
 // it: checkpoints from a different spec or topology, corrupt checkpoint
 // files and swapped shard files are rejected, the frame layer refuses
-// truncated or bit-flipped bytes outright, seeded mutants of a real
+// truncated, bit-flipped or word-swapped bytes and version-1 frames
+// outright, seeded mutants of a real
 // payload or of a stopped campaign's shard states either throw
 // std::runtime_error or round-trip (resume), and RecordAccumulator
 // merges only append, so floating-point reductions stay in unit order
@@ -110,6 +111,45 @@ TEST(CampaignPlan, ShardsAreContiguousBalancedAndCovering) {
         hi = std::max(hi, len);
       }
       EXPECT_LE(hi - lo, 1u) << n << " units over " << shards;
+    }
+  }
+}
+
+TEST(CampaignPlan, ShardsCoverUnitCountsNearTwoToThe64) {
+  // n * (s + 1) wraps at 2^64 for these; the ranges must still start at
+  // 0, be contiguous, end at n and differ in size by at most 1.
+  const struct {
+    std::uint64_t n;
+    std::size_t shards;
+  } big[] = {{6000000000000000000ull, 4},
+             {~0ull, 3},
+             {(std::uint64_t{1} << 63) + 5, 7}};
+  for (const auto& c : big) {
+    const auto ranges = gcp::plan_shards(c.n, c.shards);
+    ASSERT_EQ(ranges.size(), c.shards);
+    EXPECT_EQ(ranges.front().begin, 0u);
+    EXPECT_EQ(ranges.back().end, c.n);
+    std::uint64_t lo = ~0ull, hi = 0;
+    for (std::size_t s = 0; s < c.shards; ++s) {
+      ASSERT_LE(ranges[s].begin, ranges[s].end) << c.n << " shard " << s;
+      if (s) {
+        EXPECT_EQ(ranges[s].begin, ranges[s - 1].end);
+      }
+      const std::uint64_t len = ranges[s].end - ranges[s].begin;
+      lo = std::min(lo, len);
+      hi = std::max(hi, len);
+    }
+    EXPECT_LE(hi - lo, 1u) << c.n << " units over " << c.shards;
+  }
+  // Wherever n * S fits, the plan is floor(n * s / S) as before, so
+  // existing checkpoints and hashes keep their shard ranges.
+  for (std::uint64_t n = 0; n <= 1000; ++n) {
+    for (std::size_t shards = 1; shards <= 16; ++shards) {
+      const auto ranges = gcp::plan_shards(n, shards);
+      for (std::size_t s = 0; s < shards; ++s) {
+        ASSERT_EQ(ranges[s].begin, n * s / shards) << n << "/" << shards;
+        ASSERT_EQ(ranges[s].end, n * (s + 1) / shards) << n << "/" << shards;
+      }
     }
   }
 }
@@ -479,13 +519,87 @@ TEST(CheckpointFrame, RoundTripsPayload) {
   EXPECT_EQ(gcp::unframe(framed, gcp::kFrameShardState), payload);
 }
 
+namespace {
+
+// 256 payload bytes, all distinct, so its 32 eight-byte words differ.
+std::string distinct_payload() {
+  std::string s(256, '\0');
+  for (std::size_t i = 0; i < s.size(); ++i)
+    s[i] = static_cast<char>((i * 131 + 7) & 0xff);
+  return s;
+}
+
+}  // namespace
+
 TEST(CheckpointFrame, RejectsBitFlipAnywhereInPayload) {
-  const std::string payload(256, 'x');
-  std::string framed = gcp::frame(gcp::kFrameShardState, payload);
-  // Flip one payload bit: the FNV checksum must catch it.
-  framed[20] = static_cast<char>(framed[20] ^ 0x10);
-  EXPECT_THROW(gcp::unframe(framed, gcp::kFrameShardState),
-               std::runtime_error);
+  // Every bit of the frame: the envelope checks catch header flips, the
+  // XXH64 checksum catches payload and trailer flips. 284 bytes, 2,272
+  // flips.
+  const std::string framed =
+      gcp::frame(gcp::kFrameShardState, distinct_payload());
+  ASSERT_EQ(framed.size(), 20u + 256u + 8u);
+  for (std::size_t bit = 0; bit < 8 * framed.size(); ++bit) {
+    std::string bad = framed;
+    bad[bit / 8] = static_cast<char>(bad[bit / 8] ^ (1 << (bit % 8)));
+    EXPECT_THROW(gcp::unframe(bad, gcp::kFrameShardState), std::runtime_error)
+        << "bit " << bit;
+  }
+}
+
+TEST(CheckpointFrame, RejectsEveryPayloadWordSwap) {
+  // A word-parallel checksum that folds its words position-blind (a sum
+  // or XOR of separately mixed words) misses a swap, which no single-bit
+  // flip shows; XXH64 chains each lane's words, so it must not. 32
+  // words, 496 swaps.
+  const std::string framed =
+      gcp::frame(gcp::kFrameShardState, distinct_payload());
+  constexpr std::size_t kHeader = 20, kWords = 256 / 8;
+  for (std::size_t i = 0; i < kWords; ++i) {
+    for (std::size_t j = i + 1; j < kWords; ++j) {
+      std::string bad = framed;
+      std::swap_ranges(bad.begin() + kHeader + 8 * i,
+                       bad.begin() + kHeader + 8 * i + 8,
+                       bad.begin() + kHeader + 8 * j);
+      EXPECT_THROW(gcp::unframe(bad, gcp::kFrameShardState),
+                   std::runtime_error)
+          << "words " << i << " and " << j;
+    }
+  }
+}
+
+TEST(CheckpointFrame, Version2LayoutIsPinned) {
+  // "GDCK", version 2, kind 1, size 3, "abc", XXH64("abc") little-endian.
+  const std::string framed = gcp::frame(gcp::kFrameShardState, "abc");
+  static const char kHex[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : framed) {
+    hex.push_back(kHex[static_cast<unsigned char>(c) >> 4]);
+    hex.push_back(kHex[static_cast<unsigned char>(c) & 0xf]);
+  }
+  EXPECT_EQ(hex,
+            "4744434b020000000100000003000000000000006162639909"
+            "77adf52cbc44");
+}
+
+TEST(CheckpointFrame, RejectsVersion1Frame) {
+  // A version-1 frame as the previous format wrote it: the same header
+  // with version 1 and an FNV-1a64 trailer. It is never resumed.
+  const std::string payload = "campaign shard state";
+  ByteWriter w;
+  w.u32(gcp::kCheckpointMagic);
+  w.u32(1);
+  w.u32(gcp::kFrameShardState);
+  w.u64(payload.size());
+  w.raw(payload.data(), payload.size());
+  w.u64(fnv1a64(payload.data(), payload.size()));
+  try {
+    gcp::unframe(w.bytes(), gcp::kFrameShardState);
+    FAIL() << "a version-1 frame was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("restart"), std::string::npos) << what;
+  }
 }
 
 TEST(CheckpointFrame, RejectsTruncation) {

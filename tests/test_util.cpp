@@ -305,3 +305,34 @@ TEST(Serde, VectorsAreLittleEndianWordsBitForBit) {
   EXPECT_TRUE(r.vec_u64().empty());
   EXPECT_TRUE(r.at_end());
 }
+
+TEST(Serde, Xxh64KnownAnswers) {
+  // Values from the reference xxHash library (0.8.1), seed 0, over the
+  // bytes (i * 131 + 7) & 0xff. The lengths reach every path: the short
+  // input (< 32) with each of the 8-, 4- and 1-byte tails, exactly one
+  // and two stripes, stripes followed by each tail, and 1 MiB.
+  const auto input = [](std::size_t n) {
+    std::string s(n, '\0');
+    for (std::size_t i = 0; i < n; ++i)
+      s[i] = static_cast<char>((i * 131 + 7) & 0xff);
+    return s;
+  };
+  const struct {
+    std::size_t n;
+    std::uint64_t h;
+  } kat[] = {
+      {0, 0xef46db3751d8e999ULL},        {1, 0xa96c7f0ce858bbb7ULL},
+      {3, 0xbed43740ee6332bbULL},        {4, 0xfa212ae44b3bb23dULL},
+      {7, 0x2744460dd675d2c0ULL},        {8, 0x994b676b71ce94ddULL},
+      {12, 0xb92f588ce720786eULL},       {31, 0x6711d55e306b5d8fULL},
+      {32, 0x07f7b8e3bc5d6e25ULL},       {33, 0x09f85eeb4e1cbe9fULL},
+      {36, 0xe7ac625222f2b655ULL},       {63, 0xb7c9968c066cb6a5ULL},
+      {64, 0x50d4159a0411632eULL},       {100, 0x9ddada11d3dc2d8fULL},
+      {1 << 20, 0x1b13a8085220794bULL},
+  };
+  for (const auto& k : kat) {
+    const std::string s = input(k.n);
+    EXPECT_EQ(gu::xxh64(s.data(), s.size()), k.h) << k.n << " bytes";
+  }
+  EXPECT_EQ(gu::xxh64("abc", 3), 0x44bc2cf5ad770999ULL);
+}
