@@ -1,6 +1,9 @@
 #include "campaign/campaign.h"
 
+#include <filesystem>
+#include <span>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "campaign/checkpoint.h"
@@ -47,11 +50,13 @@ void RecordAccumulator::add(std::uint64_t unit, const double* values) {
   values_.insert(values_.end(), values, values + width_);
 }
 
-void RecordAccumulator::save(util::ByteWriter& w) const {
+void RecordAccumulator::save(util::ByteWriter& w, std::size_t from) const {
+  if (from > units_.size())
+    throw std::out_of_range("RecordAccumulator: save from past the end");
   w.u32(kKindRecords);
   w.u64(width_);
-  w.vec_u64(units_);
-  w.vec_f64(values_);
+  w.vec_u64(std::span(units_).subspan(from));
+  w.vec_f64(std::span(values_).subspan(from * width_));
 }
 
 void RecordAccumulator::load(util::ByteReader& r) {
@@ -65,8 +70,17 @@ void RecordAccumulator::load(util::ByteReader& r) {
   for (std::size_t i = 1; i < units.size(); ++i)
     if (units[i] <= units[i - 1])
       throw std::runtime_error("RecordAccumulator: corrupt checkpoint payload");
-  units_ = std::move(units);
-  values_ = std::move(values);
+  if (units.empty()) return;
+  if (units_.empty()) {
+    units_ = std::move(units);
+    values_ = std::move(values);
+    return;
+  }
+  if (units.front() <= units_.back())
+    throw std::runtime_error(
+        "RecordAccumulator: loaded units must follow the held ones");
+  units_.insert(units_.end(), units.begin(), units.end());
+  values_.insert(values_.end(), values.begin(), values.end());
 }
 
 void RecordAccumulator::merge_from(const RecordAccumulator& other) {
@@ -82,7 +96,7 @@ void RecordAccumulator::merge_from(const RecordAccumulator& other) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard planning and state serialization
+// Shard planning and checkpoint logs
 // ---------------------------------------------------------------------------
 
 std::vector<ShardRange> plan_shards(std::uint64_t n_units,
@@ -125,54 +139,52 @@ struct ShardOutcome {
   bool complete = false;
 };
 
-// Checkpoint payload:
-//   u64 fingerprint  u32 shard  u64 next_unit  u8 resumed  u8 complete
-//   u32 n_accs  accumulator payloads in factory order
-std::string serialize_outcome(const CampaignSpec& spec, std::size_t shard,
-                              const ShardOutcome& out) {
-  util::ByteWriter w;
-  w.u64(spec_fingerprint(spec));
-  w.u32(static_cast<std::uint32_t>(shard));
-  w.u64(out.next_unit);
-  w.u8(out.resumed ? 1 : 0);
-  w.u8(out.complete ? 1 : 0);
-  w.u32(static_cast<std::uint32_t>(out.accs.size()));
-  for (const auto& acc : out.accs) acc->save(w);
-  return w.take();
-}
-
-// A state that passes every check resumes: its records lie in
-// [range.begin, next_unit), so the shard's later units follow them and
-// its merge into the earlier shards appends.
-ShardOutcome deserialize_outcome(const CampaignSpec& spec, std::size_t shard,
-                                 const ShardRange& range,
-                                 const AccumulatorFactory& factory,
-                                 const std::string& payload) {
-  util::ByteReader r(payload);
-  if (r.u64() != spec_fingerprint(spec))
-    throw std::runtime_error(
-        "campaign: checkpoint belongs to a different spec/topology");
-  if (r.u32() != static_cast<std::uint32_t>(shard))
-    throw std::runtime_error("campaign: checkpoint shard index mismatch");
-  ShardOutcome out;
-  out.next_unit = r.u64();
-  out.resumed = r.u8() != 0;
-  out.complete = r.u8() != 0;
-  const std::uint32_t n_accs = r.u32();
-  out.accs = factory();
-  if (n_accs != out.accs.size())
-    throw std::runtime_error("campaign: checkpoint accumulator count mismatch");
-  for (auto& acc : out.accs) acc->load(r);
-  if (!r.at_end())
-    throw std::runtime_error("campaign: trailing bytes in checkpoint payload");
-  if (out.next_unit < range.begin || out.next_unit > range.end)
-    throw std::runtime_error("campaign: checkpoint outside shard range");
-  for (const auto& acc : out.accs)
-    if (acc->size() > 0 && (acc->unit_at(0) < range.begin ||
-                            acc->unit_at(acc->size() - 1) >= out.next_unit))
+// Payload of one frame of a shard's log, the records of units
+// [from_unit, next_unit):
+//   u64 fingerprint  u32 shard  u64 from_unit  u64 next_unit  u32 n_accs
+//   per accumulator in factory order, its records added since the last
+//   save (RecordAccumulator::save from its saved count)
+//
+// Replays every whole frame of `log` into `out` and returns their byte
+// length; the bytes after it are a torn tail. A whole frame must follow
+// the previous one (its from_unit is the previous next_unit, range.begin
+// for the first), so a dropped, duplicated or reordered frame throws, as
+// does any frame that fails a check: its state must never resume.
+std::size_t replay_log(std::uint64_t fingerprint, std::size_t shard,
+                       const ShardRange& range, std::string_view log,
+                       ShardOutcome& out) {
+  std::size_t at = 0;
+  for (std::size_t n; (n = whole_frame_size(log.substr(at))) > 0; at += n) {
+    const std::string payload =
+        unframe(log.substr(at, n), kFrameShardState);
+    util::ByteReader r(payload);
+    if (r.u64() != fingerprint)
       throw std::runtime_error(
-          "campaign: checkpoint records outside [begin, next_unit)");
-  return out;
+          "campaign: checkpoint belongs to a different spec/topology");
+    if (r.u32() != static_cast<std::uint32_t>(shard))
+      throw std::runtime_error("campaign: checkpoint shard index mismatch");
+    const std::uint64_t from_unit = r.u64();
+    const std::uint64_t next_unit = r.u64();
+    if (from_unit != out.next_unit)
+      throw std::runtime_error("campaign: checkpoint frame out of sequence");
+    if (next_unit < from_unit || next_unit > range.end)
+      throw std::runtime_error("campaign: checkpoint outside shard range");
+    if (r.u32() != out.accs.size())
+      throw std::runtime_error("campaign: checkpoint accumulator count mismatch");
+    for (auto& acc : out.accs) {
+      const std::size_t held = acc->size();
+      acc->load(r);
+      if (acc->size() > held && (acc->unit_at(held) < from_unit ||
+                                 acc->unit_at(acc->size() - 1) >= next_unit))
+        throw std::runtime_error(
+            "campaign: checkpoint records outside [from_unit, next_unit)");
+    }
+    if (!r.at_end())
+      throw std::runtime_error("campaign: trailing bytes in checkpoint payload");
+    out.next_unit = next_unit;
+    out.resumed = true;
+  }
+  return at;
 }
 
 // ---------------------------------------------------------------------------
@@ -184,30 +196,43 @@ ShardOutcome run_shard(const CampaignSpec& spec, std::size_t shard,
                        const AccumulatorFactory& factory,
                        const UnitFn& unit_fn) {
   const bool checkpointing = !spec.checkpoint_dir.empty();
+  const std::string path =
+      checkpointing ? shard_checkpoint_path(spec, shard) : std::string();
+  const std::uint64_t fingerprint = spec_fingerprint(spec);
   ShardOutcome out;
   out.accs = factory();
   out.next_unit = range.begin;
   if (checkpointing) {
-    if (auto bytes = read_file(shard_checkpoint_path(spec, shard))) {
-      out = deserialize_outcome(spec, shard, range, factory,
-                                unframe(*bytes, kFrameShardState));
-      out.resumed = true;
+    if (auto log = read_file(path)) {
+      // Cut a torn tail, so the next save appends on a frame boundary.
+      const std::size_t whole =
+          replay_log(fingerprint, shard, range, *log, out);
+      if (whole < log->size()) std::filesystem::resize_file(path, whole);
     }
   }
 
+  // Units [.., saved_unit) and each accumulator's first saved[a] records
+  // are on disk; a save appends the rest as one frame.
+  std::uint64_t saved_unit = out.next_unit;
+  std::vector<std::size_t> saved(out.accs.size());
+  for (std::size_t a = 0; a < out.accs.size(); ++a)
+    saved[a] = out.accs[a]->size();
   const auto save_checkpoint = [&] {
-    out.complete = out.next_unit >= range.end;
-    write_file_atomic(
-        shard_checkpoint_path(spec, shard),
-        frame(kFrameShardState, serialize_outcome(spec, shard, out)));
+    util::ByteWriter w;
+    w.u64(fingerprint);
+    w.u32(static_cast<std::uint32_t>(shard));
+    w.u64(saved_unit);
+    w.u64(out.next_unit);
+    w.u32(static_cast<std::uint32_t>(out.accs.size()));
+    for (std::size_t a = 0; a < out.accs.size(); ++a)
+      out.accs[a]->save(w, saved[a]);
+    append_file(path, frame(kFrameShardState, w.bytes()));
+    saved_unit = out.next_unit;
+    for (std::size_t a = 0; a < out.accs.size(); ++a)
+      saved[a] = out.accs[a]->size();
   };
 
   std::uint64_t done_this_run = 0;
-  std::uint64_t since_ckpt = 0;
-  // The loop's last action was a periodic save, so the file on disk
-  // already holds the final state. A resumed shard that runs no unit
-  // still re-writes its file: its `resumed` byte differs.
-  bool saved = false;
   while (out.next_unit < range.end) {
     if (spec.stop_after_units && done_this_run >= spec.stop_after_units)
       break;
@@ -217,16 +242,14 @@ ShardOutcome run_shard(const CampaignSpec& spec, std::size_t shard,
     unit_fn(out.next_unit, rng, out.accs);
     ++out.next_unit;
     ++done_this_run;
-    saved = false;
     if (checkpointing && spec.checkpoint_every &&
-        ++since_ckpt >= spec.checkpoint_every) {
+        out.next_unit - saved_unit >= spec.checkpoint_every)
       save_checkpoint();
-      since_ckpt = 0;
-      saved = true;
-    }
   }
+  // Only units run since the last save make a frame: a stop on a periodic
+  // save, or a rerun of a complete shard, appends nothing.
+  if (checkpointing && out.next_unit != saved_unit) save_checkpoint();
   out.complete = out.next_unit >= range.end;
-  if (checkpointing && !saved) save_checkpoint();
   return out;
 }
 

@@ -21,11 +21,16 @@
 //      (save(load(save(x))) == save(x)), and a resumed shard continues
 //      from state indistinguishable from the uninterrupted run.
 //
-// Checkpoints and merges cost what their bytes cost. A stop, or a shard's
-// range end, that lands on a periodic checkpoint writes that state once.
-// Shard s holds only units of its own range (a resumed checkpoint whose
-// records fall outside [range begin, next unit) is rejected when it is
-// loaded), so every merge in shard order appends in place.
+// Checkpoints and merges cost what their bytes cost. A shard's checkpoint
+// file is an append-only log: each save appends one frame holding only
+// the records added since the previous save, so the bytes a campaign
+// writes grow linearly with its length, and a resume replays the frames
+// in order. A torn last frame (a campaign killed mid-save) is cut off
+// before the shard runs; that loses progress, never correctness, because
+// a unit's result is a pure function of (seed, unit). Shard s holds only
+// units of its own range (a frame whose records fall outside its
+// [from unit, next unit) is rejected when it is loaded), so every merge
+// in shard order appends in place.
 //
 // In thread mode each shard is one task on the deterministic pool. Unit
 // callbacks must not touch the global thread pool themselves — shards
@@ -87,9 +92,12 @@ class RecordAccumulator {
     return values_.data() + i * width_;
   }
 
-  void save(util::ByteWriter& w) const;
-  /// Throws std::runtime_error on a kind, width or count that does not
-  /// match, or on units that are not strictly increasing.
+  /// Writes records [from, size()); the default writes them all.
+  void save(util::ByteWriter& w, std::size_t from = 0) const;
+  /// Appends the records a save() wrote. Throws std::runtime_error on a
+  /// kind, width or count that does not match, on units that are not
+  /// strictly increasing, or when the first loaded unit does not follow
+  /// the last held one; this accumulator is then left as it was.
   void load(util::ByteReader& r);
   /// Appends `other`'s records, whose first unit must follow this one's
   /// last (std::logic_error otherwise, also for a width mismatch; this
@@ -120,8 +128,9 @@ struct CampaignSpec {
   Mode mode = Mode::kThread;
   /// Directory for shard checkpoints; empty disables checkpointing.
   std::string checkpoint_dir;
-  /// Units between periodic checkpoints (0 = checkpoint only on stop).
-  /// The file a stop leaves does not depend on this value.
+  /// Units between periodic checkpoints (0 = one save at the end of each
+  /// run). Every save appends a frame, so this sets how many frames a
+  /// shard's log holds, never the state it resumes to.
   std::uint64_t checkpoint_every = 0;
   /// Cap on units processed PER SHARD in this invocation (0 = no cap).
   /// A capped run checkpoints and reports complete=false — the

@@ -9,6 +9,12 @@
 
 namespace gdelay::campaign {
 
+namespace {
+constexpr std::size_t kSizeAt = 4 + 4 + 4;  // magic, version, kind
+constexpr std::size_t kHeaderBytes = kSizeAt + 8;
+constexpr std::size_t kTrailerBytes = 8;
+}  // namespace
+
 std::string frame(std::uint32_t kind, const std::string& payload) {
   util::ByteWriter w;
   w.u32(kCheckpointMagic);
@@ -20,9 +26,9 @@ std::string frame(std::uint32_t kind, const std::string& payload) {
   return w.take();
 }
 
-std::string unframe(const std::string& bytes, std::uint32_t expect_kind) {
-  util::ByteReader r(bytes);
-  if (r.remaining() < 4 + 4 + 4 + 8)
+std::string unframe(std::string_view bytes, std::uint32_t expect_kind) {
+  util::ByteReader r(bytes.data(), bytes.size());
+  if (r.remaining() < kHeaderBytes)
     throw std::runtime_error("checkpoint: truncated frame header");
   if (r.u32() != kCheckpointMagic)
     throw std::runtime_error("checkpoint: bad magic (not a GDCK frame)");
@@ -36,7 +42,7 @@ std::string unframe(const std::string& bytes, std::uint32_t expect_kind) {
   if (kind != expect_kind)
     throw std::runtime_error("checkpoint: frame kind mismatch");
   const std::uint64_t size = r.u64();
-  if (r.remaining() < 8 || size > r.remaining() - 8)
+  if (r.remaining() < kTrailerBytes || size > r.remaining() - kTrailerBytes)
     throw std::runtime_error("checkpoint: truncated payload");
   std::string payload(static_cast<std::size_t>(size), '\0');
   r.raw(payload.data(), payload.size());
@@ -48,7 +54,16 @@ std::string unframe(const std::string& bytes, std::uint32_t expect_kind) {
   return payload;
 }
 
-void write_file_atomic(const std::string& path, const std::string& bytes) {
+std::size_t whole_frame_size(std::string_view bytes) {
+  if (bytes.size() < kHeaderBytes + kTrailerBytes) return 0;
+  util::ByteReader r(bytes.data() + kSizeAt, 8);
+  const std::uint64_t size = r.u64();
+  // Compared with what is left, so a size near 2^64 cannot wrap.
+  if (size > bytes.size() - kHeaderBytes - kTrailerBytes) return 0;
+  return kHeaderBytes + static_cast<std::size_t>(size) + kTrailerBytes;
+}
+
+void append_file(const std::string& path, const std::string& bytes) {
   // Checkpoint directories are part of the spec, not pre-existing state.
   const std::filesystem::path parent =
       std::filesystem::path(path).parent_path();
@@ -56,20 +71,13 @@ void write_file_atomic(const std::string& path, const std::string& bytes) {
     std::error_code ec;
     std::filesystem::create_directories(parent, ec);
   }
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (!f) throw std::runtime_error("checkpoint: cannot open " + tmp);
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  if (!f) throw std::runtime_error("checkpoint: cannot open " + path);
   const std::size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f);
   const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (n != bytes.size() || !flushed) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("checkpoint: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("checkpoint: cannot rename into " + path);
-  }
+  const bool closed = std::fclose(f) == 0;
+  if (n != bytes.size() || !flushed || !closed)
+    throw std::runtime_error("checkpoint: short write to " + path);
 }
 
 std::optional<std::string> read_file(const std::string& path) {
@@ -79,7 +87,9 @@ std::optional<std::string> read_file(const std::string& path) {
   char buf[1 << 16];
   std::size_t n;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
+  const bool failed = std::ferror(f) != 0;
   std::fclose(f);
+  if (failed) throw std::runtime_error("checkpoint: cannot read " + path);
   return out;
 }
 

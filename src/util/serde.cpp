@@ -52,7 +52,7 @@ void ByteWriter::raw(const void* data, std::size_t n) {
 
 // The count, then every element's 8 octets into a buffer grown once.
 template <class T>
-void ByteWriter::vec(const std::vector<T>& v) {
+void ByteWriter::vec(std::span<const T> v) {
   u64(v.size());
   const std::size_t at = buf_.size();
   buf_.resize(at + 8 * v.size());
@@ -63,9 +63,9 @@ void ByteWriter::vec(const std::vector<T>& v) {
   }
 }
 
-void ByteWriter::vec_f64(const std::vector<double>& v) { vec(v); }
+void ByteWriter::vec_f64(std::span<const double> v) { vec(v); }
 
-void ByteWriter::vec_u64(const std::vector<std::uint64_t>& v) { vec(v); }
+void ByteWriter::vec_u64(std::span<const std::uint64_t> v) { vec(v); }
 
 ByteReader::ByteReader(const void* data, std::size_t n)
     : p_(static_cast<const unsigned char*>(data)),

@@ -8,7 +8,9 @@
 // throws instead of fabricating state. Vectors move whole: the writer
 // grows its buffer once per vector and the reader sizes the result once,
 // after checking the count against the bytes left, so a checkpoint costs
-// what its bytes cost. A vector's bytes are its u64 count followed by
+// what its bytes cost. The writer takes a span, so a checkpoint that
+// appends only the records added since its last save writes that tail
+// of a vector in place. A vector's bytes are its u64 count followed by
 // each element's 8 octets, a double as its IEEE-754 bit pattern. Round-trip identity —
 // save(load(save(x))) == save(x) — is the contract the checkpoint tests
 // pin. Two hashes live here: xxh64 checks checkpoint frames, whose
@@ -18,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,9 +34,10 @@ class ByteWriter {
   void u64(std::uint64_t v);
   void raw(const void* data, std::size_t n);
 
-  /// Length-prefixed vectors (u64 count, then elements).
-  void vec_f64(const std::vector<double>& v);
-  void vec_u64(const std::vector<std::uint64_t>& v);
+  /// Length-prefixed vectors (u64 count, then elements). A span, so a
+  /// caller can write the tail of a vector without copying it.
+  void vec_f64(std::span<const double> v);
+  void vec_u64(std::span<const std::uint64_t> v);
 
   const std::string& bytes() const { return buf_; }
   std::string take() { return std::move(buf_); }
@@ -41,7 +45,7 @@ class ByteWriter {
 
  private:
   template <class T>
-  void vec(const std::vector<T>& v);
+  void vec(std::span<const T> v);
 
   std::string buf_;
 };

@@ -2,22 +2,28 @@
 // merges. The headline contract under test is determinism — the merged
 // result is bit-identical for ANY shard count, ANY execution mode
 // (serial / thread) and ANY resume point — plus the guard rails around
-// it: checkpoints from a different spec or topology, corrupt checkpoint
-// files and swapped shard files are rejected, the frame layer refuses
-// truncated, bit-flipped or word-swapped bytes and version-1 frames
-// outright, seeded mutants of a real
-// payload or of a stopped campaign's shard states either throw
-// std::runtime_error or round-trip (resume), and RecordAccumulator
-// merges only append, so floating-point reductions stay in unit order
-// by construction.
+// it: each save appends one frame to its shard's log, a torn last frame
+// is cut off and the shard resumes from the frame before it, checkpoints
+// from a different spec or topology, corrupt checkpoint files, swapped
+// shard files and frames out of sequence are rejected, the frame layer
+// refuses truncated, bit-flipped or word-swapped bytes and frames of
+// older versions outright, seeded mutants of a real payload or of a
+// stopped campaign's logs either throw std::runtime_error or round-trip
+// (resume), and RecordAccumulator merges only append, so floating-point
+// reductions stay in unit order by construction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign.h"
@@ -270,6 +276,36 @@ TEST(RecordAccumulator, DuplicateUnitAtTheShardBoundaryThrows) {
   EXPECT_THROW(a.merge_from(a), std::logic_error);
 }
 
+TEST(RecordAccumulator, SavedSuffixesAppendToTheWhole) {
+  // A checkpoint log saves an accumulator in pieces: the k records held
+  // at one save, then only the records added since. Loaded in order into
+  // a fresh accumulator, the pieces rebuild the whole save byte for byte.
+  constexpr std::uint64_t kN = 30;
+  const std::string whole = saved(records(0, kN));
+  const std::uint64_t held[] = {0, 1, 7, 29, kN};
+  for (const std::uint64_t k : held) {
+    ByteWriter w;
+    records(0, k).save(w);
+    records(0, kN).save(w, k);
+    ByteReader r(w.bytes());
+    gcp::RecordAccumulator back(2);
+    back.load(r);
+    back.load(r);
+    EXPECT_TRUE(r.at_end()) << k;
+    EXPECT_EQ(saved(back), whole) << k;
+  }
+  // A piece whose first unit does not follow the held ones (the same
+  // piece again, one that overlaps, one that goes back) throws and leaves
+  // the accumulator as it was.
+  gcp::RecordAccumulator acc = records(0, 10);
+  for (const std::string& piece :
+       {saved(records(0, 10)), saved(records(9, 20)), saved(records(5, 6))}) {
+    ByteReader r(piece);
+    EXPECT_THROW(acc.load(r), std::runtime_error);
+    EXPECT_EQ(saved(acc), saved(records(0, 10)));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The determinism contract
 // ---------------------------------------------------------------------------
@@ -343,20 +379,58 @@ TEST(CampaignDeterminism, TopologyChangeCannotAbsorbOldCheckpoints) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint files on disk
+// Checkpoint logs on disk
 // ---------------------------------------------------------------------------
 
 namespace {
 
-// Runs a 2-shard campaign that stops half way, leaving one checkpoint
-// file per shard under `dir`, and returns the spec that resumes it.
-gcp::CampaignSpec leave_checkpoints(const std::string& dir) {
+// Writes `bytes` to `path`, replacing the file: how these tests plant a
+// damaged or hand-made checkpoint log.
+void write_file(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr) << path;
+  EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+std::string read_log(const gcp::CampaignSpec& spec, std::size_t shard) {
+  return gcp::read_file(gcp::shard_checkpoint_path(spec, shard)).value();
+}
+
+// Runs a 2-shard campaign that saves every `every` units (0: only at the
+// stop) and stops half way, leaving one checkpoint log per shard under
+// `dir`, and returns the spec that resumes it.
+gcp::CampaignSpec leave_checkpoints(const std::string& dir,
+                                    std::uint64_t every = 0) {
   gcp::CampaignSpec spec = base_spec(2, gcp::Mode::kSerial);
   spec.checkpoint_dir = ::testing::TempDir() + dir;
+  spec.checkpoint_every = every;
   spec.stop_after_units = kUnits / 2 / 2;
+  gcp::remove_checkpoints(spec);  // no log left by an aborted run
   gcp::run_campaign(spec, make_accs, unit_work);
   spec.stop_after_units = 0;
   return spec;
+}
+
+// The frames of shard `shard`'s log in file order; the log must hold
+// whole frames only.
+std::vector<std::string> log_frames(const gcp::CampaignSpec& spec,
+                                    std::size_t shard) {
+  const std::string log = read_log(spec, shard);
+  std::vector<std::string> frames;
+  std::size_t at = 0;
+  for (std::size_t n;
+       (n = gcp::whole_frame_size(std::string_view(log).substr(at))) > 0;
+       at += n)
+    frames.push_back(log.substr(at, n));
+  EXPECT_EQ(at, log.size());
+  return frames;
+}
+
+std::string joined(const std::vector<std::string>& frames) {
+  std::string log;
+  for (const std::string& f : frames) log += f;
+  return log;
 }
 
 }  // namespace
@@ -366,7 +440,7 @@ TEST(CampaignCheckpoint, FlippedByteOnDiskIsRejected) {
   const std::string path = gcp::shard_checkpoint_path(spec, 1);
   std::string bytes = *gcp::read_file(path);
   bytes[bytes.size() / 2] ^= 0x20;
-  gcp::write_file_atomic(path, bytes);
+  write_file(path, bytes);
   EXPECT_THROW(gcp::run_campaign(spec, make_accs, unit_work),
                std::runtime_error);
   gcp::remove_checkpoints(spec);
@@ -379,8 +453,8 @@ TEST(CampaignCheckpoint, SwappedShardFilesAreRejected) {
   const std::string p0 = gcp::shard_checkpoint_path(spec, 0);
   const std::string p1 = gcp::shard_checkpoint_path(spec, 1);
   const std::string b0 = *gcp::read_file(p0);
-  gcp::write_file_atomic(p0, *gcp::read_file(p1));
-  gcp::write_file_atomic(p1, b0);
+  write_file(p0, *gcp::read_file(p1));
+  write_file(p1, b0);
   try {
     gcp::run_campaign(spec, make_accs, unit_work);
     ADD_FAILURE() << "swapped checkpoints resumed";
@@ -396,30 +470,27 @@ namespace {
 // Every shard file of `spec`, concatenated in shard order.
 std::string shard_files(const gcp::CampaignSpec& spec) {
   std::string all;
-  for (std::size_t s = 0; s < spec.n_shards; ++s)
-    all += gcp::read_file(gcp::shard_checkpoint_path(spec, s)).value();
+  for (std::size_t s = 0; s < spec.n_shards; ++s) all += read_log(spec, s);
   return all;
 }
 
-// Byte offsets of a shard state payload's outer fields: u64
-// fingerprint, u32 shard, u64 next_unit, u8 resumed, u8 complete, u32
-// accumulator count, then the accumulator payloads in factory order.
-constexpr std::size_t kAtShard = 8, kAtNextUnit = 12, kAtResumed = 20,
-                      kAtComplete = 21, kAtCount = 22;
+// Byte offsets of a frame payload's outer fields: u64 fingerprint, u32
+// shard, u64 from_unit, u64 next_unit, u32 accumulator count, then each
+// accumulator's records added since the previous save, in factory order.
+constexpr std::size_t kAtShard = 8, kAtFrom = 12, kAtNextUnit = 20,
+                      kAtCount = 28;
 
-// The payload of shard `shard`'s checkpoint file.
+// The payload of shard `shard`'s log, which must hold one frame.
 std::string shard_state(const gcp::CampaignSpec& spec, std::size_t shard) {
-  const std::string file =
-      gcp::read_file(gcp::shard_checkpoint_path(spec, shard)).value();
-  return gcp::unframe(file, gcp::kFrameShardState);
+  return gcp::unframe(read_log(spec, shard), gcp::kFrameShardState);
 }
 
-// Writes `payload` as shard `shard`'s checkpoint in a valid frame, so
+// Writes `payload` as shard `shard`'s one-frame log in a valid frame, so
 // the checksum holds and only the payload parser can reject it.
 void write_shard_state(const gcp::CampaignSpec& spec, std::size_t shard,
                        const std::string& payload) {
-  gcp::write_file_atomic(gcp::shard_checkpoint_path(spec, shard),
-                         gcp::frame(gcp::kFrameShardState, payload));
+  write_file(gcp::shard_checkpoint_path(spec, shard),
+             gcp::frame(gcp::kFrameShardState, payload));
 }
 
 // Overwrites `n` bytes at `at` with `v`, little-endian.
@@ -428,52 +499,103 @@ void put_le(std::string& bytes, std::size_t at, std::uint64_t v, int n) {
     bytes[at + static_cast<std::size_t>(b)] = static_cast<char>(v >> (8 * b));
 }
 
-bool resumed_flag(const gcp::CampaignSpec& spec, std::size_t shard) {
-  return shard_state(spec, shard)[kAtResumed] != 0;
+// What shard `shard`'s log replays to: the next_unit of its last frame,
+// then its records, every frame's loaded in order and saved whole.
+std::string replayed_state(const gcp::CampaignSpec& spec, std::size_t shard) {
+  gcp::AccumulatorSet accs = make_accs();
+  std::uint64_t next_unit = 0;
+  for (const std::string& f : log_frames(spec, shard)) {
+    const std::string payload = gcp::unframe(f, gcp::kFrameShardState);
+    ByteReader r(payload.data() + kAtNextUnit, payload.size() - kAtNextUnit);
+    next_unit = r.u64();
+    r.u32();  // accumulator count
+    for (auto& a : accs) a->load(r);
+  }
+  ByteWriter w;
+  w.u64(next_unit);
+  for (const auto& a : accs) a->save(w);
+  return w.take();
 }
 
 }  // namespace
 
-TEST(CampaignCheckpoint, StoppedShardFileDoesNotDependOnCheckpointEvery) {
-  // A stop at 10 units per shard lands on a periodic save when every = 5
-  // (the final save is skipped), between saves when every = 3, and every
-  // = 0 writes only the final save: all three leave the same files.
+TEST(CampaignCheckpoint, EachSaveAppendsToTheFile) {
+  // Stops after 1, 2 and 3 periodic saves of one spec, each from scratch:
+  // the log a stop after k saves leaves holds k frames and is a byte
+  // prefix of the log after k + 1, so a save writes only its own frame.
+  constexpr std::uint64_t kEvery = 3;
+  std::string before[2];
+  for (std::uint64_t k = 1; k <= 3; ++k) {
+    gcp::CampaignSpec spec = base_spec(2, gcp::Mode::kSerial);
+    spec.checkpoint_dir = ::testing::TempDir() + "gdelay_campaign_append";
+    spec.checkpoint_every = kEvery;
+    spec.stop_after_units = k * kEvery;
+    gcp::remove_checkpoints(spec);  // no log left by an aborted run
+    gcp::run_campaign(spec, make_accs, unit_work);
+    for (std::size_t s = 0; s < 2; ++s) {
+      const std::string log = read_log(spec, s);
+      EXPECT_EQ(log_frames(spec, s).size(), k) << "shard " << s;
+      EXPECT_GT(log.size(), before[s].size()) << "shard " << s;
+      EXPECT_EQ(log.compare(0, before[s].size(), before[s]), 0)
+          << "shard " << s << ": the log after " << k - 1
+          << " saves is not a prefix of the log after " << k;
+      before[s] = log;
+    }
+    gcp::remove_checkpoints(spec);
+  }
+}
+
+TEST(CampaignCheckpoint, StoppedShardStateDoesNotDependOnCheckpointEvery) {
+  // A stop at 10 units per shard after saves every 5 (2 frames), every 3
+  // (3 periodic frames and a final one) or only at the stop (1 frame):
+  // the logs cut the records into different frames, but replay to the
+  // same records and the same next unit, and each resumes to the
+  // reference hash.
   const std::uint64_t ref = run_hash(1, gcp::Mode::kSerial);
-  std::vector<std::string> files;
-  for (const std::uint64_t every : {5u, 3u, 0u}) {
+  const struct {
+    std::uint64_t every;
+    std::size_t frames;
+  } cases[] = {{5, 2}, {3, 4}, {0, 1}};
+  std::vector<std::string> states;
+  for (const auto& c : cases) {
     gcp::CampaignSpec spec = base_spec(2, gcp::Mode::kSerial);
     spec.checkpoint_dir = ::testing::TempDir() + "gdelay_campaign_every" +
-                          std::to_string(every);
-    spec.checkpoint_every = every;
+                          std::to_string(c.every);
+    spec.checkpoint_every = c.every;
     spec.stop_after_units = 10;
-    gcp::remove_checkpoints(spec);  // no state left by an aborted run
+    gcp::remove_checkpoints(spec);  // no log left by an aborted run
     const gcp::CampaignResult part =
         gcp::run_campaign(spec, make_accs, unit_work);
     EXPECT_FALSE(part.complete);
-    files.push_back(shard_files(spec));
+    std::string state;
+    for (std::size_t s = 0; s < 2; ++s) {
+      EXPECT_EQ(log_frames(spec, s).size(), c.frames)
+          << "every " << c.every << ", shard " << s;
+      state += replayed_state(spec, s);
+    }
+    states.push_back(state);
 
     spec.stop_after_units = 0;
     const gcp::CampaignResult full =
         gcp::run_campaign(spec, make_accs, unit_work);
     EXPECT_TRUE(full.resumed);
-    EXPECT_EQ(hash_accs(full.accumulators), ref) << "every " << every;
+    EXPECT_EQ(hash_accs(full.accumulators), ref) << "every " << c.every;
     gcp::remove_checkpoints(spec);
   }
-  EXPECT_EQ(files[1], files[0]);
-  EXPECT_EQ(files[2], files[0]);
+  EXPECT_EQ(states[1], states[0]);
+  EXPECT_EQ(states[2], states[0]);
 }
 
-TEST(CampaignCheckpoint, ResumingACompleteShardRewritesItsResumedByte) {
-  // Each shard's range end lands on a periodic save, whose file then
-  // already holds the final state. A rerun resumes both complete shards,
-  // runs no unit, and must still re-write each file: the resumed byte
-  // differs.
+TEST(CampaignCheckpoint, RerunningACompleteCampaignAppendsNothing) {
+  // Each shard's range end lands on a periodic save, so its last frame is
+  // already on disk. A rerun replays both complete logs, runs no unit and
+  // appends nothing: the files keep their bytes.
   gcp::CampaignSpec spec = base_spec(2, gcp::Mode::kSerial);
   spec.checkpoint_dir = ::testing::TempDir() + "gdelay_campaign_complete";
   spec.checkpoint_every = 5;
-  gcp::remove_checkpoints(spec);  // no state left by an aborted run
+  gcp::remove_checkpoints(spec);  // no log left by an aborted run
   gcp::run_campaign(spec, make_accs, unit_work);
-  for (std::size_t s = 0; s < 2; ++s) EXPECT_FALSE(resumed_flag(spec, s));
+  const std::string before = shard_files(spec);
 
   const gcp::CampaignResult again =
       gcp::run_campaign(spec, make_accs, unit_work);
@@ -481,14 +603,87 @@ TEST(CampaignCheckpoint, ResumingACompleteShardRewritesItsResumedByte) {
   EXPECT_TRUE(again.resumed);
   EXPECT_EQ(again.units_done, kUnits);
   EXPECT_EQ(hash_accs(again.accumulators), run_hash(1, gcp::Mode::kSerial));
-  for (std::size_t s = 0; s < 2; ++s) EXPECT_TRUE(resumed_flag(spec, s)) << s;
+  EXPECT_EQ(shard_files(spec), before);
+  gcp::remove_checkpoints(spec);
+}
+
+TEST(CampaignCheckpoint, TornTailResumesFromTheLastWholeFrame) {
+  // A campaign killed during a save leaves a torn last frame. Shard 0's
+  // 3-frame log is cut at every byte inside its last frame and at a few
+  // inside its first: before the shard runs a unit, the loader must have
+  // cut the file back to the end of its last whole frame (to nothing when
+  // there is none), and the resume must complete at the reference hash.
+  const std::uint64_t ref = run_hash(1, gcp::Mode::kSerial);
+  gcp::CampaignSpec spec = base_spec(2, gcp::Mode::kSerial);
+  spec.checkpoint_dir = ::testing::TempDir() + "gdelay_campaign_torn";
+  spec.checkpoint_every = 3;
+  spec.stop_after_units = 9;
+  gcp::remove_checkpoints(spec);  // no log left by an aborted run
+  gcp::run_campaign(spec, make_accs, unit_work);
+  spec.stop_after_units = 0;
+
+  const std::string path0 = gcp::shard_checkpoint_path(spec, 0);
+  const std::string path1 = gcp::shard_checkpoint_path(spec, 1);
+  const std::string log0 = read_log(spec, 0), log1 = read_log(spec, 1);
+  const std::vector<std::string> frames = log_frames(spec, 0);
+  ASSERT_EQ(frames.size(), 3u);
+  const std::size_t first = frames[0].size();
+  const std::size_t two = first + frames[1].size();
+  std::vector<std::size_t> cuts = {0, 1, 19, 20, 27, 28, first / 2, first - 1};
+  for (std::size_t c = two; c < log0.size(); ++c) cuts.push_back(c);
+
+  const gcp::ShardRange shard0 = gcp::plan_shards(kUnits, 2)[0];
+  for (const std::size_t cut : cuts) {
+    write_file(path0, log0.substr(0, cut));
+    write_file(path1, log1);
+    std::optional<std::uintmax_t> size_at_first_unit;
+    const auto watched = [&](std::uint64_t u, Rng& rng,
+                             gcp::AccumulatorSet& accs) {
+      if (u < shard0.end && !size_at_first_unit)
+        size_at_first_unit = std::filesystem::file_size(path0);
+      unit_work(u, rng, accs);
+    };
+    const gcp::CampaignResult r = gcp::run_campaign(spec, make_accs, watched);
+    EXPECT_TRUE(r.complete) << "cut at " << cut;
+    EXPECT_EQ(hash_accs(r.accumulators), ref) << "cut at " << cut;
+    EXPECT_EQ(size_at_first_unit.value_or(~std::uintmax_t{0}),
+              cut >= two ? two : 0)
+        << "cut at " << cut;
+  }
+  gcp::remove_checkpoints(spec);
+}
+
+TEST(CampaignCheckpoint, FramesOutOfSequenceAreRejected) {
+  // Every frame is whole and checks out on its own; only its from_unit
+  // ties it to the frame before. A dropped middle frame would resume with
+  // units missing, a duplicated one with units twice, swapped ones out of
+  // unit order: each throws.
+  const gcp::CampaignSpec spec = leave_checkpoints("gdelay_campaign_seq", 3);
+  const std::vector<std::string> f = log_frames(spec, 0);  // to 3, 6, 9, 10
+  ASSERT_EQ(f.size(), 4u);
+  const std::pair<const char*, std::string> logs[] = {
+      {"dropped", f[0] + f[2] + f[3]},
+      {"duplicated", f[0] + f[1] + f[1] + f[2] + f[3]},
+      {"swapped", f[1] + f[0] + f[2] + f[3]}};
+  for (const auto& [what, log] : logs) {
+    write_file(gcp::shard_checkpoint_path(spec, 0), log);
+    try {
+      gcp::run_campaign(spec, make_accs, unit_work);
+      ADD_FAILURE() << what << " frame resumed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("out of sequence"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
+  }
   gcp::remove_checkpoints(spec);
 }
 
 TEST(CampaignCheckpoint, RecordsOutsideTheResumedRangeAreRejected) {
-  // 2 shards x 20 units stopped after 10: shard 0 holds units 0-9 and
-  // next_unit 10. A next_unit lowered to 3 would run units 3-9 a second
-  // time; it is a corrupt checkpoint, rejected when it is loaded.
+  // 2 shards x 20 units stopped after 10: shard 0's one frame holds units
+  // 0-9 from unit 0 to next_unit 10. A next_unit lowered to 3 would run
+  // units 3-9 a second time; it is a corrupt checkpoint, rejected when it
+  // is loaded.
   const gcp::CampaignSpec spec = leave_checkpoints("gdelay_campaign_range");
   const std::string shard0 = shard_state(spec, 0);
   std::string lowered = shard0;
@@ -497,11 +692,12 @@ TEST(CampaignCheckpoint, RecordsOutsideTheResumedRangeAreRejected) {
   EXPECT_THROW(gcp::run_campaign(spec, make_accs, unit_work),
                std::runtime_error);
 
-  // Shard 0's state relabelled as shard 1's (units 20-39) at next_unit
-  // 30: its records, units 0-9, belong to shard 0.
+  // Shard 0's state relabelled as shard 1's (units 20-39) from unit 20
+  // to 30: its records, units 0-9, belong to shard 0.
   write_shard_state(spec, 0, shard0);
   std::string moved = shard0;
   put_le(moved, kAtShard, 1, 4);
+  put_le(moved, kAtFrom, 20, 8);
   put_le(moved, kAtNextUnit, 30, 8);
   write_shard_state(spec, 1, moved);
   EXPECT_THROW(gcp::run_campaign(spec, make_accs, unit_work),
@@ -510,7 +706,7 @@ TEST(CampaignCheckpoint, RecordsOutsideTheResumedRangeAreRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint frames (envelope + checksum + atomic files)
+// Checkpoint frames (envelope + checksum) and files
 // ---------------------------------------------------------------------------
 
 TEST(CheckpointFrame, RoundTripsPayload) {
@@ -567,8 +763,8 @@ TEST(CheckpointFrame, RejectsEveryPayloadWordSwap) {
   }
 }
 
-TEST(CheckpointFrame, Version2LayoutIsPinned) {
-  // "GDCK", version 2, kind 1, size 3, "abc", XXH64("abc") little-endian.
+TEST(CheckpointFrame, Version3LayoutIsPinned) {
+  // "GDCK", version 3, kind 1, size 3, "abc", XXH64("abc") little-endian.
   const std::string framed = gcp::frame(gcp::kFrameShardState, "abc");
   static const char kHex[] = "0123456789abcdef";
   std::string hex;
@@ -577,7 +773,7 @@ TEST(CheckpointFrame, Version2LayoutIsPinned) {
     hex.push_back(kHex[static_cast<unsigned char>(c) & 0xf]);
   }
   EXPECT_EQ(hex,
-            "4744434b020000000100000003000000000000006162639909"
+            "4744434b030000000100000003000000000000006162639909"
             "77adf52cbc44");
 }
 
@@ -599,6 +795,34 @@ TEST(CheckpointFrame, RejectsVersion1Frame) {
     const std::string what = e.what();
     EXPECT_NE(what.find("version 1"), std::string::npos) << what;
     EXPECT_NE(what.find("restart"), std::string::npos) << what;
+  }
+}
+
+TEST(CheckpointFrame, RejectsOlderVersions) {
+  // Frames as older builds wrote them, each with a valid trailer of its
+  // kind: version 1 (FNV-1a64) and version 2 (XXH64, around a
+  // whole-state payload). Neither is resumed; the message names the
+  // version and says to restart.
+  const std::string payload = "campaign shard state";
+  for (const std::uint32_t version : {1u, 2u}) {
+    ByteWriter w;
+    w.u32(gcp::kCheckpointMagic);
+    w.u32(version);
+    w.u32(gcp::kFrameShardState);
+    w.u64(payload.size());
+    w.raw(payload.data(), payload.size());
+    w.u64(version == 1 ? fnv1a64(payload.data(), payload.size())
+                       : gdelay::util::xxh64(payload.data(), payload.size()));
+    try {
+      gcp::unframe(w.bytes(), gcp::kFrameShardState);
+      ADD_FAILURE() << "a version-" << version << " frame was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("version " + std::to_string(version)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("restart"), std::string::npos) << what;
+    }
   }
 }
 
@@ -632,19 +856,40 @@ TEST(CheckpointFrame, RejectsWrongKindAndBadMagic) {
   EXPECT_THROW(gcp::unframe(bad, gcp::kFrameShardState), std::runtime_error);
 }
 
-TEST(CheckpointFile, AtomicWriteCreatesParentsAndRoundTrips) {
-  const std::string dir = ::testing::TempDir() + "gdelay_ckpt_test/nested";
-  const std::string path = dir + "/state.ckpt";
-  const std::string bytes = gcp::frame(gcp::kFrameShardState, "abc");
+TEST(CheckpointFile, AppendCreatesParentsAndRoundTrips) {
+  const std::string root = ::testing::TempDir() + "gdelay_ckpt_test";
+  const std::string path = root + "/nested/state.ckpt";
+  std::filesystem::remove_all(root);
+  const std::string a = gcp::frame(gcp::kFrameShardState, "abc");
+  const std::string b = gcp::frame(gcp::kFrameShardState, "de");
 
-  gcp::write_file_atomic(path, bytes);  // parents did not exist
+  gcp::append_file(path, a);  // parents did not exist
+  gcp::append_file(path, b);
   auto back = gcp::read_file(path);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, bytes);
+  EXPECT_EQ(*back, a + b);
+  EXPECT_EQ(gcp::whole_frame_size(*back), a.size());
 
   EXPECT_TRUE(gcp::remove_file(path));
   EXPECT_FALSE(gcp::remove_file(path));
   EXPECT_FALSE(gcp::read_file(path).has_value());
+  std::filesystem::remove_all(root);
+}
+
+TEST(CheckpointFile, ReadErrorThrows) {
+  // A directory opens for reading, but every read of it fails. That must
+  // throw, not pass for an empty file, which the log loader would take
+  // for a torn tail and cut.
+  const std::string dir = ::testing::TempDir() + "gdelay_ckpt_read_error";
+  std::filesystem::create_directories(dir);
+  try {
+    gcp::read_file(dir);
+    ADD_FAILURE() << "a failed read returned a file";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(dir), std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -730,71 +975,123 @@ TEST(CheckpointFuzz, SeededMutationsThrowOrRoundTrip) {
 }
 
 TEST(CheckpointFuzz, MutatedShardStatesThrowOrResume) {
-  // The shard states a stopped campaign leaves (2 shards x 20 units,
-  // stopped after 10 each), mutated in their outer fields and in their
-  // bytes, re-framed so the checksum holds, and resumed. Each resume must
-  // throw std::runtime_error or complete: a std::logic_error (a unit run
+  // The logs a stopped campaign leaves (2 shards x 20 units, saved every
+  // 3 units and stopped after 10: frames to units 3, 6, 9 and 10 of each
+  // shard). A frame's payload is mutated in its outer fields or in its
+  // bytes, re-framed so the checksum holds, and resumed: each resume must
+  // throw std::runtime_error or complete. A std::logic_error (a unit run
   // twice, a merge out of unit order), a crash or a hang means the loader
-  // let a bad state through.
-  const gcp::CampaignSpec spec = leave_checkpoints("gdelay_campaign_fuzz");
-  const std::string states[2] = {shard_state(spec, 0), shard_state(spec, 1)};
+  // let a bad state through. Whole frames dropped from the middle,
+  // duplicated or swapped must throw. A log cut anywhere is a torn tail
+  // and must resume to the reference hash.
+  const gcp::CampaignSpec spec = leave_checkpoints("gdelay_campaign_fuzz", 3);
+  const std::vector<std::string> frames[2] = {log_frames(spec, 0),
+                                              log_frames(spec, 1)};
+  ASSERT_EQ(frames[0].size(), 4u);
+  ASSERT_EQ(frames[1].size(), 4u);
   const auto ranges = gcp::plan_shards(kUnits, 2);
+  const std::uint64_t ref = run_hash(1, gcp::Mode::kSerial);
 
+  // Resumes with shard `shard`'s log replaced by `log`; the merged hash,
+  // or nothing when the resume threw std::runtime_error.
   std::size_t resumed = 0, rejected = 0;
-  const auto resume = [&](std::size_t shard, const std::string& mutant,
+  const auto resume = [&](std::size_t shard, const std::string& log,
                           const std::string& what) {
+    std::optional<std::uint64_t> hash;
     for (std::size_t s = 0; s < 2; ++s)
-      write_shard_state(spec, s, s == shard ? mutant : states[s]);
+      write_file(gcp::shard_checkpoint_path(spec, s),
+                 s == shard ? log : joined(frames[s]));
     try {
-      EXPECT_TRUE(gcp::run_campaign(spec, make_accs, unit_work).complete)
-          << what;
+      const gcp::CampaignResult r =
+          gcp::run_campaign(spec, make_accs, unit_work);
+      EXPECT_TRUE(r.complete) << what;
+      hash = hash_accs(r.accumulators);
       ++resumed;
     } catch (const std::runtime_error&) {
       ++rejected;
     } catch (const std::exception& e) {
       ADD_FAILURE() << "shard " << shard << ", " << what << ": " << e.what();
     }
+    return hash;
   };
-  const auto overwrite = [&](std::size_t shard, std::size_t at,
+  // Shard `shard`'s log with frame `f`'s payload replaced by `payload`.
+  const auto with_payload = [&](std::size_t shard, std::size_t f,
+                                const std::string& payload) {
+    std::vector<std::string> log = frames[shard];
+    log[f] = gcp::frame(gcp::kFrameShardState, payload);
+    return joined(log);
+  };
+  const auto payload_of = [&](std::size_t shard, std::size_t f) {
+    return gcp::unframe(frames[shard][f], gcp::kFrameShardState);
+  };
+  const auto overwrite = [&](std::size_t shard, std::size_t f, std::size_t at,
                              std::uint64_t v, int n, const char* field) {
-    std::string m = states[shard];
+    std::string m = payload_of(shard, f);
     put_le(m, at, v, n);
-    resume(shard, m, std::string(field) + " = " + std::to_string(v));
+    resume(shard, with_payload(shard, f, m),
+           std::string(field) + " = " + std::to_string(v) + " in frame " +
+               std::to_string(f));
   };
 
   Rng rng(0x5eed5a4d);
   const std::uint64_t big[] = {std::uint64_t{1} << 32, std::uint64_t{1} << 63,
                                ~std::uint64_t{0}};
   for (std::size_t s = 0; s < 2; ++s) {
-    overwrite(s, 0, rng.next_u64(), 8, "fingerprint");
-    overwrite(s, 0, gcp::spec_fingerprint(spec) ^ 1, 8, "fingerprint");
-    for (std::uint64_t v : {0ull, 1ull, 2ull, 0xffffffffull})
-      overwrite(s, kAtShard, v, 4, "shard");
-    // Every next_unit from begin - 1 to end + 1 (the last record, one
-    // past it and the range ends among them), then huge ones.
-    for (std::uint64_t v = ranges[s].begin - 1; v != ranges[s].end + 2; ++v)
-      overwrite(s, kAtNextUnit, v, 8, "next_unit");
-    for (std::uint64_t v : big) overwrite(s, kAtNextUnit, v, 8, "next_unit");
-    for (std::uint64_t v : {0ull, 1ull, 2ull, 0x80ull, 0xffull}) {
-      overwrite(s, kAtResumed, v, 1, "resumed");
-      overwrite(s, kAtComplete, v, 1, "complete");
+    const std::size_t last = frames[s].size() - 1;
+    for (const std::size_t f : {std::size_t{0}, last}) {
+      overwrite(s, f, 0, rng.next_u64(), 8, "fingerprint");
+      overwrite(s, f, 0, gcp::spec_fingerprint(spec) ^ 1, 8, "fingerprint");
+      for (std::uint64_t v : {0ull, 1ull, 2ull, 0xffffffffull})
+        overwrite(s, f, kAtShard, v, 4, "shard");
+      // Every from_unit and next_unit from begin - 1 to end + 1 (the
+      // frame's own bounds, its records and the range ends among them),
+      // then huge ones.
+      for (std::uint64_t v = ranges[s].begin - 1; v != ranges[s].end + 2;
+           ++v) {
+        overwrite(s, f, kAtFrom, v, 8, "from_unit");
+        overwrite(s, f, kAtNextUnit, v, 8, "next_unit");
+      }
+      for (std::uint64_t v : big) {
+        overwrite(s, f, kAtFrom, v, 8, "from_unit");
+        overwrite(s, f, kAtNextUnit, v, 8, "next_unit");
+      }
+      for (std::uint64_t v : {0ull, 1ull, 3ull, 0xffffffffull})
+        overwrite(s, f, kAtCount, v, 4, "accumulator count");
     }
-    for (std::uint64_t v : {0ull, 1ull, 3ull, 0xffffffffull})
-      overwrite(s, kAtCount, v, 4, "accumulator count");
+    // Whole frames out of sequence. Dropping the last frame is not among
+    // them: that log is a cut at a frame boundary.
+    for (std::size_t f = 0; f <= last; ++f) {
+      std::vector<std::string> log = frames[s];
+      log.insert(log.begin() + static_cast<std::ptrdiff_t>(f), frames[s][f]);
+      EXPECT_FALSE(resume(s, joined(log), "duplicated frame").has_value())
+          << "shard " << s << ", frame " << f << " twice";
+      if (f == last) continue;
+      log = frames[s];
+      log.erase(log.begin() + static_cast<std::ptrdiff_t>(f));
+      EXPECT_FALSE(resume(s, joined(log), "dropped frame").has_value())
+          << "shard " << s << ", frame " << f << " dropped";
+      log = frames[s];
+      std::swap(log[f], log[f + 1]);
+      EXPECT_FALSE(resume(s, joined(log), "swapped frames").has_value())
+          << "shard " << s << ", frames " << f << " and " << f + 1;
+    }
   }
   constexpr int kMutants = 200;
-  for (int i = 0; i < kMutants; ++i) {  // byte flips anywhere
+  for (int i = 0; i < kMutants; ++i) {  // byte flips anywhere in a payload
     const std::size_t s = rng.below(2);
-    std::string m = states[s];
+    const std::size_t f = rng.below(frames[s].size());
+    std::string m = payload_of(s, f);
     const std::uint64_t flips = 1 + rng.below(4);
-    for (std::uint64_t f = 0; f < flips; ++f)
+    for (std::uint64_t k = 0; k < flips; ++k)
       m[rng.below(m.size())] ^= static_cast<char>(1 + rng.below(255));
-    resume(s, m, "byte flips " + std::to_string(i));
+    resume(s, with_payload(s, f, m), "byte flips " + std::to_string(i));
   }
-  for (int i = 0; i < kMutants / 2; ++i) {  // truncations
+  for (int i = 0; i < kMutants / 2; ++i) {  // the log cut anywhere
     const std::size_t s = rng.below(2);
-    resume(s, states[s].substr(0, rng.below(states[s].size())),
-           "truncation " + std::to_string(i));
+    const std::string log = joined(frames[s]);
+    const std::size_t cut = rng.below(log.size());
+    EXPECT_EQ(resume(s, log.substr(0, cut), "cut").value_or(0), ref)
+        << "shard " << s << " cut at " << cut << " of " << log.size();
   }
   EXPECT_GT(resumed, 0u);
   EXPECT_GT(rejected, 0u);

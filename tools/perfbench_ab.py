@@ -21,6 +21,10 @@ median with its quartiles, how many pairs the change won, and the ratio
 of the change's median to the base's next to the metric's bound. The last
 line of its output is the same summary as one JSON object, with both
 sides' stamps: the record a perf-history BENCH_<n>.json file collects.
+The header line and the summary name both trees: `base_rev` is REV
+resolved, `change_rev` is this checkout's HEAD with `-dirty` appended
+when `git status --porcelain` lists anything (the stamps' own `git_rev`
+is read when .bench_build/ is configured, so it can lag behind).
 
   python3 tools/perfbench_ab.py --workload deskew --pairs 10
   python3 tools/perfbench_ab.py --rev HEAD~1 --workload deskew --seed 7
@@ -71,6 +75,18 @@ def run_side(root, args):
     return metrics, (digest[0].split()[1], pinned), stamp
 
 
+def git(*args):
+    """Stdout of a git command run in this checkout, stripped."""
+    return subprocess.run(["git", "-C", ROOT, *args], check=True,
+                          stdout=subprocess.PIPE, text=True).stdout.strip()
+
+
+def checkout_rev():
+    """This checkout's HEAD, with "-dirty" when the tree has changes."""
+    dirty = "-dirty" if git("status", "--porcelain") else ""
+    return git("rev-parse", "HEAD") + dirty
+
+
 def same_build(a, b):
     """Whether two stamps differ in nothing but git_rev."""
     return ({k: v for k, v in a.items() if k != "git_rev"} ==
@@ -101,9 +117,8 @@ def main():
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
 
-    base_rev = subprocess.run(["git", "-C", ROOT, "rev-parse", args.rev],
-                              check=True, stdout=subprocess.PIPE,
-                              text=True).stdout.strip()
+    base_rev = git("rev-parse", args.rev)
+    change_rev = checkout_rev()
     runs = {"base": [], "change": []}
     stamps = {}
     digests = set()
@@ -134,13 +149,14 @@ def main():
         sys.exit(f"perfbench_ab: digests differ across runs: {sorted(digests)}")
 
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of "
-          f"{args.seconds} s, base {args.rev} vs this checkout; "
-          f"0 failed ops, {check}")
+          f"{args.seconds} s, base {args.rev} ({base_rev}) vs this "
+          f"checkout ({change_rev}); 0 failed ops, {check}")
     print(f"{'metric':14} {'base median [q1, q3]':>28} "
           f"{'change median [q1, q3]':>28} {'wins':>6} {'ratio':>6} bound")
     summary = {"workload": args.workload, "seed": args.seed,
                "pairs": args.pairs, "seconds": args.seconds,
-               "base_rev": base_rev, "stamps": stamps, "metrics": {}}
+               "base_rev": base_rev, "change_rev": change_rev,
+               "stamps": stamps, "metrics": {}}
     for m in bench["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
         b = [r[name] for r in runs["base"]]
