@@ -50,6 +50,11 @@ void RecordAccumulator::add(std::uint64_t unit, const double* values) {
   values_.insert(values_.end(), values, values + width_);
 }
 
+void RecordAccumulator::reserve(std::size_t records) {
+  units_.reserve(records);
+  values_.reserve(records * width_);
+}
+
 void RecordAccumulator::save(util::ByteWriter& w, std::size_t from) const {
   if (from > units_.size())
     throw std::out_of_range("RecordAccumulator: save from past the end");
@@ -59,28 +64,38 @@ void RecordAccumulator::save(util::ByteWriter& w, std::size_t from) const {
   w.vec_f64(std::span(values_).subspan(from * width_));
 }
 
+std::size_t RecordAccumulator::save_size(std::size_t from) const {
+  if (from > units_.size())
+    throw std::out_of_range("RecordAccumulator: save from past the end");
+  // u32 kind, u64 width, then each vector's u64 count and 8-byte elements.
+  return 4 + 8 + 8 + 8 + (units_.size() - from) * (8 + 8 * width_);
+}
+
 void RecordAccumulator::load(util::ByteReader& r) {
   if (r.u32() != kKindRecords)
     throw std::runtime_error("RecordAccumulator: checkpoint kind mismatch");
-  const auto width = static_cast<std::size_t>(r.u64());
-  std::vector<std::uint64_t> units = r.vec_u64();
-  std::vector<double> values = r.vec_f64();
-  if (width != width_ || values.size() != units.size() * width)
-    throw std::runtime_error("RecordAccumulator: corrupt checkpoint payload");
-  for (std::size_t i = 1; i < units.size(); ++i)
-    if (units[i] <= units[i - 1])
+  const std::uint64_t width = r.u64();
+  const std::size_t held = units_.size();
+  // Decoded straight onto the ends of both vectors, then checked; any
+  // failure shrinks them back to the held records.
+  try {
+    r.append_vec_u64(units_);
+    r.append_vec_f64(values_);
+    const std::size_t n = units_.size() - held;
+    if (width != width_ || values_.size() - held * width_ != n * width_)
       throw std::runtime_error("RecordAccumulator: corrupt checkpoint payload");
-  if (units.empty()) return;
-  if (units_.empty()) {
-    units_ = std::move(units);
-    values_ = std::move(values);
-    return;
+    for (std::size_t i = held + 1; i < units_.size(); ++i)
+      if (units_[i] <= units_[i - 1])
+        throw std::runtime_error(
+            "RecordAccumulator: corrupt checkpoint payload");
+    if (held > 0 && n > 0 && units_[held] <= units_[held - 1])
+      throw std::runtime_error(
+          "RecordAccumulator: loaded units must follow the held ones");
+  } catch (...) {
+    units_.resize(held);
+    values_.resize(held * width_);
+    throw;
   }
-  if (units.front() <= units_.back())
-    throw std::runtime_error(
-        "RecordAccumulator: loaded units must follow the held ones");
-  units_.insert(units_.end(), units.begin(), units.end());
-  values_.insert(values_.end(), values.begin(), values.end());
 }
 
 void RecordAccumulator::merge_from(const RecordAccumulator& other) {
@@ -155,7 +170,7 @@ std::size_t replay_log(std::uint64_t fingerprint, std::size_t shard,
                        ShardOutcome& out) {
   std::size_t at = 0;
   for (std::size_t n; (n = whole_frame_size(log.substr(at))) > 0; at += n) {
-    const std::string payload =
+    const std::string_view payload =
         unframe(log.substr(at, n), kFrameShardState);
     util::ByteReader r(payload);
     if (r.u64() != fingerprint)
@@ -218,7 +233,13 @@ ShardOutcome run_shard(const CampaignSpec& spec, std::size_t shard,
   for (std::size_t a = 0; a < out.accs.size(); ++a)
     saved[a] = out.accs[a]->size();
   const auto save_checkpoint = [&] {
+    // The frame is built in the buffer the payload is encoded into,
+    // reserved once for the whole frame, and written from it.
+    std::size_t payload_bytes = 8 + 4 + 8 + 8 + 4;
+    for (std::size_t a = 0; a < out.accs.size(); ++a)
+      payload_bytes += out.accs[a]->save_size(saved[a]);
     util::ByteWriter w;
+    begin_frame(w, kFrameShardState, payload_bytes);
     w.u64(fingerprint);
     w.u32(static_cast<std::uint32_t>(shard));
     w.u64(saved_unit);
@@ -226,19 +247,21 @@ ShardOutcome run_shard(const CampaignSpec& spec, std::size_t shard,
     w.u32(static_cast<std::uint32_t>(out.accs.size()));
     for (std::size_t a = 0; a < out.accs.size(); ++a)
       out.accs[a]->save(w, saved[a]);
-    append_file(path, frame(kFrameShardState, w.bytes()));
+    append_file(path, seal_frame(w));
     saved_unit = out.next_unit;
     for (std::size_t a = 0; a < out.accs.size(); ++a)
       saved[a] = out.accs[a]->size();
   };
 
+  const util::Rng root(spec.seed);
   std::uint64_t done_this_run = 0;
   while (out.next_unit < range.end) {
     if (spec.stop_after_units && done_this_run >= spec.stop_after_units)
       break;
     // The unit's private substream: a pure function of (seed, unit), so
-    // results cannot depend on the shard/thread/resume topology.
-    util::Rng rng = util::Rng(spec.seed).fork(out.next_unit);
+    // results cannot depend on the shard/thread/resume topology. Each
+    // unit forks a copy of the root, whose state is Rng(seed)'s.
+    util::Rng rng = util::Rng(root).fork(out.next_unit);
     unit_fn(out.next_unit, rng, out.accs);
     ++out.next_unit;
     ++done_this_run;
@@ -260,6 +283,13 @@ CampaignResult merge_outcomes(const CampaignSpec& spec,
   res.n_shards = spec.n_shards;
   res.mode = spec.mode;
   res.complete = true;
+  // Shard 0's accumulators receive the others' records: each is sized
+  // once for all of them, so the appends below never regrow it.
+  for (std::size_t a = 0; a < outcomes[0].accs.size(); ++a) {
+    std::size_t records = 0;
+    for (const ShardOutcome& o : outcomes) records += o.accs[a]->size();
+    outcomes[0].accs[a]->reserve(records);
+  }
   for (std::size_t s = 0; s < outcomes.size(); ++s) {
     res.units_done += outcomes[s].next_unit - ranges[s].begin;
     res.resumed = res.resumed || outcomes[s].resumed;

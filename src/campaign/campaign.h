@@ -30,7 +30,11 @@
 // a unit's result is a pure function of (seed, unit). Shard s holds only
 // units of its own range (a frame whose records fall outside its
 // [from unit, next unit) is rejected when it is loaded), so every merge
-// in shard order appends in place.
+// in shard order appends in place. Each record is copied once per hop: a
+// save encodes it into the buffer its frame is sealed in and written
+// from, a resume decodes it from a view of the file's bytes straight onto
+// the end of the accumulator (rolled back when the load fails), and a
+// merge sizes each merged accumulator once for all shards' records.
 //
 // In thread mode each shard is one task on the deterministic pool. Unit
 // callbacks must not touch the global thread pool themselves — shards
@@ -92,12 +96,20 @@ class RecordAccumulator {
     return values_.data() + i * width_;
   }
 
+  /// Reserves room for `records` records in all, so adds and merges up
+  /// to that count never move the held ones.
+  void reserve(std::size_t records);
+
   /// Writes records [from, size()); the default writes them all.
   void save(util::ByteWriter& w, std::size_t from = 0) const;
-  /// Appends the records a save() wrote. Throws std::runtime_error on a
-  /// kind, width or count that does not match, on units that are not
-  /// strictly increasing, or when the first loaded unit does not follow
-  /// the last held one; this accumulator is then left as it was.
+  /// The number of bytes save(w, from) writes.
+  std::size_t save_size(std::size_t from = 0) const;
+  /// Appends the records a save() wrote, decoded onto the ends of this
+  /// accumulator's vectors. Throws std::runtime_error on a truncated
+  /// piece, on a kind, width or count that does not match, on units that
+  /// are not strictly increasing, or when the first loaded unit does not
+  /// follow the last held one; the records are then left as they were
+  /// (only the capacity may have grown).
   void load(util::ByteReader& r);
   /// Appends `other`'s records, whose first unit must follow this one's
   /// last (std::logic_error otherwise, also for a width mismatch; this

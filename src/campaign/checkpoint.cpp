@@ -15,19 +15,24 @@ constexpr std::size_t kHeaderBytes = kSizeAt + 8;
 constexpr std::size_t kTrailerBytes = 8;
 }  // namespace
 
-std::string frame(std::uint32_t kind, const std::string& payload) {
-  util::ByteWriter w;
+void begin_frame(util::ByteWriter& w, std::uint32_t kind,
+                 std::size_t payload_bytes) {
+  w.reserve(kHeaderBytes + payload_bytes + kTrailerBytes);
   w.u32(kCheckpointMagic);
   w.u32(kCheckpointVersion);
   w.u32(kind);
-  w.u64(payload.size());
-  w.raw(payload.data(), payload.size());
-  w.u64(util::xxh64(payload.data(), payload.size()));
+  w.u64(0);  // the payload size, stored by seal_frame()
+}
+
+std::string seal_frame(util::ByteWriter& w) {
+  const std::size_t size = w.size() - kHeaderBytes;
+  w.u64_at(kSizeAt, size);
+  w.u64(util::xxh64(w.bytes().data() + kHeaderBytes, size));
   return w.take();
 }
 
-std::string unframe(std::string_view bytes, std::uint32_t expect_kind) {
-  util::ByteReader r(bytes.data(), bytes.size());
+std::string_view unframe(std::string_view bytes, std::uint32_t expect_kind) {
+  util::ByteReader r(bytes);
   if (r.remaining() < kHeaderBytes)
     throw std::runtime_error("checkpoint: truncated frame header");
   if (r.u32() != kCheckpointMagic)
@@ -44,12 +49,13 @@ std::string unframe(std::string_view bytes, std::uint32_t expect_kind) {
   const std::uint64_t size = r.u64();
   if (r.remaining() < kTrailerBytes || size > r.remaining() - kTrailerBytes)
     throw std::runtime_error("checkpoint: truncated payload");
-  std::string payload(static_cast<std::size_t>(size), '\0');
-  r.raw(payload.data(), payload.size());
-  const std::uint64_t sum = r.u64();
-  if (sum != util::xxh64(payload.data(), payload.size()))
+  const std::string_view payload =
+      bytes.substr(kHeaderBytes, static_cast<std::size_t>(size));
+  util::ByteReader trailer(payload.data() + payload.size(),
+                           r.remaining() - payload.size());
+  if (trailer.u64() != util::xxh64(payload.data(), payload.size()))
     throw std::runtime_error("checkpoint: payload checksum mismatch");
-  if (!r.at_end())
+  if (!trailer.at_end())
     throw std::runtime_error("checkpoint: trailing bytes after frame");
   return payload;
 }
@@ -63,7 +69,7 @@ std::size_t whole_frame_size(std::string_view bytes) {
   return kHeaderBytes + static_cast<std::size_t>(size) + kTrailerBytes;
 }
 
-void append_file(const std::string& path, const std::string& bytes) {
+void append_file(const std::string& path, std::string_view bytes) {
   // Checkpoint directories are part of the spec, not pre-existing state.
   const std::filesystem::path parent =
       std::filesystem::path(path).parent_path();
@@ -83,10 +89,17 @@ void append_file(const std::string& path, const std::string& bytes) {
 std::optional<std::string> read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (!f) return std::nullopt;
-  std::string out;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
+  // One read into a string of the file's size (0 where it has none, as a
+  // directory, whose read then fails); the loop reads on to the end, so a
+  // file that grew since is read whole.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::string out(ec ? 0 : static_cast<std::size_t>(size), '\0');
+  out.resize(std::fread(out.data(), 1, out.size(), f));
+  char buf[1 << 12];
+  for (std::size_t n;
+       !std::ferror(f) && (n = std::fread(buf, 1, sizeof buf, f)) > 0;)
+    out.append(buf, n);
   const bool failed = std::ferror(f) != 0;
   std::fclose(f);
   if (failed) throw std::runtime_error("checkpoint: cannot read " + path);

@@ -9,6 +9,31 @@
 
 namespace gdelay::meas {
 
+namespace {
+
+// The raster's cell count, checked before it is allocated: a bad range or
+// size throws std::invalid_argument, never a failed allocation or a
+// product that wrapped to a raster too small for add()'s indices. Finite
+// spans (2 UI, v_max - v_min) keep add()'s cell position finite.
+std::size_t raster_cells(double ui_ps, double v_min, double v_max,
+                         std::size_t cols, std::size_t rows) {
+  require_ui(ui_ps, "EyeDiagram");
+  if (!std::isfinite(2.0 * ui_ps))
+    throw std::invalid_argument("EyeDiagram: ui_ps must span a finite 2 UI");
+  require_finite(v_min, "EyeDiagram", "v_min");
+  require_finite(v_max, "EyeDiagram", "v_max");
+  if (!(v_max > v_min) || !std::isfinite(v_max - v_min))
+    throw std::invalid_argument(
+        "EyeDiagram: v_max must be > v_min, v_max - v_min finite");
+  if (cols < 2 || rows < 2)
+    throw std::invalid_argument("EyeDiagram: cols and rows must be >= 2");
+  if (rows > std::vector<std::size_t>().max_size() / cols)
+    throw std::invalid_argument("EyeDiagram: cols * rows cells do not fit");
+  return cols * rows;
+}
+
+}  // namespace
+
 EyeDiagram::EyeDiagram(double ui_ps, double v_min, double v_max,
                        std::size_t cols, std::size_t rows)
     : ui_(ui_ps),
@@ -16,11 +41,7 @@ EyeDiagram::EyeDiagram(double ui_ps, double v_min, double v_max,
       v_max_(v_max),
       cols_(cols),
       rows_(rows),
-      grid_(cols * rows, 0) {
-  require_ui(ui_ps, "EyeDiagram");
-  if (!(v_max > v_min)) throw std::invalid_argument("EyeDiagram: v range empty");
-  if (cols < 2 || rows < 2) throw std::invalid_argument("EyeDiagram: raster too small");
-}
+      grid_(raster_cells(ui_ps, v_min, v_max, cols, rows), 0) {}
 
 void EyeDiagram::add(double t_ps, double phase_ps, double v) {
   const double span = 2.0 * ui_;

@@ -5,7 +5,10 @@
 // (two eye openings, one full crossing in the middle, like a scope set to
 // 2 UI/screen). Metrics come from the crossing-time and level
 // distributions: eye width = UI - TJ(pp), eye height from the level
-// clusters in a narrow column at the eye center.
+// clusters in a narrow column at the eye center. The raster's constructor
+// checks its range and size before it allocates, so a bad one throws
+// std::invalid_argument naming the field, never a failed allocation, and
+// add() never casts a non-finite cell position or indexes past the grid.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +34,9 @@ class EyeDiagram {
  public:
   /// Raster of `cols` x `rows` covering 2 UI horizontally and
   /// [v_min, v_max] vertically. Throws std::invalid_argument unless
-  /// `ui_ps` is finite and > 0, v_max > v_min and both sizes are >= 2.
+  /// `ui_ps` is finite and > 0 (2 UI finite too), v_min and v_max are
+  /// finite with v_max > v_min and a finite v_max - v_min, both sizes are
+  /// >= 2, and cols * rows neither wraps nor exceeds what a vector holds.
   EyeDiagram(double ui_ps, double v_min, double v_max, std::size_t cols = 96,
              std::size_t rows = 32);
 

@@ -4,13 +4,30 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "measure/stats.h"
+
 namespace gdelay::meas {
 
-Histogram::Histogram(double lo, double hi, std::size_t n_bins)
-    : lo_(lo), hi_(hi), counts_(n_bins, 0) {
-  if (!(hi > lo)) throw std::invalid_argument("Histogram: need hi > lo");
-  if (n_bins == 0) throw std::invalid_argument("Histogram: need >= 1 bin");
+namespace {
+
+// Runs before the bins are allocated, so a bad range or count throws
+// std::invalid_argument, never a failed allocation. A finite span keeps
+// add()'s bin index finite: (x - lo) / width of an infinite lo or span is
+// inf / inf.
+std::size_t checked_bins(double lo, double hi, std::size_t n_bins) {
+  require_finite(lo, "Histogram", "lo");
+  require_finite(hi, "Histogram", "hi");
+  if (!(hi > lo) || !std::isfinite(hi - lo))
+    throw std::invalid_argument("Histogram: hi must be > lo, hi - lo finite");
+  if (n_bins == 0 || n_bins > std::vector<std::size_t>().max_size())
+    throw std::invalid_argument("Histogram: n_bins must be >= 1 and fit");
+  return n_bins;
 }
+
+}  // namespace
+
+Histogram::Histogram(double lo, double hi, std::size_t n_bins)
+    : lo_(lo), hi_(hi), counts_(checked_bins(lo, hi, n_bins), 0) {}
 
 double Histogram::bin_width() const {
   return (hi_ - lo_) / static_cast<double>(counts_.size());

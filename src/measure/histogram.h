@@ -1,4 +1,7 @@
 // Fixed-bin histogram, used for crossing-time and voltage distributions.
+// The constructor checks its range and bin count before it allocates, so
+// a bad one throws std::invalid_argument naming the field, never a failed
+// allocation, and add() never casts a non-finite bin position.
 #pragma once
 
 #include <cstddef>
@@ -10,7 +13,9 @@ class Histogram {
  public:
   /// `n_bins` equal-width bins spanning [lo, hi). Values outside the span
   /// (including +/-Inf) are counted in underflow/overflow; a NaN counts in
-  /// total() and nan_count() only.
+  /// total() and nan_count() only. Throws std::invalid_argument unless lo
+  /// and hi are finite, hi > lo with a finite hi - lo, and n_bins >= 1 is
+  /// a size a vector can hold.
   Histogram(double lo, double hi, std::size_t n_bins);
 
   void add(double x);

@@ -1,7 +1,6 @@
 #include "util/serde.h"
 
 #include <bit>
-#include <cstring>
 #include <stdexcept>
 
 namespace gdelay::util {
@@ -50,6 +49,12 @@ void ByteWriter::raw(const void* data, std::size_t n) {
   buf_.append(static_cast<const char*>(data), n);
 }
 
+void ByteWriter::u64_at(std::size_t at, std::uint64_t v) {
+  if (at > buf_.size() || buf_.size() - at < 8)
+    throw std::out_of_range("ByteWriter: u64_at past the end");
+  store_le64(buf_.data() + at, v);
+}
+
 // The count, then every element's 8 octets into a buffer grown once.
 template <class T>
 void ByteWriter::vec(std::span<const T> v) {
@@ -71,7 +76,7 @@ ByteReader::ByteReader(const void* data, std::size_t n)
     : p_(static_cast<const unsigned char*>(data)),
       end_(static_cast<const unsigned char*>(data) + n) {}
 
-ByteReader::ByteReader(const std::string& bytes)
+ByteReader::ByteReader(std::string_view bytes)
     : ByteReader(bytes.data(), bytes.size()) {}
 
 namespace {
@@ -100,31 +105,25 @@ std::uint64_t ByteReader::u64() {
   return v;
 }
 
-void ByteReader::raw(void* out, std::size_t n) {
-  if (remaining() < n) truncated("raw");
-  std::memcpy(out, p_, n);
-  p_ += n;
-}
-
 template <class T>
-std::vector<T> ByteReader::vec(const char* what) {
+void ByteReader::append_vec(std::vector<T>& out, const char* what) {
   const std::uint64_t n = u64();
-  // Checked before sizing the vector, so a hostile count never allocates.
+  // Checked before growing the vector, so a hostile count never allocates.
   if (n > remaining() / 8) truncated(what);
-  std::vector<T> v(static_cast<std::size_t>(n));
+  const std::size_t at = out.size();
+  out.resize(at + static_cast<std::size_t>(n));
   const unsigned char* p = p_;
-  for (T& x : v) {
-    x = std::bit_cast<T>(load_le64(p));
-    p += 8;
-  }
+  for (T* x = out.data() + at; x != out.data() + out.size(); ++x, p += 8)
+    *x = std::bit_cast<T>(load_le64(p));
   p_ = p;
-  return v;
 }
 
-std::vector<double> ByteReader::vec_f64() { return vec<double>("vec_f64"); }
+void ByteReader::append_vec_f64(std::vector<double>& out) {
+  append_vec(out, "vec_f64");
+}
 
-std::vector<std::uint64_t> ByteReader::vec_u64() {
-  return vec<std::uint64_t>("vec_u64");
+void ByteReader::append_vec_u64(std::vector<std::uint64_t>& out) {
+  append_vec(out, "vec_u64");
 }
 
 std::uint64_t fnv1a64(const void* data, std::size_t n, std::uint64_t seed) {

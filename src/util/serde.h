@@ -5,13 +5,15 @@
 // and merged. Everything here is byte-exact and host-independent:
 // integers are packed little-endian by shifts, doubles travel as their
 // IEEE-754 bit pattern, and a reader that runs past the end of its buffer
-// throws instead of fabricating state. Vectors move whole: the writer
-// grows its buffer once per vector and the reader sizes the result once,
-// after checking the count against the bytes left, so a checkpoint costs
-// what its bytes cost. The writer takes a span, so a checkpoint that
-// appends only the records added since its last save writes that tail
-// of a vector in place. A vector's bytes are its u64 count followed by
-// each element's 8 octets, a double as its IEEE-754 bit pattern. Round-trip identity —
+// throws instead of fabricating state. Each record is copied once per
+// hop: the writer can be reserved for a whole checkpoint frame, so a
+// save encodes its records into the buffer it writes out; the writer
+// takes a span, so a save of only the records added since the last one
+// writes that tail of a vector in place; and the reader decodes a vector
+// straight onto the end of the caller's vector, after checking the count
+// against the bytes left, so a hostile count never grows it. A vector's
+// bytes are its u64 count followed by each element's 8 octets, a double
+// as its IEEE-754 bit pattern. Round-trip identity —
 // save(load(save(x))) == save(x) — is the contract the checkpoint tests
 // pin. Two hashes live here: xxh64 checks checkpoint frames, whose
 // payloads run to hundreds of kilobytes, and fnv1a64 makes the pinned
@@ -22,6 +24,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gdelay::util {
@@ -33,6 +36,12 @@ class ByteWriter {
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void raw(const void* data, std::size_t n);
+  /// Overwrites the 8 bytes at `at` (std::out_of_range past the end): a
+  /// length field written before the bytes it counts.
+  void u64_at(std::size_t at, std::uint64_t v);
+  /// Grows the capacity to `n` bytes, so writes up to that size never
+  /// move the bytes already written.
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
   /// Length-prefixed vectors (u64 count, then elements). A span, so a
   /// caller can write the tail of a vector without copying it.
@@ -56,22 +65,24 @@ class ByteWriter {
 class ByteReader {
  public:
   ByteReader(const void* data, std::size_t n);
-  explicit ByteReader(const std::string& bytes);
+  explicit ByteReader(std::string_view bytes);
 
   std::uint8_t u8();
   std::uint32_t u32();
   std::uint64_t u64();
-  void raw(void* out, std::size_t n);
 
-  std::vector<double> vec_f64();
-  std::vector<std::uint64_t> vec_u64();
+  /// Length-prefixed vectors, decoded onto the end of `out`. The count
+  /// is checked against the bytes left before `out` grows, so a count
+  /// past the buffer throws a truncated read and leaves `out` as it was.
+  void append_vec_f64(std::vector<double>& out);
+  void append_vec_u64(std::vector<std::uint64_t>& out);
 
   std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
   bool at_end() const { return p_ == end_; }
 
  private:
   template <class T>
-  std::vector<T> vec(const char* what);
+  void append_vec(std::vector<T>& out, const char* what);
 
   const unsigned char* p_;
   const unsigned char* end_;

@@ -68,6 +68,15 @@ void unit_work(std::uint64_t unit, Rng& rng, gcp::AccumulatorSet& accs) {
   extremes.add(unit, ext);
 }
 
+// `payload` in a shard-state frame, built through the library's
+// begin/seal calls, as a save builds one.
+std::string frame_of(std::string_view payload) {
+  ByteWriter w;
+  gcp::begin_frame(w, gcp::kFrameShardState, payload.size());
+  w.raw(payload.data(), payload.size());
+  return gcp::seal_frame(w);
+}
+
 std::uint64_t hash_accs(const gcp::AccumulatorSet& accs) {
   ByteWriter w;
   for (const auto& a : accs) a->save(w);
@@ -304,6 +313,51 @@ TEST(RecordAccumulator, SavedSuffixesAppendToTheWhole) {
     EXPECT_THROW(acc.load(r), std::runtime_error);
     EXPECT_EQ(saved(acc), saved(records(0, 10)));
   }
+  // Pieces that fail only after load() has decoded records onto the ends
+  // of its vectors: each throws and shrinks them back to the held records.
+  const std::string good = saved(records(10, 20));
+  const std::string kind = good.substr(0, 4);
+  const auto piece = [&](std::uint64_t width,
+                         const std::vector<std::uint64_t>& units,
+                         std::size_t n_values) {
+    ByteWriter w;
+    w.raw(kind.data(), kind.size());
+    w.u64(width);
+    w.vec_u64(units);
+    w.vec_f64(std::vector<double>(n_values, 0.25));
+    return w.take();
+  };
+  gcp::RecordAccumulator wide(3);
+  for (std::uint64_t u = 10; u < 20; ++u) {
+    const double row[3] = {1.0, 2.0, 3.0};
+    wide.add(u, row);
+  }
+  const std::pair<const char*, std::string> late[] = {
+      {"width mismatch", saved(wide)},
+      {"value count not units x width", piece(2, {10, 11, 12}, 5)},
+      {"units going back inside the piece", piece(2, {10, 11, 9, 12}, 8)},
+      {"cut off inside its values", good.substr(0, good.size() - 12)}};
+  for (const auto& [what, bad] : late) {
+    ByteReader r(bad);
+    EXPECT_THROW(acc.load(r), std::runtime_error) << what;
+    EXPECT_EQ(saved(acc), saved(records(0, 10))) << what;
+  }
+  // The rolled-back accumulator still takes the piece that follows it.
+  ByteReader r(good);
+  acc.load(r);
+  EXPECT_EQ(saved(acc), saved(records(0, 20)));
+}
+
+TEST(RecordAccumulator, ReserveSizesMergesOnce) {
+  // Reserved for every shard's records, a merged accumulator never moves
+  // its records while the shards append to it.
+  gcp::RecordAccumulator merged(2);
+  merged.reserve(30);
+  const double* const at = merged.values_at(0);
+  for (const auto& c : {std::pair{0, 10}, std::pair{10, 25}, std::pair{25, 30}})
+    merged.merge_from(records(c.first, c.second));
+  EXPECT_EQ(merged.values_at(0), at);
+  EXPECT_EQ(saved(merged), saved(records(0, 30)));
 }
 
 // ---------------------------------------------------------------------------
@@ -482,7 +536,8 @@ constexpr std::size_t kAtShard = 8, kAtFrom = 12, kAtNextUnit = 20,
 
 // The payload of shard `shard`'s log, which must hold one frame.
 std::string shard_state(const gcp::CampaignSpec& spec, std::size_t shard) {
-  return gcp::unframe(read_log(spec, shard), gcp::kFrameShardState);
+  const std::string log = read_log(spec, shard);
+  return std::string(gcp::unframe(log, gcp::kFrameShardState));
 }
 
 // Writes `payload` as shard `shard`'s one-frame log in a valid frame, so
@@ -490,7 +545,7 @@ std::string shard_state(const gcp::CampaignSpec& spec, std::size_t shard) {
 void write_shard_state(const gcp::CampaignSpec& spec, std::size_t shard,
                        const std::string& payload) {
   write_file(gcp::shard_checkpoint_path(spec, shard),
-             gcp::frame(gcp::kFrameShardState, payload));
+             frame_of(payload));
 }
 
 // Overwrites `n` bytes at `at` with `v`, little-endian.
@@ -505,7 +560,7 @@ std::string replayed_state(const gcp::CampaignSpec& spec, std::size_t shard) {
   gcp::AccumulatorSet accs = make_accs();
   std::uint64_t next_unit = 0;
   for (const std::string& f : log_frames(spec, shard)) {
-    const std::string payload = gcp::unframe(f, gcp::kFrameShardState);
+    const std::string_view payload = gcp::unframe(f, gcp::kFrameShardState);
     ByteReader r(payload.data() + kAtNextUnit, payload.size() - kAtNextUnit);
     next_unit = r.u64();
     r.u32();  // accumulator count
@@ -711,8 +766,32 @@ TEST(CampaignCheckpoint, RecordsOutsideTheResumedRangeAreRejected) {
 
 TEST(CheckpointFrame, RoundTripsPayload) {
   const std::string payload = "campaign shard state bytes \x00\x01\x7f";
-  const std::string framed = gcp::frame(gcp::kFrameShardState, payload);
+  const std::string framed = frame_of(payload);
+  const std::string_view back = gcp::unframe(framed, gcp::kFrameShardState);
+  EXPECT_EQ(back, payload);
+  // A view of the payload inside the frame, not a copy of it.
+  EXPECT_EQ(back.data(), framed.data() + 20);
+}
+
+TEST(CheckpointFrame, SealedInThePayloadsBuffer) {
+  // begin_frame() reserves the whole frame, the payload is written after
+  // its header, and seal_frame() hands back that same buffer: the frame is
+  // never copied. A hint too short only regrows it; the bytes are the
+  // same.
+  const std::string payload(300, 'q');
+  ByteWriter w;
+  gcp::begin_frame(w, gcp::kFrameShardState, payload.size());
+  const char* const buffer = w.bytes().data();
+  w.raw(payload.data(), payload.size());
+  const std::string framed = gcp::seal_frame(w);
+  EXPECT_EQ(framed.data(), buffer);
+  EXPECT_EQ(framed.size(), 20u + payload.size() + 8u);
   EXPECT_EQ(gcp::unframe(framed, gcp::kFrameShardState), payload);
+  ByteWriter short_hint;
+  gcp::begin_frame(short_hint, gcp::kFrameShardState, 1);
+  short_hint.raw(payload.data(), payload.size());
+  EXPECT_EQ(gcp::seal_frame(short_hint), framed);
+  EXPECT_EQ(gcp::unframe(frame_of(""), gcp::kFrameShardState), "");
 }
 
 namespace {
@@ -731,8 +810,7 @@ TEST(CheckpointFrame, RejectsBitFlipAnywhereInPayload) {
   // Every bit of the frame: the envelope checks catch header flips, the
   // XXH64 checksum catches payload and trailer flips. 284 bytes, 2,272
   // flips.
-  const std::string framed =
-      gcp::frame(gcp::kFrameShardState, distinct_payload());
+  const std::string framed = frame_of(distinct_payload());
   ASSERT_EQ(framed.size(), 20u + 256u + 8u);
   for (std::size_t bit = 0; bit < 8 * framed.size(); ++bit) {
     std::string bad = framed;
@@ -747,8 +825,7 @@ TEST(CheckpointFrame, RejectsEveryPayloadWordSwap) {
   // or XOR of separately mixed words) misses a swap, which no single-bit
   // flip shows; XXH64 chains each lane's words, so it must not. 32
   // words, 496 swaps.
-  const std::string framed =
-      gcp::frame(gcp::kFrameShardState, distinct_payload());
+  const std::string framed = frame_of(distinct_payload());
   constexpr std::size_t kHeader = 20, kWords = 256 / 8;
   for (std::size_t i = 0; i < kWords; ++i) {
     for (std::size_t j = i + 1; j < kWords; ++j) {
@@ -765,7 +842,7 @@ TEST(CheckpointFrame, RejectsEveryPayloadWordSwap) {
 
 TEST(CheckpointFrame, Version3LayoutIsPinned) {
   // "GDCK", version 3, kind 1, size 3, "abc", XXH64("abc") little-endian.
-  const std::string framed = gcp::frame(gcp::kFrameShardState, "abc");
+  const std::string framed = frame_of("abc");
   static const char kHex[] = "0123456789abcdef";
   std::string hex;
   for (const char c : framed) {
@@ -827,8 +904,7 @@ TEST(CheckpointFrame, RejectsOlderVersions) {
 }
 
 TEST(CheckpointFrame, RejectsTruncation) {
-  const std::string framed =
-      gcp::frame(gcp::kFrameShardState, std::string(64, 'y'));
+  const std::string framed = frame_of(std::string(64, 'y'));
   for (std::size_t keep : {framed.size() - 1, framed.size() / 2,
                            std::size_t{3}, std::size_t{0}}) {
     EXPECT_THROW(gcp::unframe(framed.substr(0, keep), gcp::kFrameShardState),
@@ -840,7 +916,7 @@ TEST(CheckpointFrame, RejectsTruncation) {
 TEST(CheckpointFrame, RejectsOversizedLengthField) {
   // A size field near 2^64 must not wrap the truncation check (size + 8
   // would be 0 here) and reach the payload allocation.
-  std::string framed = gcp::frame(gcp::kFrameShardState, "p");
+  std::string framed = frame_of("p");
   for (std::size_t i = 0; i < 8; ++i)
     framed[12 + i] = static_cast<char>(i == 0 ? 0xf8 : 0xff);
   EXPECT_THROW(gcp::unframe(framed, gcp::kFrameShardState),
@@ -848,7 +924,7 @@ TEST(CheckpointFrame, RejectsOversizedLengthField) {
 }
 
 TEST(CheckpointFrame, RejectsWrongKindAndBadMagic) {
-  const std::string framed = gcp::frame(gcp::kFrameShardState, "p");
+  const std::string framed = frame_of("p");
   EXPECT_THROW(gcp::unframe(framed, gcp::kFrameShardState + 1),
                std::runtime_error);
   std::string bad = framed;
@@ -860,8 +936,8 @@ TEST(CheckpointFile, AppendCreatesParentsAndRoundTrips) {
   const std::string root = ::testing::TempDir() + "gdelay_ckpt_test";
   const std::string path = root + "/nested/state.ckpt";
   std::filesystem::remove_all(root);
-  const std::string a = gcp::frame(gcp::kFrameShardState, "abc");
-  const std::string b = gcp::frame(gcp::kFrameShardState, "de");
+  const std::string a = frame_of("abc");
+  const std::string b = frame_of("de");
 
   gcp::append_file(path, a);  // parents did not exist
   gcp::append_file(path, b);
@@ -873,6 +949,27 @@ TEST(CheckpointFile, AppendCreatesParentsAndRoundTrips) {
   EXPECT_TRUE(gcp::remove_file(path));
   EXPECT_FALSE(gcp::remove_file(path));
   EXPECT_FALSE(gcp::read_file(path).has_value());
+  std::filesystem::remove_all(root);
+}
+
+TEST(CheckpointFile, ReadsEmptyAndLargeFilesWhole) {
+  // read_file sizes its string from the file's size and reads it in one
+  // go: an empty file is an engaged empty string, never std::nullopt, and
+  // a 3 MiB file comes back byte for byte.
+  const std::string root = ::testing::TempDir() + "gdelay_ckpt_sizes";
+  std::filesystem::create_directories(root);
+  const std::string empty = root + "/empty.ckpt", big = root + "/big.ckpt";
+  write_file(empty, "");
+  const std::optional<std::string> none = gcp::read_file(empty);
+  ASSERT_TRUE(none.has_value());
+  EXPECT_TRUE(none->empty());
+  std::string bytes(3u << 20, '\0');
+  Rng rng(3);
+  for (char& c : bytes) c = static_cast<char>(rng.below(256));
+  write_file(big, bytes);
+  const std::optional<std::string> back = gcp::read_file(big);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_TRUE(*back == bytes);
   std::filesystem::remove_all(root);
 }
 
@@ -898,16 +995,25 @@ TEST(CheckpointFile, ReadErrorThrows) {
 
 TEST(CheckpointFuzz, SeededMutationsThrowOrRoundTrip) {
   // A real RecordAccumulator payload: u32 kind, u64 width, u64 unit
-  // count, the units, u64 value count, the values.
+  // count, the units, u64 value count, the values. Its units start at
+  // 100, so it follows the held accumulator's units 0-9.
   gcp::RecordAccumulator src(3);
   Rng values(9);
   for (std::uint64_t u = 0; u < 17; ++u) {
     const double row[3] = {values.gaussian(), values.uniform(), -1.0};
-    src.add(3 * u, row);
+    src.add(100 + 3 * u, row);
   }
   ByteWriter w;
   src.save(w);
   const std::string payload = w.take();
+  gcp::RecordAccumulator held_records(3);
+  for (std::uint64_t u = 0; u < 10; ++u) {
+    const double row[3] = {0.5 * static_cast<double>(u), -1.0, 2.0};
+    held_records.add(u, row);
+  }
+  ByteWriter held_w;
+  held_records.save(held_w);
+  const std::string held_bytes = held_w.take();
   const std::size_t fields[3] = {4, 12, 20 + 8 * src.size()};
   const std::uint64_t specials[] = {
       0, 1, 2, 3, 16, 17, 18, 50, 51, 52, std::uint64_t{1} << 32,
@@ -915,23 +1021,47 @@ TEST(CheckpointFuzz, SeededMutationsThrowOrRoundTrip) {
 
   // Each mutant travels inside a valid frame, so unframe() hands it to
   // the parser, which must throw std::runtime_error or load a state whose
-  // save() is exactly the bytes it consumed.
+  // save() is exactly the bytes it consumed. It is loaded a second time
+  // into an accumulator holding units 0-9: a rejected mutant must leave
+  // those records byte for byte as they were (load() decodes onto the
+  // ends of the held vectors, so it must roll them back), and an accepted
+  // one must append exactly the records it consumed.
   std::size_t loaded = 0, rejected = 0;
   const auto check = [&](const std::string& mutant) {
-    const std::string body = gcp::unframe(
-        gcp::frame(gcp::kFrameShardState, mutant), gcp::kFrameShardState);
+    const std::string framed = frame_of(mutant);
+    const std::string_view body = gcp::unframe(framed, gcp::kFrameShardState);
+    ByteReader held_r(body);
+    gcp::RecordAccumulator held = held_records;
+    bool held_loaded = true;
+    try {
+      held.load(held_r);
+    } catch (const std::runtime_error&) {
+      held_loaded = false;
+      ByteWriter back;
+      held.save(back);
+      EXPECT_EQ(back.bytes(), held_bytes) << "a rejected load changed it";
+    }
     ByteReader r(body);
     gcp::RecordAccumulator acc(3);
     try {
       acc.load(r);
     } catch (const std::runtime_error&) {
       ++rejected;
+      EXPECT_FALSE(held_loaded) << "a held accumulator took a bad piece";
       return;
     }
     ++loaded;
     ByteWriter back;
     acc.save(back);
     EXPECT_EQ(back.bytes(), body.substr(0, body.size() - r.remaining()));
+    if (!held_loaded) return;  // its first unit does not follow unit 9
+    EXPECT_EQ(held_r.remaining(), r.remaining());
+    gcp::RecordAccumulator expect = held_records;
+    expect.merge_from(acc);
+    ByteWriter whole, appended;
+    held.save(whole);
+    expect.save(appended);
+    EXPECT_EQ(whole.bytes(), appended.bytes());
   };
 
   Rng rng(0x5eedf022);
@@ -959,7 +1089,7 @@ TEST(CheckpointFuzz, SeededMutationsThrowOrRoundTrip) {
 
   // The frame itself: any flip in its header, or any truncation, is
   // rejected before a parser runs.
-  const std::string framed = gcp::frame(gcp::kFrameShardState, payload);
+  const std::string framed = frame_of(payload);
   for (std::size_t i = 0; i < 4 + 4 + 4 + 8; ++i) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string m = framed;
@@ -1018,11 +1148,11 @@ TEST(CheckpointFuzz, MutatedShardStatesThrowOrResume) {
   const auto with_payload = [&](std::size_t shard, std::size_t f,
                                 const std::string& payload) {
     std::vector<std::string> log = frames[shard];
-    log[f] = gcp::frame(gcp::kFrameShardState, payload);
+    log[f] = frame_of(payload);
     return joined(log);
   };
   const auto payload_of = [&](std::size_t shard, std::size_t f) {
-    return gcp::unframe(frames[shard][f], gcp::kFrameShardState);
+    return std::string(gcp::unframe(frames[shard][f], gcp::kFrameShardState));
   };
   const auto overwrite = [&](std::size_t shard, std::size_t f, std::size_t at,
                              std::uint64_t v, int n, const char* field) {

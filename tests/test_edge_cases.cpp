@@ -465,7 +465,9 @@ TEST(NanRangeChecks, BerEntryPointsRequireFiniteRjAndDensity) {
 TEST(NonFiniteOptions, MeasurementOptionsAreRejectedUpFront) {
   // A NaN or infinite settle window or threshold extracts no edges (or
   // folds the lead-in); every measurement entry point and sink rejects it
-  // up front, naming the field, not after the whole run.
+  // up front, naming the field, not after the whole run. So do the
+  // histogram and eye raster constructors for their ranges and sizes,
+  // before they allocate.
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   gs::SynthConfig sc;
@@ -522,11 +524,54 @@ TEST(NonFiniteOptions, MeasurementOptionsAreRejectedUpFront) {
     o.settle_ps = bad;
     cases.push_back({"DelayCalibrator", "settle_ps",
                      [o] { gc::DelayCalibrator{o}; }});
+    // Bin and raster ranges: an infinite bound made add() divide inf by
+    // inf and cast the NaN to an index.
+    cases.push_back({"Histogram", "lo",
+                     [bad] { gm::Histogram(bad, 1.0, 10); }});
+    cases.push_back({"Histogram", "hi",
+                     [bad] { gm::Histogram(-1.0, bad, 10); }});
+    cases.push_back({"LevelHistogramSink", "lo",
+                     [bad] { gm::LevelHistogramSink{bad, 1.0, 16}; }});
+    cases.push_back({"EyeDiagram", "v_min",
+                     [bad] { gm::EyeDiagram(100.0, bad, 1.0); }});
+    cases.push_back({"EyeDiagram", "v_max",
+                     [bad] { gm::EyeDiagram(100.0, -1.0, bad); }});
   }
+  // Finite ranges whose span overflows, and sizes checked before the bins
+  // or cells are allocated: a count no vector holds, or a raster whose
+  // cols * rows wraps (2^33 x 2^31 wrapped to an empty grid that add()
+  // then indexed), is std::invalid_argument, not std::length_error or
+  // std::bad_alloc, and so is a bad range given with such a size.
+  constexpr std::size_t kHuge = ~std::size_t{0};
+  cases.push_back({"Histogram", "hi",
+                   [] { gm::Histogram(-1e308, 1e308, 10); }});
+  cases.push_back({"Histogram", "n_bins", [] { gm::Histogram(0.0, 1.0, 0); }});
+  cases.push_back({"Histogram", "n_bins",
+                   [] { gm::Histogram(0.0, 1.0, kHuge); }});
+  cases.push_back({"Histogram", "hi", [] { gm::Histogram(1.0, 0.0, kHuge); }});
+  cases.push_back({"LevelHistogramSink", "n_bins",
+                   [] { gm::LevelHistogramSink{-1.0, 1.0, 0}; }});
+  cases.push_back({"EyeDiagram", "v_max",
+                   [] { gm::EyeDiagram(100.0, -1e308, 1e308); }});
+  cases.push_back({"EyeDiagram", "ui_ps",
+                   [] { gm::EyeDiagram(1e308, -1.0, 1.0); }});
+  cases.push_back({"EyeDiagram", "rows",
+                   [] { gm::EyeDiagram(100.0, -1.0, 1.0, 96, 1); }});
+  cases.push_back({"EyeDiagram", "cols * rows", [] {
+                     gm::EyeDiagram(100.0, -1.0, 1.0, std::size_t{1} << 33,
+                                    std::size_t{1} << 31);
+                   }});
+  cases.push_back({"EyeDiagram", "cols * rows", [] {
+                     gm::EyeDiagram(100.0, -1.0, 1.0, std::size_t{1} << 31,
+                                    std::size_t{1} << 31);
+                   }});
+  cases.push_back({"EyeDiagram", "v_max", [] {
+                     gm::EyeDiagram(100.0, 1.0, -1.0, kHuge, kHuge);
+                   }});
   for (const auto& c : cases) {
     try {
       c.run();
-      ADD_FAILURE() << c.name << " accepted a non-finite " << c.field;
+      ADD_FAILURE() << c.name << " accepted a bad " << c.field;
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
           << c.name << ": " << e.what();

@@ -246,16 +246,26 @@ TEST(Csv, ValidatesInput) {
 
 TEST(Serde, VectorCountPastTheBufferIsATruncatedRead) {
   // 2^61 + 1 elements of 8 bytes: a count * 8 length check wraps to 8
-  // and would pass; the reader must still report a truncated read.
-  for (const bool f64 : {true, false}) {
+  // and would pass; the reader must still report a truncated read. So
+  // must a count one past the bytes left. The check runs before the
+  // vector grows: its elements and its capacity are left as they were.
+  for (const std::uint64_t count : {(std::uint64_t{1} << 61) + 1,
+                                    std::uint64_t{2}}) {
     gu::ByteWriter w;
-    w.u64((std::uint64_t{1} << 61) + 1);
+    w.u64(count);
     w.u64(std::bit_cast<std::uint64_t>(1.0));
-    gu::ByteReader r(w.bytes());
-    if (f64)
-      EXPECT_THROW(r.vec_f64(), std::runtime_error);
-    else
-      EXPECT_THROW(r.vec_u64(), std::runtime_error);
+    gu::ByteReader fr(w.bytes());
+    std::vector<double> f = {7.0, -0.0};
+    const std::size_t f_cap = f.capacity();
+    EXPECT_THROW(fr.append_vec_f64(f), std::runtime_error) << count;
+    EXPECT_EQ(f, (std::vector<double>{7.0, -0.0}));
+    EXPECT_EQ(f.capacity(), f_cap);
+    gu::ByteReader ur(w.bytes());
+    std::vector<std::uint64_t> u = {5};
+    const std::size_t u_cap = u.capacity();
+    EXPECT_THROW(ur.append_vec_u64(u), std::runtime_error) << count;
+    EXPECT_EQ(u, (std::vector<std::uint64_t>{5}));
+    EXPECT_EQ(u.capacity(), u_cap);
   }
 }
 
@@ -293,16 +303,24 @@ TEST(Serde, VectorsAreLittleEndianWordsBitForBit) {
       bytes({0, 0, 0, 0, 0, 0, 0, 0});  // empty vector
   EXPECT_EQ(w.bytes(), expect);
 
+  // Decoded onto the ends of non-empty vectors, whose prefixes survive.
   gu::ByteReader r(expect);
   EXPECT_EQ(r.u8(), 0xaau);
-  EXPECT_EQ(r.vec_u64(), u);
-  const std::vector<double> back = r.vec_f64();
-  ASSERT_EQ(back.size(), f.size());
+  std::vector<std::uint64_t> ub = {42};
+  r.append_vec_u64(ub);
+  std::vector<std::uint64_t> ue = u;
+  ue.insert(ue.begin(), 42);
+  EXPECT_EQ(ub, ue);
+  std::vector<double> back = {2.5};
+  r.append_vec_f64(back);
+  ASSERT_EQ(back.size(), 1 + f.size());
+  EXPECT_EQ(back[0], 2.5);
   for (std::size_t i = 0; i < f.size(); ++i)
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(back[i]),
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back[1 + i]),
               std::bit_cast<std::uint64_t>(f[i]))
         << i;
-  EXPECT_TRUE(r.vec_u64().empty());
+  r.append_vec_u64(ub);
+  EXPECT_EQ(ub, ue);
   EXPECT_TRUE(r.at_end());
 }
 

@@ -17,10 +17,23 @@ a GDELAY_BACKEND setting that reached one side -- would be compared, and
 it exits 1 naming both stamps.
 
 Then it prints, per end-to-end metric of BENCHMARK.json: each side's
-median with its quartiles, how many pairs the change won, and the ratio
-of the change's median to the base's next to the metric's bound. The last
-line of its output is the same summary as one JSON object, with both
-sides' stamps: the record a perf-history BENCH_<n>.json file collects.
+median with its quartiles, how many pairs the change won, the ratio of
+the change's median to the base's next to the metric's bound, and a
+verdict by the repository's acceptance rule:
+
+  gain        at least 10 pairs ran, the change won at least 90% of
+              them, and its median is better than the base's by more
+              than the base's IQR;
+  worse       the change's median is worse than the base's by more than
+              the bound;
+  unresolved  the base's IQR, relative to its median, is wider than the
+              bound, and not every change run beats every base run;
+  no worse    otherwise.
+
+The last line of its output is the same summary as one JSON object, with
+both sides' stamps and, per metric, every run's value in run order
+(`runs`) and the verdict: the record a perf-history BENCH_<n>.json file
+collects.
 The header line and the summary name both trees: `base_rev` is REV
 resolved, `change_rev` is this checkout's HEAD with `-dirty` appended
 when `git status --porcelain` lists anything (the stamps' own `git_rev`
@@ -104,6 +117,21 @@ def spread(q):
     return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
 
 
+def verdict(b, c, wins, bound, lower):
+    """The acceptance rule's reading of one metric (see the module doc)."""
+    bq, cq = quartiles(b), quartiles(c)
+    # Positive when the change's median is better than the base's.
+    better = (bq[1] - cq[1]) if lower else (cq[1] - bq[1])
+    if len(b) >= 10 and wins >= 0.9 * len(b) and better > bq[2] - bq[0]:
+        return "gain"
+    if -better > bound * abs(bq[1]):
+        return "worse"
+    beats_all = max(c) < min(b) if lower else min(c) > max(b)
+    if bq[2] - bq[0] > bound * abs(bq[1]) and not beats_all:
+        return "unresolved"
+    return "no worse"
+
+
 def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
@@ -152,7 +180,8 @@ def main():
           f"{args.seconds} s, base {args.rev} ({base_rev}) vs this "
           f"checkout ({change_rev}); 0 failed ops, {check}")
     print(f"{'metric':14} {'base median [q1, q3]':>28} "
-          f"{'change median [q1, q3]':>28} {'wins':>6} {'ratio':>6} bound")
+          f"{'change median [q1, q3]':>28} {'wins':>6} {'ratio':>6} "
+          f"{'bound':>5}  verdict")
     summary = {"workload": args.workload, "seed": args.seed,
                "pairs": args.pairs, "seconds": args.seconds,
                "base_rev": base_rev, "change_rev": change_rev,
@@ -164,12 +193,14 @@ def main():
         wins = sum((y < x) if lower else (y > x) for x, y in zip(b, c))
         bq, cq = quartiles(b), quartiles(c)
         ratio = cq[1] / bq[1] if bq[1] else float("nan")
+        v = verdict(b, c, wins, m["bound"], lower)
         print(f"{name:14} {spread(bq):>28} {spread(cq):>28} "
-              f"{wins:>3}/{args.pairs:<2} {ratio:6.3f} {m['bound']}")
+              f"{wins:>3}/{args.pairs:<2} {ratio:6.3f} {m['bound']:>5}  {v}")
         summary["metrics"][name] = {
             "base": dict(zip(("q1", "median", "q3"), bq)),
             "change": dict(zip(("q1", "median", "q3"), cq)),
-            "wins": wins, "ratio": ratio, "bound": m["bound"]}
+            "wins": wins, "ratio": ratio, "bound": m["bound"],
+            "verdict": v, "runs": {"base": b, "change": c}}
     print(json.dumps(summary))
     return 0
 
