@@ -19,10 +19,17 @@ struct AteChannelConfig {
   double programmable_step_ps = 100.0;///< ATE deskew resolution (Sec. 1).
   double rj_sigma_ps = 1.2;           ///< Source random jitter (sigma).
   sig::SynthConfig synth{};           ///< Electrical properties.
+
+  /// Throws std::invalid_argument "<caller>: <field> must be finite ..."
+  /// unless rate_gbps and programmable_step_ps are finite and > 0,
+  /// static_skew_ps is finite and rj_sigma_ps is finite and >= 0.
+  void validate(const char* caller) const;
 };
 
 class AteChannel {
  public:
+  /// Throws std::invalid_argument naming the field for a config that
+  /// fails AteChannelConfig::validate().
   AteChannel(const AteChannelConfig& cfg, util::Rng rng);
 
   const AteChannelConfig& config() const { return cfg_; }
@@ -31,7 +38,9 @@ class AteChannel {
   /// Programs the ATE-native deskew in integer steps (may be negative).
   void program_delay_steps(int steps) { steps_ = steps; }
   int programmed_steps() const { return steps_; }
-  /// Best ATE-native correction for a desired delay (rounds to a step).
+  /// Best ATE-native correction for a desired delay (rounds to a step,
+  /// half away from zero). Throws std::invalid_argument for a non-finite
+  /// delay or a step count that does not fit an int.
   int steps_for(double delay_ps) const;
 
   /// Total launch offset: static skew + programmed coarse delay.

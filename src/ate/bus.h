@@ -21,6 +21,10 @@ struct AteBusConfig {
 
 class AteBus {
  public:
+  /// Throws std::invalid_argument for n_channels < 1, and, naming the
+  /// field, unless rate_gbps and programmable_step_ps are finite and > 0,
+  /// rj_sigma_ps is finite and >= 0 and skew_span_ps is finite and >= 0.
+  /// The checks come before any skew is drawn.
   AteBus(const AteBusConfig& cfg, util::Rng rng);
 
   const AteBusConfig& config() const { return cfg_; }

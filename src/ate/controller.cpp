@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/batch.h"
 #include "measure/delay_meter.h"
 
 namespace gdelay::ate {
@@ -33,17 +34,25 @@ DeskewController::DeskewController(
 }
 
 std::vector<double> DeskewController::measure_arrivals() {
-  std::vector<double> arrivals;
-  arrivals.reserve(delays_.size());
   meas::DelayMeterOptions mo;
   mo.settle_ps = opt_.calibration.settle_ps;
-  for (int i = 0; i < bus_.n_channels(); ++i) {
-    const auto launched = bus_.channel(i).drive(opt_.training);
-    const auto received =
-        delays_[static_cast<std::size_t>(i)].process(launched.wf);
-    arrivals.push_back(
-        meas::measure_delay(reference_, received, mo).mean_ps);
+  // Each ATE channel draws its jitter from its own RNG, so driving every
+  // lane first, in channel order, draws what one pass per lane drew.
+  std::vector<sig::Waveform> launched;
+  launched.reserve(delays_.size());
+  for (int i = 0; i < bus_.n_channels(); ++i)
+    launched.push_back(bus_.channel(i).drive(opt_.training).wf);
+  std::vector<core::VariableDelayChannel*> lanes;
+  std::vector<const sig::Waveform*> stimuli;
+  for (std::size_t i = 0; i < delays_.size(); ++i) {
+    lanes.push_back(&delays_[i]);
+    stimuli.push_back(&launched[i]);
   }
+  const auto ref = meas::delay_edges(reference_, mo);
+  std::vector<double> arrivals;
+  arrivals.reserve(delays_.size());
+  for (const auto& out : core::lane_edges(lanes, stimuli, mo))
+    arrivals.push_back(meas::measure_delay_edges(ref, out).mean_ps);
   return arrivals;
 }
 
@@ -58,11 +67,10 @@ DeskewReport DeskewController::run() {
   rep.arrival_before_ps = measure_arrivals();
   rep.span_before_ps = span(rep.arrival_before_ps);
 
-  // 2. Per-channel calibration against the clean reference.
-  const core::DelayCalibrator calibrator(opt_.calibration);
-  rep.calibrations.reserve(delays_.size());
-  for (auto& d : delays_)
-    rep.calibrations.push_back(calibrator.calibrate(d, reference_));
+  // 2. Calibration of every channel against the clean reference, in one
+  //    board-wide lane list.
+  rep.calibrations =
+      core::DelayCalibrator(opt_.calibration).calibrate(delays_, reference_);
 
   // 3. Plan.
   rep.plan = core::DeskewEngine::plan(rep.arrival_before_ps,

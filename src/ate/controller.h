@@ -2,8 +2,11 @@
 //
 //  1. Drive a training pattern down every bus channel, through its
 //     per-channel VariableDelayChannel at the minimum setting, and
-//     measure each arrival against the ideal launch grid.
-//  2. Calibrate every delay channel (Fig. 7 sweep + Fig. 9 taps).
+//     measure each arrival against the ideal launch grid: one
+//     core::lane_edges call over the bus, each lane with its own
+//     launched waveform.
+//  2. Calibrate every delay channel (Fig. 7 sweep + Fig. 9 taps): one
+//     DelayCalibrator::calibrate call, the whole board one lane list.
 //  3. Ask core::DeskewEngine for a common target and per-channel settings.
 //  4. Program the settings and re-measure to verify the residual skew
 //     (< 5 ps channel-to-channel is the application requirement).
@@ -47,7 +50,10 @@ class DeskewController {
   DeskewReport run();
 
   /// Measurement pass only: per-channel arrival times at the current
-  /// programming (relative to the ideal launch grid).
+  /// programming (relative to the ideal launch grid). Drives every bus
+  /// channel in channel order, then runs the launched waveforms through
+  /// their delay channels in one core::lane_edges call; each arrival is
+  /// bit-identical to that lane's solo drive-process-measure pass.
   std::vector<double> measure_arrivals();
 
  private:

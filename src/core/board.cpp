@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/thread_pool.h"
-
 namespace gdelay::core {
 
 DelayBoard::DelayBoard(const DelayBoardConfig& cfg, util::Rng rng) {
@@ -20,15 +18,7 @@ DelayBoard::DelayBoard(const DelayBoardConfig& cfg, util::Rng rng) {
 
 const std::vector<ChannelCalibration>& DelayBoard::calibrate(
     const sig::Waveform& stimulus, const DelayCalibrator::Options& opt) {
-  const DelayCalibrator calibrator(opt);
-  // Channels calibrate independently (the calibrator only reads them, and
-  // sweep points run on per-point clones), so the board fans out channels
-  // x sweep points across the pool; the nested parallel_for calls inside
-  // calibrate() are safe because submitters participate in their batches.
-  calibrations_ = util::parallel_map(
-      channels_.size(), [&](std::size_t i) {
-        return calibrator.calibrate(channels_[i], stimulus);
-      });
+  calibrations_ = DelayCalibrator(opt).calibrate(channels_, stimulus);
   return calibrations_;
 }
 

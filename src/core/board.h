@@ -4,8 +4,9 @@
 // 4-channel version "for deskewing parallel data buses from an ATE"; the
 // end application needs 8 differential channels under the DIB. DelayBoard
 // bundles N VariableDelayChannels built from one nominal design with
-// per-instance process variation, plus board-level calibration (one
-// stimulus pass per channel) and group programming.
+// per-instance process variation, plus board-level calibration (every
+// channel's sweep and tap clones in one lane list, DelayCalibrator's
+// board call) and group programming.
 #pragma once
 
 #include <optional>
@@ -38,7 +39,8 @@ class DelayBoard {
     return channels_.at(static_cast<std::size_t>(i));
   }
 
-  /// Calibrates every channel against the same stimulus; results are
+  /// Calibrates every channel against the same stimulus in one
+  /// DelayCalibrator::calibrate() call over the board; results are
   /// retained for programming. Returns the calibrations.
   const std::vector<ChannelCalibration>& calibrate(
       const sig::Waveform& stimulus, const DelayCalibrator::Options& opt);

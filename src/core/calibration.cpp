@@ -18,25 +18,19 @@ meas::DelayMeterOptions meter_options(double settle_ps) {
   return o;
 }
 
-// Shared engine behind every clone-based measurement: builds `count`
-// clones of `dev`, each programmed by `program(clone, i)` (fork_noise(i),
-// Vctrl, tap), and returns each one's output edges from core::lane_edges
-// (core/batch.h) — four clones to a lane group, one thread-pool task per
-// group, no output waveform materialized. Each clone's edges are those of
-// its solo clone.process(stimulus) by the batch contract, and the group
-// decomposition is a pure function of the index, so results stay
-// bit-identical for any thread count — and to the pre-batching code.
-template <typename Device, typename Program>
+// Each clone's output edges from core::lane_edges (core/batch.h): four
+// clones to a lane group, one thread-pool task per group, no output
+// waveform materialized. Each clone's edges are those of its solo
+// clone.process(stimulus) by the batch contract, and the groups are a
+// pure function of the list, so results stay bit-identical for any
+// thread count — and to the pre-batching per-clone code.
+template <typename Device>
 std::vector<std::vector<sig::Edge>> clone_edges(
-    const Device& dev, const sig::Waveform& stimulus, std::size_t count,
-    const meas::DelayMeterOptions& opts, Program program) {
-  std::vector<Device> clones(count, dev);
+    std::vector<Device>& clones, const sig::Waveform& stimulus,
+    const meas::DelayMeterOptions& opts) {
   std::vector<Device*> lanes;
-  lanes.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    program(clones[i], i);
-    lanes.push_back(&clones[i]);
-  }
+  lanes.reserve(clones.size());
+  for (Device& c : clones) lanes.push_back(&c);
   return lane_edges(lanes, stimulus, opts);
 }
 
@@ -53,38 +47,42 @@ std::vector<double> mean_delays(
   return delays;
 }
 
-// The fine-curve sweep. Each sweep point gets its own CLONE of the device
-// (FineDelayLine and VariableDelayChannel are value types), programmed to
-// its Vctrl. Point 0 sits at Vctrl = 0 and doubles as the baseline the
-// curve is referenced to. Forking by sweep index keeps the per-point
-// noise realizations statistically independent while remaining a pure
-// function of the index — the source of the bit-identical-at-any-thread-
-// count guarantee.
+// Every Vctrl sweep's programming: appends `n_points` (>= 2) CLONES of
+// `dev` (FineDelayLine and VariableDelayChannel are value types) to
+// `clones`, clone i on noise stream i at Vctrl xs[i], evenly across
+// [0, vctrl_max], and returns xs. Point 0 sits at Vctrl = 0 and doubles
+// as the baseline the fine curve is referenced to. Forking by sweep
+// index keeps the per-point noise realizations statistically
+// independent while remaining a pure function of the index — the source
+// of the bit-identical-at-any-thread-count guarantee.
 template <typename Device>
-util::Curve sweep_fine_curve(const Device& dev, const sig::Waveform& stimulus,
-                             const std::vector<sig::Edge>& ref, int n_points,
-                             const meas::DelayMeterOptions& opts) {
-  if (n_points < 3)
-    throw std::invalid_argument("DelayCalibrator: need >= 3 sweep points");
-  const double vmax = dev.vctrl_max();
+std::vector<double> add_sweep(const Device& dev, std::size_t n_points,
+                              std::vector<Device>& clones) {
+  std::vector<double> xs(n_points);
+  for (std::size_t i = 0; i < n_points; ++i) {
+    xs[i] = dev.vctrl_max() * static_cast<double>(i) /
+            static_cast<double>(n_points - 1);
+    clones.push_back(dev);
+    clones.back().fork_noise(i);
+    clones.back().set_vctrl(xs[i]);
+  }
+  return xs;
+}
 
-  std::vector<double> xs(static_cast<std::size_t>(n_points));
-  for (int i = 0; i < n_points; ++i)
-    xs[static_cast<std::size_t>(i)] =
-        vmax * static_cast<double>(i) / static_cast<double>(n_points - 1);
-
-  std::vector<double> ys = mean_delays(
-      ref, clone_edges(dev, stimulus, xs.size(), opts,
-                       [&](Device& clone, std::size_t i) {
-                         clone.fork_noise(i);
-                         clone.set_vctrl(xs[i]);
-                       }));
-
+// The sweep's reduction: each point's delay `ys` relative to point 0,
+// cleaned of residual measurement noise on the flat ends (the physical
+// characteristic is monotone) before the curve is used for inversion.
+util::Curve fine_curve(std::vector<double> xs, std::vector<double> ys) {
   const double d0 = ys.front();  // baseline: the Vctrl = 0 point
   for (double& y : ys) y -= d0;
-  // The physical characteristic is monotone; clean residual measurement
-  // noise off the flat ends before the curve is used for inversion.
   return util::Curve(std::move(xs), std::move(ys)).monotonicized();
+}
+
+// The fine curve's sweep points, checked before any clone is built.
+std::size_t sweep_points(int n_points) {
+  if (n_points < 3)
+    throw std::invalid_argument("DelayCalibrator: need >= 3 sweep points");
+  return static_cast<std::size_t>(n_points);
 }
 
 }  // namespace
@@ -165,48 +163,69 @@ DelayCalibrator::DelayCalibrator(const Options& opt) : opt_(opt) {
 
 util::Curve DelayCalibrator::measure_fine_curve(
     const FineDelayLine& line, const sig::Waveform& stimulus) const {
+  const std::size_t n = sweep_points(opt_.n_vctrl_points);
   const auto opts = meter_options(opt_.settle_ps);
-  return sweep_fine_curve(line, stimulus, meas::delay_edges(stimulus, opts),
-                          opt_.n_vctrl_points, opts);
+  std::vector<FineDelayLine> clones;
+  std::vector<double> xs = add_sweep(line, n, clones);
+  return fine_curve(std::move(xs),
+                    mean_delays(meas::delay_edges(stimulus, opts),
+                                clone_edges(clones, stimulus, opts)));
+}
+
+std::vector<ChannelCalibration> DelayCalibrator::calibrate(
+    std::span<const VariableDelayChannel> channels,
+    const sig::Waveform& stimulus) const {
+  const std::size_t n = sweep_points(opt_.n_vctrl_points);
+  const auto opts = meter_options(opt_.settle_ps);
+  if (channels.empty()) return {};
+  // One lane list for the whole board, channel after channel: the fine
+  // sweep on tap 0, then one clone per tap at Vctrl = 0 on noise streams
+  // 100 + tap (distinct from the sweep streams).
+  const std::size_t per_channel = n + CoarseDelayBlock::kTaps;
+  std::vector<VariableDelayChannel> clones;
+  clones.reserve(channels.size() * per_channel);
+  std::vector<std::vector<double>> xs;
+  for (const VariableDelayChannel& ch : channels) {
+    VariableDelayChannel tap0 = ch;
+    tap0.select_tap(0);
+    xs.push_back(add_sweep(tap0, n, clones));
+    for (int tap = 0; tap < CoarseDelayBlock::kTaps; ++tap) {
+      clones.push_back(ch);
+      clones.back().fork_noise(100 + static_cast<std::uint64_t>(tap));
+      clones.back().select_tap(tap);
+      clones.back().set_vctrl(0.0);
+    }
+  }
+  const std::vector<double> delays =
+      mean_delays(meas::delay_edges(stimulus, opts),
+                  clone_edges(clones, stimulus, opts));
+
+  std::vector<ChannelCalibration> cals(channels.size());
+  for (std::size_t c = 0; c < cals.size(); ++c) {
+    const double* sweep = delays.data() + c * per_channel;
+    const double* latency = sweep + n;
+    cals[c].fine_curve =
+        fine_curve(std::move(xs[c]), std::vector<double>(sweep, latency));
+    cals[c].base_latency_ps = latency[0];
+    for (std::size_t tap = 0; tap < cals[c].tap_offset_ps.size(); ++tap)
+      cals[c].tap_offset_ps[tap] = latency[tap] - latency[0];
+  }
+  return cals;
 }
 
 ChannelCalibration DelayCalibrator::calibrate(
     const VariableDelayChannel& ch, const sig::Waveform& stimulus) const {
-  const auto opts = meter_options(opt_.settle_ps);
-  const auto ref = meas::delay_edges(stimulus, opts);
-  ChannelCalibration cal;
-
-  // Fine sweep on tap 0.
-  VariableDelayChannel tap0 = ch;
-  tap0.select_tap(0);
-  cal.fine_curve =
-      sweep_fine_curve(tap0, stimulus, ref, opt_.n_vctrl_points, opts);
-
-  // Absolute latency per tap at Vctrl = 0: four clones, one lane group.
-  const std::vector<double> latency = mean_delays(
-      ref, clone_edges(ch, stimulus, std::size_t{4}, opts,
-                       [&](VariableDelayChannel& clone, std::size_t tap) {
-                         // distinct from the sweep streams
-                         clone.fork_noise(100 + tap);
-                         clone.select_tap(static_cast<int>(tap));
-                         clone.set_vctrl(0.0);
-                       }));
-  cal.base_latency_ps = latency[0];
-  for (std::size_t tap = 0; tap < 4; ++tap)
-    cal.tap_offset_ps[tap] = latency[tap] - latency[0];
-  return cal;
+  return calibrate(std::span(&ch, 1), stimulus).front();
 }
 
 double DelayCalibrator::measure_fine_range(
     const FineDelayLine& line, const sig::Waveform& stimulus) const {
   const auto opts = meter_options(opt_.settle_ps);
-  const std::vector<double> ends = mean_delays(
-      meas::delay_edges(stimulus, opts),
-      clone_edges(line, stimulus, std::size_t{2}, opts,
-                  [&](FineDelayLine& clone, std::size_t i) {
-                    clone.fork_noise(i);
-                    clone.set_vctrl(i == 0 ? 0.0 : line.vctrl_max());
-                  }));
+  std::vector<FineDelayLine> clones;
+  add_sweep(line, 2, clones);  // Vctrl = 0 and vctrl_max
+  const std::vector<double> ends =
+      mean_delays(meas::delay_edges(stimulus, opts),
+                  clone_edges(clones, stimulus, opts));
   return ends[1] - ends[0];
 }
 
@@ -221,13 +240,9 @@ double DelayCalibrator::measure_fine_range_periodic(
   // Phase at every sweep point is an independent measurement; only the
   // wrap-and-accumulate of adjacent deltas is inherently sequential.
   const auto ref = meas::delay_edges(stimulus, opts);
-  const auto outs = clone_edges(
-      line, stimulus, static_cast<std::size_t>(n_steps) + 1, opts,
-      [&](FineDelayLine& clone, std::size_t i) {
-        clone.fork_noise(i);
-        clone.set_vctrl(line.vctrl_max() * static_cast<double>(i) /
-                        static_cast<double>(n_steps));
-      });
+  std::vector<FineDelayLine> clones;
+  add_sweep(line, static_cast<std::size_t>(n_steps) + 1, clones);
+  const auto outs = clone_edges(clones, stimulus, opts);
   std::vector<double> phase;
   phase.reserve(outs.size());
   for (const auto& out : outs)

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/channel.h"
@@ -77,15 +78,28 @@ class DelayCalibrator {
   // core::lane_edges (core/batch.h), groups in parallel on the global
   // thread pool, and each clone's edges are paired with the stimulus
   // edges, extracted once per call; results are bit-identical for any
-  // `GDELAY_THREADS` setting.
+  // `GDELAY_THREADS` setting. The sweep points and the curve reduction
+  // (baseline subtraction, then monotonicized()) are shared by
+  // measure_fine_curve() and calibrate().
 
   /// Fig. 7 measurement: fine delay vs Vctrl (relative to Vctrl = 0).
   util::Curve measure_fine_curve(const FineDelayLine& line,
                                  const sig::Waveform& stimulus) const;
 
-  /// Full channel calibration: the same sweep on tap 0, then one run per
-  /// tap at Vctrl = 0. The DAC is the default 12-bit, 1.5 V part.
-  /// The channel's own tap/Vctrl programming is left untouched.
+  /// Full calibration of every channel of a board against one stimulus,
+  /// one per channel in order: the same sweep on tap 0, then one run per
+  /// tap at Vctrl = 0. Every channel's sweep and tap clones go into one
+  /// lane list, so the whole board fills the pool (8 channels x 17
+  /// clones are 34 lane groups); each result is bit-identical to
+  /// calibrating the channel alone. Channels may differ in anything,
+  /// their fine stage count included. The DAC is the default 12-bit,
+  /// 1.5 V part. The channels' own tap/Vctrl programming is left
+  /// untouched. Throws std::invalid_argument for fewer than 3 sweep
+  /// points, before any channel runs.
+  std::vector<ChannelCalibration> calibrate(
+      std::span<const VariableDelayChannel> channels,
+      const sig::Waveform& stimulus) const;
+  /// The one-channel call of the board calibration.
   ChannelCalibration calibrate(const VariableDelayChannel& ch,
                                const sig::Waveform& stimulus) const;
 

@@ -51,21 +51,15 @@ void CoarseDelayBlock::process_lanes(CoarseDelayBlock* const* c,
                                      std::size_t w, const double* in,
                                      double* out, std::size_t n,
                                      double dt_ps) {
-  util::ScratchBuffer fan(n * w), tmp(n * w);
+  util::ScratchBuffer fan(n * w);
   analog::LimitingBuffer::process_lanes(
       analog::parts(c, w, &CoarseDelayBlock::fanout_).data(), w, in,
       fan.data(), n, dt_ps);
-  for (int t = 0; t < kTaps; ++t) {
-    analog::LaneArray<analog::TransmissionLine*> taps(w, [&](std::size_t s) {
-      return &c[s]->taps_[static_cast<std::size_t>(t)];
-    });
-    analog::TransmissionLine::process_lanes(taps.data(), w, fan.data(),
-                                            tmp.data(), n, dt_ps);
-    for (std::size_t s = 0; s < w; ++s) {
-      if (c[s]->selected_ != t) continue;
-      for (std::size_t i = 0; i < n; ++i) out[i * w + s] = tmp[i * w + s];
-    }
-  }
+  analog::LaneArray<analog::TransmissionLine*> taps(w, [&](std::size_t s) {
+    return &c[s]->taps_[static_cast<std::size_t>(c[s]->selected_)];
+  });
+  analog::TransmissionLine::process_lanes(taps.data(), w, fan.data(), out, n,
+                                          dt_ps);
   analog::LimitingBuffer::process_lanes(
       analog::parts(c, w, &CoarseDelayBlock::mux_).data(), w, out, out, n,
       dt_ps);

@@ -63,10 +63,23 @@ class CoarseDelayBlock {
                      double dt_ps) {
     analog::solo_block(this, in, out, n, dt_ps);
   }
-  /// The lane pass (see analog/element.h), stage-major. All four taps
-  /// are advanced every block (as one whole-block pass each), so the
-  /// selection may change between blocks mid-run, exactly like flipping
-  /// the real select lines; each stream's mux sees its own selected tap.
+  /// The lane pass (see analog/element.h), stage-major: the fanout
+  /// buffers, then one transmission-line pass over each stream's
+  /// selected tap, then the mux buffers. A tap that is not selected is
+  /// not advanced and keeps its state; reset() resets all four.
+  ///
+  /// select() between blocks still switches the mux at once, but the
+  /// newly selected line resumes from the state it was left in (its
+  /// reset state if it never ran, in which case it charges to the first
+  /// input it sees) rather than from the fanout history it missed. So
+  /// for a short while after a mid-run switch the output is not that of
+  /// a block which had the tap selected from the start: about the tap's
+  /// length plus a few dispersion time constants (a 3.2 Gbps PRBS7
+  /// record, tap 0 -> 3: within 1 mV after 130 ps, 1 nV after 440 ps,
+  /// bit-exact after 750 ps at worst; pinned by
+  /// CoarseDelay.MidRunSwitchSettlesToTheSelectedTap).
+  /// Every select in the library comes before a reset, so no workload
+  /// sees the transient.
   static void process_lanes(CoarseDelayBlock* const* c, std::size_t w,
                             const double* in, double* out, std::size_t n,
                             double dt_ps);
@@ -78,7 +91,7 @@ class CoarseDelayBlock {
   analog::LimitingBuffer fanout_;
   // Held by value so the block (and the channel around it) is copyable:
   // the parallel calibration sweeps clone one programmed channel per
-  // sweep point.
+  // sweep point. Only taps_[selected_] advances in a pass.
   std::vector<analog::TransmissionLine> taps_;
   analog::LimitingBuffer mux_;
 };

@@ -2,7 +2,10 @@
 // end-to-end deskew controller loop (the Fig. 2 scenario).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "ate/ate_channel.h"
@@ -37,6 +40,23 @@ TEST(AteChannel, StepsForRounds) {
   EXPECT_EQ(ch.steps_for(70.0), 1);
   EXPECT_EQ(ch.steps_for(-149.0), -1);
   EXPECT_EQ(ch.steps_for(-151.0), -2);
+  // Half a step rounds away from zero; the ends of int still fit.
+  EXPECT_EQ(ch.steps_for(150.0), 2);
+  EXPECT_EQ(ch.steps_for(-250.0), -3);
+  EXPECT_EQ(ch.steps_for(100.0 * std::numeric_limits<int>::max()),
+            std::numeric_limits<int>::max());
+  EXPECT_EQ(ch.steps_for(100.0 * std::numeric_limits<int>::min()),
+            std::numeric_limits<int>::min());
+  // A step count outside int, or a delay that is not finite, throws.
+  for (const double bad : {3e11, -3e11, std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_THROW((void)ch.steps_for(bad), std::invalid_argument) << bad;
+  // A tiny step makes any real skew an out-of-range count, not 0 steps.
+  cfg.programmable_step_ps = 1e-300;
+  EXPECT_THROW((void)ga::AteChannel(cfg, Rng(1)).steps_for(93.0),
+               std::invalid_argument);
 }
 
 TEST(AteChannel, DriveAppliesSkewToEdges) {
@@ -183,6 +203,52 @@ TEST(DeskewController, EndToEndMeetsSkewRequirement) {
   EXPECT_TRUE(rep.plan.feasible);
   EXPECT_LT(rep.span_after_ps, gc::Requirements::kChannelSkewPs);
   EXPECT_LT(rep.span_after_ps, rep.span_before_ps / 5.0);
+}
+
+TEST(DeskewController, ArrivalsMatchSoloPasses) {
+  // measure_arrivals() drives every lane, then runs the launched
+  // waveforms through their delay channels in one lane_edges() call. On
+  // copies of the bus and the delays, the one-lane-at-a-time loop (drive,
+  // process, measure_delay per channel) must give the same bits, call
+  // after call (each lane's RJ draws move on).
+  ga::AteBusConfig bc;
+  bc.n_channels = 6;
+  bc.skew_span_ps = 200.0;
+  bc.rj_sigma_ps = 0.8;
+  ga::AteBus bus(bc, Rng(21));
+  std::vector<gc::VariableDelayChannel> delays;
+  Rng rng(22);
+  for (int i = 0; i < bc.n_channels; ++i) {
+    delays.emplace_back(gc::ChannelConfig::prototype(),
+                        rng.fork(static_cast<std::uint64_t>(i)));
+    delays.back().select_tap(i % 4);
+    delays.back().set_vctrl(delays.back().vctrl_max() * i / 6.0);
+  }
+  ga::AteBus solo_bus = bus;
+  auto solo_delays = delays;
+  ga::DeskewController::Options opt;
+  opt.training = gs::prbs(7, 64);
+  ga::DeskewController ctl(bus, delays, opt);
+
+  gs::SynthConfig sc = bc.synth;
+  sc.rate_gbps = bc.rate_gbps;
+  const auto reference = gs::synthesize_nrz(opt.training, sc).wf;
+  gm::DelayMeterOptions mo;
+  mo.settle_ps = opt.calibration.settle_ps;
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto got = ctl.measure_arrivals();
+    ASSERT_EQ(got.size(), delays.size());
+    for (int i = 0; i < bc.n_channels; ++i) {
+      const auto launched = solo_bus.channel(i).drive(opt.training);
+      const auto received =
+          solo_delays[static_cast<std::size_t>(i)].process(launched.wf);
+      const double want =
+          gm::measure_delay(reference, received, mo).mean_ps;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(want),
+                std::bit_cast<std::uint64_t>(got[static_cast<std::size_t>(i)]))
+          << "pass " << pass << " lane " << i;
+    }
+  }
 }
 
 TEST(DeskewController, RequiresMatchingChannelCount) {

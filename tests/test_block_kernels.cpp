@@ -40,6 +40,7 @@
 #include "analog/tline.h"
 #include "backend/backend.h"
 #include "core/batch.h"
+#include "core/board.h"
 #include "core/calibration.h"
 #include "core/channel.h"
 #include "core/coarse_delay.h"
@@ -943,6 +944,173 @@ TEST(BatchRunnerEquivalence, FineCurveMatchesSoloCloneSweep) {
   for (std::size_t i = 0; i < want.xs().size(); ++i) {
     ASSERT_EQ(bits(want.xs()[i]), bits(curve.xs()[i])) << i;
     ASSERT_EQ(bits(want.ys()[i]), bits(curve.ys()[i])) << i;
+  }
+}
+
+namespace {
+
+// The edges measure_delay() pairs on a whole waveform (delay_edges), for
+// comparison with lane_edges().
+void expect_same_edges(const std::vector<gs::Edge>& want,
+                       const std::vector<gs::Edge>& got,
+                       const std::string& where) {
+  ASSERT_GT(want.size(), 10u) << where;
+  ASSERT_EQ(want.size(), got.size()) << where;
+  for (std::size_t e = 0; e < want.size(); ++e) {
+    ASSERT_EQ(bits(want[e].t_ps), bits(got[e].t_ps)) << where << "/" << e;
+    ASSERT_EQ(want[e].rising, got[e].rising) << where << "/" << e;
+  }
+}
+
+gc::VariableDelayChannel make_two_stage_channel(std::size_t s) {
+  gc::ChannelConfig cfg = gc::ChannelConfig::prototype();
+  cfg.fine.n_stages = 2;
+  gc::VariableDelayChannel ch(cfg, Rng(31));
+  ch.fork_noise(s);
+  ch.select_tap(static_cast<int>((s + 1) % 4));
+  ch.set_vctrl(ch.vctrl_max() * static_cast<double>(s) / 7.0);
+  return ch;
+}
+
+}  // namespace
+
+TEST(BatchRunnerEquivalence, LaneEdgesTakeOneStimulusPerDevice) {
+  // 6 devices (a full group and a partial one), each with its own
+  // waveform: every one shifted to its own t0 (a bus lane's launch
+  // offset), device 3's with its own RJ draws. Each device's edges must
+  // be delay_edges() of its solo run on its stimulus.
+  gs::SynthConfig sc;
+  sc.rate_gbps = 3.2;
+  std::vector<gs::Waveform> stims;
+  for (std::size_t s = 0; s < 6; ++s) {
+    if (s == 3) {
+      gs::SynthConfig rj = sc;
+      rj.rj_sigma_ps = 1.5;
+      Rng rng(17);
+      stims.push_back(gs::synthesize_nrz(gs::prbs(7, 48), rj, &rng).wf);
+    } else {
+      stims.push_back(nrz_stimulus());
+    }
+    stims.back().shift(-40.0 + 23.5 * static_cast<double>(s));
+  }
+  std::vector<const gs::Waveform*> ptrs;
+  for (const auto& w : stims) ptrs.push_back(&w);
+  gm::DelayMeterOptions mo;
+  mo.settle_ps = 1500.0;
+  std::vector<gc::VariableDelayChannel> devs;
+  for (std::size_t s = 0; s < 6; ++s) devs.push_back(make_channel(s));
+  const auto got = gc::lane_edges(pointers(devs), ptrs, mo);
+  ASSERT_EQ(got.size(), 6u);
+  for (std::size_t s = 0; s < 6; ++s)
+    expect_same_edges(gm::delay_edges(make_channel(s).process(stims[s]), mo),
+                      got[s], "device " + std::to_string(s));
+
+  // A dt mismatch, a length mismatch and a wrong stimulus count throw
+  // before any device runs: each still runs like its solo twin.
+  std::vector<gc::VariableDelayChannel> fresh;
+  for (std::size_t s = 0; s < 6; ++s) fresh.push_back(make_channel(s));
+  const auto& s0 = stims[0].samples();
+  const gs::Waveform other_dt(0.0, stims[0].dt_ps() * 2.0, s0);
+  const gs::Waveform shorter(0.0, stims[0].dt_ps(),
+                             std::vector<double>(s0.begin(), s0.end() - 1));
+  for (const gs::Waveform* bad : {&other_dt, &shorter}) {
+    auto list = ptrs;
+    list[4] = bad;
+    EXPECT_THROW(gc::lane_edges(pointers(fresh), list, mo),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(gc::lane_edges(pointers(fresh),
+                              std::vector<const gs::Waveform*>(
+                                  ptrs.begin(), ptrs.end() - 1),
+                              mo),
+               std::invalid_argument);
+  for (std::size_t s = 0; s < 6; ++s)
+    ASSERT_TRUE(wf_equal(make_channel(s).process(stims[s]),
+                         fresh[s].process(stims[s])))
+        << "device " << s;
+}
+
+TEST(BatchRunnerEquivalence, LaneEdgesMixStageCounts) {
+  // 4- and 2-stage channels alternating in one list: lane_edges() groups
+  // each stage count apart, in list order, and returns list order.
+  // (run_lanes() itself still rejects a mixed group: MixedStreamKindsThrow.)
+  const auto stim = nrz_stimulus();
+  gm::DelayMeterOptions mo;
+  mo.settle_ps = 1500.0;
+  const auto make = [](std::size_t s) {
+    return s % 2 == 0 ? make_channel(s) : make_two_stage_channel(s);
+  };
+  std::vector<gc::VariableDelayChannel> devs;
+  for (std::size_t s = 0; s < 11; ++s) devs.push_back(make(s));
+  const auto got = gc::lane_edges(pointers(devs), stim, mo);
+  ASSERT_EQ(got.size(), 11u);
+  for (std::size_t s = 0; s < 11; ++s)
+    expect_same_edges(gm::delay_edges(make(s).process(stim), mo), got[s],
+                      "device " + std::to_string(s));
+}
+
+TEST(BatchRunnerEquivalence, BoardCalibrationMatchesSoloClones) {
+  // calibrate() over a board — 3 channels with process variation and a
+  // 2-stage one, each left programmed off its minimum — against the
+  // pre-batching engine, one solo clone per sweep point and per tap.
+  const auto stim = nrz_stimulus();
+  gc::DelayBoardConfig bcfg;
+  bcfg.n_channels = 3;
+  gc::DelayBoard board(bcfg, Rng(5));
+  std::vector<gc::VariableDelayChannel> chans;
+  for (int c = 0; c < board.n_channels(); ++c)
+    chans.push_back(board.channel(c));
+  chans.push_back(make_two_stage_channel(2));
+  for (std::size_t c = 0; c < chans.size(); ++c) {
+    chans[c].select_tap(static_cast<int>(3 - c));
+    chans[c].set_vctrl(chans[c].vctrl_max() * 0.3);
+  }
+  const auto before = chans;
+  gc::DelayCalibrator::Options o;
+  o.n_vctrl_points = 4;
+  o.settle_ps = 1500.0;
+  const auto cals = gc::DelayCalibrator(o).calibrate(chans, stim);
+  ASSERT_EQ(cals.size(), chans.size());
+
+  gm::DelayMeterOptions mo;
+  mo.settle_ps = o.settle_ps;
+  for (std::size_t c = 0; c < chans.size(); ++c) {
+    const gc::VariableDelayChannel& ch = before[c];
+    std::vector<double> xs(4), ys(4);
+    for (int i = 0; i < 4; ++i) {
+      xs[i] = ch.vctrl_max() * i / 3.0;
+      gc::VariableDelayChannel clone = ch;
+      clone.select_tap(0);
+      clone.fork_noise(static_cast<std::uint64_t>(i));
+      clone.set_vctrl(xs[i]);
+      ys[i] = gm::measure_delay(stim, clone.process(stim), mo).mean_ps;
+    }
+    const double d0 = ys.front();
+    for (double& y : ys) y -= d0;
+    const auto curve = gdelay::util::Curve(std::move(xs), std::move(ys))
+                           .monotonicized();
+    std::vector<double> latency(4);
+    for (int tap = 0; tap < 4; ++tap) {
+      gc::VariableDelayChannel clone = ch;
+      clone.fork_noise(100 + static_cast<std::uint64_t>(tap));
+      clone.select_tap(tap);
+      clone.set_vctrl(0.0);
+      latency[static_cast<std::size_t>(tap)] =
+          gm::measure_delay(stim, clone.process(stim), mo).mean_ps;
+    }
+    SCOPED_TRACE("channel " + std::to_string(c));
+    expect_same_bits(curve.xs(), cals[c].fine_curve.xs());
+    expect_same_bits(curve.ys(), cals[c].fine_curve.ys());
+    EXPECT_EQ(bits(latency[0]), bits(cals[c].base_latency_ps));
+    for (std::size_t tap = 0; tap < 4; ++tap)
+      EXPECT_EQ(bits(latency[tap] - latency[0]),
+                bits(cals[c].tap_offset_ps[tap]))
+          << "tap " << tap;
+    // Untouched: the same programming, and the same noise streams.
+    EXPECT_EQ(chans[c].selected_tap(), ch.selected_tap());
+    EXPECT_EQ(bits(chans[c].vctrl()), bits(ch.vctrl()));
+    auto twin = ch;
+    EXPECT_TRUE(wf_equal(twin.process(stim), chans[c].process(stim)));
   }
 }
 

@@ -13,6 +13,8 @@
 #include "analog/coupling.h"
 #include "analog/differential.h"
 #include "analog/primitives.h"
+#include "ate/ate_channel.h"
+#include "ate/bus.h"
 #include "ate/cdr.h"
 #include "ate/dut.h"
 #include "core/batch.h"
@@ -299,6 +301,67 @@ TEST(NanRangeChecks, SynthPlanRejectsNonFiniteOrOversizedConfigs) {
   tiny_dt.dt_ps = 1e-300;
   EXPECT_THROW(gs::plan_nrz({0, 1, 0}, negative), std::invalid_argument);
   EXPECT_THROW(gs::plan_nrz({0, 1, 0}, tiny_dt), std::invalid_argument);
+}
+
+TEST(NanRangeChecks, AteConfigsRejectNonFiniteOrOutOfRangeFields) {
+  // A NaN or infinite skew span made NaN skews and launch offsets, which
+  // surfaced only as "no edges to compare" deep in the deskew flow; a
+  // zero or tiny step divided by zero in steps_for() and silently
+  // programmed 0 steps; a negative RJ acted as 0. Each field of the
+  // channel and bus configs is checked at construction, naming it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> not_finite = {nan, inf, -inf};
+  struct Row {
+    const char* field;
+    std::vector<double> bad;
+  };
+  using C = ga::AteChannelConfig;
+  const std::vector<std::pair<Row, double C::*>> channel_rows = {
+      {{"rate_gbps", {nan, inf, -inf, 0.0, -6.4}}, &C::rate_gbps},
+      {{"static_skew_ps", not_finite}, &C::static_skew_ps},
+      {{"programmable_step_ps", {nan, inf, -inf, 0.0, -100.0}},
+       &C::programmable_step_ps},
+      {{"rj_sigma_ps", {nan, inf, -inf, -0.5}}, &C::rj_sigma_ps}};
+  using B = ga::AteBusConfig;
+  const std::vector<std::pair<Row, double B::*>> bus_rows = {
+      {{"rate_gbps", {nan, inf, -inf, 0.0, -6.4}}, &B::rate_gbps},
+      {{"skew_span_ps", {nan, inf, -inf, -10.0}}, &B::skew_span_ps},
+      {{"programmable_step_ps", {nan, inf, -inf, 0.0, -100.0}},
+       &B::programmable_step_ps},
+      {{"rj_sigma_ps", {nan, inf, -inf, -0.5}}, &B::rj_sigma_ps}};
+  const auto expect_rejects = [](const char* what, const char* field,
+                                 double bad, const std::function<void()>& make) {
+    try {
+      make();
+      ADD_FAILURE() << what << " accepted " << field << " = " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  for (const auto& [row, field] : channel_rows)
+    for (const double bad : row.bad) {
+      C cfg;
+      cfg.*field = bad;
+      expect_rejects("AteChannel", row.field, bad,
+                     [&] { ga::AteChannel(cfg, Rng(1)); });
+    }
+  for (const auto& [row, field] : bus_rows)
+    for (const double bad : row.bad) {
+      B cfg;
+      cfg.*field = bad;
+      expect_rejects("AteBus", row.field, bad,
+                     [&] { ga::AteBus(cfg, Rng(1)); });
+    }
+  // The ends of the ranges still go through.
+  C quiet;
+  quiet.rj_sigma_ps = 0.0;
+  EXPECT_NO_THROW(ga::AteChannel(quiet, Rng(1)));
+  B aligned;
+  aligned.skew_span_ps = 0.0;
+  aligned.rj_sigma_ps = 0.0;
+  EXPECT_EQ(ga::AteBus(aligned, Rng(1)).launch_skew_span_ps(), 0.0);
 }
 
 TEST(NanRangeChecks, NonFiniteUiIsRejectedByEveryEntryPoint) {

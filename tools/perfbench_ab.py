@@ -30,9 +30,16 @@ verdict by the repository's acceptance rule:
               bound, and not every change run beats every base run;
   no worse    otherwise.
 
+After that table it prints the same columns, with no verdict and
+labelled "not gated", for three values of each run's `report` line that
+BENCHMARK.json does not gate: wall_s and op_ms_p50 (lower is better) and
+cpu_util (higher is better) -- the wall time and pool utilisation a
+scheduling change aims at.
+
 The last line of its output is the same summary as one JSON object, with
 both sides' stamps and, per metric, every run's value in run order
-(`runs`) and the verdict: the record a perf-history BENCH_<n>.json file
+(`runs`) and the verdict, plus the ungated report values under `report`
+(each with its runs): the record a perf-history BENCH_<n>.json file
 collects.
 The header line and the summary name both trees: `base_rev` is REV
 resolved, `change_rev` is this checkout's HEAD with `-dirty` appended
@@ -53,6 +60,8 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Report-line values summarised without a verdict: name, lower is better.
+REPORT = (("wall_s", True), ("op_ms_p50", True), ("cpu_util", False))
 
 
 def export(rev, dest):
@@ -63,7 +72,8 @@ def export(rev, dest):
 
 
 def run_side(root, args):
-    """One perfbench run in `root`; returns (metrics, digest, stamp) or exits."""
+    """One perfbench run in `root`; returns (metrics, report, digest, stamp)
+    or exits."""
     cmd = [sys.executable, os.path.join(root, "perfbench", "run.py"),
            "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", "0"]
@@ -72,12 +82,17 @@ def run_side(root, args):
     lines = [l for l in p.stdout.splitlines() if l.strip()]
     digest = [l for l in lines if l.startswith("digest ")]
     stamp = [l for l in lines if l.startswith("stamp ")]
+    report = [l for l in lines if l.startswith("report ")]
     try:
         last = json.loads(lines[-1])
         stamp = json.loads(stamp[0][len("stamp "):]) if len(stamp) == 1 else None
-    except (IndexError, ValueError):
-        last, stamp = {}, None
+        report = ({k: v["value"] for k, v in
+                   json.loads(report[0][len("report "):]).items()}
+                  if len(report) == 1 else None)
+    except (IndexError, KeyError, ValueError):
+        last, stamp, report = {}, None, None
     if (p.returncode != 0 or len(digest) != 1 or stamp is None
+            or report is None or any(n not in report for n, _ in REPORT)
             or not last.get("correct") or last.get("failed") != 0):
         sys.exit(f"perfbench_ab: run in {root} failed (exit {p.returncode})\n"
                  f"{p.stdout}{p.stderr[-2000:]}")
@@ -85,7 +100,7 @@ def run_side(root, args):
     if not pinned and "(no pinned digest" not in digest[0]:
         sys.exit(f"perfbench_ab: run in {root}: {digest[0]}")
     metrics = {k: v["value"] for k, v in last["metrics"].items()}
-    return metrics, (digest[0].split()[1], pinned), stamp
+    return metrics, report, (digest[0].split()[1], pinned), stamp
 
 
 def git(*args):
@@ -115,6 +130,13 @@ def quartiles(xs):
 
 def spread(q):
     return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+
+
+def compare(b, c, lower):
+    """Both sides' quartiles, the change's pair wins and its median ratio."""
+    wins = sum((y < x) if lower else (y > x) for x, y in zip(b, c))
+    bq, cq = quartiles(b), quartiles(c)
+    return bq, cq, wins, cq[1] / bq[1] if bq[1] else float("nan")
 
 
 def verdict(b, c, wins, bound, lower):
@@ -148,6 +170,7 @@ def main():
     base_rev = git("rev-parse", args.rev)
     change_rev = checkout_rev()
     runs = {"base": [], "change": []}
+    reports = {"base": [], "change": []}
     stamps = {}
     digests = set()
     with tempfile.TemporaryDirectory(prefix="perfbench_ab_") as tmp:
@@ -156,7 +179,7 @@ def main():
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                metrics, digest, stamp = run_side(roots[side], args)
+                metrics, report, digest, stamp = run_side(roots[side], args)
                 stamps.setdefault(side, stamp)  # base runs first in pair 1
                 if not same_build(stamps["base"], stamp):
                     sys.exit(f"perfbench_ab: {side} run of pair {i + 1} was "
@@ -164,6 +187,7 @@ def main():
                              f"base run:\n  {json.dumps(stamps['base'])}\n  "
                              f"{json.dumps(stamp)}")
                 runs[side].append(metrics)
+                reports[side].append(report)
                 digests.add(digest)
                 print(f"pair {i + 1}/{args.pairs} {side:6} " +
                       " ".join(f"{m['name']}={metrics[m['name']]:.4g}"
@@ -185,14 +209,12 @@ def main():
     summary = {"workload": args.workload, "seed": args.seed,
                "pairs": args.pairs, "seconds": args.seconds,
                "base_rev": base_rev, "change_rev": change_rev,
-               "stamps": stamps, "metrics": {}}
+               "stamps": stamps, "metrics": {}, "report": {}}
     for m in bench["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
         b = [r[name] for r in runs["base"]]
         c = [r[name] for r in runs["change"]]
-        wins = sum((y < x) if lower else (y > x) for x, y in zip(b, c))
-        bq, cq = quartiles(b), quartiles(c)
-        ratio = cq[1] / bq[1] if bq[1] else float("nan")
+        bq, cq, wins, ratio = compare(b, c, lower)
         v = verdict(b, c, wins, m["bound"], lower)
         print(f"{name:14} {spread(bq):>28} {spread(cq):>28} "
               f"{wins:>3}/{args.pairs:<2} {ratio:6.3f} {m['bound']:>5}  {v}")
@@ -201,6 +223,18 @@ def main():
             "change": dict(zip(("q1", "median", "q3"), cq)),
             "wins": wins, "ratio": ratio, "bound": m["bound"],
             "verdict": v, "runs": {"base": b, "change": c}}
+    print("report line, not gated:")
+    for name, lower in REPORT:
+        b = [r[name] for r in reports["base"]]
+        c = [r[name] for r in reports["change"]]
+        bq, cq, wins, ratio = compare(b, c, lower)
+        print(f"{name:14} {spread(bq):>28} {spread(cq):>28} "
+              f"{wins:>3}/{args.pairs:<2} {ratio:6.3f}")
+        summary["report"][name] = {
+            "base": dict(zip(("q1", "median", "q3"), bq)),
+            "change": dict(zip(("q1", "median", "q3"), cq)),
+            "wins": wins, "ratio": ratio, "better": "lower" if lower else "higher",
+            "runs": {"base": b, "change": c}}
     print(json.dumps(summary))
     return 0
 
