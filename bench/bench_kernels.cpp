@@ -130,10 +130,6 @@ BENCHMARK(LimitingBuffer_block);
 // serial recursions have one definition, shared by every table, so their
 // rows carry no backend suffix and are registered once.
 
-bool avx2_usable() {
-  return gb::avx2_kernels() != nullptr && gb::cpu_supports_avx2();
-}
-
 template <typename LoopFn>
 void kernel_row(benchmark::State& s, const char* backend, LoopFn loop) {
   gb::select(backend);
@@ -333,7 +329,7 @@ int main(int argc, char** argv) {
   register_kernel_rows("scalar");
   register_channel_rows("scalar");
   register_batch_rows("scalar");
-  if (avx2_usable()) {
+  if (gb::avx2_kernels() != nullptr) {
     register_kernel_rows("avx2");
     register_channel_rows("avx2");
     register_batch_rows("avx2");
@@ -354,7 +350,7 @@ int main(int argc, char** argv) {
     return sc > 0.0 && vx > 0.0 ? vx / sc : 0.0;
   };
   const double simd_chan = ratio_of("VariableDelayChannel_block");
-  if (avx2_usable()) {
+  if (gb::avx2_kernels() != nullptr) {
     std::printf("\navx2-vs-scalar speedup (block path):\n");
     for (const char* k : {"Kernel_tanh", "Kernel_boxmuller"})
       std::printf("  %-20s: %.2fx\n", k, ratio_of(k));
@@ -376,7 +372,7 @@ int main(int argc, char** argv) {
   std::printf("\nlane-batched (4-wide) vs solo scalar channel:\n");
   std::printf("  ChannelBatch4/scalar      : %.2fx (batching alone)\n",
               solo_scalar > 0.0 ? batch_scalar / solo_scalar : 0.0);
-  if (avx2_usable()) {
+  if (gb::avx2_kernels() != nullptr) {
     std::printf("  FineDelayBatch4_block     : %.2fx (avx2 vs scalar batch)\n",
                 ratio_of("FineDelayBatch4_block"));
     std::printf("  batch_channel_speedup     : %.2fx (target >= 3x)  %s\n",

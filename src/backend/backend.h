@@ -9,18 +9,21 @@
 //   * The serial recursions — one_pole, slew and vga_tail (the droop/slew
 //     tail of the VGA stage). Each sample depends on the one before it,
 //     so they are written once, as the plain functions declared below
-//     (kernels_scalar.cpp, compiled with the default flags only), and
+//     (kernels_scalar.cpp, compiled for the generic ISA only), and
 //     every machine runs the same loops.
 //   * The elementwise kernels — box_muller and tanh_stage. These go
-//     through a `Kernels` table, and two tables ship:
+//     through a `Kernels` table, and two tables ship, both built from the
+//     one source in kernels_scalar.cpp:
 //
-//   scalar  Plain loops over the det_* functions of util/fastmath.h. The
-//           default.
-//   avx2    Explicit 4-lane AVX2 intrinsics, compiled only when the
-//           toolchain supports -mavx2 and selected only when the CPU
-//           reports AVX2+FMA. Each lane performs the identical sequence of
-//           correctly-rounded IEEE-754 operations as the scalar loop, so
-//           packing four samples changes nothing.
+//   scalar  Plain loops over the det_* functions of util/fastmath.h,
+//           compiled for the generic ISA. The default.
+//   avx2    The same loops compiled a second time, for AVX2, in two entry
+//           points marked with a target attribute; the compiler
+//           vectorizes them four doubles wide. Available only on x86-64
+//           GCC/Clang builds, and handed out only when the CPU reports
+//           AVX2. The det_* functions round the same packed or not, and
+//           -ffp-contract=off forbids fused multiply-adds, so packing
+//           four samples changes nothing.
 //
 // Determinism contract (DESIGN.md "Compute backends" for the long form):
 // every backend gives the same bytes, and those bytes do not depend on
@@ -31,8 +34,9 @@
 // environment override ("scalar", "avx2", "auto") or programmatic
 // select(); switching tables between runs is supported.
 //
-// gdelay-audit rule R7 keeps SIMD honest: intrinsics are only permitted
-// under src/backend/, so vector code cannot leak into the model files.
+// gdelay-audit rule R7 keeps SIMD honest: intrinsics, target attributes
+// and target pragmas are only permitted under src/backend/, so vector
+// code cannot leak into the model files.
 #pragma once
 
 #include <algorithm>
@@ -185,7 +189,7 @@ void vga_tail(const double* lim, const double* amp, double* out,
 
 struct Kernels {
   const char* name;  ///< "scalar" or "avx2" — the GDELAY_BACKEND token.
-  const char* isa;   ///< instruction-set level, e.g. "generic", "avx2+fma"
+  const char* isa;   ///< instruction-set level: "generic" or "avx2"
 
   /// Box-Muller transform over pair arrays (see box_muller_step).
   void (*box_muller)(const double* u1, const double* u2, double* out_cos,
@@ -205,13 +209,9 @@ struct Kernels {
 /// The scalar table (always available).
 const Kernels& scalar_kernels();
 
-/// The AVX2 table, or nullptr when the binary was built without AVX2
-/// support. Callers must additionally check cpu_supports_avx2() before
-/// selecting it.
+/// The AVX2 table, or nullptr unless this build has it (x86-64, GCC or
+/// Clang) and the running CPU reports AVX2.
 const Kernels* avx2_kernels();
-
-/// True when the running CPU reports AVX2 + FMA.
-bool cpu_supports_avx2();
 
 /// The active kernel table. First call resolves the GDELAY_BACKEND
 /// environment override ("scalar" | "avx2" | "auto"); absent or empty
@@ -226,13 +226,13 @@ void select(const char* name);
 
 /// Human-readable reason for the current selection (stamped into the
 /// BENCH json "backend" object), e.g. "GDELAY_BACKEND=avx2",
-/// "default: scalar oracle", "avx2 requested but CPU lacks AVX2".
+/// "default: scalar oracle (GDELAY_BACKEND unset)",
+/// "GDELAY_BACKEND=avx2 but AVX2 unavailable; scalar".
 const char* dispatch_reason();
 
 /// Multi-line diagnostic listing every known backend with its
 /// availability on this machine, followed by the active table and its
-/// dispatch reason. Printed by `GDELAY_BACKEND=list` (to stderr, before
-/// falling back to the scalar oracle) and by `gdelay_tool --backends`.
+/// dispatch reason. Printed by `gdelay_tool --backends`.
 std::string list_backends();
 
 }  // namespace gdelay::backend

@@ -1,10 +1,11 @@
-// Backend selection: CPUID capability check + GDELAY_BACKEND override.
+// Backend selection: the GDELAY_BACKEND override and select().
 //
 // Policy (DESIGN.md "Compute backends"):
 //   * Default is the scalar table. Both tables print the same bytes; the
 //     default stays scalar until the end-to-end benchmark pins its output
 //     digests on both backends, so that an `auto` default cannot skip
 //     that check on AVX2 hosts.
+//   * Both paths resolve a name through the one resolve() below.
 //   * The environment override resolves lazily on first active() call
 //     and NEVER throws: a misspelled or unsupported request falls back
 //     to scalar with the reason recorded (benches stamp it into the
@@ -15,7 +16,6 @@
 #include "backend/backend.h"
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -29,6 +29,35 @@ struct Resolution {
   const char* reason;
 };
 
+// The reasons one request path stamps, per outcome.
+struct Reasons {
+  const char* scalar;
+  const char* avx2;
+  const char* auto_avx2;
+  const char* auto_scalar;
+};
+
+constexpr Reasons kEnvReasons{
+    "GDELAY_BACKEND=scalar", "GDELAY_BACKEND=avx2",
+    "GDELAY_BACKEND=auto: CPU supports AVX2",
+    "GDELAY_BACKEND=auto: AVX2 unavailable; scalar"};
+constexpr Reasons kSelectReasons{"select(scalar)", "select(avx2)",
+                                 "select(auto): CPU supports AVX2",
+                                 "select(auto): AVX2 unavailable; scalar"};
+
+// The table `name` asks for. `kernels` is nullptr when the name is
+// unknown (then `reason` is too) or is "avx2" on a build or CPU without
+// the AVX2 table.
+Resolution resolve(const char* name, const Reasons& why) {
+  const Kernels* avx2 = avx2_kernels();
+  if (std::strcmp(name, "scalar") == 0) return {&scalar_kernels(), why.scalar};
+  if (std::strcmp(name, "avx2") == 0) return {avx2, why.avx2};
+  if (std::strcmp(name, "auto") == 0)
+    return avx2 != nullptr ? Resolution{avx2, why.auto_avx2}
+                           : Resolution{&scalar_kernels(), why.auto_scalar};
+  return {nullptr, nullptr};
+}
+
 // Process-wide active-backend slot. Mutable namespace-scope state is
 // normally an R4 finding; this one is allowlisted (tools/audit options)
 // because it is a write-once-then-read dispatch cache guarded by
@@ -38,20 +67,6 @@ struct Resolution {
 std::atomic<const Kernels*> g_active{nullptr};
 std::atomic<const char*> g_reason{"unresolved"};
 
-// Availability listing WITHOUT consulting active(): resolve_from_env()
-// prints this while resolution is in flight, so it must not recurse.
-std::string describe_available() {
-  std::string out = "compute backends:\n";
-  out += "  scalar  isa=generic   available (reference oracle, default)\n";
-  if (avx2_kernels() == nullptr)
-    out += "  avx2    isa=avx2+fma  unavailable: binary built without AVX2\n";
-  else if (!cpu_supports_avx2())
-    out += "  avx2    isa=avx2+fma  unavailable: CPU lacks AVX2+FMA\n";
-  else
-    out += "  avx2    isa=avx2+fma  available\n";
-  return out;
-}
-
 Resolution resolve_from_env() {
   // getenv is allowlisted for this file (audit R2): GDELAY_BACKEND is a
   // reproducibility-neutral performance knob — both backends give the
@@ -59,42 +74,15 @@ Resolution resolve_from_env() {
   const char* env = std::getenv("GDELAY_BACKEND");
   if (env == nullptr || *env == '\0')
     return {&scalar_kernels(), "default: scalar oracle (GDELAY_BACKEND unset)"};
-  if (std::strcmp(env, "scalar") == 0)
-    return {&scalar_kernels(), "GDELAY_BACKEND=scalar"};
-  if (std::strcmp(env, "avx2") == 0) {
-    if (avx2_kernels() == nullptr)
-      return {&scalar_kernels(),
-              "GDELAY_BACKEND=avx2 but binary built without AVX2; scalar"};
-    if (!cpu_supports_avx2())
-      return {&scalar_kernels(),
-              "GDELAY_BACKEND=avx2 but CPU lacks AVX2+FMA; scalar"};
-    return {avx2_kernels(), "GDELAY_BACKEND=avx2"};
-  }
-  if (std::strcmp(env, "auto") == 0) {
-    if (avx2_kernels() != nullptr && cpu_supports_avx2())
-      return {avx2_kernels(), "GDELAY_BACKEND=auto: CPU supports AVX2+FMA"};
-    return {&scalar_kernels(), "GDELAY_BACKEND=auto: AVX2 unavailable; scalar"};
-  }
-  if (std::strcmp(env, "list") == 0) {
-    // Diagnostic mode: print the availability listing once (resolution
-    // runs once per process) and continue on the scalar oracle so the
-    // program still behaves deterministically.
-    std::fputs(describe_available().c_str(), stderr);
-    return {&scalar_kernels(), "GDELAY_BACKEND=list: diagnostic; scalar"};
-  }
+  const Resolution r = resolve(env, kEnvReasons);
+  if (r.kernels != nullptr) return r;
+  if (r.reason != nullptr)
+    return {&scalar_kernels(),
+            "GDELAY_BACKEND=avx2 but AVX2 unavailable; scalar"};
   return {&scalar_kernels(), "GDELAY_BACKEND unrecognized; scalar"};
 }
 
 }  // namespace
-
-bool cpu_supports_avx2() {
-#if (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
 
 const Kernels& active() {
   const Kernels* k = g_active.load(std::memory_order_acquire);
@@ -117,24 +105,14 @@ const Kernels& active() {
 
 void select(const char* name) {
   if (name == nullptr) throw std::invalid_argument("backend: null name");
-  Resolution r{nullptr, nullptr};
-  if (std::strcmp(name, "scalar") == 0) {
-    r = {&scalar_kernels(), "select(scalar)"};
-  } else if (std::strcmp(name, "avx2") == 0) {
-    if (avx2_kernels() == nullptr)
-      throw std::runtime_error("backend: binary built without AVX2 support");
-    if (!cpu_supports_avx2())
-      throw std::runtime_error("backend: CPU does not support AVX2+FMA");
-    r = {avx2_kernels(), "select(avx2)"};
-  } else if (std::strcmp(name, "auto") == 0) {
-    r = (avx2_kernels() != nullptr && cpu_supports_avx2())
-            ? Resolution{avx2_kernels(), "select(auto): CPU supports AVX2+FMA"}
-            : Resolution{&scalar_kernels(),
-                         "select(auto): AVX2 unavailable; scalar"};
-  } else {
+  const Resolution r = resolve(name, kSelectReasons);
+  if (r.reason == nullptr)
     throw std::invalid_argument(std::string("backend: unknown name '") +
                                 name + "'");
-  }
+  if (r.kernels == nullptr)
+    throw std::runtime_error(
+        "backend: AVX2 table unavailable (not built for this platform, or "
+        "CPU lacks AVX2)");
   // select() is an explicit, documented re-selection API (tests and the
   // CLI switch backends between runs while the engine is quiescent), so
   // it intentionally overwrites the otherwise write-once lazily-claimed
@@ -153,8 +131,13 @@ const char* dispatch_reason() {
 }
 
 std::string list_backends() {
-  std::string out = describe_available();
   const Kernels& k = active();
+  std::string out = "compute backends:\n";
+  out += "  scalar  isa=generic   available (reference oracle, default)\n";
+  out += avx2_kernels() != nullptr
+             ? "  avx2    isa=avx2      available\n"
+             : "  avx2    isa=avx2      unavailable: not built for this "
+               "platform, or CPU lacks AVX2\n";
   out += std::string("active: ") + k.name + " (" + dispatch_reason() + ")\n";
   return out;
 }

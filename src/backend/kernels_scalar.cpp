@@ -1,4 +1,4 @@
-// The scalar kernel table and the serial recursions.
+// Both kernel tables and the serial recursions, from one source.
 //
 // Every kernel is a plain loop over the inline reference steps from
 // backend.h (or the det_* functions directly), one sample after another
@@ -9,16 +9,24 @@
 // pipeline instead of running back to back. Each stream still sees
 // exactly the arithmetic of the w == 1 call, so per-stream output is
 // byte-identical to the solo run by construction — for any width and
-// lane assignment. w == 1 runs the contiguous solo loops. This file is
-// compiled with the project's default flags only (no -mavx2), and the
-// global -ffp-contract=off keeps the compiler from fusing any
-// multiply-add, so the bit patterns are the portable IEEE-754 ones
-// regardless of the toolchain's vectorizer mood.
+// lane assignment. w == 1 runs the contiguous solo loops.
+//
+// The AVX2 table is the two elementwise loops compiled a second time:
+// its entry points carry [[gnu::target("avx2"), gnu::flatten]] and only
+// call the generic box_muller and tanh_stage, so the compiler inlines
+// those loops into them and vectorizes them four doubles wide. Nothing
+// else here is compiled for AVX2, so no shared inline function gets an
+// AVX2 copy that the linker could hand to the scalar table. The det_*
+// functions are branch-free IEEE-754 add/mul/div/sqrt and integer bit
+// operations, which round the same packed or not, and the global
+// -ffp-contract=off keeps the compiler from fusing any multiply-add, so
+// both tables give the same bytes (tests/test_backend_equivalence.cpp).
 #include <bit>
 #include <cstdint>
 #include <type_traits>
 
-#include "backend/kernels_ref.h"
+#include "backend/backend.h"
+#include "util/fastmath.h"
 
 namespace gdelay::backend {
 namespace {
@@ -27,6 +35,21 @@ void box_muller(const double* u1, const double* u2, double* out_cos,
                 double* out_sin, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i)
     box_muller_step(u1[i], u2[i], out_cos[i], out_sin[i]);
+}
+
+// One contiguous run under one coefficient set. Split on `add` outside
+// the loop; the expression shape matches every call site: TanhLimiter's
+// vsat*det_tanh(gain*v/vsat), the buffers'
+// post*det_tanh(output_gain*(x+noise)/output_ref).
+void tanh_solo(const double* x, const double* add, double* out,
+               std::size_t n, double gain, double ref, double post) {
+  if (add != nullptr) {
+    for (std::size_t i = 0; i < n; ++i)
+      out[i] = post * util::det_tanh(gain * (x[i] + add[i]) / ref);
+  } else {
+    for (std::size_t i = 0; i < n; ++i)
+      out[i] = post * util::det_tanh(gain * x[i] / ref);
+  }
 }
 
 // Runs `group(G, s0)` over streams [s0, s0 + G) for consecutive groups
@@ -62,7 +85,7 @@ void tanh_stage(const double* x, const double* add, double* out,
   // Elementwise: with one coefficient set (every calibration clone of a
   // device) the interleaved block is one contiguous solo run.
   if (w == 1 || (uniform(gain, w) && uniform(ref, w) && uniform(post, w)))
-    return ref::tanh_column(x, add, out, n * w, 1, *gain, *ref, *post);
+    return tanh_solo(x, add, out, n * w, *gain, *ref, *post);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t s = 0; s < w; ++s) {
       const std::size_t j = i * w + s;
@@ -187,5 +210,42 @@ const Kernels kScalar = {
 }  // namespace
 
 const Kernels& scalar_kernels() { return kScalar; }
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+
+namespace {
+
+[[gnu::target("avx2"), gnu::flatten]] void box_muller_avx2(
+    const double* u1, const double* u2, double* out_cos, double* out_sin,
+    std::size_t n) {
+  box_muller(u1, u2, out_cos, out_sin, n);
+}
+
+[[gnu::target("avx2"), gnu::flatten]] void tanh_stage_avx2(
+    const double* x, const double* add, double* out, std::size_t n,
+    std::size_t w, const double* gain, const double* ref,
+    const double* post) {
+  tanh_stage(x, add, out, n, w, gain, ref, post);
+}
+
+const Kernels kAvx2 = {
+    /*name=*/"avx2",
+    /*isa=*/"avx2",
+    box_muller_avx2,
+    tanh_stage_avx2,
+};
+
+}  // namespace
+
+const Kernels* avx2_kernels() {
+  return __builtin_cpu_supports("avx2") ? &kAvx2 : nullptr;
+}
+
+#else
+
+// No AVX2 entry points for this platform or compiler.
+const Kernels* avx2_kernels() { return nullptr; }
+
+#endif
 
 }  // namespace gdelay::backend

@@ -276,12 +276,4 @@ inline double det_sin2pi(double turns) {
   return s;
 }
 
-/// cos(2*pi*turns); see det_sin2pi.
-inline double det_cos2pi(double turns) {
-  const double u = turns - std::floor(turns);
-  double s, c;
-  det_sincos2pi(u, s, c);
-  return c;
-}
-
 }  // namespace gdelay::util

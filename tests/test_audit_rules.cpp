@@ -341,7 +341,7 @@ TEST(AuditR6, InlineWaiverSilencesWithReason) {
 }
 
 // --------------------------------------------------------------------------
-// R7 — SIMD intrinsics only inside the compute backend
+// R7 — SIMD intrinsics and ISA retargeting only inside the compute backend
 // --------------------------------------------------------------------------
 
 TEST(AuditR7, FlagsIntrinsicHeaderInclude) {
@@ -369,26 +369,82 @@ TEST(AuditR7, FlagsIntrinsicIdentifiersAndTypes) {
 TEST(AuditR7, BackendDirectoryIsExempt) {
   const char* src =
       "#include <immintrin.h>\n"
-      "__m256d dbl(__m256d v) { return _mm256_add_pd(v, v); }\n";
-  EXPECT_TRUE(scan_source("backend/kernels_avx2.cpp", src).empty());
-  EXPECT_TRUE(scan_source("src/backend/kernels_avx2.cpp", src).empty());
+      "#pragma GCC target(\"avx2\")\n"
+      "__m256d dbl(__m256d v) { return _mm256_add_pd(v, v); }\n"
+      "[[gnu::target(\"avx2\"), gnu::flatten]] void k(double* p);\n";
+  EXPECT_TRUE(scan_source("backend/kernels_simd.cpp", src).empty());
+  EXPECT_TRUE(scan_source("src/backend/kernels_simd.cpp", src).empty());
   auto fs = scan_source("util/x.cpp", src);
-  EXPECT_FALSE(fs.empty()) << render(fs);
+  EXPECT_EQ(rules_of(fs), std::vector<std::string>(6, "R7")) << render(fs);
+}
+
+TEST(AuditR7, FlagsTargetAttributesInModelFile) {
+  // A model file compiled for another ISA forks the determinism
+  // contract as surely as an intrinsic does, in every attribute spelling.
+  auto fs = scan_source(
+      "core/x.cpp",
+      "[[gnu::target(\"avx2\")]] void a(double* p);\n"
+      "__attribute__((target(\"avx2,fma\"))) void b(double* p);\n"
+      "[[gnu::flatten, gnu::target_clones(\"avx2\", \"default\")]]\n"
+      "void c(double* p);\n"
+      "__attribute__((__target__(\"avx512f\"), hot)) void d(double* p);\n");
+  ASSERT_EQ(rules_of(fs), std::vector<std::string>(4, "R7")) << render(fs);
+  EXPECT_EQ(fs[0].line, 1);
+  EXPECT_EQ(fs[1].line, 2);
+  EXPECT_EQ(fs[2].line, 3);
+  EXPECT_EQ(fs[3].line, 5);
+  EXPECT_NE(fs[2].message.find("'target_clones' attribute"),
+            std::string::npos)
+      << fs[2].message;
+}
+
+TEST(AuditR7, FlagsTargetPragmasInModelFile) {
+  // Pragmas are preprocessor directives, so the raw line scan finds
+  // them; spacing does not matter. A clang attribute block is flagged
+  // where it opens.
+  auto fs = scan_source(
+      "analog/x.cpp",
+      "#pragma GCC push_options\n"
+      "#  pragma   GCC target (\"avx2\")\n"
+      "double f(double v) { return v; }\n"
+      "#pragma GCC pop_options\n"
+      "#pragma clang attribute push (__attribute__((target(\"avx2\"))), "
+      "apply_to = function)\n"
+      "#pragma clang attribute pop\n");
+  ASSERT_EQ(rules_of(fs), std::vector<std::string>(2, "R7")) << render(fs);
+  EXPECT_EQ(fs[0].line, 2);
+  EXPECT_EQ(fs[0].col, 1);
+  EXPECT_NE(fs[0].message.find("#pragma GCC target"), std::string::npos);
+  EXPECT_EQ(fs[1].line, 5);
 }
 
 TEST(AuditR7, CleanOnOrdinaryIdentifiers) {
   // Identifiers that merely contain "mm" or "m256" as a substring (not a
-  // prefix) must not trip the scan.
-  auto fs = scan_source("core/x.cpp",
-                        "double comm_m256(double hmm) { return hmm; }\n");
+  // prefix) must not trip the scan; nor may other attributes and
+  // pragmas, or a `target` outside an attribute.
+  auto fs = scan_source(
+      "core/x.cpp",
+      "double comm_m256(double hmm) { return hmm; }\n"
+      "[[nodiscard, gnu::flatten]] double target(double x);\n"
+      "__attribute__((unused)) static double k(double v) { return v; }\n"
+      "double g(double target) { return target * 2.0; }\n"
+      "double h(double v) { return target(v); }\n"
+      "#pragma GCC unroll 4\n"
+      "#pragma once\n");
   EXPECT_TRUE(fs.empty()) << render(fs);
 }
 
 TEST(AuditR7, InlineWaiverSilencesWithReason) {
+  // A pragma is waived by a waiver trailing the directive, since the
+  // directive is not a code token.
   auto fs = scan_source(
       "util/x.cpp",
       "// gdelay-audit: allow(R7) prefetch hint only, no packed arithmetic\n"
-      "void warm(const double* p) { _mm_prefetch((const char*)p, 3); }\n");
+      "void warm(const double* p) { _mm_prefetch((const char*)p, 3); }\n"
+      "// gdelay-audit: allow(R7) probe of the CPU's AVX2 speed only\n"
+      "[[gnu::target(\"avx2\")]] void probe(double* p);\n"
+      "#pragma GCC target(\"avx2\")  // gdelay-audit: allow(R7) probe only\n"
+      "void probe2(double* p);\n");
   EXPECT_TRUE(fs.empty()) << render(fs);
 }
 

@@ -22,13 +22,18 @@
 //      bit-identical at 1 and 4 threads (CI additionally re-runs the
 //      whole suite under GDELAY_THREADS=4).
 //
-// AVX2 cases skip (not fail) on machines without AVX2+FMA, so the suite
-// is portable; the CI simd job guarantees they actually run somewhere.
+// Both tables compile from one source (src/backend/kernels_scalar.cpp),
+// the AVX2 one vectorized by the compiler, so the cross-table pins check
+// that the vectorization moves no bit. AVX2 cases skip (not fail) on
+// machines without AVX2, so the suite is portable; the CI simd job
+// guarantees they actually run somewhere.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -60,8 +65,16 @@ std::uint64_t bits(double x) {
   return u;
 }
 
-bool avx2_usable() {
-  return gb::avx2_kernels() != nullptr && gb::cpu_supports_avx2();
+// NaNs of both signs (one carrying a payload), infinities, subnormals
+// and the largest finite values: no device feeds them to a kernel on
+// purpose, yet both tables must still agree on them bit for bit.
+std::vector<double> edge_values() {
+  using L = std::numeric_limits<double>;
+  const double payload_nan = std::bit_cast<double>(0x7ff80000'0000abcdULL);
+  return {L::quiet_NaN(),  -L::quiet_NaN(),  payload_nan, -payload_nan,
+          L::infinity(),   -L::infinity(),   L::denorm_min(),
+          -L::denorm_min(), 2.2e-310,        -2.2e-310,
+          L::max(),        -L::max()};
 }
 
 // Selects a backend for the scope and restores the previous one, so
@@ -80,7 +93,7 @@ constexpr std::size_t kChunks[] = {1, 7, 64, 1024, 4096};
 
 std::vector<const gb::Kernels*> tables() {
   std::vector<const gb::Kernels*> t{&gb::scalar_kernels()};
-  if (avx2_usable()) t.push_back(gb::avx2_kernels());
+  if (const gb::Kernels* avx2 = gb::avx2_kernels()) t.push_back(avx2);
   return t;
 }
 
@@ -156,7 +169,8 @@ std::vector<double> run_block(E& e, std::size_t chunk) {
 // bytes.
 template <typename Run>
 void expect_same_bytes(Run run) {
-  if (!avx2_usable()) GTEST_SKIP() << "AVX2 backend not usable here";
+  if (gb::avx2_kernels() == nullptr)
+    GTEST_SKIP() << "AVX2 backend not usable here";
   std::vector<double> scalar_out, avx2_out;
   {
     BackendSelect sel("scalar");
@@ -206,13 +220,13 @@ TEST(BackendDispatch, AutoPicksSomethingUsable) {
   BackendSelect sel("auto");
   const std::string name = gb::active().name;
   EXPECT_TRUE(name == "scalar" || name == "avx2") << name;
-  if (avx2_usable()) {
+  if (gb::avx2_kernels() != nullptr) {
     EXPECT_EQ(name, "avx2");
   }
 }
 
 TEST(BackendDispatch, Avx2SelectionMatchesProbes) {
-  if (!avx2_usable()) {
+  if (gb::avx2_kernels() == nullptr) {
     EXPECT_THROW(gb::select("avx2"), std::runtime_error);
     GTEST_SKIP() << "AVX2 backend not usable here";
   }
@@ -228,7 +242,8 @@ TEST(BackendDispatch, Avx2SelectionMatchesProbes) {
 namespace {
 
 // Domain sweep with saturation boundaries, signed zero, huge and tiny
-// magnitudes, at a length (1027) that exercises vector body + tail.
+// magnitudes and the non-finite and subnormal values, at a length (1027)
+// that exercises vector body + tail.
 std::vector<double> kernel_sweep() {
   std::vector<double> v;
   for (int i = -500; i <= 500; ++i) v.push_back(0.05 * i);  // [-25, 25]
@@ -242,6 +257,7 @@ std::vector<double> kernel_sweep() {
   v.push_back(-708.0);
   v.push_back(709.5);
   v.push_back(-709.5);
+  for (double e : edge_values()) v.push_back(e);
   while (v.size() < 1027) v.push_back(0.013 * static_cast<double>(v.size()));
   return v;
 }
@@ -252,9 +268,15 @@ void pin_elementwise(const gb::Kernels& k) {
   std::vector<double> out(n, -1.0);
 
   tanh1(k, x.data(), nullptr, out.data(), n, 2.0, 0.4, 0.35);
-  for (std::size_t i = 0; i < n; ++i)
+  for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(bits(out[i]), bits(0.35 * gu::det_tanh(2.0 * x[i] / 0.4)))
         << k.name << " tanh_stage " << i << " x=" << x[i];
+    // det_tanh saturates a NaN like an infinity: to +-1 by its sign bit.
+    if (std::isnan(x[i])) {
+      ASSERT_EQ(bits(out[i]), bits(std::signbit(x[i]) ? -0.35 : 0.35))
+          << k.name << " tanh_stage NaN at " << i;
+    }
+  }
 
   // The add-array variant (noise injection before the limiter).
   std::vector<double> add(n);
@@ -297,7 +319,8 @@ TEST(BackendKernels, ScalarElementwiseMatchesOracle) {
 }
 
 TEST(BackendKernels, Avx2ElementwiseIsBitExact) {
-  if (!avx2_usable()) GTEST_SKIP() << "AVX2 backend not usable here";
+  if (gb::avx2_kernels() == nullptr)
+    GTEST_SKIP() << "AVX2 backend not usable here";
   pin_elementwise(*gb::avx2_kernels());
 }
 
@@ -432,17 +455,30 @@ void partitioned(std::size_t total, std::size_t seam, F lane_call) {
     lane_call(o, std::min(step, total - o));
 }
 
+// stream_input, with stream 1 also carrying every edge value.
+std::vector<double> edge_stream_input(std::size_t n, std::size_t s) {
+  auto v = stream_input(n, s);
+  if (s == 1) {
+    const auto edges = edge_values();
+    for (std::size_t k = 0; k < edges.size(); ++k) v[5 + 61 * k] = edges[k];
+  }
+  return v;
+}
+
 // The lane contract of one width-generic kernel, per width and seam:
-// stream s (input x, second input x2 — an add or amplitude array) run
-// through `lanes(w, x, x2, out, n, states)` interleaved must give the
-// bytes of `solo(s, x, x2, out, n, state)` run alone.
+// stream s (input x = input(n, s), second input x2 = input(n, s + 100) —
+// an add or amplitude array) run through `lanes(w, x, x2, out, n,
+// states)` interleaved must give the bytes of `solo(s, x, x2, out, n,
+// state)` run alone.
 template <typename State, typename Solo, typename Lanes>
-void expect_lanes_match_solo(Solo solo, Lanes lanes) {
+void expect_lanes_match_solo(
+    Solo solo, Lanes lanes,
+    std::vector<double> (*input)(std::size_t, std::size_t) = stream_input) {
   constexpr std::size_t kN = 1021;
   for (std::size_t w : kWidths) {
     std::vector<double> in(kN * w), in2(kN * w), want(kN * w);
     for (std::size_t s = 0; s < w; ++s) {
-      const auto x = stream_input(kN, s), x2 = stream_input(kN, s + 100);
+      const auto x = input(kN, s), x2 = input(kN, s + 100);
       std::vector<double> out(kN);
       State st{};
       solo(s, x.data(), x2.data(), out.data(), kN, st);
@@ -565,7 +601,8 @@ TEST(BatchKernels, TanhStageBatchMatchesSoloWithAndWithoutAdd) {
   // Distinct per-stream coefficients; one set shared by every stream (a
   // device's calibration clones, which the scalar table runs as one
   // contiguous block); and a post that differs between streams only in
-  // the sign of zero, which must not count as shared.
+  // the sign of zero, which must not count as shared. Stream 1 carries
+  // the NaNs, infinities and subnormals of edge_values().
   enum Mode { kDistinct, kShared, kSignedZero };
   struct Coeffs {
     double gain, ref, post;
@@ -598,7 +635,8 @@ TEST(BatchKernels, TanhStageBatchMatchesSoloWithAndWithoutAdd) {
               }
               k->tanh_stage(x, with_add ? add : nullptr, out, n, w,
                             gain.data(), ref.data(), post.data());
-            });
+            },
+            edge_stream_input);
         if (::testing::Test::HasFatalFailure()) return;
       }
     }
@@ -698,7 +736,7 @@ TEST(BackendThreads, CalibrationBitIdenticalAcrossThreadCountsPerBackend) {
   o.n_vctrl_points = 3;
 
   std::vector<std::string> names{"scalar"};
-  if (avx2_usable()) names.push_back("avx2");
+  if (gb::avx2_kernels() != nullptr) names.push_back("avx2");
   for (const auto& name : names) {
     BackendSelect sel(name.c_str());
     gc::FineDelayLine line(gc::FineDelayConfig{}, Rng(7));

@@ -152,7 +152,8 @@ Lexed lex(const std::string& src) {
     }
     if (c == '#' && at_line_start) {
       // Preprocessor directive: consume to end of line, honoring backslash
-      // continuations.
+      // continuations. A waiver trailing the directive covers its line
+      // (rules such as R7 flag the directive itself).
       while (i < n) {
         if (src[i] == '\\' && i + 1 < n && src[i + 1] == '\n') {
           ++line;
@@ -163,6 +164,10 @@ Lexed lex(const std::string& src) {
         if (src[i] == '\n') break;
         ++i;
       }
+      const std::string_view last(src.data() + line_begin, i - line_begin);
+      const std::size_t slash = last.find("//");
+      if (slash != std::string_view::npos)
+        collect_waiver(std::string(last.substr(slash + 2)), line, lx);
       continue;
     }
     at_line_start = false;
@@ -315,7 +320,7 @@ const std::unordered_map<std::string, std::string>& transcendental_map() {
       {"exp", "util::det_exp"},
       {"log", "util::det_log"},
       {"sin", "util::det_sin2pi (argument in turns)"},
-      {"cos", "util::det_cos2pi (argument in turns)"},
+      {"cos", "util::det_sincos2pi (argument in turns)"},
       {"sincos", "util::det_sincos2pi"},
       {"exp2", "util::det_exp"},
       {"expm1", "util::det_exp"},
@@ -343,7 +348,7 @@ const std::unordered_map<std::string, std::string>& transcendental_map() {
       {"expf", "util::det_exp"},
       {"logf", "util::det_log"},
       {"sinf", "util::det_sin2pi"},
-      {"cosf", "util::det_cos2pi"},
+      {"cosf", "util::det_sincos2pi"},
       {"powf", "util::det_exp/det_log composition"},
   };
   return m;
@@ -411,13 +416,16 @@ void scan_r2(const std::string& label, const Lexed& lx, const Options& opt,
   }
 }
 
-// R7: SIMD intrinsics only inside the compute-backend boundary. The
-// backend tables are the one place packed arithmetic is declared either
-// bit-exact or contract-covered; an intrinsic anywhere else forks the
-// determinism contract invisibly. Detection is two-pronged because lex()
-// strips preprocessor directives from the token stream: intrinsic-header
-// includes are found by a raw-content line scan, intrinsic identifiers
-// (_mm*, __m128/__m256/__m512 and variants) by a token scan.
+// R7: SIMD code only inside the compute-backend boundary. The backend
+// tables are the one place code built for a wider ISA is declared
+// bit-exact and contract-covered; vector code anywhere else forks the
+// determinism contract invisibly. Three forms are flagged: intrinsics
+// (_mm*, __m128/__m256/__m512 and variants) with their headers, and
+// retargeting a function to another ISA, by a target or target_clones
+// attribute ([[gnu::target(...)]], __attribute__((target(...)))) or by
+// `#pragma GCC target` / `#pragma clang attribute`. lex() strips
+// preprocessor directives from the token stream, so headers and pragmas
+// are found by a raw-content line scan, the rest by a token scan.
 void scan_r7(const std::string& label, const std::string& content,
              const Lexed& lx, const Options& opt, std::vector<Finding>& out) {
   const std::string& pre = opt.simd_prefix;
@@ -425,12 +433,23 @@ void scan_r7(const std::string& label, const std::string& content,
       (label.rfind(pre, 0) == 0 ||
        label.find("/" + pre) != std::string::npos))
     return;
+  const std::string retarget_hint =
+      " outside " + pre +
+      "; code built for another ISA must live behind the compute-backend "
+      "kernel tables so its determinism contract is declared and tested";
 
   static const char* const kSimdHeaders[] = {
       "immintrin.h", "x86intrin.h", "xmmintrin.h", "emmintrin.h",
       "pmmintrin.h", "tmmintrin.h", "smmintrin.h", "nmmintrin.h",
       "wmmintrin.h", "avxintrin.h", "avx2intrin.h", "avx512fintrin.h",
       "arm_neon.h",  "arm_sve.h"};
+  // The identifier at `pos` of `lv` (after blanks), advancing `pos`.
+  const auto next_word = [](std::string_view lv, std::size_t& pos) {
+    while (pos < lv.size() && (lv[pos] == ' ' || lv[pos] == '\t')) ++pos;
+    const std::size_t b = pos;
+    while (pos < lv.size() && is_ident_char(lv[pos])) ++pos;
+    return lv.substr(b, pos - b);
+  };
   int line = 1;
   std::size_t pos = 0;
   while (pos < content.size()) {
@@ -438,28 +457,73 @@ void scan_r7(const std::string& label, const std::string& content,
     if (eol == std::string::npos) eol = content.size();
     std::string_view lv(content.data() + pos, eol - pos);
     std::size_t first = lv.find_first_not_of(" \t");
-    if (first != std::string_view::npos && lv[first] == '#' &&
-        lv.find("include") != std::string_view::npos) {
-      for (const char* hdr : kSimdHeaders) {
-        if (lv.find(hdr) != std::string_view::npos) {
-          out.push_back(
-              {label, line, static_cast<int>(first) + 1, "R7",
-               std::string("SIMD intrinsic header <") + hdr +
-                   "> outside " + pre +
-                   "; vector code must live behind the compute-backend "
-                   "kernel tables so its determinism contract is declared "
-                   "and tested"});
-          break;
+    if (first != std::string_view::npos && lv[first] == '#') {
+      const int col = static_cast<int>(first) + 1;
+      std::size_t at = first + 1;
+      const std::string_view directive = next_word(lv, at);
+      if (directive.starts_with("include")) {  // also #include_next
+        for (const char* hdr : kSimdHeaders) {
+          if (lv.find(hdr) != std::string_view::npos) {
+            out.push_back(
+                {label, line, col, "R7",
+                 std::string("SIMD intrinsic header <") + hdr +
+                     "> outside " + pre +
+                     "; vector code must live behind the compute-backend "
+                     "kernel tables so its determinism contract is "
+                     "declared and tested"});
+            break;
+          }
         }
+      } else if (directive == "pragma") {
+        const std::string_view a = next_word(lv, at);
+        const std::string_view b = next_word(lv, at);
+        if ((a == "GCC" && b == "target") ||
+            (a == "clang" && b == "attribute" && next_word(lv, at) != "pop"))
+          out.push_back({label, line, col, "R7",
+                         "'#pragma " + std::string(a) + " " + std::string(b) +
+                             "'" + retarget_hint});
       }
     }
     line += 1;
     pos = eol + 1;
   }
 
-  for (const auto& t : lx.tokens) {
+  const auto& toks = lx.tokens;
+  const auto is = [&](std::size_t i, const char* text) {
+    return i < toks.size() && toks[i].text == text;
+  };
+  // Flags target/target_clones attributes in the attribute list that
+  // spans tokens [b, e).
+  const auto scan_attributes = [&](std::size_t b, std::size_t e) {
+    static const std::unordered_set<std::string> kRetarget = {
+        "target", "target_clones", "__target__", "__target_clones__"};
+    for (std::size_t j = b; j < e; ++j)
+      if (toks[j].kind == Token::Ident && kRetarget.count(toks[j].text) &&
+          is(j + 1, "("))
+        out.push_back({label, toks[j].line, toks[j].col, "R7",
+                       "'" + toks[j].text + "' attribute" + retarget_hint});
+  };
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    if (t.kind == Token::Punct && t.text == "[" && is(i + 1, "[")) {
+      std::size_t e = i + 2;  // [[ ... ]]
+      while (e < toks.size() && !(is(e, "]") && is(e + 1, "]"))) ++e;
+      scan_attributes(i + 2, e);
+      i = e;
+      continue;
+    }
     if (t.kind != Token::Ident) continue;
     const std::string& s = t.text;
+    if (s == "__attribute__" && is(i + 1, "(")) {
+      std::size_t e = i + 1;  // __attribute__(( ... )), parentheses balanced
+      for (int depth = 0; e < toks.size(); ++e) {
+        if (is(e, "(")) ++depth;
+        if (is(e, ")") && --depth == 0) break;
+      }
+      scan_attributes(i + 2, e);
+      i = e;
+      continue;
+    }
     const bool intrinsic =
         s.rfind("_mm", 0) == 0 || s.rfind("__m128", 0) == 0 ||
         s.rfind("__m256", 0) == 0 || s.rfind("__m512", 0) == 0;
@@ -1897,7 +1961,8 @@ const std::vector<RuleInfo>& rule_catalog() {
        "analog/, signal/, core/"},
       {"R6", "no container growth inside streaming-sink consume() bodies",
        "all consume() definitions"},
-      {"R7", "SIMD intrinsics only inside the compute-backend boundary",
+      {"R7", "SIMD intrinsics and ISA-retargeting attributes/pragmas only "
+             "inside the compute-backend boundary",
        "everywhere except backend/"},
       {"R8", "RAII-only mutex use, per-file declared lock order, no second "
              "lock held across a cv wait",

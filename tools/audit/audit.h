@@ -42,9 +42,11 @@
 //       body breaks the streaming executor's O(chunk) memory contract.
 //       Bounded growth (reserved up front) is waived inline.
 //   R7  SIMD intrinsics (immintrin.h-family includes, _mm*/__m128/
-//       __m256/__m512 identifiers) only inside src/backend/ — vector
-//       code outside the pluggable-backend boundary would fork the
-//       per-backend determinism contract invisibly.
+//       __m256/__m512 identifiers) and ISA retargeting (target /
+//       target_clones attributes, #pragma GCC target, #pragma clang
+//       attribute) only inside src/backend/ — vector code outside the
+//       pluggable-backend boundary would fork the per-backend
+//       determinism contract invisibly.
 //   R8  lock discipline: mutexes are acquired through RAII guards only
 //       (no bare .lock()/.unlock() on a mutex member); when guards nest,
 //       mutexes declared in the same file must be acquired in their
@@ -146,7 +148,7 @@ struct Options {
   /// this list short.
   std::vector<std::string> mutable_state_allowlist = {"backend/dispatch"};
   /// R7: labels starting with (or containing a path segment equal to)
-  /// this prefix may use SIMD intrinsics.
+  /// this prefix may use SIMD intrinsics and target attributes/pragmas.
   std::string simd_prefix = "backend/";
   /// The R12 coverage spec: the kernel-table struct and the test files
   /// (label fragments) each contract domain must appear in — every
