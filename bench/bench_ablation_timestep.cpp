@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     const double range = cal.measure_fine_range(line, stim.wf);
     line.set_vctrl(0.75);
     const auto out = line.process(stim.wf);
-    meas::DelayMeterOptions mo;
+    meas::CrossingOptions mo;
     mo.settle_ps = 12000.0;
     const double lat = meas::measure_delay(stim.wf, out, mo).mean_ps;
     const double tj =

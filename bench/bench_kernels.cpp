@@ -13,7 +13,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analog/buffer.h"
@@ -341,42 +343,57 @@ int main(int argc, char** argv) {
   gdelay::bench::CaptureReporter rep;
   benchmark::RunSpecifiedBenchmarks(&rep);
 
+  // A ratio exists only when both of its rows ran: a --benchmark_filter
+  // run skips rows, and a skipped row reads 0 items/s.
+  const auto ratio = [&](const std::string& num,
+                         const std::string& den) -> std::optional<double> {
+    const double a = rep.items_per_sec(num), b = rep.items_per_sec(den);
+    if (a > 0.0 && b > 0.0) return a / b;
+    return std::nullopt;
+  };
+  // One verdict line; `target` > 0 adds PASS/MISS.
+  const auto print_ratio = [](const char* label, std::optional<double> r,
+                              const char* note = "", double target = 0.0) {
+    if (!r) {
+      std::printf("  %s: n/a (row not run)\n", label);
+      return;
+    }
+    std::printf("  %s: %.2fx%s", label, *r, note);
+    if (target > 0.0) std::printf("  %s", *r >= target ? "PASS" : "MISS");
+    std::printf("\n");
+  };
+  const auto avx2_vs_scalar = [&](const std::string& name) {
+    return ratio(name + "/avx2", name + "/scalar");
+  };
+
   // SIMD verdict: the AVX2 table vs the scalar table, both on the block
   // path (the PR that introduced blocks is the baseline the 4x target is
   // written against).
-  const auto ratio_of = [&](const std::string& name) {
-    const double sc = rep.items_per_sec(name + "/scalar");
-    const double vx = rep.items_per_sec(name + "/avx2");
-    return sc > 0.0 && vx > 0.0 ? vx / sc : 0.0;
-  };
-  const double simd_chan = ratio_of("VariableDelayChannel_block");
+  const auto simd_chan = avx2_vs_scalar("VariableDelayChannel_block");
   if (gb::avx2_kernels() != nullptr) {
     std::printf("\navx2-vs-scalar speedup (block path):\n");
-    for (const char* k : {"Kernel_tanh", "Kernel_boxmuller"})
-      std::printf("  %-20s: %.2fx\n", k, ratio_of(k));
-    std::printf("  FineDelayLine_block : %.2fx\n",
-                ratio_of("FineDelayLine_block"));
-    std::printf("  VariableDelayChannel_block: %.2fx (target >= 4x)  %s\n",
-                simd_chan, simd_chan >= 4.0 ? "PASS" : "MISS");
+    print_ratio("Kernel_tanh         ", avx2_vs_scalar("Kernel_tanh"));
+    print_ratio("Kernel_boxmuller    ", avx2_vs_scalar("Kernel_boxmuller"));
+    print_ratio("FineDelayLine_block ", avx2_vs_scalar("FineDelayLine_block"));
+    print_ratio("VariableDelayChannel_block", simd_chan, " (target >= 4x)",
+                4.0);
   }
 
   // Lane-batched verdict: 4 streams through the batched executor on the
   // AVX2 table vs one stream on the scalar table — what multi-stream
   // work (MC trials, sweep points, board channels) actually gains.
-  const double solo_scalar =
-      rep.items_per_sec("VariableDelayChannel_block/scalar");
-  const double batch_scalar = rep.items_per_sec("ChannelBatch4_block/scalar");
-  const double batch_avx2 = rep.items_per_sec("ChannelBatch4_block/avx2");
-  const double batch_chan =
-      solo_scalar > 0.0 && batch_avx2 > 0.0 ? batch_avx2 / solo_scalar : 0.0;
+  const std::string solo_scalar = "VariableDelayChannel_block/scalar";
+  const auto batch_chan = ratio("ChannelBatch4_block/avx2", solo_scalar);
   std::printf("\nlane-batched (4-wide) vs solo scalar channel:\n");
-  std::printf("  ChannelBatch4/scalar      : %.2fx (batching alone)\n",
-              solo_scalar > 0.0 ? batch_scalar / solo_scalar : 0.0);
+  print_ratio("ChannelBatch4/scalar      ",
+              ratio("ChannelBatch4_block/scalar", solo_scalar),
+              " (batching alone)");
   if (gb::avx2_kernels() != nullptr) {
-    std::printf("  FineDelayBatch4_block     : %.2fx (avx2 vs scalar batch)\n",
-                ratio_of("FineDelayBatch4_block"));
-    std::printf("  batch_channel_speedup     : %.2fx (target >= 3x)  %s\n",
-                batch_chan, batch_chan >= 3.0 ? "PASS" : "MISS");
+    print_ratio("FineDelayBatch4_block     ",
+                avx2_vs_scalar("FineDelayBatch4_block"),
+                " (avx2 vs scalar batch)");
+    print_ratio("batch_channel_speedup     ", batch_chan, " (target >= 3x)",
+                3.0);
   }
 
   const auto heap = gdelay::bench::heap_snapshot();
@@ -385,14 +402,15 @@ int main(int argc, char** argv) {
   mem.heap_peak_bytes = heap.peak_bytes;
   mem.heap_total_bytes = heap.total_bytes;
   mem.alloc_count = heap.alloc_count;
+  // A speedup key is written only when both of its rows ran.
+  std::vector<std::pair<std::string, double>> extra{{"dt_ps", kDt}};
+  if (simd_chan) extra.emplace_back("simd_channel_speedup", *simd_chan);
+  extra.emplace_back("simd_speedup_target", 4.0);
+  if (batch_chan) extra.emplace_back("batch_channel_speedup", *batch_chan);
+  extra.emplace_back("batch_speedup_target", 3.0);
   gdelay::bench::write_gbench_json(
       (outdir + "/BENCH_kernels.json").c_str(), "kernels", rep.rows,
-      {{"dt_ps", kDt},
-       {"simd_channel_speedup", simd_chan},
-       {"simd_speedup_target", 4.0},
-       {"batch_channel_speedup", batch_chan},
-       {"batch_speedup_target", 3.0}},
-      &mem);
+      extra, &mem);
   benchmark::Shutdown();
   return 0;
 }

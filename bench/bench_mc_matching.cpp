@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   board.program_all(70.0);
   std::vector<core::VariableDelayChannel*> chans;
   for (int i = 0; i < kInstances; ++i) chans.push_back(&board.channel(i));
-  const meas::DelayMeterOptions dopt;
+  const meas::CrossingOptions dopt;
   const auto ref_edges = meas::delay_edges(stim.wf, dopt);
   const auto out_edges = core::lane_edges(chans, stim.wf, dopt);
   std::vector<double> fine, total, res, err;

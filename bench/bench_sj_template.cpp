@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
     jc.sj_freq_ghz = f_mhz / 1000.0;
     jc.noise_pp_v = 0.0;
     core::JitterInjector inj(jc, rng.fork(777));
-    meas::JitterMeasureOptions jo;
+    meas::CrossingOptions jo;
     jo.settle_ps = 12000.0;
     const double tj =
         meas::measure_jitter(inj.process(stim.wf), stim.unit_interval_ps, jo)

@@ -105,7 +105,7 @@ inline std::size_t peak_rss_bytes() {
 
 /// The v5 "campaign" stamp: shard topology and throughput of an
 /// orchestrated run. `mode` is campaign::mode_name() of the mode that
-/// actually ran (fork may degrade to thread off-POSIX).
+/// ran, serial or thread.
 struct CampaignStamp {
   const char* mode = "serial";
   std::size_t shards = 1;
@@ -195,8 +195,8 @@ inline void row_header() {
 }
 
 /// Jitter options that skip the stages' bias-droop settling transient.
-inline meas::JitterMeasureOptions settled_jitter() {
-  meas::JitterMeasureOptions jo;
+inline meas::CrossingOptions settled_jitter() {
+  meas::CrossingOptions jo;
   jo.settle_ps = 12000.0;
   return jo;
 }

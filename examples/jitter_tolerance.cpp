@@ -41,7 +41,7 @@ int main() {
   rxc.hold_ps = 55.0;
   ate::DutReceiver rx(rxc);
 
-  meas::JitterMeasureOptions jo;
+  meas::CrossingOptions jo;
   jo.settle_ps = 12000.0;
 
   std::printf("DUT jitter-tolerance scan at %.1f Gbps "

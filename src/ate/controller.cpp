@@ -34,7 +34,7 @@ DeskewController::DeskewController(
 }
 
 std::vector<double> DeskewController::measure_arrivals() {
-  meas::DelayMeterOptions mo;
+  meas::CrossingOptions mo;
   mo.settle_ps = opt_.calibration.settle_ps;
   // Each ATE channel draws its jitter from its own RNG, so driving every
   // lane first, in channel order, draws what one pass per lane drew.

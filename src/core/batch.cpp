@@ -87,7 +87,7 @@ template <typename Device>
 std::vector<std::vector<sig::Edge>> lane_edges(
     const std::vector<Device*>& devices,
     const std::vector<const sig::Waveform*>& stimuli,
-    const meas::DelayMeterOptions& opt) {
+    const meas::CrossingOptions& opt) {
   // Two tasks over one device would race on its state and its RNG.
   check_lanes(devices, stimuli, "lane_edges");
   meas::check_options(opt, "lane_edges");
@@ -128,16 +128,16 @@ std::vector<std::vector<sig::Edge>> lane_edges(
 }
 
 template void run_lanes(const std::vector<VariableDelayChannel*>&,
-                        const sig::Waveform&,
+                        const std::vector<const sig::Waveform*>&,
                         const std::vector<meas::ISampleSink*>&);
 template void run_lanes(const std::vector<FineDelayLine*>&,
-                        const sig::Waveform&,
+                        const std::vector<const sig::Waveform*>&,
                         const std::vector<meas::ISampleSink*>&);
 template std::vector<std::vector<sig::Edge>> lane_edges(
-    const std::vector<VariableDelayChannel*>&, const sig::Waveform&,
-    const meas::DelayMeterOptions&);
+    const std::vector<VariableDelayChannel*>&,
+    const std::vector<const sig::Waveform*>&, const meas::CrossingOptions&);
 template std::vector<std::vector<sig::Edge>> lane_edges(
-    const std::vector<FineDelayLine*>&, const sig::Waveform&,
-    const meas::DelayMeterOptions&);
+    const std::vector<FineDelayLine*>&,
+    const std::vector<const sig::Waveform*>&, const meas::CrossingOptions&);
 
 }  // namespace gdelay::core

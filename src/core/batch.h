@@ -79,14 +79,14 @@ template <typename Device>
 std::vector<std::vector<sig::Edge>> lane_edges(
     const std::vector<Device*>& devices,
     const std::vector<const sig::Waveform*>& stimuli,
-    const meas::DelayMeterOptions& opt);
+    const meas::CrossingOptions& opt);
 
 /// The shared-stimulus call: lane_edges() with `stimulus` for every
 /// device.
 template <typename Device>
 std::vector<std::vector<sig::Edge>> lane_edges(
     const std::vector<Device*>& devices, const sig::Waveform& stimulus,
-    const meas::DelayMeterOptions& opt) {
+    const meas::CrossingOptions& opt) {
   return lane_edges(
       devices, std::vector<const sig::Waveform*>(devices.size(), &stimulus),
       opt);

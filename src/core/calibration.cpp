@@ -12,8 +12,8 @@
 namespace gdelay::core {
 namespace {
 
-meas::DelayMeterOptions meter_options(double settle_ps) {
-  meas::DelayMeterOptions o;
+meas::CrossingOptions meter_options(double settle_ps) {
+  meas::CrossingOptions o;
   o.settle_ps = settle_ps;
   return o;
 }
@@ -27,7 +27,7 @@ meas::DelayMeterOptions meter_options(double settle_ps) {
 template <typename Device>
 std::vector<std::vector<sig::Edge>> clone_edges(
     std::vector<Device>& clones, const sig::Waveform& stimulus,
-    const meas::DelayMeterOptions& opts) {
+    const meas::CrossingOptions& opts) {
   std::vector<Device*> lanes;
   lanes.reserve(clones.size());
   for (Device& c : clones) lanes.push_back(&c);

@@ -61,7 +61,7 @@ EdgeModelParams fit_edge_model(core::VariableDelayChannel& ch,
   ch.select_tap(0);
   ch.set_vctrl(ch.vctrl_max() / 2.0);
   const auto out = ch.process(stimulus);
-  meas::JitterMeasureOptions jo;
+  meas::CrossingOptions jo;
   jo.settle_ps = opts.settle_ps;
   const double rj_in = meas::measure_jitter(stimulus, ui_ps, jo).rj_rms_ps;
   const double rj_out = meas::measure_jitter(out, ui_ps, jo).rj_rms_ps;

@@ -7,8 +7,6 @@
 #include "measure/sinks.h"
 #include "measure/stats.h"
 #include "signal/edges.h"
-#include "util/fastmath.h"
-#include "util/units.h"
 
 namespace gdelay::meas {
 namespace {
@@ -41,16 +39,8 @@ std::vector<double> deltas_for(const std::vector<sig::Edge>& ref,
 
 }  // namespace
 
-// A NaN settle window or threshold extracts no edges at all, which would
-// surface only as a misleading "no edges" error after the whole run.
-void check_options(const DelayMeterOptions& opt, const char* caller) {
-  require_finite(opt.threshold_v, caller, "threshold_v");
-  require_finite(opt.hysteresis_v, caller, "hysteresis_v");
-  require_finite(opt.settle_ps, caller, "settle_ps");
-}
-
 std::vector<sig::Edge> delay_edges(const sig::Waveform& wf,
-                                   const DelayMeterOptions& opt) {
+                                   const CrossingOptions& opt) {
   check_options(opt, "delay_edges");
   EdgeSink sink(opt);
   sink.begin(wf.t0_ps(), wf.dt_ps(), wf.size());
@@ -107,7 +97,7 @@ double wrap_delay(double delta_ps, double ui_ps) {
 
 double measure_phase_delay(const sig::Waveform& reference,
                            const sig::Waveform& output, double ui_ps,
-                           const DelayMeterOptions& opt) {
+                           const CrossingOptions& opt) {
   check_options(opt, "measure_phase_delay");
   require_ui(ui_ps, "measure_phase_delay");
   return phase_delay_edges(delay_edges(reference, opt),
@@ -120,22 +110,9 @@ double phase_delay_edges(const std::vector<sig::Edge>& reference,
   if (reference.empty() || output.empty())
     throw std::runtime_error("phase_delay_edges: no edges");
 
-  // Circular mean of each trace's crossing phase on the UI grid, as in
-  // the jitter analyzer; the difference is the delay mod UI.
-  const auto phase_of = [ui_ps](const std::vector<sig::Edge>& edges) {
-    double c = 0.0, s = 0.0;
-    for (const auto& e : edges) {
-      const double turns = e.t_ps / ui_ps;
-      double sv, cv;
-      util::det_sincos2pi(turns - std::floor(turns), sv, cv);
-      c += cv;
-      s += sv;
-    }
-    // gdelay-audit: allow(R1) analysis-side circular-mean readout; not in
-    // the simulated signal path.
-    return std::atan2(s, c) / (2.0 * util::kPi) * ui_ps;
-  };
-  double d = phase_of(output) - phase_of(reference);
+  // The difference of the two crossing-grid phases is the delay mod UI.
+  double d = circular_phase_ps(sig::edge_times(output), ui_ps) -
+             circular_phase_ps(sig::edge_times(reference), ui_ps);
   d = std::fmod(d, ui_ps);
   if (d < 0.0) d += ui_ps;
   return d;
@@ -143,7 +120,7 @@ double phase_delay_edges(const std::vector<sig::Edge>& reference,
 
 DelayMeasurement measure_delay(const sig::Waveform& reference,
                                const sig::Waveform& output,
-                               const DelayMeterOptions& opt) {
+                               const CrossingOptions& opt) {
   check_options(opt, "measure_delay");
   return measure_delay_edges(delay_edges(reference, opt),
                              delay_edges(output, opt));

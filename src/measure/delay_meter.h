@@ -8,12 +8,14 @@
 // The waveform entry points extract both traces' edges and call their
 // edge halves (measure_delay_edges, phase_delay_edges), which many-device
 // measurements call directly: the stimulus edges are extracted once and
-// each device's edges come from core::lane_edges (core/batch.h).
+// each device's edges come from core::lane_edges (core/batch.h). Both
+// take the jitter analyzer's crossings: an EdgeSink of CrossingOptions.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "measure/stats.h"
 #include "signal/edges.h"
 #include "signal/waveform.h"
 
@@ -27,33 +29,18 @@ struct DelayMeasurement {
   double max_ps = 0.0;
 };
 
-struct DelayMeterOptions {
-  double threshold_v = 0.0;
-  /// Re-arm band around the threshold; suppresses noise chatter near the
-  /// decision level (both traces carry additive stage noise).
-  double hysteresis_v = 0.1;
-  /// Edges earlier than t0 + settle in either trace are ignored.
-  double settle_ps = 400.0;
-};
-
-/// Throws std::invalid_argument, naming `caller` and the field, for a
-/// non-finite threshold_v, hysteresis_v or settle_ps (a negative
-/// settle_ps is no settle window). Every entry point that takes these
-/// options calls it up front.
-void check_options(const DelayMeterOptions& opt, const char* caller);
-
 /// The threshold crossings of `wf` that measure_delay() pairs: `opt`'s
 /// threshold and hysteresis, from t0 + settle_ps on — the EdgeSink(opt)
 /// (measure/sinks.h) fed the whole waveform, as core::lane_edges() feeds
 /// one per device. Rejects non-finite options (check_options).
 std::vector<sig::Edge> delay_edges(const sig::Waveform& wf,
-                                   const DelayMeterOptions& opt = {});
+                                   const CrossingOptions& opt = {});
 
 /// Mean/spread of the output's delay relative to the reference:
 /// measure_delay_edges() of both traces' delay_edges().
 DelayMeasurement measure_delay(const sig::Waveform& reference,
                                const sig::Waveform& output,
-                               const DelayMeterOptions& opt = {});
+                               const CrossingOptions& opt = {});
 
 /// Delay between two time-ordered edge sequences of the same data
 /// pattern. Either may miss a few leading edges (the output's latency
@@ -75,11 +62,12 @@ DelayMeasurement measure_delay_edges(const std::vector<sig::Edge>& reference,
 /// phase_delay_edges() of both traces' delay_edges().
 double measure_phase_delay(const sig::Waveform& reference,
                            const sig::Waveform& output, double ui_ps,
-                           const DelayMeterOptions& opt = {});
+                           const CrossingOptions& opt = {});
 
-/// The edge half of measure_phase_delay(). Throws std::invalid_argument
-/// unless ui_ps is finite and > 0, and std::runtime_error if either
-/// sequence is empty.
+/// The edge half of measure_phase_delay(): circular_phase_ps() of the
+/// output's crossing times minus the reference's, wrapped into
+/// [0, ui_ps). Throws std::invalid_argument unless ui_ps is finite and
+/// > 0, and std::runtime_error if either sequence is empty.
 double phase_delay_edges(const std::vector<sig::Edge>& reference,
                          const std::vector<sig::Edge>& output, double ui_ps);
 

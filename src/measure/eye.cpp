@@ -99,7 +99,7 @@ EyeMetrics measure_eye(const sig::Waveform& wf, double ui_ps,
   EyeMetrics m;
   m.ui_ps = ui_ps;
 
-  JitterMeasureOptions jo;
+  CrossingOptions jo;
   jo.threshold_v = threshold_v;
   jo.settle_ps = settle_ps;
   m.jitter = measure_jitter(wf, ui_ps, jo);

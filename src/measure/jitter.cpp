@@ -7,17 +7,9 @@
 
 #include "measure/sinks.h"
 #include "measure/stats.h"
-#include "util/units.h"
 #include "util/fastmath.h"
 
 namespace gdelay::meas {
-namespace {
-
-/// Fractional part of a phase in turns, in [0, 1).
-double sig_turns_frac(double turns) { return turns - std::floor(turns); }
-
-}  // namespace
-
 
 JitterReport analyze_jitter(const std::vector<double>& ts, double ui_ps) {
   require_ui(ui_ps, "analyze_jitter");
@@ -26,18 +18,7 @@ JitterReport analyze_jitter(const std::vector<double>& ts, double ui_ps) {
   rep.n_edges = ts.size();
   if (ts.empty()) return rep;
 
-  // Circular mean of the crossing phases: immune to the residuals wrapping
-  // around the UI boundary, unlike a naive arithmetic mean of (t mod UI).
-  double c = 0.0, s = 0.0;
-  for (double t : ts) {
-    double sv, cv;
-    util::det_sincos2pi(sig_turns_frac(t / ui_ps), sv, cv);
-    c += cv;
-    s += sv;
-  }
-  // gdelay-audit: allow(R1) analysis-side circular-mean readout; not in
-  // the simulated signal path.
-  double phase = std::atan2(s, c) / (2.0 * util::kPi) * ui_ps;
+  double phase = circular_phase_ps(ts, ui_ps);
   if (phase < 0.0) phase += ui_ps;
   rep.grid_phase_ps = phase;
 
@@ -61,14 +42,8 @@ JitterReport analyze_jitter(const std::vector<double>& ts, double ui_ps) {
   return rep;
 }
 
-void check_options(const JitterMeasureOptions& opt, const char* caller) {
-  require_finite(opt.threshold_v, caller, "threshold_v");
-  require_finite(opt.hysteresis_v, caller, "hysteresis_v");
-  require_finite(opt.settle_ps, caller, "settle_ps");
-}
-
 JitterReport measure_jitter(const sig::Waveform& wf, double ui_ps,
-                            const JitterMeasureOptions& opt) {
+                            const CrossingOptions& opt) {
   check_options(opt, "measure_jitter");
   JitterSink sink(ui_ps, opt);
   sink.begin(wf.t0_ps(), wf.dt_ps(), wf.size());

@@ -2,13 +2,14 @@
 // deterministic-jitter estimate, computed from 50 %-threshold crossing
 // instants exactly the way a sampling-scope jitter package does it: fold
 // each crossing onto the nominal unit-interval grid (the grid phase is
-// estimated from the data itself by circular averaging) and look at the
-// distribution of the residuals.
+// estimated from the data itself by circular averaging,
+// meas::circular_phase_ps) and look at the distribution of the residuals.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "measure/stats.h"
 #include "signal/waveform.h"
 
 namespace gdelay::meas {
@@ -30,25 +31,16 @@ struct JitterReport {
 JitterReport analyze_jitter(const std::vector<double>& crossing_times_ps,
                             double ui_ps);
 
-struct JitterMeasureOptions {
-  double threshold_v = 0.0;
-  /// Re-arm band around the threshold (noise-chatter suppression).
-  double hysteresis_v = 0.1;
-  /// Crossings before t0 + settle are ignored (circuit settling, lead-in).
-  double settle_ps = 400.0;
-};
-
-/// Throws std::invalid_argument, naming `caller` and the field, for a
-/// non-finite threshold_v, hysteresis_v or settle_ps (a negative
-/// settle_ps is no settle window). measure_jitter and JitterSink call it.
-void check_options(const JitterMeasureOptions& opt, const char* caller);
+/// The former name of CrossingOptions, still spelled in perfbench/; new
+/// code uses CrossingOptions.
+using JitterMeasureOptions = CrossingOptions;
 
 /// Convenience: extract crossings from a waveform and analyze them — the
 /// JitterSink (measure/sinks.h) fed the whole waveform. Rejects
 /// non-finite options (check_options) and a `ui_ps` that is not finite
 /// and > 0.
 JitterReport measure_jitter(const sig::Waveform& wf, double ui_ps,
-                            const JitterMeasureOptions& opt = {});
+                            const CrossingOptions& opt = {});
 
 /// Data-dependent jitter analysis: crossing residuals grouped by the
 /// length of the preceding run (the gap to the previous transition, in

@@ -58,37 +58,14 @@ void LevelHistogramSink::consume(const double* samples, std::size_t n) {
   }
 }
 
-namespace {
-
-// The one mapping from a measurement's options (DelayMeterOptions,
-// JitterMeasureOptions) to its crossings: checks `opt` up front, naming
-// `caller`, then returns its threshold and hysteresis; EdgeSink::begin()
-// opens the settle window.
-template <class Options>
-sig::EdgeExtractOptions extract_options(const Options& opt,
-                                        const char* caller) {
-  check_options(opt, caller);
-  sig::EdgeExtractOptions eo;
-  eo.threshold_v = opt.threshold_v;
-  eo.hysteresis_v = opt.hysteresis_v;
-  return eo;
-}
-
-}  // namespace
-
-EdgeSink::EdgeSink(const sig::EdgeExtractOptions& opt, double settle_ps)
-    : opt_(opt), settle_ps_(settle_ps) {
-  require_finite(opt.threshold_v, "EdgeSink", "threshold_v");
-  require_finite(opt.hysteresis_v, "EdgeSink", "hysteresis_v");
-  require_finite(settle_ps, "EdgeSink", "settle_ps");
-}
-
-EdgeSink::EdgeSink(const DelayMeterOptions& opt)
-    : EdgeSink(extract_options(opt, "EdgeSink"), opt.settle_ps) {}
+EdgeSink::EdgeSink(const CrossingOptions& opt)
+    : opt_(check_options(opt, "EdgeSink")) {}
 
 void EdgeSink::begin(double t0_ps, double dt_ps, std::size_t) {
-  sig::EdgeExtractOptions eo = opt_;
-  eo.t_min_ps = t0_ps + settle_ps_;
+  sig::EdgeExtractOptions eo;
+  eo.threshold_v = opt_.threshold_v;
+  eo.hysteresis_v = opt_.hysteresis_v;
+  eo.t_min_ps = t0_ps + opt_.settle_ps;
   extractor_.emplace(t0_ps, dt_ps, eo);
 }
 
@@ -105,9 +82,8 @@ std::vector<double> EdgeSink::edge_times() const {
   return sig::edge_times(edges());
 }
 
-JitterSink::JitterSink(double ui_ps, const JitterMeasureOptions& opt)
-    : ui_ps_(ui_ps),
-      edge_sink_(extract_options(opt, "JitterSink"), opt.settle_ps) {
+JitterSink::JitterSink(double ui_ps, const CrossingOptions& opt)
+    : ui_ps_(ui_ps), edge_sink_(check_options(opt, "JitterSink")) {
   require_ui(ui_ps, "JitterSink");
 }
 

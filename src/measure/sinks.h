@@ -6,9 +6,10 @@
 // edge extractor) can ride a streaming pipeline in a single pass. Every
 // sink is required to produce byte-identical results to its whole-
 // waveform counterpart at any chunking — state that spans chunk seams
-// (the edge extractor's backscan window, the sample clock) is carried
-// explicitly. A delay is two EdgeSinks built from one DelayMeterOptions
-// (reference and output) and measure_delay_edges() of their edges:
+// (the edge locator's last on-side sample and the one after it, the
+// sample clock) is carried explicitly. A delay is two EdgeSinks built
+// from one CrossingOptions (reference and output) and
+// measure_delay_edges() of their edges:
 // meas::delay_edges() feeds that sink a whole waveform, and
 // core::lane_edges (core/batch.h) one per device of a lane group.
 //
@@ -24,10 +25,10 @@
 #include <optional>
 #include <vector>
 
-#include "measure/delay_meter.h"
 #include "measure/eye.h"
 #include "measure/histogram.h"
 #include "measure/jitter.h"
+#include "measure/stats.h"
 #include "signal/edges.h"
 #include "signal/waveform.h"
 
@@ -105,17 +106,13 @@ class LevelHistogramSink final : public ISampleSink {
   std::size_t next_ = 0;
 };
 
-/// Streaming threshold-crossing extraction. The extract window opens at
-/// t0 + settle_ps, matching the measure_* helpers' handling of lead-in
-/// transients; edge times and polarities equal extract_edges() on the
-/// materialized trace.
+/// Streaming threshold-crossing extraction: the crossings every
+/// measurement takes, `opt`'s threshold and hysteresis from
+/// t0 + settle_ps on. Edge times and polarities equal extract_edges() on
+/// the materialized trace with t_min_ps = t0 + settle_ps.
 class EdgeSink final : public ISampleSink {
  public:
-  explicit EdgeSink(const sig::EdgeExtractOptions& opt = {},
-                    double settle_ps = 400.0);
-  /// The crossings measure_delay() pairs: `opt`'s threshold and
-  /// hysteresis, from t0 + settle_ps on.
-  explicit EdgeSink(const DelayMeterOptions& opt);
+  explicit EdgeSink(const CrossingOptions& opt = {});
 
   void begin(double t0_ps, double dt_ps, std::size_t total_n) override;
   void consume(const double* samples, std::size_t n) override;
@@ -125,8 +122,7 @@ class EdgeSink final : public ISampleSink {
   std::vector<double> edge_times() const;
 
  private:
-  sig::EdgeExtractOptions opt_;
-  double settle_ps_;
+  CrossingOptions opt_;
   std::optional<sig::StreamingEdgeExtractor> extractor_;
 };
 
@@ -135,7 +131,7 @@ class EdgeSink final : public ISampleSink {
 /// std::invalid_argument unless `ui_ps` is finite and > 0.
 class JitterSink final : public ISampleSink {
  public:
-  JitterSink(double ui_ps, const JitterMeasureOptions& opt = {});
+  JitterSink(double ui_ps, const CrossingOptions& opt = {});
 
   void begin(double t0_ps, double dt_ps, std::size_t total_n) override;
   void consume(const double* samples, std::size_t n) override;

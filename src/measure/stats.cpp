@@ -5,12 +5,37 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/fastmath.h"
+#include "util/units.h"
+
 namespace gdelay::meas {
 
 void require_finite(double v, const char* caller, const char* field) {
   if (!std::isfinite(v))
     throw std::invalid_argument(std::string(caller) + ": " + field +
                                 " must be finite");
+}
+
+const CrossingOptions& check_options(const CrossingOptions& opt,
+                                     const char* caller) {
+  require_finite(opt.threshold_v, caller, "threshold_v");
+  require_finite(opt.hysteresis_v, caller, "hysteresis_v");
+  require_finite(opt.settle_ps, caller, "settle_ps");
+  return opt;
+}
+
+double circular_phase_ps(const std::vector<double>& times_ps, double ui_ps) {
+  double c = 0.0, s = 0.0;
+  for (double t : times_ps) {
+    const double turns = t / ui_ps;
+    double sv, cv;
+    util::det_sincos2pi(turns - std::floor(turns), sv, cv);
+    c += cv;
+    s += sv;
+  }
+  // gdelay-audit: allow(R1) analysis-side circular-mean readout; not in
+  // the simulated signal path.
+  return std::atan2(s, c) / (2.0 * util::kPi) * ui_ps;
 }
 
 void require_ui(double ui_ps, const char* caller) {

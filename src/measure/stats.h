@@ -1,4 +1,5 @@
-// Small descriptive-statistics helpers shared by the instruments.
+// Helpers shared by the instruments: descriptive statistics, the circular
+// phase estimator, the crossing options and the input checks.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +25,36 @@ Summary summarize(const std::vector<double>& xs);
 /// it up front: a NaN or infinite threshold or settle window would
 /// otherwise extract no edges, or fold the lead-in, without an error.
 void require_finite(double v, const char* caller, const char* field);
+
+/// How every crossing measurement extracts its crossings: the delay
+/// meter (measure_delay, delay_edges, core::lane_edges) and the jitter
+/// analyzer (measure_jitter, JitterSink) each run one EdgeSink
+/// (measure/sinks.h) built from these options.
+struct CrossingOptions {
+  double threshold_v = 0.0;
+  /// Re-arm band around the threshold; suppresses noise chatter near the
+  /// decision level (traces carry additive stage noise).
+  double hysteresis_v = 0.1;
+  /// Crossings before t0 + settle are ignored (circuit settling,
+  /// lead-in).
+  double settle_ps = 400.0;
+};
+
+/// Throws std::invalid_argument, naming `caller` and the field, for a
+/// non-finite threshold_v, hysteresis_v or settle_ps (a negative
+/// settle_ps is no settle window); returns `opt`. Every entry point that
+/// takes these options calls it up front: a NaN settle window or
+/// threshold extracts no edges at all, which would surface only as a
+/// misleading "no edges" error after the whole run.
+const CrossingOptions& check_options(const CrossingOptions& opt,
+                                     const char* caller);
+
+/// Circular mean of the phases of `times_ps` on a grid of period `ui_ps`,
+/// in [-ui_ps/2, ui_ps/2]; 0 for no times. Unlike an arithmetic mean of
+/// (t mod ui) it is immune to phases wrapping around the grid boundary.
+/// The one phase estimator of analyze_jitter and phase_delay_edges; the
+/// caller checks `ui_ps`.
+double circular_phase_ps(const std::vector<double>& times_ps, double ui_ps);
 
 /// Throws std::invalid_argument "<caller>: ui_ps must be finite and > 0"
 /// unless `ui_ps` is. Every entry point that takes a unit interval checks

@@ -11,7 +11,6 @@ StreamingEdgeExtractor::StreamingEdgeExtractor(double t0_ps, double dt_ps,
       th_(opt.threshold_v),
       hy_(std::max(opt.hysteresis_v, 0.0) / 2.0),
       t_min_(opt.t_min_ps) {
-  hist_.reserve(256);
   edges_.reserve(64);
 }
 
@@ -19,63 +18,36 @@ void StreamingEdgeExtractor::consume(const double* samples, std::size_t n) {
   for (std::size_t k = 0; k < n; ++k) {
     const double cur = samples[k];
     const std::size_t g = n_seen_++;
-    // gdelay-audit: allow(R6) history window is pruned every sample and
-    // reserved up front; growth is O(transition length), not O(stream).
-    hist_.push_back(cur);
+    if (g == base_ + 1) after_base_ = cur;
 
-    if (g == 0) {
-      // State: +1 after the signal has been above th+hy, -1 after below
-      // th-hy, 0 before the first excursion.
-      if (cur > th_ + hy_) state_ = 1;
-      else if (cur < th_ - hy_) state_ = -1;
-    } else {
-      int new_state = state_;
-      if (cur > th_ + hy_) new_state = 1;
-      else if (cur < th_ - hy_) new_state = -1;
-      if (new_state != state_ && new_state != 0 && state_ != 0) {
-        const bool rising = new_state > 0;
-        // Locate the actual threshold crossing by scanning back for the
-        // sample pair straddling the threshold in this direction. The
-        // floor equals the materializing scan's `j > 1` guard when no
-        // history has been pruned; with pruning, a straddling pair always
-        // exists at j > base_ (see header), so the scans break at the
-        // same j.
-        const std::size_t floor = base_ + 1;
-        std::size_t j = g;
-        while (j > floor) {
-          const double a = hist_[j - 1 - base_], b = hist_[j - base_];
-          if ((rising && a <= th_ && b > th_) ||
-              (!rising && a >= th_ && b < th_))
-            break;
-          --j;
-        }
-        const double a = hist_[j - 1 - base_], b = hist_[j - base_];
-        double t;
-        if (b == a) {
-          t = t0_ + dt_ * static_cast<double>(j);
-        } else {
-          const double frac = (th_ - a) / (b - a);
-          t = t0_ + dt_ * static_cast<double>(j - 1) + frac * dt_;
-        }
-        // A NaN crossing time fails the comparison and is dropped.
-        // gdelay-audit: allow(R6) edge list is the sink's product, one
-        // entry per transition; reserved up front in the constructor.
-        if (t >= t_min_) edges_.push_back({t, rising});
-      }
-      state_ = new_state;
+    // State: +1 after the signal has been above th+hy, -1 after below
+    // th-hy, 0 before the first excursion.
+    int new_state = state_;
+    if (cur > th_ + hy_) new_state = 1;
+    else if (cur < th_ - hy_) new_state = -1;
+    if (new_state != state_ && new_state != 0 && state_ != 0) {
+      // The crossing lies between sample base_ and the one after it.
+      // Under the old state base_ followed every sample on the old side
+      // of the threshold (or on it), so sample base_ is there and is not
+      // NaN, and every later sample up to this one is strictly past the
+      // threshold or NaN: no later pair straddles the threshold, and the
+      // two samples never compare equal.
+      const double frac = (th_ - at_base_) / (after_base_ - at_base_);
+      const double t = t0_ + dt_ * static_cast<double>(base_) + frac * dt_;
+      // A NaN crossing time fails the comparison and is dropped.
+      // gdelay-audit: allow(R6) edge list is the sink's product, one
+      // entry per transition; reserved up front in the constructor.
+      if (t >= t_min_) edges_.push_back({t, new_state > 0});
     }
+    state_ = new_state;
 
-    // Prune: once the signal is (weakly) back on the current state's side
-    // of the threshold — or polarity is still unestablished — every
-    // straddling pair a future backscan can stop at lies strictly after
-    // this sample, so the older history is dead.
+    // Once the signal is (weakly) back on the current state's side of
+    // the threshold — or polarity is still unestablished — the next
+    // flip's crossing lies after this sample.
     if (state_ == 0 || (state_ == 1 && cur >= th_) ||
         (state_ == -1 && cur <= th_)) {
-      if (g > base_) {
-        hist_.erase(hist_.begin(),
-                    hist_.begin() + static_cast<std::ptrdiff_t>(g - base_));
-        base_ = g;
-      }
+      base_ = g;
+      at_base_ = cur;
     }
   }
 }

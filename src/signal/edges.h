@@ -36,14 +36,14 @@ std::vector<Edge> extract_edges(const Waveform& wf,
 /// Feeding the same samples in any chunking — one call or sample by
 /// sample — yields exactly the edges extract_edges() reports for the
 /// materialized waveform; extract_edges() is in fact implemented on top
-/// of this class, so the identity holds by construction. The crossing
-/// locator scans backwards from the hysteresis-qualified flip to the
-/// straddling sample pair, so a short history window is retained across
-/// chunk seams. History is pruned whenever the signal sits on the
-/// current state's side of the threshold (or polarity is still
-/// unestablished): past that point no future backscan can reach, because
-/// the next flip must cross the threshold strictly later. The window is
-/// therefore O(transition length), not O(stream length).
+/// of this class, so the identity holds by construction. A crossing is
+/// interpolated between the last sample on the pre-flip side of the
+/// threshold (or on it) and the sample right after it; every later
+/// sample up to the flip lies strictly past the threshold or is NaN, so
+/// no other pair straddles it, and the locator carries only those two
+/// samples across chunk seams. A NaN right after that last sample gives
+/// a NaN time, and the edge is dropped (a scan back through the whole
+/// record would look past the NaN to an older straddling pair instead).
 class StreamingEdgeExtractor {
  public:
   StreamingEdgeExtractor(double t0_ps, double dt_ps,
@@ -65,8 +65,11 @@ class StreamingEdgeExtractor {
   double t_min_;
   int state_ = 0;           ///< +1 above, -1 below, 0 before first excursion.
   std::size_t n_seen_ = 0;  ///< Global index of the next sample.
-  std::vector<double> hist_;  ///< Retained samples; hist_[0] is index base_.
-  std::size_t base_ = 0;      ///< Global index of hist_.front().
+  /// Index of the last sample on the state's side of the threshold (or
+  /// on it); every sample while the state is 0.
+  std::size_t base_ = 0;
+  double at_base_ = 0.0;     ///< Sample base_.
+  double after_base_ = 0.0;  ///< Sample base_ + 1, once seen.
   std::vector<Edge> edges_;
 };
 

@@ -233,7 +233,7 @@ TEST(DeskewController, ArrivalsMatchSoloPasses) {
   gs::SynthConfig sc = bc.synth;
   sc.rate_gbps = bc.rate_gbps;
   const auto reference = gs::synthesize_nrz(opt.training, sc).wf;
-  gm::DelayMeterOptions mo;
+  gm::CrossingOptions mo;
   mo.settle_ps = opt.calibration.settle_ps;
   for (int pass = 0; pass < 2; ++pass) {
     const auto got = ctl.measure_arrivals();

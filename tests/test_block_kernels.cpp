@@ -799,7 +799,7 @@ TEST(BatchRunnerEquivalence, LaneEdgesMatchSoloExtraction) {
   // edges are extract_edges() of its solo output, set up as
   // measure_delay sets it up.
   const auto stim = nrz_stimulus();
-  gm::DelayMeterOptions mo;
+  gm::CrossingOptions mo;
   mo.settle_ps = 1500.0;
   std::vector<gc::VariableDelayChannel> devs;
   for (std::size_t s = 0; s < 9; ++s) devs.push_back(make_channel(s));
@@ -831,7 +831,7 @@ TEST(BatchRunnerEquivalence, LaneEdgesRejectTheSameDeviceTwiceAcrossGroups) {
     devs.push_back(make_fine(s, static_cast<double>(s) / 8.0));
   auto lanes = pointers(devs);
   lanes.push_back(&devs[0]);
-  EXPECT_THROW(gc::lane_edges(lanes, stim, gm::DelayMeterOptions{}),
+  EXPECT_THROW(gc::lane_edges(lanes, stim, gm::CrossingOptions{}),
                std::logic_error);
   for (std::size_t s = 0; s < 5; ++s)
     ASSERT_TRUE(wf_equal(make_fine(s, static_cast<double>(s) / 8.0)
@@ -850,7 +850,7 @@ TEST(BatchRunnerEquivalence, CalibrateLatencyMatchesSoloTapClones) {
   o.settle_ps = 1500.0;
   const auto cal = gc::DelayCalibrator(o).calibrate(ch, stim);
 
-  gm::DelayMeterOptions mo;
+  gm::CrossingOptions mo;
   mo.settle_ps = o.settle_ps;
   std::vector<double> latency(4);
   for (int tap = 0; tap < 4; ++tap) {
@@ -881,7 +881,7 @@ TEST(BatchRunnerEquivalence, PeriodicRangeMatchesSoloPhaseSweep) {
   const double got = gc::DelayCalibrator(o).measure_fine_range_periodic(
       line, clk.wf, ui, kSteps);
 
-  gm::DelayMeterOptions mo;
+  gm::CrossingOptions mo;
   mo.settle_ps = o.settle_ps;
   double want = 0.0, prev = 0.0;
   for (int i = 0; i <= kSteps; ++i) {
@@ -924,7 +924,7 @@ TEST(BatchRunnerEquivalence, FineCurveMatchesSoloCloneSweep) {
   const auto curve = cal.measure_fine_curve(line, stim);
 
   // The pre-batching engine, verbatim: one solo clone per sweep point.
-  gm::DelayMeterOptions mo;
+  gm::CrossingOptions mo;
   mo.settle_ps = o.settle_ps;
   std::vector<double> xs(5), ys(5);
   for (int i = 0; i < 5; ++i) {
@@ -994,7 +994,7 @@ TEST(BatchRunnerEquivalence, LaneEdgesTakeOneStimulusPerDevice) {
   }
   std::vector<const gs::Waveform*> ptrs;
   for (const auto& w : stims) ptrs.push_back(&w);
-  gm::DelayMeterOptions mo;
+  gm::CrossingOptions mo;
   mo.settle_ps = 1500.0;
   std::vector<gc::VariableDelayChannel> devs;
   for (std::size_t s = 0; s < 6; ++s) devs.push_back(make_channel(s));
@@ -1034,7 +1034,7 @@ TEST(BatchRunnerEquivalence, LaneEdgesMixStageCounts) {
   // each stage count apart, in list order, and returns list order.
   // (run_lanes() itself still rejects a mixed group: MixedStreamKindsThrow.)
   const auto stim = nrz_stimulus();
-  gm::DelayMeterOptions mo;
+  gm::CrossingOptions mo;
   mo.settle_ps = 1500.0;
   const auto make = [](std::size_t s) {
     return s % 2 == 0 ? make_channel(s) : make_two_stage_channel(s);
@@ -1071,7 +1071,7 @@ TEST(BatchRunnerEquivalence, BoardCalibrationMatchesSoloClones) {
   const auto cals = gc::DelayCalibrator(o).calibrate(chans, stim);
   ASSERT_EQ(cals.size(), chans.size());
 
-  gm::DelayMeterOptions mo;
+  gm::CrossingOptions mo;
   mo.settle_ps = o.settle_ps;
   for (std::size_t c = 0; c < chans.size(); ++c) {
     const gc::VariableDelayChannel& ch = before[c];

@@ -95,7 +95,7 @@ TEST(VgaBuffer, DelayIncreasesWithAmplitude) {
     ga::VariableGainBuffer b(quiet_vga(), Rng(1));
     b.set_vctrl(1.5 * i / 6.0);
     const auto out = b.process(stim.wf);
-    gm::DelayMeterOptions o;
+    gm::CrossingOptions o;
     o.hysteresis_v = 0.02;  // small-swing intermediate signal
     const double d = gm::measure_delay(stim.wf, out, o).mean_ps;
     EXPECT_GT(d, prev) << "vctrl step " << i;
@@ -106,7 +106,7 @@ TEST(VgaBuffer, DelayIncreasesWithAmplitude) {
 TEST(VgaBuffer, PerStageRangeIsPicoseconds) {
   // One stage contributes roughly 10 ps (the paper observed ~10 ps).
   const auto stim = stimulus();
-  gm::DelayMeterOptions o;
+  gm::CrossingOptions o;
   o.hysteresis_v = 0.02;
   ga::VariableGainBuffer lo(quiet_vga(), Rng(1));
   lo.set_vctrl(0.0);
@@ -146,7 +146,7 @@ TEST(LimitingBuffer, PreservesEdgeTiming) {
   lo.set_vctrl(0.0);
   ga::VariableGainBuffer hi(quiet_vga(), Rng(1));
   hi.set_vctrl(1.5);
-  gm::DelayMeterOptions small_sig;
+  gm::CrossingOptions small_sig;
   small_sig.hysteresis_v = 0.02;
   const auto wf_lo = lo.process(stim.wf);
   const auto wf_hi = hi.process(stim.wf);
@@ -175,7 +175,7 @@ TEST(VgaBuffer, NoiseAddsJitterMonotonically) {
     c.noise_sigma_v = sigma;
     ga::VariableGainBuffer b(c, Rng(33));
     b.set_vctrl(0.75);
-    gm::DelayMeterOptions o;
+    gm::CrossingOptions o;
     o.hysteresis_v = 0.02;
     const double sd = gm::measure_delay(stim.wf, b.process(stim.wf), o).stddev_ps;
     EXPECT_GT(sd, prev) << "sigma=" << sigma;

@@ -43,7 +43,7 @@ TEST(SjInjection, CreatesPeriodicJitter) {
   cfg.sj_freq_ghz = 0.02;  // 20 MHz, well inside the coupler passband
   gc::JitterInjector inj(cfg, Rng(2));
   const auto out = inj.process(s.wf);
-  gm::JitterMeasureOptions jo;
+  gm::CrossingOptions jo;
   jo.settle_ps = 12000.0;
   const auto j = gm::measure_jitter(out, s.unit_interval_ps, jo);
   // 0.8 V * ~43 ps/V of Vctrl sensitivity -> tens of ps of bounded DJ.
@@ -61,7 +61,7 @@ TEST(SjInjection, AmplitudeScalesJitter) {
   cfg.line.stage.noise_sigma_v = 0.0;
   cfg.line.output_stage.noise_sigma_v = 0.0;
   cfg.sj_freq_ghz = 0.02;
-  gm::JitterMeasureOptions jo;
+  gm::CrossingOptions jo;
   jo.settle_ps = 12000.0;
   double prev = -1.0;
   for (double pp : {0.2, 0.5, 0.9}) {

@@ -90,14 +90,14 @@ TEST(CoarseDelay, MidRunSwitchTakesEffect) {
   blk.select(3);
   blk.process_block(in + half, dst + half, s.wf.size() - half, s.wf.dt_ps());
   const double t_half = out.time_at(half);
-  gm::DelayMeterOptions early;
+  gm::CrossingOptions early;
   early.settle_ps = 400.0;
   const auto ref_early = s.wf.slice(s.wf.t0_ps(), t_half);
   const auto out_early = out.slice(out.t0_ps(), t_half);
   const auto ref_late = s.wf.slice(t_half + 300.0, s.wf.t_end_ps());
   const auto out_late = out.slice(t_half + 300.0, out.t_end_ps());
   const double d_early = gm::measure_delay(ref_early, out_early, early).mean_ps;
-  gm::DelayMeterOptions late;
+  gm::CrossingOptions late;
   late.settle_ps = 100.0;
   const double d_late = gm::measure_delay(ref_late, out_late, late).mean_ps;
   EXPECT_NEAR(d_late - d_early, 99.0, 3.0);

@@ -65,7 +65,7 @@ TEST(Ddj, FineDelayLineShowsDroopDdj) {
   gc::FineDelayLine line(fc, Rng(4));
   line.set_vctrl(0.75);
   const auto out = line.process(stim.wf);
-  gm::JitterMeasureOptions jo;
+  gm::CrossingOptions jo;
   jo.settle_ps = 12000.0;
   const auto edges = gm::measure_jitter(out, stim.unit_interval_ps, jo);
   const auto rep =

@@ -536,9 +536,10 @@ TEST(NonFiniteOptions, MeasurementOptionsAreRejectedUpFront) {
   gs::SynthConfig sc;
   sc.rate_gbps = 3.2;
   const auto wf = gs::synthesize_nrz(gs::prbs(7, 32), sc).wf;
-  // Options of any measurement type with field f of kFields set to bad.
+  // Crossing options with field f of kFields set to bad.
   const char* const kFields[] = {"threshold_v", "hysteresis_v", "settle_ps"};
-  const auto with = [](auto o, int f, double bad) {
+  const auto with = [](int f, double bad) {
+    gm::CrossingOptions o;
     (f == 0 ? o.threshold_v : f == 1 ? o.hysteresis_v : o.settle_ps) = bad;
     return o;
   };
@@ -553,28 +554,22 @@ TEST(NonFiniteOptions, MeasurementOptionsAreRejectedUpFront) {
   for (double bad : {nan, inf, -inf}) {
     for (int f = 0; f < 3; ++f) {
       const char* field = kFields[f];
-      const auto d = with(gm::DelayMeterOptions{}, f, bad);
-      const auto j = with(gm::JitterMeasureOptions{}, f, bad);
+      const auto o = with(f, bad);
       cases.push_back({"measure_delay", field,
-                       [&wf, d] { gm::measure_delay(wf, wf, d); }});
-      cases.push_back({"measure_phase_delay", field, [&wf, d] {
-                         gm::measure_phase_delay(wf, wf, 312.5, d);
+                       [&wf, o] { gm::measure_delay(wf, wf, o); }});
+      cases.push_back({"measure_phase_delay", field, [&wf, o] {
+                         gm::measure_phase_delay(wf, wf, 312.5, o);
                        }});
       cases.push_back({"delay_edges", field,
-                       [&wf, d] { gm::delay_edges(wf, d); }});
-      cases.push_back({"lane_edges", field, [&wf, &line, d] {
+                       [&wf, o] { gm::delay_edges(wf, o); }});
+      cases.push_back({"lane_edges", field, [&wf, &line, o] {
                          gc::lane_edges(std::vector<gc::FineDelayLine*>{&line},
-                                        wf, d);
+                                        wf, o);
                        }});
       cases.push_back({"measure_jitter", field,
-                       [&wf, j] { gm::measure_jitter(wf, 312.5, j); }});
-      cases.push_back({"JitterSink", field, [j] { gm::JitterSink{312.5, j}; }});
-      cases.push_back({"EdgeSink", field, [j] {
-                         gs::EdgeExtractOptions eo;
-                         eo.threshold_v = j.threshold_v;
-                         eo.hysteresis_v = j.hysteresis_v;
-                         gm::EdgeSink{eo, j.settle_ps};
-                       }});
+                       [&wf, o] { gm::measure_jitter(wf, 312.5, o); }});
+      cases.push_back({"JitterSink", field, [o] { gm::JitterSink{312.5, o}; }});
+      cases.push_back({"EdgeSink", field, [o] { gm::EdgeSink{o}; }});
     }
     cases.push_back({"JitterSink", "ui_ps", [bad] { gm::JitterSink{bad}; }});
     cases.push_back({"EyeSink", "phase_ps",
@@ -641,13 +636,11 @@ TEST(NonFiniteOptions, MeasurementOptionsAreRejectedUpFront) {
     }
   }
   // A negative settle window stays accepted: it means none.
-  gm::DelayMeterOptions none;
+  gm::CrossingOptions none;
   none.settle_ps = -1.0;
   EXPECT_NEAR(gm::measure_delay(wf, wf, none).mean_ps, 0.0, 1e-9);
-  gm::JitterMeasureOptions jitter_none;
-  jitter_none.settle_ps = -1.0;
-  EXPECT_GT(gm::measure_jitter(wf, 312.5, jitter_none).n_edges, 0u);
-  EXPECT_NO_THROW((gm::EdgeSink{gs::EdgeExtractOptions{}, -1.0}));
+  EXPECT_GT(gm::measure_jitter(wf, 312.5, none).n_edges, 0u);
+  EXPECT_NO_THROW(gm::EdgeSink{none});
   gc::DelayCalibrator::Options o;
   o.settle_ps = -1.0;
   EXPECT_NO_THROW(gc::DelayCalibrator{o});

@@ -66,7 +66,7 @@ TEST(Integration, AddedJitterSmallBelowSixGbps) {
   ch.set_vctrl(0.75);
   const auto out = ch.process(stim.wf);
   // Skip the droop settling transient in both traces (same edge count).
-  gm::JitterMeasureOptions jo;
+  gm::CrossingOptions jo;
   jo.settle_ps = 12000.0;
   const double tj_in =
       gm::measure_jitter(stim.wf, stim.unit_interval_ps, jo).tj_pp_ps;

@@ -66,7 +66,7 @@ TEST(JitterInjector, ZeroNoisePassesSignalCleanly) {
   const auto out = inj.process(s.wf);
   // Skip the bias-droop settling transient; what remains is the line's
   // deterministic (pattern-dependent) jitter, a few ps at most.
-  gm::JitterMeasureOptions jo;
+  gm::CrossingOptions jo;
   jo.settle_ps = 12000.0;
   const auto j = gm::measure_jitter(out, s.unit_interval_ps, jo);
   EXPECT_LT(j.tj_pp_ps, 8.0);

@@ -8,12 +8,15 @@
 // order. These tests run both paths over identically seeded twins and
 // compare raw bit patterns at chunk sizes from 1 sample to the whole
 // waveform, with particular attention to measurement state that spans
-// chunk seams (the edge extractor's backscan window).
+// chunk seams (the edge locator's last on-side sample and the one after
+// it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -116,6 +119,77 @@ std::vector<gs::Edge> chunked_edges(const gs::Waveform& wf,
     ex.consume(p + o, std::min(chunk, wf.size() - o));
   return ex.take_edges();
 }
+
+// The crossing locator as it was before it kept two samples: a history
+// window pruned at every sample on the state's side of the threshold,
+// and a backscan from the flip to the nearest pair straddling the
+// threshold, floored at the window's first sample. The oracle of
+// StreamingEdges.TwoSampleLocatorMatchesHistoryBackscan.
+class BackscanExtractor {
+ public:
+  BackscanExtractor(double t0_ps, double dt_ps,
+                    const gs::EdgeExtractOptions& opt)
+      : t0_(t0_ps),
+        dt_(dt_ps),
+        th_(opt.threshold_v),
+        hy_(std::max(opt.hysteresis_v, 0.0) / 2.0),
+        t_min_(opt.t_min_ps) {}
+
+  void consume(const double* samples, std::size_t n) {
+    for (std::size_t k = 0; k < n; ++k) {
+      const double cur = samples[k];
+      const std::size_t g = n_seen_++;
+      hist_.push_back(cur);
+      if (g == 0) {
+        if (cur > th_ + hy_) state_ = 1;
+        else if (cur < th_ - hy_) state_ = -1;
+      } else {
+        int new_state = state_;
+        if (cur > th_ + hy_) new_state = 1;
+        else if (cur < th_ - hy_) new_state = -1;
+        if (new_state != state_ && new_state != 0 && state_ != 0) {
+          const bool rising = new_state > 0;
+          const std::size_t floor = base_ + 1;
+          std::size_t j = g;
+          while (j > floor) {
+            const double a = hist_[j - 1 - base_], b = hist_[j - base_];
+            if ((rising && a <= th_ && b > th_) ||
+                (!rising && a >= th_ && b < th_))
+              break;
+            --j;
+          }
+          const double a = hist_[j - 1 - base_], b = hist_[j - base_];
+          double t;
+          if (b == a) {
+            t = t0_ + dt_ * static_cast<double>(j);
+          } else {
+            const double frac = (th_ - a) / (b - a);
+            t = t0_ + dt_ * static_cast<double>(j - 1) + frac * dt_;
+          }
+          if (t >= t_min_) edges.push_back({t, rising});
+        }
+        state_ = new_state;
+      }
+      if (state_ == 0 || (state_ == 1 && cur >= th_) ||
+          (state_ == -1 && cur <= th_)) {
+        if (g > base_) {
+          hist_.erase(hist_.begin(),
+                      hist_.begin() + static_cast<std::ptrdiff_t>(g - base_));
+          base_ = g;
+        }
+      }
+    }
+  }
+
+  std::vector<gs::Edge> edges;
+
+ private:
+  double t0_, dt_, th_, hy_, t_min_;
+  int state_ = 0;
+  std::size_t n_seen_ = 0;
+  std::vector<double> hist_;
+  std::size_t base_ = 0;
+};
 
 }  // namespace
 
@@ -276,6 +350,100 @@ TEST(StreamingEdges, TieResidualsChunkInvariant) {
   }
 }
 
+TEST(StreamingEdges, TwoSampleLocatorMatchesHistoryBackscan) {
+  // Seeded streams of 2-201 samples over every value class the locator
+  // can meet: uniform levels, a random walk (slow transitions hovering
+  // near the threshold), a lattice that lands exactly on th and
+  // th +- hysteresis/2, and signed zeros, infinities, NaN, tiny normals
+  // and denormals. The oracle takes each stream in one call; the
+  // locator takes it in random chunks of 1-9 samples. Every edge must
+  // match bit for bit.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double kSpecial[] = {0.0,     -0.0,    inf,    -inf,
+                             nan,     1e-300,  -1e-300, denorm,
+                             -denorm, 1e-310,  -1e-310};
+  const double kThresholds[] = {0.0, 0.05, -0.05, 0.3};
+  const double kHysteresis[] = {0.0, 0.1, 0.2, -0.3, 1e-9};
+  const double kT0[] = {0.0, 1234.5678};
+  const double kDt[] = {1.0, 0.3};
+  Rng rng(3307);
+  std::size_t n_edges = 0, mismatches = 0;
+  std::vector<double> x;
+  for (int stream = 0; stream < 60000; ++stream) {
+    gs::EdgeExtractOptions opt;
+    opt.threshold_v = kThresholds[rng.below(4)];
+    opt.hysteresis_v = kHysteresis[rng.below(5)];
+    const double t0 = kT0[rng.below(2)], dt = kDt[rng.below(2)];
+    const std::size_t n = 2 + rng.below(200);
+    if (rng.bit()) opt.t_min_ps = t0 + dt * static_cast<double>(rng.below(n));
+    const double th = opt.threshold_v, half = opt.hysteresis_v / 2.0;
+    const int style = static_cast<int>(rng.below(3));
+    const double special_rate = (rng.below(3) == 0) ? 0.0 : 0.05;
+    x.resize(n);
+    double walk = rng.uniform(-1.0, 1.0);
+    for (double& v : x) {
+      if (rng.uniform() < special_rate) {
+        v = kSpecial[rng.below(std::size(kSpecial))];
+      } else if (style == 0) {
+        v = rng.uniform(-1.0, 1.0);
+      } else if (style == 1) {
+        walk = std::clamp(walk + rng.uniform(-0.15, 0.15), -1.0, 1.0);
+        v = walk;
+      } else {
+        v = th + half * static_cast<double>(static_cast<int>(rng.below(7)) - 3);
+      }
+    }
+    BackscanExtractor oracle(t0, dt, opt);
+    oracle.consume(x.data(), n);
+    gs::StreamingEdgeExtractor ex(t0, dt, opt);
+    for (std::size_t o = 0; o < n;) {
+      const std::size_t c = std::min<std::size_t>(1 + rng.below(9), n - o);
+      ex.consume(x.data() + o, c);
+      o += c;
+    }
+    const auto& got = ex.edges();
+    n_edges += oracle.edges.size();
+    bool same = got.size() == oracle.edges.size();
+    for (std::size_t i = 0; same && i < got.size(); ++i)
+      same = std::memcmp(&got[i].t_ps, &oracle.edges[i].t_ps,
+                         sizeof(double)) == 0 &&
+             got[i].rising == oracle.edges[i].rising;
+    if (!same && mismatches++ == 0)
+      ADD_FAILURE() << "stream " << stream << ": " << got.size()
+                    << " edges, oracle " << oracle.edges.size();
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GT(n_edges, 500000u);
+}
+
+TEST(StreamingEdges, NonFiniteSampleNextToTheCrossingDropsOnlyItsEdge) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
+    // A NaN right after the last low sample: the rising crossing
+    // interpolates to a NaN time and is dropped; the falling and rising
+    // crossings after it are still found.
+    const gs::Waveform nan_wf(
+        0.0, 1.0, std::vector<double>{-1.0, -1.0, nan, 1.0, 1.0, -1.0, 1.0});
+    const auto a = chunked_edges(nan_wf, {}, chunk);
+    ASSERT_EQ(a.size(), 2u) << "chunk " << chunk;
+    EXPECT_FALSE(a[0].rising);
+    EXPECT_EQ(a[0].t_ps, 4.5);
+    EXPECT_TRUE(a[1].rising);
+    EXPECT_EQ(a[1].t_ps, 5.5);
+    // An infinite sample on the high side before a falling crossing: the
+    // time is NaN and that edge alone is dropped.
+    const gs::Waveform inf_wf(0.0, 1.0,
+                              std::vector<double>{1.0, inf, -1.0, 1.0});
+    const auto b = chunked_edges(inf_wf, {}, chunk);
+    ASSERT_EQ(b.size(), 1u) << "chunk " << chunk;
+    EXPECT_TRUE(b[0].rising);
+    EXPECT_EQ(b[0].t_ps, 2.5);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // JitterInjector block path
 
@@ -349,7 +517,7 @@ TEST(StreamingPipeline, SynthChannelAllSinksIdentity) {
 
     // A delay is two EdgeSinks set up as measure_delay extracts: one on
     // the raw stimulus stream (no stages), one on the channel's output.
-    const gm::DelayMeterOptions dopt;
+    const gm::CrossingOptions dopt;
     gm::EdgeSink ref_edges(dopt);
     gc::Pipeline taps(chunk);
     taps.run(src, ref_edges);
